@@ -12,14 +12,10 @@ recovered gradient frozen at the current iterate; the K_cu sensitivity is
 dropped (Picard treatment) so converged solutions are unaffected while the
 assembly never needs recovery derivatives.
 
-Element loops are vectorized over element blocks; CHEMOPLAST_THREADS > 1
-splits the blocks across a thread pool with a deterministic, order-fixed
-reduction, so results are independent of the thread count.
+Element loops are vectorized over all elements at once.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,22 +28,6 @@ _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
 
 class AssemblyError(RuntimeError):
     pass
-
-
-def thread_count():
-    """Assembly worker count from CHEMOPLAST_THREADS (0 or unset = auto).
-
-    Auto resolves to 1: element blocks are numpy-vectorized and memory-bound,
-    so extra threads only pay off when requested explicitly.
-    """
-    raw = os.environ.get("CHEMOPLAST_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CHEMOPLAST_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("CHEMOPLAST_THREADS must be >= 0")
-    return 1 if n == 0 else n
 
 
 @dataclass(frozen=True)
@@ -298,20 +278,6 @@ def neumann_load_vector(mesh, dofmap, bcs, t):
     return load
 
 
-def _element_blocks(n_elem, workers):
-    if workers <= 1 or n_elem < 2 * workers:
-        return [slice(0, n_elem)]
-    bounds = np.linspace(0, n_elem, workers + 1).astype(int)
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _map(fn, blocks, workers):
-    if len(blocks) == 1 or workers <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
-
-
 def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
                     elem_data=None, bcs=None, t=0.0, frozen_sigma_h=None,
                     want_jacobian=True, plasticity=True):
@@ -363,78 +329,48 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h_nodal[tris])   # (n_elem, 2)
 
     drift_coeff = mat.D * mat.Omega / (mat.R * mat.T)
+    b = ed.b_eng
+
+    # mechanics rows: B^T sum_q w sigma_q (tensor comps == eng stress)
+    sig_w = np.einsum("eq,eqa->ea", wq, new_states.sigma)
+    r_u = np.einsum("eai,ea->ei", b, sig_w)
+
+    # diffusion rows
+    m_e = np.einsum("eq,qi,qj->eij", wq, ed.shape_qp, ed.shape_qp)
+    k_diff = mat.D * ed.areas[:, None, None] * np.einsum("eid,ejd->eij", ed.grads, ed.grads)
+    dc_dt = (ce_new - ce_old) / dt
+    r_c = np.einsum("eij,ej->ei", m_e, dc_dt) + np.einsum("eij,ej->ei", k_diff, ce_new)
+
+    if mode == "two-way":
+        gn = np.einsum("eid,ed->ei", ed.grads, grad_sh)   # grad N_i . grad sigma_h
+        c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new)
+        r_c -= drift_coeff * (wq * c_qp).sum(axis=1)[:, None] * gn
+
     residual = np.zeros(dofmap.n_dofs)
-    workers = thread_count()
-    blocks = _element_blocks(n_elem, workers)
-
-    sig_eng = new_states.sigma                                   # tensor comps == eng stress
-    jac_parts = []
-
-    def do_block(blk):
-        b = ed.b_eng[blk]
-        w = wq[blk]
-        # mechanics rows: B^T sum_q w sigma_q
-        sig_w = np.einsum("eq,eqa->ea", w, sig_eng[blk])
-        r_u = np.einsum("eai,ea->ei", b, sig_w)
-
-        # diffusion rows
-        m_e = np.einsum("eq,qi,qj->eij", w, ed.shape_qp, ed.shape_qp)
-        k_diff = mat.D * ed.areas[blk][:, None, None] * np.einsum(
-            "eid,ejd->eij", ed.grads[blk], ed.grads[blk])
-        dc_dt = (ce_new[blk] - ce_old[blk]) / dt
-        r_c = np.einsum("eij,ej->ei", m_e, dc_dt) + np.einsum("eij,ej->ei", k_diff, ce_new[blk])
-
-        gn = None
-        if mode == "two-way":
-            gn = np.einsum("eid,ed->ei", ed.grads[blk], grad_sh[blk])   # grad N_i . grad sigma_h
-            c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new[blk])
-            r_c -= drift_coeff * (w * c_qp).sum(axis=1)[:, None] * gn
-
-        jac = None
-        if want_jacobian:
-            tan = tangent[blk]
-            c_sum = np.einsum("eq,eqab->eab", w, tan)
-            k_uu = np.einsum("eai,eab,ebj->eij", b, c_sum, b)
-            chem = np.einsum("eqab,b->eqa", tan, _CHEM_VEC) * (mat.Omega / 3.0)
-            k_uc = -np.einsum("eai,eq,eqa,qj->eij", b, w, chem, ed.shape_qp)
-            k_cc = m_e / dt + k_diff
-            if mode == "two-way":
-                k_cc = k_cc - drift_coeff * np.einsum(
-                    "eq,qj,ei->eij", w, ed.shape_qp, gn)
-            jac = (k_uu, k_uc, k_cc)
-        return r_u, r_c, jac
-
-    results = _map(do_block, blocks, workers)
-
-    for blk, (r_u, r_c, jac) in zip(blocks, results):
-        np.add.at(residual, ed.edofs_u[blk], r_u)
-        np.add.at(residual, ed.edofs_c[blk], r_c)
-        if want_jacobian:
-            jac_parts.append((blk, jac))
-
+    np.add.at(residual, ed.edofs_u, r_u)
+    np.add.at(residual, ed.edofs_c, r_c)
     if bcs is not None:
         residual -= neumann_load_vector(mesh, dofmap, bcs, t)
 
     jacobian = None
     if want_jacobian:
-        rows, cols, vals = [], [], []
-        for blk, (k_uu, k_uc, k_cc) in jac_parts:
-            eu = ed.edofs_u[blk]
-            ec = ed.edofs_c[blk]
-            rows.append(np.repeat(eu, 6, axis=1).ravel())
-            cols.append(np.tile(eu, (1, 6)).ravel())
-            vals.append(k_uu.ravel())
-            rows.append(np.repeat(eu, 3, axis=1).ravel())
-            cols.append(np.tile(ec, (1, 6)).ravel())
-            vals.append(k_uc.ravel())
-            rows.append(np.repeat(ec, 3, axis=1).ravel())
-            cols.append(np.tile(ec, (1, 3)).ravel())
-            vals.append(k_cc.ravel())
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
+        c_sum = np.einsum("eq,eqab->eab", wq, tangent)
+        k_uu = np.einsum("eai,eab,ebj->eij", b, c_sum, b)
+        chem = np.einsum("eqab,b->eqa", tangent, _CHEM_VEC) * (mat.Omega / 3.0)
+        k_uc = -np.einsum("eai,eq,eqa,qj->eij", b, wq, chem, ed.shape_qp)
+        k_cc = m_e / dt + k_diff
+        if mode == "two-way":
+            k_cc = k_cc - drift_coeff * np.einsum("eq,qj,ei->eij", wq, ed.shape_qp, gn)
+        eu, ec = ed.edofs_u, ed.edofs_c
+        rows = np.concatenate([np.repeat(eu, 6, axis=1).ravel(),
+                               np.repeat(eu, 3, axis=1).ravel(),
+                               np.repeat(ec, 3, axis=1).ravel()])
+        cols = np.concatenate([np.tile(eu, (1, 6)).ravel(),
+                               np.tile(ec, (1, 6)).ravel(),
+                               np.tile(ec, (1, 3)).ravel()])
+        vals = np.concatenate([k_uu.ravel(), k_uc.ravel(), k_cc.ravel()])
         # stable sort before compression: duplicate entries are summed in a
-        # canonical order, so the matrix is bitwise independent of chunking
+        # canonical order
         order = np.lexsort((cols, rows))
         jacobian = sparse_linalg.from_triplets(
             dofmap.n_dofs, (rows[order], cols[order], vals[order]))

@@ -1,12 +1,22 @@
 """Backward-Euler time stepping for the coupled system.
 
-Each step runs an outer stagger loop: a monolithic Newton solve of the
-(u, c) system with the material update embedded in the residual, followed by
-a commit of the quadrature-point states, repeated until the plastic internal
-variables stop moving between passes. Because the Newton residual already
-enforces the discrete consistency condition, the loop settles in one pass
-for elastic response and two passes under plastic flow; single-pass
-operator-split behavior is recoverable with stagger_max_iter = 1.
+Each step runs an outer stagger loop: a Newton solve of the coupled (u, c)
+system with the material update embedded in the residual, followed by a
+commit of the quadrature-point states, repeated until the plastic internal
+variables stop moving between passes. Each pass compares its plastic state
+with the previous pass, the first pass with the state at the start of the
+step. Because the Newton residual already enforces the discrete consistency
+condition, the loop settles in one pass for elastic response and two passes
+under plastic flow, the second only confirming the first. So
+stagger_max_iter = 1 does not give operator-split behaviour: every step with
+plastic flow fails its stagger check, and the run aborts once the dt
+halvings are spent.
+
+Newton updates come from one ``sparse_linalg.BlockSolver`` per run, which
+solves the block upper-triangular Jacobian block by block and keeps the
+factors of the blocks this module knows to be fixed: K_uu while no
+quadrature point is plastic, K_cc in one-way coupling. Each step records
+which of the four Newton exits it took (NEWTON_EXITS).
 
 Step failures (Newton divergence, iteration cap, constitutive errors)
 trigger time-step halving, at most four times per step, before the run
@@ -22,6 +32,13 @@ from . import sparse_linalg
 from .assembly import (AssemblyError, DofMap, FieldState, assemble_system,
                        interpolate_nodal, locate_points, precompute)
 from .constitutive import hydrostatic, von_mises
+
+
+# Newton exits: both block residuals within tolerance; within tolerance or
+# at the block's roundoff floor; the increment at the float64 floor of the
+# solution; no progress for several corrections with the mechanics residual
+# far below the run's force scale (yield-surface branch jitter).
+NEWTON_EXITS = ("converged", "roundoff-floor", "stagnated", "stalled")
 
 
 class StepFailure(RuntimeError):
@@ -62,6 +79,7 @@ class StepInfo:
     newton_iters: int
     stagger_passes: int
     residual_norm: float
+    newton_exit: str           # one of NEWTON_EXITS, from the last stagger pass
 
 
 @dataclass
@@ -92,7 +110,8 @@ def _plastic_change(states_a, states_b, params):
     return max(two_mu * d_eps, d_beta, max(params.H, params.h, two_mu) * d_eq)
 
 
-def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, refs=None):
+def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver,
+                  refs=None):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence, backtracking, and floors are judged per physics block
@@ -108,14 +127,18 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, refs=None):
     so quiescent hold phases are not asked to out-resolve the yield-surface
     jitter of points flipping between the elastic and plastic branch.
 
-    Returns (w, new_states, sigma_h_nodal, iters, norm). The Dirichlet
-    dofs of ``w`` must already carry their prescribed values.
+    ``block_solver`` (a ``sparse_linalg.BlockSolver``) computes the updates
+    and keeps its factors across calls.
+
+    Returns (w, new_states, sigma_h_nodal, iters, norm, reason) with ``reason``
+    one of NEWTON_EXITS. The Dirichlet dofs of ``w`` must already carry
+    their prescribed values.
     """
     mesh, params, bcs = scenario.mesh, scenario.params, scenario.bcs
     constraints = bcs.dirichlet_constraints(mesh, dm, t_new)
     fixed_dofs = np.array([d for d, _ in constraints], dtype=np.int64)
-    zero_constraints = [(d, 0.0) for d in fixed_dofs]
     refs = refs if refs is not None else {"u": 0.0, "c": 0.0}
+    keep_cc = config.mode == "one-way"     # K_cc = M/dt + K_diff: fixed at this dt
 
     def block_norms(vec):
         v = vec.copy()
@@ -171,10 +194,12 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, refs=None):
         # iteration is chasing the yield-surface branch jitter
         stalled = (len(norms) >= 5 and norm > 0.99 * norms[-5]
                    and nu <= 1e-3 * max(refs["u"], 1e-300) and nc <= max(tol_c, 2.0 * floor_c))
-        if (ok_u and ok_c) or stagnated or stalled:
-            # stagnated: the increment reached the float64 floor of the
-            # solution itself; no further reduction is possible here
-            return w, new_states, sigma_h, n_solves, norm
+        reason = ("converged" if nu <= tol_u and nc <= tol_c else
+                  "roundoff-floor" if ok_u and ok_c else
+                  "stagnated" if stagnated else
+                  "stalled" if stalled else None)
+        if reason is not None:
+            return w, new_states, sigma_h, n_solves, norm, reason
         if norms:
             meaningful = norm > 10.0 * (floor_u + floor_c)
             grow = grow + 1 if (meaningful and norm > norms[-1]) else 0
@@ -186,9 +211,11 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, refs=None):
             raise StepFailure(f"Newton did not converge within {config.newton_max_iter} "
                               f"iterations at t={t_new:g} (residual {norm:.3e}, "
                               f"tols {tol_u:.3e}/{tol_c:.3e})")
-        A, b = sparse_linalg.apply_dirichlet(jac, -res, zero_constraints)
+        # with no plastic quadrature point, K_uu is the elastic stiffness
+        elastic = np.array_equal(new_states.eps_p_eq, fields_n.states.eps_p_eq)
         try:
-            dw = sparse_linalg.solve(A, b)
+            dw = block_solver.newton_update(jac, res, fixed_dofs, keep_uu=elastic,
+                                            keep_cc=keep_cc)
         except sparse_linalg.SingularMatrixError as err:
             raise StepFailure(f"linear solve failed at t={t_new:g}: {err}") from err
         n_solves += 1
@@ -197,7 +224,12 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, refs=None):
         # the divergence detector above plus the caller's dt halving, which
         # also shrinks the boundary-condition increment that causes them.
         w = w + dw
+        # stagnated: the increment reached the float64 floor of the
+        # solution itself; no further reduction is possible here
         stagnated = np.linalg.norm(dw) <= 1e-13 * (np.linalg.norm(w) + 1e-300)
+        # the last iterate's Jacobian and states are dead: free them before
+        # the next assembly allocates its temporaries (peak memory)
+        res = jac = new_states = None
         try:
             res, jac, new_states, sigma_h = assemble_at(w)
         except AssemblyError as err:
@@ -205,14 +237,17 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, refs=None):
 
 
 def step(fields_n, t_n, dt, scenario, config, elem_data=None, dofmap=None,
-         newton_refs=None):
+         newton_refs=None, block_solver=None):
     """Advance one backward-Euler step from t_n to t_n + dt.
 
-    Returns (fields at t_n + dt, StepInfo). Raises StepFailure when the
-    Newton or stagger iteration cannot be completed.
+    ``block_solver`` computes the Newton updates; pass the run's solver so
+    that its kept factors carry over between steps (a fresh one is made if
+    omitted). Returns (fields at t_n + dt, StepInfo). Raises StepFailure
+    when the Newton or stagger iteration cannot be completed.
     """
     ed = elem_data if elem_data is not None else precompute(scenario.mesh)
     dm = dofmap or DofMap(scenario.mesh.n_nodes)
+    block_solver = block_solver or sparse_linalg.BlockSolver()
     t_new = t_n + dt
 
     w = dm.join(fields_n.u, fields_n.c)
@@ -222,8 +257,9 @@ def step(fields_n, t_n, dt, scenario, config, elem_data=None, dofmap=None,
     prev_states = None
     total_iters = 0
     for stagger_pass in range(1, config.stagger_max_iter + 1):
-        w, new_states, sigma_h, iters, norm = _newton_solve(
-            w, fields_n, t_new, dt, scenario, config, ed, dm, refs=newton_refs)
+        w, new_states, sigma_h, iters, norm, reason = _newton_solve(
+            w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver,
+            refs=newton_refs)
         total_iters += iters
         if not config.plasticity or scenario.params.hardening_kind == "none":
             break
@@ -239,7 +275,7 @@ def step(fields_n, t_n, dt, scenario, config, elem_data=None, dofmap=None,
     u, c = dm.split(w)
     fields_new = FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h)
     return fields_new, StepInfo(newton_iters=total_iters, stagger_passes=stagger_pass,
-                                residual_norm=norm)
+                                residual_norm=norm, newton_exit=reason)
 
 
 def _lumped_masses(mesh):
@@ -320,6 +356,7 @@ def run(scenario, config, elem_data=None, progress_cb=None):
     t_end = config.t_end
     step_no = 0
     newton_refs = {"u": 0.0, "c": 0.0}
+    block_solver = sparse_linalg.BlockSolver()
 
     while t < t_end * (1.0 - 1e-12):
         dt = min(config.dt, t_end - t)
@@ -327,7 +364,7 @@ def run(scenario, config, elem_data=None, progress_cb=None):
         while True:
             try:
                 fields_new, info = step(fields, t, dt, scenario, config, ed, dm,
-                                        newton_refs=newton_refs)
+                                        newton_refs=newton_refs, block_solver=block_solver)
                 break
             except StepFailure as err:
                 attempt += 1
@@ -346,6 +383,7 @@ def run(scenario, config, elem_data=None, progress_cb=None):
             "newton_iters": info.newton_iters,
             "stagger_passes": info.stagger_passes,
             "residual_norm": info.residual_norm,
+            "newton_exit": info.newton_exit,
             "total_concentration": float(masses @ fields.c),
             "max_eps_p_eq": float(fields.states.eps_p_eq.max()),
             "max_sigma_h": float(np.max(np.abs(hydrostatic(fields.states.sigma)))),

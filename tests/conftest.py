@@ -81,5 +81,20 @@ def steel_kinematic():
 
 
 @pytest.fixture
+def splu_calls(monkeypatch):
+    """Dimension of every matrix the sparse layer hands to SuperLU."""
+    from chemoplast import sparse_linalg
+    calls = []
+    real = sparse_linalg.splu
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "splu", counting)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240814)

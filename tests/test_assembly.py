@@ -200,26 +200,6 @@ class TestJacobian:
         assert np.abs(K_cc_huge.sum(axis=1)).max() <= 1e-12 * np.abs(K_cc_huge).max()
         assert np.abs(J_small[np.ix_(ic, ic)]).max() > 1e3 * np.abs(K_cc_huge).max()
 
-    def test_thread_count_determinism(self, steel, rng, monkeypatch):
-        m = msh.generate_plate_with_hole(1.0, 0.2, 0.06)
-        dm = asm.DofMap(m.n_nodes)
-        f0 = _fields(m, c0=2.0)
-        f1 = f0.copy()
-        f1.u = rng.normal(scale=1e-5, size=(m.n_nodes, 2))
-        f1.c = 2.0 + rng.normal(scale=0.05, size=m.n_nodes)
-        monkeypatch.delenv("CHEMOPLAST_THREADS", raising=False)
-        r1, j1, _, _ = asm.assemble_system(m, dm, f1, f0, steel, 0.5, "two-way")
-        monkeypatch.setenv("CHEMOPLAST_THREADS", "4")
-        r4, j4, _, _ = asm.assemble_system(m, dm, f1, f0, steel, 0.5, "two-way")
-        assert np.array_equal(r1, r4)
-        assert np.array_equal(j1.values, j4.values)
-        assert np.array_equal(j1.col_indices, j4.col_indices)
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("CHEMOPLAST_THREADS", "many")
-        with pytest.raises(ValueError):
-            asm.thread_count()
-
 
 class TestBoundaryConditions:
     def test_absent_tag_rejected(self, steel):

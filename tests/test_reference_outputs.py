@@ -1,0 +1,29 @@
+"""The benchmark workloads' final fields against their stored references.
+
+Runs each config of ``perfbench/workloads.py`` at the default seed and
+compares the final u, c, sigma and eps_p_eq with ``perfbench/reference/``
+at ``REFERENCE_RTOL`` (normwise relative per field), the same check the
+benchmark applies. Both files are read, never written.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from chemoplast import scenarios as sc
+
+_WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS_PY)
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads       # dataclasses resolve their module here
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_final_fields_match_reference(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    text = workload.config_text(workloads.DEFAULT_SEED)
+    scenario = sc.build_scenario(sc.load_config(text))
+    _, fields = sc.run_scenario(scenario, output_dir=tmp_path)
+    workloads.check_reference(workload, fields)

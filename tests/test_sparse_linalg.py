@@ -132,3 +132,62 @@ class TestApplyDirichlet:
         A2, b2 = sla.apply_dirichlet(A, b, [(0, 3.5), (7, -1.25)])
         x = sla.solve(A2, b2)
         assert x[0] == 3.5 and x[7] == -1.25
+
+
+def _block_triangular(rng, n_nodes=3):
+    """Diagonally dominant node-major (u_x, u_y, c) matrix with K_uu, K_uc and
+    K_cc populated and K_cu empty."""
+    n = 3 * n_nodes
+    is_c = np.arange(n) % 3 == 2
+    dense = rng.normal(size=(n, n))
+    dense[np.ix_(is_c, ~is_c)] = 0.0
+    dense[np.arange(n), np.arange(n)] = np.abs(dense).sum(axis=1) + 1.0
+    return sla.from_triplets(n, [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
+
+
+class TestBlockSolver:
+    def test_update_solves_free_system(self, rng):
+        A = _block_triangular(rng)
+        res = rng.normal(size=A.n)
+        fixed = np.array([0, 5])
+        dw = sla.BlockSolver().newton_update(A, res, fixed)
+        free = np.setdiff1d(np.arange(A.n), fixed)
+        assert np.all(dw[fixed] == 0.0)
+        J = A.toarray()[np.ix_(free, free)]
+        assert np.linalg.norm(J @ dw[free] + res[free]) <= 1e-12 * np.linalg.norm(res)
+
+    def test_k_cu_entry_rejected(self, rng):
+        A = _block_triangular(rng)
+        csr = A.scipy_csr().tolil()
+        csr[2, 3] = 1e-3            # concentration row 2, displacement column 3
+        with pytest.raises(ValueError, match="block upper-triangular"):
+            sla.BlockSolver().newton_update(sla.SparseMatrix(csr.tocsr()),
+                                            np.ones(A.n), np.array([], dtype=int))
+
+    def test_factor_reused_only_for_equal_block(self, rng, splu_calls):
+        A = _block_triangular(rng)
+        res = rng.normal(size=A.n)
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
+        solver.newton_update(A, res, none, keep_uu=True, keep_cc=True)
+        assert splu_calls == [3, 6]              # K_cc (3 dofs), then K_uu (6)
+        solver.newton_update(A, res, none)
+        assert len(splu_calls) == 2              # both kept factors reused
+
+        csr = A.scipy_csr().copy()
+        csr.data[0] = np.nextafter(csr.data[0], np.inf)    # row 0, column 0: in K_uu
+        B = sla.SparseMatrix(csr)
+        dw = solver.newton_update(B, res, none)
+        assert splu_calls[2:] == [6]              # one ulp apart: K_uu refactored
+        assert np.linalg.norm(B.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
+        solver.newton_update(B, res, none)
+        assert splu_calls[3:] == [6]              # ... and not kept (keep_uu False)
+        solver.newton_update(A, res, none)
+        assert len(splu_calls) == 4               # the kept K_uu factor is still A's
+
+    def test_singular_block_reported(self, rng):
+        A = _block_triangular(rng).toarray()
+        A[3] = A[0]                               # two equal displacement rows
+        M = sla.from_triplets(A.shape[0], [(i, j, A[i, j]) for i, j in zip(*np.nonzero(A))])
+        with pytest.raises(sla.SingularMatrixError, match="K_uu"):
+            sla.BlockSolver().newton_update(M, np.ones(M.n), np.array([], dtype=int))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chemoplast import analytic, assembly as asm, transient as tr
+from chemoplast import analytic, assembly as asm, scenarios as sc, sparse_linalg as sla
+from chemoplast import transient as tr
 from chemoplast.constitutive import MaterialParams, von_mises, yield_function
 from chemoplast.scenarios import Scenario
 from conftest import build_strip_mesh, build_two_element_square
@@ -24,6 +25,43 @@ def slab_scenario(nx=100, fixed_u=True):
                                            plasticity=False))
 
 
+# coarse plate pulled past yield: every step flows plastically
+COARSE_PLATE = """
+geometry.kind = plate_with_hole
+geometry.L = 1.0
+geometry.r = 0.2
+geometry.target_h = 0.07
+material.preset = steel_table1
+material.sigma_y0 = 80e6
+loading.kind = displacement
+loading.u_bar = 4.3e-4
+loading.t_ramp_hat = 0.02
+concentration.insulated = on
+concentration.initial_hat = 0.05
+coupling.mode = twoway
+plasticity.enabled = on
+solver.dt_hat = 0.01
+solver.t_end_hat = 0.03
+"""
+
+# coarse version of the traction-loaded closed-form validation plate
+COARSE_HOLE = """
+geometry.kind = plate_with_hole
+geometry.L = 1.0
+geometry.r = 0.2
+geometry.target_h = 0.07
+material.preset = steel_table1
+loading.kind = traction
+loading.p = 100e6
+concentration.initial_hat = 0.05
+concentration.insulated = on
+coupling.mode = twoway
+plasticity.enabled = off
+solver.dt_hat = 5e-4
+solver.t_end_hat = 0.0015
+"""
+
+
 def quiescent_scenario():
     m = build_two_element_square()
     params = MaterialParams(E=210e9, nu=0.3, D=1e-8, Omega=1.96e-6, T=300.0,
@@ -42,6 +80,7 @@ class TestStep:
         fields = tr.initial_fields(scen)
         new, info = tr.step(fields, 0.0, 100.0, scen, scen.solver)
         assert info.newton_iters <= 1
+        assert info.newton_exit == "converged"
         assert np.array_equal(new.u, fields.u)
         assert np.array_equal(new.c, fields.c)
         assert np.array_equal(new.states.sigma, fields.states.sigma)
@@ -69,6 +108,7 @@ class TestRunSlab:
         c_ex = analytic.slab_series(xs, 0.1, 1.0, 1.0, n_terms=60)
         l2 = np.sqrt(np.trapezoid((c_fe - c_ex) ** 2, xs) / np.trapezoid(c_ex**2, xs))
         assert l2 <= 0.01
+        assert all(r["newton_exit"] == "converged" for r in hist.records)
 
     def test_temporal_order_at_least_first(self):
         scen = slab_scenario(nx=100)
@@ -101,6 +141,63 @@ class TestRunSlab:
             assert key in sample
 
 
+def newton_updates(monkeypatch, config_text):
+    """Run a scenario and record every Newton update as
+    (jacobian, residual, fixed dofs, keep_uu, update)."""
+    scen = sc.build_scenario(sc.load_config(config_text))
+    seen = []
+    real = sla.BlockSolver.newton_update
+
+    def spy(self, jac, res, fixed_dofs, keep_uu=False, keep_cc=False):
+        dw = real(self, jac, res, fixed_dofs, keep_uu=keep_uu, keep_cc=keep_cc)
+        seen.append((jac, res, np.asarray(fixed_dofs), keep_uu, dw))
+        return dw
+
+    monkeypatch.setattr(sla.BlockSolver, "newton_update", spy)
+    tr.run(scen, scen.solver)
+    return seen
+
+
+class TestBlockNewtonSolve:
+    @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_HOLE], ids=["plastic-plate", "hole"])
+    def test_update_matches_monolithic_solve(self, monkeypatch, text):
+        updates = newton_updates(monkeypatch, text)
+        if text is COARSE_PLATE:
+            assert any(not keep_uu for _, _, _, keep_uu, _ in updates)   # plastic iterates
+        is_u = np.arange(updates[0][0].n) % 3 != 2
+        for jac, res, fixed, _, dw in updates:
+            A, b = sla.apply_dirichlet(jac, -res, [(d, 0.0) for d in fixed])
+            ref = sla.solve(A, b)
+            for block in (is_u, ~is_u):
+                assert np.linalg.norm(dw[block] - ref[block]) <= 1e-12 * np.linalg.norm(ref[block])
+
+    @pytest.mark.parametrize("mode", ["oneway", "twoway"])
+    def test_assembled_plate_jacobian_is_block_triangular(self, mode):
+        scen = sc.build_scenario(sc.load_config(
+            COARSE_PLATE.replace("coupling.mode = twoway", f"coupling.mode = {mode}")))
+        dm = asm.DofMap(scen.mesh.n_nodes)
+        f0 = tr.initial_fields(scen)
+        res, jac, _, _ = asm.assemble_system(scen.mesh, dm, f0, f0, scen.params,
+                                             scen.solver.dt, scen.solver.mode, bcs=scen.bcs)
+        fixed = [d for d, _ in scen.bcs.dirichlet_constraints(scen.mesh, dm, 0.0)]
+        sla.BlockSolver().newton_update(jac, res, fixed)    # raises on a K_cu entry
+
+    def test_elastic_one_way_slab_factors_o1_times(self, splu_calls):
+        scen = slab_scenario(nx=20)
+        scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]    # K_uu not empty
+        hist, _ = tr.run(scen, scen.solver)
+        assert sum(r["newton_iters"] for r in hist.records) >= 100
+        # K_uu once, K_cc once per dt: the last step's dt can differ from
+        # the others by roundoff
+        assert len(splu_calls) <= 3
+
+    def test_singular_k_uu_fails_step(self):
+        scen = slab_scenario(nx=20)
+        scen.bcs.dirichlet_u = []     # rigid-body modes left free
+        with pytest.raises(tr.StepFailure, match="K_uu"):
+            tr.step(tr.initial_fields(scen), 0.0, 1e-3, scen, scen.solver)
+
+
 class TestRobustness:
     def test_dt_halving_recorded_on_forced_failure(self, monkeypatch):
         scen = slab_scenario(nx=10)
@@ -109,12 +206,11 @@ class TestRobustness:
         failures = {"n": 2}
 
         def flaky_step(fields, t, dt, scenario, config, elem_data=None, dofmap=None,
-                       newton_refs=None):
+                       **kwargs):
             if failures["n"] > 0:
                 failures["n"] -= 1
                 raise tr.StepFailure("forced constitutive failure")
-            return real_step(fields, t, dt, scenario, config, elem_data, dofmap,
-                             newton_refs=newton_refs)
+            return real_step(fields, t, dt, scenario, config, elem_data, dofmap, **kwargs)
 
         monkeypatch.setattr(tr, "step", flaky_step)
         hist, _ = tr.run(scen, scen.solver)
@@ -189,25 +285,7 @@ solver.t_end_hat = 0.05
         assert max(seen) <= scen.params.tol_f
 
     def test_stagger_two_passes_under_flow(self):
-        from chemoplast import scenarios as sc
-        cfg = sc.load_config("""
-geometry.kind = plate_with_hole
-geometry.L = 1.0
-geometry.r = 0.2
-geometry.target_h = 0.07
-material.preset = steel_table1
-material.sigma_y0 = 80e6
-loading.kind = displacement
-loading.u_bar = 4.3e-4
-loading.t_ramp_hat = 0.02
-concentration.insulated = on
-concentration.initial_hat = 0.05
-coupling.mode = twoway
-plasticity.enabled = on
-solver.dt_hat = 0.01
-solver.t_end_hat = 0.03
-""")
-        scen = sc.build_scenario(cfg)
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         hist, _ = tr.run(scen, scen.solver)
         passes = [r["stagger_passes"] for r in hist.records]
         assert max(passes) <= 10
