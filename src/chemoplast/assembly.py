@@ -310,9 +310,9 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     try:
         if want_jacobian:
             new_states, tangent = update_stress(fields_old.states, d_eps_qp, d_c_qp, mat,
-                                                dt=dt, return_tangent=True)
+                                                return_tangent=True)
         else:
-            new_states = update_stress(fields_old.states, d_eps_qp, d_c_qp, mat, dt=dt)
+            new_states = update_stress(fields_old.states, d_eps_qp, d_c_qp, mat)
             tangent = None
     except ConstitutiveError as err:
         where = ""

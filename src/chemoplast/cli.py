@@ -59,7 +59,5 @@ def main(argv=None):
     return 0
 
 
-cli_main = main
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -16,7 +16,7 @@ rate equations with beta_dot = h * eps_p_dot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,23 +94,6 @@ class MaterialParams:
     def as_elastic(self):
         """Copy with plasticity switched off (scenario-level override)."""
         return replace(self, hardening_kind="none")
-
-
-@dataclass
-class SymTensor2D:
-    """Named view of a symmetric plane-strain tensor (xy = tensor shear)."""
-    xx: float = 0.0
-    yy: float = 0.0
-    zz: float = 0.0
-    xy: float = 0.0
-
-    def to_array(self):
-        return np.array([self.xx, self.yy, self.zz, self.xy])
-
-    @classmethod
-    def from_array(cls, a):
-        a = np.asarray(a, dtype=float)
-        return cls(xx=float(a[0]), yy=float(a[1]), zz=float(a[2]), xy=float(a[3]))
 
 
 def trace(t):
@@ -205,13 +188,12 @@ def yield_function(state, params):
     return sig_e - params.sigma_y0
 
 
-def update_stress(state_old, d_eps, d_c, params, dt=0.0, return_tangent=False):
+def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
     """Advance the material state by strain increment ``d_eps`` (tensor
     components) and concentration increment ``d_c``.
 
-    Elastic predictor / radial-return corrector. ``dt`` is accepted for
-    interface symmetry with the transient driver; the return map itself is
-    rate independent. With ``return_tangent`` the consistent tangent on the
+    Elastic predictor / radial-return corrector; the return map is rate
+    independent. With ``return_tangent`` the consistent tangent on the
     engineering basis (gamma shear) is returned alongside the new state.
     """
     d_eps = np.asarray(d_eps, dtype=float)

@@ -85,15 +85,12 @@ class ScenarioConfig:
     newton_abs_tol: float = 1e-10
     newton_rel_tol: float = 1e-8
     newton_max_iter: int = 40
-    stagger_tol: float = 1e-6
-    stagger_max_iter: int = 10
     L_star: float = 0.0                               # 0 = geometry default
     output_dir: str = "out"
     snapshot_stride: int = 0                          # 0 = final snapshot only
 
     def material_params(self):
-        base = dict(MATERIAL_PRESETS.get(self.material_preset, {})) \
-            if self.material_preset else {}
+        base = dict(MATERIAL_PRESETS.get(self.material_preset, {}))
         if self.material_preset and self.material_preset not in MATERIAL_PRESETS:
             raise ConfigError(f"unknown material preset {self.material_preset!r}; "
                               f"have {sorted(MATERIAL_PRESETS)}")
@@ -128,52 +125,79 @@ class Scenario:
 # configuration text format
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "geometry.kind": str,
-    "geometry.L": float,
-    "geometry.r": float,
-    "geometry.r_i": float,
-    "geometry.r_o": float,
-    "geometry.target_h": float,
-    "material.preset": str,
-    "loading.kind": str,
-    "loading.u_bar": float,
-    "loading.p": float,
-    "loading.J": float,
-    "loading.t_ramp_hat": float,
-    "concentration.initial_hat": float,
-    "concentration.insulated": bool,
-    "coupling.mode": str,
-    "plasticity.enabled": bool,
-    "solver.dt": float,
-    "solver.dt_hat": float,
-    "solver.t_end": float,
-    "solver.t_end_hat": float,
-    "solver.newton_abs_tol": float,
-    "solver.newton_rel_tol": float,
-    "solver.newton_max_iter": int,
-    "solver.stagger_tol": float,
-    "solver.stagger_max_iter": int,
-    "scales.L_star": float,
-    "output.dir": str,
-    "output.snapshot_stride": int,
-}
-
 _BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
                "off": False, "false": False, "no": False, "0": False}
 
 
+def _member(choices, message):
+    """Validator: the value must be one of ``choices``; ``message`` may use
+    ``{val}`` and ``{choices}``."""
+    def check(val):
+        if val not in choices:
+            raise ValueError(message.format(val=val, choices=choices))
+        return val
+    return check
+
+
+def _coupling_mode(val):
+    if val not in _MODES:
+        raise ValueError("coupling.mode must be oneway or twoway")
+    return _MODES[val]
+
+
+def _on_off(raw):
+    if raw.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected on/off, got {raw!r}")
+    return _BOOL_WORDS[raw.lower()]
+
+
+def _on_off_text(val):
+    return "on" if val else "off"
+
+
+def _mode_text(val):
+    return "oneway" if val == "one-way" else "twoway"
+
+
+# config key -> (ScenarioConfig field, value type (a parser raising
+# ValueError), validator or None, text form); load_config and
+# serialize_config both read it, in this order
+_CONFIG_KEYS = {
+    "geometry.kind": ("geometry_kind", str,
+                      _member(_GEOMETRY_KINDS, "geometry.kind must be one of {choices}"), str),
+    "geometry.L": ("L", float, None, repr),
+    "geometry.r": ("r", float, None, repr),
+    "geometry.r_i": ("r_i", float, None, repr),
+    "geometry.r_o": ("r_o", float, None, repr),
+    "geometry.target_h": ("target_h", float, None, repr),
+    "material.preset": ("material_preset", str,
+                        _member(MATERIAL_PRESETS, "unknown material preset {val!r}"), str),
+    "loading.kind": ("loading_kind", str,
+                     _member(_LOADING_KINDS, "loading.kind must be one of {choices}"), str),
+    "loading.u_bar": ("u_bar", float, None, repr),
+    "loading.p": ("p", float, None, repr),
+    "loading.J": ("J_in", float, None, repr),
+    "loading.t_ramp_hat": ("t_ramp_hat", float, None, repr),
+    "concentration.initial_hat": ("c_initial_hat", float, None, repr),
+    "concentration.insulated": ("c_insulated", _on_off, None, _on_off_text),
+    "coupling.mode": ("mode", str, _coupling_mode, _mode_text),
+    "plasticity.enabled": ("plasticity", _on_off, None, _on_off_text),
+    "solver.dt": ("dt", float, None, repr),
+    "solver.dt_hat": ("dt_hat", float, None, repr),
+    "solver.t_end": ("t_end", float, None, repr),
+    "solver.t_end_hat": ("t_end_hat", float, None, repr),
+    "solver.newton_abs_tol": ("newton_abs_tol", float, None, repr),
+    "solver.newton_rel_tol": ("newton_rel_tol", float, None, repr),
+    "solver.newton_max_iter": ("newton_max_iter", int, None, str),
+    "scales.L_star": ("L_star", float, None, repr),
+    "output.dir": ("output_dir", str, None, str),
+    "output.snapshot_stride": ("snapshot_stride", int, None, str),
+}
+
+
 def _parse_value(key, raw, kind, lineno):
     try:
-        if kind is bool:
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(f"expected on/off, got {raw!r}")
-            return _BOOL_WORDS[raw.lower()]
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as err:
         raise ConfigError(f"line {lineno}: bad value for {key}: {err}") from err
 
@@ -197,9 +221,15 @@ def load_config(text):
             raise ConfigError(f"line {lineno}: duplicate key {key}")
         seen.add(key)
 
-        if key in _SCALAR_KEYS:
-            val = _parse_value(key, raw, _SCALAR_KEYS[key], lineno)
-            _assign_scalar(cfg, key, val, lineno)
+        if key in _CONFIG_KEYS:
+            name, kind, check, _ = _CONFIG_KEYS[key]
+            val = _parse_value(key, raw, kind, lineno)
+            if check is not None:
+                try:
+                    val = check(val)
+                except ValueError as err:
+                    raise ConfigError(f"line {lineno}: {err}") from None
+            setattr(cfg, name, val)
         elif key.startswith("material.") and key.split(".", 1)[1] in _MATERIAL_KEYS:
             name = key.split(".", 1)[1]
             if name == "hardening":
@@ -225,75 +255,6 @@ def load_config(text):
     return cfg
 
 
-def _assign_scalar(cfg, key, val, lineno):
-    if key == "geometry.kind":
-        if val not in _GEOMETRY_KINDS:
-            raise ConfigError(f"line {lineno}: geometry.kind must be one of {_GEOMETRY_KINDS}")
-        cfg.geometry_kind = val
-    elif key == "geometry.L":
-        cfg.L = val
-    elif key == "geometry.r":
-        cfg.r = val
-    elif key == "geometry.r_i":
-        cfg.r_i = val
-    elif key == "geometry.r_o":
-        cfg.r_o = val
-    elif key == "geometry.target_h":
-        cfg.target_h = val
-    elif key == "material.preset":
-        if val not in MATERIAL_PRESETS:
-            raise ConfigError(f"line {lineno}: unknown material preset {val!r}")
-        cfg.material_preset = val
-    elif key == "loading.kind":
-        if val not in _LOADING_KINDS:
-            raise ConfigError(f"line {lineno}: loading.kind must be one of {_LOADING_KINDS}")
-        cfg.loading_kind = val
-    elif key == "loading.u_bar":
-        cfg.u_bar = val
-    elif key == "loading.p":
-        cfg.p = val
-    elif key == "loading.J":
-        cfg.J_in = val
-    elif key == "loading.t_ramp_hat":
-        cfg.t_ramp_hat = val
-    elif key == "concentration.initial_hat":
-        cfg.c_initial_hat = val
-    elif key == "concentration.insulated":
-        cfg.c_insulated = val
-    elif key == "coupling.mode":
-        if val not in _MODES:
-            raise ConfigError(f"line {lineno}: coupling.mode must be oneway or twoway")
-        cfg.mode = _MODES[val]
-    elif key == "plasticity.enabled":
-        cfg.plasticity = val
-    elif key == "solver.dt":
-        cfg.dt = val
-    elif key == "solver.dt_hat":
-        cfg.dt_hat = val
-    elif key == "solver.t_end":
-        cfg.t_end = val
-    elif key == "solver.t_end_hat":
-        cfg.t_end_hat = val
-    elif key == "solver.newton_abs_tol":
-        cfg.newton_abs_tol = val
-    elif key == "solver.newton_rel_tol":
-        cfg.newton_rel_tol = val
-    elif key == "solver.newton_max_iter":
-        cfg.newton_max_iter = val
-    elif key == "solver.stagger_tol":
-        cfg.stagger_tol = val
-    elif key == "solver.stagger_max_iter":
-        cfg.stagger_max_iter = val
-    elif key == "scales.L_star":
-        cfg.L_star = val
-    elif key == "output.dir":
-        cfg.output_dir = val
-    elif key == "output.snapshot_stride":
-        cfg.snapshot_stride = val
-    else:  # pragma: no cover - guarded by _SCALAR_KEYS
-        raise ConfigError(f"line {lineno}: unhandled key {key}")
-
-
 def _validate_config(cfg):
     if cfg.geometry_kind == "plate_with_hole":
         if cfg.L <= 0 or cfg.r <= 0 or cfg.target_h <= 0:
@@ -313,50 +274,18 @@ def _validate_config(cfg):
 
 def serialize_config(cfg):
     """Canonical text form; load_config(serialize_config(c)) == c."""
-    lines = [
-        f"geometry.kind = {cfg.geometry_kind}",
-        f"geometry.L = {cfg.L!r}",
-        f"geometry.r = {cfg.r!r}",
-        f"geometry.r_i = {cfg.r_i!r}",
-        f"geometry.r_o = {cfg.r_o!r}",
-        f"geometry.target_h = {cfg.target_h!r}",
-    ]
-    if cfg.material_preset:
-        lines.append(f"material.preset = {cfg.material_preset}")
+    lines = []
+    for key, (name, _, _, text) in _CONFIG_KEYS.items():
+        val = getattr(cfg, name)
+        if val != "":                       # an unset string (no preset) is left out
+            lines.append(f"{key} = {text(val)}")
     for name, val in sorted(cfg.material_overrides.items()):
         key = "material.hardening" if name == "hardening_kind" else f"material.{name}"
         lines.append(f"{key} = {val!r}" if not isinstance(val, str) else f"{key} = {val}")
-    lines += [
-        f"loading.kind = {cfg.loading_kind}",
-        f"loading.u_bar = {cfg.u_bar!r}",
-        f"loading.p = {cfg.p!r}",
-        f"loading.J = {cfg.J_in!r}",
-        f"loading.t_ramp_hat = {cfg.t_ramp_hat!r}",
-        f"concentration.initial_hat = {cfg.c_initial_hat!r}",
-        f"concentration.insulated = {'on' if cfg.c_insulated else 'off'}",
-    ]
     for tag, val in sorted(cfg.c_dirichlet.items()):
         lines.append(f"concentration.dirichlet.{tag} = {val!r}")
-    lines += [
-        f"coupling.mode = {'oneway' if cfg.mode == 'one-way' else 'twoway'}",
-        f"plasticity.enabled = {'on' if cfg.plasticity else 'off'}",
-    ]
     for name, x, y in cfg.probes:
         lines.append(f"probes.{name} = {x!r}, {y!r}")
-    lines += [
-        f"solver.dt = {cfg.dt!r}",
-        f"solver.dt_hat = {cfg.dt_hat!r}",
-        f"solver.t_end = {cfg.t_end!r}",
-        f"solver.t_end_hat = {cfg.t_end_hat!r}",
-        f"solver.newton_abs_tol = {cfg.newton_abs_tol!r}",
-        f"solver.newton_rel_tol = {cfg.newton_rel_tol!r}",
-        f"solver.newton_max_iter = {cfg.newton_max_iter}",
-        f"solver.stagger_tol = {cfg.stagger_tol!r}",
-        f"solver.stagger_max_iter = {cfg.stagger_max_iter}",
-        f"scales.L_star = {cfg.L_star!r}",
-        f"output.dir = {cfg.output_dir}",
-        f"output.snapshot_stride = {cfg.snapshot_stride}",
-    ]
     return "\n".join(lines) + "\n"
 
 
@@ -410,17 +339,8 @@ def build_bvp_a(config):
     c_dir = {} if config.c_insulated else dict(config.c_dirichlet)
     if config.loading_kind == "displacement" and not c_dir and not config.c_insulated:
         c_dir = {"left": 1.0}
-    for tag, hat_value in c_dir.items():
-        if tag not in msh.tags():
-            raise ConfigError(f"concentration.dirichlet.{tag}: mesh has no tag {tag!r} "
-                              f"(available: {msh.tags()})")
-        bcs.dirichlet_c.append((tag, hat_value * params.c_max))
-
-    probes = list(config.probes) or [("A", -config.r, 0.0), ("B", 0.0, config.r)]
-    _check_probes(msh, probes)
-    return Scenario(mesh=msh, params=params, bcs=bcs, probes=probes, scales=scales,
-                    c_initial=config.c_initial_hat * params.c_max,
-                    solver=_solver_config(config, scales), config=config)
+    return _finish_scenario(config, msh, params, scales, bcs, c_dir,
+                            [("A", -config.r, 0.0), ("B", 0.0, config.r)])
 
 
 def build_bvp_b(config):
@@ -443,20 +363,20 @@ def build_bvp_b(config):
         bcs.fluxes.append(("outer", _ramp(config.J_in, t_ramp)))
     elif config.loading_kind != "none":
         raise ConfigError(f"loading.kind {config.loading_kind!r} not valid for the annulus")
-    for tag, hat_value in config.c_dirichlet.items():
+    return _finish_scenario(config, msh, params, scales, bcs, config.c_dirichlet,
+                            [("inner", config.r_i, 0.0), ("outer", config.r_o, 0.0)])
+
+
+def _finish_scenario(config, msh, params, scales, bcs, c_dir, default_probes):
+    """Add the concentration Dirichlet values ``c_dir`` (tag -> value /
+    c_max), check the probes (the config's, else ``default_probes``) and
+    bundle the Scenario."""
+    for tag, hat_value in c_dir.items():
         if tag not in msh.tags():
             raise ConfigError(f"concentration.dirichlet.{tag}: mesh has no tag {tag!r} "
                               f"(available: {msh.tags()})")
         bcs.dirichlet_c.append((tag, hat_value * params.c_max))
-
-    probes = list(config.probes) or [("inner", config.r_i, 0.0), ("outer", config.r_o, 0.0)]
-    _check_probes(msh, probes)
-    return Scenario(mesh=msh, params=params, bcs=bcs, probes=probes, scales=scales,
-                    c_initial=config.c_initial_hat * params.c_max,
-                    solver=_solver_config(config, scales), config=config)
-
-
-def _check_probes(msh, probes):
+    probes = list(config.probes) or default_probes
     names = [p[0] for p in probes]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate probe names in {names}")
@@ -464,6 +384,9 @@ def _check_probes(msh, probes):
         locate_points(msh, [(x, y) for _, x, y in probes])
     except ValueError as err:
         raise ConfigError(f"probe outside the domain: {err}") from err
+    return Scenario(mesh=msh, params=params, bcs=bcs, probes=probes, scales=scales,
+                    c_initial=config.c_initial_hat * params.c_max,
+                    solver=_solver_config(config, scales), config=config)
 
 
 def _solver_config(config, scales):
@@ -472,8 +395,7 @@ def _solver_config(config, scales):
     return SolverConfig(
         dt=dt, t_end=t_end, mode=config.mode, plasticity=config.plasticity,
         newton_abs_tol=config.newton_abs_tol, newton_rel_tol=config.newton_rel_tol,
-        newton_max_iter=config.newton_max_iter, stagger_tol=config.stagger_tol,
-        stagger_max_iter=config.stagger_max_iter)
+        newton_max_iter=config.newton_max_iter)
 
 
 def build_scenario(config):
@@ -606,7 +528,6 @@ def run_scenario(scenario, output_dir=None, quiet=True, progress=None):
             print(f"step {step_no:4d}  t={record['time']:.6g}  "
                   f"t_hat={scenario.scales.t_hat(record['time']):.6g}  "
                   f"newton={record['newton_iters']} ({record['newton_exit']})  "
-                  f"stagger={record['stagger_passes']}  "
                   f"|F|={record['residual_norm']:.3e}")
         if stride and step_no % stride == 0:
             write_vtk_snapshot(scenario.mesh, fields,

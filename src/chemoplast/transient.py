@@ -1,16 +1,10 @@
 """Backward-Euler time stepping for the coupled system.
 
-Each step runs an outer stagger loop: a Newton solve of the coupled (u, c)
-system with the material update embedded in the residual, followed by a
-commit of the quadrature-point states, repeated until the plastic internal
-variables stop moving between passes. Each pass compares its plastic state
-with the previous pass, the first pass with the state at the start of the
-step. Because the Newton residual already enforces the discrete consistency
-condition, the loop settles in one pass for elastic response and two passes
-under plastic flow, the second only confirming the first. So
-stagger_max_iter = 1 does not give operator-split behaviour: every step with
-plastic flow fails its stagger check, and the run aborts once the dt
-halvings are spent.
+Each step is one Newton solve of the coupled (u, c) system. The J2 return
+map sits inside the residual: every iterate updates the material from the
+states at the start of the step, so the quadrature-point states of the
+converged iterate satisfy the discrete consistency condition and are
+committed as they are.
 
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, which
 solves the block upper-triangular Jacobian block by block and keeps the
@@ -58,18 +52,16 @@ class SolverConfig:
     newton_abs_tol: float = 1e-10
     newton_rel_tol: float = 1e-8
     newton_max_iter: int = 40
-    stagger_tol: float = 1e-6
-    stagger_max_iter: int = 10
     max_halvings: int = 4
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("SolverConfig: dt and t_end must be positive")
-        for name in ("newton_abs_tol", "newton_rel_tol", "stagger_tol"):
+        for name in ("newton_abs_tol", "newton_rel_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"SolverConfig: {name} must be positive")
-        if self.newton_max_iter < 1 or self.stagger_max_iter < 1:
-            raise ValueError("SolverConfig: iteration caps must be >= 1")
+        if self.newton_max_iter < 1:
+            raise ValueError("SolverConfig: newton_max_iter must be >= 1")
         if self.mode not in ("one-way", "two-way"):
             raise ValueError(f"SolverConfig: unknown mode {self.mode!r}")
 
@@ -77,9 +69,8 @@ class SolverConfig:
 @dataclass
 class StepInfo:
     newton_iters: int
-    stagger_passes: int
     residual_norm: float
-    newton_exit: str           # one of NEWTON_EXITS, from the last stagger pass
+    newton_exit: str           # one of NEWTON_EXITS
 
 
 @dataclass
@@ -99,15 +90,6 @@ class TimeHistory:
 
     def probe_series(self, name, key):
         return np.array([s[name][key] for s in self.samples])
-
-
-def _plastic_change(states_a, states_b, params):
-    """Stress-unit norm of the plastic internal-variable change."""
-    two_mu = 2.0 * params.mu
-    d_eps = np.max(np.abs(states_a.eps_p - states_b.eps_p)) if states_a.eps_p.size else 0.0
-    d_beta = np.max(np.abs(states_a.back_stress - states_b.back_stress)) if states_a.back_stress.size else 0.0
-    d_eq = np.max(np.abs(states_a.eps_p_eq - states_b.eps_p_eq)) if states_a.eps_p_eq.size else 0.0
-    return max(two_mu * d_eps, d_beta, max(params.H, params.h, two_mu) * d_eq)
 
 
 def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver,
@@ -243,7 +225,7 @@ def step(fields_n, t_n, dt, scenario, config, elem_data=None, dofmap=None,
     ``block_solver`` computes the Newton updates; pass the run's solver so
     that its kept factors carry over between steps (a fresh one is made if
     omitted). Returns (fields at t_n + dt, StepInfo). Raises StepFailure
-    when the Newton or stagger iteration cannot be completed.
+    when the Newton solve cannot be completed.
     """
     ed = elem_data if elem_data is not None else precompute(scenario.mesh)
     dm = dofmap or DofMap(scenario.mesh.n_nodes)
@@ -254,37 +236,11 @@ def step(fields_n, t_n, dt, scenario, config, elem_data=None, dofmap=None,
     for dof, val in scenario.bcs.dirichlet_constraints(scenario.mesh, dm, t_new):
         w[dof] = val
 
-    prev_states = None
-    total_iters = 0
-    for stagger_pass in range(1, config.stagger_max_iter + 1):
-        w, new_states, sigma_h, iters, norm, reason = _newton_solve(
-            w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver,
-            refs=newton_refs)
-        total_iters += iters
-        if not config.plasticity or scenario.params.hardening_kind == "none":
-            break
-        baseline = prev_states if prev_states is not None else fields_n.states
-        change = _plastic_change(new_states, baseline, scenario.params)
-        prev_states = new_states
-        if change <= config.stagger_tol * scenario.params.sigma_y0:
-            break
-    else:
-        raise StepFailure(f"stagger loop did not settle within {config.stagger_max_iter} "
-                          f"passes at t={t_new:g} (last change {change:.3e})")
-
+    w, new_states, sigma_h, iters, norm, reason = _newton_solve(
+        w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver, refs=newton_refs)
     u, c = dm.split(w)
     fields_new = FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h)
-    return fields_new, StepInfo(newton_iters=total_iters, stagger_passes=stagger_pass,
-                                residual_norm=norm, newton_exit=reason)
-
-
-def _lumped_masses(mesh):
-    from .mesh import signed_areas
-    areas = signed_areas(mesh.nodes, mesh.tris)
-    m = np.zeros(mesh.n_nodes)
-    for k in range(3):
-        np.add.at(m, mesh.tris[:, k], areas / 3.0)
-    return m
+    return fields_new, StepInfo(newton_iters=iters, residual_norm=norm, newton_exit=reason)
 
 
 class ProbeSampler:
@@ -297,10 +253,8 @@ class ProbeSampler:
             if probes else np.zeros((0, 2))
         if probes:
             self.elems, self.barys = locate_points(mesh, self.points)
-            qp_ref = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
             tri_pts = mesh.nodes[mesh.tris[self.elems]]          # (P, 3, 2)
-            qp_xy = np.einsum("qk,pkd->pqd", np.column_stack(
-                [1 - qp_ref.sum(axis=1), qp_ref[:, 0], qp_ref[:, 1]]), tri_pts)
+            qp_xy = np.einsum("qk,pkd->pqd", elem_data.shape_qp, tri_pts)
             d = np.linalg.norm(qp_xy - self.points[:, None, :], axis=2)
             self.nearest_qp = np.argmin(d, axis=1)
         self.mesh = mesh
@@ -332,8 +286,7 @@ class ProbeSampler:
 def initial_fields(scenario):
     """Zero-displacement, uniform-concentration state consistent with the
     scenario's reference concentration."""
-    f = FieldState.zeros(scenario.mesh, c0=scenario.c_initial)
-    return f
+    return FieldState.zeros(scenario.mesh, c0=scenario.c_initial)
 
 
 def run(scenario, config, elem_data=None, progress_cb=None):
@@ -348,7 +301,9 @@ def run(scenario, config, elem_data=None, progress_cb=None):
     ed = elem_data if elem_data is not None else precompute(mesh)
     dm = DofMap(mesh.n_nodes)
     sampler = ProbeSampler(mesh, scenario.probes, ed)
-    masses = _lumped_masses(mesh)
+    # lumped nodal masses: a third of each element's area per vertex
+    masses = np.bincount(mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),
+                         minlength=mesh.n_nodes)
 
     fields = initial_fields(scenario)
     history = TimeHistory()
@@ -359,7 +314,9 @@ def run(scenario, config, elem_data=None, progress_cb=None):
     block_solver = sparse_linalg.BlockSolver()
 
     while t < t_end * (1.0 - 1e-12):
-        dt = min(config.dt, t_end - t)
+        # a remainder equal to dt up to roundoff takes the full dt
+        remaining = t_end - t
+        dt = config.dt if remaining >= config.dt * (1.0 - 1e-9) else remaining
         attempt = 0
         while True:
             try:
@@ -381,7 +338,6 @@ def run(scenario, config, elem_data=None, progress_cb=None):
             "time": t,
             "dt": dt,
             "newton_iters": info.newton_iters,
-            "stagger_passes": info.stagger_passes,
             "residual_norm": info.residual_norm,
             "newton_exit": info.newton_exit,
             "total_concentration": float(masses @ fields.c),

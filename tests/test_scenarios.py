@@ -34,6 +34,35 @@ solver.dt_hat = 0.02
 solver.t_end_hat = 0.1
 """
 
+# every key of the config table, each set away from its default
+EVERY_SCALAR_KEY = """geometry.kind = annulus
+geometry.L = 2.5
+geometry.r = 0.3
+geometry.r_i = 0.1
+geometry.r_o = 0.9
+geometry.target_h = 0.05
+material.preset = graphite_table2
+loading.kind = flux
+loading.u_bar = 1e-4
+loading.p = 2e6
+loading.J = 3e-3
+loading.t_ramp_hat = 0.2
+concentration.initial_hat = 0.1
+concentration.insulated = on
+coupling.mode = twoway
+plasticity.enabled = on
+solver.dt = 0.5
+solver.dt_hat = 0.01
+solver.t_end = 5.0
+solver.t_end_hat = 0.3
+solver.newton_abs_tol = 1e-9
+solver.newton_rel_tol = 1e-7
+solver.newton_max_iter = 25
+scales.L_star = 0.7
+output.dir = elsewhere
+output.snapshot_stride = 3
+"""
+
 
 class TestLoadConfig:
     def test_steel_preset_expands(self):
@@ -53,17 +82,48 @@ class TestLoadConfig:
         assert p.Omega == 4.17e-6
 
     def test_serialize_round_trip(self):
-        cfg = sc.load_config(BASE_PLATE + "probes.P = 0.3, 0.1\n"
-                             "concentration.dirichlet.left = 0.8\n"
-                             "material.sigma_y0 = 123e6\n")
-        text = sc.serialize_config(cfg)
-        again = sc.load_config(text)
-        assert again == cfg
-        assert sc.serialize_config(again) == text
+        for source in (BASE_PLATE + "probes.P = 0.3, 0.1\n"
+                                    "concentration.dirichlet.left = 0.8\n"
+                                    "material.sigma_y0 = 123e6\n",
+                       EVERY_SCALAR_KEY):
+            cfg = sc.load_config(source)
+            text = sc.serialize_config(cfg)
+            again = sc.load_config(text)
+            assert again == cfg
+            assert sc.serialize_config(again) == text
+
+    def test_every_scalar_key_input_covers_the_table(self):
+        cfg = sc.load_config(EVERY_SCALAR_KEY)
+        keys = [line.split(" = ")[0] for line in EVERY_SCALAR_KEY.splitlines()]
+        assert keys == list(sc._CONFIG_KEYS)
+        default = sc.ScenarioConfig()
+        for key, (name, _, _, _) in sc._CONFIG_KEYS.items():
+            assert getattr(cfg, name) != getattr(default, name), key
 
     def test_unknown_key_is_hard_error_with_line(self):
         with pytest.raises(sc.ConfigError, match="line 2"):
             sc.load_config("geometry.kind = plate_with_hole\nsolver.dtt = 1\n")
+
+    @pytest.mark.parametrize("key", ["solver.stagger_tol", "solver.stagger_max_iter"])
+    def test_removed_stagger_keys_are_unknown(self, key):
+        lineno = len(BASE_PLATE.splitlines()) + 1
+        with pytest.raises(sc.ConfigError, match=f"line {lineno}: unknown key '{key}'"):
+            sc.load_config(BASE_PLATE + f"{key} = 3\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("geometry.kind = cube",
+         "line 1: geometry.kind must be one of ('plate_with_hole', 'annulus')"),
+        ("material.preset = wood", "line 1: unknown material preset 'wood'"),
+        ("loading.kind = shear",
+         "line 1: loading.kind must be one of ('displacement', 'traction', 'flux', 'none')"),
+        ("coupling.mode = both", "line 1: coupling.mode must be oneway or twoway"),
+        ("plasticity.enabled = maybe",
+         "line 1: bad value for plasticity.enabled: expected on/off, got 'maybe'"),
+    ])
+    def test_enumerated_choice_rejected_with_line(self, line, message):
+        with pytest.raises(sc.ConfigError) as err:
+            sc.load_config(line + "\n")
+        assert str(err.value) == message
 
     def test_bad_value_reports_key(self):
         with pytest.raises(sc.ConfigError, match="solver.dt_hat"):
