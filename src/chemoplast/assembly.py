@@ -12,13 +12,21 @@ recovered gradient frozen at the current iterate; the K_cu sensitivity is
 dropped (Picard treatment) so converged solutions are unaffected while the
 assembly never needs recovery derivatives.
 
-Element loops are vectorized over all elements at once.
+Assembly is planned once per mesh (``precompute``): the element geometry,
+the transposed strain-displacement matrices, the quadrature weights, the
+consistent mass and the ``grad N_i . grad N_j`` products, the residual dof
+vector, and the Jacobian's CSR pattern with a slot map that sends every
+element triplet to its entry in the CSR data. Per iterate, ``assemble_system``
+only runs the material update and the element kernels, vectorized over all
+elements at once, and scatters with one ``np.bincount`` each for the
+residual and the Jacobian.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import sparse_linalg
 from .constitutive import ConstitutiveError, MaterialState, hydrostatic, update_stress
@@ -111,17 +119,56 @@ class FieldState:
 
 @dataclass
 class ElementData:
-    """Geometry precompute shared by every assembly call on one mesh."""
+    """Assembly plan of one mesh, made once per run by ``precompute``.
+
+    Everything here depends on the mesh and the quadrature rule only: the
+    geometry, the quadrature weights, the consistent mass, the diffusion
+    kernel without its coefficient, and where every element entry lands in
+    the global residual and in the Jacobian's CSR data. What depends on the
+    iterate (material update, element kernels, the two scatters) is computed
+    by ``assemble_system`` on every call.
+    """
     areas: np.ndarray       # (n_elem,)
     grads: np.ndarray       # (n_elem, 3, 2) physical shape-function gradients
     b_eng: np.ndarray       # (n_elem, 4, 6) engineering strain-displacement
+    b_t: np.ndarray         # (n_elem, 6, 4) contiguous transpose of b_eng
     shape_qp: np.ndarray    # (n_qp, 3) shape values at quadrature points
     weights: np.ndarray     # (n_qp,)
+    wq: np.ndarray          # (n_elem, n_qp) physical quadrature weights
+    m_e: np.ndarray         # (n_elem, 3, 3) consistent mass
+    gg: np.ndarray          # (n_elem, 3, 3) grad N_i . grad N_j
     edofs_u: np.ndarray     # (n_elem, 6)
     edofs_c: np.ndarray     # (n_elem, 3)
+    res_dofs: np.ndarray    # (9 n_elem,) residual rows: edofs_u, then edofs_c
+    jac_indptr: np.ndarray  # CSR pattern of the Jacobian
+    jac_indices: np.ndarray
+    jac_slot: np.ndarray    # (63 n_elem,) CSR data index of each K_uu, K_uc, K_cc entry
+
+
+def _jacobian_pattern(n, edofs_u, edofs_c):
+    """CSR pattern of the element blocks K_uu (6x6), K_uc (6x3) and K_cc
+    (3x3), and the CSR data index of every block entry, taken in the order
+    ``assemble_system`` concatenates them.
+
+    ``np.bincount(slot, vals)`` then adds the entries sharing a slot in this
+    order, the summation order of a stable sort of the triplets by (row, col)
+    followed by duplicate summation.
+    """
+    eu, ec = edofs_u, edofs_c
+    rows = np.concatenate([np.repeat(eu, 6, axis=1).ravel(),
+                           np.repeat(eu, 3, axis=1).ravel(),
+                           np.repeat(ec, 3, axis=1).ravel()])
+    cols = np.concatenate([np.tile(eu, (1, 6)).ravel(),
+                           np.tile(ec, (1, 6)).ravel(),
+                           np.tile(ec, (1, 3)).ravel()])
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    # scipy's CSR index type
+    return indptr.astype(np.int32), (keys % n).astype(np.int32), slot
 
 
 def precompute(mesh, rule=None):
+    """Assembly plan of ``mesh`` under ``rule`` (default: ``default_rule``)."""
     rule = rule or default_rule()
     tris = mesh.tris
     p0 = mesh.nodes[tris[:, 0]]
@@ -148,15 +195,23 @@ def precompute(mesh, rule=None):
         b[:, 3, 2 * i + 1] = grads[:, i, 0]
 
     shape_qp = np.stack([shape_tri3(xi, eta)[0] for xi, eta in rule.points])
+    wq = 2.0 * areas[:, None] * rule.weights[None, :]
 
     dm = DofMap(mesh.n_nodes)
     edofs_u = np.empty((tris.shape[0], 6), dtype=np.int64)
     edofs_u[:, 0::2] = dm.ux(tris)
     edofs_u[:, 1::2] = dm.uy(tris)
     edofs_c = dm.c(tris)
+    indptr, indices, slot = _jacobian_pattern(dm.n_dofs, edofs_u, edofs_c)
 
-    return ElementData(areas=areas, grads=grads, b_eng=b, shape_qp=shape_qp,
-                       weights=rule.weights.copy(), edofs_u=edofs_u, edofs_c=edofs_c)
+    return ElementData(
+        areas=areas, grads=grads, b_eng=b, b_t=np.ascontiguousarray(b.transpose(0, 2, 1)),
+        shape_qp=shape_qp, weights=rule.weights.copy(), wq=wq,
+        m_e=np.einsum("eq,qi,qj->eij", wq, shape_qp, shape_qp),
+        gg=np.einsum("eid,ejd->eij", grads, grads),
+        edofs_u=edofs_u, edofs_c=edofs_c,
+        res_dofs=np.concatenate([edofs_u.ravel(), edofs_c.ravel()]),
+        jac_indptr=indptr, jac_indices=indices, jac_slot=slot)
 
 
 def element_strain(elem_data, u, tris):
@@ -184,11 +239,11 @@ def recover_hydrostatic(mesh, elem_sigma_h):
         raise ValueError("recover_hydrostatic: need one value per element")
     from .mesh import signed_areas
     areas = signed_areas(mesh.nodes, mesh.tris)
-    num = np.zeros(mesh.n_nodes)
-    den = np.zeros(mesh.n_nodes)
-    for k in range(3):
-        np.add.at(num, mesh.tris[:, k], areas * elem_sigma_h)
-        np.add.at(den, mesh.tris[:, k], areas)
+    # vertex-major: the contributions of every element's first vertex, then
+    # of the second and the third
+    verts = mesh.tris.T.ravel()
+    num = np.bincount(verts, weights=np.tile(areas * elem_sigma_h, 3), minlength=mesh.n_nodes)
+    den = np.bincount(verts, weights=np.tile(areas, 3), minlength=mesh.n_nodes)
     return num / np.where(den > 0, den, 1.0)
 
 
@@ -285,8 +340,10 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
 
     The stress at every quadrature point comes from the material update
     driven by the increments between ``fields_old`` (converged step start)
-    and ``fields_new`` (current iterate). Returns
-    (residual, jacobian_or_None, new_states, sigma_h_nodal).
+    and ``fields_new`` (current iterate). ``elem_data`` is the mesh's
+    assembly plan from ``precompute``; without it the plan is rebuilt on
+    every call. Returns (residual, jacobian_or_None, new_states,
+    sigma_h_nodal).
     """
     if mode not in ("one-way", "two-way"):
         raise ValueError(f"assemble_system: unknown coupling mode {mode!r}")
@@ -296,7 +353,7 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     n_elem = mesh.n_elements
     tris = mesh.tris
     n_qp = ed.weights.size
-    wq = 2.0 * ed.areas[:, None] * ed.weights[None, :]          # (n_elem, n_qp)
+    wq = ed.wq
 
     # strain increments (constant per element), concentration increments per qp
     d_eps_eng = element_strain(ed, fields_new.u, tris) - element_strain(ed, fields_old.u, tris)
@@ -336,44 +393,33 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     r_u = np.einsum("eai,ea->ei", b, sig_w)
 
     # diffusion rows
-    m_e = np.einsum("eq,qi,qj->eij", wq, ed.shape_qp, ed.shape_qp)
-    k_diff = mat.D * ed.areas[:, None, None] * np.einsum("eid,ejd->eij", ed.grads, ed.grads)
+    k_diff = (mat.D * ed.areas[:, None, None]) * ed.gg
     dc_dt = (ce_new - ce_old) / dt
-    r_c = np.einsum("eij,ej->ei", m_e, dc_dt) + np.einsum("eij,ej->ei", k_diff, ce_new)
+    r_c = np.einsum("eij,ej->ei", ed.m_e, dc_dt) + np.einsum("eij,ej->ei", k_diff, ce_new)
 
     if mode == "two-way":
         gn = np.einsum("eid,ed->ei", ed.grads, grad_sh)   # grad N_i . grad sigma_h
         c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new)
         r_c -= drift_coeff * (wq * c_qp).sum(axis=1)[:, None] * gn
 
-    residual = np.zeros(dofmap.n_dofs)
-    np.add.at(residual, ed.edofs_u, r_u)
-    np.add.at(residual, ed.edofs_c, r_c)
+    residual = np.bincount(ed.res_dofs, weights=np.concatenate([r_u.ravel(), r_c.ravel()]),
+                           minlength=dofmap.n_dofs)
     if bcs is not None:
         residual -= neumann_load_vector(mesh, dofmap, bcs, t)
 
     jacobian = None
     if want_jacobian:
         c_sum = np.einsum("eq,eqab->eab", wq, tangent)
-        k_uu = np.einsum("eai,eab,ebj->eij", b, c_sum, b)
+        k_uu = ed.b_t @ c_sum @ ed.b_eng
         chem = np.einsum("eqab,b->eqa", tangent, _CHEM_VEC) * (mat.Omega / 3.0)
-        k_uc = -np.einsum("eai,eq,eqa,qj->eij", b, wq, chem, ed.shape_qp)
-        k_cc = m_e / dt + k_diff
+        k_uc = -(ed.b_t @ ((wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
+        k_cc = ed.m_e / dt + k_diff
         if mode == "two-way":
-            k_cc = k_cc - drift_coeff * np.einsum("eq,qj,ei->eij", wq, ed.shape_qp, gn)
-        eu, ec = ed.edofs_u, ed.edofs_c
-        rows = np.concatenate([np.repeat(eu, 6, axis=1).ravel(),
-                               np.repeat(eu, 3, axis=1).ravel(),
-                               np.repeat(ec, 3, axis=1).ravel()])
-        cols = np.concatenate([np.tile(eu, (1, 6)).ravel(),
-                               np.tile(ec, (1, 6)).ravel(),
-                               np.tile(ec, (1, 3)).ravel()])
+            k_cc = k_cc - drift_coeff * (gn[:, :, None] * (wq @ ed.shape_qp)[:, None, :])
         vals = np.concatenate([k_uu.ravel(), k_uc.ravel(), k_cc.ravel()])
-        # stable sort before compression: duplicate entries are summed in a
-        # canonical order
-        order = np.lexsort((cols, rows))
-        jacobian = sparse_linalg.from_triplets(
-            dofmap.n_dofs, (rows[order], cols[order], vals[order]))
+        data = np.bincount(ed.jac_slot, weights=vals, minlength=ed.jac_indices.size)
+        jacobian = sparse_linalg.SparseMatrix(sp.csr_matrix(
+            (data, ed.jac_indices, ed.jac_indptr), shape=(dofmap.n_dofs, dofmap.n_dofs)))
 
     return residual, jacobian, new_states, sigma_h_nodal
 

@@ -363,7 +363,8 @@ def build_bvp_b(config):
         bcs.fluxes.append(("outer", _ramp(config.J_in, t_ramp)))
     elif config.loading_kind != "none":
         raise ConfigError(f"loading.kind {config.loading_kind!r} not valid for the annulus")
-    return _finish_scenario(config, msh, params, scales, bcs, config.c_dirichlet,
+    c_dir = {} if config.c_insulated else config.c_dirichlet
+    return _finish_scenario(config, msh, params, scales, bcs, c_dir,
                             [("inner", config.r_i, 0.0), ("outer", config.r_o, 0.0)])
 
 

@@ -1,7 +1,9 @@
 """Minimal sparse-matrix layer for the coupled Jacobian.
 
-Compressed-row matrices built from scatter-add triplets, two direct solvers
-and Dirichlet elimination; factorization is delegated to SuperLU via scipy.
+Compressed-row matrices, two direct solvers and Dirichlet elimination;
+factorization is delegated to SuperLU via scipy. ``from_triplets`` builds a
+matrix from scatter-add triplets for callers that set up a linear system by
+hand; the coupled Jacobian comes in CSR form from the assembly plan.
 
 - ``solve`` factors one whole system. It row-equilibrates first, so that
   pivots compare across physics blocks with different units. Linear

@@ -96,5 +96,24 @@ def splu_calls(monkeypatch):
 
 
 @pytest.fixture
+def call_spy(monkeypatch):
+    """``call_spy(name, *modules)`` replaces the function ``name`` in every
+    module given by one that records its positional arguments; returns the
+    list of recorded calls."""
+    def install(name, *modules):
+        calls = []
+        real = getattr(modules[0], name)
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, recording)
+        return calls
+    return install
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240814)

@@ -201,6 +201,101 @@ class TestJacobian:
         assert np.abs(J_small[np.ix_(ic, ic)]).max() > 1e3 * np.abs(K_cc_huge).max()
 
 
+def _triplets(ed):
+    """(rows, cols) of the K_uu, K_uc, K_cc element entries in the order
+    assemble_system concatenates them."""
+    eu, ec = ed.edofs_u, ed.edofs_c
+    rows = np.concatenate([np.repeat(eu, 6, axis=1).ravel(), np.repeat(eu, 3, axis=1).ravel(),
+                           np.repeat(ec, 3, axis=1).ravel()])
+    cols = np.concatenate([np.tile(eu, (1, 6)).ravel(), np.tile(ec, (1, 6)).ravel(),
+                           np.tile(ec, (1, 3)).ravel()])
+    return rows, cols
+
+
+def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
+    """Two-way assembly with per-call element matrices, 3- and 4-operand
+    einsum kernels, np.add.at scatters, a per-vertex recovery loop and a
+    stable lexsort into from_triplets: the reference for the planned
+    assembler. Returns (residual, jacobian, sigma_h_nodal)."""
+    ed = asm.precompute(mesh)
+    tris, b = mesh.tris, ed.b_eng
+    wq = 2.0 * ed.areas[:, None] * ed.weights[None, :]
+    d_eps = (asm.element_strain(ed, fields_new.u, tris)
+             - asm.element_strain(ed, fields_old.u, tris))
+    d_eps[:, 3] *= 0.5
+    ce_new, ce_old = fields_new.c[tris], fields_old.c[tris]
+    d_c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new - ce_old)
+    d_eps_qp = np.broadcast_to(d_eps[:, None, :], (mesh.n_elements, ed.weights.size, 4))
+    states, tangent = ct.update_stress(fields_old.states, d_eps_qp, d_c_qp, mat,
+                                       return_tangent=True)
+    elem_sh = asm.element_sigma_h(states, ed.weights)
+    areas = msh.signed_areas(mesh.nodes, tris)
+    num, den = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
+    for k in range(3):
+        np.add.at(num, tris[:, k], areas * elem_sh)
+        np.add.at(den, tris[:, k], areas)
+    sigma_h = num / np.where(den > 0, den, 1.0)
+    grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h[tris])
+    drift = mat.D * mat.Omega / (mat.R * mat.T)
+
+    r_u = np.einsum("eai,ea->ei", b, np.einsum("eq,eqa->ea", wq, states.sigma))
+    m_e = np.einsum("eq,qi,qj->eij", wq, ed.shape_qp, ed.shape_qp)
+    k_diff = mat.D * ed.areas[:, None, None] * np.einsum("eid,ejd->eij", ed.grads, ed.grads)
+    r_c = (np.einsum("eij,ej->ei", m_e, (ce_new - ce_old) / dt)
+           + np.einsum("eij,ej->ei", k_diff, ce_new))
+    gn = np.einsum("eid,ed->ei", ed.grads, grad_sh)
+    c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new)
+    r_c -= drift * (wq * c_qp).sum(axis=1)[:, None] * gn
+    residual = np.zeros(dm.n_dofs)
+    np.add.at(residual, ed.edofs_u, r_u)
+    np.add.at(residual, ed.edofs_c, r_c)
+
+    k_uu = np.einsum("eai,eab,ebj->eij", b, np.einsum("eq,eqab->eab", wq, tangent), b)
+    chem = np.einsum("eqab,b->eqa", tangent, np.array([1.0, 1.0, 1.0, 0.0])) * (mat.Omega / 3.0)
+    k_uc = -np.einsum("eai,eq,eqa,qj->eij", b, wq, chem, ed.shape_qp)
+    k_cc = m_e / dt + k_diff - drift * np.einsum("eq,qj,ei->eij", wq, ed.shape_qp, gn)
+    rows, cols = _triplets(ed)
+    vals = np.concatenate([k_uu.ravel(), k_uc.ravel(), k_cc.ravel()])
+    order = np.lexsort((cols, rows))
+    jac = sla.from_triplets(dm.n_dofs, (rows[order], cols[order], vals[order]))
+    return residual, jac, sigma_h
+
+
+class TestAssemblyPlan:
+    def test_slot_map_equals_sorted_triplets(self, rng):
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
+        ed = asm.precompute(m)
+        n = asm.DofMap(m.n_nodes).n_dofs
+        rows, cols = _triplets(ed)
+        vals = rng.normal(size=rows.size)
+        order = np.lexsort((cols, rows))
+        ref = sla.from_triplets(n, (rows[order], cols[order], vals[order]))
+        data = np.bincount(ed.jac_slot, weights=vals, minlength=ed.jac_indices.size)
+        assert np.array_equal(data, ref.values)
+        assert np.array_equal(ed.jac_indices, ref.col_indices)
+        assert np.array_equal(ed.jac_indptr, ref.row_offsets)
+
+    def test_plastic_two_way_iterate_matches_reference(self, steel_plastic, rng):
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        dm = asm.DofMap(m.n_nodes)
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        # 3e-3 stretch, past the 1.9e-3 yield strain
+        f1.u = np.column_stack([3e-3 * m.nodes[:, 0], np.zeros(m.n_nodes)])
+        f1.u += rng.normal(scale=1e-5, size=(m.n_nodes, 2))
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        res, jac, states, sh = asm.assemble_system(m, dm, f1, f0, steel_plastic, 0.5,
+                                                   "two-way", elem_data=asm.precompute(m))
+        assert np.mean(states.eps_p_eq > 0) > 0.5          # mostly plastic
+        ref_res, ref_jac, ref_sh = _reference_two_way(m, dm, f1, f0, steel_plastic, 0.5)
+        assert np.array_equal(res, ref_res)
+        assert np.array_equal(sh, ref_sh)
+        assert np.array_equal(jac.row_offsets, ref_jac.row_offsets)
+        assert np.array_equal(jac.col_indices, ref_jac.col_indices)
+        scale = np.abs(ref_jac.values).max()
+        assert np.abs(jac.values - ref_jac.values).max() <= 1e-14 * scale
+
+
 class TestBoundaryConditions:
     def test_absent_tag_rejected(self, steel):
         m = build_two_element_square()

@@ -250,6 +250,11 @@ class TestBuildBvpB:
         scen = sc.build_bvp_b(cfg)
         assert len(scen.bcs.pins) == 3
 
+    def test_insulated_drops_concentration_dirichlet(self):
+        cfg = sc.load_config(BASE_ANNULUS + "concentration.insulated = on\n"
+                             "concentration.dirichlet.outer = 1.0\n")
+        assert sc.build_bvp_b(cfg).bcs.dirichlet_c == []
+
 
 class TestWriters:
     def _small_history(self, tmp_path):

@@ -298,6 +298,15 @@ solver.t_end_hat = 0.05
                      * np.max(np.abs(again.eps_p_eq - new.states.eps_p_eq)))
         assert change <= 1e-6 * params.sigma_y0
 
+    def test_assembly_plan_built_once_per_run(self, call_spy):
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
+        plans = call_spy("precompute", asm, tr)
+        csr_builds = call_spy("from_triplets", sla)
+        hist, _ = tr.run(scen, scen.solver)
+        assert sum(r["newton_iters"] for r in hist.records) > len(hist.records)
+        assert len(plans) == 1
+        assert csr_builds == []
+
     def test_one_way_concentration_blind_to_plasticity(self):
         # strip with a mechanical load and chemo-mechanical coupling off in
         # the diffusion equation: c history identical with plasticity on/off
