@@ -20,6 +20,13 @@ element triplet to its entry in the CSR data. Per iterate, ``assemble_system``
 only runs the material update and the element kernels, vectorized over all
 elements at once, and scatters with one ``np.bincount`` each for the
 residual and the Jacobian.
+
+The boundary data is planned once per run as well (``plan_boundary``): the
+sorted constrained dofs with the positions of every Dirichlet entry among
+them, and the rows and quadrature weights of every traction and flux edge
+term. Only the amplitudes depend on time; ``dirichlet_values`` and
+``neumann_load_vector`` evaluate them at t. ``assemble_system`` returns the
+internal residual; the time stepper subtracts the load.
 """
 from __future__ import annotations
 
@@ -73,10 +80,6 @@ class QuadratureRule:
     """Points (reference coords) and weights on the unit triangle."""
     points: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        if abs(self.weights.sum() - 0.5) > 1e-14:
-            raise ValueError("QuadratureRule: weights must sum to the reference area 1/2")
 
 
 def default_rule():
@@ -167,9 +170,9 @@ def _jacobian_pattern(n, edofs_u, edofs_c):
     return indptr.astype(np.int32), (keys % n).astype(np.int32), slot
 
 
-def precompute(mesh, rule=None):
-    """Assembly plan of ``mesh`` under ``rule`` (default: ``default_rule``)."""
-    rule = rule or default_rule()
+def precompute(mesh):
+    """Assembly plan of ``mesh`` under ``default_rule``."""
+    rule = default_rule()
     tris = mesh.tris
     p0 = mesh.nodes[tris[:, 0]]
     p1 = mesh.nodes[tris[:, 1]]
@@ -228,17 +231,16 @@ def element_sigma_h(states, weights):
     return (sh * weights) .sum(axis=1) / weights.sum()
 
 
-def recover_hydrostatic(mesh, elem_sigma_h):
+def recover_hydrostatic(mesh, elem_sigma_h, areas):
     """Lumped L2 projection of elementwise values onto the nodes.
 
-    Nodal value = area-weighted average of the adjacent element values;
-    exact for a globally linear field on structured patches.
+    Nodal value = area-weighted average of the adjacent element values,
+    weighted by ``areas`` (``ElementData.areas``); exact for a globally
+    linear field on structured patches.
     """
     elem_sigma_h = np.asarray(elem_sigma_h, dtype=float)
     if elem_sigma_h.shape != (mesh.n_elements,):
         raise ValueError("recover_hydrostatic: need one value per element")
-    from .mesh import signed_areas
-    areas = signed_areas(mesh.nodes, mesh.tris)
     # vertex-major: the contributions of every element's first vertex, then
     # of the second and the third
     verts = mesh.tris.T.ravel()
@@ -249,7 +251,7 @@ def recover_hydrostatic(mesh, elem_sigma_h):
 
 @dataclass
 class BoundaryConditions:
-    """Scenario boundary data consumed by assembly.
+    """Scenario boundary data, resolved against the mesh by ``plan_boundary``.
 
     dirichlet_u : list of (tag, component, value)  -- value float or callable(t)
     pins        : list of (node_id, component, value) point constraints
@@ -268,82 +270,93 @@ class BoundaryConditions:
             if getattr(self, name) is None:
                 setattr(self, name, [])
 
-    def _check_tag(self, mesh, tag):
+
+@dataclass(frozen=True)
+class BoundaryPlan:
+    """Boundary data of one run resolved against the mesh by ``plan_boundary``.
+
+    Fixed for the run; only the amplitudes (float or callable(t)) move.
+    """
+    n_dofs: int
+    fixed_dofs: np.ndarray       # sorted unique constrained dofs
+    dirichlet: tuple             # (positions in fixed_dofs, value) per entry, in order
+    neumann_rows: np.ndarray     # load row of every edge quadrature term
+    neumann_weights: np.ndarray  # its weight w * N
+    neumann_amp: np.ndarray      # its index into ``amplitudes``
+    amplitudes: tuple            # traction components and fluxes
+
+
+_EDGE_GAUSS = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
+
+
+def plan_boundary(mesh, bcs):
+    """Resolve ``bcs`` against ``mesh`` once: every tag is checked, the
+    Dirichlet entries become positions in the sorted constrained dofs (a
+    later entry wins where two overlap), and the traction and flux edge
+    integrals (2-point Gauss) become one row, weight and amplitude index per
+    term, in the order the load vector sums them."""
+    for tag in [e[0] for e in bcs.dirichlet_u + bcs.dirichlet_c + bcs.tractions + bcs.fluxes]:
         if tag not in mesh.tags():
             raise AssemblyError(f"boundary condition references tag {tag!r}, "
                                 f"mesh has {mesh.tags()}")
+    entries = ([(3 * mesh.nodes_with_tag(tag) + comp, v) for tag, comp, v in bcs.dirichlet_u]
+               + [(np.array([3 * int(node) + comp]), v) for node, comp, v in bcs.pins]
+               + [(3 * mesh.nodes_with_tag(tag) + 2, v) for tag, v in bcs.dirichlet_c])
+    fixed = np.unique(np.concatenate([d for d, _ in entries] + [np.zeros(0, np.int64)]))
 
-    def dirichlet_constraints(self, mesh, dofmap, t):
-        """Flattened (dof, value) pairs at time t."""
-        out = {}
-        for tag, comp, value in self.dirichlet_u:
-            self._check_tag(mesh, tag)
-            v = value(t) if callable(value) else value
-            for n in mesh.nodes_with_tag(tag):
-                out[3 * int(n) + comp] = float(v)
-        for node, comp, value in self.pins:
-            v = value(t) if callable(value) else value
-            out[3 * int(node) + comp] = float(v)
-        for tag, value in self.dirichlet_c:
-            self._check_tag(mesh, tag)
-            v = value(t) if callable(value) else value
-            for n in mesh.nodes_with_tag(tag):
-                out[3 * int(n) + 2] = float(v)
-        return sorted(out.items())
+    amplitudes, loads = [], []
+    for tag, vec in bcs.tractions:
+        loads.append((tag, ((0, len(amplitudes)), (1, len(amplitudes) + 1))))
+        amplitudes += list(vec)
+    for tag, j_in in bcs.fluxes:
+        loads.append((tag, ((2, len(amplitudes)),)))
+        amplitudes.append(j_in)
+    terms = [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64))]
+    for tag, comps in loads:
+        edges = mesh.edges_with_tag(tag)
+        w = 0.5 * np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+        for s in _EDGE_GAUSS:
+            for end, shape in ((0, 1.0 - s), (1, s)):
+                for offset, k in comps:
+                    terms.append((3 * edges[:, end] + offset, w * shape, np.full(len(edges), k)))
+    rows, weights, amp = (np.concatenate(x) for x in zip(*terms))
+    return BoundaryPlan(
+        n_dofs=3 * mesh.n_nodes, fixed_dofs=fixed,
+        dirichlet=tuple((np.searchsorted(fixed, d), v) for d, v in entries),
+        neumann_rows=rows, neumann_weights=weights, neumann_amp=amp,
+        amplitudes=tuple(amplitudes))
 
 
-def neumann_load_vector(mesh, dofmap, bcs, t):
-    """Boundary-edge integrals of traction and inbound flux (2-point Gauss).
+def dirichlet_values(plan, t):
+    """Prescribed values of ``plan.fixed_dofs`` at time t."""
+    vals = np.empty(plan.fixed_dofs.size)
+    for pos, value in plan.dirichlet:
+        vals[pos] = value(t) if callable(value) else value
+    return vals
+
+
+def neumann_load_vector(plan, t):
+    """Boundary-edge integrals of traction and inbound flux at time t.
 
     Returns the (3N,) load vector entering the residual with a minus sign.
     """
-    load = np.zeros(dofmap.n_dofs)
-    gauss = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
-
-    def edge_accumulate(tag, pay):
-        edges = mesh.edges_with_tag(tag)
-        if edges.size == 0:
-            return
-        pa = mesh.nodes[edges[:, 0]]
-        pb = mesh.nodes[edges[:, 1]]
-        lengths = np.linalg.norm(pb - pa, axis=1)
-        for s in gauss:
-            w = 0.5 * lengths
-            na, nb = 1.0 - s, s
-            pay(edges, w, na, nb)
-
-    for tag, vec in bcs.tractions:
-        bcs._check_tag(mesh, tag)
-        tx, ty = (v(t) if callable(v) else v for v in vec)
-        def pay(edges, w, na, nb, tx=tx, ty=ty):
-            np.add.at(load, dofmap.ux(edges[:, 0]), w * na * tx)
-            np.add.at(load, dofmap.uy(edges[:, 0]), w * na * ty)
-            np.add.at(load, dofmap.ux(edges[:, 1]), w * nb * tx)
-            np.add.at(load, dofmap.uy(edges[:, 1]), w * nb * ty)
-        edge_accumulate(tag, pay)
-
-    for tag, j_in in bcs.fluxes:
-        bcs._check_tag(mesh, tag)
-        j = j_in(t) if callable(j_in) else j_in
-        def pay(edges, w, na, nb, j=j):
-            np.add.at(load, dofmap.c(edges[:, 0]), w * na * j)
-            np.add.at(load, dofmap.c(edges[:, 1]), w * nb * j)
-        edge_accumulate(tag, pay)
-
-    return load
+    amps = np.array([a(t) if callable(a) else a for a in plan.amplitudes], dtype=float)
+    return np.bincount(plan.neumann_rows, weights=plan.neumann_weights * amps[plan.neumann_amp],
+                       minlength=plan.n_dofs)
 
 
 def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
-                    elem_data=None, bcs=None, t=0.0, frozen_sigma_h=None,
-                    want_jacobian=True, plasticity=True):
+                    elem_data=None, frozen_sigma_h=None, want_jacobian=True,
+                    plasticity=True):
     """One-pass assembly of residual, Jacobian, and constitutive byproducts.
 
     The stress at every quadrature point comes from the material update
     driven by the increments between ``fields_old`` (converged step start)
     and ``fields_new`` (current iterate). ``elem_data`` is the mesh's
     assembly plan from ``precompute``; without it the plan is rebuilt on
-    every call. Returns (residual, jacobian_or_None, new_states,
-    sigma_h_nodal).
+    every call. The residual holds the internal terms only; the boundary
+    load (``neumann_load_vector``) is the caller's to subtract. Returns
+    (residual, jacobian_or_None, new_states, sigma_h_nodal).
     """
     if mode not in ("one-way", "two-way"):
         raise ValueError(f"assemble_system: unknown coupling mode {mode!r}")
@@ -382,7 +395,8 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     if frozen_sigma_h is not None:
         sigma_h_nodal = np.asarray(frozen_sigma_h, dtype=float)
     else:
-        sigma_h_nodal = recover_hydrostatic(mesh, element_sigma_h(new_states, ed.weights))
+        sigma_h_nodal = recover_hydrostatic(mesh, element_sigma_h(new_states, ed.weights),
+                                            ed.areas)
     grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h_nodal[tris])   # (n_elem, 2)
 
     drift_coeff = mat.D * mat.Omega / (mat.R * mat.T)
@@ -404,8 +418,6 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
 
     residual = np.bincount(ed.res_dofs, weights=np.concatenate([r_u.ravel(), r_c.ravel()]),
                            minlength=dofmap.n_dofs)
-    if bcs is not None:
-        residual -= neumann_load_vector(mesh, dofmap, bcs, t)
 
     jacobian = None
     if want_jacobian:
@@ -422,41 +434,6 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
             (data, ed.jac_indices, ed.jac_indptr), shape=(dofmap.n_dofs, dofmap.n_dofs)))
 
     return residual, jacobian, new_states, sigma_h_nodal
-
-
-def assemble_residual(mesh, dofmap, fields_new, fields_old, params, dt, mode,
-                      elem_data=None, bcs=None, t=0.0, frozen_sigma_h=None,
-                      plasticity=True):
-    """Residual of the coupled system at ``fields_new`` (see assemble_system)."""
-    res, _, _, _ = assemble_system(mesh, dofmap, fields_new, fields_old, params, dt,
-                                   mode, elem_data=elem_data, bcs=bcs, t=t,
-                                   frozen_sigma_h=frozen_sigma_h,
-                                   want_jacobian=False, plasticity=plasticity)
-    return res
-
-
-def assemble_jacobian(mesh, dofmap, fields_new, fields_old, params, dt, mode,
-                      elem_data=None, frozen_sigma_h=None, plasticity=True):
-    """Jacobian blocks K_uu / K_uc / K_cc as one SparseMatrix (K_cu dropped)."""
-    _, jac, _, _ = assemble_system(mesh, dofmap, fields_new, fields_old, params, dt,
-                                   mode, elem_data=elem_data,
-                                   frozen_sigma_h=frozen_sigma_h,
-                                   want_jacobian=True, plasticity=plasticity)
-    return jac
-
-
-def apply_boundary_conditions(A, b, mesh, dofmap, bcs, t, include_neumann=True):
-    """Constrain an assembled linear system with the scenario boundary data.
-
-    Adds the Neumann edge integrals to the right-hand side (unless the
-    caller already accounted for them) and imposes the Dirichlet values via
-    column elimination. Returns the constrained (A, b).
-    """
-    b = np.asarray(b, dtype=float).copy()
-    if include_neumann:
-        b += neumann_load_vector(mesh, dofmap, bcs, t)
-    constraints = bcs.dirichlet_constraints(mesh, dofmap, t)
-    return sparse_linalg.apply_dirichlet(A, b, constraints)
 
 
 def locate_points(mesh, points, tol=1e-10):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -371,12 +372,19 @@ def build_bvp_b(config):
 def _finish_scenario(config, msh, params, scales, bcs, c_dir, default_probes):
     """Add the concentration Dirichlet values ``c_dir`` (tag -> value /
     c_max), check the probes (the config's, else ``default_probes``) and
-    bundle the Scenario."""
+    bundle the Scenario. Tags that share a node must agree on its value:
+    ``serialize_config`` writes them sorted, not in the config's order."""
     for tag, hat_value in c_dir.items():
         if tag not in msh.tags():
             raise ConfigError(f"concentration.dirichlet.{tag}: mesh has no tag {tag!r} "
                               f"(available: {msh.tags()})")
         bcs.dirichlet_c.append((tag, hat_value * params.c_max))
+    for a, b in combinations(sorted(c_dir), 2):
+        shared = np.intersect1d(msh.nodes_with_tag(a), msh.nodes_with_tag(b))
+        if c_dir[a] != c_dir[b] and shared.size:
+            raise ConfigError(f"concentration.dirichlet.{a} = {c_dir[a]!r} and "
+                              f"concentration.dirichlet.{b} = {c_dir[b]!r} both fix node "
+                              f"{int(shared[0])}; give shared nodes one value")
     probes = list(config.probes) or default_probes
     names = [p[0] for p in probes]
     if len(set(names)) != len(names):

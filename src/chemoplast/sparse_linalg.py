@@ -24,8 +24,10 @@ hand; the coupled Jacobian comes in CSR form from the assembly plan.
   for Sparse Linear Systems*, SIAM 2006, ch. 7-8, on factor reuse).
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
-reported as SingularMatrixError), and every solve for its residual
-(SOLVE_TOL, with a few steps of iterative refinement).
+reported as SingularMatrixError). A solve returns x with ||A x - b|| <=
+SOLVE_TOL ||b|| after at most REFINE_STEPS refinement steps, or else with a
+normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||) <=
+BACKWARD_TOL; anything worse raises SingularMatrixError.
 """
 from __future__ import annotations
 
@@ -172,12 +174,12 @@ def _refined_solve(lu, A, a_max, b, what):
 def solve(A, b):
     """Solve A x = b by sparse LU with partial pivoting.
 
-    Guarantees ||A x - b||_2 <= 1e-10 ||b||_2 (iterative refinement is
-    applied if the factored solve falls short). The matrix is row-equilibrated
-    before factoring -- the solution is unchanged, but pivot magnitudes become
-    comparable across physics blocks with wildly different units -- and a
-    numerically singular matrix (equilibrated pivot below 1e-14 * max|A|)
-    raises SingularMatrixError instead of returning garbage.
+    The matrix is row-equilibrated before factoring -- the solution is
+    unchanged, but pivot magnitudes become comparable across physics blocks
+    with wildly different units -- and the module's solve contract
+    (SOLVE_TOL, else BACKWARD_TOL) holds for the equilibrated system
+    D A x = D b. A numerically singular matrix (equilibrated pivot below
+    1e-14 * max|A|) raises SingularMatrixError instead of returning garbage.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (A.n,):

@@ -6,6 +6,10 @@ states at the start of the step, so the quadrature-point states of the
 converged iterate satisfy the discrete consistency condition and are
 committed as they are.
 
+``run`` resolves the boundary data once (``assembly.plan_boundary``). A step
+writes the Dirichlet values into its initial iterate and computes the
+traction and flux load once; every Newton residual subtracts it.
+
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, which
 solves the block upper-triangular Jacobian block by block and keeps the
 factors of the blocks this module knows to be fixed: K_uu while no
@@ -23,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sparse_linalg
-from .assembly import (AssemblyError, DofMap, FieldState, assemble_system,
-                       interpolate_nodal, locate_points, precompute)
+from .assembly import (AssemblyError, DofMap, FieldState, assemble_system, dirichlet_values,
+                       interpolate_nodal, locate_points, neumann_load_vector,
+                       plan_boundary, precompute)
 from .constitutive import hydrostatic, von_mises
 
 
@@ -92,7 +97,7 @@ class TimeHistory:
         return np.array([s[name][key] for s in self.samples])
 
 
-def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver,
+def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver,
                   refs=None):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
@@ -110,15 +115,18 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver
     jitter of points flipping between the elastic and plastic branch.
 
     ``block_solver`` (a ``sparse_linalg.BlockSolver``) computes the updates
-    and keeps its factors across calls.
+    and keeps its factors across calls. ``plan`` is the run's
+    ``assembly.BoundaryPlan``; the boundary load at ``t_new`` is computed
+    once and subtracted from every assembled residual.
 
     Returns (w, new_states, sigma_h_nodal, iters, norm, reason) with ``reason``
     one of NEWTON_EXITS. The Dirichlet dofs of ``w`` must already carry
     their prescribed values.
     """
-    mesh, params, bcs = scenario.mesh, scenario.params, scenario.bcs
-    constraints = bcs.dirichlet_constraints(mesh, dm, t_new)
-    fixed_dofs = np.array([d for d, _ in constraints], dtype=np.int64)
+    mesh, params = scenario.mesh, scenario.params
+    dm = DofMap(mesh.n_nodes)
+    fixed_dofs = plan.fixed_dofs
+    load = neumann_load_vector(plan, t_new)
     refs = refs if refs is not None else {"u": 0.0, "c": 0.0}
     keep_cc = config.mode == "one-way"     # K_cc = M/dt + K_diff: fixed at this dt
 
@@ -137,13 +145,13 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver
         eps20 = 20.0 * np.finfo(float).eps
         return eps20 * fu, eps20 * fc
 
-    def assemble_at(w_vec, want_jacobian=True):
+    def assemble_at(w_vec):
         u, c = dm.split(w_vec)
         fields_it = FieldState(u=u, c=c, states=fields_n.states,
                                sigma_h_nodal=fields_n.sigma_h_nodal)
-        return assemble_system(mesh, dm, fields_it, fields_n, params, dt, config.mode,
-                               elem_data=ed, bcs=bcs, t=t_new,
-                               want_jacobian=want_jacobian, plasticity=config.plasticity)
+        res_int, *rest = assemble_system(mesh, dm, fields_it, fields_n, params, dt, config.mode,
+                                         elem_data=ed, plasticity=config.plasticity)
+        return (res_int - load, *rest)
 
     try:
         res, jac, new_states, sigma_h = assemble_at(w)
@@ -218,26 +226,28 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver
             raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
 
 
-def step(fields_n, t_n, dt, scenario, config, elem_data=None, dofmap=None,
+def step(fields_n, t_n, dt, scenario, config, elem_data=None, plan=None,
          newton_refs=None, block_solver=None):
     """Advance one backward-Euler step from t_n to t_n + dt.
 
+    ``elem_data`` and ``plan`` are the run's assembly and boundary plans
+    (``precompute``, ``plan_boundary``; made here if omitted).
     ``block_solver`` computes the Newton updates; pass the run's solver so
     that its kept factors carry over between steps (a fresh one is made if
     omitted). Returns (fields at t_n + dt, StepInfo). Raises StepFailure
     when the Newton solve cannot be completed.
     """
     ed = elem_data if elem_data is not None else precompute(scenario.mesh)
-    dm = dofmap or DofMap(scenario.mesh.n_nodes)
+    plan = plan if plan is not None else plan_boundary(scenario.mesh, scenario.bcs)
+    dm = DofMap(scenario.mesh.n_nodes)
     block_solver = block_solver or sparse_linalg.BlockSolver()
     t_new = t_n + dt
 
     w = dm.join(fields_n.u, fields_n.c)
-    for dof, val in scenario.bcs.dirichlet_constraints(scenario.mesh, dm, t_new):
-        w[dof] = val
+    w[plan.fixed_dofs] = dirichlet_values(plan, t_new)
 
     w, new_states, sigma_h, iters, norm, reason = _newton_solve(
-        w, fields_n, t_new, dt, scenario, config, ed, dm, block_solver, refs=newton_refs)
+        w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, refs=newton_refs)
     u, c = dm.split(w)
     fields_new = FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h)
     return fields_new, StepInfo(newton_iters=iters, residual_norm=norm, newton_exit=reason)
@@ -299,7 +309,7 @@ def run(scenario, config, elem_data=None, progress_cb=None):
     """
     mesh = scenario.mesh
     ed = elem_data if elem_data is not None else precompute(mesh)
-    dm = DofMap(mesh.n_nodes)
+    plan = plan_boundary(mesh, scenario.bcs)
     sampler = ProbeSampler(mesh, scenario.probes, ed)
     # lumped nodal masses: a third of each element's area per vertex
     masses = np.bincount(mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),
@@ -320,7 +330,7 @@ def run(scenario, config, elem_data=None, progress_cb=None):
         attempt = 0
         while True:
             try:
-                fields_new, info = step(fields, t, dt, scenario, config, ed, dm,
+                fields_new, info = step(fields, t, dt, scenario, config, ed, plan,
                                         newton_refs=newton_refs, block_solver=block_solver)
                 break
             except StepFailure as err:

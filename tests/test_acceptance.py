@@ -342,7 +342,8 @@ def test_criterion_10_jacobian_consistency(report, steel, rng):
     f1.c = 100.0 + rng.normal(scale=5.0, size=4)
     _, jac, _, sh0 = asm.assemble_system(m, dm, f1, f0, steel, 0.5, "two-way")
     J = jac.toarray()
-    base = asm.assemble_residual(m, dm, f1, f0, steel, 0.5, "two-way", frozen_sigma_h=sh0)
+    base, _, _, _ = asm.assemble_system(m, dm, f1, f0, steel, 0.5, "two-way",
+                                        frozen_sigma_h=sh0, want_jacobian=False)
     eps = 1e-7
     max_err = 0.0
     for j in range(dm.n_dofs):
@@ -350,7 +351,8 @@ def test_criterion_10_jacobian_consistency(report, steel, rng):
         w[j] += eps
         u, c = dm.split(w)
         fp = f0.copy(); fp.u, fp.c = u, c
-        rp = asm.assemble_residual(m, dm, fp, f0, steel, 0.5, "two-way", frozen_sigma_h=sh0)
+        rp, _, _, _ = asm.assemble_system(m, dm, fp, f0, steel, 0.5, "two-way",
+                                          frozen_sigma_h=sh0, want_jacobian=False)
         col = (rp - base) / eps
         scale = max(np.abs(J[:, j]).max(), 1.0)
         max_err = max(max_err, np.abs(col - J[:, j]).max() / scale)

@@ -41,14 +41,14 @@ class TestQuadrature:
 class TestRecovery:
     def test_uniform_field(self):
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
-        rec = asm.recover_hydrostatic(m, np.full(m.n_elements, 7.5))
+        rec = asm.recover_hydrostatic(m, np.full(m.n_elements, 7.5), asm.precompute(m).areas)
         assert rec == pytest.approx(np.full(m.n_nodes, 7.5), rel=1e-14)
 
     def test_linear_field_exact_on_structured_patch(self):
         m = uniform_grid_mesh(6)
         cent = m.nodes[m.tris].mean(axis=1)
         vals = 3.0 * cent[:, 0] - 1.0
-        rec = asm.recover_hydrostatic(m, vals)
+        rec = asm.recover_hydrostatic(m, vals, asm.precompute(m).areas)
         exact = 3.0 * m.nodes[:, 0] - 1.0
         interior = np.setdiff1d(np.arange(m.n_nodes), np.unique(m.boundary_edges))
         assert rec[interior] == pytest.approx(exact[interior], abs=1e-12)
@@ -57,13 +57,13 @@ class TestRecovery:
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = msh.Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
                      np.array(["outer"] * 3), {})
-        rec = asm.recover_hydrostatic(m, np.array([42.0]))
+        rec = asm.recover_hydrostatic(m, np.array([42.0]), asm.precompute(m).areas)
         assert rec == pytest.approx([42.0, 42.0, 42.0], rel=1e-15)
 
     def test_wrong_length_rejected(self):
         m = uniform_grid_mesh(2)
         with pytest.raises(ValueError):
-            asm.recover_hydrostatic(m, np.zeros(3))
+            asm.recover_hydrostatic(m, np.zeros(3), asm.precompute(m).areas)
 
 
 def _fields(mesh, c0=0.0):
@@ -78,7 +78,8 @@ class TestResidual:
         f1 = f0.copy()
         f1.u[:, 0] += 0.01
         f1.u[:, 1] -= 0.02
-        r = asm.assemble_residual(m, dm, f1, f0, steel, 1.0, "one-way")
+        r, _, _, _ = asm.assemble_system(m, dm, f1, f0, steel, 1.0, "one-way",
+                                         want_jacobian=False)
         # roundoff of E * |u| * h is the natural scale
         assert np.abs(r).max() <= 1e-10 * steel.E * 0.02 * 0.08
 
@@ -86,7 +87,8 @@ class TestResidual:
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
         dm = asm.DofMap(m.n_nodes)
         f0 = _fields(m, c0=3.0)
-        r = asm.assemble_residual(m, dm, f0, f0, steel, 1.0, "one-way")
+        r, _, _, _ = asm.assemble_system(m, dm, f0, f0, steel, 1.0, "one-way",
+                                         want_jacobian=False)
         c_rows = r.reshape(-1, 3)[:, 2]
         assert np.abs(c_rows).max() <= 1e-12 * steel.D * 3.0
 
@@ -99,7 +101,8 @@ class TestResidual:
         f1 = f0.copy()
         ue = rng.normal(scale=1e-4, size=(3, 2))
         f1.u = ue
-        r = asm.assemble_residual(m, dm, f1, f0, steel, 1.0, "one-way")
+        r, _, _, _ = asm.assemble_system(m, dm, f1, f0, steel, 1.0, "one-way",
+                                         want_jacobian=False)
         # hand-built B (area 1/2, gradients of the unit right triangle)
         grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         B = np.zeros((4, 6))
@@ -137,14 +140,15 @@ class TestResidual:
         f1 = f0.copy()
         f1.u[2, 0] = np.nan
         with pytest.raises(asm.AssemblyError, match="element"):
-            asm.assemble_residual(m, dm, f1, f0, steel_plastic, 1.0, "one-way")
+            asm.assemble_system(m, dm, f1, f0, steel_plastic, 1.0, "one-way",
+                                want_jacobian=False)
 
     def test_unknown_mode_rejected(self, steel):
         m = build_two_element_square()
         dm = asm.DofMap(4)
         f = _fields(m)
         with pytest.raises(ValueError):
-            asm.assemble_residual(m, dm, f, f, steel, 1.0, "sideways")
+            asm.assemble_system(m, dm, f, f, steel, 1.0, "sideways", want_jacobian=False)
 
 
 class TestJacobian:
@@ -152,7 +156,7 @@ class TestJacobian:
         m = build_two_element_square()
         dm = asm.DofMap(4)
         f0 = _fields(m, c0=1.0)
-        jac = asm.assemble_jacobian(m, dm, f0, f0, steel, 0.5, "one-way")
+        _, jac, _, _ = asm.assemble_system(m, dm, f0, f0, steel, 0.5, "one-way")
         J = jac.toarray()
         iu = np.array([i for n in range(4) for i in (3 * n, 3 * n + 1)])
         ic = np.array([3 * n + 2 for n in range(4)])
@@ -172,8 +176,8 @@ class TestJacobian:
         f1.c = 100.0 + rng.normal(scale=5.0, size=4)
         res0, jac, _, sh0 = asm.assemble_system(m, dm, f1, f0, steel, 0.5, "two-way")
         J = jac.toarray()
-        base = asm.assemble_residual(m, dm, f1, f0, steel, 0.5, "two-way",
-                                     frozen_sigma_h=sh0)
+        base, _, _, _ = asm.assemble_system(m, dm, f1, f0, steel, 0.5, "two-way",
+                                            frozen_sigma_h=sh0, want_jacobian=False)
         eps = 1e-7
         err = np.zeros(dm.n_dofs)
         for j in range(dm.n_dofs):
@@ -181,8 +185,8 @@ class TestJacobian:
             w[j] += eps
             u, c = dm.split(w)
             fp = f0.copy(); fp.u, fp.c = u, c
-            rp = asm.assemble_residual(m, dm, fp, f0, steel, 0.5, "two-way",
-                                       frozen_sigma_h=sh0)
+            rp, _, _, _ = asm.assemble_system(m, dm, fp, f0, steel, 0.5, "two-way",
+                                              frozen_sigma_h=sh0, want_jacobian=False)
             col = (rp - base) / eps
             scale = max(np.abs(J[:, j]).max(), 1.0)
             err[j] = np.abs(col - J[:, j]).max() / scale
@@ -192,8 +196,8 @@ class TestJacobian:
         m = build_two_element_square()
         dm = asm.DofMap(4)
         f0 = _fields(m, c0=1.0)
-        J_small = asm.assemble_jacobian(m, dm, f0, f0, steel, 1e-3, "one-way").toarray()
-        J_huge = asm.assemble_jacobian(m, dm, f0, f0, steel, 1e30, "one-way").toarray()
+        J_small = asm.assemble_system(m, dm, f0, f0, steel, 1e-3, "one-way")[1].toarray()
+        J_huge = asm.assemble_system(m, dm, f0, f0, steel, 1e30, "one-way")[1].toarray()
         ic = np.array([3 * n + 2 for n in range(4)])
         K_cc_huge = J_huge[np.ix_(ic, ic)]
         # pure diffusion block: rows sum to zero (constant in kernel)
@@ -296,38 +300,41 @@ class TestAssemblyPlan:
         assert np.abs(jac.values - ref_jac.values).max() <= 1e-14 * scale
 
 
+def _constrained(jac, rhs, plan, t):
+    """``jac``, ``rhs`` plus the boundary load, with the plan's Dirichlet
+    values imposed by ``apply_dirichlet``."""
+    rhs = rhs + asm.neumann_load_vector(plan, t)
+    return sla.apply_dirichlet(jac, rhs, zip(plan.fixed_dofs, asm.dirichlet_values(plan, t)))
+
+
 class TestBoundaryConditions:
     def test_absent_tag_rejected(self, steel):
         m = build_two_element_square()
-        dm = asm.DofMap(4)
         bcs = asm.BoundaryConditions(dirichlet_c=[("hole", 1.0)])
         with pytest.raises(asm.AssemblyError, match="hole"):
-            bcs.dirichlet_constraints(m, dm, 0.0)
+            asm.plan_boundary(m, bcs)
 
     def test_total_inflow_matches_flux(self, steel):
         m = msh.generate_annulus(0.2, 1.0, 0.05)
-        dm = asm.DofMap(m.n_nodes)
         j_in = 3.7
         bcs = asm.BoundaryConditions(fluxes=[("outer", j_in)])
-        load = asm.neumann_load_vector(m, dm, bcs, 0.0)
+        load = asm.neumann_load_vector(asm.plan_boundary(m, bcs), 0.0)
         total = load.reshape(-1, 3)[:, 2].sum()
         assert total == pytest.approx(j_in * 2 * np.pi * 1.0, rel=0.01)
         assert np.all(load.reshape(-1, 3)[:, :2] == 0.0)
 
     def test_traction_resultant(self, steel):
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
-        dm = asm.DofMap(m.n_nodes)
         bcs = asm.BoundaryConditions(tractions=[("right", (5e6, 0.0))])
-        load = asm.neumann_load_vector(m, dm, bcs, 0.0)
+        load = asm.neumann_load_vector(asm.plan_boundary(m, bcs), 0.0)
         fx = load.reshape(-1, 3)[:, 0].sum()
         assert fx == pytest.approx(5e6 * 1.0, rel=1e-9)
 
     def test_time_dependent_values(self, steel):
         m = build_two_element_square()
-        dm = asm.DofMap(4)
         bcs = asm.BoundaryConditions(dirichlet_u=[("left", 0, lambda t: 2.0 * t)])
-        cons = dict(bcs.dirichlet_constraints(m, dm, 3.0))
-        assert set(cons.values()) == {6.0}
+        plan = asm.plan_boundary(m, bcs)
+        assert set(asm.dirichlet_values(plan, 3.0)) == {6.0}
 
     def test_dirichlet_c_exact_after_solve(self, steel):
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
@@ -337,7 +344,7 @@ class TestBoundaryConditions:
         bcs = asm.BoundaryConditions(
             dirichlet_u=[(t, c, 0.0) for t in ("left", "right") for c in (0, 1)],
             dirichlet_c=[("left", 1.0)])
-        A, b = asm.apply_boundary_conditions(jac, -res, m, dm, bcs, 0.0)
+        A, b = _constrained(jac, -res, asm.plan_boundary(m, bcs), 0.0)
         w = sla.solve(A, b)
         left_c = w[dm.c(m.nodes_with_tag("left"))]
         assert np.all(left_c == 1.0)
@@ -348,7 +355,7 @@ class TestBoundaryConditions:
         f0 = _fields(m)
         res, jac, _, _ = asm.assemble_system(m, dm, f0, f0, steel, 1.0, "one-way")
         bcs = asm.BoundaryConditions()
-        A, b = asm.apply_boundary_conditions(jac, -res, m, dm, bcs, 0.0)
+        A, b = _constrained(jac, -res, asm.plan_boundary(m, bcs), 0.0)
         with pytest.raises(sla.SingularMatrixError):
             sla.solve(A, np.ones(dm.n_dofs))
 
@@ -389,7 +396,8 @@ class TestPatchAndConservation:
             f0.u = rng.normal(scale=1e-5, size=(m.n_nodes, 2))
             f1 = f0.copy()
             f1.c = 2.0 + rng.normal(scale=0.2, size=m.n_nodes)
-            res = asm.assemble_residual(m, dm, f1, f0, steel, 0.5, mode)
+            res, _, _, _ = asm.assemble_system(m, dm, f1, f0, steel, 0.5, mode,
+                                               want_jacobian=False)
             # sum of concentration rows = total lumped mass change per dt,
             # because diffusion and drift are in divergence form
             row_sum = res.reshape(-1, 3)[:, 2].sum()

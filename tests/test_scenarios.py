@@ -161,11 +161,11 @@ class TestBuildBvpA:
         m = scen.mesh
         n_left = len(m.nodes_with_tag("left"))
         n_right = len(m.nodes_with_tag("right"))
-        from chemoplast.assembly import DofMap
-        cons = scen.bcs.dirichlet_constraints(m, DofMap(m.n_nodes), 1.0)
+        from chemoplast.assembly import plan_boundary
+        fixed = plan_boundary(m, scen.bcs).fixed_dofs
         # u_x on both edges, one u_y pin, and the default c = 1 on the left
-        assert len(cons) == 2 * n_left + 1 + n_right
-        u_cons = [d for d, _ in cons if d % 3 != 2]
+        assert len(fixed) == 2 * n_left + 1 + n_right
+        u_cons = [d for d in fixed if d % 3 != 2]
         assert len(u_cons) == n_left + 1 + n_right
 
     def test_zero_pull_no_dirichlet_c_stays_still(self):
@@ -212,6 +212,24 @@ class TestBuildBvpA:
         with pytest.raises(sc.ConfigError, match="inner"):
             sc.build_bvp_a(sc.load_config(BASE_PLATE
                                           + "concentration.dirichlet.inner = 1.0\n"))
+
+    def test_conflicting_c_values_on_shared_node_rejected(self):
+        # top and left share the corner (-L/2, L/2); which value it took used
+        # to depend on the line order, which serialize_config does not keep
+        text = (BASE_PLATE + "concentration.dirichlet.top = 0.5\n"
+                + "concentration.dirichlet.left = 1.0\n")
+        with pytest.raises(sc.ConfigError) as err:
+            sc.build_bvp_a(sc.load_config(text))
+        assert "concentration.dirichlet.top" in str(err.value)
+        assert "concentration.dirichlet.left" in str(err.value)
+
+    def test_equal_c_values_on_shared_node_accepted(self):
+        text = (BASE_PLATE + "concentration.dirichlet.top = 0.5\n"
+                + "concentration.dirichlet.left = 0.5\n"
+                + "concentration.dirichlet.hole = 1.0\n")
+        scen = sc.build_bvp_a(sc.load_config(text))
+        again = sc.build_bvp_a(sc.load_config(sc.serialize_config(scen.config)))
+        assert sorted(scen.bcs.dirichlet_c) == sorted(again.bcs.dirichlet_c)
 
     def test_wrong_geometry_rejected(self):
         with pytest.raises(sc.ConfigError):

@@ -135,6 +135,130 @@ class TestRunSlab:
             assert key in sample
 
 
+# coarse charged particle: ramped inward flux on the outer circle, a fixed
+# concentration on the inner one
+COARSE_ANNULUS = """
+geometry.kind = annulus
+geometry.r_i = 0.25
+geometry.r_o = 1.0
+geometry.target_h = 0.12
+material.preset = graphite_table2
+loading.kind = flux
+loading.J = 2.5
+loading.t_ramp_hat = 0.05
+concentration.dirichlet.inner = 0.2
+coupling.mode = oneway
+plasticity.enabled = off
+solver.dt_hat = 0.02
+solver.t_end_hat = 0.1
+"""
+
+
+def _reference_dirichlet(mesh, bcs, t):
+    """Dirichlet data resolved tag by tag and node by node into a dict, as
+    before the boundary plan: sorted (dof, value) pairs, a later entry
+    overwriting an earlier one."""
+    out = {}
+    for tag, comp, value in bcs.dirichlet_u:
+        v = value(t) if callable(value) else value
+        for n in mesh.nodes_with_tag(tag):
+            out[3 * int(n) + comp] = float(v)
+    for node, comp, value in bcs.pins:
+        v = value(t) if callable(value) else value
+        out[3 * int(node) + comp] = float(v)
+    for tag, value in bcs.dirichlet_c:
+        v = value(t) if callable(value) else value
+        for n in mesh.nodes_with_tag(tag):
+            out[3 * int(n) + 2] = float(v)
+    return sorted(out.items())
+
+
+def _reference_neumann(mesh, bcs, t):
+    """Traction and flux load built per tag with closures and np.add.at, as
+    before the boundary plan."""
+    dm = asm.DofMap(mesh.n_nodes)
+    load = np.zeros(dm.n_dofs)
+    gauss = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
+
+    def edge_accumulate(tag, pay):
+        edges = mesh.edges_with_tag(tag)
+        lengths = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+        for s in gauss:
+            pay(edges, 0.5 * lengths, 1.0 - s, s)
+
+    for tag, vec in bcs.tractions:
+        tx, ty = (v(t) if callable(v) else v for v in vec)
+
+        def pay(edges, w, na, nb, tx=tx, ty=ty):
+            np.add.at(load, dm.ux(edges[:, 0]), w * na * tx)
+            np.add.at(load, dm.uy(edges[:, 0]), w * na * ty)
+            np.add.at(load, dm.ux(edges[:, 1]), w * nb * tx)
+            np.add.at(load, dm.uy(edges[:, 1]), w * nb * ty)
+        edge_accumulate(tag, pay)
+
+    for tag, j_in in bcs.fluxes:
+        j = j_in(t) if callable(j_in) else j_in
+
+        def pay(edges, w, na, nb, j=j):
+            np.add.at(load, dm.c(edges[:, 0]), w * na * j)
+            np.add.at(load, dm.c(edges[:, 1]), w * nb * j)
+        edge_accumulate(tag, pay)
+    return load
+
+
+def overlap_scenario():
+    """Strip whose Dirichlet entries overlap at the corners with different
+    values, one of them time-dependent: the later entry must win."""
+    scen = slab_scenario(nx=10)
+    scen.bcs = asm.BoundaryConditions(
+        dirichlet_u=[("bottom", 0, 1.0), ("left", 0, lambda t: 2.0 + t),
+                     ("right", 1, 3.0), ("bottom", 1, -1.0)],
+        pins=[(0, 0, 5.0)],
+        dirichlet_c=[("left", 0.5), ("right", lambda t: 0.25 * t)])
+    return scen
+
+
+BOUNDARY_SCENARIOS = {
+    "plate": lambda: sc.build_scenario(sc.load_config(
+        COARSE_PLATE.replace("concentration.insulated = on\n", ""))),
+    "traction": lambda: sc.build_scenario(sc.load_config(COARSE_HOLE)),
+    "annulus": lambda: sc.build_scenario(sc.load_config(COARSE_ANNULUS)),
+    "slab": slab_scenario,
+    "overlap": overlap_scenario,
+}
+
+
+class TestBoundaryPlan:
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_SCENARIOS))
+    def test_dirichlet_matches_reference(self, name):
+        scen = BOUNDARY_SCENARIOS[name]()
+        plan = asm.plan_boundary(scen.mesh, scen.bcs)
+        assert plan.fixed_dofs.dtype == np.int64
+        for t in (0.0, 0.3 * scen.solver.t_end, scen.solver.t_end):
+            ref = _reference_dirichlet(scen.mesh, scen.bcs, t)
+            assert np.array_equal(plan.fixed_dofs, [d for d, _ in ref])
+            assert np.array_equal(asm.dirichlet_values(plan, t), [v for _, v in ref])
+
+    @pytest.mark.parametrize("name", ["traction", "annulus"])
+    def test_load_vector_bitwise_equal_to_reference(self, name):
+        scen = BOUNDARY_SCENARIOS[name]()
+        plan = asm.plan_boundary(scen.mesh, scen.bcs)
+        for t in (0.3 * scen.solver.t_end, scen.solver.t_end):
+            ref = _reference_neumann(scen.mesh, scen.bcs, t)
+            assert np.abs(ref).max() > 0
+            assert np.array_equal(asm.neumann_load_vector(plan, t), ref)
+
+    def test_plan_once_per_run_load_once_per_step_attempt(self, call_spy):
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
+        plans = call_spy("plan_boundary", asm, tr)
+        loads = call_spy("neumann_load_vector", asm, tr)
+        hist, _ = tr.run(scen, scen.solver)
+        assert sum(r["newton_iters"] for r in hist.records) > len(hist.records)
+        assert len(plans) == 1
+        assert not hist.events                      # one attempt per step
+        assert [t for _, t in loads] == hist.times
+
+
 def newton_updates(monkeypatch, config_text):
     """Run a scenario and record every Newton update as
     (jacobian, residual, fixed dofs, keep_uu, update)."""
@@ -172,9 +296,10 @@ class TestBlockNewtonSolve:
         dm = asm.DofMap(scen.mesh.n_nodes)
         f0 = tr.initial_fields(scen)
         res, jac, _, _ = asm.assemble_system(scen.mesh, dm, f0, f0, scen.params,
-                                             scen.solver.dt, scen.solver.mode, bcs=scen.bcs)
-        fixed = [d for d, _ in scen.bcs.dirichlet_constraints(scen.mesh, dm, 0.0)]
-        sla.BlockSolver().newton_update(jac, res, fixed)    # raises on a K_cu entry
+                                             scen.solver.dt, scen.solver.mode)
+        plan = asm.plan_boundary(scen.mesh, scen.bcs)
+        res -= asm.neumann_load_vector(plan, 0.0)
+        sla.BlockSolver().newton_update(jac, res, plan.fixed_dofs)   # raises on a K_cu entry
 
     def test_elastic_one_way_slab_factors_o1_times(self, splu_calls):
         scen = slab_scenario(nx=20)
@@ -198,12 +323,12 @@ class TestRobustness:
         real_step = tr.step
         failures = {"n": 2}
 
-        def flaky_step(fields, t, dt, scenario, config, elem_data=None, dofmap=None,
+        def flaky_step(fields, t, dt, scenario, config, elem_data=None, plan=None,
                        **kwargs):
             if failures["n"] > 0:
                 failures["n"] -= 1
                 raise tr.StepFailure("forced constitutive failure")
-            return real_step(fields, t, dt, scenario, config, elem_data, dofmap, **kwargs)
+            return real_step(fields, t, dt, scenario, config, elem_data, plan, **kwargs)
 
         monkeypatch.setattr(tr, "step", flaky_step)
         hist, _ = tr.run(scen, scen.solver)
@@ -284,13 +409,14 @@ solver.t_end_hat = 0.05
         params, config = scen.params, scen.solver
         dm = asm.DofMap(scen.mesh.n_nodes)
         ed = asm.precompute(scen.mesh)
+        plan = asm.plan_boundary(scen.mesh, scen.bcs)
         refs = {"u": 0.0, "c": 0.0}
         fields_n = tr.initial_fields(scen)
-        new, _ = tr.step(fields_n, 0.0, config.dt, scen, config, ed, dm, newton_refs=refs)
+        new, _ = tr.step(fields_n, 0.0, config.dt, scen, config, ed, plan, newton_refs=refs)
         assert new.states.eps_p_eq.max() > 0          # the step flows plastically
         w = dm.join(new.u, new.c)
         _, again, _, _, _, _ = tr._newton_solve(w, fields_n, config.dt, config.dt, scen, config,
-                                                ed, dm, sla.BlockSolver(), refs=refs)
+                                                ed, plan, sla.BlockSolver(), refs=refs)
         two_mu = 2.0 * params.mu
         change = max(two_mu * np.max(np.abs(again.eps_p - new.states.eps_p)),
                      np.max(np.abs(again.back_stress - new.states.back_stress)),
