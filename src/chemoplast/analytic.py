@@ -87,10 +87,10 @@ def lambert_w(x, tol=1e-13, max_iter=50):
 class AnalyticParams:
     """Inputs for the hole-in-plate reference fields.
 
-    ``p`` follows the source formula's sign convention (see
-    ``hole_hydrostatic``); ``V_H`` is the partial molar volume entering the
-    drift factor k and ``alpha_c`` the concentration-expansion coefficient
-    entering Q. k and Q are recomputed on access so they can never go stale.
+    ``p`` is the remote uniaxial stress, tension-positive, along the axis
+    from which the angle beta is measured (see ``hole_hydrostatic``);
+    ``V_H`` is the partial molar volume entering the drift factor k and
+    ``alpha_c`` the concentration-expansion coefficient entering Q. k and Q are recomputed on access so they can never go stale.
     """
     p: float            # remote load magnitude (Pa)
     R0: float           # hole radius (m)
@@ -118,16 +118,21 @@ class AnalyticParams:
 
 
 def hole_hydrostatic(r, beta, params, beta_offset=0.0):
-    """Hydrostatic stress around a circular hole under remote load p.
+    """Hydrostatic stress around a circular hole under remote uniaxial
+    tension p (tension-positive) along beta = 0, in plane strain.
 
-    Evaluates, verbatim,
+    Kirsch's solution (Kirsch 1898; Timoshenko & Goodier, *Theory of
+    Elasticity*, 3rd ed., sec. 35) has the in-plane invariant
 
-        sigma_h = (1 + nu) p / 3 * (2 R0^2 / r^2 * cos(2 (beta + beta_offset)) - 1)
+        sigma_rr + sigma_tt = p (1 - 2 R0^2 / r^2 cos 2 beta),
 
-    ``beta_offset`` selects the angular convention (0 or pi/2) when comparing
-    against a numerically computed field; note the formula's p is
-    compression-positive relative to the classical hole-in-plate field, so
-    tension cases are matched by negating p (see the validation scenario).
+    and plane strain adds sigma_zz = nu (sigma_rr + sigma_tt), so
+
+        sigma_h = (1 + nu) p / 3 * (1 - 2 R0^2 / r^2 * cos(2 (beta + beta_offset))).
+
+    It is (1 + nu) p / 3 far from the hole and -(1 + nu) p / 3 where the load
+    axis meets the hole. ``beta_offset`` selects the angular convention (0
+    or pi/2) when comparing against a numerically computed field.
 
     Raises ValueError for sample points inside the hole (r < R0).
     """
@@ -136,7 +141,7 @@ def hole_hydrostatic(r, beta, params, beta_offset=0.0):
         raise ValueError("hole_hydrostatic: r < R0 lies inside the hole")
     beta_arr = np.asarray(beta, dtype=float)
     out = ((1.0 + params.nu) * params.p / 3.0) * (
-        2.0 * params.R0**2 / r_arr**2 * np.cos(2.0 * (beta_arr + beta_offset)) - 1.0
+        1.0 - 2.0 * params.R0**2 / r_arr**2 * np.cos(2.0 * (beta_arr + beta_offset))
     )
     return float(out) if np.ndim(out) == 0 else out
 
@@ -149,8 +154,11 @@ def hole_concentration(r, beta, params, beta_offset=0.0):
         A = C0 * exp(-k * (2 (1+nu) R0^2 p / (3 r^2)) * cos(2 (beta+offset)) + C0 * Q)
         C = A * exp(-W(A))
 
-    which is identically W(A). Domain errors from the Lambert kernel
-    propagate unchanged.
+    which is identically W(A). With p tension-positive (``AnalyticParams``)
+    the exponent's first term is k (sigma_h - sigma_h far from the hole) of
+    ``hole_hydrostatic``, so concentration rises where the hydrostatic
+    stress is tensile. Domain errors from the Lambert kernel propagate
+    unchanged.
     """
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < params.R0 * (1.0 - 1e-12)):

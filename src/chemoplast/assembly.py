@@ -16,17 +16,30 @@ Assembly is planned once per mesh (``precompute``): the element geometry,
 the transposed strain-displacement matrices, the quadrature weights, the
 consistent mass and the ``grad N_i . grad N_j`` products, the residual dof
 vector, and the Jacobian's CSR pattern with a slot map that sends every
-element triplet to its entry in the CSR data. Per iterate, ``assemble_system``
-only runs the material update and the element kernels, vectorized over all
-elements at once, and scatters with one ``np.bincount`` each for the
-residual and the Jacobian.
+element triplet to its entry in the CSR data.
+
+The Jacobian is split into a fixed and a changing part. The fixed part
+(``fixed_jacobian``, once per run) is two CSR-data vectors over the
+pattern: the elastic K_uu, K_uc and K_diff, and the mass M; at time step dt
+they give ``stiff + mass / dt``. K_uc is elastic at every iterate, because
+the plastic tangent correction is deviatoric and annihilates the swelling
+direction. The changing part is the two-way drift block, added through the
+K_cc slots, and the K_uu corrections of the plastic quadrature points,
+added through the K_uu slots of their elements only.
+
+Per iterate, ``assemble_residual`` runs the material update (the return map
+on the trial-yielding points only) and the residual kernels, vectorized over
+all elements at once, with one ``np.bincount`` scatter; it keeps the plastic
+set and the drift factors, from which ``assemble_jacobian`` builds the
+Jacobian of the same iterate when a Newton update needs one.
+``assemble_system`` does both in one call.
 
 The boundary data is planned once per run as well (``plan_boundary``): the
 sorted constrained dofs with the positions of every Dirichlet entry among
 them, and the rows and quadrature weights of every traction and flux edge
 term. Only the amplitudes depend on time; ``dirichlet_values`` and
-``neumann_load_vector`` evaluate them at t. ``assemble_system`` returns the
-internal residual; the time stepper subtracts the load.
+``neumann_load_vector`` evaluate them at t. The residual holds the internal
+terms; the time stepper subtracts the load.
 """
 from __future__ import annotations
 
@@ -36,7 +49,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparse_linalg
-from .constitutive import ConstitutiveError, MaterialState, hydrostatic, update_stress
+from .constitutive import (ConstitutiveError, MaterialState, PlasticPoints, elastic_stiffness_eng,
+                           hydrostatic, update_stress)
 
 _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
 
@@ -127,9 +141,11 @@ class ElementData:
     Everything here depends on the mesh and the quadrature rule only: the
     geometry, the quadrature weights, the consistent mass, the diffusion
     kernel without its coefficient, and where every element entry lands in
-    the global residual and in the Jacobian's CSR data. What depends on the
-    iterate (material update, element kernels, the two scatters) is computed
-    by ``assemble_system`` on every call.
+    the global residual and in the Jacobian's CSR data. With the material,
+    it gives the fixed Jacobian data (``fixed_jacobian``). What depends on
+    the iterate (material update, residual kernels, the drift block and the
+    plastic corrections) is computed by ``assemble_residual`` and
+    ``assemble_jacobian``.
     """
     areas: np.ndarray       # (n_elem,)
     grads: np.ndarray       # (n_elem, 3, 2) physical shape-function gradients
@@ -146,6 +162,22 @@ class ElementData:
     jac_indptr: np.ndarray  # CSR pattern of the Jacobian
     jac_indices: np.ndarray
     jac_slot: np.ndarray    # (63 n_elem,) CSR data index of each K_uu, K_uc, K_cc entry
+
+    @property
+    def n_dofs(self):
+        return self.jac_indptr.size - 1
+
+    @property
+    def uu_slots(self):
+        """(n_elem, 36) CSR data index of each element's K_uu entries."""
+        n = self.areas.size
+        return self.jac_slot[:36 * n].reshape(n, 36)
+
+    @property
+    def cc_slots(self):
+        """(n_elem, 9) CSR data index of each element's K_cc entries."""
+        n = self.areas.size
+        return self.jac_slot[54 * n:].reshape(n, 9)
 
 
 def _jacobian_pattern(n, edofs_u, edofs_c):
@@ -345,32 +377,66 @@ def neumann_load_vector(plan, t):
                        minlength=plan.n_dofs)
 
 
-def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
-                    elem_data=None, frozen_sigma_h=None, want_jacobian=True,
-                    plasticity=True):
-    """One-pass assembly of residual, Jacobian, and constitutive byproducts.
+@dataclass(frozen=True)
+class FixedJacobian:
+    """The Jacobian's CSR data that no iterate changes, for one mesh and
+    material (``fixed_jacobian``).
 
-    The stress at every quadrature point comes from the material update
-    driven by the increments between ``fields_old`` (converged step start)
-    and ``fields_new`` (current iterate). ``elem_data`` is the mesh's
-    assembly plan from ``precompute``; without it the plan is rebuilt on
-    every call. The residual holds the internal terms only; the boundary
-    load (``neumann_load_vector``) is the caller's to subtract. Returns
-    (residual, jacobian_or_None, new_states, sigma_h_nodal).
+    ``stiff`` holds the elastic K_uu, the K_uc and K_diff; ``mass`` the
+    consistent mass M in the K_cc slots. The data at time step dt is
+    ``stiff + mass / dt``, to which ``assemble_jacobian`` adds the changing
+    part. K_uc is elastic at every iterate: the plastic tangent correction is
+    deviatoric, so it annihilates the swelling direction.
     """
-    if mode not in ("one-way", "two-way"):
-        raise ValueError(f"assemble_system: unknown coupling mode {mode!r}")
-    ed = elem_data if elem_data is not None else precompute(mesh)
-    mat = params if plasticity else params.as_elastic()
+    stiff: np.ndarray
+    mass: np.ndarray
+    drift_coeff: float      # D Omega / (R T) of the two-way drift term
 
-    n_elem = mesh.n_elements
+
+def fixed_jacobian(elem_data, params):
+    """Fixed Jacobian data of the mesh's assembly plan under ``params``."""
+    ed = elem_data
+    C = elastic_stiffness_eng(params)
+    k_uu = ed.b_t @ (ed.wq.sum(axis=1)[:, None, None] * C) @ ed.b_eng
+    chem = (C @ _CHEM_VEC) * (params.Omega / 3.0)
+    k_uc = -(ed.b_t @ ((ed.wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
+    k_diff = (params.D * ed.areas[:, None, None]) * ed.gg
+    nnz = ed.jac_indices.size
+    return FixedJacobian(
+        stiff=np.bincount(ed.jac_slot, weights=np.concatenate(
+            [k_uu.ravel(), k_uc.ravel(), k_diff.ravel()]), minlength=nnz),
+        mass=np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(), minlength=nnz),
+        drift_coeff=params.D * params.Omega / (params.R * params.T))
+
+
+@dataclass
+class Iterate:
+    """The residual pass at one iterate (``assemble_residual``), with what
+    the Jacobian of the same iterate needs from it."""
+    residual: np.ndarray        # internal terms only
+    states: MaterialState
+    sigma_h_nodal: np.ndarray
+    plastic: PlasticPoints      # trial-yielding quadrature points, flat over (elem, qp)
+    gn: np.ndarray              # (n_elem, 3) grad N_i . grad sigma_h; None in one-way
+
+
+def assemble_residual(mesh, elem_data, fields_new, fields_old, strain_old, params, dt, mode,
+                      frozen_sigma_h=None):
+    """Residual of the iterate ``fields_new`` from the step start ``fields_old``.
+
+    ``strain_old`` is ``element_strain`` of ``fields_old.u``, fixed for the
+    step. The stress at every quadrature point comes from the material
+    update driven by the increments between the two states; the return map
+    runs on the trial-yielding points only. ``frozen_sigma_h`` replaces the
+    recovered hydrostatic field of the drift term.
+    """
+    ed = elem_data
+    n_elem, n_qp = ed.wq.shape
     tris = mesh.tris
-    n_qp = ed.weights.size
     wq = ed.wq
 
     # strain increments (constant per element), concentration increments per qp
-    d_eps_eng = element_strain(ed, fields_new.u, tris) - element_strain(ed, fields_old.u, tris)
-    d_eps = d_eps_eng.copy()
+    d_eps = element_strain(ed, fields_new.u, tris) - strain_old
     d_eps[:, 3] *= 0.5                                          # gamma -> tensor shear
     ce_new = fields_new.c[tris]
     ce_old = fields_old.c[tris]
@@ -378,12 +444,8 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
 
     d_eps_qp = np.broadcast_to(d_eps[:, None, :], (n_elem, n_qp, 4))
     try:
-        if want_jacobian:
-            new_states, tangent = update_stress(fields_old.states, d_eps_qp, d_c_qp, mat,
-                                                return_tangent=True)
-        else:
-            new_states = update_stress(fields_old.states, d_eps_qp, d_c_qp, mat)
-            tangent = None
+        new_states, plastic = update_stress(fields_old.states, d_eps_qp, d_c_qp, params,
+                                            return_tangent=True, compact=True)
     except ConstitutiveError as err:
         where = ""
         if err.flat_index is not None:
@@ -397,43 +459,78 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     else:
         sigma_h_nodal = recover_hydrostatic(mesh, element_sigma_h(new_states, ed.weights),
                                             ed.areas)
-    grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h_nodal[tris])   # (n_elem, 2)
-
-    drift_coeff = mat.D * mat.Omega / (mat.R * mat.T)
-    b = ed.b_eng
 
     # mechanics rows: B^T sum_q w sigma_q (tensor comps == eng stress)
     sig_w = np.einsum("eq,eqa->ea", wq, new_states.sigma)
-    r_u = np.einsum("eai,ea->ei", b, sig_w)
+    r_u = np.einsum("eai,ea->ei", ed.b_eng, sig_w)
 
     # diffusion rows
-    k_diff = (mat.D * ed.areas[:, None, None]) * ed.gg
+    k_diff = (params.D * ed.areas[:, None, None]) * ed.gg
     dc_dt = (ce_new - ce_old) / dt
     r_c = np.einsum("eij,ej->ei", ed.m_e, dc_dt) + np.einsum("eij,ej->ei", k_diff, ce_new)
 
+    gn = None
     if mode == "two-way":
+        grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h_nodal[tris])   # (n_elem, 2)
         gn = np.einsum("eid,ed->ei", ed.grads, grad_sh)   # grad N_i . grad sigma_h
         c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new)
+        drift_coeff = params.D * params.Omega / (params.R * params.T)
         r_c -= drift_coeff * (wq * c_qp).sum(axis=1)[:, None] * gn
 
     residual = np.bincount(ed.res_dofs, weights=np.concatenate([r_u.ravel(), r_c.ravel()]),
-                           minlength=dofmap.n_dofs)
+                           minlength=ed.n_dofs)
+    return Iterate(residual, new_states, sigma_h_nodal, plastic, gn)
 
-    jacobian = None
-    if want_jacobian:
-        c_sum = np.einsum("eq,eqab->eab", wq, tangent)
-        k_uu = ed.b_t @ c_sum @ ed.b_eng
-        chem = np.einsum("eqab,b->eqa", tangent, _CHEM_VEC) * (mat.Omega / 3.0)
-        k_uc = -(ed.b_t @ ((wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
-        k_cc = ed.m_e / dt + k_diff
-        if mode == "two-way":
-            k_cc = k_cc - drift_coeff * (gn[:, :, None] * (wq @ ed.shape_qp)[:, None, :])
-        vals = np.concatenate([k_uu.ravel(), k_uc.ravel(), k_cc.ravel()])
-        data = np.bincount(ed.jac_slot, weights=vals, minlength=ed.jac_indices.size)
-        jacobian = sparse_linalg.SparseMatrix(sp.csr_matrix(
-            (data, ed.jac_indices, ed.jac_indptr), shape=(dofmap.n_dofs, dofmap.n_dofs)))
 
-    return residual, jacobian, new_states, sigma_h_nodal
+def assemble_jacobian(elem_data, fixed, iterate, dt):
+    """Jacobian at ``iterate``: the fixed data ``stiff + mass / dt``, plus
+    the two-way drift block in the K_cc slots and the tangent corrections of
+    the plastic points in the K_uu slots of their elements. Without plastic
+    points the K_uu entries are those of ``fixed`` exactly."""
+    ed = elem_data
+    data = fixed.stiff + fixed.mass / dt
+    if iterate.gn is not None:
+        # frozen drift: the K_cu sensitivity is dropped (Picard)
+        drift = fixed.drift_coeff * (iterate.gn[:, :, None] * (ed.wq @ ed.shape_qp)[:, None, :])
+        data -= np.bincount(ed.cc_slots.ravel(), weights=drift.ravel(), minlength=data.size)
+    plastic = iterate.plastic
+    if plastic.index.size:
+        elem, qp = np.divmod(plastic.index, ed.wq.shape[1])
+        # sum the weighted corrections per element (the index is increasing)
+        first = np.flatnonzero(np.concatenate([[True], elem[1:] != elem[:-1]]))
+        c_corr = np.add.reduceat(ed.wq[elem, qp][:, None, None] * plastic.correction(), first)
+        pe = elem[first]
+        k_corr = ed.b_t[pe] @ c_corr @ ed.b_eng[pe]
+        np.subtract.at(data, ed.uu_slots[pe], k_corr.reshape(pe.size, 36))
+    return sparse_linalg.SparseMatrix(sp.csr_matrix(
+        (data, ed.jac_indices, ed.jac_indptr), shape=(ed.n_dofs, ed.n_dofs)))
+
+
+def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
+                    elem_data=None, frozen_sigma_h=None, want_jacobian=True,
+                    plasticity=True):
+    """Residual, Jacobian and constitutive byproducts of one iterate.
+
+    ``assemble_residual`` and, with ``want_jacobian``, ``assemble_jacobian``
+    over ``fixed_jacobian`` data made for this call: the time stepper makes
+    the fixed data once per run and the step-start strain once per step.
+    ``elem_data`` is the mesh's assembly plan from ``precompute``; without
+    it the plan is rebuilt on every call. ``dofmap`` is the mesh's dof
+    layout. The residual holds the internal terms only; the boundary load
+    (``neumann_load_vector``) is the caller's to subtract. Returns
+    (residual, jacobian_or_None, new_states, sigma_h_nodal).
+    """
+    if mode not in ("one-way", "two-way"):
+        raise ValueError(f"assemble_system: unknown coupling mode {mode!r}")
+    ed = elem_data if elem_data is not None else precompute(mesh)
+    if dofmap.n_dofs != ed.n_dofs:
+        raise ValueError("assemble_system: dof map and assembly plan disagree")
+    mat = params if plasticity else params.as_elastic()
+    it = assemble_residual(mesh, ed, fields_new, fields_old,
+                           element_strain(ed, fields_old.u, mesh.tris), mat, dt, mode,
+                           frozen_sigma_h=frozen_sigma_h)
+    jacobian = assemble_jacobian(ed, fixed_jacobian(ed, mat), it, dt) if want_jacobian else None
+    return it.residual, jacobian, it.states, it.sigma_h_nodal
 
 
 def locate_points(mesh, points, tol=1e-10):

@@ -12,7 +12,10 @@ assembly evaluates every quadrature point in one call.
 Plastic steps enforce the discrete consistency condition by an implicit
 radial return, which is exact (no local iteration) for linear hardening;
 the kinematic branch is the implicit time discretization of the back-stress
-rate equations with beta_dot = h * eps_p_dot.
+rate equations with beta_dot = h * eps_p_dot. The return and the tangent
+correction run on the compacted set of trial-yielding points only
+(``PlasticPoints``); every other point keeps its trial state and the
+elastic moduli.
 """
 from __future__ import annotations
 
@@ -188,13 +191,51 @@ def yield_function(state, params):
     return sig_e - params.sigma_y0
 
 
-def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
+# maps engineering strain to the tensor-component deviator
+_DEV_PROJ = np.array([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 1.5]]) / 3.0
+
+
+@dataclass
+class PlasticPoints:
+    """The points of a batch whose trial state yields, compacted.
+
+    At these points the consistent tangent is the elastic stiffness minus
+    ``b P + a n (x) n`` (P: ``_DEV_PROJ``, n: the return direction); every
+    other point keeps the elastic stiffness (Simo & Hughes, *Computational
+    Inelasticity*, 1998, ch. 3). The correction is deviatoric, so it
+    annihilates the swelling direction [1, 1, 1, 0].
+    """
+    index: np.ndarray   # (k,) flat indices into the batch, increasing
+    b: np.ndarray       # (k,)
+    a: np.ndarray       # (k,)
+    n_dir: np.ndarray   # (k, 4)
+
+    @classmethod
+    def none(cls):
+        return cls(np.zeros(0, np.int64), np.zeros(0), np.zeros(0), np.zeros((0, 4)))
+
+    def correction(self):
+        """(k, 4, 4) tangent corrections on the engineering basis."""
+        nn = self.n_dir[:, :, None] * self.n_dir[:, None, :]
+        return self.b[:, None, None] * _DEV_PROJ + self.a[:, None, None] * nn
+
+    def tangent(self, params, batch_shape):
+        """Dense consistent tangent, ``batch_shape + (4, 4)``."""
+        tangent = np.broadcast_to(elastic_stiffness_eng(params), tuple(batch_shape) + (4, 4)).copy()
+        tangent.reshape(-1, 4, 4)[self.index] -= self.correction()
+        return tangent
+
+
+def update_stress(state_old, d_eps, d_c, params, return_tangent=False, compact=False):
     """Advance the material state by strain increment ``d_eps`` (tensor
     components) and concentration increment ``d_c``.
 
     Elastic predictor / radial-return corrector; the return map is rate
-    independent. With ``return_tangent`` the consistent tangent on the
-    engineering basis (gamma shear) is returned alongside the new state.
+    independent. The return and the tangent correction run only on the
+    compacted set of points whose trial state yields; every other point
+    keeps its trial state. With ``return_tangent`` the consistent tangent on
+    the engineering basis (gamma shear) is returned alongside the new state:
+    dense, or with ``compact`` as the ``PlasticPoints`` it is built from.
     """
     d_eps = np.asarray(d_eps, dtype=float)
     d_c = np.asarray(d_c, dtype=float)
@@ -208,58 +249,50 @@ def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
         bad = int(np.flatnonzero(~np.isfinite(sigma_tr).reshape(-1, 4).all(axis=1))[0])
         raise ConstitutiveError("trial stress is not finite", flat_index=bad)
 
-    if params.hardening_kind == "none":
-        new = MaterialState(sigma_tr, state_old.eps_p.copy(),
-                            state_old.back_stress.copy(), state_old.eps_p_eq.copy())
-        if return_tangent:
-            C = elastic_stiffness_eng(params)
-            tangent = np.broadcast_to(C, new.batch_shape + (4, 4)).copy()
-            return new, tangent
-        return new
+    batch = sigma_tr.shape[:-1]
+    # flat copies of the history; the plastic points are updated in place
+    eps_p = np.broadcast_to(state_old.eps_p, sigma_tr.shape).reshape(-1, 4).copy()
+    beta = np.broadcast_to(state_old.back_stress, sigma_tr.shape).reshape(-1, 4).copy()
+    eps_p_eq = np.broadcast_to(state_old.eps_p_eq, batch).reshape(-1).copy()
+    sigma = np.ascontiguousarray(sigma_tr).reshape(-1, 4)
+    plastic = PlasticPoints.none()
 
-    kinematic = params.hardening_kind == "kinematic"
-    H_eff = 1.5 * params.h if kinematic else params.H
+    if params.hardening_kind != "none":
+        kinematic = params.hardening_kind == "kinematic"
+        H_eff = 1.5 * params.h if kinematic else params.H
 
-    xi_tr = deviator(sigma_tr) - state_old.back_stress
-    sig_e_tr = np.sqrt(np.maximum(1.5 * ddot(xi_tr, xi_tr), 0.0))
-    sigma_y = params.sigma_y0 + (0.0 if kinematic else params.H * state_old.eps_p_eq)
-    f_tr = sig_e_tr - sigma_y
+        xi_tr = deviator(sigma) - beta
+        sig_e_tr = np.sqrt(np.maximum(1.5 * ddot(xi_tr, xi_tr), 0.0))
+        f = sig_e_tr - (params.sigma_y0 + (0.0 if kinematic else params.H * eps_p_eq))
+        idx = np.flatnonzero(f > 0.0)
+        if idx.size:
+            sig_e = sig_e_tr[idx]
+            d_lam = f[idx] / (3.0 * mu + H_eff)
+            n_dir = 1.5 * xi_tr[idx] / sig_e[:, None]
+            d_eps_p = d_lam[:, None] * n_dir
+            sigma[idx] -= 2.0 * mu * d_eps_p
+            eps_p[idx] += d_eps_p
+            if kinematic:
+                beta[idx] += params.h * d_eps_p
+            eps_p_eq[idx] += d_lam
+            # an elastic point kept its trial state, so its f is f_tr
+            f[idx] = yield_function(MaterialState(sigma[idx], eps_p[idx], beta[idx],
+                                                  eps_p_eq[idx]), params)
+            plastic = PlasticPoints(
+                index=idx, b=6.0 * mu**2 * d_lam / sig_e,
+                a=4.0 * mu**2 / (3.0 * mu + H_eff) - 4.0 * mu**2 * d_lam / sig_e,
+                n_dir=n_dir)
+        if np.any(f > params.tol_f):
+            raise ConstitutiveError(
+                f"radial return left f = {float(np.max(f)):.3e} above tol {params.tol_f:.3e}",
+                flat_index=int(np.argmax(f)))
 
-    plastic = f_tr > 0.0
-    d_lam = np.where(plastic, f_tr / (3.0 * mu + H_eff), 0.0)
-    safe_e = np.where(sig_e_tr > 0.0, sig_e_tr, 1.0)
-    n_dir = 1.5 * xi_tr / safe_e[..., None]
-
-    d_eps_p = d_lam[..., None] * n_dir
-    sigma_new = sigma_tr - 2.0 * mu * d_eps_p
-    beta_new = state_old.back_stress + (params.h * d_eps_p if kinematic else 0.0)
-    new = MaterialState(
-        sigma=sigma_new,
-        eps_p=state_old.eps_p + d_eps_p,
-        back_stress=beta_new if kinematic else state_old.back_stress.copy(),
-        eps_p_eq=state_old.eps_p_eq + d_lam,
-    )
-
-    f_new = yield_function(new, params)
-    if np.any(f_new > params.tol_f):
-        raise ConstitutiveError(
-            f"radial return left f = {float(np.max(f_new)):.3e} above tol {params.tol_f:.3e}",
-            flat_index=int(np.argmax(f_new)))
-
+    shape = sigma_tr.shape
+    new = MaterialState(sigma.reshape(shape), eps_p.reshape(shape), beta.reshape(shape),
+                        eps_p_eq.reshape(batch))
     if not return_tangent:
         return new
-
-    C = elastic_stiffness_eng(params)
-    tangent = np.broadcast_to(C, new.batch_shape + (4, 4)).copy()
-    if np.any(plastic):
-        # dev projector from engineering strain to tensor-component deviator
-        P = np.array([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 1.5]]) / 3.0
-        b = 6.0 * mu**2 * d_lam / safe_e
-        a = 4.0 * mu**2 / (3.0 * mu + H_eff) - 4.0 * mu**2 * d_lam / safe_e
-        nn = n_dir[..., :, None] * n_dir[..., None, :]
-        corr = b[..., None, None] * P + a[..., None, None] * nn
-        tangent = tangent - np.where(plastic[..., None, None], corr, 0.0)
-    return new, tangent
+    return new, plastic if compact else plastic.tangent(params, batch)
 
 
 def drive_material_point_uniaxial(params, eps_axial_history, lateral_tol=1e-9,

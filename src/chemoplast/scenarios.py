@@ -482,11 +482,9 @@ def analytic_comparison(scenario, fields):
     """Hole-boundary comparison rows (beta, sigma_h_fe, sigma_h_exact, c_fe,
     c_exact) for the traction-loaded, insulated plate.
 
-    The closed-form stress field is compression-positive in p and the
-    closed-form concentration tension-positive with the angle measured from
-    the load axis; both conventions were fixed empirically by matching the
-    classical hole-in-plate hoop-stress signs, so the stress reference is
-    evaluated with the sign of p flipped and zero angle offset.
+    Both closed forms take the remote traction p tension-positive with the
+    angle measured from the load axis (Kirsch's plane-strain field, see
+    ``analytic.hole_hydrostatic``), the convention of ``loading.p``.
     """
     cfg = scenario.config
     if cfg is None or cfg.geometry_kind != "plate_with_hole":
@@ -495,10 +493,9 @@ def analytic_comparison(scenario, fields):
     c_max = params.c_max
     c0_hat = scenario.c_initial / c_max
 
-    ap_sigma = analytic.AnalyticParams(
-        p=-cfg.p, R0=cfg.r, nu=params.nu, E=params.E, C0=c0_hat,
+    ap = analytic.AnalyticParams(
+        p=cfg.p, R0=cfg.r, nu=params.nu, E=params.E, C0=c0_hat,
         V_H=params.Omega, alpha_c=params.Omega * c_max / 3.0, T=params.T)
-    ap_conc = replace(ap_sigma, p=cfg.p)
 
     nodes, angles = hole_boundary_angles(scenario.mesh)
     rows = []
@@ -506,9 +503,9 @@ def analytic_comparison(scenario, fields):
         rows.append({
             "beta": float(beta),
             "sigma_h_fe": float(fields.sigma_h_nodal[node]),
-            "sigma_h_exact": float(analytic.hole_hydrostatic(cfg.r, beta, ap_sigma)),
+            "sigma_h_exact": float(analytic.hole_hydrostatic(cfg.r, beta, ap)),
             "c_fe": float(fields.c[node] / c_max),
-            "c_exact": float(analytic.hole_concentration(cfg.r, beta, ap_conc)),
+            "c_exact": float(analytic.hole_concentration(cfg.r, beta, ap)),
         })
     return rows
 

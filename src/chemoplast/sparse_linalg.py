@@ -258,9 +258,11 @@ class BlockSolver:
     def newton_update(self, jac, res, fixed_dofs, keep_uu=False, keep_cc=False):
         """dw with J dw = -res on the free dofs and dw = 0 on ``fixed_dofs``.
 
-        ``keep_uu`` / ``keep_cc`` state that the block is fixed (the elastic
-        K_uu; the one-way K_cc at this dt): a fresh factor of that block is
-        then kept in place of the one held before. Raises ValueError if J has
+        ``keep_uu`` / ``keep_cc`` state that the block is fixed: K_uu when
+        the Jacobian's iterate has no plastic quadrature point (it is then
+        the elastic block of the run's fixed Jacobian data), K_cc in one-way
+        coupling (``M/dt + K_diff`` at this dt). A fresh factor of that block
+        is then kept in place of the one held before. Raises ValueError if J has
         a K_cu entry and SingularMatrixError if a block is singular.
         """
         fixed = np.asarray(fixed_dofs, dtype=np.int64)

@@ -10,11 +10,22 @@ committed as they are.
 writes the Dirichlet values into its initial iterate and computes the
 traction and flux load once; every Newton residual subtracts it.
 
+``run`` also makes the Jacobian data that no iterate changes once
+(``assembly.fixed_jacobian``: the elastic K_uu and K_uc, K_diff and the
+mass). A step computes the step-start strain once. Every Newton iterate
+then costs one residual pass, in which the return map runs on the
+trial-yielding points only. A Jacobian (the fixed data plus the drift block
+and the plastic points' corrections) is built at a step's first iterate and
+after that only for a Newton update, so a step builds max(updates, 1) of
+them; the roundoff floors of an iterate come from the last one built.
+
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, which
 solves the block upper-triangular Jacobian block by block and keeps the
-factors of the blocks this module knows to be fixed: K_uu while no
-quadrature point is plastic, K_cc in one-way coupling. Each step records
-which of the four Newton exits it took (NEWTON_EXITS).
+factors of the blocks this module knows to be fixed: K_uu when the
+Jacobian's iterate has no plastic point (it is then the fixed elastic
+block), K_cc in one-way coupling. Each step records which of the four
+Newton exits it took (NEWTON_EXITS), how many Jacobians it built and how
+many quadrature points are plastic at its committed iterate.
 
 Step failures (Newton divergence, iteration cap, constitutive errors)
 trigger time-step halving, at most four times per step, before the run
@@ -27,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sparse_linalg
-from .assembly import (AssemblyError, DofMap, FieldState, assemble_system, dirichlet_values,
-                       interpolate_nodal, locate_points, neumann_load_vector,
-                       plan_boundary, precompute)
+from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
+                       dirichlet_values, element_strain, fixed_jacobian, interpolate_nodal,
+                       locate_points, neumann_load_vector, plan_boundary, precompute)
 from .constitutive import hydrostatic, von_mises
 
 
@@ -76,6 +87,8 @@ class StepInfo:
     newton_iters: int
     residual_norm: float
     newton_exit: str           # one of NEWTON_EXITS
+    jacobians: int             # Jacobians built in the step
+    plastic_qp: int            # plastic quadrature points at the committed iterate
 
 
 @dataclass
@@ -98,7 +111,7 @@ class TimeHistory:
 
 
 def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver,
-                  refs=None):
+                  refs=None, fixed=None):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence, backtracking, and floors are judged per physics block
@@ -117,16 +130,22 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
     ``block_solver`` (a ``sparse_linalg.BlockSolver``) computes the updates
     and keeps its factors across calls. ``plan`` is the run's
     ``assembly.BoundaryPlan``; the boundary load at ``t_new`` is computed
-    once and subtracted from every assembled residual.
+    once and subtracted from every residual. ``fixed`` is the run's
+    ``assembly.FixedJacobian`` (made here if omitted). Every iterate costs
+    one residual pass. A Jacobian is built from that pass at the first
+    iterate and after that only for a Newton update; the roundoff floors of
+    an iterate come from the last Jacobian built.
 
-    Returns (w, new_states, sigma_h_nodal, iters, norm, reason) with ``reason``
-    one of NEWTON_EXITS. The Dirichlet dofs of ``w`` must already carry
-    their prescribed values.
+    Returns (w, new_states, sigma_h_nodal, StepInfo). The Dirichlet dofs of
+    ``w`` must already carry their prescribed values.
     """
-    mesh, params = scenario.mesh, scenario.params
+    mesh = scenario.mesh
+    params = scenario.params if config.plasticity else scenario.params.as_elastic()
+    fixed = fixed if fixed is not None else fixed_jacobian(ed, params)
     dm = DofMap(mesh.n_nodes)
     fixed_dofs = plan.fixed_dofs
     load = neumann_load_vector(plan, t_new)
+    strain_n = element_strain(ed, fields_n.u, mesh.tris)
     refs = refs if refs is not None else {"u": 0.0, "c": 0.0}
     keep_cc = config.mode == "one-way"     # K_cc = M/dt + K_diff: fixed at this dt
 
@@ -145,18 +164,21 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
         eps20 = 20.0 * np.finfo(float).eps
         return eps20 * fu, eps20 * fc
 
-    def assemble_at(w_vec):
+    def residual_at(w_vec):
         u, c = dm.split(w_vec)
         fields_it = FieldState(u=u, c=c, states=fields_n.states,
                                sigma_h_nodal=fields_n.sigma_h_nodal)
-        res_int, *rest = assemble_system(mesh, dm, fields_it, fields_n, params, dt, config.mode,
-                                         elem_data=ed, plasticity=config.plasticity)
-        return (res_int - load, *rest)
+        try:
+            it = assemble_residual(mesh, ed, fields_it, fields_n, strain_n, params, dt,
+                                   config.mode)
+        except AssemblyError as err:
+            raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
+        return it, it.residual - load
 
-    try:
-        res, jac, new_states, sigma_h = assemble_at(w)
-    except AssemblyError as err:
-        raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
+    it, res = residual_at(w)
+    jac = assemble_jacobian(ed, fixed, it, dt)
+    jac_current = True          # jac is the Jacobian of the iterate w
+    jacobians = 1
 
     tol_u = tol_c = None
     norms = []
@@ -189,7 +211,9 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
                   "stagnated" if stagnated else
                   "stalled" if stalled else None)
         if reason is not None:
-            return w, new_states, sigma_h, n_solves, norm, reason
+            return w, it.states, it.sigma_h_nodal, StepInfo(
+                newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
+                jacobians=jacobians, plastic_qp=int(it.plastic.index.size))
         if norms:
             meaningful = norm > 10.0 * (floor_u + floor_c)
             grow = grow + 1 if (meaningful and norm > norms[-1]) else 0
@@ -201,10 +225,14 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
             raise StepFailure(f"Newton did not converge within {config.newton_max_iter} "
                               f"iterations at t={t_new:g} (residual {norm:.3e}, "
                               f"tols {tol_u:.3e}/{tol_c:.3e})")
-        # with no plastic quadrature point, K_uu is the elastic stiffness
-        elastic = np.array_equal(new_states.eps_p_eq, fields_n.states.eps_p_eq)
+        if not jac_current:
+            jac = None              # free the last Jacobian before building the next
+            jac = assemble_jacobian(ed, fixed, it, dt)
+            jacobians += 1
         try:
-            dw = block_solver.newton_update(jac, res, fixed_dofs, keep_uu=elastic,
+            # no plastic point: K_uu is the fixed elastic block
+            dw = block_solver.newton_update(jac, res, fixed_dofs,
+                                            keep_uu=it.plastic.index.size == 0,
                                             keep_cc=keep_cc)
         except sparse_linalg.SingularMatrixError as err:
             raise StepFailure(f"linear solve failed at t={t_new:g}: {err}") from err
@@ -217,21 +245,21 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
         # stagnated: the increment reached the float64 floor of the
         # solution itself; no further reduction is possible here
         stagnated = np.linalg.norm(dw) <= 1e-13 * (np.linalg.norm(w) + 1e-300)
-        # the last iterate's Jacobian and states are dead: free them before
-        # the next assembly allocates its temporaries (peak memory)
-        res = jac = new_states = None
-        try:
-            res, jac, new_states, sigma_h = assemble_at(w)
-        except AssemblyError as err:
-            raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
+        # the last iterate's states are dead: free them before the next
+        # residual pass allocates its temporaries (peak memory); its
+        # Jacobian stays for the floors
+        it = res = None
+        it, res = residual_at(w)
+        jac_current = False
 
 
 def step(fields_n, t_n, dt, scenario, config, elem_data=None, plan=None,
-         newton_refs=None, block_solver=None):
+         newton_refs=None, block_solver=None, fixed=None):
     """Advance one backward-Euler step from t_n to t_n + dt.
 
-    ``elem_data`` and ``plan`` are the run's assembly and boundary plans
-    (``precompute``, ``plan_boundary``; made here if omitted).
+    ``elem_data``, ``plan`` and ``fixed`` are the run's assembly plan,
+    boundary plan and fixed Jacobian data (``precompute``, ``plan_boundary``,
+    ``fixed_jacobian``; made here if omitted).
     ``block_solver`` computes the Newton updates; pass the run's solver so
     that its kept factors carry over between steps (a fresh one is made if
     omitted). Returns (fields at t_n + dt, StepInfo). Raises StepFailure
@@ -246,11 +274,11 @@ def step(fields_n, t_n, dt, scenario, config, elem_data=None, plan=None,
     w = dm.join(fields_n.u, fields_n.c)
     w[plan.fixed_dofs] = dirichlet_values(plan, t_new)
 
-    w, new_states, sigma_h, iters, norm, reason = _newton_solve(
-        w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, refs=newton_refs)
+    w, new_states, sigma_h, info = _newton_solve(
+        w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, refs=newton_refs,
+        fixed=fixed)
     u, c = dm.split(w)
-    fields_new = FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h)
-    return fields_new, StepInfo(newton_iters=iters, residual_norm=norm, newton_exit=reason)
+    return FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h), info
 
 
 class ProbeSampler:
@@ -310,6 +338,7 @@ def run(scenario, config, elem_data=None, progress_cb=None):
     mesh = scenario.mesh
     ed = elem_data if elem_data is not None else precompute(mesh)
     plan = plan_boundary(mesh, scenario.bcs)
+    fixed = fixed_jacobian(ed, scenario.params)
     sampler = ProbeSampler(mesh, scenario.probes, ed)
     # lumped nodal masses: a third of each element's area per vertex
     masses = np.bincount(mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),
@@ -331,7 +360,8 @@ def run(scenario, config, elem_data=None, progress_cb=None):
         while True:
             try:
                 fields_new, info = step(fields, t, dt, scenario, config, ed, plan,
-                                        newton_refs=newton_refs, block_solver=block_solver)
+                                        newton_refs=newton_refs, block_solver=block_solver,
+                                        fixed=fixed)
                 break
             except StepFailure as err:
                 attempt += 1
@@ -350,6 +380,8 @@ def run(scenario, config, elem_data=None, progress_cb=None):
             "newton_iters": info.newton_iters,
             "residual_norm": info.residual_norm,
             "newton_exit": info.newton_exit,
+            "jacobians": info.jacobians,
+            "plastic_qp": info.plastic_qp,
             "total_concentration": float(masses @ fields.c),
             "max_eps_p_eq": float(fields.states.eps_p_eq.max()),
             "max_sigma_h": float(np.max(np.abs(hydrostatic(fields.states.sigma)))),

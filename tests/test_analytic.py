@@ -66,14 +66,35 @@ def steel_analytic():
 
 class TestHoleHydrostatic:
     def test_far_field_limit(self, steel_analytic):
-        # verbatim formula: -(1+nu) p / 3 far from the hole
+        # remote tension p: (1+nu) p / 3 far from the hole
         val = analytic.hole_hydrostatic(1e6, 0.3, steel_analytic)
-        assert val == pytest.approx(-(1.3 * 100e6) / 3.0, rel=1e-9)
-        assert val == pytest.approx(-43.333e6, rel=1e-4)
+        assert val == pytest.approx((1.3 * 100e6) / 3.0, rel=1e-9)
+        assert val == pytest.approx(43.333e6, rel=1e-4)
 
     def test_at_hole_axis(self, steel_analytic):
+        # where the load axis meets the hole the hoop stress is -p
         val = analytic.hole_hydrostatic(0.05, 0.0, steel_analytic)
-        assert val == pytest.approx(+(1.3 * 100e6) / 3.0, rel=1e-12)
+        assert val == pytest.approx(-(1.3 * 100e6) / 3.0, rel=1e-12)
+
+    def test_matches_kirsch_full_field(self, steel_analytic):
+        # Kirsch's polar stresses for remote tension p along x (Timoshenko &
+        # Goodier sec. 35), rotated to Cartesian components, with the
+        # plane-strain sigma_zz = nu (sigma_xx + sigma_yy)
+        p, a, nu = steel_analytic.p, steel_analytic.R0, steel_analytic.nu
+        r, th = np.meshgrid([0.05, 0.055, 0.08, 0.2, 15.0], np.linspace(-np.pi, np.pi, 13))
+        q2, q4 = (a / r) ** 2, (a / r) ** 4
+        s_rr = p / 2 * (1 - q2) + p / 2 * (1 - 4 * q2 + 3 * q4) * np.cos(2 * th)
+        s_tt = p / 2 * (1 + q2) - p / 2 * (1 + 3 * q4) * np.cos(2 * th)
+        s_rt = -p / 2 * (1 + 2 * q2 - 3 * q4) * np.sin(2 * th)
+        c, s = np.cos(th), np.sin(th)
+        s_xx = s_rr * c**2 + s_tt * s**2 - 2 * s_rt * s * c
+        s_yy = s_rr * s**2 + s_tt * c**2 + 2 * s_rt * s * c
+        sigma_h = (1 + nu) * (s_xx + s_yy) / 3
+        far = np.argmax(r[0])
+        assert s_xx[:, far] == pytest.approx(np.full(13, p), rel=2e-3)      # the remote load
+        assert s_yy[:, far] == pytest.approx(np.zeros(13), abs=2e-3 * p)
+        got = analytic.hole_hydrostatic(r, th, steel_analytic)
+        assert got == pytest.approx(sigma_h, rel=1e-12, abs=1e-9 * p)
 
     def test_zero_load(self, steel_analytic):
         p0 = analytic.AnalyticParams(p=0.0, R0=0.05, nu=0.3, E=210e9, C0=0.1,

@@ -300,6 +300,46 @@ class TestAssemblyPlan:
         assert np.abs(jac.values - ref_jac.values).max() <= 1e-14 * scale
 
 
+    def test_elastic_iterate_k_uu_is_the_fixed_data(self, steel_plastic, rng):
+        # no plastic point: the K_uu entries are the fixed elastic ones,
+        # bitwise, at any dt and in both modes (the fact behind keep_uu)
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        fixed = asm.fixed_jacobian(ed, steel_plastic)
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        f1.u = rng.normal(scale=1e-6, size=(m.n_nodes, 2))
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        strain0 = asm.element_strain(ed, f0.u, m.tris)
+        uu = ed.uu_slots.ravel()
+        for mode, dt in (("one-way", 0.5), ("two-way", 0.25)):
+            it = asm.assemble_residual(m, ed, f1, f0, strain0, steel_plastic, dt, mode)
+            assert it.plastic.index.size == 0
+            jac = asm.assemble_jacobian(ed, fixed, it, dt)
+            assert np.array_equal(jac.values[uu], fixed.stiff[uu])
+
+    def test_jacobian_is_fixed_plus_changing_part(self, steel_plastic, rng):
+        # at a plastic two-way iterate only the K_uu slots of elements with a
+        # plastic point and the K_cc slots differ from stiff + mass / dt
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        fixed = asm.fixed_jacobian(ed, steel_plastic)
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        x = m.nodes[:, 0]
+        f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        it = asm.assemble_residual(m, ed, f1, f0, asm.element_strain(ed, f0.u, m.tris),
+                                   steel_plastic, 0.5, "two-way")
+        plastic_elems = np.unique(it.plastic.index // ed.wq.shape[1])
+        assert 0 < plastic_elems.size < m.n_elements
+        changed = np.flatnonzero(asm.assemble_jacobian(ed, fixed, it, 0.5).values
+                                 != fixed.stiff + fixed.mass / 0.5)
+        allowed = np.union1d(ed.uu_slots[plastic_elems].ravel(), ed.cc_slots.ravel())
+        assert changed.size > 0
+        assert np.all(np.isin(changed, allowed))
+
+
 def _constrained(jac, rhs, plan, t):
     """``jac``, ``rhs`` plus the boundary load, with the plan's Dirichlet
     values imposed by ``apply_dirichlet``."""

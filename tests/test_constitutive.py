@@ -192,6 +192,104 @@ class TestUpdateStress:
         assert np.abs(fd - tan).max() / np.abs(tan).max() < 1e-6
 
 
+def _dense_return_map(state_old, d_eps, d_c, params):
+    """The return map evaluated at every point of the batch, elastic ones
+    included, with the tangent correction masked by np.where: the reference
+    for the compacted ``update_stress``. Returns (state, tangent)."""
+    lam, mu = params.lam, params.mu
+    normals = np.array([1.0, 1.0, 1.0, 0.0])
+    mech = d_eps - d_c[..., None] * (params.Omega / 3.0) * normals
+    sigma_tr = state_old.sigma + lam * ct.trace(mech)[..., None] * normals + 2.0 * mu * mech
+    kinematic = params.hardening_kind == "kinematic"
+    H_eff = 1.5 * params.h if kinematic else params.H
+    xi_tr = ct.deviator(sigma_tr) - state_old.back_stress
+    sig_e_tr = np.sqrt(np.maximum(1.5 * ct.ddot(xi_tr, xi_tr), 0.0))
+    f_tr = sig_e_tr - (params.sigma_y0 + (0.0 if kinematic else params.H * state_old.eps_p_eq))
+    plastic = f_tr > 0.0
+    d_lam = np.where(plastic, f_tr / (3.0 * mu + H_eff), 0.0)
+    safe_e = np.where(sig_e_tr > 0.0, sig_e_tr, 1.0)
+    n_dir = 1.5 * xi_tr / safe_e[..., None]
+    d_eps_p = d_lam[..., None] * n_dir
+    new = ct.MaterialState(
+        sigma=sigma_tr - 2.0 * mu * d_eps_p,
+        eps_p=state_old.eps_p + d_eps_p,
+        back_stress=state_old.back_stress + (params.h * d_eps_p if kinematic else 0.0),
+        eps_p_eq=state_old.eps_p_eq + d_lam)
+    P = np.array([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 1.5]]) / 3.0
+    b = 6.0 * mu**2 * d_lam / safe_e
+    a = 4.0 * mu**2 / (3.0 * mu + H_eff) - 4.0 * mu**2 * d_lam / safe_e
+    corr = b[..., None, None] * P + a[..., None, None] * (n_dir[..., :, None] * n_dir[..., None, :])
+    C = np.broadcast_to(ct.elastic_stiffness_eng(params), plastic.shape + (4, 4))
+    return new, C - np.where(plastic[..., None, None], corr, 0.0)
+
+
+def _mixed_batch(params, rng, shape=(50, 3)):
+    """A loaded history (kinematic: non-zero back stress) and increments
+    under which about 30% of the points yield."""
+    state = ct.update_stress(ct.MaterialState.zeros(shape),
+                             rng.normal(scale=3e-3, size=shape + (4,)), np.zeros(shape), params)
+    if params.hardening_kind == "kinematic":
+        assert np.abs(state.back_stress).max() > 0
+    # the others unload along the deviator of their stress and stay elastic
+    xi = ct.deviator(state.sigma) - state.back_stress
+    unload = -2e-4 * xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+    d_eps = np.where((rng.random(shape) < 0.3)[..., None],
+                     rng.normal(scale=4e-3, size=shape + (4,)), unload)
+    d_c = rng.normal(scale=20.0, size=shape)
+    return state, d_eps, d_c
+
+
+@pytest.fixture(params=["isotropic", "kinematic"])
+def hardening(request, steel):
+    from dataclasses import replace
+    return replace(steel, sigma_y0=400e6, hardening_kind=request.param, H=2.1e9, h=2.1e9)
+
+
+class TestCompactReturnMap:
+    def test_matches_dense_reference(self, hardening, rng):
+        state, d_eps, d_c = _mixed_batch(hardening, rng)
+        new, tangent = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True)
+        _, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True,
+                                      compact=True)
+        ref, ref_tangent = _dense_return_map(state, d_eps, d_c, hardening)
+        assert 0.1 < plastic.index.size / d_c.size < 0.6       # a mixed batch
+        for name in ("sigma", "eps_p", "back_stress", "eps_p_eq"):
+            assert np.array_equal(getattr(new, name), getattr(ref, name)), name
+        scale = np.abs(ref_tangent).max()
+        assert np.abs(tangent - ref_tangent).max() <= 1e-15 * scale
+
+    def test_elastic_points_keep_trial_state(self, hardening, rng):
+        state, d_eps, d_c = _mixed_batch(hardening, rng)
+        new, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True,
+                                        compact=True)
+        elastic = np.ones(d_c.shape, dtype=bool)
+        elastic.flat[plastic.index] = False
+        trial = ct.update_stress(state, d_eps, d_c, hardening.as_elastic())
+        assert np.array_equal(new.sigma[elastic], trial.sigma[elastic])
+        assert np.array_equal(new.eps_p_eq[elastic], state.eps_p_eq[elastic])
+        assert np.all(new.eps_p_eq.flat[plastic.index] > state.eps_p_eq.flat[plastic.index])
+
+    def test_correction_annihilates_swelling_direction(self, hardening, rng):
+        # the plastic tangent correction is deviatoric, so the K_uc coupling
+        # (tangent times [1, 1, 1, 0]) is the elastic one at every iterate
+        state, d_eps, d_c = _mixed_batch(hardening, rng)
+        _, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True,
+                                      compact=True)
+        assert plastic.index.size > 0
+        c_max = np.abs(ct.elastic_stiffness_eng(hardening)).max()
+        swell = plastic.correction() @ np.array([1.0, 1.0, 1.0, 0.0])
+        assert np.abs(swell).max() <= 1e-12 * c_max
+
+    def test_elastic_material_has_no_plastic_points(self, steel, rng):
+        state = ct.MaterialState.zeros((7, 3))
+        new, plastic = ct.update_stress(state, rng.normal(scale=1e-2, size=(7, 3, 4)),
+                                        np.zeros((7, 3)), steel, return_tangent=True,
+                                        compact=True)
+        assert plastic.index.size == 0
+        assert np.array_equal(plastic.tangent(steel, (7, 3)),
+                              np.broadcast_to(ct.elastic_stiffness_eng(steel), (7, 3, 4, 4)))
+
+
 class TestUniaxialDriver:
     def test_elastic_slope(self, steel_plastic):
         eps = np.linspace(0.0, 1e-3, 11)   # below yield strain 1.9e-3

@@ -259,6 +259,38 @@ class TestBoundaryPlan:
         assert [t for _, t in loads] == hist.times
 
 
+COARSE_ELASTIC_ONE_WAY = (COARSE_PLATE.replace("coupling.mode = twoway", "coupling.mode = oneway")
+                          .replace("plasticity.enabled = on", "plasticity.enabled = off"))
+
+
+class TestLazyJacobian:
+    @pytest.mark.parametrize("text", [COARSE_ELASTIC_ONE_WAY, COARSE_PLATE],
+                             ids=["elastic-one-way", "plastic-two-way"])
+    def test_one_jacobian_per_update(self, text):
+        scen = sc.build_scenario(sc.load_config(text))
+        flowed = []
+        prev = [tr.initial_fields(scen).states.eps_p_eq]
+
+        def count_flow(step_no, record, fields):
+            flowed.append(int(np.sum(fields.states.eps_p_eq > prev[0])))
+            prev[0] = fields.states.eps_p_eq
+
+        hist, _ = tr.run(scen, scen.solver, progress_cb=count_flow)
+        assert sum(r["newton_iters"] for r in hist.records) > 0
+        for r in hist.records:
+            assert r["jacobians"] == max(r["newton_iters"], 1)
+        assert [r["plastic_qp"] for r in hist.records] == flowed
+        assert (max(flowed) > 0) == (text is COARSE_PLATE)
+
+    def test_step_start_strain_once_per_attempt(self, call_spy):
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
+        strains = call_spy("element_strain", asm, tr)
+        hist, _ = tr.run(scen, scen.solver)
+        assert not hist.events
+        # one per residual pass (newton_iters + 1 a step), one per step start
+        assert len(strains) == sum(r["newton_iters"] + 2 for r in hist.records)
+
+
 def newton_updates(monkeypatch, config_text):
     """Run a scenario and record every Newton update as
     (jacobian, residual, fixed dofs, keep_uu, update)."""
@@ -415,8 +447,8 @@ solver.t_end_hat = 0.05
         new, _ = tr.step(fields_n, 0.0, config.dt, scen, config, ed, plan, newton_refs=refs)
         assert new.states.eps_p_eq.max() > 0          # the step flows plastically
         w = dm.join(new.u, new.c)
-        _, again, _, _, _, _ = tr._newton_solve(w, fields_n, config.dt, config.dt, scen, config,
-                                                ed, plan, sla.BlockSolver(), refs=refs)
+        _, again, _, _ = tr._newton_solve(w, fields_n, config.dt, config.dt, scen, config,
+                                          ed, plan, sla.BlockSolver(), refs=refs)
         two_mu = 2.0 * params.mu
         change = max(two_mu * np.max(np.abs(again.eps_p - new.states.eps_p)),
                      np.max(np.abs(again.back_stress - new.states.back_stress)),
