@@ -17,17 +17,27 @@ hand; the coupled Jacobian comes in CSR form from the assembly plan.
   back-to-back solves: K_cc dc = -r_c, then K_uu du = -r_u - K_uc dc.
   Dirichlet dofs are left out of both blocks (the update is zero there),
   and each block is in one unit system, so it is factored unscaled.
-  A factor is kept for later updates only when the caller states a fact
-  that fixes its block (the elastic K_uu; the one-way K_cc at one dt), and
-  it is reused only while the block's entries equal the factored ones.
-  Every other factor serves one update and is freed (Davis, *Direct Methods
-  for Sparse Linear Systems*, SIAM 2006, ch. 7-8, on factor reuse).
+  Each block keeps its KEPT_FACTORS most recently used factors. A block
+  is first solved by iterative refinement against the new entries with a
+  kept factor, most recent first, as a stationary method (Higham, *Accuracy
+  and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12). A kept
+  factor serves the solve only when the normwise backward error reaches
+  ROUNDOFF_TOL; it is given up as soon as the observed contraction shows
+  that this cannot happen within REFINE_STEPS steps. When every kept factor
+  fails, the least recently used one is dropped and the block is factored
+  afresh (Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006,
+  ch. 7-8, on factor reuse). So a block that does not change, or changes
+  little between iterates, is factored a few times per run.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
-reported as SingularMatrixError). A solve returns x with ||A x - b|| <=
-SOLVE_TOL ||b|| after at most REFINE_STEPS refinement steps, or else with a
-normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||) <=
-BACKWARD_TOL; anything worse raises SingularMatrixError.
+reported as SingularMatrixError). A solve with a fresh factor returns x with
+||A x - b|| <= SOLVE_TOL ||b|| after at most REFINE_STEPS refinement steps,
+or else with a normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||)
+<= BACKWARD_TOL; anything worse raises SingularMatrixError. A solve with a
+kept factor returns x with that backward error at most ROUNDOFF_TOL. A block
+that turns singular is reported when it is factored: refinement against a
+kept factor cannot converge on it unless the right-hand side lies in its
+range, and then x is one of its solutions.
 """
 from __future__ import annotations
 
@@ -39,8 +49,13 @@ from scipy.sparse.linalg import splu
 
 SOLVE_TOL = 1e-10          # relative residual guaranteed by every solve
 PIVOT_TOL = 1e-14          # pivot / max|A| threshold for singularity reporting
-REFINE_STEPS = 4           # iterative-refinement steps before the backward-error test
+# refinement steps after a solve's first: before the backward-error test with
+# a fresh factor, before a kept factor is given up (6 reaches ROUNDOFF_TOL at
+# a contraction of about 1e-2 per step; the two-way K_cc contracts by up to 6e-3)
+REFINE_STEPS = 6
 BACKWARD_TOL = 1e-9        # normwise backward error accepted past the refinement floor
+ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error a kept factor must reach
+KEPT_FACTORS = 2           # factors kept per block, most recently used first
 # Both blocks are structurally symmetric and K_uu is symmetric, so the blocks
 # are ordered by minimum degree on A + A^T and pivot on the diagonal unless it
 # is 10x smaller than the largest entry in its column.
@@ -133,7 +148,7 @@ def from_triplets(n, entries):
 
 
 def _factor(A, what, **splu_options):
-    """SuperLU factor of the CSR matrix ``A`` and max|A|; a (numerically)
+    """SuperLU factor of the sparse matrix ``A`` and max|A|; a (numerically)
     zero pivot raises SingularMatrixError."""
     a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
     if a_max == 0.0:
@@ -169,6 +184,27 @@ def _refined_solve(lu, A, a_max, b, what):
             f"{what}: backward error {eta:.3e} after refinement; "
             "matrix is effectively singular")
     return x
+
+
+def _kept_solve(lu, A, a_max, b):
+    """x with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| + ||b||), refined
+    against ``A`` from the factor ``lu`` of an earlier block; None as soon as
+    the residual contraction of the last step shows that this cannot be
+    reached within REFINE_STEPS refinement steps."""
+    b_norm = np.linalg.norm(b)
+    x = lu.solve(b)
+    r_prev = b_norm
+    for steps_left in range(REFINE_STEPS, -1, -1):
+        r = b - A @ x
+        r_norm = np.linalg.norm(r)
+        target = ROUNDOFF_TOL * (a_max * np.linalg.norm(x) + b_norm)
+        if r_norm <= target:
+            return x
+        rate = r_norm / r_prev
+        if rate >= 1.0 or r_norm * rate ** steps_left > target:
+            return None
+        r_prev = r_norm
+        x = x + lu.solve(r)
 
 
 def solve(A, b):
@@ -207,7 +243,7 @@ class _BlockPlan:
     fixed: np.ndarray
     free_u: np.ndarray
     free_c: np.ndarray
-    blocks: dict            # "uu" / "cc" -> (data slots, block indptr, block indices)
+    blocks: dict            # "uu" / "cc" -> (data slots, block CSR matrix)
 
     @classmethod
     def build(cls, jac, fixed):
@@ -232,7 +268,10 @@ class _BlockPlan:
             slots = np.flatnonzero(mask[rows] & mask[cols])
             counts = np.bincount(local[rows[slots]], minlength=dofs.size)
             indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-            blocks[name] = (slots, indptr, local[cols[slots]])
+            # each solve writes the block's entries into this matrix's data
+            blocks[name] = (slots, sp.csr_matrix(
+                (np.zeros(slots.size), local[cols[slots]], indptr),
+                shape=(dofs.size, dofs.size)))
             free_sets[name] = dofs
         return cls(jac.row_offsets.copy(), jac.col_indices.copy(), fixed.copy(),
                    free_sets["uu"], free_sets["cc"], blocks)
@@ -248,50 +287,63 @@ class BlockSolver:
 
     Dofs are node-major, (u_x, u_y, c) per node. One solver serves one run:
     it holds the block plan of the current sparsity pattern, checked once
-    per pattern for a K_cu entry, and at most one kept factor per block.
+    per pattern for a K_cu entry, and up to KEPT_FACTORS factors per block,
+    most recently used first. ``factors`` counts the fresh factorizations
+    and ``reused`` the block solves a kept factor served.
     """
 
     def __init__(self):
         self._plan = None
-        self._kept = {}     # "uu" / "cc" -> (block CSR, factor, max|block|)
+        self._kept = {"uu": [], "cc": []}      # SuperLU factors, most recent first
+        self.factors = 0
+        self.reused = 0
 
-    def newton_update(self, jac, res, fixed_dofs, keep_uu=False, keep_cc=False):
+    def newton_update(self, jac, res, fixed_dofs):
         """dw with J dw = -res on the free dofs and dw = 0 on ``fixed_dofs``.
 
-        ``keep_uu`` / ``keep_cc`` state that the block is fixed: K_uu when
-        the Jacobian's iterate has no plastic quadrature point (it is then
-        the elastic block of the run's fixed Jacobian data), K_cc in one-way
-        coupling (``M/dt + K_diff`` at this dt). A fresh factor of that block
-        is then kept in place of the one held before. Raises ValueError if J has
-        a K_cu entry and SingularMatrixError if a block is singular.
+        Each block is solved by refinement against a kept factor when that
+        reaches a roundoff-level backward error, and is factored afresh
+        otherwise (see the module docstring). Raises ValueError if J has a
+        K_cu entry and SingularMatrixError if a freshly factored block is
+        singular.
         """
         fixed = np.asarray(fixed_dofs, dtype=np.int64)
         if self._plan is None or not self._plan.matches(jac, fixed):
             self._plan = _BlockPlan.build(jac, fixed)
-            self._kept.clear()
+            for kept in self._kept.values():
+                kept.clear()
         plan = self._plan
         res = np.asarray(res, dtype=float)
         dw = np.zeros(jac.n)
-        dw[plan.free_c] = self._block_solve("cc", jac.values, -res[plan.free_c], keep_cc)
+        dw[plan.free_c] = self._block_solve("cc", jac.values, -res[plan.free_c])
         # with du = 0, (J dw)_u = K_uc dc
         coupling = jac.matvec(dw)[plan.free_u]
-        dw[plan.free_u] = self._block_solve("uu", jac.values, -res[plan.free_u] - coupling,
-                                            keep_uu)
+        dw[plan.free_u] = self._block_solve("uu", jac.values, -res[plan.free_u] - coupling)
         return dw
 
-    def _block_solve(self, name, values, rhs, keep):
+    def _block_solve(self, name, values, rhs):
         if rhs.size == 0:
             return rhs
-        slots, indptr, indices = self._plan.blocks[name]
-        data = values[slots]
-        kept = self._kept.get(name)
-        if kept is not None and np.array_equal(kept[0].data, data):
-            A, lu, a_max = kept
-        else:
-            A = sp.csr_matrix((data, indices, indptr), shape=(rhs.size, rhs.size))
-            lu, a_max = _factor(A, f"K_{name}", **BLOCK_SPLU_OPTIONS)
-            if keep:
-                self._kept[name] = (A, lu, a_max)
+        slots, A = self._plan.blocks[name]
+        # the slots are in range; "clip" lets take write into A.data unbuffered
+        np.take(values, slots, out=A.data, mode="clip")
+        a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
+        kept = self._kept[name]
+        for i in range(len(kept)):
+            x = _kept_solve(kept[i], A, a_max, rhs)
+            if x is not None:
+                kept.insert(0, kept.pop(i))
+                self.reused += 1
+                return x
+        # free the least recently used factor before computing the new one, and
+        # copy the block to CSC before that, so that the new factor's buffers
+        # can take the freed memory whole (peak memory)
+        csc = A.tocsc()
+        del kept[KEPT_FACTORS - 1:]
+        lu, a_max = _factor(csc, f"K_{name}", **BLOCK_SPLU_OPTIONS)
+        del csc
+        kept.insert(0, lu)
+        self.factors += 1
         return _refined_solve(lu, A, a_max, rhs, f"K_{name}")
 
 

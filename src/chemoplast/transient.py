@@ -20,12 +20,15 @@ after that only for a Newton update, so a step builds max(updates, 1) of
 them; the roundoff floors of an iterate come from the last one built.
 
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, which
-solves the block upper-triangular Jacobian block by block and keeps the
-factors of the blocks this module knows to be fixed: K_uu when the
-Jacobian's iterate has no plastic point (it is then the fixed elastic
-block), K_cc in one-way coupling. Each step records which of the four
-Newton exits it took (NEWTON_EXITS), how many Jacobians it built and how
-many quadrature points are plastic at its committed iterate.
+solves the block upper-triangular Jacobian block by block. It keeps the
+last two factors of each block and solves a changed block by refinement
+against a kept factor, refactoring only when that does not reach a
+roundoff-level backward error; so the elastic K_uu, the one-way K_cc and
+the slowly changing two-way K_cc are factored a few times per run. Each
+step records which of the four Newton exits it took (NEWTON_EXITS), how
+many Jacobians it built, how many factors it computed and how many block
+solves a kept factor served, and how many quadrature points are plastic
+at its committed iterate.
 
 Step failures (Newton divergence, iteration cap, constitutive errors)
 trigger time-step halving, at most four times per step, before the run
@@ -88,6 +91,8 @@ class StepInfo:
     residual_norm: float
     newton_exit: str           # one of NEWTON_EXITS
     jacobians: int             # Jacobians built in the step
+    factors: int               # block factors computed by the step's Newton solve
+    reused: int                # block solves of it served by a kept factor
     plastic_qp: int            # plastic quadrature points at the committed iterate
 
 
@@ -128,9 +133,10 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
     jitter of points flipping between the elastic and plastic branch.
 
     ``block_solver`` (a ``sparse_linalg.BlockSolver``) computes the updates
-    and keeps its factors across calls. ``plan`` is the run's
-    ``assembly.BoundaryPlan``; the boundary load at ``t_new`` is computed
-    once and subtracted from every residual. ``fixed`` is the run's
+    and keeps its factors across calls; the StepInfo counts the factors it
+    computed and the block solves its kept factors served in this solve.
+    ``plan`` is the run's ``assembly.BoundaryPlan``; the boundary load at
+    ``t_new`` is computed once and subtracted from every residual. ``fixed`` is the run's
     ``assembly.FixedJacobian`` (made here if omitted). Every iterate costs
     one residual pass. A Jacobian is built from that pass at the first
     iterate and after that only for a Newton update; the roundoff floors of
@@ -147,7 +153,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
     load = neumann_load_vector(plan, t_new)
     strain_n = element_strain(ed, fields_n.u, mesh.tris)
     refs = refs if refs is not None else {"u": 0.0, "c": 0.0}
-    keep_cc = config.mode == "one-way"     # K_cc = M/dt + K_diff: fixed at this dt
+    counts_0 = (block_solver.factors, block_solver.reused)
 
     def block_norms(vec):
         v = vec.copy()
@@ -213,7 +219,9 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
         if reason is not None:
             return w, it.states, it.sigma_h_nodal, StepInfo(
                 newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
-                jacobians=jacobians, plastic_qp=int(it.plastic.index.size))
+                jacobians=jacobians, factors=block_solver.factors - counts_0[0],
+                reused=block_solver.reused - counts_0[1],
+                plastic_qp=int(it.plastic.index.size))
         if norms:
             meaningful = norm > 10.0 * (floor_u + floor_c)
             grow = grow + 1 if (meaningful and norm > norms[-1]) else 0
@@ -230,10 +238,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
             jac = assemble_jacobian(ed, fixed, it, dt)
             jacobians += 1
         try:
-            # no plastic point: K_uu is the fixed elastic block
-            dw = block_solver.newton_update(jac, res, fixed_dofs,
-                                            keep_uu=it.plastic.index.size == 0,
-                                            keep_cc=keep_cc)
+            dw = block_solver.newton_update(jac, res, fixed_dofs)
         except sparse_linalg.SingularMatrixError as err:
             raise StepFailure(f"linear solve failed at t={t_new:g}: {err}") from err
         n_solves += 1
@@ -381,6 +386,8 @@ def run(scenario, config, elem_data=None, progress_cb=None):
             "residual_norm": info.residual_norm,
             "newton_exit": info.newton_exit,
             "jacobians": info.jacobians,
+            "factors": info.factors,
+            "reused": info.reused,
             "plastic_qp": info.plastic_qp,
             "total_concentration": float(masses @ fields.c),
             "max_eps_p_eq": float(fields.states.eps_p_eq.max()),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from chemoplast import sparse_linalg as sla
 
@@ -145,6 +146,45 @@ def _block_triangular(rng, n_nodes=3):
     return sla.from_triplets(n, [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
 
 
+def _perturbed(A, rel, rng):
+    """A with every entry scaled by an independent factor in [1 - rel, 1 + rel]."""
+    csr = A.scipy_csr().copy()
+    csr.data *= 1.0 + rel * rng.uniform(-1.0, 1.0, size=csr.nnz)
+    return sla.SparseMatrix(csr)
+
+
+class _CountingFactor:
+    """A SuperLU factor that records the norm of every right-hand side it solves."""
+
+    def __init__(self, lu, n):
+        self._lu, self.n, self.rhs_norms = lu, n, []
+
+    @property
+    def solves(self):
+        return len(self.rhs_norms)
+
+    def solve(self, b):
+        self.rhs_norms.append(np.linalg.norm(b))
+        return self._lu.solve(b)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Every factor the sparse layer computes, in order, counting its solves."""
+    made = []
+    real = sla.splu
+
+    def counting(A, **kwargs):
+        made.append(_CountingFactor(real(A, **kwargs), A.shape[0]))
+        return made[-1]
+
+    monkeypatch.setattr(sla, "splu", counting)
+    return made
+
+
 class TestBlockSolver:
     def test_update_solves_free_system(self, rng):
         A = _block_triangular(rng)
@@ -164,26 +204,114 @@ class TestBlockSolver:
             sla.BlockSolver().newton_update(sla.SparseMatrix(csr.tocsr()),
                                             np.ones(A.n), np.array([], dtype=int))
 
-    def test_factor_reused_only_for_equal_block(self, rng, splu_calls):
+    def test_equal_block_factors_nothing_new(self, rng, factors):
         A = _block_triangular(rng)
         res = rng.normal(size=A.n)
         none = np.array([], dtype=int)
         solver = sla.BlockSolver()
-        solver.newton_update(A, res, none, keep_uu=True, keep_cc=True)
-        assert splu_calls == [3, 6]              # K_cc (3 dofs), then K_uu (6)
-        solver.newton_update(A, res, none)
-        assert len(splu_calls) == 2              # both kept factors reused
+        first = solver.newton_update(A, res, none)
+        assert [f.n for f in factors] == [3, 6]      # K_cc (3 dofs), then K_uu (6)
+        again = solver.newton_update(A, res, none)
+        assert len(factors) == 2
+        assert [f.solves for f in factors] == [2, 2]  # one solve each, no refinement step
+        assert np.array_equal(again, first)
+        assert (solver.factors, solver.reused) == (2, 2)
 
-        csr = A.scipy_csr().copy()
-        csr.data[0] = np.nextafter(csr.data[0], np.inf)    # row 0, column 0: in K_uu
-        B = sla.SparseMatrix(csr)
-        dw = solver.newton_update(B, res, none)
-        assert splu_calls[2:] == [6]              # one ulp apart: K_uu refactored
-        assert np.linalg.norm(B.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
-        solver.newton_update(B, res, none)
-        assert splu_calls[3:] == [6]              # ... and not kept (keep_uu False)
+    def test_small_change_reuses_kept_factor(self, rng, factors):
+        A = _block_triangular(rng, n_nodes=8)
+        B = _perturbed(A, 1e-6, rng)
+        res = rng.normal(size=A.n)
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
         solver.newton_update(A, res, none)
-        assert len(splu_calls) == 4               # the kept K_uu factor is still A's
+        dw = solver.newton_update(B, res, none)
+        assert len(factors) == 2 and solver.reused == 2
+        ref = sla.BlockSolver().newton_update(B, res, none)
+        is_u = np.arange(A.n) % 3 != 2
+        for block in (is_u, ~is_u):
+            assert np.linalg.norm(dw[block] - ref[block]) <= 1e-12 * np.linalg.norm(ref[block])
+
+    def test_large_change_refactors_after_one_solve(self, rng, factors):
+        A = _block_triangular(rng, n_nodes=8)
+        B = _perturbed(A, 0.05, rng)
+        res = rng.normal(size=A.n)
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
+        solver.newton_update(A, res, none)
+        before = [f.solves for f in factors]
+        dw = solver.newton_update(B, res, none)
+        assert [f.n for f in factors] == [8, 16, 8, 16]      # K_cc, K_uu; twice
+        assert [f.solves - s for f, s in zip(factors, before)] == [1, 1]
+        assert (solver.factors, solver.reused) == (4, 0)
+        assert np.linalg.norm(B.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
+
+    def test_kept_factor_needs_roundoff_backward_error(self, rng, factors, monkeypatch):
+        # with the roundoff target out of float64's reach, refinement of a
+        # slightly changed block reaches SOLVE_TOL and still refactors
+        monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
+        A = _block_triangular(rng, n_nodes=8)
+        B = _perturbed(A, 1e-6, rng)
+        res = rng.normal(size=A.n)
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
+        solver.newton_update(A, res, none)
+        dw = solver.newton_update(B, res, none)
+        assert len(factors) == 4 and solver.reused == 0
+        for kept in factors[:2]:
+            b_norm, *residuals = kept.rhs_norms[1:]      # B's update
+            assert min(residuals) <= sla.SOLVE_TOL * b_norm
+        assert np.linalg.norm(B.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
+
+    def test_block_turning_singular_still_raises(self, rng):
+        A = _block_triangular(rng)
+        dense = A.toarray()
+        dense[3] = dense[0]                       # two equal displacement rows
+        B = sla.SparseMatrix(sp.csr_matrix(dense))
+        assert np.array_equal(B.col_indices, A.col_indices)    # same pattern
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
+        solver.newton_update(A, np.ones(A.n), none)
+        with pytest.raises(sla.SingularMatrixError, match="K_uu"):
+            solver.newton_update(B, rng.normal(size=A.n), none)
+
+    def test_singular_block_with_consistent_rhs_solved_by_kept_factor(self, rng):
+        # the equal rows see equal right-hand sides: the system has solutions,
+        # refinement against the kept factor finds one at roundoff backward
+        # error, and no factor of the singular block is attempted
+        A = _block_triangular(rng)
+        dense = A.toarray()
+        dense[3] = dense[0]
+        B = sla.SparseMatrix(sp.csr_matrix(dense))
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
+        solver.newton_update(A, np.ones(A.n), none)
+        dw = solver.newton_update(B, np.ones(A.n), none)
+        assert solver.factors == 2
+        assert np.linalg.norm(B.matvec(dw) + 1.0) <= 1e-12 * np.sqrt(A.n)
+
+    def test_alternating_blocks_factor_twice(self, rng, factors):
+        A, B = _block_triangular(rng), _block_triangular(rng)
+        res = rng.normal(size=A.n)
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
+        for M in (A, B, A, B):
+            dw = solver.newton_update(M, res, none)
+            assert np.linalg.norm(M.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
+        assert [f.n for f in factors] == [3, 6, 3, 6]
+        assert (solver.factors, solver.reused) == (4, 4)
+
+    def test_least_recently_used_factor_dropped(self, rng, factors):
+        A, B, C = (_block_triangular(rng) for _ in range(3))
+        res = rng.normal(size=A.n)
+        none = np.array([], dtype=int)
+        solver = sla.BlockSolver()
+        fresh = []
+        for M in (A, B, A, C, A, B):
+            n_before = len(factors)
+            solver.newton_update(M, res, none)
+            fresh.append(len(factors) > n_before)
+        # C drops B's factors (A's were used after B's); A keeps its own
+        assert fresh == [True, True, False, True, False, True]
 
     def test_singular_block_reported(self, rng):
         A = _block_triangular(rng).toarray()

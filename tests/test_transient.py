@@ -293,29 +293,29 @@ class TestLazyJacobian:
 
 def newton_updates(monkeypatch, config_text):
     """Run a scenario and record every Newton update as
-    (jacobian, residual, fixed dofs, keep_uu, update)."""
+    (jacobian, residual, fixed dofs, update); returns them and the history."""
     scen = sc.build_scenario(sc.load_config(config_text))
     seen = []
     real = sla.BlockSolver.newton_update
 
-    def spy(self, jac, res, fixed_dofs, keep_uu=False, keep_cc=False):
-        dw = real(self, jac, res, fixed_dofs, keep_uu=keep_uu, keep_cc=keep_cc)
-        seen.append((jac, res, np.asarray(fixed_dofs), keep_uu, dw))
+    def spy(self, jac, res, fixed_dofs):
+        dw = real(self, jac, res, fixed_dofs)
+        seen.append((jac, res, np.asarray(fixed_dofs), dw))
         return dw
 
     monkeypatch.setattr(sla.BlockSolver, "newton_update", spy)
-    tr.run(scen, scen.solver)
-    return seen
+    hist, _ = tr.run(scen, scen.solver)
+    return seen, hist
 
 
 class TestBlockNewtonSolve:
     @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_HOLE], ids=["plastic-plate", "hole"])
     def test_update_matches_monolithic_solve(self, monkeypatch, text):
-        updates = newton_updates(monkeypatch, text)
+        updates, hist = newton_updates(monkeypatch, text)
         if text is COARSE_PLATE:
-            assert any(not keep_uu for _, _, _, keep_uu, _ in updates)   # plastic iterates
+            assert any(r["plastic_qp"] > 0 for r in hist.records)   # plastic iterates
         is_u = np.arange(updates[0][0].n) % 3 != 2
-        for jac, res, fixed, _, dw in updates:
+        for jac, res, fixed, dw in updates:
             A, b = sla.apply_dirichlet(jac, -res, [(d, 0.0) for d in fixed])
             ref = sla.solve(A, b)
             for block in (is_u, ~is_u):
@@ -340,6 +340,29 @@ class TestBlockNewtonSolve:
         assert sum(r["newton_iters"] for r in hist.records) >= 100
         # K_uu once, K_cc once: every step, the last included, takes the same dt
         assert len(splu_calls) == 2
+
+    @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_HOLE], ids=["plastic-plate", "hole"])
+    def test_two_way_k_cc_factored_few_times(self, text, splu_calls):
+        scen = sc.build_scenario(sc.load_config(text))
+        hist, _ = tr.run(scen, scen.solver)
+        updates = sum(r["newton_iters"] for r in hist.records)
+        # insulated: every concentration dof is free, so K_cc is n_nodes square
+        cc_factors = splu_calls.count(scen.mesh.n_nodes)
+        assert cc_factors <= 3 < updates          # K_cc changes at every update
+        assert sum(r["factors"] for r in hist.records) == len(splu_calls)
+        assert sum(r["factors"] + r["reused"] for r in hist.records) == 2 * updates
+
+    def test_one_way_slab_short_last_step_factors_k_cc_twice(self, splu_calls):
+        scen = slab_scenario(nx=20)
+        scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]    # K_uu not empty
+        scen.solver = tr.SolverConfig(dt=1e-3, t_end=0.0105, mode="one-way",
+                                      plasticity=False)
+        hist, _ = tr.run(scen, scen.solver)
+        assert [r["dt"] for r in hist.records][-2:] == [1e-3, pytest.approx(5e-4)]
+        n = scen.mesh.n_nodes
+        # K_uu (left nodes fixed) once; K_cc (left concentration fixed) at both dts
+        assert sorted(splu_calls) == [n - 2, n - 2, 2 * n - 4]
+        assert [r["factors"] for r in hist.records] == [2] + [0] * 9 + [1]
 
     def test_singular_k_uu_fails_step(self):
         scen = slab_scenario(nx=20)
@@ -387,6 +410,29 @@ class TestRobustness:
                                       plasticity=False, newton_max_iter=5)
         with pytest.raises(tr.RunAborted):
             tr.run(scen, scen.solver)
+
+    def test_flat_small_mechanics_residual_exits_stalled(self, monkeypatch):
+        # after one large first residual every pass returns the same small
+        # mechanics residual: no progress, far below the run's force scale
+        scen = slab_scenario(nx=10)
+        scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]
+        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way", plasticity=False)
+        real = tr.assemble_residual
+        passes = []
+
+        def flat(*args, **kwargs):
+            it = real(*args, **kwargs)
+            flat_res = np.zeros_like(it.residual)
+            flat_res[np.arange(flat_res.size) % 3 != 2] = 1e6 if not passes else 1.0
+            passes.append(1)
+            it.residual = flat_res
+            return it
+
+        monkeypatch.setattr(tr, "assemble_residual", flat)
+        hist, _ = tr.run(scen, scen.solver)
+        assert [r["newton_exit"] for r in hist.records] == ["stalled", "stalled"]
+        assert [r["newton_iters"] for r in hist.records] == [6, 5]
+        assert not hist.events
 
     def test_time_history_rejects_non_increasing(self):
         h = tr.TimeHistory()
