@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import sparse_linalg
 from .constitutive import (ConstitutiveError, MaterialState, PlasticPoints, elastic_stiffness_eng,
                            hydrostatic, update_stress)
 
@@ -445,7 +444,7 @@ def assemble_residual(mesh, elem_data, fields_new, fields_old, strain_old, param
     d_eps_qp = np.broadcast_to(d_eps[:, None, :], (n_elem, n_qp, 4))
     try:
         new_states, plastic = update_stress(fields_old.states, d_eps_qp, d_c_qp, params,
-                                            return_tangent=True, compact=True)
+                                            return_tangent=True)
     except ConstitutiveError as err:
         where = ""
         if err.flat_index is not None:
@@ -485,8 +484,9 @@ def assemble_residual(mesh, elem_data, fields_new, fields_old, strain_old, param
 def assemble_jacobian(elem_data, fixed, iterate, dt):
     """Jacobian at ``iterate``: the fixed data ``stiff + mass / dt``, plus
     the two-way drift block in the K_cc slots and the tangent corrections of
-    the plastic points in the K_uu slots of their elements. Without plastic
-    points the K_uu entries are those of ``fixed`` exactly."""
+    the plastic points in the K_uu slots of their elements, as a CSR matrix
+    over the plan's pattern. Without plastic points the K_uu entries are
+    those of ``fixed`` exactly."""
     ed = elem_data
     data = fixed.stiff + fixed.mass / dt
     if iterate.gn is not None:
@@ -502,8 +502,7 @@ def assemble_jacobian(elem_data, fixed, iterate, dt):
         pe = elem[first]
         k_corr = ed.b_t[pe] @ c_corr @ ed.b_eng[pe]
         np.subtract.at(data, ed.uu_slots[pe], k_corr.reshape(pe.size, 36))
-    return sparse_linalg.SparseMatrix(sp.csr_matrix(
-        (data, ed.jac_indices, ed.jac_indptr), shape=(ed.n_dofs, ed.n_dofs)))
+    return sp.csr_matrix((data, ed.jac_indices, ed.jac_indptr), shape=(ed.n_dofs, ed.n_dofs))
 
 
 def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,

@@ -226,16 +226,16 @@ class PlasticPoints:
         return tangent
 
 
-def update_stress(state_old, d_eps, d_c, params, return_tangent=False, compact=False):
+def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
     """Advance the material state by strain increment ``d_eps`` (tensor
     components) and concentration increment ``d_c``.
 
     Elastic predictor / radial-return corrector; the return map is rate
     independent. The return and the tangent correction run only on the
     compacted set of points whose trial state yields; every other point
-    keeps its trial state. With ``return_tangent`` the consistent tangent on
-    the engineering basis (gamma shear) is returned alongside the new state:
-    dense, or with ``compact`` as the ``PlasticPoints`` it is built from.
+    keeps its trial state. With ``return_tangent`` the ``PlasticPoints``
+    are returned alongside the new state; ``PlasticPoints.tangent`` gives the
+    dense consistent tangent on the engineering basis (gamma shear).
     """
     d_eps = np.asarray(d_eps, dtype=float)
     d_c = np.asarray(d_c, dtype=float)
@@ -292,7 +292,7 @@ def update_stress(state_old, d_eps, d_c, params, return_tangent=False, compact=F
                         eps_p_eq.reshape(batch))
     if not return_tangent:
         return new
-    return new, plastic if compact else plastic.tangent(params, batch)
+    return new, plastic
 
 
 def drive_material_point_uniaxial(params, eps_axial_history, lateral_tol=1e-9,
@@ -317,11 +317,11 @@ def drive_material_point_uniaxial(params, eps_axial_history, lateral_tol=1e-9,
         lat = eps_prev[1:3].copy()
         for it in range(max_iter):
             d_eps = np.array([eps_ax, lat[0], lat[1], 0.0]) - eps_prev
-            trial, tangent = update_stress(state, d_eps, 0.0, params, return_tangent=True)
+            trial, plastic = update_stress(state, d_eps, 0.0, params, return_tangent=True)
             res = trial.sigma[1:3]
             if np.max(np.abs(res)) <= lateral_tol * sigma_ref:
                 break
-            J = tangent[1:3, 1:3]
+            J = plastic.tangent(params, ())[1:3, 1:3]
             lat -= np.linalg.solve(J, res)
         else:
             raise ConstitutiveError(

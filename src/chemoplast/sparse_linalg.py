@@ -1,33 +1,29 @@
-"""Minimal sparse-matrix layer for the coupled Jacobian.
+"""Sparse linear algebra of the coupled Jacobian, on scipy CSR matrices.
 
-Compressed-row matrices, two direct solvers and Dirichlet elimination;
-factorization is delegated to SuperLU via scipy. ``from_triplets`` builds a
-matrix from scatter-add triplets for callers that set up a linear system by
-hand; the coupled Jacobian comes in CSR form from the assembly plan.
+Factorization is delegated to SuperLU via scipy. The Newton path is
+``BlockSolver``. ``from_triplets`` (scatter-add triplets), ``apply_dirichlet``
+(identity rows for constrained dofs, known column products moved to the
+right-hand side) and ``solve`` (LU of the whole system after row
+equilibration, so that pivots compare across physics blocks with different
+units) are the monolithic reference path that tests check it against.
 
-- ``solve`` factors one whole system. It row-equilibrates first, so that
-  pivots compare across physics blocks with different units. Linear
-  problems call it after ``apply_dirichlet``, which replaces constrained
-  rows by identity and moves the known column products to the right-hand
-  side (so residual norms stay meaningful and symmetric blocks stay
-  symmetric).
-- ``BlockSolver`` computes Newton updates. The coupled Jacobian drops the
-  K_cu sensitivity, so it is block upper-triangular,
-  J = [[K_uu, K_uc], [0, K_cc]], and an update over the free dofs is two
-  back-to-back solves: K_cc dc = -r_c, then K_uu du = -r_u - K_uc dc.
-  Dirichlet dofs are left out of both blocks (the update is zero there),
-  and each block is in one unit system, so it is factored unscaled.
-  Each block keeps its KEPT_FACTORS most recently used factors. A block
-  is first solved by iterative refinement against the new entries with a
-  kept factor, most recent first, as a stationary method (Higham, *Accuracy
-  and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12). A kept
-  factor serves the solve only when the normwise backward error reaches
-  ROUNDOFF_TOL; it is given up as soon as the observed contraction shows
-  that this cannot happen within REFINE_STEPS steps. When every kept factor
-  fails, the least recently used one is dropped and the block is factored
-  afresh (Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006,
-  ch. 7-8, on factor reuse). So a block that does not change, or changes
-  little between iterates, is factored a few times per run.
+``BlockSolver`` is planned once per run, from the Jacobian's CSR pattern and
+the constrained dofs. The Jacobian drops the K_cu sensitivity, so it is
+block upper-triangular, J = [[K_uu, K_uc], [0, K_cc]], and an update over
+the free dofs is two back-to-back solves: K_cc dc = -r_c, then
+K_uu du = -r_u - K_uc dc. Dirichlet dofs are left out of both blocks (the
+update is zero there), and each block is in one unit system, so it is
+factored unscaled. Each block keeps its KEPT_FACTORS most recently used
+factors. A block is first solved by iterative refinement against the new
+entries with a kept factor, most recent first, as a stationary method
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM
+2002, ch. 12). A kept factor serves the solve only when the normwise
+backward error reaches ROUNDOFF_TOL; it is given up as soon as the observed
+contraction shows that this cannot happen within REFINE_STEPS steps. When
+every kept factor fails, the least recently used one is dropped and the
+block is factored afresh (Davis, *Direct Methods for Sparse Linear Systems*,
+SIAM 2006, ch. 7-8, on factor reuse). So a block that does not change, or
+changes little between iterates, is factored a few times per run.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
 reported as SingularMatrixError). A solve with a fresh factor returns x with
@@ -40,8 +36,6 @@ kept factor cannot converge on it unless the right-hand side lies in its
 range, and then x is one of its solutions.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,68 +61,13 @@ class SingularMatrixError(RuntimeError):
     """Raised when factorization hits a (numerically) zero pivot."""
 
 
-class SparseMatrix:
-    """Square CSR matrix. Immutable after construction.
-
-    Attributes
-    ----------
-    n : int
-        Matrix dimension.
-    row_offsets, col_indices, values : ndarray
-        Standard CSR arrays; column indices are sorted and unique per row.
-    """
-
-    def __init__(self, csr):
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError(f"SparseMatrix must be square, got shape {csr.shape}")
-        if csr.shape[0] < 1:
-            raise ValueError("SparseMatrix dimension must be >= 1")
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError("SparseMatrix entries must be finite")
-        self._csr = csr
-
-    @property
-    def n(self):
-        return self._csr.shape[0]
-
-    @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
-    def row_offsets(self):
-        return self._csr.indptr
-
-    @property
-    def col_indices(self):
-        return self._csr.indices
-
-    @property
-    def values(self):
-        return self._csr.data
-
-    def matvec(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"matvec: vector length {v.shape} does not match n={self.n}")
-        return self._csr @ v
-
-    def toarray(self):
-        return self._csr.toarray()
-
-    def scipy_csr(self):
-        return self._csr
-
-
 def from_triplets(n, entries):
-    """Assemble an n x n SparseMatrix from (row, col, value) triplets.
+    """Assemble an n x n CSR matrix from (row, col, value) triplets.
 
     Duplicate (row, col) pairs are summed (scatter-add), which is what
-    element-by-element assembly requires. ``entries`` may be a list of
-    triplets or a (rows, cols, values) tuple of arrays.
+    element-by-element assembly requires, and the column indices of every
+    row are sorted. ``entries`` may be a list of triplets or a (rows, cols,
+    values) tuple of arrays.
     """
     if isinstance(entries, tuple) and len(entries) == 3:
         rows, cols, vals = (np.asarray(a) for a in entries)
@@ -143,8 +82,7 @@ def from_triplets(n, entries):
     cols = cols.astype(np.int64, copy=False)
     if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
         raise IndexError(f"from_triplets: index outside [0, {n})")
-    csr = sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(n, n)).tocsr()
-    return SparseMatrix(csr)
+    return sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _factor(A, what, **splu_options):
@@ -208,7 +146,8 @@ def _kept_solve(lu, A, a_max, b):
 
 
 def solve(A, b):
-    """Solve A x = b by sparse LU with partial pivoting.
+    """Solve A x = b by sparse LU with partial pivoting; ``A`` is a square
+    CSR matrix with sorted, unique column indices per row.
 
     The matrix is row-equilibrated before factoring -- the solution is
     unchanged, but pivot magnitudes become comparable across physics blocks
@@ -217,114 +156,92 @@ def solve(A, b):
     D A x = D b. A numerically singular matrix (equilibrated pivot below
     1e-14 * max|A|) raises SingularMatrixError instead of returning garbage.
     """
+    n = A.shape[0]
     b = np.asarray(b, dtype=float)
-    if b.shape != (A.n,):
-        raise ValueError(f"solve: rhs length {b.shape} does not match n={A.n}")
+    if b.shape != (n,):
+        raise ValueError(f"solve: rhs length {b.shape} does not match n={n}")
 
-    row_max = np.zeros(A.n)
-    np.maximum.at(row_max, np.repeat(np.arange(A.n), np.diff(A.row_offsets)),
-                  np.abs(A.values))
+    row_len = np.diff(A.indptr)
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, np.repeat(np.arange(n), row_len), np.abs(A.data))
     if np.any(row_max == 0.0):
         raise SingularMatrixError(
             f"solve: zero row at index {int(np.flatnonzero(row_max == 0.0)[0])}")
     d = 1.0 / row_max
-    scaled = sp.csr_matrix(
-        (A.values * np.repeat(d, np.diff(A.row_offsets)), A.col_indices, A.row_offsets),
-        shape=(A.n, A.n))
+    scaled = sp.csr_matrix((A.data * np.repeat(d, row_len), A.indices, A.indptr), shape=A.shape)
     lu, a_max = _factor(scaled, "solve (row-equilibrated)")
     return _refined_solve(lu, scaled, a_max, d * b, "solve (row-equilibrated)")
 
 
-@dataclass
-class _BlockPlan:
-    """Where the free-dof blocks of one sparsity pattern sit in its CSR data."""
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    fixed: np.ndarray
-    free_u: np.ndarray
-    free_c: np.ndarray
-    blocks: dict            # "uu" / "cc" -> (data slots, block CSR matrix)
+class BlockSolver:
+    """Newton updates of the block upper-triangular coupled Jacobian.
 
-    @classmethod
-    def build(cls, jac, fixed):
-        n = jac.n
-        rows = np.repeat(np.arange(n), np.diff(jac.row_offsets))
-        cols = jac.col_indices
+    Dofs are node-major, (u_x, u_y, c) per node. One solver serves one run,
+    planned from the Jacobian's CSR pattern (``indptr``, ``indices``) and
+    the constrained dofs: a K_cu entry raises ValueError, and each free-dof
+    block gets its slots in the CSR data and a CSR matrix that every update
+    refills. ``factors`` counts the fresh factorizations and ``reused`` the
+    block solves a kept factor served.
+    """
+
+    def __init__(self, indptr, indices, fixed_dofs):
+        n = indptr.size - 1
+        rows = np.repeat(np.arange(n), np.diff(indptr))
         is_c = np.arange(n) % 3 == 2
-        cu = np.flatnonzero(is_c[rows] & ~is_c[cols])
+        cu = np.flatnonzero(is_c[rows] & ~is_c[indices])
         if cu.size:
             raise ValueError(
                 f"BlockSolver: Jacobian is not block upper-triangular: concentration "
-                f"row {rows[cu[0]]} has an entry in displacement column {cols[cu[0]]}")
+                f"row {rows[cu[0]]} has an entry in displacement column {indices[cu[0]]}")
         free = np.ones(n, dtype=bool)
-        free[fixed] = False
-        blocks, free_sets = {}, {}
+        free[np.asarray(fixed_dofs, dtype=np.int64)] = False
+        self._shape = (n, n, indices.size)
+        self._blocks = {}       # "uu" / "cc" -> (free dofs, data slots, block CSR matrix)
         for name, mask in (("uu", free & ~is_c), ("cc", free & is_c)):
             dofs = np.flatnonzero(mask)
             local = np.full(n, -1, dtype=np.int32)     # scipy's CSR index type
             local[dofs] = np.arange(dofs.size)
             # in-order selection with an increasing renumbering keeps the
             # block's column indices sorted within each row
-            slots = np.flatnonzero(mask[rows] & mask[cols])
+            slots = np.flatnonzero(mask[rows] & mask[indices])
             counts = np.bincount(local[rows[slots]], minlength=dofs.size)
-            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+            block_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
             # each solve writes the block's entries into this matrix's data
-            blocks[name] = (slots, sp.csr_matrix(
-                (np.zeros(slots.size), local[cols[slots]], indptr),
+            self._blocks[name] = (dofs, slots, sp.csr_matrix(
+                (np.zeros(slots.size), local[indices[slots]], block_indptr),
                 shape=(dofs.size, dofs.size)))
-            free_sets[name] = dofs
-        return cls(jac.row_offsets.copy(), jac.col_indices.copy(), fixed.copy(),
-                   free_sets["uu"], free_sets["cc"], blocks)
-
-    def matches(self, jac, fixed):
-        return (np.array_equal(self.fixed, fixed)
-                and np.array_equal(self.row_offsets, jac.row_offsets)
-                and np.array_equal(self.col_indices, jac.col_indices))
-
-
-class BlockSolver:
-    """Newton updates of the block upper-triangular coupled Jacobian.
-
-    Dofs are node-major, (u_x, u_y, c) per node. One solver serves one run:
-    it holds the block plan of the current sparsity pattern, checked once
-    per pattern for a K_cu entry, and up to KEPT_FACTORS factors per block,
-    most recently used first. ``factors`` counts the fresh factorizations
-    and ``reused`` the block solves a kept factor served.
-    """
-
-    def __init__(self):
-        self._plan = None
         self._kept = {"uu": [], "cc": []}      # SuperLU factors, most recent first
         self.factors = 0
         self.reused = 0
 
-    def newton_update(self, jac, res, fixed_dofs):
-        """dw with J dw = -res on the free dofs and dw = 0 on ``fixed_dofs``.
+    def newton_update(self, jac, res):
+        """dw with J dw = -res on the free dofs and dw = 0 on the fixed ones.
 
-        Each block is solved by refinement against a kept factor when that
-        reaches a roundoff-level backward error, and is factored afresh
-        otherwise (see the module docstring). Raises ValueError if J has a
-        K_cu entry and SingularMatrixError if a freshly factored block is
-        singular.
+        ``jac`` is a CSR matrix with the planned pattern. Each block is
+        solved by refinement against a kept factor when that reaches a
+        roundoff-level backward error, and is factored afresh otherwise (see
+        the module docstring). Raises ValueError if J does not have the
+        planned shape or has an entry that is not finite, and
+        SingularMatrixError if a freshly factored block is singular.
         """
-        fixed = np.asarray(fixed_dofs, dtype=np.int64)
-        if self._plan is None or not self._plan.matches(jac, fixed):
-            self._plan = _BlockPlan.build(jac, fixed)
-            for kept in self._kept.values():
-                kept.clear()
-        plan = self._plan
+        if jac.shape + (jac.nnz,) != self._shape:
+            raise ValueError(f"newton_update: Jacobian of shape {jac.shape} with {jac.nnz} "
+                             f"entries does not have the planned pattern")
+        if not np.all(np.isfinite(jac.data)):
+            raise ValueError("newton_update: Jacobian entries must be finite")
         res = np.asarray(res, dtype=float)
-        dw = np.zeros(jac.n)
-        dw[plan.free_c] = self._block_solve("cc", jac.values, -res[plan.free_c])
+        free_u, free_c = self._blocks["uu"][0], self._blocks["cc"][0]
+        dw = np.zeros(jac.shape[0])
+        dw[free_c] = self._block_solve("cc", jac.data, -res[free_c])
         # with du = 0, (J dw)_u = K_uc dc
-        coupling = jac.matvec(dw)[plan.free_u]
-        dw[plan.free_u] = self._block_solve("uu", jac.values, -res[plan.free_u] - coupling)
+        coupling = (jac @ dw)[free_u]
+        dw[free_u] = self._block_solve("uu", jac.data, -res[free_u] - coupling)
         return dw
 
     def _block_solve(self, name, values, rhs):
         if rhs.size == 0:
             return rhs
-        slots, A = self._plan.blocks[name]
+        _, slots, A = self._blocks[name]
         # the slots are in range; "clip" lets take write into A.data unbuffered
         np.take(values, slots, out=A.data, mode="clip")
         a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
@@ -348,7 +265,7 @@ class BlockSolver:
 
 
 def apply_dirichlet(A, b, constraints):
-    """Impose dof values on the system; returns new (A, b).
+    """Impose dof values on the CSR system (A, b); returns new (A, b).
 
     Constrained rows become identity rows with the prescribed value on the
     right-hand side; constrained columns are eliminated by moving the known
@@ -356,15 +273,16 @@ def apply_dirichlet(A, b, constraints):
     one dof raise ValueError; re-applying the same constraint set is a
     no-op on the already-constrained system.
     """
+    n = A.shape[0]
     b = np.asarray(b, dtype=float).copy()
-    if b.shape != (A.n,):
-        raise ValueError(f"apply_dirichlet: rhs length {b.shape} does not match n={A.n}")
+    if b.shape != (n,):
+        raise ValueError(f"apply_dirichlet: rhs length {b.shape} does not match n={n}")
 
     fixed = {}
     for dof, value in constraints:
         dof = int(dof)
-        if dof < 0 or dof >= A.n:
-            raise IndexError(f"apply_dirichlet: dof {dof} outside [0, {A.n})")
+        if dof < 0 or dof >= n:
+            raise IndexError(f"apply_dirichlet: dof {dof} outside [0, {n})")
         if dof in fixed and fixed[dof] != value:
             raise ValueError(f"apply_dirichlet: conflicting constraints on dof {dof}: "
                              f"{fixed[dof]} vs {value}")
@@ -374,21 +292,20 @@ def apply_dirichlet(A, b, constraints):
 
     dofs = np.fromiter(fixed.keys(), dtype=np.int64)
     vals = np.fromiter(fixed.values(), dtype=float)
-    mask = np.zeros(A.n, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
     mask[dofs] = True
 
     # Move known column products to the RHS before dropping the columns.
-    csr = A.scipy_csr()
-    full_vals = np.zeros(A.n)
+    full_vals = np.zeros(n)
     full_vals[dofs] = vals
-    b -= csr @ full_vals
+    b -= A @ full_vals
 
-    coo = csr.tocoo()
+    coo = A.tocoo()
     keep = ~mask[coo.row] & ~mask[coo.col]
     rows = np.concatenate([coo.row[keep], dofs])
     cols = np.concatenate([coo.col[keep], dofs])
     data = np.concatenate([coo.data[keep], np.ones(dofs.size)])
-    A_new = SparseMatrix(sp.coo_matrix((data, (rows, cols)), shape=(A.n, A.n)).tocsr())
+    A_new = sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
 
     b[dofs] = vals
     return A_new, b

@@ -19,10 +19,12 @@ and the plastic points' corrections) is built at a step's first iterate and
 after that only for a Newton update, so a step builds max(updates, 1) of
 them; the roundoff floors of an iterate come from the last one built.
 
-Newton updates come from one ``sparse_linalg.BlockSolver`` per run, which
-solves the block upper-triangular Jacobian block by block. It keeps the
-last two factors of each block and solves a changed block by refinement
-against a kept factor, refactoring only when that does not reach a
+The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
+Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
+next to the other per-run data from that pattern and the boundary plan's
+constrained dofs. It solves the block upper-triangular Jacobian block by
+block, keeps the last two factors of each block and refactors a changed
+block only when refinement against a kept factor does not reach a
 roundoff-level backward error; so the elastic K_uu, the one-way K_cc and
 the slowly changing two-way K_cc are factored a few times per run. Each
 step records which of the four Newton exits it took (NEWTON_EXITS), how
@@ -115,8 +117,8 @@ class TimeHistory:
         return np.array([s[name][key] for s in self.samples])
 
 
-def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver,
-                  refs=None, fixed=None):
+def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, refs,
+                  fixed):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence, backtracking, and floors are judged per physics block
@@ -132,12 +134,12 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
     so quiescent hold phases are not asked to out-resolve the yield-surface
     jitter of points flipping between the elastic and plastic branch.
 
-    ``block_solver`` (a ``sparse_linalg.BlockSolver``) computes the updates
-    and keeps its factors across calls; the StepInfo counts the factors it
-    computed and the block solves its kept factors served in this solve.
-    ``plan`` is the run's ``assembly.BoundaryPlan``; the boundary load at
-    ``t_new`` is computed once and subtracted from every residual. ``fixed`` is the run's
-    ``assembly.FixedJacobian`` (made here if omitted). Every iterate costs
+    ``block_solver`` (the run's ``sparse_linalg.BlockSolver``) computes the
+    updates and keeps its factors across calls; the StepInfo counts the
+    factors it computed and the block solves its kept factors served in this
+    solve. ``plan`` is the run's ``assembly.BoundaryPlan``; the boundary load
+    at ``t_new`` is computed once and subtracted from every residual.
+    ``fixed`` is the run's ``assembly.FixedJacobian``. Every iterate costs
     one residual pass. A Jacobian is built from that pass at the first
     iterate and after that only for a Newton update; the roundoff floors of
     an iterate come from the last Jacobian built.
@@ -147,12 +149,10 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
     """
     mesh = scenario.mesh
     params = scenario.params if config.plasticity else scenario.params.as_elastic()
-    fixed = fixed if fixed is not None else fixed_jacobian(ed, params)
     dm = DofMap(mesh.n_nodes)
     fixed_dofs = plan.fixed_dofs
     load = neumann_load_vector(plan, t_new)
     strain_n = element_strain(ed, fields_n.u, mesh.tris)
-    refs = refs if refs is not None else {"u": 0.0, "c": 0.0}
     counts_0 = (block_solver.factors, block_solver.reused)
 
     def block_norms(vec):
@@ -165,7 +165,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
     def block_floors(jac, w_vec):
         # FP-error bound of evaluating each block's residual at w: below
         # this level the dimensional norm carries no information
-        jw = np.abs(jac.scipy_csr()) @ np.abs(w_vec)
+        jw = abs(jac) @ np.abs(w_vec)
         fu, fc = block_norms(jw)
         eps20 = 20.0 * np.finfo(float).eps
         return eps20 * fu, eps20 * fc
@@ -238,7 +238,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
             jac = assemble_jacobian(ed, fixed, it, dt)
             jacobians += 1
         try:
-            dw = block_solver.newton_update(jac, res, fixed_dofs)
+            dw = block_solver.newton_update(jac, res)
         except sparse_linalg.SingularMatrixError as err:
             raise StepFailure(f"linear solve failed at t={t_new:g}: {err}") from err
         n_solves += 1
@@ -264,24 +264,26 @@ def step(fields_n, t_n, dt, scenario, config, elem_data=None, plan=None,
 
     ``elem_data``, ``plan`` and ``fixed`` are the run's assembly plan,
     boundary plan and fixed Jacobian data (``precompute``, ``plan_boundary``,
-    ``fixed_jacobian``; made here if omitted).
-    ``block_solver`` computes the Newton updates; pass the run's solver so
-    that its kept factors carry over between steps (a fresh one is made if
-    omitted). Returns (fields at t_n + dt, StepInfo). Raises StepFailure
-    when the Newton solve cannot be completed.
+    ``fixed_jacobian``), and ``newton_refs`` its largest starting block
+    residuals. ``block_solver`` computes the Newton updates; pass the run's
+    solver so that its kept factors carry over between steps. Whatever is
+    omitted is made here for this step. Returns (fields at t_n + dt,
+    StepInfo). Raises StepFailure when the Newton solve cannot be completed.
     """
     ed = elem_data if elem_data is not None else precompute(scenario.mesh)
     plan = plan if plan is not None else plan_boundary(scenario.mesh, scenario.bcs)
+    fixed = fixed if fixed is not None else fixed_jacobian(ed, scenario.params)
+    if block_solver is None:
+        block_solver = sparse_linalg.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+    newton_refs = newton_refs if newton_refs is not None else {"u": 0.0, "c": 0.0}
     dm = DofMap(scenario.mesh.n_nodes)
-    block_solver = block_solver or sparse_linalg.BlockSolver()
     t_new = t_n + dt
 
     w = dm.join(fields_n.u, fields_n.c)
     w[plan.fixed_dofs] = dirichlet_values(plan, t_new)
 
     w, new_states, sigma_h, info = _newton_solve(
-        w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, refs=newton_refs,
-        fixed=fixed)
+        w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, newton_refs, fixed)
     u, c = dm.split(w)
     return FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h), info
 
@@ -332,7 +334,7 @@ def initial_fields(scenario):
     return FieldState.zeros(scenario.mesh, c0=scenario.c_initial)
 
 
-def run(scenario, config, elem_data=None, progress_cb=None):
+def run(scenario, config, progress_cb=None):
     """March the scenario from t = 0 to t_end, recording probes every step.
 
     On a step failure the time step is halved (up to config.max_halvings)
@@ -341,9 +343,10 @@ def run(scenario, config, elem_data=None, progress_cb=None):
     committed step. Raises RunAborted when the halvings are exhausted.
     """
     mesh = scenario.mesh
-    ed = elem_data if elem_data is not None else precompute(mesh)
+    ed = precompute(mesh)
     plan = plan_boundary(mesh, scenario.bcs)
     fixed = fixed_jacobian(ed, scenario.params)
+    block_solver = sparse_linalg.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
     sampler = ProbeSampler(mesh, scenario.probes, ed)
     # lumped nodal masses: a third of each element's area per vertex
     masses = np.bincount(mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),
@@ -355,7 +358,6 @@ def run(scenario, config, elem_data=None, progress_cb=None):
     t_end = config.t_end
     step_no = 0
     newton_refs = {"u": 0.0, "c": 0.0}
-    block_solver = sparse_linalg.BlockSolver()
 
     while t < t_end * (1.0 - 1e-12):
         # a remainder equal to dt up to roundoff takes the full dt

@@ -180,7 +180,8 @@ class TestUpdateStress:
         params = replace(steel, sigma_y0=400e6, hardening_kind=kind, H=2.1e9, h=2.1e9)
         state = ct.MaterialState.zeros(())
         d0 = np.array([3e-3, -1e-3, 0.0, 1.2e-3])
-        new, tan = ct.update_stress(state, d0, 0.0, params, return_tangent=True)
+        new, plastic = ct.update_stress(state, d0, 0.0, params, return_tangent=True)
+        tan = plastic.tangent(params, ())
         assert new.eps_p_eq > 0
         step = 1e-9
         fd = np.zeros((4, 4))
@@ -248,9 +249,8 @@ def hardening(request, steel):
 class TestCompactReturnMap:
     def test_matches_dense_reference(self, hardening, rng):
         state, d_eps, d_c = _mixed_batch(hardening, rng)
-        new, tangent = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True)
-        _, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True,
-                                      compact=True)
+        new, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True)
+        tangent = plastic.tangent(hardening, d_c.shape)
         ref, ref_tangent = _dense_return_map(state, d_eps, d_c, hardening)
         assert 0.1 < plastic.index.size / d_c.size < 0.6       # a mixed batch
         for name in ("sigma", "eps_p", "back_stress", "eps_p_eq"):
@@ -260,8 +260,7 @@ class TestCompactReturnMap:
 
     def test_elastic_points_keep_trial_state(self, hardening, rng):
         state, d_eps, d_c = _mixed_batch(hardening, rng)
-        new, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True,
-                                        compact=True)
+        new, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True)
         elastic = np.ones(d_c.shape, dtype=bool)
         elastic.flat[plastic.index] = False
         trial = ct.update_stress(state, d_eps, d_c, hardening.as_elastic())
@@ -273,8 +272,7 @@ class TestCompactReturnMap:
         # the plastic tangent correction is deviatoric, so the K_uc coupling
         # (tangent times [1, 1, 1, 0]) is the elastic one at every iterate
         state, d_eps, d_c = _mixed_batch(hardening, rng)
-        _, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True,
-                                      compact=True)
+        _, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True)
         assert plastic.index.size > 0
         c_max = np.abs(ct.elastic_stiffness_eng(hardening)).max()
         swell = plastic.correction() @ np.array([1.0, 1.0, 1.0, 0.0])
@@ -283,8 +281,7 @@ class TestCompactReturnMap:
     def test_elastic_material_has_no_plastic_points(self, steel, rng):
         state = ct.MaterialState.zeros((7, 3))
         new, plastic = ct.update_stress(state, rng.normal(scale=1e-2, size=(7, 3, 4)),
-                                        np.zeros((7, 3)), steel, return_tangent=True,
-                                        compact=True)
+                                        np.zeros((7, 3)), steel, return_tangent=True)
         assert plastic.index.size == 0
         assert np.array_equal(plastic.tangent(steel, (7, 3)),
                               np.broadcast_to(ct.elastic_stiffness_eng(steel), (7, 3, 4, 4)))

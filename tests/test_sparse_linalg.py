@@ -12,7 +12,7 @@ class TestFromTriplets:
 
     def test_single_entry_matvec(self):
         A = sla.from_triplets(2, [(1, 1, 5.0)])
-        assert np.allclose(A.matvec([0.0, 1.0]), [0.0, 5.0])
+        assert np.allclose(A @ np.array([0.0, 1.0]), [0.0, 5.0])
 
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
@@ -28,9 +28,9 @@ class TestFromTriplets:
         A = sla.from_triplets(n, list(zip(rows, cols, vals)))
         perm = rng.permutation(60)
         B = sla.from_triplets(n, list(zip(rows[perm], cols[perm], vals[perm])))
-        assert np.array_equal(A.row_offsets, B.row_offsets)
-        assert np.array_equal(A.col_indices, B.col_indices)
-        assert np.allclose(A.values, B.values, rtol=0, atol=1e-15)
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)
+        assert np.allclose(A.data, B.data, rtol=0, atol=1e-15)
 
     def test_csr_invariants(self, rng):
         n = 9
@@ -38,7 +38,7 @@ class TestFromTriplets:
                                   zip(rng.integers(0, n, 40), rng.integers(0, n, 40),
                                       rng.normal(size=40))])
         for r in range(n):
-            cols = A.col_indices[A.row_offsets[r]:A.row_offsets[r + 1]]
+            cols = A.indices[A.indptr[r]:A.indptr[r + 1]]
             assert np.all(np.diff(cols) > 0)
 
 
@@ -74,7 +74,7 @@ class TestSolve:
             A = sla.from_triplets(n, entries)
             b = rng.normal(size=n)
             x = sla.solve(A, b)
-            assert np.linalg.norm(A.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
+            assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_shape_mismatch(self):
         A = sla.from_triplets(2, [(0, 0, 1.0), (1, 1, 1.0)])
@@ -148,9 +148,14 @@ def _block_triangular(rng, n_nodes=3):
 
 def _perturbed(A, rel, rng):
     """A with every entry scaled by an independent factor in [1 - rel, 1 + rel]."""
-    csr = A.scipy_csr().copy()
-    csr.data *= 1.0 + rel * rng.uniform(-1.0, 1.0, size=csr.nnz)
-    return sla.SparseMatrix(csr)
+    B = A.copy()
+    B.data *= 1.0 + rel * rng.uniform(-1.0, 1.0, size=B.nnz)
+    return B
+
+
+def _solver(A, fixed=()):
+    """A BlockSolver planned for the pattern of ``A``."""
+    return sla.BlockSolver(A.indptr, A.indices, np.asarray(fixed, dtype=int))
 
 
 class _CountingFactor:
@@ -188,30 +193,41 @@ def factors(monkeypatch):
 class TestBlockSolver:
     def test_update_solves_free_system(self, rng):
         A = _block_triangular(rng)
-        res = rng.normal(size=A.n)
+        res = rng.normal(size=A.shape[0])
         fixed = np.array([0, 5])
-        dw = sla.BlockSolver().newton_update(A, res, fixed)
-        free = np.setdiff1d(np.arange(A.n), fixed)
+        dw = _solver(A, fixed).newton_update(A, res)
+        free = np.setdiff1d(np.arange(A.shape[0]), fixed)
         assert np.all(dw[fixed] == 0.0)
         J = A.toarray()[np.ix_(free, free)]
         assert np.linalg.norm(J @ dw[free] + res[free]) <= 1e-12 * np.linalg.norm(res)
 
     def test_k_cu_entry_rejected(self, rng):
         A = _block_triangular(rng)
-        csr = A.scipy_csr().tolil()
-        csr[2, 3] = 1e-3            # concentration row 2, displacement column 3
+        lil = A.tolil()
+        lil[2, 3] = 1e-3            # concentration row 2, displacement column 3
         with pytest.raises(ValueError, match="block upper-triangular"):
-            sla.BlockSolver().newton_update(sla.SparseMatrix(csr.tocsr()),
-                                            np.ones(A.n), np.array([], dtype=int))
+            _solver(lil.tocsr())
+
+    def test_non_finite_entry_rejected(self, rng):
+        A = _block_triangular(rng)
+        solver = _solver(A)
+        A.data[4] = np.nan
+        with pytest.raises(ValueError, match="entries must be finite"):
+            solver.newton_update(A, np.ones(A.shape[0]))
+
+    def test_other_pattern_rejected(self, rng):
+        solver = _solver(_block_triangular(rng))
+        B = _block_triangular(rng, n_nodes=4)
+        with pytest.raises(ValueError, match="planned pattern"):
+            solver.newton_update(B, np.ones(B.shape[0]))
 
     def test_equal_block_factors_nothing_new(self, rng, factors):
         A = _block_triangular(rng)
-        res = rng.normal(size=A.n)
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
-        first = solver.newton_update(A, res, none)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        first = solver.newton_update(A, res)
         assert [f.n for f in factors] == [3, 6]      # K_cc (3 dofs), then K_uu (6)
-        again = solver.newton_update(A, res, none)
+        again = solver.newton_update(A, res)
         assert len(factors) == 2
         assert [f.solves for f in factors] == [2, 2]  # one solve each, no refinement step
         assert np.array_equal(again, first)
@@ -220,30 +236,28 @@ class TestBlockSolver:
     def test_small_change_reuses_kept_factor(self, rng, factors):
         A = _block_triangular(rng, n_nodes=8)
         B = _perturbed(A, 1e-6, rng)
-        res = rng.normal(size=A.n)
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
-        solver.newton_update(A, res, none)
-        dw = solver.newton_update(B, res, none)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        solver.newton_update(A, res)
+        dw = solver.newton_update(B, res)
         assert len(factors) == 2 and solver.reused == 2
-        ref = sla.BlockSolver().newton_update(B, res, none)
-        is_u = np.arange(A.n) % 3 != 2
+        ref = _solver(B).newton_update(B, res)
+        is_u = np.arange(A.shape[0]) % 3 != 2
         for block in (is_u, ~is_u):
             assert np.linalg.norm(dw[block] - ref[block]) <= 1e-12 * np.linalg.norm(ref[block])
 
     def test_large_change_refactors_after_one_solve(self, rng, factors):
         A = _block_triangular(rng, n_nodes=8)
         B = _perturbed(A, 0.05, rng)
-        res = rng.normal(size=A.n)
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
-        solver.newton_update(A, res, none)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        solver.newton_update(A, res)
         before = [f.solves for f in factors]
-        dw = solver.newton_update(B, res, none)
+        dw = solver.newton_update(B, res)
         assert [f.n for f in factors] == [8, 16, 8, 16]      # K_cc, K_uu; twice
         assert [f.solves - s for f, s in zip(factors, before)] == [1, 1]
         assert (solver.factors, solver.reused) == (4, 0)
-        assert np.linalg.norm(B.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
+        assert np.linalg.norm(B @ dw + res) <= 1e-12 * np.linalg.norm(res)
 
     def test_kept_factor_needs_roundoff_backward_error(self, rng, factors, monkeypatch):
         # with the roundoff target out of float64's reach, refinement of a
@@ -251,28 +265,26 @@ class TestBlockSolver:
         monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
         A = _block_triangular(rng, n_nodes=8)
         B = _perturbed(A, 1e-6, rng)
-        res = rng.normal(size=A.n)
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
-        solver.newton_update(A, res, none)
-        dw = solver.newton_update(B, res, none)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        solver.newton_update(A, res)
+        dw = solver.newton_update(B, res)
         assert len(factors) == 4 and solver.reused == 0
         for kept in factors[:2]:
             b_norm, *residuals = kept.rhs_norms[1:]      # B's update
             assert min(residuals) <= sla.SOLVE_TOL * b_norm
-        assert np.linalg.norm(B.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
+        assert np.linalg.norm(B @ dw + res) <= 1e-12 * np.linalg.norm(res)
 
     def test_block_turning_singular_still_raises(self, rng):
         A = _block_triangular(rng)
         dense = A.toarray()
         dense[3] = dense[0]                       # two equal displacement rows
-        B = sla.SparseMatrix(sp.csr_matrix(dense))
-        assert np.array_equal(B.col_indices, A.col_indices)    # same pattern
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
-        solver.newton_update(A, np.ones(A.n), none)
+        B = sp.csr_matrix(dense)
+        assert np.array_equal(B.indices, A.indices)    # same pattern
+        solver = _solver(A)
+        solver.newton_update(A, np.ones(A.shape[0]))
         with pytest.raises(sla.SingularMatrixError, match="K_uu"):
-            solver.newton_update(B, rng.normal(size=A.n), none)
+            solver.newton_update(B, rng.normal(size=A.shape[0]))
 
     def test_singular_block_with_consistent_rhs_solved_by_kept_factor(self, rng):
         # the equal rows see equal right-hand sides: the system has solutions,
@@ -281,34 +293,31 @@ class TestBlockSolver:
         A = _block_triangular(rng)
         dense = A.toarray()
         dense[3] = dense[0]
-        B = sla.SparseMatrix(sp.csr_matrix(dense))
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
-        solver.newton_update(A, np.ones(A.n), none)
-        dw = solver.newton_update(B, np.ones(A.n), none)
+        B = sp.csr_matrix(dense)
+        solver = _solver(A)
+        solver.newton_update(A, np.ones(A.shape[0]))
+        dw = solver.newton_update(B, np.ones(A.shape[0]))
         assert solver.factors == 2
-        assert np.linalg.norm(B.matvec(dw) + 1.0) <= 1e-12 * np.sqrt(A.n)
+        assert np.linalg.norm(B @ dw + 1.0) <= 1e-12 * np.sqrt(A.shape[0])
 
     def test_alternating_blocks_factor_twice(self, rng, factors):
         A, B = _block_triangular(rng), _block_triangular(rng)
-        res = rng.normal(size=A.n)
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
         for M in (A, B, A, B):
-            dw = solver.newton_update(M, res, none)
-            assert np.linalg.norm(M.matvec(dw) + res) <= 1e-12 * np.linalg.norm(res)
+            dw = solver.newton_update(M, res)
+            assert np.linalg.norm(M @ dw + res) <= 1e-12 * np.linalg.norm(res)
         assert [f.n for f in factors] == [3, 6, 3, 6]
         assert (solver.factors, solver.reused) == (4, 4)
 
     def test_least_recently_used_factor_dropped(self, rng, factors):
         A, B, C = (_block_triangular(rng) for _ in range(3))
-        res = rng.normal(size=A.n)
-        none = np.array([], dtype=int)
-        solver = sla.BlockSolver()
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
         fresh = []
         for M in (A, B, A, C, A, B):
             n_before = len(factors)
-            solver.newton_update(M, res, none)
+            solver.newton_update(M, res)
             fresh.append(len(factors) > n_before)
         # C drops B's factors (A's were used after B's); A keeps its own
         assert fresh == [True, True, False, True, False, True]
@@ -318,4 +327,4 @@ class TestBlockSolver:
         A[3] = A[0]                               # two equal displacement rows
         M = sla.from_triplets(A.shape[0], [(i, j, A[i, j]) for i, j in zip(*np.nonzero(A))])
         with pytest.raises(sla.SingularMatrixError, match="K_uu"):
-            sla.BlockSolver().newton_update(M, np.ones(M.n), np.array([], dtype=int))
+            _solver(M).newton_update(M, np.ones(M.shape[0]))
