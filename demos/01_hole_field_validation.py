@@ -42,7 +42,7 @@ scenario = sc.build_scenario(config)
 print(f"mesh: {scenario.mesh.n_nodes} nodes, {scenario.mesh.n_elements} elements")
 
 t0 = time.perf_counter()
-history, fields = tr.run(scenario, scenario.solver)
+history, fields = tr.run(scenario)
 print(f"marched {len(history.times)} steps to steady state in {time.perf_counter() - t0:.1f} s")
 
 rows = sc.analytic_comparison(scenario, fields)

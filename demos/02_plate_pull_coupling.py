@@ -38,7 +38,7 @@ out_dir.mkdir(exist_ok=True)
 for mode in ("oneway", "twoway"):
     config = sc.load_config(CONFIG.format(mode=mode))
     scenario = sc.build_scenario(config)
-    history, fields = tr.run(scenario, scenario.solver)
+    history, fields = tr.run(scenario)
     sc.write_probe_csv(history, scenario, out_dir / f"plate_probes_{mode}.csv")
 
     cA = history.probe_series("A", "c")

@@ -45,7 +45,7 @@ R_VOID = 2.5e-6
 def run(ri, mode, plast, extra=""):
     config = sc.load_config(CONFIG.format(ri=ri, mode=mode, plast=plast) + extra)
     scenario = sc.build_scenario(config)
-    history, fields = tr.run(scenario, scenario.solver)
+    history, fields = tr.run(scenario)
     return scenario, history, fields
 
 

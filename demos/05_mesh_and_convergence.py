@@ -59,7 +59,7 @@ infinite_plate = 1.3 * 100e6
 for h in (0.012, 0.008, 0.005):
     config = sc.load_config(CONFIG.format(h=h))
     scenario = sc.build_scenario(config)
-    history, fields = tr.run(scenario, scenario.solver)
+    history, fields = tr.run(scenario)
     nodes, angles = sc.hole_boundary_angles(scenario.mesh)
     top = nodes[np.argmin(np.abs(angles - math.pi / 2))]
     val = fields.sigma_h_nodal[top]

@@ -2,85 +2,36 @@
 
 Provides the analytical fields used to verify the finite-element solver:
 the hydrostatic-stress and equilibrium-concentration fields around a
-circular hole in a remotely loaded plate, a Lambert-W kernel, a 1-D
-transient-diffusion eigenfunction series, and the nondimensional scales
-used to normalize solver output.
+circular hole in a remotely loaded plate, the real Lambert W function (from
+scipy), a 1-D transient-diffusion eigenfunction series, and the
+nondimensional scales used to normalize solver output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 GAS_CONSTANT = 8.314  # J/(mol K)
 
 _INV_E = np.exp(-1.0)
 
 
-def lambert_w(x, tol=1e-13, max_iter=50):
+def lambert_w(x):
     """Principal branch of the Lambert W function, w * exp(w) = x.
 
-    Accepts scalars or arrays; requires x >= -1/e. Uses a region-dependent
-    initial guess (branch-point series, small-x series, or the asymptotic
-    log-log expansion) refined by Halley iteration.
-
-    Raises
-    ------
-    ValueError
-        If any input lies below -1/e (no real principal value).
-    RuntimeError
-        If the iteration fails to reach |w exp(w) - x| <= tol * max(1, |x|)
-        within ``max_iter`` sweeps (not expected on the real branch).
+    Accepts scalars or arrays; requires x >= -1/e. The values are those of
+    ``scipy.special.lambertw`` on the real branch. The float -exp(-1) lies
+    just below the true -1/e, where scipy returns nan; it is mapped to the
+    branch point W = -1. Raises ValueError below -1/e (no real value).
     """
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    z = np.atleast_1d(x_arr).copy()
-
-    if np.any(z < -_INV_E):
-        bad = z[z < -_INV_E]
+    if np.any(x_arr < -_INV_E):
+        bad = x_arr[x_arr < -_INV_E]
         raise ValueError(f"lambert_w: argument {bad[0]:.17g} below -1/e has no real principal value")
-
-    w = np.empty_like(z)
-
-    # Branch-point series in p = sqrt(2(e x + 1)), accurate to O(p^4).
-    near = z < -0.25
-    if np.any(near):
-        p = np.sqrt(np.maximum(2.0 * (np.e * z[near] + 1.0), 0.0))
-        w[near] = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-
-    small = (~near) & (z < 1.0)
-    if np.any(small):
-        zs = z[small]
-        w[small] = zs * (1.0 - zs + 1.5 * zs * zs)
-
-    mid = (~near) & (~small) & (z <= np.e)
-    if np.any(mid):
-        w[mid] = np.log1p(z[mid]) * 0.8
-
-    large = z > np.e
-    if np.any(large):
-        l1 = np.log(z[large])
-        l2 = np.log(l1)
-        w[large] = l1 - l2 + l2 / l1
-
-    target = tol * np.maximum(1.0, np.abs(z))
-    for _ in range(max_iter):
-        ew = np.exp(w)
-        f = w * ew - z
-        if np.all(np.abs(f) <= target):
-            break
-        wp1 = w + 1.0
-        # Halley step; wp1 never vanishes on the principal branch interior,
-        # guard anyway so a transient iterate cannot divide by zero.
-        wp1 = np.where(np.abs(wp1) < 1e-30, 1e-30, wp1)
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-    else:
-        ew = np.exp(w)
-        if np.any(np.abs(w * ew - z) > target):
-            raise RuntimeError("lambert_w: Halley iteration did not converge")
-
-    return float(w[0]) if scalar else w.reshape(x_arr.shape)
+    w = np.where(x_arr == -_INV_E, -1.0, lambertw(x_arr).real)
+    return float(w) if x_arr.ndim == 0 else w
 
 
 @dataclass
@@ -117,7 +68,7 @@ class AnalyticParams:
         return 2.0 * self.alpha_c * self.V_H * self.E / (9.0 * (1.0 - self.nu) * self.R * self.T)
 
 
-def hole_hydrostatic(r, beta, params, beta_offset=0.0):
+def hole_hydrostatic(r, beta, params):
     """Hydrostatic stress around a circular hole under remote uniaxial
     tension p (tension-positive) along beta = 0, in plane strain.
 
@@ -128,11 +79,10 @@ def hole_hydrostatic(r, beta, params, beta_offset=0.0):
 
     and plane strain adds sigma_zz = nu (sigma_rr + sigma_tt), so
 
-        sigma_h = (1 + nu) p / 3 * (1 - 2 R0^2 / r^2 * cos(2 (beta + beta_offset))).
+        sigma_h = (1 + nu) p / 3 * (1 - 2 R0^2 / r^2 * cos 2 beta).
 
     It is (1 + nu) p / 3 far from the hole and -(1 + nu) p / 3 where the load
-    axis meets the hole. ``beta_offset`` selects the angular convention (0
-    or pi/2) when comparing against a numerically computed field.
+    axis meets the hole.
 
     Raises ValueError for sample points inside the hole (r < R0).
     """
@@ -141,17 +91,17 @@ def hole_hydrostatic(r, beta, params, beta_offset=0.0):
         raise ValueError("hole_hydrostatic: r < R0 lies inside the hole")
     beta_arr = np.asarray(beta, dtype=float)
     out = ((1.0 + params.nu) * params.p / 3.0) * (
-        1.0 - 2.0 * params.R0**2 / r_arr**2 * np.cos(2.0 * (beta_arr + beta_offset))
+        1.0 - 2.0 * params.R0**2 / r_arr**2 * np.cos(2.0 * beta_arr)
     )
     return float(out) if np.ndim(out) == 0 else out
 
 
-def hole_concentration(r, beta, params, beta_offset=0.0):
+def hole_concentration(r, beta, params):
     """Equilibrium concentration around the hole, Lambert-W closed form.
 
     Evaluates the printed composition
 
-        A = C0 * exp(-k * (2 (1+nu) R0^2 p / (3 r^2)) * cos(2 (beta+offset)) + C0 * Q)
+        A = C0 * exp(-k * (2 (1+nu) R0^2 p / (3 r^2)) * cos(2 beta) + C0 * Q)
         C = A * exp(-W(A))
 
     which is identically W(A). With p tension-positive (``AnalyticParams``)
@@ -165,7 +115,7 @@ def hole_concentration(r, beta, params, beta_offset=0.0):
         raise ValueError("hole_concentration: r < R0 lies inside the hole")
     beta_arr = np.asarray(beta, dtype=float)
     g = (2.0 * (1.0 + params.nu) * params.R0**2 * params.p) / (3.0 * r_arr**2)
-    a = params.C0 * np.exp(-params.k * g * np.cos(2.0 * (beta_arr + beta_offset)) + params.C0 * params.Q)
+    a = params.C0 * np.exp(-params.k * g * np.cos(2.0 * beta_arr) + params.C0 * params.Q)
     c = a * np.exp(-lambert_w(a))
     return float(c) if np.ndim(c) == 0 else c
 
@@ -215,7 +165,7 @@ class NondimScales:
             if getattr(self, name) <= 0:
                 raise ValueError(f"NondimScales: {name} must be positive")
 
-    # forward maps (dimensional -> hatted)
+    # dimensional -> hatted
     def x_hat(self, x):
         return x / self.L_star
 
@@ -227,19 +177,6 @@ class NondimScales:
 
     def sigma_h_hat(self, sigma_h):
         return sigma_h / self.sigma_h_star
-
-    # backward maps
-    def x_of(self, x_hat):
-        return x_hat * self.L_star
-
-    def t_of(self, t_hat):
-        return t_hat * self.t_star
-
-    def c_of(self, c_hat):
-        return c_hat * self.c_star
-
-    def sigma_h_of(self, sigma_h_hat):
-        return sigma_h_hat * self.sigma_h_star
 
 
 def nondim_scales(params, L_star):

@@ -50,6 +50,7 @@ import scipy.sparse as sp
 
 from .constitutive import (ConstitutiveError, MaterialState, PlasticPoints, elastic_stiffness_eng,
                            hydrostatic, update_stress)
+from .mesh import signed_areas
 
 _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
 
@@ -119,12 +120,12 @@ class FieldState:
     sigma_h_nodal: np.ndarray  # (N,) recovered
 
     @classmethod
-    def zeros(cls, mesh, n_qp=3, c0=0.0):
+    def zeros(cls, mesh, c0=0.0):
         n = mesh.n_nodes
         return cls(
             u=np.zeros((n, 2)),
             c=np.full(n, float(c0)),
-            states=MaterialState.zeros((mesh.n_elements, n_qp)),
+            states=MaterialState.zeros((mesh.n_elements, 3)),   # default_rule's 3 points
             sigma_h_nodal=np.zeros(n),
         )
 
@@ -208,8 +209,8 @@ def precompute(mesh):
     p0 = mesh.nodes[tris[:, 0]]
     p1 = mesh.nodes[tris[:, 1]]
     p2 = mesh.nodes[tris[:, 2]]
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
-    areas = 0.5 * det
+    areas = signed_areas(mesh.nodes, tris)
+    det = 2.0 * areas
     if np.any(areas <= 0):
         raise AssemblyError("precompute: mesh contains non-positively oriented elements")
 
@@ -506,8 +507,7 @@ def assemble_jacobian(elem_data, fixed, iterate, dt):
 
 
 def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
-                    elem_data=None, frozen_sigma_h=None, want_jacobian=True,
-                    plasticity=True):
+                    elem_data=None, frozen_sigma_h=None, want_jacobian=True):
     """Residual, Jacobian and constitutive byproducts of one iterate.
 
     ``assemble_residual`` and, with ``want_jacobian``, ``assemble_jacobian``
@@ -524,21 +524,23 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     ed = elem_data if elem_data is not None else precompute(mesh)
     if dofmap.n_dofs != ed.n_dofs:
         raise ValueError("assemble_system: dof map and assembly plan disagree")
-    mat = params if plasticity else params.as_elastic()
     it = assemble_residual(mesh, ed, fields_new, fields_old,
-                           element_strain(ed, fields_old.u, mesh.tris), mat, dt, mode,
+                           element_strain(ed, fields_old.u, mesh.tris), params, dt, mode,
                            frozen_sigma_h=frozen_sigma_h)
-    jacobian = assemble_jacobian(ed, fixed_jacobian(ed, mat), it, dt) if want_jacobian else None
+    jacobian = assemble_jacobian(ed, fixed_jacobian(ed, params), it, dt) if want_jacobian else None
     return it.residual, jacobian, it.states, it.sigma_h_nodal
 
 
-def locate_points(mesh, points, tol=1e-10):
-    """Containing element and barycentric coordinates for each query point."""
+def locate_points(mesh, points):
+    """Containing element and barycentric coordinates for each query point;
+    barycentrics down to -1e-10 count as inside, so edges and vertices are
+    found."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    tol = 1e-10
     p0 = mesh.nodes[mesh.tris[:, 0]]
     p1 = mesh.nodes[mesh.tris[:, 1]]
     p2 = mesh.nodes[mesh.tris[:, 2]]
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
+    det = 2.0 * signed_areas(mesh.nodes, mesh.tris)
 
     elems = np.empty(points.shape[0], dtype=np.int64)
     barys = np.empty((points.shape[0], 3))

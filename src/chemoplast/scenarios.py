@@ -91,22 +91,23 @@ class ScenarioConfig:
     snapshot_stride: int = 0                          # 0 = final snapshot only
 
     def material_params(self):
+        """Preset plus overrides, validated, then made elastic when
+        plasticity is off (so a bad yield stress is an error either way)."""
         base = dict(MATERIAL_PRESETS.get(self.material_preset, {}))
         if self.material_preset and self.material_preset not in MATERIAL_PRESETS:
             raise ConfigError(f"unknown material preset {self.material_preset!r}; "
                               f"have {sorted(MATERIAL_PRESETS)}")
         base.update(self.material_overrides)
-        if not self.plasticity:
-            base["hardening_kind"] = base.get("hardening_kind", "none")
         missing = [k for k in ("E", "nu", "D", "Omega", "T") if k not in base]
         if missing:
             raise ConfigError(f"material is missing required values {missing} "
                               "(set a preset or explicit material.* keys)")
         base["c0"] = self.c_initial_hat * base.get("c_max", 1.0)
         try:
-            return MaterialParams(**base)
+            params = MaterialParams(**base)
         except ValueError as err:
             raise ConfigError(f"invalid material: {err}") from err
+        return params if self.plasticity else params.as_elastic()
 
 
 @dataclass
@@ -402,7 +403,7 @@ def _solver_config(config, scales):
     dt = config.dt if config.dt > 0 else config.dt_hat * scales.t_star
     t_end = config.t_end if config.t_end > 0 else config.t_end_hat * scales.t_star
     return SolverConfig(
-        dt=dt, t_end=t_end, mode=config.mode, plasticity=config.plasticity,
+        dt=dt, t_end=t_end, mode=config.mode,
         newton_abs_tol=config.newton_abs_tol, newton_rel_tol=config.newton_rel_tol,
         newton_max_iter=config.newton_max_iter)
 
@@ -465,15 +466,13 @@ def write_vtk_snapshot(mesh, fields, path, title="chemoplast snapshot"):
 # closed-form comparison for the traction-loaded plate
 # ---------------------------------------------------------------------------
 
-def hole_boundary_angles(msh, quadrant_only=True):
-    """(node ids, angles) of the hole-boundary nodes, sorted by angle.
-
-    With ``quadrant_only`` the list is restricted to [0, pi/2]."""
+def hole_boundary_angles(msh):
+    """(node ids, angles) of the hole-boundary nodes with angles in
+    [0, pi/2], sorted by angle."""
     nodes = msh.nodes_with_tag("hole")
     ang = np.arctan2(msh.nodes[nodes, 1], msh.nodes[nodes, 0])
-    if quadrant_only:
-        keep = (ang >= -1e-12) & (ang <= math.pi / 2 + 1e-12)
-        nodes, ang = nodes[keep], ang[keep]
+    keep = (ang >= -1e-12) & (ang <= math.pi / 2 + 1e-12)
+    nodes, ang = nodes[keep], ang[keep]
     order = np.argsort(ang)
     return nodes[order], ang[order]
 
@@ -541,7 +540,7 @@ def run_scenario(scenario, output_dir=None, quiet=True, progress=None):
                                title=f"t={record['time']:.9g}")
             snap_idx[0] += 1
 
-    history, fields = transient.run(scenario, scenario.solver, progress_cb=per_step)
+    history, fields = transient.run(scenario, progress_cb=per_step)
 
     write_probe_csv(history, scenario, out / "probes.csv")
     write_vtk_snapshot(scenario.mesh, fields, out / "final.vtk",

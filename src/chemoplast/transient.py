@@ -69,7 +69,6 @@ class SolverConfig:
     dt: float
     t_end: float
     mode: str = "two-way"              # "one-way" | "two-way"
-    plasticity: bool = True
     newton_abs_tol: float = 1e-10
     newton_rel_tol: float = 1e-8
     newton_max_iter: int = 40
@@ -117,8 +116,7 @@ class TimeHistory:
         return np.array([s[name][key] for s in self.samples])
 
 
-def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, refs,
-                  fixed):
+def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence, backtracking, and floors are judged per physics block
@@ -129,26 +127,24 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
     that sits at its own roundoff floor is free to move; a loaded block is
     damped by backtracking until its residual decreases.
 
-    ``refs`` carries the largest starting block residuals seen so far in
-    the run; the relative tolerance is measured against that force scale,
-    so quiescent hold phases are not asked to out-resolve the yield-surface
-    jitter of points flipping between the elastic and plastic branch.
+    ``scenario`` gives the material and the solver settings; the other
+    arguments are the run's data, as ``step`` describes them. The boundary
+    load at ``t_new`` is computed once and subtracted from every residual.
+    The relative tolerance is measured against the force scale ``refs``, so
+    quiescent hold phases are not asked to out-resolve the yield-surface
+    jitter of points flipping between the elastic and plastic branch. The
+    StepInfo counts the factors ``block_solver`` computed and the block
+    solves its kept factors served in this solve.
 
-    ``block_solver`` (the run's ``sparse_linalg.BlockSolver``) computes the
-    updates and keeps its factors across calls; the StepInfo counts the
-    factors it computed and the block solves its kept factors served in this
-    solve. ``plan`` is the run's ``assembly.BoundaryPlan``; the boundary load
-    at ``t_new`` is computed once and subtracted from every residual.
-    ``fixed`` is the run's ``assembly.FixedJacobian``. Every iterate costs
-    one residual pass. A Jacobian is built from that pass at the first
-    iterate and after that only for a Newton update; the roundoff floors of
-    an iterate come from the last Jacobian built.
+    Every iterate costs one residual pass. A Jacobian is built from that
+    pass at the first iterate and after that only for a Newton update; the
+    roundoff floors of an iterate come from the last Jacobian built.
 
     Returns (w, new_states, sigma_h_nodal, StepInfo). The Dirichlet dofs of
     ``w`` must already carry their prescribed values.
     """
     mesh = scenario.mesh
-    params = scenario.params if config.plasticity else scenario.params.as_elastic()
+    config = scenario.solver
     dm = DofMap(mesh.n_nodes)
     fixed_dofs = plan.fixed_dofs
     load = neumann_load_vector(plan, t_new)
@@ -175,7 +171,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
         fields_it = FieldState(u=u, c=c, states=fields_n.states,
                                sigma_h_nodal=fields_n.sigma_h_nodal)
         try:
-            it = assemble_residual(mesh, ed, fields_it, fields_n, strain_n, params, dt,
+            it = assemble_residual(mesh, ed, fields_it, fields_n, strain_n, scenario.params, dt,
                                    config.mode)
         except AssemblyError as err:
             raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
@@ -183,7 +179,6 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
 
     it, res = residual_at(w)
     jac = assemble_jacobian(ed, fixed, it, dt)
-    jac_current = True          # jac is the Jacobian of the iterate w
     jacobians = 1
 
     tol_u = tol_c = None
@@ -233,7 +228,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
             raise StepFailure(f"Newton did not converge within {config.newton_max_iter} "
                               f"iterations at t={t_new:g} (residual {norm:.3e}, "
                               f"tols {tol_u:.3e}/{tol_c:.3e})")
-        if not jac_current:
+        if n_solves > 0:            # jac is an earlier iterate's
             jac = None              # free the last Jacobian before building the next
             jac = assemble_jacobian(ed, fixed, it, dt)
             jacobians += 1
@@ -255,27 +250,17 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, config, ed, plan, block_solv
         # Jacobian stays for the floors
         it = res = None
         it, res = residual_at(w)
-        jac_current = False
 
 
-def step(fields_n, t_n, dt, scenario, config, elem_data=None, plan=None,
-         newton_refs=None, block_solver=None, fixed=None):
+def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs):
     """Advance one backward-Euler step from t_n to t_n + dt.
 
-    ``elem_data``, ``plan`` and ``fixed`` are the run's assembly plan,
-    boundary plan and fixed Jacobian data (``precompute``, ``plan_boundary``,
-    ``fixed_jacobian``), and ``newton_refs`` its largest starting block
-    residuals. ``block_solver`` computes the Newton updates; pass the run's
-    solver so that its kept factors carry over between steps. Whatever is
-    omitted is made here for this step. Returns (fields at t_n + dt,
+    The other arguments are the run's data, made once by ``run``: the
+    assembly plan, the boundary plan, the fixed Jacobian data, the block
+    solver whose kept factors carry over between steps, and the largest
+    starting block residuals seen so far. Returns (fields at t_n + dt,
     StepInfo). Raises StepFailure when the Newton solve cannot be completed.
     """
-    ed = elem_data if elem_data is not None else precompute(scenario.mesh)
-    plan = plan if plan is not None else plan_boundary(scenario.mesh, scenario.bcs)
-    fixed = fixed if fixed is not None else fixed_jacobian(ed, scenario.params)
-    if block_solver is None:
-        block_solver = sparse_linalg.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
-    newton_refs = newton_refs if newton_refs is not None else {"u": 0.0, "c": 0.0}
     dm = DofMap(scenario.mesh.n_nodes)
     t_new = t_n + dt
 
@@ -283,7 +268,7 @@ def step(fields_n, t_n, dt, scenario, config, elem_data=None, plan=None,
     w[plan.fixed_dofs] = dirichlet_values(plan, t_new)
 
     w, new_states, sigma_h, info = _newton_solve(
-        w, fields_n, t_new, dt, scenario, config, ed, plan, block_solver, newton_refs, fixed)
+        w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs)
     u, c = dm.split(w)
     return FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h), info
 
@@ -334,14 +319,20 @@ def initial_fields(scenario):
     return FieldState.zeros(scenario.mesh, c0=scenario.c_initial)
 
 
-def run(scenario, config, progress_cb=None):
+def run(scenario, progress_cb=None):
     """March the scenario from t = 0 to t_end, recording probes every step.
 
-    On a step failure the time step is halved (up to config.max_halvings)
-    for the failing step only; refinement events are recorded in the
-    history. ``progress_cb(step_no, record, fields)`` is invoked after every
+    The settings are ``scenario.solver``'s and the material is
+    ``scenario.params``. The data every step shares (assembly plan, boundary
+    plan, fixed Jacobian data, block solver, reference residuals) is made
+    here, once per run.
+
+    On a step failure the time step is halved (up to ``max_halvings``) for
+    the failing step only; refinement events are recorded in the history.
+    ``progress_cb(step_no, record, fields)`` is invoked after every
     committed step. Raises RunAborted when the halvings are exhausted.
     """
+    config = scenario.solver
     mesh = scenario.mesh
     ed = precompute(mesh)
     plan = plan_boundary(mesh, scenario.bcs)
@@ -366,9 +357,8 @@ def run(scenario, config, progress_cb=None):
         attempt = 0
         while True:
             try:
-                fields_new, info = step(fields, t, dt, scenario, config, ed, plan,
-                                        newton_refs=newton_refs, block_solver=block_solver,
-                                        fixed=fixed)
+                fields_new, info = step(fields, t, dt, scenario, ed, plan, fixed, block_solver,
+                                        newton_refs)
                 break
             except StepFailure as err:
                 attempt += 1
@@ -384,13 +374,7 @@ def run(scenario, config, progress_cb=None):
         record = {
             "time": t,
             "dt": dt,
-            "newton_iters": info.newton_iters,
-            "residual_norm": info.residual_norm,
-            "newton_exit": info.newton_exit,
-            "jacobians": info.jacobians,
-            "factors": info.factors,
-            "reused": info.reused,
-            "plastic_qp": info.plastic_qp,
+            **vars(info),
             "total_concentration": float(masses @ fields.c),
             "max_eps_p_eq": float(fields.states.eps_p_eq.max()),
             "max_sigma_h": float(np.max(np.abs(hydrostatic(fields.states.sigma)))),

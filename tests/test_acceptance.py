@@ -23,7 +23,7 @@ def report(capfd):
 def _run(cfg_text):
     cfg = sc.load_config(cfg_text)
     scen = sc.build_scenario(cfg)
-    hist, fields = tr.run(scen, scen.solver)
+    hist, fields = tr.run(scen)
     return scen, hist, fields
 
 
@@ -179,8 +179,8 @@ def test_criterion_03_slab_diffusion(report):
     c_ex = analytic.slab_series(xs, 0.1, 1.0, 1.0, n_terms=60)
 
     def l2_err(dt):
-        scen.solver = tr.SolverConfig(dt=dt, t_end=0.1, mode="one-way", plasticity=False)
-        _, fields = tr.run(scen, scen.solver)
+        scen.solver = tr.SolverConfig(dt=dt, t_end=0.1, mode="one-way")
+        _, fields = tr.run(scen)
         return np.sqrt(np.trapezoid((fields.c[:101] - c_ex) ** 2, xs)
                        / np.trapezoid(c_ex**2, xs))
 
@@ -362,7 +362,7 @@ def test_criterion_10_jacobian_consistency(report, steel, rng):
                          .replace("geometry.target_h = 0.008", "geometry.target_h = 0.03")
                          .replace("solver.t_end_hat = 2.0", "solver.t_end_hat = 0.2"))
     scen = sc.build_scenario(cfg)
-    hist, _ = tr.run(scen, scen.solver)
+    hist, _ = tr.run(scen)
     iters = max(r["newton_iters"] for r in hist.records)
     runtime = time.perf_counter() - t0
     ok = max_err <= 1e-5 and iters <= 2 and runtime < 5.0

@@ -148,6 +148,18 @@ class TestLoadConfig:
                              + "material.sigma_y0 = 77e6\n")
         assert cfg.material_params().sigma_y0 == 77e6
 
+    def test_plasticity_off_builds_elastic_material(self):
+        # BASE_PLATE switches plasticity off on a hardening preset
+        preset = sc.MATERIAL_PRESETS["steel_table1"]
+        assert preset["hardening_kind"] == "isotropic"
+        scen = sc.build_scenario(sc.load_config(BASE_PLATE))
+        assert scen.params.hardening_kind == "none"
+        for key in ("E", "nu", "D", "Omega", "T", "sigma_y0", "H", "h", "c_max"):
+            assert getattr(scen.params, key) == preset[key]
+        # the material is validated before it is made elastic
+        with pytest.raises(sc.ConfigError, match="sigma_y0"):
+            sc.load_config(BASE_PLATE + "material.sigma_y0 = -1\n").material_params()
+
     def test_material_without_preset_requires_core_values(self):
         with pytest.raises(sc.ConfigError, match="missing"):
             sc.load_config(BASE_PLATE.replace("material.preset = steel_table1\n", "")
@@ -173,7 +185,7 @@ class TestBuildBvpA:
                                                 "loading.u_bar = 0.0")
                              + "concentration.insulated = on\n")
         scen = sc.build_scenario(cfg)
-        hist, fields = tr.run(scen, scen.solver)
+        hist, fields = tr.run(scen)
         assert np.abs(fields.u).max() == 0.0
         assert np.abs(fields.c).max() == 0.0
         # with a nonzero uniform reference concentration the state still never
@@ -183,7 +195,7 @@ class TestBuildBvpA:
                               + "concentration.insulated = on\n"
                               + "concentration.initial_hat = 0.4\n")
         scen2 = sc.build_scenario(cfg2)
-        _, fields2 = tr.run(scen2, scen2.solver)
+        _, fields2 = tr.run(scen2)
         assert np.abs(fields2.u).max() <= 1e-18
         assert fields2.c == pytest.approx(np.full(scen2.mesh.n_nodes, 0.4), rel=1e-12)
 
@@ -240,7 +252,7 @@ class TestBuildBvpB:
     def test_zero_flux_keeps_initial_concentration(self):
         cfg = sc.load_config(BASE_ANNULUS + "concentration.initial_hat = 0.25\n")
         scen = sc.build_scenario(cfg)
-        hist, fields = tr.run(scen, scen.solver)
+        hist, fields = tr.run(scen)
         c_hat = fields.c / scen.params.c_max
         assert c_hat == pytest.approx(np.full(scen.mesh.n_nodes, 0.25), abs=1e-12)
 
@@ -250,7 +262,7 @@ class TestBuildBvpB:
                                                   f"loading.J = {j_in}"))
         scen = sc.build_scenario(cfg)
         from chemoplast.mesh import signed_areas
-        hist, fields = tr.run(scen, scen.solver)
+        hist, fields = tr.run(scen)
         total = hist.records[-1]["total_concentration"]
         t_end = hist.times[-1]
         expected = j_in * 2 * np.pi * 1.0 * t_end
@@ -278,7 +290,7 @@ class TestWriters:
     def _small_history(self, tmp_path):
         cfg = sc.load_config(BASE_PLATE)
         scen = sc.build_scenario(cfg)
-        hist, fields = tr.run(scen, scen.solver)
+        hist, fields = tr.run(scen)
         return scen, hist, fields
 
     def test_csv_schema(self, tmp_path):
@@ -328,7 +340,7 @@ class TestWriters:
                              + "concentration.insulated = on\n"
                              + "concentration.initial_hat = 0.05\n")
         scen = sc.build_scenario(cfg)
-        hist, fields = tr.run(scen, scen.solver)
+        hist, fields = tr.run(scen)
         rows = sc.analytic_comparison(scen, fields)
         assert {"beta", "sigma_h_fe", "sigma_h_exact", "c_fe", "c_exact"} == set(rows[0])
         betas = [r["beta"] for r in rows]
@@ -356,7 +368,7 @@ class TestWriters:
         for name in ("a", "b"):
             cfg = sc.load_config(BASE_PLATE)
             scen = sc.build_scenario(cfg)
-            hist, fields = tr.run(scen, scen.solver)
+            hist, fields = tr.run(scen)
             path = tmp_path / f"{name}.csv"
             sc.write_probe_csv(hist, scen, path)
             texts.append(path.read_bytes())

@@ -21,8 +21,7 @@ def slab_scenario(nx=100, fixed_u=True):
     scales = analytic.nondim_scales(params, 1.0)
     return Scenario(mesh=m, params=params, bcs=bcs, probes=[("end", 1.0, 0.005)],
                     scales=scales, c_initial=0.0,
-                    solver=tr.SolverConfig(dt=1e-3, t_end=0.1, mode="one-way",
-                                           plasticity=False))
+                    solver=tr.SolverConfig(dt=1e-3, t_end=0.1, mode="one-way"))
 
 
 # coarse plate pulled past yield: every step flows plastically
@@ -70,17 +69,17 @@ def quiescent_scenario():
     scales = analytic.nondim_scales(params, 1.0)
     return Scenario(mesh=m, params=params, bcs=bcs, probes=[], scales=scales,
                     c_initial=5.0,
-                    solver=tr.SolverConfig(dt=100.0, t_end=300.0, mode="two-way",
-                                           plasticity=True))
+                    solver=tr.SolverConfig(dt=100.0, t_end=300.0, mode="two-way"))
 
 
 class TestStep:
     def test_quiescent_step_is_identity(self):
         scen = quiescent_scenario()
+        scen.solver.t_end = scen.solver.dt
         fields = tr.initial_fields(scen)
-        new, info = tr.step(fields, 0.0, 100.0, scen, scen.solver)
-        assert info.newton_iters <= 1
-        assert info.newton_exit == "converged"
+        hist, new = tr.run(scen)
+        assert hist.records[0]["newton_iters"] <= 1
+        assert hist.records[0]["newton_exit"] == "converged"
         assert np.array_equal(new.u, fields.u)
         assert np.array_equal(new.c, fields.c)
         assert np.array_equal(new.states.sigma, fields.states.sigma)
@@ -88,15 +87,16 @@ class TestStep:
 
     def test_elastic_one_way_two_solves_max(self):
         scen = slab_scenario(nx=20)
-        fields = tr.initial_fields(scen)
-        new, info = tr.step(fields, 0.0, 1e-3, scen, scen.solver)
-        assert info.newton_iters <= 2
+        scen.solver.t_end = scen.solver.dt
+        hist, _ = tr.run(scen)
+        assert len(hist.records) == 1
+        assert hist.records[0]["newton_iters"] <= 2
 
 
 class TestRunSlab:
     def test_matches_series_oracle(self):
         scen = slab_scenario(nx=100)
-        hist, fields = tr.run(scen, scen.solver)
+        hist, fields = tr.run(scen)
         xs = np.linspace(0.0, 1.0, 101)
         c_fe = fields.c[:101]
         c_ex = analytic.slab_series(xs, 0.1, 1.0, 1.0, n_terms=60)
@@ -110,8 +110,8 @@ class TestRunSlab:
         c_ex = analytic.slab_series(xs, 0.1, 1.0, 1.0, n_terms=60)
         errs = []
         for dt in (4e-3, 2e-3):
-            scen.solver = tr.SolverConfig(dt=dt, t_end=0.1, mode="one-way", plasticity=False)
-            _, fields = tr.run(scen, scen.solver)
+            scen.solver = tr.SolverConfig(dt=dt, t_end=0.1, mode="one-way")
+            _, fields = tr.run(scen)
             errs.append(np.sqrt(np.trapezoid((fields.c[:101] - c_ex) ** 2, xs)
                                 / np.trapezoid(c_ex**2, xs)))
         order = np.log2(errs[0] / errs[1])
@@ -119,8 +119,8 @@ class TestRunSlab:
 
     def test_history_shape_and_monotonicity(self):
         scen = slab_scenario(nx=20)
-        scen.solver = tr.SolverConfig(dt=0.02, t_end=0.1, mode="one-way", plasticity=False)
-        hist, _ = tr.run(scen, scen.solver)
+        scen.solver = tr.SolverConfig(dt=0.02, t_end=0.1, mode="one-way")
+        hist, _ = tr.run(scen)
         assert len(hist.times) == 5
         assert np.all(np.diff(hist.times) > 0)
         end = hist.probe_series("end", "c")
@@ -128,8 +128,8 @@ class TestRunSlab:
 
     def test_probe_series_keys(self):
         scen = slab_scenario(nx=10)
-        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way", plasticity=False)
-        hist, _ = tr.run(scen, scen.solver)
+        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way")
+        hist, _ = tr.run(scen)
         sample = hist.samples[-1]["end"]
         for key in ("x", "y", "c", "sigma_h", "sigma_e", "eps_p_eq", "ux", "uy"):
             assert key in sample
@@ -252,7 +252,7 @@ class TestBoundaryPlan:
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         plans = call_spy("plan_boundary", asm, tr)
         loads = call_spy("neumann_load_vector", asm, tr)
-        hist, _ = tr.run(scen, scen.solver)
+        hist, _ = tr.run(scen)
         assert sum(r["newton_iters"] for r in hist.records) > len(hist.records)
         assert len(plans) == 1
         assert not hist.events                      # one attempt per step
@@ -275,7 +275,7 @@ class TestLazyJacobian:
             flowed.append(int(np.sum(fields.states.eps_p_eq > prev[0])))
             prev[0] = fields.states.eps_p_eq
 
-        hist, _ = tr.run(scen, scen.solver, progress_cb=count_flow)
+        hist, _ = tr.run(scen, progress_cb=count_flow)
         assert sum(r["newton_iters"] for r in hist.records) > 0
         for r in hist.records:
             assert r["jacobians"] == max(r["newton_iters"], 1)
@@ -285,7 +285,7 @@ class TestLazyJacobian:
     def test_step_start_strain_once_per_attempt(self, call_spy):
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         strains = call_spy("element_strain", asm, tr)
-        hist, _ = tr.run(scen, scen.solver)
+        hist, _ = tr.run(scen)
         assert not hist.events
         # one per residual pass (newton_iters + 1 a step), one per step start
         assert len(strains) == sum(r["newton_iters"] + 2 for r in hist.records)
@@ -305,7 +305,7 @@ def newton_updates(monkeypatch, config_text):
         return dw
 
     monkeypatch.setattr(sla.BlockSolver, "newton_update", spy)
-    hist, _ = tr.run(scen, scen.solver)
+    hist, _ = tr.run(scen)
     return seen, hist
 
 
@@ -339,7 +339,7 @@ class TestBlockNewtonSolve:
     def test_elastic_one_way_slab_factors_o1_times(self, splu_calls):
         scen = slab_scenario(nx=20)
         scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]    # K_uu not empty
-        hist, _ = tr.run(scen, scen.solver)
+        hist, _ = tr.run(scen)
         assert sum(r["newton_iters"] for r in hist.records) >= 100
         # K_uu once, K_cc once: every step, the last included, takes the same dt
         assert len(splu_calls) == 2
@@ -347,7 +347,7 @@ class TestBlockNewtonSolve:
     @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_HOLE], ids=["plastic-plate", "hole"])
     def test_two_way_k_cc_factored_few_times(self, text, splu_calls):
         scen = sc.build_scenario(sc.load_config(text))
-        hist, _ = tr.run(scen, scen.solver)
+        hist, _ = tr.run(scen)
         updates = sum(r["newton_iters"] for r in hist.records)
         # insulated: every concentration dof is free, so K_cc is n_nodes square
         cc_factors = splu_calls.count(scen.mesh.n_nodes)
@@ -358,9 +358,8 @@ class TestBlockNewtonSolve:
     def test_one_way_slab_short_last_step_factors_k_cc_twice(self, splu_calls):
         scen = slab_scenario(nx=20)
         scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]    # K_uu not empty
-        scen.solver = tr.SolverConfig(dt=1e-3, t_end=0.0105, mode="one-way",
-                                      plasticity=False)
-        hist, _ = tr.run(scen, scen.solver)
+        scen.solver = tr.SolverConfig(dt=1e-3, t_end=0.0105, mode="one-way")
+        hist, _ = tr.run(scen)
         assert [r["dt"] for r in hist.records][-2:] == [1e-3, pytest.approx(5e-4)]
         n = scen.mesh.n_nodes
         # K_uu (left nodes fixed) once; K_cc (left concentration fixed) at both dts
@@ -370,26 +369,26 @@ class TestBlockNewtonSolve:
     def test_singular_k_uu_fails_step(self):
         scen = slab_scenario(nx=20)
         scen.bcs.dirichlet_u = []     # rigid-body modes left free
-        with pytest.raises(tr.StepFailure, match="K_uu"):
-            tr.step(tr.initial_fields(scen), 0.0, 1e-3, scen, scen.solver)
+        scen.solver.t_end = scen.solver.dt
+        with pytest.raises(tr.RunAborted, match="K_uu"):
+            tr.run(scen)
 
 
 class TestRobustness:
     def test_dt_halving_recorded_on_forced_failure(self, monkeypatch):
         scen = slab_scenario(nx=10)
-        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way", plasticity=False)
+        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way")
         real_step = tr.step
         failures = {"n": 2}
 
-        def flaky_step(fields, t, dt, scenario, config, elem_data=None, plan=None,
-                       **kwargs):
+        def flaky_step(*args):
             if failures["n"] > 0:
                 failures["n"] -= 1
                 raise tr.StepFailure("forced constitutive failure")
-            return real_step(fields, t, dt, scenario, config, elem_data, plan, **kwargs)
+            return real_step(*args)
 
         monkeypatch.setattr(tr, "step", flaky_step)
-        hist, _ = tr.run(scen, scen.solver)
+        hist, _ = tr.run(scen)
         assert len(hist.events) == 2
         assert all(e["event"] == "dt_halved" for e in hist.events)
         assert hist.events[0]["dt"] == pytest.approx(0.025)
@@ -397,29 +396,28 @@ class TestRobustness:
 
     def test_run_aborts_after_exhausted_halvings(self, monkeypatch):
         scen = slab_scenario(nx=10)
-        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way", plasticity=False)
+        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way")
 
         def always_fail(*args, **kwargs):
             raise tr.StepFailure("forced constitutive failure")
 
         monkeypatch.setattr(tr, "step", always_fail)
         with pytest.raises(tr.RunAborted):
-            tr.run(scen, scen.solver)
+            tr.run(scen)
 
     def test_nan_boundary_value_fails_step_not_process(self):
         scen = slab_scenario(nx=10)
         scen.bcs.dirichlet_c[0] = ("left", lambda t: np.nan)
-        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way",
-                                      plasticity=False, newton_max_iter=5)
+        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way", newton_max_iter=5)
         with pytest.raises(tr.RunAborted):
-            tr.run(scen, scen.solver)
+            tr.run(scen)
 
     def test_flat_small_mechanics_residual_exits_stalled(self, monkeypatch):
         # after one large first residual every pass returns the same small
         # mechanics residual: no progress, far below the run's force scale
         scen = slab_scenario(nx=10)
         scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]
-        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way", plasticity=False)
+        scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way")
         real = tr.assemble_residual
         passes = []
 
@@ -432,7 +430,7 @@ class TestRobustness:
             return it
 
         monkeypatch.setattr(tr, "assemble_residual", flat)
-        hist, _ = tr.run(scen, scen.solver)
+        hist, _ = tr.run(scen)
         assert [r["newton_exit"] for r in hist.records] == ["stalled", "stalled"]
         assert [r["newton_iters"] for r in hist.records] == [6, 5]
         assert not hist.events
@@ -479,7 +477,7 @@ solver.t_end_hat = 0.05
             f = yield_function(fields.states, scen.params)
             seen.append(float(np.max(f)))
 
-        hist, fields = tr.run(scen, scen.solver, progress_cb=check)
+        hist, fields = tr.run(scen, progress_cb=check)
         assert hist.records[-1]["max_eps_p_eq"] > 0
         assert max(seen) <= scen.params.tol_f
 
@@ -487,18 +485,19 @@ solver.t_end_hat = 0.05
         # a Newton solve restarted from the committed iterate of a plastic
         # step must leave the plastic internal variables where they are
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
-        params, config = scen.params, scen.solver
+        params, dt = scen.params, scen.solver.dt
         dm = asm.DofMap(scen.mesh.n_nodes)
         ed = asm.precompute(scen.mesh)
         plan = asm.plan_boundary(scen.mesh, scen.bcs)
+        fixed = asm.fixed_jacobian(ed, params)
         refs = {"u": 0.0, "c": 0.0}
         fields_n = tr.initial_fields(scen)
-        new, _ = tr.step(fields_n, 0.0, config.dt, scen, config, ed, plan, newton_refs=refs)
+        solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+        new, _ = tr.step(fields_n, 0.0, dt, scen, ed, plan, fixed, solver, refs)
         assert new.states.eps_p_eq.max() > 0          # the step flows plastically
         w = dm.join(new.u, new.c)
-        solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
-        _, again, _, _ = tr._newton_solve(w, fields_n, config.dt, config.dt, scen, config,
-                                          ed, plan, solver, refs, asm.fixed_jacobian(ed, params))
+        _, again, _, _ = tr._newton_solve(w, fields_n, dt, dt, scen, ed, plan, fixed, solver,
+                                          refs)
         two_mu = 2.0 * params.mu
         change = max(two_mu * np.max(np.abs(again.eps_p - new.states.eps_p)),
                      np.max(np.abs(again.back_stress - new.states.back_stress)),
@@ -506,13 +505,32 @@ solver.t_end_hat = 0.05
                      * np.max(np.abs(again.eps_p_eq - new.states.eps_p_eq)))
         assert change <= 1e-6 * params.sigma_y0
 
-    def test_assembly_plan_built_once_per_run(self, call_spy):
+    def test_assembly_plan_built_once_per_run(self, call_spy, monkeypatch):
+        # the per-run data is made by run alone: once per run, also when a
+        # step attempt fails and is retried at half the dt
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         plans = call_spy("precompute", asm, tr)
+        fixed = call_spy("fixed_jacobian", asm, tr)
+        solvers = call_spy("BlockSolver", sla)
         csr_builds = call_spy("from_triplets", sla)
-        hist, _ = tr.run(scen, scen.solver)
+        hist, _ = tr.run(scen)
         assert sum(r["newton_iters"] for r in hist.records) > len(hist.records)
-        assert len(plans) == 1
+        assert not hist.events
+        assert len(plans) == len(fixed) == len(solvers) == 1
+
+        real = tr.assemble_residual
+        failures = [1]
+
+        def fail_once(*args, **kwargs):
+            if failures:
+                failures.pop()
+                raise asm.AssemblyError("forced failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "assemble_residual", fail_once)
+        hist, _ = tr.run(scen)
+        assert [e["event"] for e in hist.events] == ["dt_halved"]
+        assert len(plans) == len(fixed) == len(solvers) == 2
         assert csr_builds == []
 
     def test_one_way_concentration_blind_to_plasticity(self):
@@ -528,11 +546,10 @@ solver.t_end_hat = 0.05
         scales = analytic.nondim_scales(plastic, 1.0)
         out = {}
         for plast in (True, False):
-            scen = Scenario(mesh=m, params=plastic, bcs=bcs, probes=[("end", 1.0, 0.005)],
-                            scales=scales, c_initial=0.0,
-                            solver=tr.SolverConfig(dt=2.5e-3, t_end=0.05, mode="one-way",
-                                                   plasticity=plast))
-            hist, fields = tr.run(scen, scen.solver)
+            scen = Scenario(mesh=m, params=plastic if plast else plastic.as_elastic(), bcs=bcs,
+                            probes=[("end", 1.0, 0.005)], scales=scales, c_initial=0.0,
+                            solver=tr.SolverConfig(dt=2.5e-3, t_end=0.05, mode="one-way"))
+            hist, fields = tr.run(scen)
             out[plast] = (hist.probe_series("end", "c"), fields.c)
             if plast:
                 assert hist.records[-1]["max_eps_p_eq"] > 0   # plastic flow happened
