@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-GAS_CONSTANT = 8.314  # J/(mol K)
+from .constitutive import GAS_CONSTANT
 
 _INV_E = np.exp(-1.0)
 
@@ -166,9 +166,6 @@ class NondimScales:
                 raise ValueError(f"NondimScales: {name} must be positive")
 
     # dimensional -> hatted
-    def x_hat(self, x):
-        return x / self.L_star
-
     def t_hat(self, t):
         return t / self.t_star
 

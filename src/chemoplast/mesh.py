@@ -108,8 +108,8 @@ def _make_mesh(nodes, tris, tag_fn, geometry, size_scale):
 
     # Boundary = edges referenced by exactly one element.
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    _, index, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+    _, index, counts = np.unique(lo * nodes.shape[0] + hi, return_index=True, return_counts=True)
     if np.any(counts > 2):
         raise RuntimeError("mesh generation produced a non-manifold edge")
     b_edges = edges[index[counts == 1]]
@@ -133,27 +133,22 @@ def _make_mesh(nodes, tris, tag_fn, geometry, size_scale):
                 boundary_tags=tags, geometry=dict(geometry))
 
 
-def _ring_band_tris(n_rings, n_theta, inner_ids, ring_id_fn):
+def _quad_tris(a, b, c, d):
+    """Split the quads with corners a, b, c, d (equal-shape id arrays, in
+    row-major quad order) into the triangles (a, b, c) and (a, c, d)."""
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+
+
+def _ring_band_tris(ids):
     """Triangulate the quad band between consecutive closed rings.
 
-    ``inner_ids`` are the node ids of ring 0; ``ring_id_fn(k, m)`` gives the
-    id of station m on ring k >= 1. Returns the (2 * n_rings * n_theta, 3)
-    connectivity.
+    ``ids`` is a (rings + 1, n_theta) array of node ids: row k is ring k,
+    column m is station m on it, and each ring wraps around (station
+    n_theta - 1 joins station 0, by ``np.roll`` along the row). Returns the
+    (2 * rings * n_theta, 3) connectivity, ring by ring.
     """
-    tris = []
-    def nid(k, m):
-        m = m % n_theta
-        return inner_ids[m] if k == 0 else ring_id_fn(k, m)
-
-    for k in range(n_rings):
-        for m in range(n_theta):
-            a = nid(k, m)
-            b = nid(k, m + 1)
-            c = nid(k + 1, m + 1)
-            d = nid(k + 1, m)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return np.asarray(tris, dtype=np.int64)
+    inner, outer = ids[:-1], ids[1:]
+    return _quad_tris(inner, np.roll(inner, -1, axis=1), np.roll(outer, -1, axis=1), outer)
 
 
 def generate_plate_with_hole(L, r, target_h):
@@ -193,9 +188,7 @@ def generate_plate_with_hole(L, r, target_h):
     nodes = (hole_pts[None, :, :]
              + fracs[:, None, None] * (outer_pts - hole_pts)[None, :, :]).reshape(-1, 2)
 
-    inner_ids = np.arange(n_theta)
-    tris = _ring_band_tris(n_r, n_theta, inner_ids,
-                           lambda k, m: k * n_theta + m)
+    tris = _ring_band_tris(np.arange(nodes.shape[0]).reshape(-1, n_theta))
 
     tol = 1e-9 * L
     half = L / 2.0
@@ -252,9 +245,7 @@ def generate_annulus(r_i, r_o, target_h):
         stations = _radial_stations(r_i, r_o - r_i, dtheta, first_frac=0.6)
         radii = np.concatenate([[r_i], r_i + stations])
         nodes = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        inner_ids = np.arange(n_theta)
-        tris = _ring_band_tris(radii.size - 1, n_theta, inner_ids,
-                               lambda k, m: k * n_theta + m)
+        tris = _ring_band_tris(np.arange(nodes.shape[0]).reshape(-1, n_theta))
         return _make_mesh(nodes, tris, tag_fn, geometry, size_scale=r_o)
 
     # Solid disk: tan-graded Cartesian core block plus a mapped ring.
@@ -265,34 +256,13 @@ def generate_annulus(r_i, r_o, target_h):
 
     core_xy = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)   # (i, j) -> (x, y)
     core_nodes = core_xy.reshape(-1, 2)
-    n_core = core_nodes.shape[0]
+    core = np.arange(core_nodes.shape[0]).reshape(n_q + 1, n_q + 1)
+    core_tris = _quad_tris(core[:-1, :-1], core[1:, :-1], core[1:, 1:], core[:-1, 1:])
 
-    def core_id(i, j):
-        return i * (n_q + 1) + j
-
-    core_tris = []
-    for i in range(n_q):
-        for j in range(n_q):
-            n00 = core_id(i, j)
-            n10 = core_id(i + 1, j)
-            n11 = core_id(i + 1, j + 1)
-            n01 = core_id(i, j + 1)
-            core_tris.append((n00, n10, n11))
-            core_tris.append((n00, n11, n01))
-
-    # Core boundary stations, CCW from the bottom-right corner; station m sits
-    # at angle -pi/4 + (pi/2) m / n_q, matching the tan grading exactly.
-    boundary_ids = np.empty(n_theta, dtype=np.int64)
-    for m in range(n_theta):
-        s, loc = divmod(m, n_q)
-        if s == 0:
-            boundary_ids[m] = core_id(n_q, loc)
-        elif s == 1:
-            boundary_ids[m] = core_id(n_q - loc, n_q)
-        elif s == 2:
-            boundary_ids[m] = core_id(0, n_q - loc)
-        else:
-            boundary_ids[m] = core_id(loc, 0)
+    # Core boundary stations, CCW from the bottom-right corner (right, top,
+    # left, bottom side); station m sits at angle -pi/4 + (pi/2) m / n_q,
+    # matching the tan grading exactly.
+    boundary_ids = np.concatenate([core[-1, :-1], core[:0:-1, -1], core[0, :0:-1], core[:-1, 0]])
 
     station_angles = -math.pi / 4.0 + (math.pi / 2.0) * np.arange(n_theta) / n_q
     circle_pts = r_o * np.column_stack([np.cos(station_angles), np.sin(station_angles)])
@@ -300,15 +270,13 @@ def generate_annulus(r_i, r_o, target_h):
 
     stations = _radial_stations(a, (r_o - a), dtheta, first_frac=1.0)
     fracs = stations / stations[-1]
-    n_ring = fracs.size
 
     ring_nodes = (square_pts[None, :, :]
                   + fracs[:, None, None] * (circle_pts - square_pts)[None, :, :]).reshape(-1, 2)
     nodes = np.vstack([core_nodes, ring_nodes])
 
-    tris_ring = _ring_band_tris(n_ring, n_theta, boundary_ids,
-                                lambda k, m: n_core + (k - 1) * n_theta + m)
-    tris = np.vstack([np.asarray(core_tris, dtype=np.int64), tris_ring])
+    ring = np.arange(core.size, nodes.shape[0]).reshape(-1, n_theta)
+    tris = np.vstack([core_tris, _ring_band_tris(np.vstack([boundary_ids, ring]))])
     return _make_mesh(nodes, tris, tag_fn, geometry, size_scale=r_o)
 
 

@@ -112,7 +112,12 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """Everything a transient run needs."""
+    """Everything a transient run needs.
+
+    The probes are located once, here: ``probe_elems`` and ``probe_barys``
+    hold each probe's containing element and barycentric coordinates.
+    Raises ValueError for a probe outside the mesh.
+    """
     mesh: object
     params: MaterialParams
     bcs: BoundaryConditions
@@ -121,6 +126,12 @@ class Scenario:
     c_initial: float
     solver: SolverConfig
     config: ScenarioConfig = None
+    probe_elems: np.ndarray = field(init=False, repr=False)
+    probe_barys: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        points = np.array([(x, y) for _, x, y in self.probes], dtype=float).reshape(-1, 2)
+        self.probe_elems, self.probe_barys = locate_points(self.mesh, points)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +401,13 @@ def _finish_scenario(config, msh, params, scales, bcs, c_dir, default_probes):
     names = [p[0] for p in probes]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate probe names in {names}")
+    solver = _solver_config(config, scales)
     try:
-        locate_points(msh, [(x, y) for _, x, y in probes])
+        return Scenario(mesh=msh, params=params, bcs=bcs, probes=probes, scales=scales,
+                        c_initial=config.c_initial_hat * params.c_max, solver=solver,
+                        config=config)
     except ValueError as err:
         raise ConfigError(f"probe outside the domain: {err}") from err
-    return Scenario(mesh=msh, params=params, bcs=bcs, probes=probes, scales=scales,
-                    c_initial=config.c_initial_hat * params.c_max,
-                    solver=_solver_config(config, scales), config=config)
 
 
 def _solver_config(config, scales):
@@ -433,33 +444,34 @@ def write_probe_csv(history, scenario, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _rows(fmt, values):
+    """``fmt`` (one line, with its newline) filled with each row of ``values``."""
+    values = np.asarray(values)
+    return (fmt * values.shape[0]) % tuple(values.ravel().tolist())
+
+
 def write_vtk_snapshot(mesh, fields, path, title="chemoplast snapshot"):
     """Legacy ASCII VTK unstructured grid with point data c, sigma_h, u and
     cell data eps_p_eq."""
     n = mesh.n_nodes
     m = mesh.n_elements
     eps_cell = fields.states.eps_p_eq.mean(axis=1)
-    out = [VTK_HEADER, title[:255], "ASCII", "DATASET UNSTRUCTURED_GRID",
-           f"POINTS {n} double"]
-    out += [f"{x:.12e} {y:.12e} 0.0" for x, y in mesh.nodes]
-    out.append(f"CELLS {m} {4 * m}")
-    out += [f"3 {a} {b} {c}" for a, b, c in mesh.tris]
-    out.append(f"CELL_TYPES {m}")
-    out += ["5"] * m
-    out.append(f"POINT_DATA {n}")
-    out.append("SCALARS c double 1")
-    out.append("LOOKUP_TABLE default")
-    out += [f"{v:.12e}" for v in fields.c]
-    out.append("SCALARS sigma_h double 1")
-    out.append("LOOKUP_TABLE default")
-    out += [f"{v:.12e}" for v in fields.sigma_h_nodal]
-    out.append("VECTORS u double")
-    out += [f"{ux:.12e} {uy:.12e} 0.0" for ux, uy in fields.u]
-    out.append(f"CELL_DATA {m}")
-    out.append("SCALARS eps_p_eq double 1")
-    out.append("LOOKUP_TABLE default")
-    out += [f"{v:.12e}" for v in eps_cell]
-    Path(path).write_text("\n".join(out) + "\n")
+    Path(path).write_text("".join([
+        f"{VTK_HEADER}\n{title[:255]}\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
+        _rows("%.12e %.12e 0.0\n", mesh.nodes),
+        f"CELLS {m} {4 * m}\n",
+        _rows("3 %d %d %d\n", mesh.tris),
+        f"CELL_TYPES {m}\n",
+        "5\n" * m,
+        f"POINT_DATA {n}\nSCALARS c double 1\nLOOKUP_TABLE default\n",
+        _rows("%.12e\n", fields.c),
+        "SCALARS sigma_h double 1\nLOOKUP_TABLE default\n",
+        _rows("%.12e\n", fields.sigma_h_nodal),
+        "VECTORS u double\n",
+        _rows("%.12e %.12e 0.0\n", fields.u),
+        f"CELL_DATA {m}\nSCALARS eps_p_eq double 1\nLOOKUP_TABLE default\n",
+        _rows("%.12e\n", eps_cell),
+    ]))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 from . import sparse_linalg
 from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
                        dirichlet_values, element_strain, fixed_jacobian, interpolate_nodal,
-                       locate_points, neumann_load_vector, plan_boundary, precompute)
+                       neumann_load_vector, plan_boundary, precompute)
 from .constitutive import hydrostatic, von_mises
 
 
@@ -54,6 +54,8 @@ from .constitutive import hydrostatic, von_mises
 # solution; no progress for several corrections with the mechanics residual
 # far below the run's force scale (yield-surface branch jitter).
 NEWTON_EXITS = ("converged", "roundoff-floor", "stagnated", "stalled")
+
+MAX_HALVINGS = 4    # dt halvings a failing step may take before the run aborts
 
 
 class StepFailure(RuntimeError):
@@ -72,7 +74,6 @@ class SolverConfig:
     newton_abs_tol: float = 1e-10
     newton_rel_tol: float = 1e-8
     newton_max_iter: int = 40
-    max_halvings: int = 4
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -274,19 +275,19 @@ def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs):
 
 
 class ProbeSampler:
-    """Samples nodal fields at fixed points by FE interpolation; the
-    equivalent plastic strain comes from the nearest quadrature point."""
+    """Samples nodal fields at a scenario's probes (located by the Scenario)
+    by FE interpolation; the equivalent plastic strain comes from the
+    nearest quadrature point."""
 
-    def __init__(self, mesh, probes, elem_data):
-        self.names = [p[0] for p in probes]
-        self.points = np.array([[p[1], p[2]] for p in probes], dtype=float) \
-            if probes else np.zeros((0, 2))
-        if probes:
-            self.elems, self.barys = locate_points(mesh, self.points)
-            tri_pts = mesh.nodes[mesh.tris[self.elems]]          # (P, 3, 2)
-            qp_xy = np.einsum("qk,pkd->pqd", elem_data.shape_qp, tri_pts)
-            d = np.linalg.norm(qp_xy - self.points[:, None, :], axis=2)
-            self.nearest_qp = np.argmin(d, axis=1)
+    def __init__(self, scenario, elem_data):
+        mesh = scenario.mesh
+        self.names = [p[0] for p in scenario.probes]
+        self.points = np.array([[p[1], p[2]] for p in scenario.probes], dtype=float).reshape(-1, 2)
+        self.elems, self.barys = scenario.probe_elems, scenario.probe_barys
+        tri_pts = mesh.nodes[mesh.tris[self.elems]]          # (P, 3, 2)
+        qp_xy = np.einsum("qk,pkd->pqd", elem_data.shape_qp, tri_pts)
+        d = np.linalg.norm(qp_xy - self.points[:, None, :], axis=2)
+        self.nearest_qp = np.argmin(d, axis=1)
         self.mesh = mesh
         self.weights = elem_data.weights
 
@@ -327,8 +328,9 @@ def run(scenario, progress_cb=None):
     plan, fixed Jacobian data, block solver, reference residuals) is made
     here, once per run.
 
-    On a step failure the time step is halved (up to ``max_halvings``) for
-    the failing step only; refinement events are recorded in the history.
+    On a step failure the time step is halved (up to ``MAX_HALVINGS``
+    times) for the failing step only; refinement events are recorded in the
+    history.
     ``progress_cb(step_no, record, fields)`` is invoked after every
     committed step. Raises RunAborted when the halvings are exhausted.
     """
@@ -338,7 +340,7 @@ def run(scenario, progress_cb=None):
     plan = plan_boundary(mesh, scenario.bcs)
     fixed = fixed_jacobian(ed, scenario.params)
     block_solver = sparse_linalg.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
-    sampler = ProbeSampler(mesh, scenario.probes, ed)
+    sampler = ProbeSampler(scenario, ed)
     # lumped nodal masses: a third of each element's area per vertex
     masses = np.bincount(mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),
                          minlength=mesh.n_nodes)
@@ -362,8 +364,8 @@ def run(scenario, progress_cb=None):
                 break
             except StepFailure as err:
                 attempt += 1
-                if attempt > config.max_halvings:
-                    raise RunAborted(f"step at t={t:g} failed after {config.max_halvings} "
+                if attempt > MAX_HALVINGS:
+                    raise RunAborted(f"step at t={t:g} failed after {MAX_HALVINGS} "
                                      f"dt halvings: {err}") from err
                 dt *= 0.5
                 history.events.append({"time": t, "event": "dt_halved", "dt": dt,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -143,3 +144,60 @@ class TestValidate:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.tris, b.tris)
         assert np.array_equal(a.boundary_edges, b.boundary_edges)
+
+
+# sha256 of the raw bytes, shape and dtype of tris, boundary_edges and
+# boundary_tags, taken from the loop-based generators these replaced; the
+# grid-slicing templates must reproduce them exactly
+PINNED_MESHES = {
+    ("plate", (1.0, 0.05, 0.005)): {
+        "tris": ("009cf4591de911ce525ad48369f959e038c9d33c0baded517ce606757620f313",
+                 (3840, 3), "int64"),
+        "boundary_edges": ("93f9293011d646a4512b4ae00a69565c0c88153e32271ef1799c9b065ab8b59b",
+                           (128, 2), "int64"),
+        "boundary_tags": ("8d532d8ab7fcf2abdd6b65156187edbf69ece45eec9548d9f2ef3af64b95efcf",
+                          (128,), "<U6"),
+    },
+    ("plate", (1.0, 0.05, 0.0065)): {
+        "tris": ("4d7eb2ac1370d4d1e366c61742e0fbf90668e949650afff326363d621c83e94d",
+                 (3024, 3), "int64"),
+        "boundary_edges": ("af56c810762a5214db659a0170703b74d0f966424324998c921dbd41370e0c42",
+                           (112, 2), "int64"),
+        "boundary_tags": ("6505c221df89c0f8ba98ee98291b28ff1ff14b1093045b62f4f748cc78704830",
+                          (112,), "<U6"),
+    },
+    ("plate", (1.0, 0.05, 0.008)): {
+        "tris": ("e866e4681a7f49dc4f85595afe9690d1cf7b658afeeeffc2b74c3249d531bfed",
+                 (1600, 3), "int64"),
+        "boundary_edges": ("5dad814e9fca8748dffbb9e2a8248a2b42ab67d5589e0cbfbf23b68758680879",
+                           (80, 2), "int64"),
+        "boundary_tags": ("f99f596532eea584304d673d705fb14a28c83eaadbc8464e32743a3f6e5a2905",
+                          (80,), "<U6"),
+    },
+    ("annulus", (2.5e-6, 5e-6, 4e-7)): {
+        "tris": ("96a10a54d3bbbb09e0553a1fc5ef93edd8ff0e8d25e54c761761f1892b594320",
+                 (1600, 3), "int64"),
+        "boundary_edges": ("39140394fce064e99592d8f0de9a7d6db79c88d33626bfc9631974e71a79cf3c",
+                           (160, 2), "int64"),
+        "boundary_tags": ("3674057830a9d3af213a36713423ffa0f4e56b5451998c899a587001d133e985",
+                          (160,), "<U5"),
+    },
+    ("annulus", (0.0, 5e-6, 4e-7)): {
+        "tris": ("f008882a56b9fd0a46c25b41cc5eacf28149698aadb1cd76842e90a8e5538923",
+                 (2560, 3), "int64"),
+        "boundary_edges": ("cdaf03a8419c050b28b24a9cb5a33ff647ddde92f361a48815f74db8b4e0c53f",
+                           (80, 2), "int64"),
+        "boundary_tags": ("38a618b2a7bc86544800cdb25b9f7b444ed308fdc3c854268f6c587e5b45b0e1",
+                          (80,), "<U5"),
+    },
+}
+
+
+@pytest.mark.parametrize("kind,args", list(PINNED_MESHES), ids=lambda v: str(v))
+def test_connectivity_is_pinned(kind, args):
+    gen = msh.generate_plate_with_hole if kind == "plate" else msh.generate_annulus
+    m = gen(*args)
+    for name, (digest, shape, dtype) in PINNED_MESHES[kind, args].items():
+        arr = getattr(m, name)
+        assert (arr.shape, str(arr.dtype)) == (shape, dtype), name
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == digest, name

@@ -3,6 +3,7 @@ import pytest
 
 from chemoplast import scenarios as sc, transient as tr
 from chemoplast.assembly import FieldState
+from conftest import build_two_element_square
 
 
 BASE_PLATE = """
@@ -220,6 +221,22 @@ class TestBuildBvpA:
         with pytest.raises(sc.ConfigError, match="probe"):
             sc.build_bvp_a(sc.load_config(BASE_PLATE + "probes.bad = 0.0, 0.0\n"))
 
+    def test_probes_located_once_per_build_and_run(self, monkeypatch):
+        from chemoplast import assembly
+        calls = []
+        locate = assembly.locate_points
+
+        def counting(mesh, points):
+            calls.append(len(points))
+            return locate(mesh, points)
+
+        for module in (assembly, sc, tr):
+            if hasattr(module, "locate_points"):
+                monkeypatch.setattr(module, "locate_points", counting)
+        scen = sc.build_scenario(sc.load_config(BASE_PLATE))
+        tr.run(scen)
+        assert calls == [2]
+
     def test_unknown_c_tag_rejected(self):
         with pytest.raises(sc.ConfigError, match="inner"):
             sc.build_bvp_a(sc.load_config(BASE_PLATE
@@ -332,6 +349,35 @@ class TestWriters:
         i = lines.index("SCALARS c double 1") + 2
         vals = [float(v) for v in lines[i:i + scen.mesh.n_nodes]]
         assert vals == pytest.approx(np.full(scen.mesh.n_nodes, 3.25), abs=0)
+
+    def test_vtk_matches_per_value_writer(self, tmp_path):
+        m = build_two_element_square()
+        fields = FieldState.zeros(m)
+        fields.c[:] = [-0.0, 1e-300, -1.5e200, 7.0]
+        fields.sigma_h_nodal[:] = [3.0, -0.0, 1e-300, -1.5e200]
+        fields.u[:] = [[-0.0, 1.0], [1e-300, -2.0], [-1.5e200, 0.0], [123456789.0, -1.0]]
+        fields.states.eps_p_eq[:] = [[-0.0, -0.0, -0.0], [1e-300, 2.0, -1.5e200]]
+        path = tmp_path / "small.vtk"
+        sc.write_vtk_snapshot(m, fields, path, title="t=1")
+
+        def scalars(values):
+            return [f"{v:.12e}" for v in values]
+
+        def vectors(rows):
+            return [f"{x:.12e} {y:.12e} 0.0" for x, y in rows]
+
+        expected = (["# vtk DataFile Version 3.0", "t=1", "ASCII", "DATASET UNSTRUCTURED_GRID",
+                     "POINTS 4 double"] + vectors(m.nodes)
+                    + ["CELLS 2 8"] + [f"3 {a} {b} {c}" for a, b, c in m.tris]
+                    + ["CELL_TYPES 2", "5", "5", "POINT_DATA 4", "SCALARS c double 1",
+                       "LOOKUP_TABLE default"] + scalars(fields.c)
+                    + ["SCALARS sigma_h double 1", "LOOKUP_TABLE default"]
+                    + scalars(fields.sigma_h_nodal)
+                    + ["VECTORS u double"] + vectors(fields.u)
+                    + ["CELL_DATA 2", "SCALARS eps_p_eq double 1", "LOOKUP_TABLE default"]
+                    + scalars(fields.states.eps_p_eq.mean(axis=1)))
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert "-0.000000000000e+00" in expected and "1.000000000000e-300" in expected
 
     def test_analytic_comparison_columns(self, tmp_path):
         cfg = sc.load_config(BASE_PLATE.replace("loading.kind = displacement",
