@@ -14,26 +14,48 @@ the free dofs is two back-to-back solves: K_cc dc = -r_c, then
 K_uu du = -r_u - K_uc dc. Dirichlet dofs are left out of both blocks (the
 update is zero there), and each block is in one unit system, so it is
 factored unscaled. Each block keeps its KEPT_FACTORS most recently used
-factors. A block is first solved by iterative refinement against the new
-entries with a kept factor, most recent first, as a stationary method
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM
-2002, ch. 12). A kept factor serves the solve only when the normwise
-backward error reaches ROUNDOFF_TOL; it is given up as soon as the observed
-contraction shows that this cannot happen within REFINE_STEPS steps. When
-every kept factor fails, the least recently used one is dropped and the
-block is factored afresh (Davis, *Direct Methods for Sparse Linear Systems*,
-SIAM 2006, ch. 7-8, on factor reuse). So a block that does not change, or
-changes little between iterates, is factored a few times per run.
+factors.
+
+K_cc is first solved by iterative refinement against the new entries with a
+kept factor, most recent first, as a stationary method (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12). A kept
+factor serves the solve only when the normwise backward error reaches
+ROUNDOFF_TOL; it is given up as soon as the observed contraction shows that
+this cannot happen within REFINE_STEPS steps.
+
+K_uu is solved inexactly. A Newton update only needs its linear residual
+below a forcing term times the right-hand side to keep the outer iteration
+converging (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982)
+400-408), and the plastic K_uu changes at every update, so refinement cannot
+reach roundoff against any kept factor. A kept factor whose first solve
+reaches a ROUNDOFF_TOL backward error serves it as it is, so an unchanged
+K_uu is solved exactly. Otherwise preconditioned conjugate gradients (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003, ch. 9),
+with the most recent kept factor as the preconditioner, continue from that
+factor's first solve until the true residual ||b - A x|| is at most
+FORCING ||b||. That residual is recomputed before x is accepted, so no
+block, symmetric or not, passes on CG's recursive residual alone. CG gives
+up on non-positive curvature p.Ap <= 0, which an indefinite block meets, or
+after PCG_MAX_ITER iterations, and the block is then factored afresh
+without further attempts against the kept factors.
+
+When the kept factors cannot serve a block, the least recently used one is
+dropped and the block is factored afresh (Davis, *Direct Methods for Sparse
+Linear Systems*, SIAM 2006, ch. 7-8, on factor reuse). So a block that does
+not change, or changes little between iterates, is factored a few times per
+run, and the plastic K_uu is factored again only when CG fails.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
 reported as SingularMatrixError). A solve with a fresh factor returns x with
 ||A x - b|| <= SOLVE_TOL ||b|| after at most REFINE_STEPS refinement steps,
 or else with a normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||)
-<= BACKWARD_TOL; anything worse raises SingularMatrixError. A solve with a
-kept factor returns x with that backward error at most ROUNDOFF_TOL. A block
-that turns singular is reported when it is factored: refinement against a
-kept factor cannot converge on it unless the right-hand side lies in its
-range, and then x is one of its solutions.
+<= BACKWARD_TOL; anything worse raises SingularMatrixError. A kept factor
+returns K_cc's x with that backward error at most ROUNDOFF_TOL, and K_uu's
+with that backward error at most ROUNDOFF_TOL or ||b - A x|| <= FORCING ||b||.
+A block that turns singular is reported when it is factored: refinement
+against a kept factor cannot converge on it unless the right-hand side lies
+in its range, and CG unless it lies within FORCING ||b|| of it; x then
+solves the block, exactly or to the forcing bound.
 """
 from __future__ import annotations
 
@@ -50,6 +72,10 @@ REFINE_STEPS = 6
 BACKWARD_TOL = 1e-9        # normwise backward error accepted past the refinement floor
 ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error a kept factor must reach
 KEPT_FACTORS = 2           # factors kept per block, most recently used first
+# relative linear residual of an inexact K_uu solve: the plate problems' c
+# block exits Newton at about one digit, and 1e-2 moves their converged c by 6e-6
+FORCING = 1e-3
+PCG_MAX_ITER = 12          # CG iterations before a changed K_uu is factored afresh
 # Both blocks are structurally symmetric and K_uu is symmetric, so the blocks
 # are ordered by minimum degree on A + A^T and pivot on the diagonal unless it
 # is 10x smaller than the largest entry in its column.
@@ -180,8 +206,9 @@ class BlockSolver:
     planned from the Jacobian's CSR pattern (``indptr``, ``indices``) and
     the constrained dofs: a K_cu entry raises ValueError, and each free-dof
     block gets its slots in the CSR data and a CSR matrix that every update
-    refills. ``factors`` counts the fresh factorizations and ``reused`` the
-    block solves a kept factor served.
+    refills. ``factors`` counts the fresh factorizations, ``reused`` the
+    block solves a kept factor served and ``pcg_iters`` the CG iterations of
+    the K_uu solves.
     """
 
     def __init__(self, indptr, indices, fixed_dofs):
@@ -213,14 +240,16 @@ class BlockSolver:
         self._kept = {"uu": [], "cc": []}      # SuperLU factors, most recent first
         self.factors = 0
         self.reused = 0
+        self.pcg_iters = 0
 
     def newton_update(self, jac, res):
         """dw with J dw = -res on the free dofs and dw = 0 on the fixed ones.
 
-        ``jac`` is a CSR matrix with the planned pattern. Each block is
-        solved by refinement against a kept factor when that reaches a
-        roundoff-level backward error, and is factored afresh otherwise (see
-        the module docstring). Raises ValueError if J does not have the
+        ``jac`` is a CSR matrix with the planned pattern. K_cc is solved by
+        refinement against a kept factor when that reaches a roundoff-level
+        backward error, K_uu by CG preconditioned with a kept factor to a
+        FORCING relative residual, and either is factored afresh otherwise
+        (see the module docstring). Raises ValueError if J does not have the
         planned shape or has an entry that is not finite, and
         SingularMatrixError if a freshly factored block is singular.
         """
@@ -246,12 +275,17 @@ class BlockSolver:
         np.take(values, slots, out=A.data, mode="clip")
         a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
         kept = self._kept[name]
-        for i in range(len(kept)):
-            x = _kept_solve(kept[i], A, a_max, rhs)
+        if name == "uu":
+            x = self._inexact_solve(kept, A, a_max, rhs)
             if x is not None:
-                kept.insert(0, kept.pop(i))
-                self.reused += 1
                 return x
+        else:
+            for i in range(len(kept)):
+                x = _kept_solve(kept[i], A, a_max, rhs)
+                if x is not None:
+                    kept.insert(0, kept.pop(i))
+                    self.reused += 1
+                    return x
         # free the least recently used factor before computing the new one, and
         # copy the block to CSC before that, so that the new factor's buffers
         # can take the freed memory whole (peak memory)
@@ -262,6 +296,54 @@ class BlockSolver:
         kept.insert(0, lu)
         self.factors += 1
         return _refined_solve(lu, A, a_max, rhs, f"K_{name}")
+
+    def _inexact_solve(self, kept, A, a_max, b):
+        """x from the kept factors of K_uu, or None when a fresh factor is due.
+
+        A kept factor whose first solve reaches a ROUNDOFF_TOL backward error
+        serves it as it is. Otherwise preconditioned CG against ``A``, with the
+        most recent factor as the preconditioner, continues from that
+        factor's first solve until the true residual is at most
+        FORCING ||b||; it gives up on non-positive curvature or after
+        PCG_MAX_ITER iterations."""
+        if not kept:
+            return None
+        b_norm = np.linalg.norm(b)
+        for i, lu in enumerate(kept):
+            x_i = lu.solve(b)
+            r_i = b - A @ x_i
+            if np.linalg.norm(r_i) <= ROUNDOFF_TOL * (a_max * np.linalg.norm(x_i) + b_norm):
+                kept.insert(0, kept.pop(i))
+                self.reused += 1
+                return x_i
+            if i == 0:
+                x, r = x_i, r_i
+        lu, target = kept[0], FORCING * b_norm
+        rz = p = None
+        for k in range(PCG_MAX_ITER + 1):
+            # r is x's true residual at k = 0; after that it is the recursive
+            # one, which differs from b - A x by the rounding accumulated over
+            # the iterations, so a pass is confirmed against the true one
+            if np.linalg.norm(r) <= target:
+                if k:
+                    r = b - A @ x
+                if np.linalg.norm(r) <= target:
+                    self.reused += 1
+                    self.pcg_iters += k
+                    return x
+            if k == PCG_MAX_ITER:
+                return None
+            z = lu.solve(r)
+            rz, rz_old = r @ z, rz
+            p = z if k == 0 else z + (rz / rz_old) * p
+            q = A @ p
+            curvature = p @ q
+            # r.z <= 0: the preconditioner is not positive definite
+            if curvature <= 0.0 or rz <= 0.0:
+                return None
+            alpha = rz / curvature
+            x = x + alpha * p
+            r = r - alpha * q
 
 
 def apply_dirichlet(A, b, constraints):

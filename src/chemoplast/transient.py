@@ -23,14 +23,21 @@ The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
 next to the other per-run data from that pattern and the boundary plan's
 constrained dofs. It solves the block upper-triangular Jacobian block by
-block, keeps the last two factors of each block and refactors a changed
-block only when refinement against a kept factor does not reach a
-roundoff-level backward error; so the elastic K_uu, the one-way K_cc and
-the slowly changing two-way K_cc are factored a few times per run. Each
+block and keeps the last two factors of each block. A changed K_cc is
+refactored only when refinement against a kept factor does not reach a
+roundoff-level backward error. A changed K_uu is solved inexactly, by CG
+preconditioned with its most recent kept factor down to a linear residual of
+``sparse_linalg.FORCING`` times the right-hand side, and is refactored only
+when CG breaks down or reaches its iteration cap. The residual is exact, so
+this is an inexact Newton method (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19 (1982) 400-408): the converged answer moves only at the
+level of the Newton tolerance. So the elastic K_uu, the one-way K_cc and
+the slowly changing two-way K_cc are factored a few times per run, and the
+plastic K_uu, which changes at every update, not much more often. Each
 step records which of the four Newton exits it took (NEWTON_EXITS), how
-many Jacobians it built, how many factors it computed and how many block
-solves a kept factor served, and how many quadrature points are plastic
-at its committed iterate.
+many Jacobians it built, how many factors it computed, how many block
+solves a kept factor served and how many CG iterations its K_uu solves
+took, and how many quadrature points are plastic at its committed iterate.
 
 Step failures (Newton divergence, iteration cap, constitutive errors)
 trigger time-step halving, at most four times per step, before the run
@@ -95,6 +102,7 @@ class StepInfo:
     jacobians: int             # Jacobians built in the step
     factors: int               # block factors computed by the step's Newton solve
     reused: int                # block solves of it served by a kept factor
+    pcg_iters: int             # CG iterations of its K_uu solves
     plastic_qp: int            # plastic quadrature points at the committed iterate
 
 
@@ -134,8 +142,9 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     The relative tolerance is measured against the force scale ``refs``, so
     quiescent hold phases are not asked to out-resolve the yield-surface
     jitter of points flipping between the elastic and plastic branch. The
-    StepInfo counts the factors ``block_solver`` computed and the block
-    solves its kept factors served in this solve.
+    StepInfo counts the factors ``block_solver`` computed, the block solves
+    its kept factors served and the CG iterations of its K_uu solves in this
+    solve.
 
     Every iterate costs one residual pass. A Jacobian is built from that
     pass at the first iterate and after that only for a Newton update; the
@@ -150,7 +159,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     fixed_dofs = plan.fixed_dofs
     load = neumann_load_vector(plan, t_new)
     strain_n = element_strain(ed, fields_n.u, mesh.tris)
-    counts_0 = (block_solver.factors, block_solver.reused)
+    counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
 
     def block_norms(vec):
         v = vec.copy()
@@ -217,6 +226,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                 newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
                 jacobians=jacobians, factors=block_solver.factors - counts_0[0],
                 reused=block_solver.reused - counts_0[1],
+                pcg_iters=block_solver.pcg_iters - counts_0[2],
                 plastic_qp=int(it.plastic.index.size))
         if norms:
             meaningful = norm > 10.0 * (floor_u + floor_c)

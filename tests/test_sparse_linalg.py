@@ -153,6 +153,48 @@ def _perturbed(A, rel, rng):
     return B
 
 
+def _spd_block_triangular(rng, n_nodes=8):
+    """Node-major (u_x, u_y, c) matrix as ``_block_triangular`` makes it, with
+    a symmetric positive-definite (diagonally dominant) K_uu."""
+    n = 3 * n_nodes
+    is_c = np.arange(n) % 3 == 2
+    dense = rng.normal(size=(n, n))
+    dense[np.ix_(is_c, ~is_c)] = 0.0
+    uu = np.ix_(~is_c, ~is_c)
+    dense[uu] = 0.5 * (dense[uu] + dense[uu].T)
+    dense[np.arange(n), np.arange(n)] = 1.5 * np.abs(dense).sum(axis=1) + 1.0
+    return sla.from_triplets(n, [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
+
+
+def _spd_perturbed(A, rel, rng, blocks="uc"):
+    """A with every entry of the named blocks ("u": K_uu and K_uc, "c":
+    K_cc) scaled by a factor in [1 - rel, 1 + rel]; symmetric in K_uu."""
+    dense = A.toarray()
+    n = dense.shape[0]
+    scale = 1.0 + rel * rng.uniform(-1.0, 1.0, size=(n, n))
+    scale = 0.5 * (scale + scale.T)
+    is_c = np.arange(n) % 3 == 2
+    rows = {"u": ~is_c, "c": is_c}
+    for block in "uc":
+        if block not in blocks:
+            scale[rows[block]] = 1.0
+    return sp.csr_matrix(dense * scale)
+
+
+def _u_residual_ratio(M, dw, res):
+    """||K_uu du - rhs_u|| / ||rhs_u|| of an update dw of M dw = -res, where
+    rhs_u = -res_u - K_uc dc is the right-hand side K_uu was solved for."""
+    is_u = np.arange(M.shape[0]) % 3 != 2
+    rhs_u = -(res + M @ np.where(is_u, 0.0, dw))[is_u]
+    return np.linalg.norm((M @ dw + res)[is_u]) / np.linalg.norm(rhs_u)
+
+
+def _c_residual_ratio(M, dw, res):
+    """||K_cc dc + res_c|| / ||res_c|| of an update dw of M dw = -res."""
+    is_c = np.arange(M.shape[0]) % 3 == 2
+    return np.linalg.norm((M @ dw + res)[is_c]) / np.linalg.norm(res[is_c])
+
+
 def _solver(A, fixed=()):
     """A BlockSolver planned for the pattern of ``A``."""
     return sla.BlockSolver(A.indptr, A.indices, np.asarray(fixed, dtype=int))
@@ -243,25 +285,30 @@ class TestBlockSolver:
         assert len(factors) == 2 and solver.reused == 2
         ref = _solver(B).newton_update(B, res)
         is_u = np.arange(A.shape[0]) % 3 != 2
-        for block in (is_u, ~is_u):
-            assert np.linalg.norm(dw[block] - ref[block]) <= 1e-12 * np.linalg.norm(ref[block])
+        assert np.linalg.norm(dw[~is_u] - ref[~is_u]) <= 1e-12 * np.linalg.norm(ref[~is_u])
+        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
 
     def test_large_change_refactors_after_one_solve(self, rng, factors):
-        A = _block_triangular(rng, n_nodes=8)
-        B = _perturbed(A, 0.05, rng)
+        # K_cc is refactored after one kept solve; the SPD K_uu is served by CG
+        A = _spd_block_triangular(rng)
+        B = _spd_perturbed(A, 0.05, rng)
         res = rng.normal(size=A.shape[0])
         solver = _solver(A)
         solver.newton_update(A, res)
         before = [f.solves for f in factors]
         dw = solver.newton_update(B, res)
-        assert [f.n for f in factors] == [8, 16, 8, 16]      # K_cc, K_uu; twice
-        assert [f.solves - s for f, s in zip(factors, before)] == [1, 1]
-        assert (solver.factors, solver.reused) == (4, 0)
-        assert np.linalg.norm(B @ dw + res) <= 1e-12 * np.linalg.norm(res)
+        assert [f.n for f in factors] == [8, 16, 8]          # K_cc, K_uu, K_cc
+        cc_solves, uu_solves = (f.solves - s for f, s in zip(factors, before))
+        assert cc_solves == 1
+        assert uu_solves == 1 + solver.pcg_iters and solver.pcg_iters > 0
+        assert (solver.factors, solver.reused) == (3, 1)
+        assert _c_residual_ratio(B, dw, res) <= 1e-12
+        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
 
     def test_kept_factor_needs_roundoff_backward_error(self, rng, factors, monkeypatch):
         # with the roundoff target out of float64's reach, refinement of a
-        # slightly changed block reaches SOLVE_TOL and still refactors
+        # slightly changed K_cc reaches SOLVE_TOL and still refactors; K_uu
+        # only needs the forcing bound, which its kept factor meets
         monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
         A = _block_triangular(rng, n_nodes=8)
         B = _perturbed(A, 1e-6, rng)
@@ -269,11 +316,11 @@ class TestBlockSolver:
         solver = _solver(A)
         solver.newton_update(A, res)
         dw = solver.newton_update(B, res)
-        assert len(factors) == 4 and solver.reused == 0
-        for kept in factors[:2]:
-            b_norm, *residuals = kept.rhs_norms[1:]      # B's update
-            assert min(residuals) <= sla.SOLVE_TOL * b_norm
-        assert np.linalg.norm(B @ dw + res) <= 1e-12 * np.linalg.norm(res)
+        assert [f.n for f in factors] == [8, 16, 8] and solver.reused == 1
+        b_norm, *residuals = factors[0].rhs_norms[1:]      # B's K_cc update
+        assert min(residuals) <= sla.SOLVE_TOL * b_norm
+        assert _c_residual_ratio(B, dw, res) <= 1e-12
+        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
 
     def test_block_turning_singular_still_raises(self, rng):
         A = _block_triangular(rng)
@@ -328,3 +375,82 @@ class TestBlockSolver:
         M = sla.from_triplets(A.shape[0], [(i, j, A[i, j]) for i, j in zip(*np.nonzero(A))])
         with pytest.raises(sla.SingularMatrixError, match="K_uu"):
             _solver(M).newton_update(M, np.ones(M.shape[0]))
+
+
+class TestInexactKuu:
+    """The K_uu contract: kept-factor PCG to FORCING, else a fresh factor."""
+
+    def test_few_percent_change_served_by_pcg(self, rng, factors):
+        A = _spd_block_triangular(rng)
+        B = _spd_perturbed(A, 0.03, rng, blocks="u")
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        solver.newton_update(A, res)
+        dw = solver.newton_update(B, res)
+        assert len(factors) == 2                   # no new factor of either block
+        assert 0 < solver.pcg_iters <= sla.PCG_MAX_ITER
+        assert solver.reused == 2
+        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
+        assert _c_residual_ratio(B, dw, res) <= 1e-12
+
+    def test_unchanged_block_bitwise_equal_to_kept_solve(self, rng, factors):
+        A = _spd_block_triangular(rng)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        solver.newton_update(A, res)
+        uu_factor = factors[1]
+        solves = uu_factor.solves
+        dw = solver.newton_update(A, res)
+        assert solver.pcg_iters == 0 and uu_factor.solves == solves + 1
+        is_u = np.arange(A.shape[0]) % 3 != 2
+        A_uu = A[is_u][:, is_u]
+        rhs_u = -(res + A @ np.where(is_u, 0.0, dw))[is_u]
+        kept = sla._kept_solve(uu_factor, A_uu, float(np.abs(A_uu.data).max()), rhs_u)
+        assert np.array_equal(dw[is_u], kept)
+
+    @pytest.mark.parametrize("change", ["nonsymmetric", "indefinite", "iteration-cap"])
+    def test_failed_pcg_falls_back_to_fresh_factor(self, rng, factors, monkeypatch, change):
+        A = _spd_block_triangular(rng)
+        n = A.shape[0]
+        is_u = np.arange(n) % 3 != 2
+        dense = A.toarray()
+        uu = np.ix_(is_u, is_u)
+        if change == "nonsymmetric":
+            # a skew part ten times the diagonal leaves p.Ap > 0, but CG
+            # cannot converge on it
+            skew = np.triu(rng.normal(size=dense[uu].shape), 1)
+            dense[uu] += 10.0 * np.abs(dense[uu]).max() * (skew - skew.T)
+        elif change == "indefinite":
+            dense[uu] = -dense[uu]                 # p.Ap < 0 at the first step
+        else:
+            # a 30% change takes CG three iterations
+            monkeypatch.setattr(sla, "PCG_MAX_ITER", 2)
+            dense = _spd_perturbed(A, 0.3, rng, blocks="u").toarray()
+        B = sp.csr_matrix(dense)
+        assert np.array_equal(B.indices, A.indices)    # same pattern
+        res = rng.normal(size=n)
+        solver = _solver(A)
+        solver.newton_update(A, res)
+        dw = solver.newton_update(B, res)
+        assert [f.n for f in factors] == [8, 16, 16]   # K_cc kept, K_uu refactored
+        assert solver.pcg_iters == 0 and solver.reused == 1
+        assert _u_residual_ratio(B, dw, res) <= sla.SOLVE_TOL
+        assert _c_residual_ratio(B, dw, res) <= 1e-12
+
+    def test_singular_k_uu_raises(self, rng):
+        # K_uu with equal rows i and j (and columns) is positive semidefinite
+        # and singular; a generic right-hand side has a part in its null space
+        # that CG cannot reduce, and the fresh factor reports the block
+        A = _spd_block_triangular(rng)
+        is_u = np.flatnonzero(np.arange(A.shape[0]) % 3 != 2)
+        i, j = is_u[0], is_u[3]
+        dense = A.toarray()
+        dense[j, is_u] = dense[i, is_u]
+        dense[is_u, j] = dense[is_u, i]
+        dense[j, j] = dense[i, j] = dense[j, i] = dense[i, i]
+        B = sp.csr_matrix(dense)
+        assert np.array_equal(B.indices, A.indices)
+        solver = _solver(A)
+        solver.newton_update(A, np.ones(A.shape[0]))
+        with pytest.raises(sla.SingularMatrixError, match="K_uu"):
+            solver.newton_update(B, rng.normal(size=A.shape[0]))

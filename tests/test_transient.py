@@ -312,15 +312,48 @@ def newton_updates(monkeypatch, config_text):
 class TestBlockNewtonSolve:
     @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_HOLE], ids=["plastic-plate", "hole"])
     def test_update_matches_monolithic_solve(self, monkeypatch, text):
+        # dc is exact; du solves K_uu du = rhs_u to the forcing bound, and
+        # exactly where K_uu does not change (the elastic hole)
         updates, hist = newton_updates(monkeypatch, text)
         if text is COARSE_PLATE:
             assert any(r["plastic_qp"] > 0 for r in hist.records)   # plastic iterates
+            assert sum(r["pcg_iters"] for r in hist.records) > 0
         is_u = np.arange(updates[0][0].shape[0]) % 3 != 2
         for jac, res, fixed, dw in updates:
             A, b = sla.apply_dirichlet(jac, -res, [(d, 0.0) for d in fixed])
             ref = sla.solve(A, b)
-            for block in (is_u, ~is_u):
-                assert np.linalg.norm(dw[block] - ref[block]) <= 1e-12 * np.linalg.norm(ref[block])
+            assert np.linalg.norm(dw[~is_u] - ref[~is_u]) <= 1e-12 * np.linalg.norm(ref[~is_u])
+            free_u = is_u.copy()
+            free_u[fixed] = False
+            rhs_u = -(res + jac @ np.where(is_u, 0.0, dw))[free_u]
+            r_u = (jac @ dw + res)[free_u]
+            assert np.linalg.norm(r_u) <= sla.FORCING * np.linalg.norm(rhs_u)
+            if text is COARSE_HOLE:
+                assert np.linalg.norm(dw[is_u] - ref[is_u]) <= 1e-12 * np.linalg.norm(ref[is_u])
+
+    def test_plastic_plate_k_uu_factored_few_times(self, splu_calls):
+        # a fresh factor for every changed K_uu would take 14 here; CG
+        # against the kept factor takes 5
+        hist, _ = tr.run(sc.build_scenario(sc.load_config(COARSE_PLATE)))
+        assert len(splu_calls) <= 7
+        assert all(r["newton_exit"] == "converged" for r in hist.records)
+
+    @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_ELASTIC_ONE_WAY],
+                             ids=["plastic-two-way", "elastic-one-way"])
+    def test_step_pcg_iters_sum_to_solver_count(self, monkeypatch, text):
+        solvers = []
+
+        class Recording(sla.BlockSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(self)
+
+        monkeypatch.setattr(sla, "BlockSolver", Recording)
+        hist, _ = tr.run(sc.build_scenario(sc.load_config(text)))
+        (solver,) = solvers
+        total = sum(r["pcg_iters"] for r in hist.records)
+        assert total == solver.pcg_iters
+        assert (total > 0) == (text is COARSE_PLATE)
 
     @pytest.mark.parametrize("mode", ["oneway", "twoway"])
     def test_assembled_plate_jacobian_is_block_triangular(self, mode):
