@@ -13,10 +13,16 @@ dropped (Picard treatment) so converged solutions are unaffected while the
 assembly never needs recovery derivatives.
 
 Assembly is planned once per mesh (``precompute``): the element geometry,
-the transposed strain-displacement matrices, the quadrature weights, the
-consistent mass and the ``grad N_i . grad N_j`` products, the residual dof
-vector, and the Jacobian's CSR pattern with a slot map that sends every
-element triplet to its entry in the CSR data.
+the strain-displacement matrices, the quadrature weights, the consistent
+mass and the ``grad N_i . grad N_j`` products, the Jacobian's CSR pattern
+with a slot map that sends every element triplet to its entry in the CSR
+data, and the residual's sparse operators. The pattern comes from the node
+pairs that share an element: a node's dof rows hold the dofs of its
+neighbours, so the dof pattern and the slot map follow from the node pattern
+by arithmetic. The operators take nodal fields to element or
+quadrature-point values (strain, concentration, the drift factors) and back
+to the nodes (B^T, the assembled mass and diffusion matrices, the drift
+scatter).
 
 The Jacobian is split into a fixed and a changing part. The fixed part
 (``fixed_jacobian``, once per run) is two CSR-data vectors over the
@@ -27,12 +33,13 @@ direction. The changing part is the two-way drift block, added through the
 K_cc slots, and the K_uu corrections of the plastic quadrature points,
 added through the K_uu slots of their elements only.
 
-Per iterate, ``assemble_residual`` runs the material update (the return map
-on the trial-yielding points only) and the residual kernels, vectorized over
-all elements at once, with one ``np.bincount`` scatter; it keeps the plastic
-set and the drift factors, from which ``assemble_jacobian`` builds the
-Jacobian of the same iterate when a Newton update needs one.
-``assemble_system`` does both in one call.
+Per iterate, ``assemble_residual`` is the material update (the return map
+on the trial-yielding points only), the recovery of the hydrostatic field
+and sparse matrix-vector products with the plan's operators; no element
+dofs are gathered and no element matrix is formed. It keeps the plastic set
+and the drift factors, from which ``assemble_jacobian`` builds the Jacobian
+of the same iterate when a Newton update needs one. ``assemble_system``
+does both in one call.
 
 The boundary data is planned once per run as well (``plan_boundary``): the
 sorted constrained dofs with the positions of every Dirichlet entry among
@@ -139,13 +146,18 @@ class ElementData:
     """Assembly plan of one mesh, made once per run by ``precompute``.
 
     Everything here depends on the mesh and the quadrature rule only: the
-    geometry, the quadrature weights, the consistent mass, the diffusion
-    kernel without its coefficient, and where every element entry lands in
-    the global residual and in the Jacobian's CSR data. With the material,
-    it gives the fixed Jacobian data (``fixed_jacobian``). What depends on
-    the iterate (material update, residual kernels, the drift block and the
+    geometry, the quadrature weights, the element mass and diffusion
+    kernels, the Jacobian's CSR pattern with the slot of every element entry,
+    and the sparse operators of the residual pass. With the material, it
+    gives the fixed Jacobian data (``fixed_jacobian``). What depends on the
+    iterate (material update, stress integral, the drift block and the
     plastic corrections) is computed by ``assemble_residual`` and
     ``assemble_jacobian``.
+
+    The operators act on node-major fields: ``u.ravel()`` (2N) for the
+    displacements, the (N,) nodal values otherwise; element rows are
+    element-major, so ``(strain @ u.ravel()).reshape(n_elem, 4)`` is the
+    element strains.
     """
     areas: np.ndarray       # (n_elem,)
     grads: np.ndarray       # (n_elem, 3, 2) physical shape-function gradients
@@ -158,10 +170,17 @@ class ElementData:
     gg: np.ndarray          # (n_elem, 3, 3) grad N_i . grad N_j
     edofs_u: np.ndarray     # (n_elem, 6)
     edofs_c: np.ndarray     # (n_elem, 3)
-    res_dofs: np.ndarray    # (9 n_elem,) residual rows: edofs_u, then edofs_c
     jac_indptr: np.ndarray  # CSR pattern of the Jacobian
     jac_indices: np.ndarray
     jac_slot: np.ndarray    # (63 n_elem,) CSR data index of each K_uu, K_uc, K_cc entry
+    strain: sp.csr_matrix   # (4 n_elem, 2N) engineering strain (xx, yy, zz, xy) per element
+    strain_t: sp.csc_matrix  # (2N, 4 n_elem) its transpose, over the same arrays: B^T
+    qp: sp.csr_matrix       # (n_qp n_elem, N) values at the quadrature points
+    mass: sp.csr_matrix     # (N, N) consistent mass
+    lap: sp.csr_matrix      # (N, N) sum of area * grad N_i . grad N_j
+    gn: sp.csr_matrix       # (3 n_elem, N) grad N_i . grad f per element vertex
+    c_w: sp.csr_matrix      # (n_elem, N) sum_q w_q f(x_q) per element
+    to_nodes: sp.csr_matrix  # (N, 3 n_elem) sums element-vertex values onto the nodes
 
     @property
     def n_dofs(self):
@@ -180,26 +199,63 @@ class ElementData:
         return self.jac_slot[54 * n:].reshape(n, 9)
 
 
-def _jacobian_pattern(n, edofs_u, edofs_c):
-    """CSR pattern of the element blocks K_uu (6x6), K_uc (6x3) and K_cc
-    (3x3), and the CSR data index of every block entry, taken in the order
-    ``assemble_system`` concatenates them.
+def _node_pattern(n_nodes, tris):
+    """CSR pattern (indptr, indices) of the node pairs that share an element,
+    and the index in it of every element's pair (vertex i, vertex j), as
+    (n_elem, 3, 3)."""
+    keys, pair = np.unique(np.repeat(tris, 3, axis=1) * n_nodes + np.tile(tris, (1, 3)),
+                           return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_nodes, minlength=n_nodes))])
+    return indptr, keys % n_nodes, pair.reshape(-1, 3, 3)
 
-    ``np.bincount(slot, vals)`` then adds the entries sharing a slot in this
-    order, the summation order of a stable sort of the triplets by (row, col)
-    followed by duplicate summation.
+
+def _jacobian_pattern(node_indptr, node_indices, pair):
+    """CSR pattern of the element blocks K_uu (6x6), K_uc (6x3) and K_cc
+    (3x3) from the node pattern, and the CSR data index of every block
+    entry, taken in the order ``assemble_system`` concatenates them.
+
+    A node with k neighbours (itself included) gives the dof rows u_x, u_y
+    and c of lengths 3k, 3k and k: the three dofs of every neighbour in the
+    displacement rows, the c dof of every neighbour in the c row. So the
+    node rows before node i hold 7 * node_indptr[i] entries, and each entry's
+    position is arithmetic in the position of its node pair. This is the
+    pattern and slot map of a stable sort of the triplets by (row, col):
+    ``np.bincount(slot, vals)`` adds the entries sharing a slot in the
+    summation order of that sort followed by duplicate summation.
     """
-    eu, ec = edofs_u, edofs_c
-    rows = np.concatenate([np.repeat(eu, 6, axis=1).ravel(),
-                           np.repeat(eu, 3, axis=1).ravel(),
-                           np.repeat(ec, 3, axis=1).ravel()])
-    cols = np.concatenate([np.tile(eu, (1, 6)).ravel(),
-                           np.tile(ec, (1, 6)).ravel(),
-                           np.tile(ec, (1, 3)).ravel()])
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    # scipy's CSR index type
-    return indptr.astype(np.int32), (keys % n).astype(np.int32), slot
+    deg = np.diff(node_indptr)
+    row = np.repeat(np.arange(deg.size), deg)               # node row of every pair
+    offset = np.arange(row.size) - node_indptr[row]         # its place in that row
+    start = 7 * node_indptr[row]
+    step = 3 * deg[row]
+    u_slot = start + 3 * offset                 # the pair's u_x column in the u_x row
+    c_slot = start + 2 * step + offset          # its c column in the c row
+
+    indices = np.empty(7 * row.size, dtype=np.int32)        # scipy's CSR index type
+    for comp in range(3):
+        indices[u_slot + comp] = indices[u_slot + step + comp] = 3 * node_indices + comp
+    indices[c_slot] = 3 * node_indices + 2
+    indptr = np.concatenate([[0], np.cumsum(np.column_stack([3 * deg, 3 * deg, deg]).ravel())])
+
+    # element entry (2a + ra, 2b + cb) of K_uu sits at u_slot + ra * step + cb
+    # of the pair (a, b), the K_uc entry (2a + ra, b) at cb = 2
+    n_elem = pair.shape[0]
+    base = u_slot[pair][:, :, None, :] + np.arange(2)[:, None] * step[pair][:, :, None, :]
+    slot = np.concatenate([(base[..., None] + np.arange(2)).reshape(n_elem, -1).ravel(),
+                           (base + 2).reshape(n_elem, -1).ravel(), c_slot[pair].ravel()])
+    return indptr.astype(np.int32), indices, slot
+
+
+def _element_operator(cols, vals, n_cols, keep=None):
+    """CSR matrix holding the rows of every element in turn: ``cols`` and
+    ``vals`` broadcast to (n_elem, rows, entries), of which ``keep`` (rows,
+    entries; all by default) picks the stored ones. Each row keeps its
+    entries in the order given, so a matvec sums them in that order."""
+    cols, vals = np.broadcast_arrays(cols, vals)
+    keep = np.ones(cols.shape[1:], dtype=bool) if keep is None else keep
+    lengths = np.tile(keep.sum(axis=1), cols.shape[0])
+    return sp.csr_matrix((vals[:, keep].ravel(), cols[:, keep].ravel(),
+                          np.concatenate([[0], np.cumsum(lengths)])), shape=(lengths.size, n_cols))
 
 
 def precompute(mesh):
@@ -213,8 +269,9 @@ def precompute(mesh):
     det = 2.0 * areas
     if np.any(areas <= 0):
         raise AssemblyError("precompute: mesh contains non-positively oriented elements")
+    n_elem, n_nodes = tris.shape[0], mesh.n_nodes
 
-    grads = np.empty((tris.shape[0], 3, 2))
+    grads = np.empty((n_elem, 3, 2))
     grads[:, 0, 0] = (p1[:, 1] - p2[:, 1]) / det
     grads[:, 1, 0] = (p2[:, 1] - p0[:, 1]) / det
     grads[:, 2, 0] = (p0[:, 1] - p1[:, 1]) / det
@@ -222,7 +279,7 @@ def precompute(mesh):
     grads[:, 1, 1] = (p0[:, 0] - p2[:, 0]) / det
     grads[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
 
-    b = np.zeros((tris.shape[0], 4, 6))
+    b = np.zeros((n_elem, 4, 6))
     for i in range(3):
         b[:, 0, 2 * i] = grads[:, i, 0]       # eps_xx
         b[:, 1, 2 * i + 1] = grads[:, i, 1]   # eps_yy
@@ -231,30 +288,44 @@ def precompute(mesh):
 
     shape_qp = np.stack([shape_tri3(xi, eta)[0] for xi, eta in rule.points])
     wq = 2.0 * areas[:, None] * rule.weights[None, :]
+    m_e = np.einsum("eq,qi,qj->eij", wq, shape_qp, shape_qp)
+    gg = np.einsum("eid,ejd->eij", grads, grads)
 
-    dm = DofMap(mesh.n_nodes)
-    edofs_u = np.empty((tris.shape[0], 6), dtype=np.int64)
+    dm = DofMap(n_nodes)
+    edofs_u = np.empty((n_elem, 6), dtype=np.int64)
     edofs_u[:, 0::2] = dm.ux(tris)
     edofs_u[:, 1::2] = dm.uy(tris)
-    edofs_c = dm.c(tris)
-    indptr, indices, slot = _jacobian_pattern(dm.n_dofs, edofs_u, edofs_c)
+    node_indptr, node_indices, pair = _node_pattern(n_nodes, tris)
+    indptr, indices, slot = _jacobian_pattern(node_indptr, node_indices, pair)
+
+    def node_matrix(elem_vals):
+        data = np.bincount(pair.ravel(), weights=elem_vals.ravel(), minlength=node_indices.size)
+        return sp.csr_matrix((data, node_indices, node_indptr), shape=(n_nodes, n_nodes))
+
+    # B's column 2i + d is the displacement 2 * tris[:, i] + d; its nonzero entries
+    in_b = np.zeros((4, 6), dtype=bool)
+    in_b[0, 0::2] = in_b[1, 1::2] = in_b[3] = True
+    strain = _element_operator((2 * tris.repeat(2, axis=1) + np.tile(np.arange(2), 3))[:, None],
+                               b, 2 * n_nodes, in_b)
+    elem_tris = tris[:, None, :]
 
     return ElementData(
         areas=areas, grads=grads, b_eng=b, b_t=np.ascontiguousarray(b.transpose(0, 2, 1)),
-        shape_qp=shape_qp, weights=rule.weights.copy(), wq=wq,
-        m_e=np.einsum("eq,qi,qj->eij", wq, shape_qp, shape_qp),
-        gg=np.einsum("eid,ejd->eij", grads, grads),
-        edofs_u=edofs_u, edofs_c=edofs_c,
-        res_dofs=np.concatenate([edofs_u.ravel(), edofs_c.ravel()]),
-        jac_indptr=indptr, jac_indices=indices, jac_slot=slot)
+        shape_qp=shape_qp, weights=rule.weights.copy(), wq=wq, m_e=m_e, gg=gg,
+        edofs_u=edofs_u, edofs_c=dm.c(tris),
+        jac_indptr=indptr, jac_indices=indices, jac_slot=slot,
+        strain=strain, strain_t=strain.T,
+        qp=_element_operator(elem_tris, shape_qp, n_nodes),
+        mass=node_matrix(m_e), lap=node_matrix(areas[:, None, None] * gg),
+        gn=_element_operator(elem_tris, gg, n_nodes),
+        c_w=_element_operator(elem_tris, (wq @ shape_qp)[:, None], n_nodes),
+        to_nodes=sp.csr_matrix((np.ones(3 * n_elem), (tris.ravel(), np.arange(3 * n_elem))),
+                               shape=(n_nodes, 3 * n_elem)))
 
 
-def element_strain(elem_data, u, tris):
+def element_strain(elem_data, u):
     """Engineering strain 4-vector per element (constant for linear triangles)."""
-    ue = np.empty((tris.shape[0], 6))
-    ue[:, 0::2] = u[tris, 0]
-    ue[:, 1::2] = u[tris, 1]
-    return np.einsum("eij,ej->ei", elem_data.b_eng, ue)
+    return (elem_data.strain @ np.ravel(u)).reshape(-1, 4)
 
 
 def element_sigma_h(states, weights):
@@ -427,20 +498,20 @@ def assemble_residual(mesh, elem_data, fields_new, fields_old, strain_old, param
     ``strain_old`` is ``element_strain`` of ``fields_old.u``, fixed for the
     step. The stress at every quadrature point comes from the material
     update driven by the increments between the two states; the return map
-    runs on the trial-yielding points only. ``frozen_sigma_h`` replaces the
-    recovered hydrostatic field of the drift term.
+    runs on the trial-yielding points only. The mechanics rows are
+    ``strain_t`` applied to the weighted stress sums, the diffusion rows
+    ``mass @ (c - c_n) / dt + D lap @ c``, less the two-way drift term.
+    ``frozen_sigma_h`` replaces the recovered hydrostatic field of the drift
+    term.
     """
     ed = elem_data
     n_elem, n_qp = ed.wq.shape
-    tris = mesh.tris
-    wq = ed.wq
 
     # strain increments (constant per element), concentration increments per qp
-    d_eps = element_strain(ed, fields_new.u, tris) - strain_old
+    d_eps = element_strain(ed, fields_new.u) - strain_old
     d_eps[:, 3] *= 0.5                                          # gamma -> tensor shear
-    ce_new = fields_new.c[tris]
-    ce_old = fields_old.c[tris]
-    d_c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new - ce_old)
+    d_c = fields_new.c - fields_old.c
+    d_c_qp = (ed.qp @ d_c).reshape(n_elem, n_qp)
 
     d_eps_qp = np.broadcast_to(d_eps[:, None, :], (n_elem, n_qp, 4))
     try:
@@ -460,26 +531,19 @@ def assemble_residual(mesh, elem_data, fields_new, fields_old, strain_old, param
         sigma_h_nodal = recover_hydrostatic(mesh, element_sigma_h(new_states, ed.weights),
                                             ed.areas)
 
+    residual = np.empty((mesh.n_nodes, 3))
     # mechanics rows: B^T sum_q w sigma_q (tensor comps == eng stress)
-    sig_w = np.einsum("eq,eqa->ea", wq, new_states.sigma)
-    r_u = np.einsum("eai,ea->ei", ed.b_eng, sig_w)
-
+    residual[:, :2] = (ed.strain_t @ np.einsum("eq,eqa->ea", ed.wq, new_states.sigma).ravel()
+                       ).reshape(-1, 2)
     # diffusion rows
-    k_diff = (params.D * ed.areas[:, None, None]) * ed.gg
-    dc_dt = (ce_new - ce_old) / dt
-    r_c = np.einsum("eij,ej->ei", ed.m_e, dc_dt) + np.einsum("eij,ej->ei", k_diff, ce_new)
-
+    r_c = ed.mass @ (d_c / dt) + params.D * (ed.lap @ fields_new.c)
     gn = None
     if mode == "two-way":
-        grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h_nodal[tris])   # (n_elem, 2)
-        gn = np.einsum("eid,ed->ei", ed.grads, grad_sh)   # grad N_i . grad sigma_h
-        c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new)
+        gn = (ed.gn @ sigma_h_nodal).reshape(n_elem, 3)    # grad N_i . grad sigma_h
         drift_coeff = params.D * params.Omega / (params.R * params.T)
-        r_c -= drift_coeff * (wq * c_qp).sum(axis=1)[:, None] * gn
-
-    residual = np.bincount(ed.res_dofs, weights=np.concatenate([r_u.ravel(), r_c.ravel()]),
-                           minlength=ed.n_dofs)
-    return Iterate(residual, new_states, sigma_h_nodal, plastic, gn)
+        r_c -= drift_coeff * (ed.to_nodes @ ((ed.c_w @ fields_new.c)[:, None] * gn).ravel())
+    residual[:, 2] = r_c
+    return Iterate(residual.ravel(), new_states, sigma_h_nodal, plastic, gn)
 
 
 def assemble_jacobian(elem_data, fixed, iterate, dt):
@@ -524,9 +588,8 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     ed = elem_data if elem_data is not None else precompute(mesh)
     if dofmap.n_dofs != ed.n_dofs:
         raise ValueError("assemble_system: dof map and assembly plan disagree")
-    it = assemble_residual(mesh, ed, fields_new, fields_old,
-                           element_strain(ed, fields_old.u, mesh.tris), params, dt, mode,
-                           frozen_sigma_h=frozen_sigma_h)
+    it = assemble_residual(mesh, ed, fields_new, fields_old, element_strain(ed, fields_old.u),
+                           params, dt, mode, frozen_sigma_h=frozen_sigma_h)
     jacobian = assemble_jacobian(ed, fixed_jacobian(ed, params), it, dt) if want_jacobian else None
     return it.residual, jacobian, it.states, it.sigma_h_nodal
 

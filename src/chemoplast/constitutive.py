@@ -226,6 +226,11 @@ class PlasticPoints:
         return tangent
 
 
+def _history(a, shape):
+    """``a`` itself where it has ``shape``, else a copy broadcast to it."""
+    return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+
+
 def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
     """Advance the material state by strain increment ``d_eps`` (tensor
     components) and concentration increment ``d_c``.
@@ -250,10 +255,11 @@ def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
         raise ConstitutiveError("trial stress is not finite", flat_index=bad)
 
     batch = sigma_tr.shape[:-1]
-    # flat copies of the history; the plastic points are updated in place
-    eps_p = np.broadcast_to(state_old.eps_p, sigma_tr.shape).reshape(-1, 4).copy()
-    beta = np.broadcast_to(state_old.back_stress, sigma_tr.shape).reshape(-1, 4).copy()
-    eps_p_eq = np.broadcast_to(state_old.eps_p_eq, batch).reshape(-1).copy()
+    # the step-start history, flat; an elastic update returns it as it is,
+    # and it is copied before any plastic point is written
+    eps_p = _history(state_old.eps_p, sigma_tr.shape).reshape(-1, 4)
+    beta = _history(state_old.back_stress, sigma_tr.shape).reshape(-1, 4)
+    eps_p_eq = _history(state_old.eps_p_eq, batch).reshape(-1)
     sigma = np.ascontiguousarray(sigma_tr).reshape(-1, 4)
     plastic = PlasticPoints.none()
 
@@ -266,6 +272,7 @@ def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
         f = sig_e_tr - (params.sigma_y0 + (0.0 if kinematic else params.H * eps_p_eq))
         idx = np.flatnonzero(f > 0.0)
         if idx.size:
+            eps_p, beta, eps_p_eq = eps_p.copy(), beta.copy(), eps_p_eq.copy()
             sig_e = sig_e_tr[idx]
             d_lam = f[idx] / (3.0 * mu + H_eff)
             n_dir = 1.5 * xi_tr[idx] / sig_e[:, None]

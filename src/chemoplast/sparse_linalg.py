@@ -27,9 +27,12 @@ K_uu is solved inexactly. A Newton update only needs its linear residual
 below a forcing term times the right-hand side to keep the outer iteration
 converging (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982)
 400-408), and the plastic K_uu changes at every update, so refinement cannot
-reach roundoff against any kept factor. A kept factor whose first solve
-reaches a ROUNDOFF_TOL backward error serves it as it is, so an unchanged
-K_uu is solved exactly. Otherwise preconditioned conjugate gradients (Saad,
+reach roundoff against any kept factor. The most recent kept factor serves
+it as it is when its first solve reaches a ROUNDOFF_TOL backward error; an
+older one is tried only on the very entries it was factored from (each
+factor keeps a copy of them). So an unchanged K_uu is solved exactly, and a
+changed one costs no solve with an older factor. Otherwise preconditioned
+conjugate gradients (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003, ch. 9),
 with the most recent kept factor as the preconditioner, continue from that
 factor's first solve until the true residual ||b - A x|| is at most
@@ -237,7 +240,8 @@ class BlockSolver:
             self._blocks[name] = (dofs, slots, sp.csr_matrix(
                 (np.zeros(slots.size), local[indices[slots]], block_indptr),
                 shape=(dofs.size, dofs.size)))
-        self._kept = {"uu": [], "cc": []}      # SuperLU factors, most recent first
+        # (SuperLU factor, the block entries it was computed from), most recent first
+        self._kept = {"uu": [], "cc": []}
         self.factors = 0
         self.reused = 0
         self.pcg_iters = 0
@@ -281,7 +285,7 @@ class BlockSolver:
                 return x
         else:
             for i in range(len(kept)):
-                x = _kept_solve(kept[i], A, a_max, rhs)
+                x = _kept_solve(kept[i][0], A, a_max, rhs)
                 if x is not None:
                     kept.insert(0, kept.pop(i))
                     self.reused += 1
@@ -293,23 +297,26 @@ class BlockSolver:
         del kept[KEPT_FACTORS - 1:]
         lu, a_max = _factor(csc, f"K_{name}", **BLOCK_SPLU_OPTIONS)
         del csc
-        kept.insert(0, lu)
+        kept.insert(0, (lu, A.data.copy()))
         self.factors += 1
         return _refined_solve(lu, A, a_max, rhs, f"K_{name}")
 
     def _inexact_solve(self, kept, A, a_max, b):
         """x from the kept factors of K_uu, or None when a fresh factor is due.
 
-        A kept factor whose first solve reaches a ROUNDOFF_TOL backward error
-        serves it as it is. Otherwise preconditioned CG against ``A``, with the
-        most recent factor as the preconditioner, continues from that
-        factor's first solve until the true residual is at most
-        FORCING ||b||; it gives up on non-positive curvature or after
-        PCG_MAX_ITER iterations."""
+        The most recent factor serves the solve as it is when its first
+        solve reaches a ROUNDOFF_TOL backward error, an older one only when
+        the block's entries are those it was factored from. Otherwise
+        preconditioned CG against ``A``, with the most recent factor as the
+        preconditioner, continues from that factor's first solve until the
+        true residual is at most FORCING ||b||; it gives up on non-positive
+        curvature or after PCG_MAX_ITER iterations."""
         if not kept:
             return None
         b_norm = np.linalg.norm(b)
-        for i, lu in enumerate(kept):
+        for i, (lu, entries) in enumerate(kept):
+            if i and not np.array_equal(A.data, entries):
+                continue
             x_i = lu.solve(b)
             r_i = b - A @ x_i
             if np.linalg.norm(r_i) <= ROUNDOFF_TOL * (a_max * np.linalg.norm(x_i) + b_norm):
@@ -318,7 +325,7 @@ class BlockSolver:
                 return x_i
             if i == 0:
                 x, r = x_i, r_i
-        lu, target = kept[0], FORCING * b_norm
+        lu, target = kept[0][0], FORCING * b_norm
         rz = p = None
         for k in range(PCG_MAX_ITER + 1):
             # r is x's true residual at k = 0; after that it is the recursive

@@ -17,7 +17,8 @@ then costs one residual pass, in which the return map runs on the
 trial-yielding points only. A Jacobian (the fixed data plus the drift block
 and the plastic points' corrections) is built at a step's first iterate and
 after that only for a Newton update, so a step builds max(updates, 1) of
-them; the roundoff floors of an iterate come from the last one built.
+them; the roundoff floors of an iterate come from the last one built, whose
+entrywise absolute value is formed once.
 
 The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
@@ -158,7 +159,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     dm = DofMap(mesh.n_nodes)
     fixed_dofs = plan.fixed_dofs
     load = neumann_load_vector(plan, t_new)
-    strain_n = element_strain(ed, fields_n.u, mesh.tris)
+    strain_n = element_strain(ed, fields_n.u)
     counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
 
     def block_norms(vec):
@@ -168,11 +169,10 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         m = v.reshape(-1, 3)
         return (float(np.linalg.norm(m[:, :2])), float(np.linalg.norm(m[:, 2])))
 
-    def block_floors(jac, w_vec):
+    def block_floors(abs_jac, w_vec):
         # FP-error bound of evaluating each block's residual at w: below
         # this level the dimensional norm carries no information
-        jw = abs(jac) @ np.abs(w_vec)
-        fu, fc = block_norms(jw)
+        fu, fc = block_norms(abs_jac @ np.abs(w_vec))
         eps20 = 20.0 * np.finfo(float).eps
         return eps20 * fu, eps20 * fc
 
@@ -189,6 +189,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
 
     it, res = residual_at(w)
     jac = assemble_jacobian(ed, fixed, it, dt)
+    abs_jac = abs(jac)
     jacobians = 1
 
     tol_u = tol_c = None
@@ -209,7 +210,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                         min(config.newton_abs_tol, 0.5 * nu))
             tol_c = max(config.newton_rel_tol * refs["c"],
                         min(config.newton_abs_tol, 0.5 * nc))
-        floor_u, floor_c = block_floors(jac, w)
+        floor_u, floor_c = block_floors(abs_jac, w)
         ok_u = nu <= max(tol_u, 2.0 * floor_u)
         ok_c = nc <= max(tol_c, 2.0 * floor_c)
         # stalled: no meaningful progress over several corrections while the
@@ -240,8 +241,9 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                               f"iterations at t={t_new:g} (residual {norm:.3e}, "
                               f"tols {tol_u:.3e}/{tol_c:.3e})")
         if n_solves > 0:            # jac is an earlier iterate's
-            jac = None              # free the last Jacobian before building the next
+            jac = abs_jac = None    # free the last Jacobian before building the next
             jac = assemble_jacobian(ed, fixed, it, dt)
+            abs_jac = abs(jac)
             jacobians += 1
         try:
             dw = block_solver.newton_update(jac, res)

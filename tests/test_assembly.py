@@ -216,6 +216,25 @@ def _triplets(ed):
     return rows, cols
 
 
+def _element_strain(b, u, tris):
+    """Engineering strain per element from gathered element displacements."""
+    ue = np.empty((tris.shape[0], 6))
+    ue[:, 0::2] = u[tris, 0]
+    ue[:, 1::2] = u[tris, 1]
+    return np.einsum("eij,ej->ei", b, ue)
+
+
+def _recovered_sigma_h(mesh, states, weights):
+    """Nodal hydrostatic stress recovered from ``states`` by a per-vertex loop."""
+    elem_sh = asm.element_sigma_h(states, weights)
+    areas = msh.signed_areas(mesh.nodes, mesh.tris)
+    num, den = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
+    for k in range(3):
+        np.add.at(num, mesh.tris[:, k], areas * elem_sh)
+        np.add.at(den, mesh.tris[:, k], areas)
+    return num / np.where(den > 0, den, 1.0)
+
+
 def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     """Two-way assembly with per-call element matrices, 3- and 4-operand
     einsum kernels, np.add.at scatters, a per-vertex recovery loop and a
@@ -224,8 +243,7 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     ed = asm.precompute(mesh)
     tris, b = mesh.tris, ed.b_eng
     wq = 2.0 * ed.areas[:, None] * ed.weights[None, :]
-    d_eps = (asm.element_strain(ed, fields_new.u, tris)
-             - asm.element_strain(ed, fields_old.u, tris))
+    d_eps = _element_strain(b, fields_new.u, tris) - _element_strain(b, fields_old.u, tris)
     d_eps[:, 3] *= 0.5
     ce_new, ce_old = fields_new.c[tris], fields_old.c[tris]
     d_c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new - ce_old)
@@ -233,13 +251,7 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     states, plastic = ct.update_stress(fields_old.states, d_eps_qp, d_c_qp, mat,
                                        return_tangent=True)
     tangent = plastic.tangent(mat, d_c_qp.shape)
-    elem_sh = asm.element_sigma_h(states, ed.weights)
-    areas = msh.signed_areas(mesh.nodes, tris)
-    num, den = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
-    for k in range(3):
-        np.add.at(num, tris[:, k], areas * elem_sh)
-        np.add.at(den, tris[:, k], areas)
-    sigma_h = num / np.where(den > 0, den, 1.0)
+    sigma_h = _recovered_sigma_h(mesh, states, ed.weights)
     grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h[tris])
     drift = mat.D * mat.Omega / (mat.R * mat.T)
 
@@ -293,8 +305,15 @@ class TestAssemblyPlan:
                                                    "two-way", elem_data=asm.precompute(m))
         assert np.mean(states.eps_p_eq > 0) > 0.5          # mostly plastic
         ref_res, ref_jac, ref_sh = _reference_two_way(m, dm, f1, f0, steel_plastic, 0.5)
-        assert np.array_equal(res, ref_res)
-        assert np.array_equal(sh, ref_sh)
+        # the planned residual sums in another order (sparse operators instead
+        # of gathers and element kernels); it must agree to a fifth of the
+        # roundoff floor the Newton loop judges each row against, 20 eps |J| |w|
+        floor = abs(ref_jac) @ np.abs(dm.join(f1.u, f1.c))
+        assert np.all(np.abs(res - ref_res) <= 4.0 * np.finfo(float).eps * floor)
+        # the strains, and so the states, differ from the reference in the
+        # last bits; their recovery is bitwise the reference's
+        assert np.array_equal(sh, _recovered_sigma_h(m, states, asm.precompute(m).weights))
+        assert np.abs(sh - ref_sh).max() <= 8.0 * np.finfo(float).eps * np.abs(ref_sh).max()
         assert np.array_equal(jac.indptr, ref_jac.indptr)
         assert np.array_equal(jac.indices, ref_jac.indices)
         scale = np.abs(ref_jac.data).max()
@@ -311,7 +330,7 @@ class TestAssemblyPlan:
         f1 = f0.copy()
         f1.u = rng.normal(scale=1e-6, size=(m.n_nodes, 2))
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
-        strain0 = asm.element_strain(ed, f0.u, m.tris)
+        strain0 = asm.element_strain(ed, f0.u)
         uu = ed.uu_slots.ravel()
         for mode, dt in (("one-way", 0.5), ("two-way", 0.25)):
             it = asm.assemble_residual(m, ed, f1, f0, strain0, steel_plastic, dt, mode)
@@ -330,7 +349,7 @@ class TestAssemblyPlan:
         x = m.nodes[:, 0]
         f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
-        it = asm.assemble_residual(m, ed, f1, f0, asm.element_strain(ed, f0.u, m.tris),
+        it = asm.assemble_residual(m, ed, f1, f0, asm.element_strain(ed, f0.u),
                                    steel_plastic, 0.5, "two-way")
         plastic_elems = np.unique(it.plastic.index // ed.wq.shape[1])
         assert 0 < plastic_elems.size < m.n_elements

@@ -268,6 +268,28 @@ class TestCompactReturnMap:
         assert np.array_equal(new.eps_p_eq[elastic], state.eps_p_eq[elastic])
         assert np.all(new.eps_p_eq.flat[plastic.index] > state.eps_p_eq.flat[plastic.index])
 
+    def test_yielding_update_leaves_step_start_state(self, hardening, rng):
+        # the history is copied before the plastic points are written
+        state, d_eps, d_c = _mixed_batch(hardening, rng)
+        before = state.copy()
+        new, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True)
+        assert plastic.index.size > 0
+        for name in ("sigma", "eps_p", "back_stress", "eps_p_eq"):
+            assert np.array_equal(getattr(state, name), getattr(before, name)), name
+            assert not np.shares_memory(getattr(new, name), getattr(state, name)), name
+
+    def test_elastic_update_returns_step_start_history(self, hardening, rng):
+        # no point yields: the history is the step start's, not a copy of it
+        state, _, d_c = _mixed_batch(hardening, rng)
+        xi = ct.deviator(state.sigma) - state.back_stress          # unloading
+        d_eps = -2e-4 * xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+        new, plastic = ct.update_stress(state, d_eps, np.zeros_like(d_c), hardening,
+                                        return_tangent=True)
+        assert plastic.index.size == 0
+        for name in ("eps_p", "back_stress", "eps_p_eq"):
+            assert np.shares_memory(getattr(new, name), getattr(state, name)), name
+            assert np.array_equal(getattr(new, name), getattr(state, name)), name
+
     def test_correction_annihilates_swelling_direction(self, hardening, rng):
         # the plastic tangent correction is deviatoric, so the K_uc coupling
         # (tangent times [1, 1, 1, 0]) is the elastic one at every iterate

@@ -330,8 +330,14 @@ class TestBlockSolver:
         assert np.array_equal(B.indices, A.indices)    # same pattern
         solver = _solver(A)
         solver.newton_update(A, np.ones(A.shape[0]))
+        # with r_c = 0 the K_uu right-hand side is -r_u, and rows 0 and 3 of
+        # B x are equal for every x, so ||B x + r_u|| >= |r_0 - r_3| / sqrt(2):
+        # CG cannot reach FORCING ||r_u|| and the block is factored
+        res = rng.normal(size=A.shape[0])
+        res[2::3] = 0.0
+        res[3] = res[0] + 1.0
         with pytest.raises(sla.SingularMatrixError, match="K_uu"):
-            solver.newton_update(B, rng.normal(size=A.shape[0]))
+            solver.newton_update(B, res)
 
     def test_singular_block_with_consistent_rhs_solved_by_kept_factor(self, rng):
         # the equal rows see equal right-hand sides: the system has solutions,
@@ -348,7 +354,12 @@ class TestBlockSolver:
         assert np.linalg.norm(B @ dw + 1.0) <= 1e-12 * np.sqrt(A.shape[0])
 
     def test_alternating_blocks_factor_twice(self, rng, factors):
-        A, B = _block_triangular(rng), _block_triangular(rng)
+        # B = -A: against A's factors, refinement of B's K_cc doubles the
+        # residual and CG on B's K_uu meets p.Bp = -p.Ap < 0 at its first
+        # step, so B's blocks are factored; after that each matrix is served
+        # by its own kept factors
+        A = _spd_block_triangular(rng, n_nodes=3)
+        B = -A
         res = rng.normal(size=A.shape[0])
         solver = _solver(A)
         for M in (A, B, A, B):
@@ -407,6 +418,26 @@ class TestInexactKuu:
         rhs_u = -(res + A @ np.where(is_u, 0.0, dw))[is_u]
         kept = sla._kept_solve(uu_factor, A_uu, float(np.abs(A_uu.data).max()), rhs_u)
         assert np.array_equal(dw[is_u], kept)
+
+    def test_changed_block_skips_older_factor(self, rng, factors):
+        # after -A and A (refactored: r.z < 0 with the factor of -A), K_uu
+        # keeps two factors; a changed A is served by CG on A's factor
+        # without a solve with the older one, which still serves -A exactly
+        A = _spd_block_triangular(rng)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        solver.newton_update(-A, res)
+        solver.newton_update(A, res)
+        assert [f.n for f in factors] == [8, 16, 8, 16]
+        older_uu = factors[1]
+        solves = older_uu.solves
+        B = _spd_perturbed(A, 0.03, rng, blocks="u")
+        dw = solver.newton_update(B, res)
+        assert older_uu.solves == solves and solver.pcg_iters > 0
+        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
+        dw = solver.newton_update(-A, res)
+        assert len(factors) == 4 and older_uu.solves == solves + 1
+        assert np.linalg.norm(-A @ dw + res) <= 1e-12 * np.linalg.norm(res)
 
     @pytest.mark.parametrize("change", ["nonsymmetric", "indefinite", "iteration-cap"])
     def test_failed_pcg_falls_back_to_fresh_factor(self, rng, factors, monkeypatch, change):
