@@ -1,8 +1,8 @@
 """Linear-triangle discretization of the coupled weak form.
 
 Builds residual and Jacobian for the monolithic (u_x, u_y, c) system:
-mechanical equilibrium with the stress from the material-point update at
-every quadrature point, backward-Euler diffusion with a consistent mass
+mechanical equilibrium with the stress of the material model (J2 return at
+every quadrature point), backward-Euler diffusion with a consistent mass
 matrix, and (in two-way mode) the drift term that advects concentration down
 the gradient of the recovered nodal hydrostatic stress.
 
@@ -22,7 +22,7 @@ neighbours, so the dof pattern and the slot map follow from the node pattern
 by arithmetic. The operators take nodal fields to element or
 quadrature-point values (strain, concentration, the drift factors) and back
 to the nodes (B^T, the assembled mass and diffusion matrices, the drift
-scatter).
+scatter, the hydrostatic-stress recovery).
 
 The Jacobian is split into a fixed and a changing part. The fixed part
 (``fixed_jacobian``, once per run) is two CSR-data vectors over the
@@ -33,13 +33,20 @@ direction. The changing part is the two-way drift block, added through the
 K_cc slots, and the K_uu corrections of the plastic quadrature points,
 added through the K_uu slots of their elements only.
 
-Per iterate, ``assemble_residual`` is the material update (the return map
-on the trial-yielding points only), the recovery of the hydrostatic field
-and sparse matrix-vector products with the plan's operators; no element
-dofs are gathered and no element matrix is formed. It keeps the plastic set
-and the drift factors, from which ``assemble_jacobian`` builds the Jacobian
-of the same iterate when a Newton update needs one. ``assemble_system``
-does both in one call.
+P1 strains are constant per element and the elastic response is linear in
+the strain and concentration increments, so the residual needs each
+element's stress sum sum_q w_q sigma_q, not the stress at every point. A step
+attempt forms the step-start data once (``step_start``: strains, stress
+sums and, for a hardening material, the relative stresses dev(sigma) - beta).
+Per iterate, ``assemble_residual`` updates the stress sums by the elastic
+response of the element increments, runs the yield test at every point and
+the return map on the trial-yielding points only, subtracts their plastic
+stress from the sums, and applies the plan's operators; no element dofs are
+gathered, no element matrix is formed and no per-point state is written. It
+keeps the plastic set, the increments and the drift factors: from them
+``assemble_jacobian`` builds the Jacobian of the same iterate when a Newton
+update needs one, and ``iterate_states`` forms the per-point states of the
+iterate a step commits. ``assemble_system`` does all three in one call.
 
 The boundary data is planned once per run as well (``plan_boundary``): the
 sorted constrained dofs with the positions of every Dirichlet entry among
@@ -55,8 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .constitutive import (ConstitutiveError, MaterialState, PlasticPoints, elastic_stiffness_eng,
-                           hydrostatic, update_stress)
+from .constitutive import (ConstitutiveError, MaterialState, PlasticPoints, deviator,
+                           elastic_stiffness, elastic_stiffness_eng, radial_return,
+                           returned_state, trace, trial_stress)
 from .mesh import signed_areas
 
 _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
@@ -150,9 +158,9 @@ class ElementData:
     kernels, the Jacobian's CSR pattern with the slot of every element entry,
     and the sparse operators of the residual pass. With the material, it
     gives the fixed Jacobian data (``fixed_jacobian``). What depends on the
-    iterate (material update, stress integral, the drift block and the
+    iterate (stress sums, yield test and return, the drift block and the
     plastic corrections) is computed by ``assemble_residual`` and
-    ``assemble_jacobian``.
+    ``assemble_jacobian``, the per-point states by ``iterate_states``.
 
     The operators act on node-major fields: ``u.ravel()`` (2N) for the
     displacements, the (N,) nodal values otherwise; element rows are
@@ -160,7 +168,6 @@ class ElementData:
     element strains.
     """
     areas: np.ndarray       # (n_elem,)
-    grads: np.ndarray       # (n_elem, 3, 2) physical shape-function gradients
     b_eng: np.ndarray       # (n_elem, 4, 6) engineering strain-displacement
     b_t: np.ndarray         # (n_elem, 6, 4) contiguous transpose of b_eng
     shape_qp: np.ndarray    # (n_qp, 3) shape values at quadrature points
@@ -168,8 +175,6 @@ class ElementData:
     wq: np.ndarray          # (n_elem, n_qp) physical quadrature weights
     m_e: np.ndarray         # (n_elem, 3, 3) consistent mass
     gg: np.ndarray          # (n_elem, 3, 3) grad N_i . grad N_j
-    edofs_u: np.ndarray     # (n_elem, 6)
-    edofs_c: np.ndarray     # (n_elem, 3)
     jac_indptr: np.ndarray  # CSR pattern of the Jacobian
     jac_indices: np.ndarray
     jac_slot: np.ndarray    # (63 n_elem,) CSR data index of each K_uu, K_uc, K_cc entry
@@ -181,6 +186,7 @@ class ElementData:
     gn: sp.csr_matrix       # (3 n_elem, N) grad N_i . grad f per element vertex
     c_w: sp.csr_matrix      # (n_elem, N) sum_q w_q f(x_q) per element
     to_nodes: sp.csr_matrix  # (N, 3 n_elem) sums element-vertex values onto the nodes
+    recover: sp.csr_matrix  # (N, n_elem) area-weighted average of the adjacent elements
 
     @property
     def n_dofs(self):
@@ -291,10 +297,6 @@ def precompute(mesh):
     m_e = np.einsum("eq,qi,qj->eij", wq, shape_qp, shape_qp)
     gg = np.einsum("eid,ejd->eij", grads, grads)
 
-    dm = DofMap(n_nodes)
-    edofs_u = np.empty((n_elem, 6), dtype=np.int64)
-    edofs_u[:, 0::2] = dm.ux(tris)
-    edofs_u[:, 1::2] = dm.uy(tris)
     node_indptr, node_indices, pair = _node_pattern(n_nodes, tris)
     indptr, indices, slot = _jacobian_pattern(node_indptr, node_indices, pair)
 
@@ -310,9 +312,8 @@ def precompute(mesh):
     elem_tris = tris[:, None, :]
 
     return ElementData(
-        areas=areas, grads=grads, b_eng=b, b_t=np.ascontiguousarray(b.transpose(0, 2, 1)),
+        areas=areas, b_eng=b, b_t=np.ascontiguousarray(b.transpose(0, 2, 1)),
         shape_qp=shape_qp, weights=rule.weights.copy(), wq=wq, m_e=m_e, gg=gg,
-        edofs_u=edofs_u, edofs_c=dm.c(tris),
         jac_indptr=indptr, jac_indices=indices, jac_slot=slot,
         strain=strain, strain_t=strain.T,
         qp=_element_operator(elem_tris, shape_qp, n_nodes),
@@ -320,7 +321,8 @@ def precompute(mesh):
         gn=_element_operator(elem_tris, gg, n_nodes),
         c_w=_element_operator(elem_tris, (wq @ shape_qp)[:, None], n_nodes),
         to_nodes=sp.csr_matrix((np.ones(3 * n_elem), (tris.ravel(), np.arange(3 * n_elem))),
-                               shape=(n_nodes, 3 * n_elem)))
+                               shape=(n_nodes, 3 * n_elem)),
+        recover=_recovery(tris, areas, n_nodes))
 
 
 def element_strain(elem_data, u):
@@ -328,10 +330,14 @@ def element_strain(elem_data, u):
     return (elem_data.strain @ np.ravel(u)).reshape(-1, 4)
 
 
-def element_sigma_h(states, weights):
-    """Quadrature-averaged hydrostatic stress per element."""
-    sh = hydrostatic(states.sigma)
-    return (sh * weights) .sum(axis=1) / weights.sum()
+def _recovery(tris, areas, n_nodes):
+    """(N, n_elem) lumped L2 projection: row n weights each element adjacent
+    to node n by its area over the total area of those elements."""
+    nodes = tris.ravel()
+    total = np.bincount(nodes, weights=np.repeat(areas, 3), minlength=n_nodes)
+    return sp.csr_matrix((np.repeat(areas, 3) / total[nodes],
+                          (nodes, np.repeat(np.arange(tris.shape[0]), 3))),
+                         shape=(n_nodes, tris.shape[0]))
 
 
 def recover_hydrostatic(mesh, elem_sigma_h, areas):
@@ -339,17 +345,13 @@ def recover_hydrostatic(mesh, elem_sigma_h, areas):
 
     Nodal value = area-weighted average of the adjacent element values,
     weighted by ``areas`` (``ElementData.areas``); exact for a globally
-    linear field on structured patches.
+    linear field on structured patches. This is ``ElementData.recover``
+    applied to ``elem_sigma_h``.
     """
     elem_sigma_h = np.asarray(elem_sigma_h, dtype=float)
     if elem_sigma_h.shape != (mesh.n_elements,):
         raise ValueError("recover_hydrostatic: need one value per element")
-    # vertex-major: the contributions of every element's first vertex, then
-    # of the second and the third
-    verts = mesh.tris.T.ravel()
-    num = np.bincount(verts, weights=np.tile(areas * elem_sigma_h, 3), minlength=mesh.n_nodes)
-    den = np.bincount(verts, weights=np.tile(areas, 3), minlength=mesh.n_nodes)
-    return num / np.where(den > 0, den, 1.0)
+    return _recovery(mesh.tris, areas, mesh.n_nodes) @ elem_sigma_h
 
 
 @dataclass
@@ -481,69 +483,111 @@ def fixed_jacobian(elem_data, params):
 
 
 @dataclass
+class StepStart:
+    """What every iterate of a step takes from the step start
+    (``step_start``), fixed for the step attempt."""
+    fields: FieldState
+    strain: np.ndarray      # (n_elem, 4) engineering strain
+    stress_sum: np.ndarray  # (n_elem, 4) sum_q w_q sigma_q
+    xi: np.ndarray          # (n_elem, n_qp, 4) dev(sigma) - beta; None for an elastic material
+
+
+def step_start(elem_data, fields, params):
+    """The step-start data of ``fields``: its element strains, its element
+    stress sums and, for a hardening material, its relative stresses."""
+    states = fields.states
+    xi = None if params.hardening_kind == "none" else deviator(states.sigma) - states.back_stress
+    return StepStart(fields, element_strain(elem_data, fields.u),
+                     np.einsum("eq,eqa->ea", elem_data.wq, states.sigma), xi)
+
+
+@dataclass
 class Iterate:
     """The residual pass at one iterate (``assemble_residual``), with what
-    the Jacobian of the same iterate needs from it."""
+    the Jacobian (``assemble_jacobian``) and the per-point states
+    (``iterate_states``) of the same iterate need from it."""
     residual: np.ndarray        # internal terms only
-    states: MaterialState
     sigma_h_nodal: np.ndarray
     plastic: PlasticPoints      # trial-yielding quadrature points, flat over (elem, qp)
     gn: np.ndarray              # (n_elem, 3) grad N_i . grad sigma_h; None in one-way
+    d_eps: np.ndarray           # (n_elem, 4) strain increment, tensor components
+    d_c: np.ndarray             # (N,) concentration increment
 
 
-def assemble_residual(mesh, elem_data, fields_new, fields_old, strain_old, params, dt, mode,
-                      frozen_sigma_h=None):
-    """Residual of the iterate ``fields_new`` from the step start ``fields_old``.
+def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=None):
+    """Residual of the iterate (u, c) of the step that starts at ``start``.
 
-    ``strain_old`` is ``element_strain`` of ``fields_old.u``, fixed for the
-    step. The stress at every quadrature point comes from the material
-    update driven by the increments between the two states; the return map
+    The strain is constant per element and the swelling strain volumetric,
+    so each element's stress sum sum_q w_q sigma_q is its step-start sum
+    plus ``A_e C : d_eps_e - K_b Omega (c_w @ d_c)_e I`` (K_b = lam + 2 mu
+    / 3), less ``2 mu w_q d_eps_p`` of its plastic points. The yield test is
+    the only per-point work: the trial relative stress is the step start's
+    plus ``2 mu dev(d_eps_e)`` (the concentration drops out), and the return
     runs on the trial-yielding points only. The mechanics rows are
-    ``strain_t`` applied to the weighted stress sums, the diffusion rows
-    ``mass @ (c - c_n) / dt + D lap @ c``, less the two-way drift term.
-    ``frozen_sigma_h`` replaces the recovered hydrostatic field of the drift
-    term.
+    ``strain_t`` applied to the stress sums, the element hydrostatic stress
+    is ``tr(S_e) / (3 A_e)``, recovered to the nodes by ``recover``, and the
+    diffusion rows are ``mass @ (c - c_n) / dt + D lap @ c``, less the
+    two-way drift term. ``frozen_sigma_h`` replaces the recovered
+    hydrostatic field of the drift term. No per-point state is formed here;
+    ``iterate_states`` forms them for the iterate a step commits.
     """
     ed = elem_data
-    n_elem, n_qp = ed.wq.shape
-
-    # strain increments (constant per element), concentration increments per qp
-    d_eps = element_strain(ed, fields_new.u) - strain_old
+    lam, mu = params.lam, params.mu
+    d_eps = element_strain(ed, u) - start.strain
     d_eps[:, 3] *= 0.5                                          # gamma -> tensor shear
-    d_c = fields_new.c - fields_old.c
-    d_c_qp = (ed.qp @ d_c).reshape(n_elem, n_qp)
+    d_c = c - start.fields.c
+    swell = (lam + 2.0 * mu / 3.0) * params.Omega * (ed.c_w @ d_c)
+    stress = (start.stress_sum + ed.areas[:, None] * (d_eps @ elastic_stiffness(params))
+              - swell[:, None] * _CHEM_VEC)
+    if not np.isfinite(stress).all():
+        bad = int(np.flatnonzero(~np.isfinite(stress).all(axis=1))[0])
+        raise AssemblyError(f"constitutive update failed at element {bad}: "
+                            "trial stress is not finite")
 
-    d_eps_qp = np.broadcast_to(d_eps[:, None, :], (n_elem, n_qp, 4))
-    try:
-        new_states, plastic = update_stress(fields_old.states, d_eps_qp, d_c_qp, params,
-                                            return_tangent=True)
-    except ConstitutiveError as err:
-        where = ""
-        if err.flat_index is not None:
-            e, q = np.unravel_index(err.flat_index, (n_elem, n_qp))
-            where = f" at element {int(e)}, quadrature point {int(q)}"
-        raise AssemblyError(f"constitutive update failed{where}: {err}") from err
+    plastic = PlasticPoints.none()
+    if start.xi is not None:
+        xi_tr = start.xi + 2.0 * mu * deviator(d_eps)[:, None, :]
+        try:
+            plastic = radial_return(xi_tr.reshape(-1, 4),
+                                    start.fields.states.eps_p_eq.reshape(-1), params)
+        except ConstitutiveError as err:
+            e, q = np.unravel_index(err.flat_index, ed.wq.shape)
+            raise AssemblyError(f"constitutive update failed at element {int(e)}, "
+                                f"quadrature point {int(q)}: {err}") from err
+        if plastic.index.size:
+            w_lam = ed.wq.ravel()[plastic.index] * plastic.d_lam
+            np.add.at(stress, plastic.index // ed.wq.shape[1],
+                      (-2.0 * mu * w_lam)[:, None] * plastic.n_dir)
 
-    # recovered hydrostatic field for the drift term
     if frozen_sigma_h is not None:
         sigma_h_nodal = np.asarray(frozen_sigma_h, dtype=float)
     else:
-        sigma_h_nodal = recover_hydrostatic(mesh, element_sigma_h(new_states, ed.weights),
-                                            ed.areas)
+        sigma_h_nodal = ed.recover @ (trace(stress) / (3.0 * ed.areas))
 
-    residual = np.empty((mesh.n_nodes, 3))
+    residual = np.empty((ed.mass.shape[0], 3))
     # mechanics rows: B^T sum_q w sigma_q (tensor comps == eng stress)
-    residual[:, :2] = (ed.strain_t @ np.einsum("eq,eqa->ea", ed.wq, new_states.sigma).ravel()
-                       ).reshape(-1, 2)
+    residual[:, :2] = (ed.strain_t @ stress.ravel()).reshape(-1, 2)
     # diffusion rows
-    r_c = ed.mass @ (d_c / dt) + params.D * (ed.lap @ fields_new.c)
+    r_c = ed.mass @ (d_c / dt) + params.D * (ed.lap @ c)
     gn = None
     if mode == "two-way":
-        gn = (ed.gn @ sigma_h_nodal).reshape(n_elem, 3)    # grad N_i . grad sigma_h
+        gn = (ed.gn @ sigma_h_nodal).reshape(-1, 3)          # grad N_i . grad sigma_h
         drift_coeff = params.D * params.Omega / (params.R * params.T)
-        r_c -= drift_coeff * (ed.to_nodes @ ((ed.c_w @ fields_new.c)[:, None] * gn).ravel())
+        r_c -= drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel())
     residual[:, 2] = r_c
-    return Iterate(residual.ravel(), new_states, sigma_h_nodal, plastic, gn)
+    return Iterate(residual.ravel(), sigma_h_nodal, plastic, gn, d_eps, d_c)
+
+
+def iterate_states(elem_data, start, iterate, params):
+    """Per-quadrature-point material states of ``iterate``: every point's
+    trial stress from the step start, and the return of the iterate's
+    plastic points. The yield test is not run again, so the states, the
+    residual and the Jacobian of the iterate share one plastic set."""
+    ed = elem_data
+    d_c_qp = (ed.qp @ iterate.d_c).reshape(ed.wq.shape)
+    states = start.fields.states
+    sigma_tr = trial_stress(states.sigma, iterate.d_eps[:, None, :], d_c_qp, params)
+    return returned_state(states, sigma_tr, iterate.plastic, params)
 
 
 def assemble_jacobian(elem_data, fixed, iterate, dt):
@@ -574,9 +618,10 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
                     elem_data=None, frozen_sigma_h=None, want_jacobian=True):
     """Residual, Jacobian and constitutive byproducts of one iterate.
 
-    ``assemble_residual`` and, with ``want_jacobian``, ``assemble_jacobian``
-    over ``fixed_jacobian`` data made for this call: the time stepper makes
-    the fixed data once per run and the step-start strain once per step.
+    ``assemble_residual``, ``iterate_states`` and, with ``want_jacobian``,
+    ``assemble_jacobian`` over ``fixed_jacobian`` data made for this call:
+    the time stepper makes the fixed data once per run and the step-start
+    data (``step_start``) once per step.
     ``elem_data`` is the mesh's assembly plan from ``precompute``; without
     it the plan is rebuilt on every call. ``dofmap`` is the mesh's dof
     layout. The residual holds the internal terms only; the boundary load
@@ -588,10 +633,11 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     ed = elem_data if elem_data is not None else precompute(mesh)
     if dofmap.n_dofs != ed.n_dofs:
         raise ValueError("assemble_system: dof map and assembly plan disagree")
-    it = assemble_residual(mesh, ed, fields_new, fields_old, element_strain(ed, fields_old.u),
-                           params, dt, mode, frozen_sigma_h=frozen_sigma_h)
+    start = step_start(ed, fields_old, params)
+    it = assemble_residual(ed, fields_new.u, fields_new.c, start, params, dt, mode,
+                           frozen_sigma_h=frozen_sigma_h)
     jacobian = assemble_jacobian(ed, fixed_jacobian(ed, params), it, dt) if want_jacobian else None
-    return it.residual, jacobian, it.states, it.sigma_h_nodal
+    return it.residual, jacobian, iterate_states(ed, start, it, params), it.sigma_h_nodal
 
 
 def locate_points(mesh, points):

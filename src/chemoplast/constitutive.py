@@ -6,8 +6,14 @@ Symmetric 2-D tensors are stored as 4-vectors in the component order
 (xx, yy, zz, xy) where xy is the *tensor* shear component. The out-of-plane
 normal component zz is carried explicitly so hydrostatic and von Mises
 measures are exact in plane strain. All operations are vectorized: state and
-increment arrays may carry any leading batch shape, which is how the element
-assembly evaluates every quadrature point in one call.
+increment arrays may carry any leading batch shape.
+
+``update_stress`` is the material-point model: elastic predictor
+(``trial_stress``), yield test and radial return (``radial_return``) and the
+new state (``returned_state``). The element assembly uses the same three
+pieces apart: per iterate it runs only the yield test and the return, on
+relative stresses it updates element by element, and it forms the
+per-point states once, for the iterate a step commits.
 
 Plastic steps enforce the discrete consistency condition by an implicit
 radial return, which is exact (no local iteration) for linear hardening;
@@ -179,16 +185,13 @@ class MaterialState:
         return self.eps_p_eq.shape
 
 
-def yield_function(state, params):
-    """f = sigma_e(S - beta) - sigma_y, in stress units for both hardening
-    kinds; -inf for an elastic material."""
-    if params.hardening_kind == "none":
-        return np.full(state.batch_shape, -np.inf)
-    xi = deviator(state.sigma) - state.back_stress
+def _yield(xi, eps_p_eq, params):
+    """von Mises value sigma_e of the relative stress ``xi`` = dev(sigma) -
+    beta, and the yield function f = sigma_e - sigma_y in stress units for
+    both hardening kinds."""
     sig_e = np.sqrt(np.maximum(1.5 * ddot(xi, xi), 0.0))
-    if params.hardening_kind == "isotropic":
-        return sig_e - (params.sigma_y0 + params.H * state.eps_p_eq)
-    return sig_e - params.sigma_y0
+    hardening = 0.0 if params.hardening_kind == "kinematic" else params.H * eps_p_eq
+    return sig_e, sig_e - (params.sigma_y0 + hardening)
 
 
 # maps engineering strain to the tensor-component deviator
@@ -197,22 +200,26 @@ _DEV_PROJ = np.array([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 
 
 @dataclass
 class PlasticPoints:
-    """The points of a batch whose trial state yields, compacted.
+    """The points of a batch whose trial state yields, compacted, with their
+    radial return (``radial_return``).
 
-    At these points the consistent tangent is the elastic stiffness minus
-    ``b P + a n (x) n`` (P: ``_DEV_PROJ``, n: the return direction); every
-    other point keeps the elastic stiffness (Simo & Hughes, *Computational
-    Inelasticity*, 1998, ch. 3). The correction is deviatoric, so it
-    annihilates the swelling direction [1, 1, 1, 0].
+    A point's plastic strain increment is ``d_lam n_dir``. At these points
+    the consistent tangent is the elastic stiffness minus ``b P + a n (x) n``
+    (P: ``_DEV_PROJ``, n: the return direction); every other point keeps the
+    elastic stiffness (Simo & Hughes, *Computational Inelasticity*, 1998,
+    ch. 3). The correction is deviatoric, so it annihilates the swelling
+    direction [1, 1, 1, 0].
     """
     index: np.ndarray   # (k,) flat indices into the batch, increasing
+    d_lam: np.ndarray   # (k,) plastic multiplier (equivalent plastic strain increment)
+    n_dir: np.ndarray   # (k, 4) return direction 3/2 xi / sigma_e
     b: np.ndarray       # (k,)
     a: np.ndarray       # (k,)
-    n_dir: np.ndarray   # (k, 4)
 
     @classmethod
     def none(cls):
-        return cls(np.zeros(0, np.int64), np.zeros(0), np.zeros(0), np.zeros((0, 4)))
+        return cls(np.zeros(0, np.int64), np.zeros(0), np.zeros((0, 4)), np.zeros(0),
+                   np.zeros(0))
 
     def correction(self):
         """(k, 4, 4) tangent corrections on the engineering basis."""
@@ -226,77 +233,102 @@ class PlasticPoints:
         return tangent
 
 
+def trial_stress(sigma_old, d_eps, d_c, params):
+    """Elastic predictor: ``sigma_old`` plus the elastic response to the
+    strain increment ``d_eps`` (tensor components) less the swelling strain
+    of the concentration increment ``d_c``; broadcasts over the batch."""
+    mech = d_eps - d_c[..., None] * (params.Omega / 3.0) * _NORMALS
+    return sigma_old + params.lam * trace(mech)[..., None] * _NORMALS + 2.0 * params.mu * mech
+
+
+def radial_return(xi_tr, eps_p_eq, params):
+    """Trial yield test and radial return of a flat batch.
+
+    ``xi_tr`` (n, 4) is the trial relative stress ``dev(sigma_tr) - beta``
+    and ``eps_p_eq`` (n,) the step-start equivalent plastic strain. Returns
+    the ``PlasticPoints`` of the points with f_tr > 0 (the material must
+    harden: ``hardening_kind != "none"``). The return is exact for linear
+    hardening; raises ConstitutiveError if it leaves f above
+    ``tol_f`` at a returned point.
+    """
+    mu = params.mu
+    kinematic = params.hardening_kind == "kinematic"
+    H_eff = 1.5 * params.h if kinematic else params.H
+
+    sig_e_tr, f = _yield(xi_tr, eps_p_eq, params)
+    idx = np.flatnonzero(f > 0.0)
+    if not idx.size:
+        return PlasticPoints.none()
+    sig_e = sig_e_tr[idx]
+    d_lam = f[idx] / (3.0 * mu + H_eff)
+    n_dir = 1.5 * xi_tr[idx] / sig_e[:, None]
+    # the returned relative stress loses (2 mu + h) d_eps_p
+    xi = xi_tr[idx] - (2.0 * mu + (params.h if kinematic else 0.0)) * (d_lam[:, None] * n_dir)
+    _, f_new = _yield(xi, eps_p_eq[idx] + d_lam, params)
+    if np.any(f_new > params.tol_f):
+        worst = int(np.argmax(f_new))
+        raise ConstitutiveError(
+            f"radial return left f = {float(f_new[worst]):.3e} above tol {params.tol_f:.3e}",
+            flat_index=int(idx[worst]))
+    return PlasticPoints(
+        index=idx, d_lam=d_lam, n_dir=n_dir, b=6.0 * mu**2 * d_lam / sig_e,
+        a=4.0 * mu**2 / (3.0 * mu + H_eff) - 4.0 * mu**2 * d_lam / sig_e)
+
+
 def _history(a, shape):
     """``a`` itself where it has ``shape``, else a copy broadcast to it."""
     return a if a.shape == shape else np.broadcast_to(a, shape).copy()
+
+
+def returned_state(state_old, sigma_tr, plastic, params):
+    """The state after an increment with trial stress ``sigma_tr`` (a new
+    array, written in place) whose trial-yielding points and their returns
+    are ``plastic``. Every other point keeps its trial stress and the
+    step-start history, which is returned as it is when no point yields and
+    copied before any plastic point is written."""
+    shape = sigma_tr.shape
+    batch = shape[:-1]
+    eps_p = _history(state_old.eps_p, shape).reshape(-1, 4)
+    beta = _history(state_old.back_stress, shape).reshape(-1, 4)
+    eps_p_eq = _history(state_old.eps_p_eq, batch).reshape(-1)
+    sigma = np.ascontiguousarray(sigma_tr).reshape(-1, 4)
+    idx = plastic.index
+    if idx.size:
+        eps_p, beta, eps_p_eq = eps_p.copy(), beta.copy(), eps_p_eq.copy()
+        d_eps_p = plastic.d_lam[:, None] * plastic.n_dir
+        sigma[idx] -= 2.0 * params.mu * d_eps_p
+        eps_p[idx] += d_eps_p
+        if params.hardening_kind == "kinematic":
+            beta[idx] += params.h * d_eps_p
+        eps_p_eq[idx] += plastic.d_lam
+    return MaterialState(sigma.reshape(shape), eps_p.reshape(shape), beta.reshape(shape),
+                         eps_p_eq.reshape(batch))
 
 
 def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
     """Advance the material state by strain increment ``d_eps`` (tensor
     components) and concentration increment ``d_c``.
 
-    Elastic predictor / radial-return corrector; the return map is rate
-    independent. The return and the tangent correction run only on the
-    compacted set of points whose trial state yields; every other point
-    keeps its trial state. With ``return_tangent`` the ``PlasticPoints``
-    are returned alongside the new state; ``PlasticPoints.tangent`` gives the
-    dense consistent tangent on the engineering basis (gamma shear).
+    Elastic predictor (``trial_stress``) / radial-return corrector
+    (``radial_return``); the return map is rate independent. The return and
+    the tangent correction run only on the compacted set of points whose
+    trial state yields; every other point keeps its trial state. With
+    ``return_tangent`` the ``PlasticPoints`` are returned alongside the new
+    state; ``PlasticPoints.tangent`` gives the dense consistent tangent on
+    the engineering basis (gamma shear).
     """
-    d_eps = np.asarray(d_eps, dtype=float)
-    d_c = np.asarray(d_c, dtype=float)
-    lam, mu = params.lam, params.mu
-
-    mech = d_eps - d_c[..., None] * (params.Omega / 3.0) * _NORMALS
-    sigma_tr = (state_old.sigma
-                + lam * trace(mech)[..., None] * _NORMALS
-                + 2.0 * mu * mech)
+    sigma_tr = trial_stress(state_old.sigma, np.asarray(d_eps, dtype=float),
+                            np.asarray(d_c, dtype=float), params)
     if not np.all(np.isfinite(sigma_tr)):
         bad = int(np.flatnonzero(~np.isfinite(sigma_tr).reshape(-1, 4).all(axis=1))[0])
         raise ConstitutiveError("trial stress is not finite", flat_index=bad)
-
-    batch = sigma_tr.shape[:-1]
-    # the step-start history, flat; an elastic update returns it as it is,
-    # and it is copied before any plastic point is written
-    eps_p = _history(state_old.eps_p, sigma_tr.shape).reshape(-1, 4)
-    beta = _history(state_old.back_stress, sigma_tr.shape).reshape(-1, 4)
-    eps_p_eq = _history(state_old.eps_p_eq, batch).reshape(-1)
-    sigma = np.ascontiguousarray(sigma_tr).reshape(-1, 4)
     plastic = PlasticPoints.none()
-
     if params.hardening_kind != "none":
-        kinematic = params.hardening_kind == "kinematic"
-        H_eff = 1.5 * params.h if kinematic else params.H
-
-        xi_tr = deviator(sigma) - beta
-        sig_e_tr = np.sqrt(np.maximum(1.5 * ddot(xi_tr, xi_tr), 0.0))
-        f = sig_e_tr - (params.sigma_y0 + (0.0 if kinematic else params.H * eps_p_eq))
-        idx = np.flatnonzero(f > 0.0)
-        if idx.size:
-            eps_p, beta, eps_p_eq = eps_p.copy(), beta.copy(), eps_p_eq.copy()
-            sig_e = sig_e_tr[idx]
-            d_lam = f[idx] / (3.0 * mu + H_eff)
-            n_dir = 1.5 * xi_tr[idx] / sig_e[:, None]
-            d_eps_p = d_lam[:, None] * n_dir
-            sigma[idx] -= 2.0 * mu * d_eps_p
-            eps_p[idx] += d_eps_p
-            if kinematic:
-                beta[idx] += params.h * d_eps_p
-            eps_p_eq[idx] += d_lam
-            # an elastic point kept its trial state, so its f is f_tr
-            f[idx] = yield_function(MaterialState(sigma[idx], eps_p[idx], beta[idx],
-                                                  eps_p_eq[idx]), params)
-            plastic = PlasticPoints(
-                index=idx, b=6.0 * mu**2 * d_lam / sig_e,
-                a=4.0 * mu**2 / (3.0 * mu + H_eff) - 4.0 * mu**2 * d_lam / sig_e,
-                n_dir=n_dir)
-        if np.any(f > params.tol_f):
-            raise ConstitutiveError(
-                f"radial return left f = {float(np.max(f)):.3e} above tol {params.tol_f:.3e}",
-                flat_index=int(np.argmax(f)))
-
-    shape = sigma_tr.shape
-    new = MaterialState(sigma.reshape(shape), eps_p.reshape(shape), beta.reshape(shape),
-                        eps_p_eq.reshape(batch))
+        beta = np.broadcast_to(state_old.back_stress, sigma_tr.shape)
+        eps_p_eq = np.broadcast_to(state_old.eps_p_eq, sigma_tr.shape[:-1])
+        plastic = radial_return((deviator(sigma_tr) - beta).reshape(-1, 4),
+                                eps_p_eq.reshape(-1), params)
+    new = returned_state(state_old, sigma_tr, plastic, params)
     if not return_tangent:
         return new
     return new, plastic

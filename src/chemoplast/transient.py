@@ -1,10 +1,11 @@
 """Backward-Euler time stepping for the coupled system.
 
 Each step is one Newton solve of the coupled (u, c) system. The J2 return
-map sits inside the residual: every iterate updates the material from the
-states at the start of the step, so the quadrature-point states of the
-converged iterate satisfy the discrete consistency condition and are
-committed as they are.
+map sits inside the residual: every iterate runs the yield test and the
+return from the states at the start of the step. The quadrature-point states
+are formed once, for the converged iterate, from its increments and its
+plastic set (``assembly.iterate_states``), so they satisfy the discrete
+consistency condition of the residual that converged.
 
 ``run`` resolves the boundary data once (``assembly.plan_boundary``). A step
 writes the Dirichlet values into its initial iterate and computes the
@@ -12,13 +13,15 @@ traction and flux load once; every Newton residual subtracts it.
 
 ``run`` also makes the Jacobian data that no iterate changes once
 (``assembly.fixed_jacobian``: the elastic K_uu and K_uc, K_diff and the
-mass). A step computes the step-start strain once. Every Newton iterate
-then costs one residual pass, in which the return map runs on the
-trial-yielding points only. A Jacobian (the fixed data plus the drift block
-and the plastic points' corrections) is built at a step's first iterate and
-after that only for a Newton update, so a step builds max(updates, 1) of
-them; the roundoff floors of an iterate come from the last one built, whose
-entrywise absolute value is formed once.
+mass). A step attempt forms the step-start data once (``assembly.step_start``:
+strains, element stress sums, relative stresses). Every Newton iterate then
+costs one residual pass on the element stress sums, in which the return map
+runs on the trial-yielding points only. A Jacobian (the fixed data plus the
+drift block and the plastic points' corrections) is built at a step's first
+iterate and after that only for a Newton update, so a step builds
+max(updates, 1) of them. The roundoff floors of an iterate come from the last
+one built; they are computed only when a block misses its tolerance, and the
+Jacobian's entrywise absolute value at most once.
 
 The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
@@ -52,8 +55,8 @@ import numpy as np
 
 from . import sparse_linalg
 from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
-                       dirichlet_values, element_strain, fixed_jacobian, interpolate_nodal,
-                       neumann_load_vector, plan_boundary, precompute)
+                       dirichlet_values, fixed_jacobian, interpolate_nodal, iterate_states,
+                       neumann_load_vector, plan_boundary, precompute, step_start)
 from .constitutive import hydrostatic, von_mises
 
 
@@ -149,17 +152,18 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
 
     Every iterate costs one residual pass. A Jacobian is built from that
     pass at the first iterate and after that only for a Newton update; the
-    roundoff floors of an iterate come from the last Jacobian built.
+    roundoff floors of an iterate come from the last Jacobian built, and are
+    computed only when a block misses its tolerance. The per-point states
+    are formed once, for the iterate the solve returns.
 
     Returns (w, new_states, sigma_h_nodal, StepInfo). The Dirichlet dofs of
     ``w`` must already carry their prescribed values.
     """
-    mesh = scenario.mesh
     config = scenario.solver
-    dm = DofMap(mesh.n_nodes)
+    dm = DofMap(scenario.mesh.n_nodes)
     fixed_dofs = plan.fixed_dofs
     load = neumann_load_vector(plan, t_new)
-    strain_n = element_strain(ed, fields_n.u)
+    start = step_start(ed, fields_n, scenario.params)
     counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
 
     def block_norms(vec):
@@ -178,18 +182,15 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
 
     def residual_at(w_vec):
         u, c = dm.split(w_vec)
-        fields_it = FieldState(u=u, c=c, states=fields_n.states,
-                               sigma_h_nodal=fields_n.sigma_h_nodal)
         try:
-            it = assemble_residual(mesh, ed, fields_it, fields_n, strain_n, scenario.params, dt,
-                                   config.mode)
+            it = assemble_residual(ed, u, c, start, scenario.params, dt, config.mode)
         except AssemblyError as err:
             raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
         return it, it.residual - load
 
     it, res = residual_at(w)
     jac = assemble_jacobian(ed, fixed, it, dt)
-    abs_jac = abs(jac)
+    abs_jac = None      # |jac|, formed when the floors are first needed
     jacobians = 1
 
     tol_u = tol_c = None
@@ -197,6 +198,15 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     grow = 0
     n_solves = 0
     stagnated = False
+
+    def done(reason):
+        return w, iterate_states(ed, start, it, scenario.params), it.sigma_h_nodal, StepInfo(
+            newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
+            jacobians=jacobians, factors=block_solver.factors - counts_0[0],
+            reused=block_solver.reused - counts_0[1],
+            pcg_iters=block_solver.pcg_iters - counts_0[2],
+            plastic_qp=int(it.plastic.index.size))
+
     while True:
         nu, nc = block_norms(res)
         norm = float(np.hypot(nu, nc))
@@ -210,6 +220,10 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                         min(config.newton_abs_tol, 0.5 * nu))
             tol_c = max(config.newton_rel_tol * refs["c"],
                         min(config.newton_abs_tol, 0.5 * nc))
+        if nu <= tol_u and nc <= tol_c:
+            return done("converged")
+        if abs_jac is None:
+            abs_jac = abs(jac)
         floor_u, floor_c = block_floors(abs_jac, w)
         ok_u = nu <= max(tol_u, 2.0 * floor_u)
         ok_c = nc <= max(tol_c, 2.0 * floor_c)
@@ -218,17 +232,11 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         # iteration is chasing the yield-surface branch jitter
         stalled = (len(norms) >= 5 and norm > 0.99 * norms[-5]
                    and nu <= 1e-3 * max(refs["u"], 1e-300) and nc <= max(tol_c, 2.0 * floor_c))
-        reason = ("converged" if nu <= tol_u and nc <= tol_c else
-                  "roundoff-floor" if ok_u and ok_c else
+        reason = ("roundoff-floor" if ok_u and ok_c else
                   "stagnated" if stagnated else
                   "stalled" if stalled else None)
         if reason is not None:
-            return w, it.states, it.sigma_h_nodal, StepInfo(
-                newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
-                jacobians=jacobians, factors=block_solver.factors - counts_0[0],
-                reused=block_solver.reused - counts_0[1],
-                pcg_iters=block_solver.pcg_iters - counts_0[2],
-                plastic_qp=int(it.plastic.index.size))
+            return done(reason)
         if norms:
             meaningful = norm > 10.0 * (floor_u + floor_c)
             grow = grow + 1 if (meaningful and norm > norms[-1]) else 0
@@ -243,7 +251,6 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         if n_solves > 0:            # jac is an earlier iterate's
             jac = abs_jac = None    # free the last Jacobian before building the next
             jac = assemble_jacobian(ed, fixed, it, dt)
-            abs_jac = abs(jac)
             jacobians += 1
         try:
             dw = block_solver.newton_update(jac, res)

@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 
 from chemoplast import mesh as mesh_mod
-from chemoplast.constitutive import MaterialParams
+from chemoplast.constitutive import MaterialParams, ddot, deviator
+
+
+def yield_function(state, params):
+    """f = sigma_e(S - beta) - sigma_y of every point of ``state``, in stress
+    units for both hardening kinds; -inf for an elastic material."""
+    if params.hardening_kind == "none":
+        return np.full(state.batch_shape, -np.inf)
+    xi = deviator(state.sigma) - state.back_stress
+    sig_e = np.sqrt(np.maximum(1.5 * ddot(xi, xi), 0.0))
+    if params.hardening_kind == "isotropic":
+        return sig_e - (params.sigma_y0 + params.H * state.eps_p_eq)
+    return sig_e - params.sigma_y0
 
 
 def build_strip_mesh(nx, L=1.0, height=0.01):

@@ -143,6 +143,17 @@ class TestResidual:
             asm.assemble_system(m, dm, f1, f0, steel_plastic, 1.0, "one-way",
                                 want_jacobian=False)
 
+    @pytest.mark.parametrize("material", ["steel", "steel_plastic"])
+    def test_nonfinite_concentration_names_element(self, material, request):
+        m = build_two_element_square()
+        dm = asm.DofMap(4)
+        f0 = _fields(m)
+        f1 = f0.copy()
+        f1.c[3] = np.nan                    # node 3 belongs to element 1 only
+        with pytest.raises(asm.AssemblyError, match="element 1"):
+            asm.assemble_system(m, dm, f1, f0, request.getfixturevalue(material), 1.0,
+                                "two-way", want_jacobian=False)
+
     def test_unknown_mode_rejected(self, steel):
         m = build_two_element_square()
         dm = asm.DofMap(4)
@@ -205,10 +216,27 @@ class TestJacobian:
         assert np.abs(J_small[np.ix_(ic, ic)]).max() > 1e3 * np.abs(K_cc_huge).max()
 
 
-def _triplets(ed):
+def _element_dofs(tris):
+    """(n_elem, 6) displacement dofs (u_x, u_y per vertex) and (n_elem, 3)
+    concentration dofs of every element."""
+    eu = np.empty((tris.shape[0], 6), dtype=np.int64)
+    eu[:, 0::2] = 3 * tris
+    eu[:, 1::2] = 3 * tris + 1
+    return eu, 3 * tris + 2
+
+
+def _grads(mesh):
+    """(n_elem, 3, 2) physical shape-function gradients of every element."""
+    p = mesh.nodes[mesh.tris]                                    # (n_elem, 3, 2)
+    det = 2.0 * msh.signed_areas(mesh.nodes, mesh.tris)
+    nxt, prv = p[:, [1, 2, 0]], p[:, [2, 0, 1]]
+    return np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1) / det[:, None, None]
+
+
+def _triplets(tris):
     """(rows, cols) of the K_uu, K_uc, K_cc element entries in the order
     assemble_system concatenates them."""
-    eu, ec = ed.edofs_u, ed.edofs_c
+    eu, ec = _element_dofs(tris)
     rows = np.concatenate([np.repeat(eu, 6, axis=1).ravel(), np.repeat(eu, 3, axis=1).ravel(),
                            np.repeat(ec, 3, axis=1).ravel()])
     cols = np.concatenate([np.tile(eu, (1, 6)).ravel(), np.tile(ec, (1, 6)).ravel(),
@@ -224,9 +252,14 @@ def _element_strain(b, u, tris):
     return np.einsum("eij,ej->ei", b, ue)
 
 
+def _element_sigma_h(states, weights):
+    """Quadrature-averaged hydrostatic stress per element."""
+    return (ct.hydrostatic(states.sigma) * weights).sum(axis=1) / weights.sum()
+
+
 def _recovered_sigma_h(mesh, states, weights):
     """Nodal hydrostatic stress recovered from ``states`` by a per-vertex loop."""
-    elem_sh = asm.element_sigma_h(states, weights)
+    elem_sh = _element_sigma_h(states, weights)
     areas = msh.signed_areas(mesh.nodes, mesh.tris)
     num, den = np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)
     for k in range(3):
@@ -241,7 +274,8 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     stable lexsort into from_triplets: the reference for the planned
     assembler. Returns (residual, jacobian, sigma_h_nodal)."""
     ed = asm.precompute(mesh)
-    tris, b = mesh.tris, ed.b_eng
+    tris, b, grads = mesh.tris, ed.b_eng, _grads(mesh)
+    edofs_u, edofs_c = _element_dofs(tris)
     wq = 2.0 * ed.areas[:, None] * ed.weights[None, :]
     d_eps = _element_strain(b, fields_new.u, tris) - _element_strain(b, fields_old.u, tris)
     d_eps[:, 3] *= 0.5
@@ -252,26 +286,26 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
                                        return_tangent=True)
     tangent = plastic.tangent(mat, d_c_qp.shape)
     sigma_h = _recovered_sigma_h(mesh, states, ed.weights)
-    grad_sh = np.einsum("eid,ei->ed", ed.grads, sigma_h[tris])
+    grad_sh = np.einsum("eid,ei->ed", grads, sigma_h[tris])
     drift = mat.D * mat.Omega / (mat.R * mat.T)
 
     r_u = np.einsum("eai,ea->ei", b, np.einsum("eq,eqa->ea", wq, states.sigma))
     m_e = np.einsum("eq,qi,qj->eij", wq, ed.shape_qp, ed.shape_qp)
-    k_diff = mat.D * ed.areas[:, None, None] * np.einsum("eid,ejd->eij", ed.grads, ed.grads)
+    k_diff = mat.D * ed.areas[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
     r_c = (np.einsum("eij,ej->ei", m_e, (ce_new - ce_old) / dt)
            + np.einsum("eij,ej->ei", k_diff, ce_new))
-    gn = np.einsum("eid,ed->ei", ed.grads, grad_sh)
+    gn = np.einsum("eid,ed->ei", grads, grad_sh)
     c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new)
     r_c -= drift * (wq * c_qp).sum(axis=1)[:, None] * gn
     residual = np.zeros(dm.n_dofs)
-    np.add.at(residual, ed.edofs_u, r_u)
-    np.add.at(residual, ed.edofs_c, r_c)
+    np.add.at(residual, edofs_u, r_u)
+    np.add.at(residual, edofs_c, r_c)
 
     k_uu = np.einsum("eai,eab,ebj->eij", b, np.einsum("eq,eqab->eab", wq, tangent), b)
     chem = np.einsum("eqab,b->eqa", tangent, np.array([1.0, 1.0, 1.0, 0.0])) * (mat.Omega / 3.0)
     k_uc = -np.einsum("eai,eq,eqa,qj->eij", b, wq, chem, ed.shape_qp)
     k_cc = m_e / dt + k_diff - drift * np.einsum("eq,qj,ei->eij", wq, ed.shape_qp, gn)
-    rows, cols = _triplets(ed)
+    rows, cols = _triplets(tris)
     vals = np.concatenate([k_uu.ravel(), k_uc.ravel(), k_cc.ravel()])
     order = np.lexsort((cols, rows))
     jac = sla.from_triplets(dm.n_dofs, (rows[order], cols[order], vals[order]))
@@ -283,7 +317,7 @@ class TestAssemblyPlan:
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
         ed = asm.precompute(m)
         n = asm.DofMap(m.n_nodes).n_dofs
-        rows, cols = _triplets(ed)
+        rows, cols = _triplets(m.tris)
         vals = rng.normal(size=rows.size)
         order = np.lexsort((cols, rows))
         ref = sla.from_triplets(n, (rows[order], cols[order], vals[order]))
@@ -292,7 +326,9 @@ class TestAssemblyPlan:
         assert np.array_equal(ed.jac_indices, ref.indices)
         assert np.array_equal(ed.jac_indptr, ref.indptr)
 
-    def test_plastic_two_way_iterate_matches_reference(self, steel_plastic, rng):
+    @pytest.mark.parametrize("material", ["steel_plastic", "steel_kinematic"])
+    def test_plastic_two_way_iterate_matches_reference(self, material, request, rng):
+        mat = request.getfixturevalue(material)
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
         dm = asm.DofMap(m.n_nodes)
         f0 = _fields(m, c0=100.0)
@@ -301,19 +337,22 @@ class TestAssemblyPlan:
         f1.u = np.column_stack([3e-3 * m.nodes[:, 0], np.zeros(m.n_nodes)])
         f1.u += rng.normal(scale=1e-5, size=(m.n_nodes, 2))
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
-        res, jac, states, sh = asm.assemble_system(m, dm, f1, f0, steel_plastic, 0.5,
+        res, jac, states, sh = asm.assemble_system(m, dm, f1, f0, mat, 0.5,
                                                    "two-way", elem_data=asm.precompute(m))
         assert np.mean(states.eps_p_eq > 0) > 0.5          # mostly plastic
-        ref_res, ref_jac, ref_sh = _reference_two_way(m, dm, f1, f0, steel_plastic, 0.5)
-        # the planned residual sums in another order (sparse operators instead
-        # of gathers and element kernels); it must agree to a fifth of the
-        # roundoff floor the Newton loop judges each row against, 20 eps |J| |w|
+        ref_res, ref_jac, ref_sh = _reference_two_way(m, dm, f1, f0, mat, 0.5)
+        # the planned residual sums in another order (element stress sums and
+        # sparse operators instead of per-point stresses, gathers and element
+        # kernels); it must agree to a fifth of the roundoff floor the Newton
+        # loop judges each row against, 20 eps |J| |w|
+        eps = np.finfo(float).eps
         floor = abs(ref_jac) @ np.abs(dm.join(f1.u, f1.c))
-        assert np.all(np.abs(res - ref_res) <= 4.0 * np.finfo(float).eps * floor)
-        # the strains, and so the states, differ from the reference in the
-        # last bits; their recovery is bitwise the reference's
-        assert np.array_equal(sh, _recovered_sigma_h(m, states, asm.precompute(m).weights))
-        assert np.abs(sh - ref_sh).max() <= 8.0 * np.finfo(float).eps * np.abs(ref_sh).max()
+        assert np.all(np.abs(res - ref_res) <= 4.0 * eps * floor)
+        # sigma_h comes from the element stress sums, not from the returned
+        # states, so it matches their recovery, and the reference's, to roundoff
+        own = _recovered_sigma_h(m, states, asm.precompute(m).weights)
+        assert np.abs(sh - own).max() <= 8.0 * eps * np.abs(own).max()
+        assert np.abs(sh - ref_sh).max() <= 8.0 * eps * np.abs(ref_sh).max()
         assert np.array_equal(jac.indptr, ref_jac.indptr)
         assert np.array_equal(jac.indices, ref_jac.indices)
         scale = np.abs(ref_jac.data).max()
@@ -330,10 +369,10 @@ class TestAssemblyPlan:
         f1 = f0.copy()
         f1.u = rng.normal(scale=1e-6, size=(m.n_nodes, 2))
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
-        strain0 = asm.element_strain(ed, f0.u)
+        start = asm.step_start(ed, f0, steel_plastic)
         uu = ed.uu_slots.ravel()
         for mode, dt in (("one-way", 0.5), ("two-way", 0.25)):
-            it = asm.assemble_residual(m, ed, f1, f0, strain0, steel_plastic, dt, mode)
+            it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, mode)
             assert it.plastic.index.size == 0
             jac = asm.assemble_jacobian(ed, fixed, it, dt)
             assert np.array_equal(jac.data[uu], fixed.stiff[uu])
@@ -349,7 +388,7 @@ class TestAssemblyPlan:
         x = m.nodes[:, 0]
         f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
-        it = asm.assemble_residual(m, ed, f1, f0, asm.element_strain(ed, f0.u),
+        it = asm.assemble_residual(ed, f1.u, f1.c, asm.step_start(ed, f0, steel_plastic),
                                    steel_plastic, 0.5, "two-way")
         plastic_elems = np.unique(it.plastic.index // ed.wq.shape[1])
         assert 0 < plastic_elems.size < m.n_elements
@@ -358,6 +397,51 @@ class TestAssemblyPlan:
         allowed = np.union1d(ed.uu_slots[plastic_elems].ravel(), ed.cc_slots.ravel())
         assert changed.size > 0
         assert np.all(np.isin(changed, allowed))
+
+
+class TestIterateStates:
+    @pytest.mark.parametrize("material", ["steel_plastic", "steel_kinematic"])
+    def test_states_are_the_material_update_of_the_residual(self, material, request, rng):
+        # a step from a yielded start (back stress too, if kinematic) on which
+        # some points flow and the others stay elastic
+        mat = request.getfixturevalue(material)
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        dm = asm.DofMap(m.n_nodes)
+        x = m.nodes[:, 0]
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        start = asm.step_start(ed, f0, mat)
+        f1.states = asm.iterate_states(
+            ed, start, asm.assemble_residual(ed, f1.u, f1.c, start, mat, 0.5, "two-way"), mat)
+        f2 = f1.copy()
+        f2.u = 1.2 * f1.u + rng.normal(scale=1e-6, size=f1.u.shape)
+        f2.c = f1.c + rng.normal(scale=5.0, size=m.n_nodes)
+        start = asm.step_start(ed, f1, mat)
+        it = asm.assemble_residual(ed, f2.u, f2.c, start, mat, 0.5, "two-way")
+        states = asm.iterate_states(ed, start, it, mat)
+
+        d_eps = asm.element_strain(ed, f2.u) - asm.element_strain(ed, f1.u)
+        d_eps[:, 3] *= 0.5
+        d_eps_qp = np.broadcast_to(d_eps[:, None, :], f1.states.sigma.shape)
+        d_c_qp = (ed.qp @ (f2.c - f1.c)).reshape(ed.wq.shape)
+        ref, plastic = ct.update_stress(f1.states, d_eps_qp, d_c_qp, mat, return_tangent=True)
+        assert 0.1 < plastic.index.size / d_c_qp.size < 0.9       # a mixed step
+        if mat.hardening_kind == "kinematic":
+            assert np.abs(f1.states.back_stress).max() > 0
+        assert np.array_equal(it.plastic.index, plastic.index)
+        eps = np.finfo(float).eps
+        for name in ("sigma", "eps_p", "back_stress", "eps_p_eq"):
+            new, expected = getattr(states, name), getattr(ref, name)
+            assert np.abs(new - expected).max() <= 16.0 * eps * np.abs(expected).max(), name
+        # their stress sums give the residual's mechanics rows to a fifth of
+        # the Newton loop's roundoff floor, 20 eps |J| |w|
+        rows = ed.strain_t @ np.einsum("eq,eqa->ea", ed.wq, states.sigma).ravel()
+        jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, 0.5)
+        floor = (abs(jac) @ np.abs(dm.join(f2.u, f2.c))).reshape(-1, 3)[:, :2].ravel()
+        assert np.all(np.abs(rows - it.residual.reshape(-1, 3)[:, :2].ravel()) <= 4.0 * eps * floor)
 
 
 def _constrained(jac, rhs, plan, t):

@@ -3,9 +3,9 @@ import pytest
 
 from chemoplast import analytic, assembly as asm, scenarios as sc, sparse_linalg as sla
 from chemoplast import transient as tr
-from chemoplast.constitutive import MaterialParams, von_mises, yield_function
+from chemoplast.constitutive import MaterialParams
 from chemoplast.scenarios import Scenario
-from conftest import build_strip_mesh, build_two_element_square
+from conftest import build_strip_mesh, build_two_element_square, yield_function
 
 
 def diffusion_material(D=1.0):
@@ -284,7 +284,7 @@ class TestLazyJacobian:
 
     def test_step_start_strain_once_per_attempt(self, call_spy):
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
-        strains = call_spy("element_strain", asm, tr)
+        strains = call_spy("element_strain", asm)
         hist, _ = tr.run(scen)
         assert not hist.events
         # one per residual pass (newton_iters + 1 a step), one per step start
@@ -481,37 +481,40 @@ class TestRobustness:
             tr.SolverConfig(dt=1.0, t_end=1.0, mode="diagonal")
 
 
+# COARSE_PLATE run two steps longer: pulled at yield-exceeding load
+YIELDING_PLATE = COARSE_PLATE.replace("solver.t_end_hat = 0.03", "solver.t_end_hat = 0.05")
+
+
+def max_yield_function_per_step(scen):
+    """Run ``scen``; the history, the final fields and max f of the committed
+    states per step."""
+    seen = []
+
+    def check(step_no, record, fields):
+        seen.append(float(np.max(yield_function(fields.states, scen.params))))
+
+    hist, fields = tr.run(scen, progress_cb=check)
+    return hist, fields, seen
+
+
 class TestPlasticTransient:
     def test_yield_never_exceeded_along_run(self):
-        # pulled plate at yield-exceeding load; every recorded state on or
-        # inside the hardened yield surface
-        from chemoplast import scenarios as sc
-        cfg = sc.load_config("""
-geometry.kind = plate_with_hole
-geometry.L = 1.0
-geometry.r = 0.2
-geometry.target_h = 0.07
-material.preset = steel_table1
-material.sigma_y0 = 80e6
-loading.kind = displacement
-loading.u_bar = 4.3e-4
-loading.t_ramp_hat = 0.02
-concentration.insulated = on
-concentration.initial_hat = 0.05
-coupling.mode = twoway
-plasticity.enabled = on
-solver.dt_hat = 0.01
-solver.t_end_hat = 0.05
-""")
-        scen = sc.build_scenario(cfg)
-        seen = []
-
-        def check(step_no, record, fields):
-            f = yield_function(fields.states, scen.params)
-            seen.append(float(np.max(f)))
-
-        hist, fields = tr.run(scen, progress_cb=check)
+        # every recorded state on or inside the hardened yield surface
+        scen = sc.build_scenario(sc.load_config(YIELDING_PLATE))
+        hist, _, seen = max_yield_function_per_step(scen)
         assert hist.records[-1]["max_eps_p_eq"] > 0
+        assert max(seen) <= scen.params.tol_f
+
+    def test_kinematic_hardening_along_run(self):
+        # the same plate with a back stress: the yield test of every residual
+        # pass subtracts it, and the committed states stay on or inside the
+        # shifted yield surface
+        scen = sc.build_scenario(sc.load_config(YIELDING_PLATE + "material.hardening = kinematic\n"))
+        assert scen.params.hardening_kind == "kinematic"
+        hist, fields, seen = max_yield_function_per_step(scen)
+        assert [r["newton_exit"] for r in hist.records] == ["converged"] * 5
+        assert hist.records[-1]["max_eps_p_eq"] > 0
+        assert np.abs(fields.states.back_stress).max() > 0
         assert max(seen) <= scen.params.tol_f
 
     def test_committed_state_is_settled(self):
