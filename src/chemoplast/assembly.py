@@ -169,7 +169,6 @@ class ElementData:
     """
     areas: np.ndarray       # (n_elem,)
     b_eng: np.ndarray       # (n_elem, 4, 6) engineering strain-displacement
-    b_t: np.ndarray         # (n_elem, 6, 4) contiguous transpose of b_eng
     shape_qp: np.ndarray    # (n_qp, 3) shape values at quadrature points
     weights: np.ndarray     # (n_qp,)
     wq: np.ndarray          # (n_elem, n_qp) physical quadrature weights
@@ -218,7 +217,7 @@ def _node_pattern(n_nodes, tris):
 def _jacobian_pattern(node_indptr, node_indices, pair):
     """CSR pattern of the element blocks K_uu (6x6), K_uc (6x3) and K_cc
     (3x3) from the node pattern, and the CSR data index of every block
-    entry, taken in the order ``assemble_system`` concatenates them.
+    entry, taken in the order ``fixed_jacobian`` concatenates them.
 
     A node with k neighbours (itself included) gives the dof rows u_x, u_y
     and c of lengths 3k, 3k and k: the three dofs of every neighbour in the
@@ -312,7 +311,7 @@ def precompute(mesh):
     elem_tris = tris[:, None, :]
 
     return ElementData(
-        areas=areas, b_eng=b, b_t=np.ascontiguousarray(b.transpose(0, 2, 1)),
+        areas=areas, b_eng=b,
         shape_qp=shape_qp, weights=rule.weights.copy(), wq=wq, m_e=m_e, gg=gg,
         jac_indptr=indptr, jac_indices=indices, jac_slot=slot,
         strain=strain, strain_t=strain.T,
@@ -463,23 +462,22 @@ class FixedJacobian:
     """
     stiff: np.ndarray
     mass: np.ndarray
-    drift_coeff: float      # D Omega / (R T) of the two-way drift term
 
 
 def fixed_jacobian(elem_data, params):
     """Fixed Jacobian data of the mesh's assembly plan under ``params``."""
     ed = elem_data
     C = elastic_stiffness_eng(params)
-    k_uu = ed.b_t @ (ed.wq.sum(axis=1)[:, None, None] * C) @ ed.b_eng
+    b_t = ed.b_eng.transpose(0, 2, 1)
+    k_uu = b_t @ (ed.wq.sum(axis=1)[:, None, None] * C) @ ed.b_eng
     chem = (C @ _CHEM_VEC) * (params.Omega / 3.0)
-    k_uc = -(ed.b_t @ ((ed.wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
+    k_uc = -(b_t @ ((ed.wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
     k_diff = (params.D * ed.areas[:, None, None]) * ed.gg
     nnz = ed.jac_indices.size
     return FixedJacobian(
         stiff=np.bincount(ed.jac_slot, weights=np.concatenate(
             [k_uu.ravel(), k_uc.ravel(), k_diff.ravel()]), minlength=nnz),
-        mass=np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(), minlength=nnz),
-        drift_coeff=params.D * params.Omega / (params.R * params.T))
+        mass=np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(), minlength=nnz))
 
 
 @dataclass
@@ -572,8 +570,7 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
     gn = None
     if mode == "two-way":
         gn = (ed.gn @ sigma_h_nodal).reshape(-1, 3)          # grad N_i . grad sigma_h
-        drift_coeff = params.D * params.Omega / (params.R * params.T)
-        r_c -= drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel())
+        r_c -= params.drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel())
     residual[:, 2] = r_c
     return Iterate(residual.ravel(), sigma_h_nodal, plastic, gn, d_eps, d_c)
 
@@ -590,7 +587,7 @@ def iterate_states(elem_data, start, iterate, params):
     return returned_state(states, sigma_tr, iterate.plastic, params)
 
 
-def assemble_jacobian(elem_data, fixed, iterate, dt):
+def assemble_jacobian(elem_data, fixed, iterate, params, dt):
     """Jacobian at ``iterate``: the fixed data ``stiff + mass / dt``, plus
     the two-way drift block in the K_cc slots and the tangent corrections of
     the plastic points in the K_uu slots of their elements, as a CSR matrix
@@ -600,7 +597,7 @@ def assemble_jacobian(elem_data, fixed, iterate, dt):
     data = fixed.stiff + fixed.mass / dt
     if iterate.gn is not None:
         # frozen drift: the K_cu sensitivity is dropped (Picard)
-        drift = fixed.drift_coeff * (iterate.gn[:, :, None] * (ed.wq @ ed.shape_qp)[:, None, :])
+        drift = params.drift_coeff * (iterate.gn[:, :, None] * (ed.wq @ ed.shape_qp)[:, None, :])
         data -= np.bincount(ed.cc_slots.ravel(), weights=drift.ravel(), minlength=data.size)
     plastic = iterate.plastic
     if plastic.index.size:
@@ -609,7 +606,8 @@ def assemble_jacobian(elem_data, fixed, iterate, dt):
         first = np.flatnonzero(np.concatenate([[True], elem[1:] != elem[:-1]]))
         c_corr = np.add.reduceat(ed.wq[elem, qp][:, None, None] * plastic.correction(), first)
         pe = elem[first]
-        k_corr = ed.b_t[pe] @ c_corr @ ed.b_eng[pe]
+        b_pe = ed.b_eng[pe]
+        k_corr = b_pe.transpose(0, 2, 1) @ c_corr @ b_pe
         np.subtract.at(data, ed.uu_slots[pe], k_corr.reshape(pe.size, 36))
     return sp.csr_matrix((data, ed.jac_indices, ed.jac_indptr), shape=(ed.n_dofs, ed.n_dofs))
 
@@ -636,7 +634,8 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     start = step_start(ed, fields_old, params)
     it = assemble_residual(ed, fields_new.u, fields_new.c, start, params, dt, mode,
                            frozen_sigma_h=frozen_sigma_h)
-    jacobian = assemble_jacobian(ed, fixed_jacobian(ed, params), it, dt) if want_jacobian else None
+    jacobian = (assemble_jacobian(ed, fixed_jacobian(ed, params), it, params, dt)
+                if want_jacobian else None)
     return it.residual, jacobian, iterate_states(ed, start, it, params), it.sigma_h_nodal
 
 

@@ -97,6 +97,11 @@ class MaterialParams:
         return self.E / (2.0 * (1.0 + self.nu))
 
     @property
+    def drift_coeff(self):
+        """D Omega / (R T) of the two-way drift term."""
+        return self.D * self.Omega / (self.R * self.T)
+
+    @property
     def tol_f(self):
         return YIELD_TOL_FACTOR * (self.sigma_y0 if self.sigma_y0 > 0 else self.E)
 

@@ -94,17 +94,13 @@ def _radial_stations(r0, total, dtheta, first_frac):
 
 
 def _make_mesh(nodes, tris, tag_fn, geometry, size_scale):
-    """Orient triangles CCW, extract/tag the boundary, run sanity checks."""
+    """Check the triangles' CCW orientation, extract/tag the boundary, run
+    sanity checks."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     tris = np.ascontiguousarray(tris, dtype=np.int64)
 
-    areas = signed_areas(nodes, tris)
-    flipped = areas < 0
-    if np.any(flipped):
-        tris[flipped] = tris[flipped][:, [0, 2, 1]]
-        areas = signed_areas(nodes, tris)
-    if np.any(areas <= 0):
-        raise RuntimeError("mesh generation produced a degenerate element")
+    if np.any(signed_areas(nodes, tris) <= 0):
+        raise RuntimeError("mesh generation produced a degenerate or clockwise element")
 
     # Boundary = edges referenced by exactly one element.
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
@@ -145,10 +141,13 @@ def _ring_band_tris(ids):
     ``ids`` is a (rings + 1, n_theta) array of node ids: row k is ring k,
     column m is station m on it, and each ring wraps around (station
     n_theta - 1 joins station 0, by ``np.roll`` along the row). Returns the
-    (2 * rings * n_theta, 3) connectivity, ring by ring.
+    (2 * rings * n_theta, 3) connectivity, ring by ring, counter-clockwise
+    for rings that run counter-clockwise and outward.
     """
     inner, outer = ids[:-1], ids[1:]
-    return _quad_tris(inner, np.roll(inner, -1, axis=1), np.roll(outer, -1, axis=1), outer)
+    next_inner, next_outer = np.roll(inner, -1, axis=1), np.roll(outer, -1, axis=1)
+    return np.stack([inner, next_outer, next_inner, inner, outer, next_outer],
+                    axis=-1).reshape(-1, 3)
 
 
 def generate_plate_with_hole(L, r, target_h):

@@ -14,33 +14,30 @@ the free dofs is two back-to-back solves: K_cc dc = -r_c, then
 K_uu du = -r_u - K_uc dc. Dirichlet dofs are left out of both blocks (the
 update is zero there), and each block is in one unit system, so it is
 factored unscaled. Each block keeps its KEPT_FACTORS most recently used
-factors.
+factors, and one loop tries them on it, most recent first.
 
-K_cc is first solved by iterative refinement against the new entries with a
-kept factor, most recent first, as a stationary method (Higham, *Accuracy
-and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12). A kept
-factor serves the solve only when the normwise backward error reaches
-ROUNDOFF_TOL; it is given up as soon as the observed contraction shows that
-this cannot happen within REFINE_STEPS steps.
+K_cc is solved by iterative refinement against the new entries with a kept
+factor, as a stationary method (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12). A kept factor serves
+the solve only when the normwise backward error reaches ROUNDOFF_TOL; it is
+given up as soon as the observed contraction shows that this cannot happen
+within REFINE_STEPS steps.
 
 K_uu is solved inexactly. A Newton update only needs its linear residual
 below a forcing term times the right-hand side to keep the outer iteration
 converging (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982)
 400-408), and the plastic K_uu changes at every update, so refinement cannot
-reach roundoff against any kept factor. The most recent kept factor serves
-it as it is when its first solve reaches a ROUNDOFF_TOL backward error; an
-older one is tried only on the very entries it was factored from (each
-factor keeps a copy of them). So an unchanged K_uu is solved exactly, and a
-changed one costs no solve with an older factor. Otherwise preconditioned
-conjugate gradients (Saad,
-*Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003, ch. 9),
-with the most recent kept factor as the preconditioner, continue from that
-factor's first solve until the true residual ||b - A x|| is at most
-FORCING ||b||. That residual is recomputed before x is accepted, so no
-block, symmetric or not, passes on CG's recursive residual alone. CG gives
-up on non-positive curvature p.Ap <= 0, which an indefinite block meets, or
-after PCG_MAX_ITER iterations, and the block is then factored afresh
-without further attempts against the kept factors.
+reach roundoff against a kept factor. Preconditioned conjugate gradients
+(Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003,
+ch. 9), with the kept factor as the preconditioner, start from that factor's
+first solve and stop once the true residual ||b - A x|| is at most FORCING
+||b||. That residual is recomputed before x is accepted, so no block,
+symmetric or not, passes on CG's recursive residual alone. CG gives up on
+non-positive curvature p.Ap <= 0, which an indefinite block meets, or after
+PCG_MAX_ITER iterations, and the block is then factored afresh. An unchanged
+K_uu is still solved exactly: unless its condition number exceeds about
+1e11, the first solve's roundoff-level residual lies far below FORCING ||b||,
+and CG accepts it before its first iteration.
 
 When the kept factors cannot serve a block, the least recently used one is
 dropped and the block is factored afresh (Davis, *Direct Methods for Sparse
@@ -54,7 +51,7 @@ reported as SingularMatrixError). A solve with a fresh factor returns x with
 or else with a normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||)
 <= BACKWARD_TOL; anything worse raises SingularMatrixError. A kept factor
 returns K_cc's x with that backward error at most ROUNDOFF_TOL, and K_uu's
-with that backward error at most ROUNDOFF_TOL or ||b - A x|| <= FORCING ||b||.
+with ||b - A x|| <= FORCING ||b||.
 A block that turns singular is reported when it is factored: refinement
 against a kept factor cannot converge on it unless the right-hand side lies
 in its range, and CG unless it lies within FORCING ||b|| of it; x then
@@ -74,7 +71,9 @@ PIVOT_TOL = 1e-14          # pivot / max|A| threshold for singularity reporting
 REFINE_STEPS = 6
 BACKWARD_TOL = 1e-9        # normwise backward error accepted past the refinement floor
 ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error a kept factor must reach
-KEPT_FACTORS = 2           # factors kept per block, most recently used first
+# factors kept per block, most recently used first: a K_cc may return to the
+# entries of an older factor, while CG needs only the most recent K_uu factor
+KEPT_FACTORS = {"uu": 1, "cc": 2}
 # relative linear residual of an inexact K_uu solve: the plate problems' c
 # block exits Newton at about one digit, and 1e-2 moves their converged c by 6e-6
 FORCING = 1e-3
@@ -240,7 +239,7 @@ class BlockSolver:
             self._blocks[name] = (dofs, slots, sp.csr_matrix(
                 (np.zeros(slots.size), local[indices[slots]], block_indptr),
                 shape=(dofs.size, dofs.size)))
-        # (SuperLU factor, the block entries it was computed from), most recent first
+        # SuperLU factors, most recent first
         self._kept = {"uu": [], "cc": []}
         self.factors = 0
         self.reused = 0
@@ -279,53 +278,31 @@ class BlockSolver:
         np.take(values, slots, out=A.data, mode="clip")
         a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
         kept = self._kept[name]
-        if name == "uu":
-            x = self._inexact_solve(kept, A, a_max, rhs)
+        for i, lu in enumerate(kept):
+            x = _kept_solve(lu, A, a_max, rhs) if name == "cc" else self._pcg(lu, A, rhs)
             if x is not None:
+                kept.insert(0, kept.pop(i))
+                self.reused += 1
                 return x
-        else:
-            for i in range(len(kept)):
-                x = _kept_solve(kept[i][0], A, a_max, rhs)
-                if x is not None:
-                    kept.insert(0, kept.pop(i))
-                    self.reused += 1
-                    return x
         # free the least recently used factor before computing the new one, and
         # copy the block to CSC before that, so that the new factor's buffers
         # can take the freed memory whole (peak memory)
         csc = A.tocsc()
-        del kept[KEPT_FACTORS - 1:]
+        del kept[KEPT_FACTORS[name] - 1:]
         lu, a_max = _factor(csc, f"K_{name}", **BLOCK_SPLU_OPTIONS)
         del csc
-        kept.insert(0, (lu, A.data.copy()))
+        kept.insert(0, lu)
         self.factors += 1
         return _refined_solve(lu, A, a_max, rhs, f"K_{name}")
 
-    def _inexact_solve(self, kept, A, a_max, b):
-        """x from the kept factors of K_uu, or None when a fresh factor is due.
-
-        The most recent factor serves the solve as it is when its first
-        solve reaches a ROUNDOFF_TOL backward error, an older one only when
-        the block's entries are those it was factored from. Otherwise
-        preconditioned CG against ``A``, with the most recent factor as the
-        preconditioner, continues from that factor's first solve until the
-        true residual is at most FORCING ||b||; it gives up on non-positive
-        curvature or after PCG_MAX_ITER iterations."""
-        if not kept:
-            return None
-        b_norm = np.linalg.norm(b)
-        for i, (lu, entries) in enumerate(kept):
-            if i and not np.array_equal(A.data, entries):
-                continue
-            x_i = lu.solve(b)
-            r_i = b - A @ x_i
-            if np.linalg.norm(r_i) <= ROUNDOFF_TOL * (a_max * np.linalg.norm(x_i) + b_norm):
-                kept.insert(0, kept.pop(i))
-                self.reused += 1
-                return x_i
-            if i == 0:
-                x, r = x_i, r_i
-        lu, target = kept[0][0], FORCING * b_norm
+    def _pcg(self, lu, A, b):
+        """x with ||b - A x|| <= FORCING ||b|| by CG against ``A``,
+        preconditioned with the kept factor ``lu`` and started from its first
+        solve; None on non-positive curvature or after PCG_MAX_ITER
+        iterations."""
+        x = lu.solve(b)
+        r = b - A @ x
+        target = FORCING * np.linalg.norm(b)
         rz = p = None
         for k in range(PCG_MAX_ITER + 1):
             # r is x's true residual at k = 0; after that it is the recursive
@@ -335,7 +312,6 @@ class BlockSolver:
                 if k:
                     r = b - A @ x
                 if np.linalg.norm(r) <= target:
-                    self.reused += 1
                     self.pcg_iters += k
                     return x
             if k == PCG_MAX_ITER:

@@ -27,21 +27,22 @@ The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
 next to the other per-run data from that pattern and the boundary plan's
 constrained dofs. It solves the block upper-triangular Jacobian block by
-block and keeps the last two factors of each block. A changed K_cc is
-refactored only when refinement against a kept factor does not reach a
-roundoff-level backward error. A changed K_uu is solved inexactly, by CG
-preconditioned with its most recent kept factor down to a linear residual of
-``sparse_linalg.FORCING`` times the right-hand side, and is refactored only
-when CG breaks down or reaches its iteration cap. The residual is exact, so
-this is an inexact Newton method (Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19 (1982) 400-408): the converged answer moves only at the
-level of the Newton tolerance. So the elastic K_uu, the one-way K_cc and
-the slowly changing two-way K_cc are factored a few times per run, and the
-plastic K_uu, which changes at every update, not much more often. Each
-step records which of the four Newton exits it took (NEWTON_EXITS), how
-many Jacobians it built, how many factors it computed, how many block
-solves a kept factor served and how many CG iterations its K_uu solves
-took, and how many quadrature points are plastic at its committed iterate.
+block, keeping the last two factors of K_cc and the last one of K_uu. A
+changed K_cc is refactored only when refinement against a kept factor does
+not reach a roundoff-level backward error. A changed K_uu is solved
+inexactly, by CG preconditioned with its kept factor down to a linear
+residual of ``sparse_linalg.FORCING`` times the right-hand side, and is
+refactored only when CG breaks down or reaches its iteration cap. The
+residual is exact, so this is an inexact Newton method (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19 (1982) 400-408): the converged answer
+moves only at the level of the Newton tolerance. So the elastic K_uu, the
+one-way K_cc and the slowly changing two-way K_cc are factored a few times
+per run, and the plastic K_uu, which changes at every update, not much more
+often. Each step records which of the four Newton exits it took
+(NEWTON_EXITS), how many Jacobians it built, how many factors it computed,
+how many block solves a kept factor served and how many CG iterations its
+K_uu solves took, and how many quadrature points are plastic at its
+committed iterate.
 
 Step failures (Newton divergence, iteration cap, constitutive errors)
 trigger time-step halving, at most four times per step, before the run
@@ -189,7 +190,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         return it, it.residual - load
 
     it, res = residual_at(w)
-    jac = assemble_jacobian(ed, fixed, it, dt)
+    jac = assemble_jacobian(ed, fixed, it, scenario.params, dt)
     abs_jac = None      # |jac|, formed when the floors are first needed
     jacobians = 1
 
@@ -250,7 +251,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                               f"tols {tol_u:.3e}/{tol_c:.3e})")
         if n_solves > 0:            # jac is an earlier iterate's
             jac = abs_jac = None    # free the last Jacobian before building the next
-            jac = assemble_jacobian(ed, fixed, it, dt)
+            jac = assemble_jacobian(ed, fixed, it, scenario.params, dt)
             jacobians += 1
         try:
             dw = block_solver.newton_update(jac, res)

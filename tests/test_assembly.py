@@ -235,7 +235,7 @@ def _grads(mesh):
 
 def _triplets(tris):
     """(rows, cols) of the K_uu, K_uc, K_cc element entries in the order
-    assemble_system concatenates them."""
+    fixed_jacobian concatenates them."""
     eu, ec = _element_dofs(tris)
     rows = np.concatenate([np.repeat(eu, 6, axis=1).ravel(), np.repeat(eu, 3, axis=1).ravel(),
                            np.repeat(ec, 3, axis=1).ravel()])
@@ -374,7 +374,7 @@ class TestAssemblyPlan:
         for mode, dt in (("one-way", 0.5), ("two-way", 0.25)):
             it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, mode)
             assert it.plastic.index.size == 0
-            jac = asm.assemble_jacobian(ed, fixed, it, dt)
+            jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, dt)
             assert np.array_equal(jac.data[uu], fixed.stiff[uu])
 
     def test_jacobian_is_fixed_plus_changing_part(self, steel_plastic, rng):
@@ -392,7 +392,7 @@ class TestAssemblyPlan:
                                    steel_plastic, 0.5, "two-way")
         plastic_elems = np.unique(it.plastic.index // ed.wq.shape[1])
         assert 0 < plastic_elems.size < m.n_elements
-        changed = np.flatnonzero(asm.assemble_jacobian(ed, fixed, it, 0.5).data
+        changed = np.flatnonzero(asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5).data
                                  != fixed.stiff + fixed.mass / 0.5)
         allowed = np.union1d(ed.uu_slots[plastic_elems].ravel(), ed.cc_slots.ravel())
         assert changed.size > 0
@@ -439,7 +439,7 @@ class TestIterateStates:
         # their stress sums give the residual's mechanics rows to a fifth of
         # the Newton loop's roundoff floor, 20 eps |J| |w|
         rows = ed.strain_t @ np.einsum("eq,eqa->ea", ed.wq, states.sigma).ravel()
-        jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, 0.5)
+        jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, 0.5)
         floor = (abs(jac) @ np.abs(dm.join(f2.u, f2.c))).reshape(-1, 3)[:, :2].ravel()
         assert np.all(np.abs(rows - it.residual.reshape(-1, 3)[:, :2].ravel()) <= 4.0 * eps * floor)
 
