@@ -30,23 +30,30 @@ pattern: the elastic K_uu, K_uc and K_diff, and the mass M; at time step dt
 they give ``stiff + mass / dt``. K_uc is elastic at every iterate, because
 the plastic tangent correction is deviatoric and annihilates the swelling
 direction. The changing part is the two-way drift block, added through the
-K_cc slots, and the K_uu corrections of the plastic quadrature points,
-added through the K_uu slots of their elements only.
+K_cc slots, and the K_uu corrections of the plastic elements, added
+through their K_uu slots only.
 
-P1 strains are constant per element and the elastic response is linear in
-the strain and concentration increments, so the residual needs each
-element's stress sum sum_q w_q sigma_q, not the stress at every point. A step
-attempt forms the step-start data once (``step_start``: strains, stress
-sums and, for a hardening material, the relative stresses dev(sigma) - beta).
+The material state is held per element (``ElementState``). This rests on
+two facts: P1 strains are constant per element, and the J2 yield function
+depends on neither pressure nor concentration. So the quadrature points of
+an element share their deviatoric stress, their yield test, their return
+and their plastic history, and their stresses differ only in the isotropic
+swelling part, which the concentration at the point gives. The state is the
+element's stress sum S_e = sum_q w_q sigma_q and its plastic strain, back
+stress and equivalent plastic strain; ``point_states`` forms the per-point
+values from it when they are read.
+
+A step attempt forms the step-start data once (``step_start``: strains and,
+for a hardening material, the relative stresses dev(S_e / A_e) - beta_e).
 Per iterate, ``assemble_residual`` updates the stress sums by the elastic
-response of the element increments, runs the yield test at every point and
-the return map on the trial-yielding points only, subtracts their plastic
-stress from the sums, and applies the plan's operators; no element dofs are
-gathered, no element matrix is formed and no per-point state is written. It
-keeps the plastic set, the increments and the drift factors: from them
-``assemble_jacobian`` builds the Jacobian of the same iterate when a Newton
-update needs one, and ``iterate_states`` forms the per-point states of the
-iterate a step commits. ``assemble_system`` does all three in one call.
+response of the element increments, runs the yield test on every element
+and the return map on the trial-yielding elements only, subtracts their
+plastic stress from the sums, and applies the plan's operators; no element
+dofs are gathered and no element matrix is formed. It keeps the stress
+sums, the plastic set and the drift factors: from them ``assemble_jacobian``
+builds the Jacobian of the same iterate when a Newton update needs one, and
+``iterate_states`` forms the element state of the iterate a step commits.
+``assemble_system`` does all three in one call.
 
 The boundary data is planned once per run as well (``plan_boundary``): the
 sorted constrained dofs with the positions of every Dirichlet entry among
@@ -62,9 +69,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .constitutive import (ConstitutiveError, MaterialState, PlasticPoints, deviator,
-                           elastic_stiffness, elastic_stiffness_eng, radial_return,
-                           returned_state, trace, trial_stress)
+from .constitutive import (ConstitutiveError, MaterialParams, MaterialState, PlasticPoints,
+                           advance_history, deviator, elastic_stiffness, elastic_stiffness_eng,
+                           radial_return, trace)
 from .mesh import signed_areas
 
 _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
@@ -82,15 +89,6 @@ class DofMap:
     @property
     def n_dofs(self):
         return 3 * self.n_nodes
-
-    def ux(self, nodes):
-        return 3 * np.asarray(nodes)
-
-    def uy(self, nodes):
-        return 3 * np.asarray(nodes) + 1
-
-    def c(self, nodes):
-        return 3 * np.asarray(nodes) + 2
 
     def split(self, w):
         """Global vector -> (u (N,2), c (N,))."""
@@ -127,26 +125,59 @@ def shape_tri3(xi, eta):
 
 
 @dataclass
+class ElementState:
+    """Material state of a P1 mesh, one row per element: the stress sum S_e =
+    sum_q w_q sigma_q and the history its quadrature points share."""
+    stress_sum: np.ndarray   # (n_elem, 4)
+    eps_p: np.ndarray        # (n_elem, 4)
+    back_stress: np.ndarray  # (n_elem, 4)
+    eps_p_eq: np.ndarray     # (n_elem,)
+
+    @classmethod
+    def zeros(cls, n_elem):
+        return cls(np.zeros((n_elem, 4)), np.zeros((n_elem, 4)), np.zeros((n_elem, 4)),
+                   np.zeros(n_elem))
+
+    def copy(self):
+        return ElementState(self.stress_sum.copy(), self.eps_p.copy(),
+                            self.back_stress.copy(), self.eps_p_eq.copy())
+
+
+@dataclass
 class FieldState:
-    """Nodal fields plus the per-quadrature-point material history."""
+    """Nodal fields plus the material state, held per element.
+
+    ``states`` is the per-quadrature-point view (batch (n_elem, n_qp)),
+    formed when read (``point_states``) with the assembly plan and the
+    material the fields were made with; ``transient.step`` attaches them.
+    Fields without them (``zeros``) must be stress-free.
+    """
     u: np.ndarray              # (N, 2)
     c: np.ndarray              # (N,)
-    states: MaterialState      # batch (n_elem, n_qp)
+    material: ElementState
     sigma_h_nodal: np.ndarray  # (N,) recovered
+    elem_data: ElementData = None
+    params: MaterialParams = None
 
     @classmethod
     def zeros(cls, mesh, c0=0.0):
         n = mesh.n_nodes
-        return cls(
-            u=np.zeros((n, 2)),
-            c=np.full(n, float(c0)),
-            states=MaterialState.zeros((mesh.n_elements, 3)),   # default_rule's 3 points
-            sigma_h_nodal=np.zeros(n),
-        )
+        return cls(u=np.zeros((n, 2)), c=np.full(n, float(c0)),
+                   material=ElementState.zeros(mesh.n_elements), sigma_h_nodal=np.zeros(n))
 
     def copy(self):
-        return FieldState(self.u.copy(), self.c.copy(), self.states.copy(),
-                          self.sigma_h_nodal.copy())
+        return FieldState(self.u.copy(), self.c.copy(), self.material.copy(),
+                          self.sigma_h_nodal.copy(), self.elem_data, self.params)
+
+    @property
+    def states(self):
+        if self.elem_data is not None:
+            return point_states(self.elem_data, self.params, self.c, self.material)
+        if np.any(self.material.stress_sum):
+            raise ValueError("FieldState.states: the per-point stresses of stressed fields "
+                             "need the assembly plan and the material")
+        n_elem = self.material.eps_p_eq.size
+        return _at_points(self.material, np.zeros((n_elem, default_rule().weights.size, 4)))
 
 
 @dataclass
@@ -160,7 +191,7 @@ class ElementData:
     gives the fixed Jacobian data (``fixed_jacobian``). What depends on the
     iterate (stress sums, yield test and return, the drift block and the
     plastic corrections) is computed by ``assemble_residual`` and
-    ``assemble_jacobian``, the per-point states by ``iterate_states``.
+    ``assemble_jacobian``, the element states by ``iterate_states``.
 
     The operators act on node-major fields: ``u.ravel()`` (2N) for the
     displacements, the (N,) nodal values otherwise; element rows are
@@ -170,7 +201,6 @@ class ElementData:
     areas: np.ndarray       # (n_elem,)
     b_eng: np.ndarray       # (n_elem, 4, 6) engineering strain-displacement
     shape_qp: np.ndarray    # (n_qp, 3) shape values at quadrature points
-    weights: np.ndarray     # (n_qp,)
     wq: np.ndarray          # (n_elem, n_qp) physical quadrature weights
     m_e: np.ndarray         # (n_elem, 3, 3) consistent mass
     gg: np.ndarray          # (n_elem, 3, 3) grad N_i . grad N_j
@@ -312,7 +342,7 @@ def precompute(mesh):
 
     return ElementData(
         areas=areas, b_eng=b,
-        shape_qp=shape_qp, weights=rule.weights.copy(), wq=wq, m_e=m_e, gg=gg,
+        shape_qp=shape_qp, wq=wq, m_e=m_e, gg=gg,
         jac_indptr=indptr, jac_indices=indices, jac_slot=slot,
         strain=strain, strain_t=strain.T,
         qp=_element_operator(elem_tris, shape_qp, n_nodes),
@@ -480,63 +510,102 @@ def fixed_jacobian(elem_data, params):
         mass=np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(), minlength=nnz))
 
 
+def _swelling_modulus(params):
+    """K_b Omega: the drop of the normal stresses per unit concentration
+    (K_b = lam + 2 mu / 3)."""
+    return (params.lam + 2.0 * params.mu / 3.0) * params.Omega
+
+
+def _swelling_offsets(elem_data, params, c):
+    """(n_elem, n_qp) K_b Omega (c_q - c_mean_e): how far each point's normal
+    stresses lie below its element's mean, c_mean_e = (c_w @ c)_e / A_e."""
+    ed = elem_data
+    c_qp = (ed.qp @ c).reshape(ed.wq.shape)
+    return _swelling_modulus(params) * (c_qp - ((ed.c_w @ c) / ed.areas)[:, None])
+
+
+def _at_points(material, sigma):
+    """Per-point ``MaterialState`` with stresses ``sigma`` (n_elem, n_qp, 4)
+    and the element history broadcast over each element's points."""
+    n_qp = sigma.shape[1]
+    return MaterialState(sigma, *(np.repeat(a[:, None], n_qp, axis=1) for a in
+                                  (material.eps_p, material.back_stress, material.eps_p_eq)))
+
+
+def point_states(elem_data, params, c, material):
+    """Per-quadrature-point ``MaterialState`` (n_elem, n_qp) of the element
+    state ``material`` at the nodal concentration ``c``: sigma_q = S_e / A_e -
+    K_b Omega (c_q - c_mean_e) I, and the element history at every point.
+
+    This holds for states that start stress-free at a uniform concentration:
+    the points of an element then differ only in the swelling of c_q.
+    """
+    sigma = ((material.stress_sum / elem_data.areas[:, None])[:, None, :]
+             - _swelling_offsets(elem_data, params, c)[..., None] * _CHEM_VEC)
+    return _at_points(material, sigma)
+
+
+def point_hydrostatic(elem_data, params, c, material):
+    """(n_elem, n_qp) hydrostatic stress of every quadrature point, without
+    forming the per-point states."""
+    return ((trace(material.stress_sum) / (3.0 * elem_data.areas))[:, None]
+            - _swelling_offsets(elem_data, params, c))
+
+
 @dataclass
 class StepStart:
     """What every iterate of a step takes from the step start
     (``step_start``), fixed for the step attempt."""
     fields: FieldState
     strain: np.ndarray      # (n_elem, 4) engineering strain
-    stress_sum: np.ndarray  # (n_elem, 4) sum_q w_q sigma_q
-    xi: np.ndarray          # (n_elem, n_qp, 4) dev(sigma) - beta; None for an elastic material
+    xi: np.ndarray          # (n_elem, 4) dev(S_e / A_e) - beta_e; None for an elastic material
 
 
 def step_start(elem_data, fields, params):
-    """The step-start data of ``fields``: its element strains, its element
-    stress sums and, for a hardening material, its relative stresses."""
-    states = fields.states
-    xi = None if params.hardening_kind == "none" else deviator(states.sigma) - states.back_stress
-    return StepStart(fields, element_strain(elem_data, fields.u),
-                     np.einsum("eq,eqa->ea", elem_data.wq, states.sigma), xi)
+    """The step-start data of ``fields``: its element strains and, for a
+    hardening material, its relative stresses."""
+    m = fields.material
+    xi = (None if params.hardening_kind == "none"
+          else deviator(m.stress_sum / elem_data.areas[:, None]) - m.back_stress)
+    return StepStart(fields, element_strain(elem_data, fields.u), xi)
 
 
 @dataclass
 class Iterate:
     """The residual pass at one iterate (``assemble_residual``), with what
-    the Jacobian (``assemble_jacobian``) and the per-point states
+    the Jacobian (``assemble_jacobian``) and the element state
     (``iterate_states``) of the same iterate need from it."""
     residual: np.ndarray        # internal terms only
     sigma_h_nodal: np.ndarray
-    plastic: PlasticPoints      # trial-yielding quadrature points, flat over (elem, qp)
+    stress_sum: np.ndarray      # (n_elem, 4) sum_q w_q sigma_q
+    plastic: PlasticPoints      # trial-yielding elements
     gn: np.ndarray              # (n_elem, 3) grad N_i . grad sigma_h; None in one-way
-    d_eps: np.ndarray           # (n_elem, 4) strain increment, tensor components
-    d_c: np.ndarray             # (N,) concentration increment
 
 
 def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=None):
     """Residual of the iterate (u, c) of the step that starts at ``start``.
 
     The strain is constant per element and the swelling strain volumetric,
-    so each element's stress sum sum_q w_q sigma_q is its step-start sum
-    plus ``A_e C : d_eps_e - K_b Omega (c_w @ d_c)_e I`` (K_b = lam + 2 mu
-    / 3), less ``2 mu w_q d_eps_p`` of its plastic points. The yield test is
-    the only per-point work: the trial relative stress is the step start's
-    plus ``2 mu dev(d_eps_e)`` (the concentration drops out), and the return
-    runs on the trial-yielding points only. The mechanics rows are
-    ``strain_t`` applied to the stress sums, the element hydrostatic stress
-    is ``tr(S_e) / (3 A_e)``, recovered to the nodes by ``recover``, and the
-    diffusion rows are ``mass @ (c - c_n) / dt + D lap @ c``, less the
-    two-way drift term. ``frozen_sigma_h`` replaces the recovered
-    hydrostatic field of the drift term. No per-point state is formed here;
-    ``iterate_states`` forms them for the iterate a step commits.
+    so each element's stress sum S_e is its step-start sum plus ``A_e C :
+    d_eps_e - K_b Omega (c_w @ d_c)_e I``, less ``2 mu A_e d_lam n`` if the
+    element yields. The yield test runs once per element: the trial
+    relative stress is the step start's plus ``2 mu dev(d_eps_e)`` (the
+    concentration drops out), and the return runs on the trial-yielding
+    elements only. The mechanics rows are ``strain_t`` applied to the
+    stress sums, the element hydrostatic stress is ``tr(S_e) / (3 A_e)``,
+    recovered to the nodes by ``recover``, and the diffusion rows are
+    ``mass @ (c - c_n) / dt + D lap @ c``, less the two-way drift term.
+    ``frozen_sigma_h`` replaces the recovered hydrostatic field of the drift
+    term.
     """
     ed = elem_data
-    lam, mu = params.lam, params.mu
+    mu = params.mu
+    material = start.fields.material
     d_eps = element_strain(ed, u) - start.strain
     d_eps[:, 3] *= 0.5                                          # gamma -> tensor shear
     d_c = c - start.fields.c
-    swell = (lam + 2.0 * mu / 3.0) * params.Omega * (ed.c_w @ d_c)
-    stress = (start.stress_sum + ed.areas[:, None] * (d_eps @ elastic_stiffness(params))
-              - swell[:, None] * _CHEM_VEC)
+    stress = (material.stress_sum + ed.areas[:, None] * (d_eps @ elastic_stiffness(params))
+              - (_swelling_modulus(params) * (ed.c_w @ d_c))[:, None] * _CHEM_VEC)
     if not np.isfinite(stress).all():
         bad = int(np.flatnonzero(~np.isfinite(stress).all(axis=1))[0])
         raise AssemblyError(f"constitutive update failed at element {bad}: "
@@ -544,18 +613,15 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
 
     plastic = PlasticPoints.none()
     if start.xi is not None:
-        xi_tr = start.xi + 2.0 * mu * deviator(d_eps)[:, None, :]
         try:
-            plastic = radial_return(xi_tr.reshape(-1, 4),
-                                    start.fields.states.eps_p_eq.reshape(-1), params)
+            plastic = radial_return(start.xi + 2.0 * mu * deviator(d_eps), material.eps_p_eq,
+                                    params)
         except ConstitutiveError as err:
-            e, q = np.unravel_index(err.flat_index, ed.wq.shape)
-            raise AssemblyError(f"constitutive update failed at element {int(e)}, "
-                                f"quadrature point {int(q)}: {err}") from err
-        if plastic.index.size:
-            w_lam = ed.wq.ravel()[plastic.index] * plastic.d_lam
-            np.add.at(stress, plastic.index // ed.wq.shape[1],
-                      (-2.0 * mu * w_lam)[:, None] * plastic.n_dir)
+            raise AssemblyError(f"constitutive update failed at element {err.flat_index}: "
+                                f"{err}") from err
+        pe = plastic.index
+        a_lam = ed.areas[pe] * plastic.d_lam
+        stress[pe] -= (2.0 * mu * a_lam)[:, None] * plastic.n_dir
 
     if frozen_sigma_h is not None:
         sigma_h_nodal = np.asarray(frozen_sigma_h, dtype=float)
@@ -563,7 +629,7 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
         sigma_h_nodal = ed.recover @ (trace(stress) / (3.0 * ed.areas))
 
     residual = np.empty((ed.mass.shape[0], 3))
-    # mechanics rows: B^T sum_q w sigma_q (tensor comps == eng stress)
+    # mechanics rows: B^T S_e (tensor comps == eng stress)
     residual[:, :2] = (ed.strain_t @ stress.ravel()).reshape(-1, 2)
     # diffusion rows
     r_c = ed.mass @ (d_c / dt) + params.D * (ed.lap @ c)
@@ -572,27 +638,25 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
         gn = (ed.gn @ sigma_h_nodal).reshape(-1, 3)          # grad N_i . grad sigma_h
         r_c -= params.drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel())
     residual[:, 2] = r_c
-    return Iterate(residual.ravel(), sigma_h_nodal, plastic, gn, d_eps, d_c)
+    return Iterate(residual.ravel(), sigma_h_nodal, stress, plastic, gn)
 
 
-def iterate_states(elem_data, start, iterate, params):
-    """Per-quadrature-point material states of ``iterate``: every point's
-    trial stress from the step start, and the return of the iterate's
-    plastic points. The yield test is not run again, so the states, the
-    residual and the Jacobian of the iterate share one plastic set."""
-    ed = elem_data
-    d_c_qp = (ed.qp @ iterate.d_c).reshape(ed.wq.shape)
-    states = start.fields.states
-    sigma_tr = trial_stress(states.sigma, iterate.d_eps[:, None, :], d_c_qp, params)
-    return returned_state(states, sigma_tr, iterate.plastic, params)
+def iterate_states(start, iterate, params):
+    """Element state of ``iterate``: its stress sums, and the step-start
+    history advanced at its plastic elements by their returns. The yield
+    test is not run again, so the state, the residual and the Jacobian of
+    the iterate share one plastic set."""
+    old = start.fields.material
+    return ElementState(iterate.stress_sum, *advance_history(
+        old.eps_p, old.back_stress, old.eps_p_eq, iterate.plastic, params))
 
 
 def assemble_jacobian(elem_data, fixed, iterate, params, dt):
     """Jacobian at ``iterate``: the fixed data ``stiff + mass / dt``, plus
     the two-way drift block in the K_cc slots and the tangent corrections of
-    the plastic points in the K_uu slots of their elements, as a CSR matrix
-    over the plan's pattern. Without plastic points the K_uu entries are
-    those of ``fixed`` exactly."""
+    the plastic elements, ``A_e B^T C_corr B``, in their K_uu slots, as a CSR
+    matrix over the plan's pattern. Without plastic elements the K_uu
+    entries are those of ``fixed`` exactly."""
     ed = elem_data
     data = fixed.stiff + fixed.mass / dt
     if iterate.gn is not None:
@@ -601,13 +665,9 @@ def assemble_jacobian(elem_data, fixed, iterate, params, dt):
         data -= np.bincount(ed.cc_slots.ravel(), weights=drift.ravel(), minlength=data.size)
     plastic = iterate.plastic
     if plastic.index.size:
-        elem, qp = np.divmod(plastic.index, ed.wq.shape[1])
-        # sum the weighted corrections per element (the index is increasing)
-        first = np.flatnonzero(np.concatenate([[True], elem[1:] != elem[:-1]]))
-        c_corr = np.add.reduceat(ed.wq[elem, qp][:, None, None] * plastic.correction(), first)
-        pe = elem[first]
+        pe = plastic.index
         b_pe = ed.b_eng[pe]
-        k_corr = b_pe.transpose(0, 2, 1) @ c_corr @ b_pe
+        k_corr = b_pe.transpose(0, 2, 1) @ (ed.areas[pe, None, None] * plastic.correction()) @ b_pe
         np.subtract.at(data, ed.uu_slots[pe], k_corr.reshape(pe.size, 36))
     return sp.csr_matrix((data, ed.jac_indices, ed.jac_indptr), shape=(ed.n_dofs, ed.n_dofs))
 
@@ -624,7 +684,7 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     it the plan is rebuilt on every call. ``dofmap`` is the mesh's dof
     layout. The residual holds the internal terms only; the boundary load
     (``neumann_load_vector``) is the caller's to subtract. Returns
-    (residual, jacobian_or_None, new_states, sigma_h_nodal).
+    (residual, jacobian_or_None, new per-point states, sigma_h_nodal).
     """
     if mode not in ("one-way", "two-way"):
         raise ValueError(f"assemble_system: unknown coupling mode {mode!r}")
@@ -636,7 +696,8 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
                            frozen_sigma_h=frozen_sigma_h)
     jacobian = (assemble_jacobian(ed, fixed_jacobian(ed, params), it, params, dt)
                 if want_jacobian else None)
-    return it.residual, jacobian, iterate_states(ed, start, it, params), it.sigma_h_nodal
+    states = point_states(ed, params, fields_new.c, iterate_states(start, it, params))
+    return it.residual, jacobian, states, it.sigma_h_nodal
 
 
 def locate_points(mesh, points):

@@ -10,10 +10,11 @@ increment arrays may carry any leading batch shape.
 
 ``update_stress`` is the material-point model: elastic predictor
 (``trial_stress``), yield test and radial return (``radial_return``) and the
-new state (``returned_state``). The element assembly uses the same three
-pieces apart: per iterate it runs only the yield test and the return, on
-relative stresses it updates element by element, and it forms the
-per-point states once, for the iterate a step commits.
+new state (``returned_state``). The element assembly holds its material
+state per element instead (``assembly.ElementState``) and uses two of the
+pieces on element rows: the yield test and the return (``radial_return``)
+on relative stresses it updates element by element, and the history update
+of the plastic rows (``advance_history``) for the iterate a step commits.
 
 Plastic steps enforce the discrete consistency condition by an implicit
 radial return, which is exact (no local iteration) for linear hardening;
@@ -156,12 +157,6 @@ def elastic_stiffness_eng(params):
     return C
 
 
-def chemical_strain(c, params):
-    """Stress-free swelling strain (c - c0) * Omega / 3 on each normal axis."""
-    dc = np.asarray(c, dtype=float) - params.c0
-    return dc[..., None] * (params.Omega / 3.0) * _NORMALS
-
-
 @dataclass
 class MaterialState:
     """Per-point history: stress, plastic strain, back stress, and the
@@ -180,10 +175,6 @@ class MaterialState:
             back_stress=np.zeros(shape + (4,)),
             eps_p_eq=np.zeros(shape),
         )
-
-    def copy(self):
-        return MaterialState(self.sigma.copy(), self.eps_p.copy(),
-                             self.back_stress.copy(), self.eps_p_eq.copy())
 
     @property
     def batch_shape(self):
@@ -205,8 +196,9 @@ _DEV_PROJ = np.array([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, 0], [0, 0, 0, 
 
 @dataclass
 class PlasticPoints:
-    """The points of a batch whose trial state yields, compacted, with their
-    radial return (``radial_return``).
+    """The rows of a batch whose trial state yields, compacted, with their
+    radial return (``radial_return``). A row is a material point, or an
+    element of the assembly, whose points share one return.
 
     A point's plastic strain increment is ``d_lam n_dir``. At these points
     the consistent tangent is the elastic stiffness minus ``b P + a n (x) n``
@@ -285,27 +277,35 @@ def _history(a, shape):
     return a if a.shape == shape else np.broadcast_to(a, shape).copy()
 
 
+def advance_history(eps_p, back_stress, eps_p_eq, plastic, params):
+    """The flat history (n, 4), (n, 4), (n,) after the returns ``plastic``:
+    returned as it is when no row yields, and copied before any plastic row
+    is written."""
+    idx = plastic.index
+    if idx.size:
+        eps_p, back_stress, eps_p_eq = eps_p.copy(), back_stress.copy(), eps_p_eq.copy()
+        d_eps_p = plastic.d_lam[:, None] * plastic.n_dir
+        eps_p[idx] += d_eps_p
+        if params.hardening_kind == "kinematic":
+            back_stress[idx] += params.h * d_eps_p
+        eps_p_eq[idx] += plastic.d_lam
+    return eps_p, back_stress, eps_p_eq
+
+
 def returned_state(state_old, sigma_tr, plastic, params):
     """The state after an increment with trial stress ``sigma_tr`` (a new
     array, written in place) whose trial-yielding points and their returns
     are ``plastic``. Every other point keeps its trial stress and the
-    step-start history, which is returned as it is when no point yields and
-    copied before any plastic point is written."""
+    step-start history (``advance_history``)."""
     shape = sigma_tr.shape
     batch = shape[:-1]
-    eps_p = _history(state_old.eps_p, shape).reshape(-1, 4)
-    beta = _history(state_old.back_stress, shape).reshape(-1, 4)
-    eps_p_eq = _history(state_old.eps_p_eq, batch).reshape(-1)
     sigma = np.ascontiguousarray(sigma_tr).reshape(-1, 4)
-    idx = plastic.index
-    if idx.size:
-        eps_p, beta, eps_p_eq = eps_p.copy(), beta.copy(), eps_p_eq.copy()
-        d_eps_p = plastic.d_lam[:, None] * plastic.n_dir
-        sigma[idx] -= 2.0 * params.mu * d_eps_p
-        eps_p[idx] += d_eps_p
-        if params.hardening_kind == "kinematic":
-            beta[idx] += params.h * d_eps_p
-        eps_p_eq[idx] += plastic.d_lam
+    if plastic.index.size:
+        sigma[plastic.index] -= 2.0 * params.mu * (plastic.d_lam[:, None] * plastic.n_dir)
+    eps_p, beta, eps_p_eq = advance_history(
+        _history(state_old.eps_p, shape).reshape(-1, 4),
+        _history(state_old.back_stress, shape).reshape(-1, 4),
+        _history(state_old.eps_p_eq, batch).reshape(-1), plastic, params)
     return MaterialState(sigma.reshape(shape), eps_p.reshape(shape), beta.reshape(shape),
                          eps_p_eq.reshape(batch))
 

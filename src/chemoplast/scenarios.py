@@ -452,10 +452,9 @@ def _rows(fmt, values):
 
 def write_vtk_snapshot(mesh, fields, path, title="chemoplast snapshot"):
     """Legacy ASCII VTK unstructured grid with point data c, sigma_h, u and
-    cell data eps_p_eq."""
+    cell data eps_p_eq (the element's, which its points share)."""
     n = mesh.n_nodes
     m = mesh.n_elements
-    eps_cell = fields.states.eps_p_eq.mean(axis=1)
     Path(path).write_text("".join([
         f"{VTK_HEADER}\n{title[:255]}\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
         _rows("%.12e %.12e 0.0\n", mesh.nodes),
@@ -470,7 +469,7 @@ def write_vtk_snapshot(mesh, fields, path, title="chemoplast snapshot"):
         "VECTORS u double\n",
         _rows("%.12e %.12e 0.0\n", fields.u),
         f"CELL_DATA {m}\nSCALARS eps_p_eq double 1\nLOOKUP_TABLE default\n",
-        _rows("%.12e\n", eps_cell),
+        _rows("%.12e\n", fields.material.eps_p_eq),
     ]))
 
 

@@ -2,10 +2,12 @@
 
 Each step is one Newton solve of the coupled (u, c) system. The J2 return
 map sits inside the residual: every iterate runs the yield test and the
-return from the states at the start of the step. The quadrature-point states
-are formed once, for the converged iterate, from its increments and its
-plastic set (``assembly.iterate_states``), so they satisfy the discrete
-consistency condition of the residual that converged.
+return, once per element, from the element states at the start of the step.
+The committed element state is the converged iterate's stress sums and its
+plastic elements' returns (``assembly.iterate_states``), so it satisfies the
+discrete consistency condition of the residual that converged. Per-point
+values are formed only where they are read: the step record's largest
+hydrostatic stress, and ``FieldState.states``.
 
 ``run`` resolves the boundary data once (``assembly.plan_boundary``). A step
 writes the Dirichlet values into its initial iterate and computes the
@@ -14,10 +16,11 @@ traction and flux load once; every Newton residual subtracts it.
 ``run`` also makes the Jacobian data that no iterate changes once
 (``assembly.fixed_jacobian``: the elastic K_uu and K_uc, K_diff and the
 mass). A step attempt forms the step-start data once (``assembly.step_start``:
-strains, element stress sums, relative stresses). Every Newton iterate then
+strains and relative stresses; the committed element stress sums serve as
+they are). Every Newton iterate then
 costs one residual pass on the element stress sums, in which the return map
-runs on the trial-yielding points only. A Jacobian (the fixed data plus the
-drift block and the plastic points' corrections) is built at a step's first
+runs on the trial-yielding elements only. A Jacobian (the fixed data plus the
+drift block and the plastic elements' corrections) is built at a step's first
 iterate and after that only for a Newton update, so a step builds
 max(updates, 1) of them. The roundoff floors of an iterate come from the last
 one built; they are computed only when a block misses its tolerance, and the
@@ -42,7 +45,7 @@ often. Each step records which of the four Newton exits it took
 (NEWTON_EXITS), how many Jacobians it built, how many factors it computed,
 how many block solves a kept factor served and how many CG iterations its
 K_uu solves took, and how many quadrature points are plastic at its
-committed iterate.
+committed iterate (all of a plastic element's points).
 
 Step failures (Newton divergence, iteration cap, constitutive errors)
 trigger time-step halving, at most four times per step, before the run
@@ -57,8 +60,9 @@ import numpy as np
 from . import sparse_linalg
 from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
                        dirichlet_values, fixed_jacobian, interpolate_nodal, iterate_states,
-                       neumann_load_vector, plan_boundary, precompute, step_start)
-from .constitutive import hydrostatic, von_mises
+                       neumann_load_vector, plan_boundary, point_hydrostatic, precompute,
+                       step_start)
+from .constitutive import von_mises
 
 
 # Newton exits: both block residuals within tolerance; within tolerance or
@@ -108,7 +112,8 @@ class StepInfo:
     factors: int               # block factors computed by the step's Newton solve
     reused: int                # block solves of it served by a kept factor
     pcg_iters: int             # CG iterations of its K_uu solves
-    plastic_qp: int            # plastic quadrature points at the committed iterate
+    plastic_qp: int            # plastic quadrature points at the committed iterate: n_qp
+                               # per plastic element
 
 
 @dataclass
@@ -154,11 +159,11 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     Every iterate costs one residual pass. A Jacobian is built from that
     pass at the first iterate and after that only for a Newton update; the
     roundoff floors of an iterate come from the last Jacobian built, and are
-    computed only when a block misses its tolerance. The per-point states
-    are formed once, for the iterate the solve returns.
+    computed only when a block misses its tolerance. The element state is
+    formed once, for the iterate the solve returns.
 
-    Returns (w, new_states, sigma_h_nodal, StepInfo). The Dirichlet dofs of
-    ``w`` must already carry their prescribed values.
+    Returns (w, new element state, sigma_h_nodal, StepInfo). The Dirichlet
+    dofs of ``w`` must already carry their prescribed values.
     """
     config = scenario.solver
     dm = DofMap(scenario.mesh.n_nodes)
@@ -201,12 +206,12 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     stagnated = False
 
     def done(reason):
-        return w, iterate_states(ed, start, it, scenario.params), it.sigma_h_nodal, StepInfo(
+        return w, iterate_states(start, it, scenario.params), it.sigma_h_nodal, StepInfo(
             newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
             jacobians=jacobians, factors=block_solver.factors - counts_0[0],
             reused=block_solver.reused - counts_0[1],
             pcg_iters=block_solver.pcg_iters - counts_0[2],
-            plastic_qp=int(it.plastic.index.size))
+            plastic_qp=ed.wq.shape[1] * int(it.plastic.index.size))
 
     while True:
         nu, nc = block_norms(res)
@@ -266,7 +271,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         # stagnated: the increment reached the float64 floor of the
         # solution itself; no further reduction is possible here
         stagnated = np.linalg.norm(dw) <= 1e-13 * (np.linalg.norm(w) + 1e-300)
-        # the last iterate's states are dead: free them before the next
+        # the last iterate's residual pass is dead: free it before the next
         # residual pass allocates its temporaries (peak memory); its
         # Jacobian stays for the floors
         it = res = None
@@ -288,28 +293,25 @@ def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs):
     w = dm.join(fields_n.u, fields_n.c)
     w[plan.fixed_dofs] = dirichlet_values(plan, t_new)
 
-    w, new_states, sigma_h, info = _newton_solve(
+    w, material, sigma_h, info = _newton_solve(
         w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs)
     u, c = dm.split(w)
-    return FieldState(u=u, c=c, states=new_states, sigma_h_nodal=sigma_h), info
+    return FieldState(u=u, c=c, material=material, sigma_h_nodal=sigma_h, elem_data=ed,
+                      params=scenario.params), info
 
 
 class ProbeSampler:
     """Samples nodal fields at a scenario's probes (located by the Scenario)
-    by FE interpolation; the equivalent plastic strain comes from the
-    nearest quadrature point."""
+    by FE interpolation; the von Mises stress is that of the containing
+    element's mean stress S_e / A_e, and the equivalent plastic strain is
+    the element's."""
 
     def __init__(self, scenario, elem_data):
-        mesh = scenario.mesh
         self.names = [p[0] for p in scenario.probes]
         self.points = np.array([[p[1], p[2]] for p in scenario.probes], dtype=float).reshape(-1, 2)
         self.elems, self.barys = scenario.probe_elems, scenario.probe_barys
-        tri_pts = mesh.nodes[mesh.tris[self.elems]]          # (P, 3, 2)
-        qp_xy = np.einsum("qk,pkd->pqd", elem_data.shape_qp, tri_pts)
-        d = np.linalg.norm(qp_xy - self.points[:, None, :], axis=2)
-        self.nearest_qp = np.argmin(d, axis=1)
-        self.mesh = mesh
-        self.weights = elem_data.weights
+        self.areas = elem_data.areas[self.elems]
+        self.mesh = scenario.mesh
 
     def sample(self, fields):
         out = {}
@@ -318,16 +320,17 @@ class ProbeSampler:
         c_vals = interpolate_nodal(self.mesh, fields.c, self.elems, self.barys)
         sh_vals = interpolate_nodal(self.mesh, fields.sigma_h_nodal, self.elems, self.barys)
         u_vals = interpolate_nodal(self.mesh, fields.u, self.elems, self.barys)
+        material = fields.material
+        sigma_e = von_mises(material.stress_sum[self.elems] / self.areas[:, None])
+        eps_p_eq = material.eps_p_eq[self.elems]
         for i, name in enumerate(self.names):
-            e = self.elems[i]
-            sig_avg = np.einsum("q,qa->a", self.weights, fields.states.sigma[e]) / self.weights.sum()
             out[name] = {
                 "x": float(self.points[i, 0]),
                 "y": float(self.points[i, 1]),
                 "c": float(c_vals[i]),
                 "sigma_h": float(sh_vals[i]),
-                "sigma_e": float(von_mises(sig_avg)),
-                "eps_p_eq": float(fields.states.eps_p_eq[e, self.nearest_qp[i]]),
+                "sigma_e": float(sigma_e[i]),
+                "eps_p_eq": float(eps_p_eq[i]),
                 "ux": float(u_vals[i, 0]),
                 "uy": float(u_vals[i, 1]),
             }
@@ -398,8 +401,9 @@ def run(scenario, progress_cb=None):
             "dt": dt,
             **vars(info),
             "total_concentration": float(masses @ fields.c),
-            "max_eps_p_eq": float(fields.states.eps_p_eq.max()),
-            "max_sigma_h": float(np.max(np.abs(hydrostatic(fields.states.sigma)))),
+            "max_eps_p_eq": float(fields.material.eps_p_eq.max()),
+            "max_sigma_h": float(np.max(np.abs(point_hydrostatic(ed, scenario.params, fields.c,
+                                                                 fields.material)))),
         }
         history.append(t, record, sampler.sample(fields))
         if progress_cb is not None:

@@ -17,6 +17,25 @@ def yield_function(state, params):
     return sig_e - params.sigma_y0
 
 
+def chemical_strain(c, params):
+    """Stress-free swelling strain (c - c0) * Omega / 3 on each normal axis."""
+    dc = np.asarray(c, dtype=float) - params.c0
+    return dc[..., None] * (params.Omega / 3.0) * np.array([1.0, 1.0, 1.0, 0.0])
+
+
+def ux_dofs(nodes):
+    """u_x dofs of ``nodes`` in the node-major layout of ``assembly.DofMap``."""
+    return 3 * np.asarray(nodes)
+
+
+def uy_dofs(nodes):
+    return 3 * np.asarray(nodes) + 1
+
+
+def c_dofs(nodes):
+    return 3 * np.asarray(nodes) + 2
+
+
 def build_strip_mesh(nx, L=1.0, height=0.01):
     """Structured thin strip (nx x 1 cells, split into triangles) tagged like
     a plate; used as a 1-D diffusion surrogate."""

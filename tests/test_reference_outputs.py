@@ -1,9 +1,11 @@
-"""The benchmark workloads' final fields against their stored references.
+"""The benchmark workloads' final fields and Newton path at the default seed.
 
 Runs each config of ``perfbench/workloads.py`` at the default seed and
 compares the final u, c, sigma and eps_p_eq with ``perfbench/reference/``
 at ``REFERENCE_RTOL`` (normwise relative per field), the same check the
-benchmark applies. Both files are read, never written.
+benchmark applies. It also pins the run totals of Newton updates, block
+factors and CG iterations, so that a change that moves the Newton path
+shows without a benchmark run. Both files are read, never written.
 """
 import importlib.util
 import sys
@@ -20,10 +22,20 @@ sys.modules[_spec.name] = workloads       # dataclasses resolve their module her
 _spec.loader.exec_module(workloads)
 
 
+# (Newton updates, factors, CG iterations) over the default-seed run
+NEWTON_PATH = {
+    "plate_plastic_twoway": (26, 2, 50),
+    "plate_elastic_oneway": (40, 2, 0),
+    "hole_validation": (12, 3, 0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_final_fields_match_reference(name, tmp_path):
     workload = workloads.WORKLOADS[name]
     text = workload.config_text(workloads.DEFAULT_SEED)
     scenario = sc.build_scenario(sc.load_config(text))
-    _, fields = sc.run_scenario(scenario, output_dir=tmp_path)
+    history, fields = sc.run_scenario(scenario, output_dir=tmp_path)
     workloads.check_reference(workload, fields)
+    assert tuple(sum(r[key] for r in history.records)
+                 for key in ("newton_iters", "factors", "pcg_iters")) == NEWTON_PATH[name]

@@ -5,7 +5,8 @@ from chemoplast import analytic, assembly as asm, scenarios as sc, sparse_linalg
 from chemoplast import transient as tr
 from chemoplast.constitutive import MaterialParams
 from chemoplast.scenarios import Scenario
-from conftest import build_strip_mesh, build_two_element_square, yield_function
+from conftest import (build_strip_mesh, build_two_element_square, c_dofs, ux_dofs, uy_dofs,
+                      yield_function)
 
 
 def diffusion_material(D=1.0):
@@ -190,18 +191,18 @@ def _reference_neumann(mesh, bcs, t):
         tx, ty = (v(t) if callable(v) else v for v in vec)
 
         def pay(edges, w, na, nb, tx=tx, ty=ty):
-            np.add.at(load, dm.ux(edges[:, 0]), w * na * tx)
-            np.add.at(load, dm.uy(edges[:, 0]), w * na * ty)
-            np.add.at(load, dm.ux(edges[:, 1]), w * nb * tx)
-            np.add.at(load, dm.uy(edges[:, 1]), w * nb * ty)
+            np.add.at(load, ux_dofs(edges[:, 0]), w * na * tx)
+            np.add.at(load, uy_dofs(edges[:, 0]), w * na * ty)
+            np.add.at(load, ux_dofs(edges[:, 1]), w * nb * tx)
+            np.add.at(load, uy_dofs(edges[:, 1]), w * nb * ty)
         edge_accumulate(tag, pay)
 
     for tag, j_in in bcs.fluxes:
         j = j_in(t) if callable(j_in) else j_in
 
         def pay(edges, w, na, nb, j=j):
-            np.add.at(load, dm.c(edges[:, 0]), w * na * j)
-            np.add.at(load, dm.c(edges[:, 1]), w * nb * j)
+            np.add.at(load, c_dofs(edges[:, 0]), w * na * j)
+            np.add.at(load, c_dofs(edges[:, 1]), w * nb * j)
         edge_accumulate(tag, pay)
     return load
 
@@ -530,15 +531,15 @@ class TestPlasticTransient:
         fields_n = tr.initial_fields(scen)
         solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
         new, _ = tr.step(fields_n, 0.0, dt, scen, ed, plan, fixed, solver, refs)
-        assert new.states.eps_p_eq.max() > 0          # the step flows plastically
+        assert new.material.eps_p_eq.max() > 0        # the step flows plastically
         w = dm.join(new.u, new.c)
         _, again, _, _ = tr._newton_solve(w, fields_n, dt, dt, scen, ed, plan, fixed, solver,
                                           refs)
         two_mu = 2.0 * params.mu
-        change = max(two_mu * np.max(np.abs(again.eps_p - new.states.eps_p)),
-                     np.max(np.abs(again.back_stress - new.states.back_stress)),
+        change = max(two_mu * np.max(np.abs(again.eps_p - new.material.eps_p)),
+                     np.max(np.abs(again.back_stress - new.material.back_stress)),
                      max(params.H, params.h, two_mu)
-                     * np.max(np.abs(again.eps_p_eq - new.states.eps_p_eq)))
+                     * np.max(np.abs(again.eps_p_eq - new.material.eps_p_eq)))
         assert change <= 1e-6 * params.sigma_y0
 
     def test_assembly_plan_built_once_per_run(self, call_spy, monkeypatch):
