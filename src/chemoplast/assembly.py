@@ -1,8 +1,8 @@
 """Linear-triangle discretization of the coupled weak form.
 
 Builds residual and Jacobian for the monolithic (u_x, u_y, c) system:
-mechanical equilibrium with the stress of the material model (J2 return at
-every quadrature point), backward-Euler diffusion with a consistent mass
+mechanical equilibrium with the stress of the material model (J2 return
+once per element), backward-Euler diffusion with a consistent mass
 matrix, and (in two-way mode) the drift term that advects concentration down
 the gradient of the recovered nodal hydrostatic stress.
 
@@ -25,13 +25,15 @@ to the nodes (B^T, the assembled mass and diffusion matrices, the drift
 scatter, the hydrostatic-stress recovery).
 
 The Jacobian is split into a fixed and a changing part. The fixed part
-(``fixed_jacobian``, once per run) is two CSR-data vectors over the
-pattern: the elastic K_uu, K_uc and K_diff, and the mass M; at time step dt
-they give ``stiff + mass / dt``. K_uc is elastic at every iterate, because
-the plastic tangent correction is deviatoric and annihilates the swelling
-direction. The changing part is the two-way drift block, added through the
-K_cc slots, and the K_uu corrections of the plastic elements, added
-through their K_uu slots only.
+(``fixed_jacobian``, once per run) is the elastic K_uu, K_uc and K_diff over
+the pattern and the mass M over the K_cc slots; at time step dt they give
+the base Jacobian ``stiff + mass / dt``, formed once per dt and kept as a
+CSR matrix with read-only data (``FixedJacobian.at``). K_uc is elastic at
+every iterate, because the plastic tangent correction is deviatoric and
+annihilates the swelling direction. The changing part is the two-way drift
+block, added through the K_cc slots, and the K_uu corrections of the
+plastic elements, added through their K_uu slots only. An iterate without
+either (one-way coupling, no plastic element) has the base as its Jacobian.
 
 The material state is held per element (``ElementState``). This rests on
 two facts: P1 strains are constant per element, and the J2 yield function
@@ -202,11 +204,13 @@ class ElementData:
     b_eng: np.ndarray       # (n_elem, 4, 6) engineering strain-displacement
     shape_qp: np.ndarray    # (n_qp, 3) shape values at quadrature points
     wq: np.ndarray          # (n_elem, n_qp) physical quadrature weights
+    shape_int: np.ndarray   # (n_elem, 3) sum_q w_q N_j(x_q), the integral of each shape function
     m_e: np.ndarray         # (n_elem, 3, 3) consistent mass
     gg: np.ndarray          # (n_elem, 3, 3) grad N_i . grad N_j
     jac_indptr: np.ndarray  # CSR pattern of the Jacobian
     jac_indices: np.ndarray
     jac_slot: np.ndarray    # (63 n_elem,) CSR data index of each K_uu, K_uc, K_cc entry
+    cc_pair: np.ndarray     # (n_elem, 9) index of each K_cc entry among the K_cc slots
     strain: sp.csr_matrix   # (4 n_elem, 2N) engineering strain (xx, yy, zz, xy) per element
     strain_t: sp.csc_matrix  # (2N, 4 n_elem) its transpose, over the same arrays: B^T
     qp: sp.csr_matrix       # (n_qp n_elem, N) values at the quadrature points
@@ -278,7 +282,7 @@ def _jacobian_pattern(node_indptr, node_indices, pair):
     base = u_slot[pair][:, :, None, :] + np.arange(2)[:, None] * step[pair][:, :, None, :]
     slot = np.concatenate([(base[..., None] + np.arange(2)).reshape(n_elem, -1).ravel(),
                            (base + 2).reshape(n_elem, -1).ravel(), c_slot[pair].ravel()])
-    return indptr.astype(np.int32), indices, slot
+    return indptr.astype(np.int32), indices, slot.astype(np.int32)
 
 
 def _element_operator(cols, vals, n_cols, keep=None):
@@ -339,16 +343,19 @@ def precompute(mesh):
     strain = _element_operator((2 * tris.repeat(2, axis=1) + np.tile(np.arange(2), 3))[:, None],
                                b, 2 * n_nodes, in_b)
     elem_tris = tris[:, None, :]
+    # one row per element, holding the integrals of its shape functions
+    c_w = _element_operator(elem_tris, (wq @ shape_qp)[:, None], n_nodes)
 
     return ElementData(
         areas=areas, b_eng=b,
-        shape_qp=shape_qp, wq=wq, m_e=m_e, gg=gg,
+        shape_qp=shape_qp, wq=wq, shape_int=c_w.data.reshape(n_elem, 3), m_e=m_e, gg=gg,
         jac_indptr=indptr, jac_indices=indices, jac_slot=slot,
+        cc_pair=pair.reshape(n_elem, 9).astype(np.int32),
         strain=strain, strain_t=strain.T,
         qp=_element_operator(elem_tris, shape_qp, n_nodes),
         mass=node_matrix(m_e), lap=node_matrix(areas[:, None, None] * gg),
         gn=_element_operator(elem_tris, gg, n_nodes),
-        c_w=_element_operator(elem_tris, (wq @ shape_qp)[:, None], n_nodes),
+        c_w=c_w,
         to_nodes=sp.csr_matrix((np.ones(3 * n_elem), (tris.ravel(), np.arange(3 * n_elem))),
                                shape=(n_nodes, 3 * n_elem)),
         recover=_recovery(tris, areas, n_nodes))
@@ -479,19 +486,49 @@ def neumann_load_vector(plan, t):
                        minlength=plan.n_dofs)
 
 
-@dataclass(frozen=True)
 class FixedJacobian:
     """The Jacobian's CSR data that no iterate changes, for one mesh and
-    material (``fixed_jacobian``).
+    material (``fixed_jacobian``), and the base Jacobian it gives at the
+    current time step.
 
-    ``stiff`` holds the elastic K_uu, the K_uc and K_diff; ``mass`` the
-    consistent mass M in the K_cc slots. The data at time step dt is
-    ``stiff + mass / dt``, to which ``assemble_jacobian`` adds the changing
-    part. K_uc is elastic at every iterate: the plastic tangent correction is
-    deviatoric, so it annihilates the swelling direction.
+    ``stiff`` holds the elastic K_uu, the K_uc and K_diff over the whole
+    pattern; ``mass`` the consistent mass M over the K_cc slots ``mass_slots``
+    (sorted) only. The base Jacobian at time step dt is ``stiff + mass / dt``
+    (``at``), to which ``assemble_jacobian`` adds the changing part. K_uc is
+    elastic at every iterate: the plastic tangent correction is deviatoric,
+    so it annihilates the swelling direction.
     """
-    stiff: np.ndarray
-    mass: np.ndarray
+
+    def __init__(self, stiff, mass, mass_slots, indptr, indices):
+        self.stiff = stiff
+        self.mass = mass
+        self.mass_slots = mass_slots
+        self._pattern = (indices, indptr)
+        self._n = indptr.size - 1
+        self._dt = None
+        self._base = self._abs_base = None
+
+    def at(self, dt):
+        """The base Jacobian at time step ``dt``: a CSR matrix over the plan's
+        pattern with read-only data. It is formed when dt changes and kept
+        until then, so every call at one dt returns the same object."""
+        if dt != self._dt:
+            self._base = self._abs_base = None     # free the old base first
+            data = self.stiff.copy()
+            data[self.mass_slots] += self.mass / dt
+            data.flags.writeable = False
+            self._base = sp.csr_matrix((data, *self._pattern), shape=(self._n, self._n))
+            self._dt = dt
+        return self._base
+
+    def magnitude(self, jac):
+        """Entrywise |jac|; that of the current base is formed once and kept
+        with it."""
+        if jac is not self._base:
+            return abs(jac)
+        if self._abs_base is None:
+            self._abs_base = abs(jac)
+        return self._abs_base
 
 
 def fixed_jacobian(elem_data, params):
@@ -503,11 +540,18 @@ def fixed_jacobian(elem_data, params):
     chem = (C @ _CHEM_VEC) * (params.Omega / 3.0)
     k_uc = -(b_t @ ((ed.wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
     k_diff = (params.D * ed.areas[:, None, None]) * ed.gg
-    nnz = ed.jac_indices.size
+    nnz, n = ed.jac_indices.size, ed.areas.size
+    # the three blocks fill disjoint slots, so summing them block by block
+    # adds the entries of every slot in the order one bincount would, without
+    # a concatenated copy of them (peak memory)
+    stiff = np.zeros(nnz)
+    for k, slots in zip((k_uu, k_uc, k_diff), np.split(ed.jac_slot, [36 * n, 54 * n])):
+        stiff += np.bincount(slots, weights=k.ravel(), minlength=nnz)
+    # the K_cc slots hold the node pairs in the order of the node pattern
+    # (``_jacobian_pattern``), so M over them is the assembled mass matrix's data
     return FixedJacobian(
-        stiff=np.bincount(ed.jac_slot, weights=np.concatenate(
-            [k_uu.ravel(), k_uc.ravel(), k_diff.ravel()]), minlength=nnz),
-        mass=np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(), minlength=nnz))
+        stiff=stiff, mass=ed.mass.data, mass_slots=np.unique(ed.cc_slots).astype(np.int32),
+        indptr=ed.jac_indptr, indices=ed.jac_indices)
 
 
 def _swelling_modulus(params):
@@ -652,18 +696,25 @@ def iterate_states(start, iterate, params):
 
 
 def assemble_jacobian(elem_data, fixed, iterate, params, dt):
-    """Jacobian at ``iterate``: the fixed data ``stiff + mass / dt``, plus
-    the two-way drift block in the K_cc slots and the tangent corrections of
-    the plastic elements, ``A_e B^T C_corr B``, in their K_uu slots, as a CSR
-    matrix over the plan's pattern. Without plastic elements the K_uu
-    entries are those of ``fixed`` exactly."""
+    """Jacobian at ``iterate``: the base Jacobian at dt (``fixed.at(dt)``),
+    plus the two-way drift block in the K_cc slots and the tangent
+    corrections of the plastic elements, ``A_e B^T C_corr B``, in their K_uu
+    slots. An iterate with neither (one-way coupling, no plastic element)
+    gets the base itself, whose data is read-only; otherwise the Jacobian is
+    a new CSR matrix over the plan's pattern, formed from a copy of the
+    base's data. Without plastic elements the K_uu entries are those of
+    ``fixed`` exactly."""
     ed = elem_data
-    data = fixed.stiff + fixed.mass / dt
+    base = fixed.at(dt)
+    plastic = iterate.plastic
+    if iterate.gn is None and not plastic.index.size:
+        return base
+    data = base.data.copy()
     if iterate.gn is not None:
         # frozen drift: the K_cu sensitivity is dropped (Picard)
-        drift = params.drift_coeff * (iterate.gn[:, :, None] * (ed.wq @ ed.shape_qp)[:, None, :])
-        data -= np.bincount(ed.cc_slots.ravel(), weights=drift.ravel(), minlength=data.size)
-    plastic = iterate.plastic
+        drift = params.drift_coeff * (iterate.gn[:, :, None] * ed.shape_int[:, None, :])
+        data[fixed.mass_slots] -= np.bincount(ed.cc_pair.ravel(), weights=drift.ravel(),
+                                              minlength=fixed.mass_slots.size)
     if plastic.index.size:
         pe = plastic.index
         b_pe = ed.b_eng[pe]

@@ -13,8 +13,11 @@ block upper-triangular, J = [[K_uu, K_uc], [0, K_cc]], and an update over
 the free dofs is two back-to-back solves: K_cc dc = -r_c, then
 K_uu du = -r_u - K_uc dc. Dirichlet dofs are left out of both blocks (the
 update is zero there), and each block is in one unit system, so it is
-factored unscaled. Each block keeps its KEPT_FACTORS most recently used
-factors, and one loop tries them on it, most recent first.
+factored unscaled. The solver copies a Jacobian's block entries out when it
+reads it; the same Jacobian passed again (the time stepper's constant
+matrix at one dt) is not read or checked again. Each block keeps its
+KEPT_FACTORS most recently used factors, and one loop tries them on it,
+most recent first.
 
 K_cc is solved by iterative refinement against the new entries with a kept
 factor, as a stationary method (Higham, *Accuracy and Stability of
@@ -58,6 +61,8 @@ in its range, and CG unless it lies within FORCING ||b|| of it; x then
 solves the block, exactly or to the forcing bound.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -207,10 +212,14 @@ class BlockSolver:
     Dofs are node-major, (u_x, u_y, c) per node. One solver serves one run,
     planned from the Jacobian's CSR pattern (``indptr``, ``indices``) and
     the constrained dofs: a K_cu entry raises ValueError, and each free-dof
-    block gets its slots in the CSR data and a CSR matrix that every update
-    refills. ``factors`` counts the fresh factorizations, ``reused`` the
-    block solves a kept factor served and ``pcg_iters`` the CG iterations of
-    the K_uu solves.
+    block gets its slots in the CSR data and a CSR matrix that holds the
+    entries of the last Jacobian read. A Jacobian passed again, as the same
+    object, is not read again: its blocks are already in place and checked.
+    So a Jacobian must not be changed once it has been passed; pass a new
+    matrix instead (the assembly's base Jacobian has read-only data).
+    ``factors`` counts the fresh factorizations, ``reused`` the block solves
+    a kept factor served and ``pcg_iters`` the CG iterations of the K_uu
+    solves.
     """
 
     def __init__(self, indptr, indices, fixed_dofs):
@@ -235,10 +244,14 @@ class BlockSolver:
             slots = np.flatnonzero(mask[rows] & mask[indices])
             counts = np.bincount(local[rows[slots]], minlength=dofs.size)
             block_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-            # each solve writes the block's entries into this matrix's data
+            # reading a Jacobian writes the block's entries into this matrix's data
             self._blocks[name] = (dofs, slots, sp.csr_matrix(
                 (np.zeros(slots.size), local[indices[slots]], block_indptr),
                 shape=(dofs.size, dofs.size)))
+        # the Jacobian whose blocks are in place, held weakly so that a
+        # caller can free it before building the next; max|K_cc| of it
+        self._in_place = None
+        self._cc_max = 0.0
         # SuperLU factors, most recent first
         self._kept = {"uu": [], "cc": []}
         self.factors = 0
@@ -248,38 +261,47 @@ class BlockSolver:
     def newton_update(self, jac, res):
         """dw with J dw = -res on the free dofs and dw = 0 on the fixed ones.
 
-        ``jac`` is a CSR matrix with the planned pattern. K_cc is solved by
-        refinement against a kept factor when that reaches a roundoff-level
-        backward error, K_uu by CG preconditioned with a kept factor to a
-        FORCING relative residual, and either is factored afresh otherwise
-        (see the module docstring). Raises ValueError if J does not have the
-        planned shape or has an entry that is not finite, and
-        SingularMatrixError if a freshly factored block is singular.
+        ``jac`` is a CSR matrix with the planned pattern, not changed after
+        it is passed (see the class docstring). K_cc is solved by refinement
+        against a kept factor when that reaches a roundoff-level backward
+        error, K_uu by CG preconditioned with a kept factor to a FORCING
+        relative residual, and either is factored afresh otherwise (see the
+        module docstring). Raises ValueError if J does not have the planned
+        shape or has an entry that is not finite, and SingularMatrixError if
+        a freshly factored block is singular.
         """
+        if self._in_place is None or self._in_place() is not jac:
+            self._read_blocks(jac)
+        res = np.asarray(res, dtype=float)
+        free_u, free_c = self._blocks["uu"][0], self._blocks["cc"][0]
+        dw = np.zeros(jac.shape[0])
+        dw[free_c] = self._block_solve("cc", -res[free_c])
+        # with du = 0, (J dw)_u = K_uc dc
+        coupling = (jac @ dw)[free_u]
+        dw[free_u] = self._block_solve("uu", -res[free_u] - coupling)
+        return dw
+
+    def _read_blocks(self, jac):
+        """Check ``jac`` and copy its block entries into the block matrices."""
         if jac.shape + (jac.nnz,) != self._shape:
             raise ValueError(f"newton_update: Jacobian of shape {jac.shape} with {jac.nnz} "
                              f"entries does not have the planned pattern")
         if not np.all(np.isfinite(jac.data)):
             raise ValueError("newton_update: Jacobian entries must be finite")
-        res = np.asarray(res, dtype=float)
-        free_u, free_c = self._blocks["uu"][0], self._blocks["cc"][0]
-        dw = np.zeros(jac.shape[0])
-        dw[free_c] = self._block_solve("cc", jac.data, -res[free_c])
-        # with du = 0, (J dw)_u = K_uc dc
-        coupling = (jac @ dw)[free_u]
-        dw[free_u] = self._block_solve("uu", jac.data, -res[free_u] - coupling)
-        return dw
+        for _, slots, A in self._blocks.values():
+            # the slots are in range; "clip" lets take write into A.data unbuffered
+            np.take(jac.data, slots, out=A.data, mode="clip")
+        cc = self._blocks["cc"][2]
+        self._cc_max = float(np.abs(cc.data).max()) if cc.nnz else 0.0
+        self._in_place = weakref.ref(jac)
 
-    def _block_solve(self, name, values, rhs):
+    def _block_solve(self, name, rhs):
         if rhs.size == 0:
             return rhs
-        _, slots, A = self._blocks[name]
-        # the slots are in range; "clip" lets take write into A.data unbuffered
-        np.take(values, slots, out=A.data, mode="clip")
-        a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
+        A = self._blocks[name][2]
         kept = self._kept[name]
         for i, lu in enumerate(kept):
-            x = _kept_solve(lu, A, a_max, rhs) if name == "cc" else self._pcg(lu, A, rhs)
+            x = _kept_solve(lu, A, self._cc_max, rhs) if name == "cc" else self._pcg(lu, A, rhs)
             if x is not None:
                 kept.insert(0, kept.pop(i))
                 self.reused += 1

@@ -15,16 +15,21 @@ traction and flux load once; every Newton residual subtracts it.
 
 ``run`` also makes the Jacobian data that no iterate changes once
 (``assembly.fixed_jacobian``: the elastic K_uu and K_uc, K_diff and the
-mass). A step attempt forms the step-start data once (``assembly.step_start``:
+mass). It forms the base Jacobian ``stiff + mass / dt`` once per time-step
+size, and again only when dt changes (a dt halving or a short last step).
+A step attempt forms the step-start data once (``assembly.step_start``:
 strains and relative stresses; the committed element stress sums serve as
-they are). Every Newton iterate then
-costs one residual pass on the element stress sums, in which the return map
-runs on the trial-yielding elements only. A Jacobian (the fixed data plus the
-drift block and the plastic elements' corrections) is built at a step's first
-iterate and after that only for a Newton update, so a step builds
-max(updates, 1) of them. The roundoff floors of an iterate come from the last
-one built; they are computed only when a block misses its tolerance, and the
-Jacobian's entrywise absolute value at most once.
+they are). Every Newton iterate then costs one residual pass on the element
+stress sums, in which the return map runs on the trial-yielding elements
+only. A Jacobian is evaluated at a step's first iterate and after that only
+for a Newton update, so a step evaluates max(updates, 1) of them. On the
+constant-matrix path (one-way coupling, no plastic element at the iterate)
+the evaluation returns the base itself, so the block solver finds its
+blocks already in place; otherwise it is the base plus the drift block and
+the plastic elements' corrections. The roundoff floors of an iterate come
+from the last Jacobian evaluated; they are computed only when a block
+misses its tolerance, from the Jacobian's entrywise absolute value, formed
+at most once per Jacobian, and for the base at most once per dt.
 
 The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
@@ -42,10 +47,10 @@ moves only at the level of the Newton tolerance. So the elastic K_uu, the
 one-way K_cc and the slowly changing two-way K_cc are factored a few times
 per run, and the plastic K_uu, which changes at every update, not much more
 often. Each step records which of the four Newton exits it took
-(NEWTON_EXITS), how many Jacobians it built, how many factors it computed,
-how many block solves a kept factor served and how many CG iterations its
-K_uu solves took, and how many quadrature points are plastic at its
-committed iterate (all of a plastic element's points).
+(NEWTON_EXITS), how many Jacobians it evaluated, how many factors it
+computed, how many block solves a kept factor served and how many CG
+iterations its K_uu solves took, and how many quadrature points are plastic
+at its committed iterate (all of a plastic element's points).
 
 Step failures (Newton divergence, iteration cap, constitutive errors)
 trigger time-step halving, at most four times per step, before the run
@@ -108,7 +113,7 @@ class StepInfo:
     newton_iters: int
     residual_norm: float
     newton_exit: str           # one of NEWTON_EXITS
-    jacobians: int             # Jacobians built in the step
+    jacobians: int             # Jacobians evaluated in the step, the reused base included
     factors: int               # block factors computed by the step's Newton solve
     reused: int                # block solves of it served by a kept factor
     pcg_iters: int             # CG iterations of its K_uu solves
@@ -156,11 +161,11 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     its kept factors served and the CG iterations of its K_uu solves in this
     solve.
 
-    Every iterate costs one residual pass. A Jacobian is built from that
+    Every iterate costs one residual pass. A Jacobian is evaluated from that
     pass at the first iterate and after that only for a Newton update; the
-    roundoff floors of an iterate come from the last Jacobian built, and are
-    computed only when a block misses its tolerance. The element state is
-    formed once, for the iterate the solve returns.
+    roundoff floors of an iterate come from the last Jacobian evaluated, and
+    are computed only when a block misses its tolerance. The element state
+    is formed once, for the iterate the solve returns.
 
     Returns (w, new element state, sigma_h_nodal, StepInfo). The Dirichlet
     dofs of ``w`` must already carry their prescribed values.
@@ -229,7 +234,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         if nu <= tol_u and nc <= tol_c:
             return done("converged")
         if abs_jac is None:
-            abs_jac = abs(jac)
+            abs_jac = fixed.magnitude(jac)
         floor_u, floor_c = block_floors(abs_jac, w)
         ok_u = nu <= max(tol_u, 2.0 * floor_u)
         ok_c = nc <= max(tol_c, 2.0 * floor_c)
@@ -255,7 +260,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                               f"iterations at t={t_new:g} (residual {norm:.3e}, "
                               f"tols {tol_u:.3e}/{tol_c:.3e})")
         if n_solves > 0:            # jac is an earlier iterate's
-            jac = abs_jac = None    # free the last Jacobian before building the next
+            jac = abs_jac = None    # free the last Jacobian before evaluating the next
             jac = assemble_jacobian(ed, fixed, it, scenario.params, dt)
             jacobians += 1
         try:

@@ -467,10 +467,41 @@ class TestAssemblyPlan:
         plastic_elems = it.plastic.index
         assert 0 < plastic_elems.size < m.n_elements
         changed = np.flatnonzero(asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5).data
-                                 != fixed.stiff + fixed.mass / 0.5)
+                                 != fixed.at(0.5).data)
         allowed = np.union1d(ed.uu_slots[plastic_elems].ravel(), ed.cc_slots.ravel())
         assert changed.size > 0
         assert np.all(np.isin(changed, allowed))
+
+    def test_base_jacobian_kept_per_dt(self, steel_plastic, rng):
+        # an iterate with no drift and no plastic element gets the base at
+        # dt, stiff + mass / dt: one object per dt, with read-only data
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        fixed = asm.fixed_jacobian(ed, steel_plastic)
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        f1.u = rng.normal(scale=1e-6, size=(m.n_nodes, 2))
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        start = asm.step_start(ed, f0, steel_plastic)
+        mass = np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(),
+                           minlength=ed.jac_indices.size)
+        assert np.array_equal(fixed.mass_slots[ed.cc_pair], ed.cc_slots)
+        bases = []
+        for dt in (0.5, 0.5, 0.25):
+            it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, "one-way")
+            assert it.plastic.index.size == 0
+            base = asm.assemble_jacobian(ed, fixed, it, steel_plastic, dt)
+            assert base is fixed.at(dt)
+            assert np.array_equal(base.data, fixed.stiff + mass / dt)
+            with pytest.raises(ValueError, match="read-only"):
+                base.data[0] = 0.0
+            bases.append(base)
+        assert bases[0] is bases[1] and bases[2] is not bases[0]
+        # a two-way iterate gets a new matrix and leaves the base as it is
+        it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, 0.25, "two-way")
+        jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.25)
+        assert jac is not bases[2] and not np.array_equal(jac.data, bases[2].data)
+        assert np.array_equal(bases[2].data, fixed.stiff + mass / 0.25)
 
 
 class TestIterateStates:

@@ -257,6 +257,17 @@ class TestBlockSolver:
         with pytest.raises(ValueError, match="entries must be finite"):
             solver.newton_update(A, np.ones(A.shape[0]))
 
+    def test_non_finite_entry_rejected_after_a_reused_jacobian(self, rng):
+        # the second pass of A is not read again; a new Jacobian still is
+        A = _block_triangular(rng)
+        solver = _solver(A)
+        for _ in range(2):
+            solver.newton_update(A, np.ones(A.shape[0]))
+        B = A.copy()
+        B.data[4] = np.nan
+        with pytest.raises(ValueError, match="entries must be finite"):
+            solver.newton_update(B, np.ones(B.shape[0]))
+
     def test_other_pattern_rejected(self, rng):
         solver = _solver(_block_triangular(rng))
         B = _block_triangular(rng, n_nodes=4)
@@ -274,6 +285,22 @@ class TestBlockSolver:
         assert [f.solves for f in factors] == [2, 2]  # one solve each, no refinement step
         assert np.array_equal(again, first)
         assert (solver.factors, solver.reused) == (2, 2)
+
+    def test_return_to_an_earlier_jacobian_reads_it_again(self, rng):
+        # A, a changed copy B, then A again: the last update solves A, as a
+        # fresh solver's does, and not the blocks of B left in place
+        A = _spd_block_triangular(rng)
+        B = _spd_perturbed(A, 0.05, rng)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        for jac in (A, B):
+            solver.newton_update(jac, res)
+        dw = solver.newton_update(A, res)
+        ref = _solver(A).newton_update(A, res)
+        is_u = np.arange(A.shape[0]) % 3 != 2
+        assert np.linalg.norm(dw[~is_u] - ref[~is_u]) <= 1e-12 * np.linalg.norm(ref[~is_u])
+        assert _u_residual_ratio(A, dw, res) <= sla.FORCING
+        assert np.linalg.norm(dw[is_u] - ref[is_u]) <= 1e-2 * np.linalg.norm(ref[is_u])
 
     def test_small_change_reuses_kept_factor(self, rng, factors):
         A = _block_triangular(rng, n_nodes=8)

@@ -283,6 +283,23 @@ class TestLazyJacobian:
         assert [r["plastic_qp"] for r in hist.records] == flowed
         assert (max(flowed) > 0) == (text is COARSE_PLATE)
 
+    def test_one_way_elastic_updates_share_the_base_per_dt(self, monkeypatch):
+        # the constant-matrix path: every update at one dt gets the same
+        # read-only Jacobian, and the short last step a new one
+        text = (COARSE_ELASTIC_ONE_WAY
+                .replace("solver.t_end_hat = 0.03", "solver.t_end_hat = 0.035")
+                .replace("loading.t_ramp_hat = 0.02", "loading.t_ramp_hat = 0.05"))
+        updates, hist = newton_updates(monkeypatch, text)
+        dts = [r["dt"] for r in hist.records for _ in range(r["newton_iters"])]
+        assert len(dts) == len(updates)
+        jacs = {}
+        for dt, (jac, _, _, _) in zip(dts, updates):
+            assert jacs.setdefault(dt, jac) is jac
+            with pytest.raises(ValueError, match="read-only"):
+                jac.data[0] = 0.0
+        assert len(jacs) == 2
+        assert dts.count(hist.records[0]["dt"]) > 1 and not hist.events
+
     def test_step_start_strain_once_per_attempt(self, call_spy):
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         strains = call_spy("element_strain", asm)
