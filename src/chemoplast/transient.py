@@ -46,15 +46,17 @@ Steihaug, SIAM J. Numer. Anal. 19 (1982) 400-408): the converged answer
 moves only at the level of the Newton tolerance. So the elastic K_uu, the
 one-way K_cc and the slowly changing two-way K_cc are factored a few times
 per run, and the plastic K_uu, which changes at every update, not much more
-often. Each step records which of the four Newton exits it took
-(NEWTON_EXITS), how many Jacobians it evaluated, how many factors it
+often. Each step records which of the two Newton exits it took
+(NEWTON_EXITS: both blocks within tolerance, or each within tolerance or at
+its roundoff floor), how many Jacobians it evaluated, how many factors it
 computed, how many block solves a kept factor served and how many CG
 iterations its K_uu solves took, and how many quadrature points are plastic
 at its committed iterate (all of a plastic element's points).
 
-Step failures (Newton divergence, iteration cap, constitutive errors)
-trigger time-step halving, at most four times per step, before the run
-aborts.
+A step is committed only through one of those exits. Step failures
+(Newton divergence, the iteration cap, singular solves, constitutive
+errors) trigger time-step halving, at most four times per step, before the
+run aborts.
 """
 from __future__ import annotations
 
@@ -70,11 +72,10 @@ from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, ass
 from .constitutive import von_mises
 
 
-# Newton exits: both block residuals within tolerance; within tolerance or
-# at the block's roundoff floor; the increment at the float64 floor of the
-# solution; no progress for several corrections with the mechanics residual
-# far below the run's force scale (yield-surface branch jitter).
-NEWTON_EXITS = ("converged", "roundoff-floor", "stagnated", "stalled")
+# Newton exits, the only ways a step is committed: both block residuals
+# within tolerance; each block within tolerance or at most twice its
+# roundoff floor. A step that reaches neither fails and halves dt.
+NEWTON_EXITS = ("converged", "roundoff-floor")
 
 MAX_HALVINGS = 4    # dt halvings a failing step may take before the run aborts
 
@@ -143,13 +144,14 @@ class TimeHistory:
 def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
-    Convergence, backtracking, and floors are judged per physics block
-    (mechanics rows vs concentration rows): the blocks carry different
-    units, and the stiff block reaches its float64 noise floor long before
-    the other is done, so a single mixed norm can neither detect
-    convergence nor tell a necessary excursion from divergence. A block
-    that sits at its own roundoff floor is free to move; a loaded block is
-    damped by backtracking until its residual decreases.
+    Convergence and roundoff floors are judged per physics block (mechanics
+    rows vs concentration rows): the blocks carry different units, and the
+    stiff block reaches its float64 noise floor long before the other is
+    done, so a single mixed norm cannot detect convergence. The loop takes
+    full Newton steps, with no damping. It returns only at one of
+    NEWTON_EXITS; it raises StepFailure when the residual grows, above ten
+    times the summed floors, over three consecutive iterations, or when
+    ``newton_max_iter`` updates do not reach an exit.
 
     ``scenario`` gives the material and the solver settings; the other
     arguments are the run's data, as ``step`` describes them. The boundary
@@ -205,10 +207,9 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     jacobians = 1
 
     tol_u = tol_c = None
-    norms = []
+    norm_prev = None
     grow = 0
     n_solves = 0
-    stagnated = False
 
     def done(reason):
         return w, iterate_states(start, it, scenario.params), it.sigma_h_nodal, StepInfo(
@@ -236,25 +237,15 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         if abs_jac is None:
             abs_jac = fixed.magnitude(jac)
         floor_u, floor_c = block_floors(abs_jac, w)
-        ok_u = nu <= max(tol_u, 2.0 * floor_u)
-        ok_c = nc <= max(tol_c, 2.0 * floor_c)
-        # stalled: no meaningful progress over several corrections while the
-        # mechanics residual sits orders below the run's force scale; the
-        # iteration is chasing the yield-surface branch jitter
-        stalled = (len(norms) >= 5 and norm > 0.99 * norms[-5]
-                   and nu <= 1e-3 * max(refs["u"], 1e-300) and nc <= max(tol_c, 2.0 * floor_c))
-        reason = ("roundoff-floor" if ok_u and ok_c else
-                  "stagnated" if stagnated else
-                  "stalled" if stalled else None)
-        if reason is not None:
-            return done(reason)
-        if norms:
+        if nu <= max(tol_u, 2.0 * floor_u) and nc <= max(tol_c, 2.0 * floor_c):
+            return done("roundoff-floor")
+        if norm_prev is not None:
             meaningful = norm > 10.0 * (floor_u + floor_c)
-            grow = grow + 1 if (meaningful and norm > norms[-1]) else 0
+            grow = grow + 1 if (meaningful and norm > norm_prev) else 0
             if grow >= 3:
                 raise StepFailure(f"Newton diverging at t={t_new:g}: residual grew over "
                                   f"3 consecutive iterations (last {norm:.3e})")
-        norms.append(norm)
+        norm_prev = norm
         if n_solves >= config.newton_max_iter:
             raise StepFailure(f"Newton did not converge within {config.newton_max_iter} "
                               f"iterations at t={t_new:g} (residual {norm:.3e}, "
@@ -273,9 +264,6 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         # the divergence detector above plus the caller's dt halving, which
         # also shrinks the boundary-condition increment that causes them.
         w = w + dw
-        # stagnated: the increment reached the float64 floor of the
-        # solution itself; no further reduction is possible here
-        stagnated = np.linalg.norm(dw) <= 1e-13 * (np.linalg.norm(w) + 1e-300)
         # the last iterate's residual pass is dead: free it before the next
         # residual pass allocates its temporaries (peak memory); its
         # Jacobian stays for the floors

@@ -4,11 +4,13 @@ Runs each config of ``perfbench/workloads.py`` at the default seed and
 compares the final u, c, sigma and eps_p_eq with ``perfbench/reference/``
 at ``REFERENCE_RTOL`` (normwise relative per field), the same check the
 benchmark applies. It also pins the run totals of Newton updates, block
-factors and CG iterations, so that a change that moves the Newton path
-shows without a benchmark run. Both files are read, never written.
+factors and CG iterations, and the steps per Newton exit, so that a change
+that moves the Newton path or relabels steps shows without a benchmark run.
+Both files are read, never written.
 """
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,14 @@ NEWTON_PATH = {
     "hole_validation": (12, 3, 0),
 }
 
+# steps per Newton exit over the default-seed run; together they show every
+# exit of transient.NEWTON_EXITS firing
+NEWTON_EXIT_STEPS = {
+    "plate_plastic_twoway": {"converged": 8},
+    "plate_elastic_oneway": {"converged": 40},
+    "hole_validation": {"converged": 9, "roundoff-floor": 1},
+}
+
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_final_fields_match_reference(name, tmp_path):
@@ -39,3 +49,4 @@ def test_final_fields_match_reference(name, tmp_path):
     workloads.check_reference(workload, fields)
     assert tuple(sum(r[key] for r in history.records)
                  for key in ("newton_iters", "factors", "pcg_iters")) == NEWTON_PATH[name]
+    assert Counter(r["newton_exit"] for r in history.records) == NEWTON_EXIT_STEPS[name]

@@ -7,6 +7,7 @@ from chemoplast.constitutive import MaterialParams
 from chemoplast.scenarios import Scenario
 from conftest import (build_strip_mesh, build_two_element_square, c_dofs, ux_dofs, uy_dofs,
                       yield_function)
+from test_acceptance import PARTICLE_CFG
 
 
 def diffusion_material(D=1.0):
@@ -463,9 +464,11 @@ class TestRobustness:
         with pytest.raises(tr.RunAborted):
             tr.run(scen)
 
-    def test_flat_small_mechanics_residual_exits_stalled(self, monkeypatch):
+    def test_flat_small_mechanics_residual_aborts_run(self, monkeypatch):
         # after one large first residual every pass returns the same small
-        # mechanics residual: no progress, far below the run's force scale
+        # mechanics residual: no progress, far below the run's force scale,
+        # but above the tolerance. No exit accepts it, so every attempt
+        # reaches the iteration cap and the run aborts; no step is committed
         scen = slab_scenario(nx=10)
         scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]
         scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way")
@@ -481,10 +484,34 @@ class TestRobustness:
             return it
 
         monkeypatch.setattr(tr, "assemble_residual", flat)
+        with pytest.raises(tr.RunAborted, match="did not converge within"):
+            tr.run(scen)
+
+    def test_committed_particle_steps_need_no_update_on_restart(self, monkeypatch):
+        # criterion 9's one-way plastic particle, first 10 steps: c is ~1e4
+        # and |u| ~1e-6 m. Each block of a committed iterate met its
+        # tolerance or its floor, so a restart from it with a fresh solver
+        # must exit before any update
+        scen = sc.build_scenario(sc.load_config(
+            PARTICLE_CFG.format(ri=2.5e-6, mode="oneway", plast="on")))
+        scen.solver.t_end = 10 * scen.solver.dt
+        dm = asm.DofMap(scen.mesh.n_nodes)
+        real_step = tr.step
+        restarts = []
+
+        def step_then_restart(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs):
+            fields, info = real_step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver,
+                                     refs)
+            solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+            *_, again = tr._newton_solve(dm.join(fields.u, fields.c), fields_n, t_n + dt, dt,
+                                         scenario, ed, plan, fixed, solver, dict(refs))
+            restarts.append(again.newton_iters)
+            return fields, info
+
+        monkeypatch.setattr(tr, "step", step_then_restart)
         hist, _ = tr.run(scen)
-        assert [r["newton_exit"] for r in hist.records] == ["stalled", "stalled"]
-        assert [r["newton_iters"] for r in hist.records] == [6, 5]
-        assert not hist.events
+        assert len(hist.records) == 10
+        assert restarts == [0] * 10
 
     def test_time_history_rejects_non_increasing(self):
         h = tr.TimeHistory()
