@@ -46,7 +46,8 @@ stress and equivalent plastic strain; ``point_states`` forms the per-point
 values from it when they are read.
 
 A step attempt forms the step-start data once (``step_start``: strains and,
-for a hardening material, the relative stresses dev(S_e / A_e) - beta_e).
+for a hardening material, the relative stresses dev(S_e / A_e) - beta_e);
+the time stepper passes the strains of the committed iterate's residual pass.
 Per iterate, ``assemble_residual`` updates the stress sums by the elastic
 response of the element increments, runs the yield test on every element
 and the return map on the trial-yielding elements only, subtracts their
@@ -548,24 +549,18 @@ def fixed_jacobian(elem_data, params):
     for k, slots in zip((k_uu, k_uc, k_diff), np.split(ed.jac_slot, [36 * n, 54 * n])):
         stiff += np.bincount(slots, weights=k.ravel(), minlength=nnz)
     # the K_cc slots hold the node pairs in the order of the node pattern
-    # (``_jacobian_pattern``), so M over them is the assembled mass matrix's data
-    return FixedJacobian(
-        stiff=stiff, mass=ed.mass.data, mass_slots=np.unique(ed.cc_slots).astype(np.int32),
-        indptr=ed.jac_indptr, indices=ed.jac_indices)
+    # (``_jacobian_pattern``), so M over them is the assembled mass matrix's
+    # data; every pair lies in some element, so the scatter fills them all
+    mass_slots = np.empty(ed.mass.nnz, dtype=np.int32)
+    mass_slots[ed.cc_pair] = ed.cc_slots
+    return FixedJacobian(stiff=stiff, mass=ed.mass.data, mass_slots=mass_slots,
+                         indptr=ed.jac_indptr, indices=ed.jac_indices)
 
 
 def _swelling_modulus(params):
     """K_b Omega: the drop of the normal stresses per unit concentration
     (K_b = lam + 2 mu / 3)."""
     return (params.lam + 2.0 * params.mu / 3.0) * params.Omega
-
-
-def _swelling_offsets(elem_data, params, c):
-    """(n_elem, n_qp) K_b Omega (c_q - c_mean_e): how far each point's normal
-    stresses lie below its element's mean, c_mean_e = (c_w @ c)_e / A_e."""
-    ed = elem_data
-    c_qp = (ed.qp @ c).reshape(ed.wq.shape)
-    return _swelling_modulus(params) * (c_qp - ((ed.c_w @ c) / ed.areas)[:, None])
 
 
 def _at_points(material, sigma):
@@ -582,18 +577,14 @@ def point_states(elem_data, params, c, material):
     K_b Omega (c_q - c_mean_e) I, and the element history at every point.
 
     This holds for states that start stress-free at a uniform concentration:
-    the points of an element then differ only in the swelling of c_q.
+    the points of an element then differ only in the swelling of c_q, with
+    c_mean_e = (c_w @ c)_e / A_e.
     """
-    sigma = ((material.stress_sum / elem_data.areas[:, None])[:, None, :]
-             - _swelling_offsets(elem_data, params, c)[..., None] * _CHEM_VEC)
-    return _at_points(material, sigma)
-
-
-def point_hydrostatic(elem_data, params, c, material):
-    """(n_elem, n_qp) hydrostatic stress of every quadrature point, without
-    forming the per-point states."""
-    return ((trace(material.stress_sum) / (3.0 * elem_data.areas))[:, None]
-            - _swelling_offsets(elem_data, params, c))
+    ed = elem_data
+    c_qp = (ed.qp @ c).reshape(ed.wq.shape)
+    offsets = _swelling_modulus(params) * (c_qp - ((ed.c_w @ c) / ed.areas)[:, None])
+    return _at_points(material, (material.stress_sum / ed.areas[:, None])[:, None, :]
+                      - offsets[..., None] * _CHEM_VEC)
 
 
 @dataclass
@@ -605,25 +596,30 @@ class StepStart:
     xi: np.ndarray          # (n_elem, 4) dev(S_e / A_e) - beta_e; None for an elastic material
 
 
-def step_start(elem_data, fields, params):
+def step_start(elem_data, fields, params, strain=None):
     """The step-start data of ``fields``: its element strains and, for a
-    hardening material, its relative stresses."""
+    hardening material, its relative stresses. A caller that has the
+    element strain of ``fields.u`` exactly (the time stepper: the committed
+    iterate's ``Iterate.strain``) passes it as ``strain``."""
     m = fields.material
     xi = (None if params.hardening_kind == "none"
           else deviator(m.stress_sum / elem_data.areas[:, None]) - m.back_stress)
-    return StepStart(fields, element_strain(elem_data, fields.u), xi)
+    return StepStart(fields, element_strain(elem_data, fields.u) if strain is None else strain,
+                     xi)
 
 
 @dataclass
 class Iterate:
     """The residual pass at one iterate (``assemble_residual``), with what
     the Jacobian (``assemble_jacobian``) and the element state
-    (``iterate_states``) of the same iterate need from it."""
+    (``iterate_states``) of the same iterate need from it. Its element
+    strain is the next step's start strain when the iterate is committed."""
     residual: np.ndarray        # internal terms only
     sigma_h_nodal: np.ndarray
     stress_sum: np.ndarray      # (n_elem, 4) sum_q w_q sigma_q
     plastic: PlasticPoints      # trial-yielding elements
     gn: np.ndarray              # (n_elem, 3) grad N_i . grad sigma_h; None in one-way
+    strain: np.ndarray          # (n_elem, 4) engineering strain of the iterate's u
 
 
 def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=None):
@@ -645,7 +641,8 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
     ed = elem_data
     mu = params.mu
     material = start.fields.material
-    d_eps = element_strain(ed, u) - start.strain
+    strain = element_strain(ed, u)
+    d_eps = strain - start.strain
     d_eps[:, 3] *= 0.5                                          # gamma -> tensor shear
     d_c = c - start.fields.c
     stress = (material.stress_sum + ed.areas[:, None] * (d_eps @ elastic_stiffness(params))
@@ -682,7 +679,7 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
         gn = (ed.gn @ sigma_h_nodal).reshape(-1, 3)          # grad N_i . grad sigma_h
         r_c -= params.drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel())
     residual[:, 2] = r_c
-    return Iterate(residual.ravel(), sigma_h_nodal, stress, plastic, gn)
+    return Iterate(residual.ravel(), sigma_h_nodal, stress, plastic, gn, strain)
 
 
 def iterate_states(start, iterate, params):
@@ -712,7 +709,8 @@ def assemble_jacobian(elem_data, fixed, iterate, params, dt):
     data = base.data.copy()
     if iterate.gn is not None:
         # frozen drift: the K_cu sensitivity is dropped (Picard)
-        drift = params.drift_coeff * (iterate.gn[:, :, None] * ed.shape_int[:, None, :])
+        drift = np.einsum("ei,ej->eij", iterate.gn, ed.shape_int)
+        drift *= params.drift_coeff
         data[fixed.mass_slots] -= np.bincount(ed.cc_pair.ravel(), weights=drift.ravel(),
                                               minlength=fixed.mass_slots.size)
     if plastic.index.size:

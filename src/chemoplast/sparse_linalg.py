@@ -217,6 +217,7 @@ class BlockSolver:
     object, is not read again: its blocks are already in place and checked.
     So a Jacobian must not be changed once it has been passed; pass a new
     matrix instead (the assembly's base Jacobian has read-only data).
+    ``free_dofs`` holds the free u dofs and the free c dofs, each sorted.
     ``factors`` counts the fresh factorizations, ``reused`` the block solves
     a kept factor served and ``pcg_iters`` the CG iterations of the K_uu
     solves.
@@ -248,6 +249,7 @@ class BlockSolver:
             self._blocks[name] = (dofs, slots, sp.csr_matrix(
                 (np.zeros(slots.size), local[indices[slots]], block_indptr),
                 shape=(dofs.size, dofs.size)))
+        self.free_dofs = (self._blocks["uu"][0], self._blocks["cc"][0])
         # the Jacobian whose blocks are in place, held weakly so that a
         # caller can free it before building the next; max|K_cc| of it
         self._in_place = None
@@ -273,7 +275,7 @@ class BlockSolver:
         if self._in_place is None or self._in_place() is not jac:
             self._read_blocks(jac)
         res = np.asarray(res, dtype=float)
-        free_u, free_c = self._blocks["uu"][0], self._blocks["cc"][0]
+        free_u, free_c = self.free_dofs
         dw = np.zeros(jac.shape[0])
         dw[free_c] = self._block_solve("cc", -res[free_c])
         # with du = 0, (J dw)_u = K_uc dc

@@ -6,8 +6,7 @@ return, once per element, from the element states at the start of the step.
 The committed element state is the converged iterate's stress sums and its
 plastic elements' returns (``assembly.iterate_states``), so it satisfies the
 discrete consistency condition of the residual that converged. Per-point
-values are formed only where they are read: the step record's largest
-hydrostatic stress, and ``FieldState.states``.
+values are formed only where they are read (``FieldState.states``).
 
 ``run`` resolves the boundary data once (``assembly.plan_boundary``). A step
 writes the Dirichlet values into its initial iterate and computes the
@@ -18,18 +17,20 @@ traction and flux load once; every Newton residual subtracts it.
 mass). It forms the base Jacobian ``stiff + mass / dt`` once per time-step
 size, and again only when dt changes (a dt halving or a short last step).
 A step attempt forms the step-start data once (``assembly.step_start``:
-strains and relative stresses; the committed element stress sums serve as
-they are). Every Newton iterate then costs one residual pass on the element
-stress sums, in which the return map runs on the trial-yielding elements
-only. A Jacobian is evaluated at a step's first iterate and after that only
-for a Newton update, so a step evaluates max(updates, 1) of them. On the
-constant-matrix path (one-way coupling, no plastic element at the iterate)
-the evaluation returns the base itself, so the block solver finds its
-blocks already in place; otherwise it is the base plus the drift block and
-the plastic elements' corrections. The roundoff floors of an iterate come
-from the last Jacobian evaluated; they are computed only when a block
-misses its tolerance, from the Jacobian's entrywise absolute value, formed
-at most once per Jacobian, and for the base at most once per dt.
+relative stresses; the committed iterate's element stress sums and strains,
+from its residual pass, serve as they are, and ``run`` carries the strains
+to a retry at half the dt too). Every Newton iterate then costs one
+residual pass on the element stress sums, in which the return map runs on
+the trial-yielding elements only. A Jacobian is evaluated at a step's first
+iterate and after that only for a Newton update, so a step evaluates
+max(updates, 1) of them. On the constant-matrix path (one-way coupling, no
+plastic element at the iterate) the evaluation returns the base itself, so
+the block solver finds its blocks already in place; otherwise it is the
+base plus the drift block and the plastic elements' corrections. The
+roundoff floors of an iterate come from the last Jacobian evaluated; they
+are computed only when a block misses its tolerance, from the Jacobian's
+entrywise absolute value, formed at most once per Jacobian, and for the
+base at most once per dt.
 
 The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
@@ -67,8 +68,7 @@ import numpy as np
 from . import sparse_linalg
 from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
                        dirichlet_values, fixed_jacobian, interpolate_nodal, iterate_states,
-                       neumann_load_vector, plan_boundary, point_hydrostatic, precompute,
-                       step_start)
+                       neumann_load_vector, plan_boundary, precompute, step_start)
 from .constitutive import von_mises
 
 
@@ -141,7 +141,8 @@ class TimeHistory:
         return np.array([s[name][key] for s in self.samples])
 
 
-def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs):
+def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs,
+                  strain_n=None):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence and roundoff floors are judged per physics block (mechanics
@@ -161,7 +162,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     jitter of points flipping between the elastic and plastic branch. The
     StepInfo counts the factors ``block_solver`` computed, the block solves
     its kept factors served and the CG iterations of its K_uu solves in this
-    solve.
+    solve; the block norms are over its free dofs.
 
     Every iterate costs one residual pass. A Jacobian is evaluated from that
     pass at the first iterate and after that only for a Newton update; the
@@ -169,22 +170,18 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     are computed only when a block misses its tolerance. The element state
     is formed once, for the iterate the solve returns.
 
-    Returns (w, new element state, sigma_h_nodal, StepInfo). The Dirichlet
-    dofs of ``w`` must already carry their prescribed values.
+    Returns (w, new element state, the ``assembly.Iterate`` of w, StepInfo).
+    The Dirichlet dofs of ``w`` must already carry their prescribed values.
     """
     config = scenario.solver
     dm = DofMap(scenario.mesh.n_nodes)
-    fixed_dofs = plan.fixed_dofs
     load = neumann_load_vector(plan, t_new)
-    start = step_start(ed, fields_n, scenario.params)
+    start = step_start(ed, fields_n, scenario.params, strain_n)
     counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
+    free_u, free_c = block_solver.free_dofs
 
     def block_norms(vec):
-        v = vec.copy()
-        if fixed_dofs.size:
-            v[fixed_dofs] = 0.0
-        m = v.reshape(-1, 3)
-        return (float(np.linalg.norm(m[:, :2])), float(np.linalg.norm(m[:, 2])))
+        return float(np.linalg.norm(vec[free_u])), float(np.linalg.norm(vec[free_c]))
 
     def block_floors(abs_jac, w_vec):
         # FP-error bound of evaluating each block's residual at w: below
@@ -212,7 +209,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     n_solves = 0
 
     def done(reason):
-        return w, iterate_states(start, it, scenario.params), it.sigma_h_nodal, StepInfo(
+        return w, iterate_states(start, it, scenario.params), it, StepInfo(
             newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
             jacobians=jacobians, factors=block_solver.factors - counts_0[0],
             reused=block_solver.reused - counts_0[1],
@@ -271,14 +268,16 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         it, res = residual_at(w)
 
 
-def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs):
+def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs, strain_n=None):
     """Advance one backward-Euler step from t_n to t_n + dt.
 
     The other arguments are the run's data, made once by ``run``: the
     assembly plan, the boundary plan, the fixed Jacobian data, the block
     solver whose kept factors carry over between steps, and the largest
-    starting block residuals seen so far. Returns (fields at t_n + dt,
-    StepInfo). Raises StepFailure when the Newton solve cannot be completed.
+    starting block residuals seen so far; and ``strain_n``, the element
+    strain of ``fields_n.u`` (None to compute it). Returns (fields at
+    t_n + dt, StepInfo, their element strain). Raises StepFailure when the
+    Newton solve cannot be completed.
     """
     dm = DofMap(scenario.mesh.n_nodes)
     t_new = t_n + dt
@@ -286,11 +285,11 @@ def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs):
     w = dm.join(fields_n.u, fields_n.c)
     w[plan.fixed_dofs] = dirichlet_values(plan, t_new)
 
-    w, material, sigma_h, info = _newton_solve(
-        w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs)
+    w, material, it, info = _newton_solve(
+        w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs, strain_n)
     u, c = dm.split(w)
-    return FieldState(u=u, c=c, material=material, sigma_h_nodal=sigma_h, elem_data=ed,
-                      params=scenario.params), info
+    return FieldState(u=u, c=c, material=material, sigma_h_nodal=it.sigma_h_nodal, elem_data=ed,
+                      params=scenario.params), info, it.strain
 
 
 class ProbeSampler:
@@ -342,7 +341,8 @@ def run(scenario, progress_cb=None):
     The settings are ``scenario.solver``'s and the material is
     ``scenario.params``. The data every step shares (assembly plan, boundary
     plan, fixed Jacobian data, block solver, reference residuals) is made
-    here, once per run.
+    here, once per run. The element strain of the committed fields is
+    carried from step to step, so the callback must not change the fields.
 
     On a step failure the time step is halved (up to ``MAX_HALVINGS``
     times) for the failing step only; refinement events are recorded in the
@@ -367,6 +367,7 @@ def run(scenario, progress_cb=None):
     t_end = config.t_end
     step_no = 0
     newton_refs = {"u": 0.0, "c": 0.0}
+    strain = None       # that of ``fields.u``, computed by the first step start
 
     while t < t_end * (1.0 - 1e-12):
         # a remainder equal to dt up to roundoff takes the full dt
@@ -375,8 +376,8 @@ def run(scenario, progress_cb=None):
         attempt = 0
         while True:
             try:
-                fields_new, info = step(fields, t, dt, scenario, ed, plan, fixed, block_solver,
-                                        newton_refs)
+                fields_new, info, strain_new = step(fields, t, dt, scenario, ed, plan, fixed,
+                                                    block_solver, newton_refs, strain)
                 break
             except StepFailure as err:
                 attempt += 1
@@ -388,15 +389,13 @@ def run(scenario, progress_cb=None):
                                        "reason": str(err)})
         t += dt
         step_no += 1
-        fields = fields_new
+        fields, strain = fields_new, strain_new
         record = {
             "time": t,
             "dt": dt,
             **vars(info),
             "total_concentration": float(masses @ fields.c),
             "max_eps_p_eq": float(fields.material.eps_p_eq.max()),
-            "max_sigma_h": float(np.max(np.abs(point_hydrostatic(ed, scenario.params, fields.c,
-                                                                 fields.material)))),
         }
         history.append(t, record, sampler.sample(fields))
         if progress_cb is not None:

@@ -486,6 +486,7 @@ class TestAssemblyPlan:
         mass = np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(),
                            minlength=ed.jac_indices.size)
         assert np.array_equal(fixed.mass_slots[ed.cc_pair], ed.cc_slots)
+        assert np.array_equal(fixed.mass_slots, np.unique(ed.cc_slots))
         bases = []
         for dt in (0.5, 0.5, 0.25):
             it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, "one-way")
@@ -553,6 +554,35 @@ class TestIterateStates:
         jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, 0.5)
         floor = (abs(jac) @ np.abs(dm.join(f2.u, f2.c))).reshape(-1, 3)[:, :2].ravel()
         assert np.all(np.abs(rows - it.residual.reshape(-1, 3)[:, :2].ravel()) <= 4.0 * eps * floor)
+
+    def test_committed_strain_starts_the_next_step(self, steel_plastic, rng):
+        # an iterate's strain, passed to the next step start, gives bitwise
+        # the residual of a start that computes it, as assemble_system does
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        dm = asm.DofMap(m.n_nodes)
+        x = m.nodes[:, 0]
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        it = asm.assemble_residual(ed, f1.u, f1.c, asm.step_start(ed, f0, steel_plastic),
+                                   steel_plastic, 0.5, "two-way")
+        f1.material = asm.iterate_states(asm.step_start(ed, f0, steel_plastic), it,
+                                         steel_plastic)
+        assert it.plastic.index.size > 0
+        assert np.array_equal(it.strain, asm.element_strain(ed, f1.u))
+        carried = asm.step_start(ed, f1, steel_plastic, it.strain)
+        assert carried.strain is it.strain
+        assert np.array_equal(asm.step_start(ed, f1, steel_plastic).strain, it.strain)
+        f2 = f1.copy()
+        f2.u = 1.2 * f1.u + rng.normal(scale=1e-6, size=f1.u.shape)
+        f2.c = f1.c + rng.normal(scale=5.0, size=m.n_nodes)
+        res = asm.assemble_residual(ed, f2.u, f2.c, carried, steel_plastic, 0.5,
+                                    "two-way").residual
+        ref = asm.assemble_system(m, dm, f2, f1, steel_plastic, 0.5, "two-way", elem_data=ed,
+                                  want_jacobian=False)[0]
+        assert np.array_equal(res, ref)
 
 
 def _constrained(jac, rhs, plan, t):

@@ -3,9 +3,10 @@
 Runs each config of ``perfbench/workloads.py`` at the default seed and
 compares the final u, c, sigma and eps_p_eq with ``perfbench/reference/``
 at ``REFERENCE_RTOL`` (normwise relative per field), the same check the
-benchmark applies. It also pins the run totals of Newton updates, block
-factors and CG iterations, and the steps per Newton exit, so that a change
-that moves the Newton path or relabels steps shows without a benchmark run.
+benchmark applies. It also pins the run totals of Newton updates, Jacobian
+evaluations, block factors, kept-factor solves and CG iterations, and the
+steps per Newton exit, so that a change that moves the Newton path or
+relabels steps shows without a benchmark run.
 Both files are read, never written.
 """
 import importlib.util
@@ -24,11 +25,12 @@ sys.modules[_spec.name] = workloads       # dataclasses resolve their module her
 _spec.loader.exec_module(workloads)
 
 
-# (Newton updates, factors, CG iterations) over the default-seed run
+# (Newton updates, Jacobians, factors, reused, CG iterations) over the
+# default-seed run
 NEWTON_PATH = {
-    "plate_plastic_twoway": (26, 2, 50),
-    "plate_elastic_oneway": (40, 2, 0),
-    "hole_validation": (12, 3, 0),
+    "plate_plastic_twoway": (26, 26, 2, 50, 50),
+    "plate_elastic_oneway": (40, 40, 2, 78, 0),
+    "hole_validation": (12, 12, 3, 21, 0),
 }
 
 # steps per Newton exit over the default-seed run; together they show every
@@ -47,6 +49,6 @@ def test_final_fields_match_reference(name, tmp_path):
     scenario = sc.build_scenario(sc.load_config(text))
     history, fields = sc.run_scenario(scenario, output_dir=tmp_path)
     workloads.check_reference(workload, fields)
-    assert tuple(sum(r[key] for r in history.records)
-                 for key in ("newton_iters", "factors", "pcg_iters")) == NEWTON_PATH[name]
+    keys = ("newton_iters", "jacobians", "factors", "reused", "pcg_iters")
+    assert tuple(sum(r[k] for r in history.records) for k in keys) == NEWTON_PATH[name]
     assert Counter(r["newton_exit"] for r in history.records) == NEWTON_EXIT_STEPS[name]

@@ -301,13 +301,69 @@ class TestLazyJacobian:
         assert len(jacs) == 2
         assert dts.count(hist.records[0]["dt"]) > 1 and not hist.events
 
-    def test_step_start_strain_once_per_attempt(self, call_spy):
+
+def spy_step_starts(monkeypatch, fail_at=None):
+    """Record every step start of ``transient`` as (whether a strain was
+    passed, its fields, whether its strain is bitwise the element strain of
+    those fields' u). The start numbered ``fail_at`` (from 0) raises
+    StepFailure after it is formed."""
+    real = tr.step_start
+    seen = []
+
+    def spy(elem_data, fields, params, strain=None):
+        start = real(elem_data, fields, params, strain)
+        seen.append((strain is not None, fields,
+                     np.array_equal(start.strain, asm.element_strain(elem_data, fields.u))))
+        if len(seen) - 1 == fail_at:
+            raise tr.StepFailure("forced failure after the step start")
+        return start
+
+    monkeypatch.setattr(tr, "step_start", spy)
+    return seen
+
+
+class TestCarriedStrain:
+    def test_step_start_strain_computed_once_per_run(self, call_spy):
+        # the committed iterate's residual pass gives the next step's start
+        # strain, so only the first step start computes one
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         strains = call_spy("element_strain", asm)
         hist, _ = tr.run(scen)
         assert not hist.events
-        # one per residual pass (newton_iters + 1 a step), one per step start
-        assert len(strains) == sum(r["newton_iters"] + 2 for r in hist.records)
+        # one per residual pass (newton_iters + 1 a step), one for the initial fields
+        assert len(strains) == sum(r["newton_iters"] + 1 for r in hist.records) + 1
+
+    def test_retried_step_starts_from_the_strain_of_its_fields(self, monkeypatch):
+        # the third step's first attempt fails; its retry at half the dt
+        # reuses the carried strain, which is that of its fields bitwise
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
+        starts = spy_step_starts(monkeypatch, fail_at=2)
+        hist, _ = tr.run(scen)
+        assert [e["event"] for e in hist.events] == ["dt_halved"]
+        assert [passed for passed, _, _ in starts] == [False] + [True] * (len(starts) - 1)
+        assert starts[3][1] is starts[2][1]
+        assert np.any(starts[2][1].u)
+        assert all(exact for _, _, exact in starts)
+
+    def test_fields_made_outside_the_loop_get_their_strain_computed(self, monkeypatch):
+        # fields from FieldState.zeros, or a copy whose u is then assigned,
+        # carry no strain: a step from them computes it
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
+        dt = scen.solver.dt
+        ed = asm.precompute(scen.mesh)
+        plan = asm.plan_boundary(scen.mesh, scen.bcs)
+        fixed = asm.fixed_jacobian(ed, scen.params)
+        solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+        refs = {"u": 0.0, "c": 0.0}
+        starts = spy_step_starts(monkeypatch)
+        new, _, strain = tr.step(asm.FieldState.zeros(scen.mesh, c0=scen.c_initial), 0.0, dt,
+                                 scen, ed, plan, fixed, solver, refs)
+        assert np.array_equal(strain, asm.element_strain(ed, new.u))
+        moved = new.copy()
+        moved.u = 1.01 * new.u
+        tr.step(moved, dt, dt, scen, ed, plan, fixed, solver, refs)
+        assert [(passed, exact) for passed, _, exact in starts] == [(False, True)] * 2
+        assert starts[1][1] is moved
 
 
 def newton_updates(monkeypatch, config_text):
@@ -499,14 +555,15 @@ class TestRobustness:
         real_step = tr.step
         restarts = []
 
-        def step_then_restart(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs):
-            fields, info = real_step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver,
-                                     refs)
+        def step_then_restart(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs,
+                              strain_n):
+            fields, info, strain = real_step(fields_n, t_n, dt, scenario, ed, plan, fixed,
+                                             block_solver, refs, strain_n)
             solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
             *_, again = tr._newton_solve(dm.join(fields.u, fields.c), fields_n, t_n + dt, dt,
                                          scenario, ed, plan, fixed, solver, dict(refs))
             restarts.append(again.newton_iters)
-            return fields, info
+            return fields, info, strain
 
         monkeypatch.setattr(tr, "step", step_then_restart)
         hist, _ = tr.run(scen)
@@ -574,7 +631,7 @@ class TestPlasticTransient:
         refs = {"u": 0.0, "c": 0.0}
         fields_n = tr.initial_fields(scen)
         solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
-        new, _ = tr.step(fields_n, 0.0, dt, scen, ed, plan, fixed, solver, refs)
+        new, _, _ = tr.step(fields_n, 0.0, dt, scen, ed, plan, fixed, solver, refs)
         assert new.material.eps_p_eq.max() > 0        # the step flows plastically
         w = dm.join(new.u, new.c)
         _, again, _, _ = tr._newton_solve(w, fields_n, dt, dt, scen, ed, plan, fixed, solver,
