@@ -14,26 +14,31 @@ assembly never needs recovery derivatives.
 
 Assembly is planned once per mesh (``precompute``): the element geometry,
 the strain-displacement matrices, the quadrature weights, the consistent
-mass and the ``grad N_i . grad N_j`` products, the Jacobian's CSR pattern
-with a slot map that sends every element triplet to its entry in the CSR
-data, and the residual's sparse operators. The pattern comes from the node
-pairs that share an element: a node's dof rows hold the dofs of its
-neighbours, so the dof pattern and the slot map follow from the node pattern
-by arithmetic. The operators take nodal fields to element or
-quadrature-point values (strain, concentration, the drift factors) and back
-to the nodes (B^T, the assembled mass and diffusion matrices, the drift
-scatter, the hydrostatic-stress recovery).
+mass and the ``grad N_i . grad N_j`` products, the node pattern (the node
+pairs that share an element), the CSR pattern of the Jacobian's mechanics
+rows with a slot map that sends every element K_uu and K_uc entry to its
+place in their data, and the residual's sparse operators. A node's u_x and
+u_y rows hold the three dofs of each of its neighbours, so the mechanics
+pattern and its slot map follow from the node pattern by arithmetic. The
+operators take nodal fields to element or quadrature-point values (strain,
+concentration, the drift factors) and back to the nodes (B^T, the assembled
+mass and diffusion matrices, the drift scatter, the hydrostatic-stress
+recovery).
 
-The Jacobian is split into a fixed and a changing part. The fixed part
-(``fixed_jacobian``, once per run) is the elastic K_uu, K_uc and K_diff over
-the pattern and the mass M over the K_cc slots; at time step dt they give
-the base Jacobian ``stiff + mass / dt``, formed once per dt and kept as a
-CSR matrix with read-only data (``FixedJacobian.at``). K_uc is elastic at
-every iterate, because the plastic tangent correction is deviatoric and
-annihilates the swelling direction. The changing part is the two-way drift
-block, added through the K_cc slots, and the K_uu corrections of the
-plastic elements, added through their K_uu slots only. An iterate without
-either (one-way coupling, no plastic element) has the base as its Jacobian.
+The Jacobian is carried as its two row blocks (``JacobianRows``): the
+mechanics rows [K_uu K_uc] and the concentration rows K_cc, which lie on the
+node pattern of the mass and diffusion matrices. Each block is split into a
+fixed and a changing part. The fixed part (``fixed_jacobian``, once per run)
+is the elastic mechanics rows, formed once with read-only data, and K_diff
+and M on the node pattern; at time step dt the base K_cc is ``K_diff + M /
+dt``, formed once per dt and read-only as well (``FixedJacobian.at``). K_uc
+is elastic at every iterate, because the plastic tangent correction is
+deviatoric and annihilates the swelling direction. The changing part is the
+two-way drift block, subtracted from a copy of the base K_cc, and the K_uu
+corrections of the plastic elements, subtracted from a copy of the
+mechanics rows through their K_uu slots only. A block with no changing part
+at an iterate is the base block itself; the full node-major matrix is formed
+only on request (``JacobianRows.interleaved``).
 
 The material state is held per element (``ElementState``). This rests on
 two facts: P1 strains are constant per element, and the J2 yield function
@@ -68,6 +73,7 @@ terms; the time stepper subtracts the load.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,8 +195,10 @@ class ElementData:
 
     Everything here depends on the mesh and the quadrature rule only: the
     geometry, the quadrature weights, the element mass and diffusion
-    kernels, the Jacobian's CSR pattern with the slot of every element entry,
-    and the sparse operators of the residual pass. With the material, it
+    kernels, the CSR pattern of the Jacobian's mechanics rows with the slot
+    of every element K_uu and K_uc entry, the place of every element K_cc
+    entry in the node pattern of ``mass`` and ``lap``, and the sparse
+    operators of the residual pass. With the material, it
     gives the fixed Jacobian data (``fixed_jacobian``). What depends on the
     iterate (stress sums, yield test and return, the drift block and the
     plastic corrections) is computed by ``assemble_residual`` and
@@ -208,10 +216,10 @@ class ElementData:
     shape_int: np.ndarray   # (n_elem, 3) sum_q w_q N_j(x_q), the integral of each shape function
     m_e: np.ndarray         # (n_elem, 3, 3) consistent mass
     gg: np.ndarray          # (n_elem, 3, 3) grad N_i . grad N_j
-    jac_indptr: np.ndarray  # CSR pattern of the Jacobian
-    jac_indices: np.ndarray
-    jac_slot: np.ndarray    # (63 n_elem,) CSR data index of each K_uu, K_uc, K_cc entry
-    cc_pair: np.ndarray     # (n_elem, 9) index of each K_cc entry among the K_cc slots
+    mech_indptr: np.ndarray  # CSR pattern of the mechanics rows [K_uu K_uc], (2N, 3N)
+    mech_indices: np.ndarray
+    mech_slot: np.ndarray   # (54 n_elem,) their CSR data index of each K_uu, K_uc entry
+    cc_pair: np.ndarray     # (n_elem, 9) node-pattern data index of each K_cc entry
     strain: sp.csr_matrix   # (4 n_elem, 2N) engineering strain (xx, yy, zz, xy) per element
     strain_t: sp.csc_matrix  # (2N, 4 n_elem) its transpose, over the same arrays: B^T
     qp: sp.csr_matrix       # (n_qp n_elem, N) values at the quadrature points
@@ -224,19 +232,13 @@ class ElementData:
 
     @property
     def n_dofs(self):
-        return self.jac_indptr.size - 1
+        return 3 * self.mass.shape[0]
 
     @property
     def uu_slots(self):
-        """(n_elem, 36) CSR data index of each element's K_uu entries."""
+        """(n_elem, 36) mechanics-row data index of each element's K_uu entries."""
         n = self.areas.size
-        return self.jac_slot[:36 * n].reshape(n, 36)
-
-    @property
-    def cc_slots(self):
-        """(n_elem, 9) CSR data index of each element's K_cc entries."""
-        n = self.areas.size
-        return self.jac_slot[54 * n:].reshape(n, 9)
+        return self.mech_slot[:36 * n].reshape(n, 36)
 
 
 def _node_pattern(n_nodes, tris):
@@ -249,40 +251,38 @@ def _node_pattern(n_nodes, tris):
     return indptr, keys % n_nodes, pair.reshape(-1, 3, 3)
 
 
-def _jacobian_pattern(node_indptr, node_indices, pair):
-    """CSR pattern of the element blocks K_uu (6x6), K_uc (6x3) and K_cc
-    (3x3) from the node pattern, and the CSR data index of every block
-    entry, taken in the order ``fixed_jacobian`` concatenates them.
+def _mechanics_pattern(node_indptr, node_indices, pair):
+    """CSR pattern of the mechanics rows [K_uu K_uc] (2N x 3N) from the node
+    pattern, and the CSR data index of every element K_uu (6x6) and K_uc
+    (6x3) entry, taken in the order ``fixed_jacobian`` concatenates them.
 
-    A node with k neighbours (itself included) gives the dof rows u_x, u_y
-    and c of lengths 3k, 3k and k: the three dofs of every neighbour in the
-    displacement rows, the c dof of every neighbour in the c row. So the
-    node rows before node i hold 7 * node_indptr[i] entries, and each entry's
-    position is arithmetic in the position of its node pair. This is the
-    pattern and slot map of a stable sort of the triplets by (row, col):
+    A node with k neighbours (itself included) gives the rows u_x and u_y,
+    each holding the three dofs of every neighbour: 3k entries. So the rows
+    before node i hold 6 * node_indptr[i] entries, and each entry's position
+    is arithmetic in the position of its node pair. This is the pattern and
+    slot map of a stable sort of the triplets by (row, col):
     ``np.bincount(slot, vals)`` adds the entries sharing a slot in the
-    summation order of that sort followed by duplicate summation.
+    summation order of that sort followed by duplicate summation. The
+    concentration rows need no pattern of their own: the c dof of every
+    neighbour is the node pattern, and ``pair`` its slot map.
     """
     deg = np.diff(node_indptr)
     row = np.repeat(np.arange(deg.size), deg)               # node row of every pair
     offset = np.arange(row.size) - node_indptr[row]         # its place in that row
-    start = 7 * node_indptr[row]
     step = 3 * deg[row]
-    u_slot = start + 3 * offset                 # the pair's u_x column in the u_x row
-    c_slot = start + 2 * step + offset          # its c column in the c row
+    u_slot = 6 * node_indptr[row] + 3 * offset      # the pair's u_x column in the u_x row
 
-    indices = np.empty(7 * row.size, dtype=np.int32)        # scipy's CSR index type
+    indices = np.empty(6 * row.size, dtype=np.int32)        # scipy's CSR index type
     for comp in range(3):
         indices[u_slot + comp] = indices[u_slot + step + comp] = 3 * node_indices + comp
-    indices[c_slot] = 3 * node_indices + 2
-    indptr = np.concatenate([[0], np.cumsum(np.column_stack([3 * deg, 3 * deg, deg]).ravel())])
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(3 * deg, 2))])
 
     # element entry (2a + ra, 2b + cb) of K_uu sits at u_slot + ra * step + cb
     # of the pair (a, b), the K_uc entry (2a + ra, b) at cb = 2
     n_elem = pair.shape[0]
     base = u_slot[pair][:, :, None, :] + np.arange(2)[:, None] * step[pair][:, :, None, :]
     slot = np.concatenate([(base[..., None] + np.arange(2)).reshape(n_elem, -1).ravel(),
-                           (base + 2).reshape(n_elem, -1).ravel(), c_slot[pair].ravel()])
+                           (base + 2).reshape(n_elem, -1).ravel()])
     return indptr.astype(np.int32), indices, slot.astype(np.int32)
 
 
@@ -332,7 +332,7 @@ def precompute(mesh):
     gg = np.einsum("eid,ejd->eij", grads, grads)
 
     node_indptr, node_indices, pair = _node_pattern(n_nodes, tris)
-    indptr, indices, slot = _jacobian_pattern(node_indptr, node_indices, pair)
+    indptr, indices, slot = _mechanics_pattern(node_indptr, node_indices, pair)
 
     def node_matrix(elem_vals):
         data = np.bincount(pair.ravel(), weights=elem_vals.ravel(), minlength=node_indices.size)
@@ -350,7 +350,7 @@ def precompute(mesh):
     return ElementData(
         areas=areas, b_eng=b,
         shape_qp=shape_qp, wq=wq, shape_int=c_w.data.reshape(n_elem, 3), m_e=m_e, gg=gg,
-        jac_indptr=indptr, jac_indices=indices, jac_slot=slot,
+        mech_indptr=indptr, mech_indices=indices, mech_slot=slot,
         cc_pair=pair.reshape(n_elem, 9).astype(np.int32),
         strain=strain, strain_t=strain.T,
         qp=_element_operator(elem_tris, shape_qp, n_nodes),
@@ -487,49 +487,91 @@ def neumann_load_vector(plan, t):
                        minlength=plan.n_dofs)
 
 
-class FixedJacobian:
-    """The Jacobian's CSR data that no iterate changes, for one mesh and
-    material (``fixed_jacobian``), and the base Jacobian it gives at the
-    current time step.
+def _with_data(matrix, data):
+    """A CSR matrix over the pattern of ``matrix`` (shared, not copied)
+    holding ``data``."""
+    return sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape)
 
-    ``stiff`` holds the elastic K_uu, the K_uc and K_diff over the whole
-    pattern; ``mass`` the consistent mass M over the K_cc slots ``mass_slots``
-    (sorted) only. The base Jacobian at time step dt is ``stiff + mass / dt``
-    (``at``), to which ``assemble_jacobian`` adds the changing part. K_uc is
+
+def _magnitude(matrix):
+    """Entrywise |matrix| over its pattern."""
+    return _with_data(matrix, np.abs(matrix.data))
+
+
+class JacobianRows(NamedTuple):
+    """The Jacobian of the node-major dofs as its two row blocks.
+
+    ``mech`` holds the mechanics rows [K_uu K_uc] (2N x 3N): the u_x and u_y
+    rows of every node in turn, over the node-major columns. ``cc`` holds
+    the concentration rows K_cc (N x N) over the nodes' c dofs, on the node
+    pattern. The concentration rows have no displacement column, because the
+    K_cu sensitivity is dropped, so the Jacobian is block upper-triangular.
+    A row of either block holds the entries of the interleaved matrix's row
+    in the same order, so ``mech @ w`` and ``cc @ w[2::3]`` sum them as the
+    interleaved matrix's product with w does.
+    """
+    mech: sp.csr_matrix
+    cc: sp.csr_matrix
+
+    def interleaved(self):
+        """The node-major (3N x 3N) CSR matrix of the two blocks, with
+        sorted column indices in every row."""
+        n = self.cc.shape[0]
+        c_rows = sp.csr_matrix((self.cc.data, 3 * self.cc.indices + 2, self.cc.indptr),
+                               shape=(n, 3 * n))
+        order = np.empty((n, 3), dtype=np.int64)
+        order[:, :2] = np.arange(2 * n).reshape(n, 2)
+        order[:, 2] = 2 * n + np.arange(n)
+        return sp.vstack([self.mech, c_rows], format="csr")[order.ravel()]
+
+
+class FixedJacobian:
+    """The Jacobian data that no iterate changes, for one mesh and material
+    (``fixed_jacobian``), and the base Jacobian it gives at the current time
+    step.
+
+    ``mech`` holds the elastic mechanics rows, with read-only data. K_uc is
     elastic at every iterate: the plastic tangent correction is deviatoric,
-    so it annihilates the swelling direction.
+    so it annihilates the swelling direction. ``k_diff`` and ``mass`` hold
+    K_diff and the consistent mass M, CSR matrices on the node pattern. The
+    base Jacobian at time step dt is ``mech`` and ``k_diff + mass / dt``
+    (``at``), to which ``assemble_jacobian`` adds the changing part.
     """
 
-    def __init__(self, stiff, mass, mass_slots, indptr, indices):
-        self.stiff = stiff
+    def __init__(self, mech, k_diff, mass):
+        self.mech = mech
+        self.k_diff = k_diff
         self.mass = mass
-        self.mass_slots = mass_slots
-        self._pattern = (indices, indptr)
-        self._n = indptr.size - 1
         self._dt = None
-        self._base = self._abs_base = None
+        self._base = self._abs_cc = self._abs_mech = None
 
     def at(self, dt):
-        """The base Jacobian at time step ``dt``: a CSR matrix over the plan's
-        pattern with read-only data. It is formed when dt changes and kept
-        until then, so every call at one dt returns the same object."""
+        """The base Jacobian at time step ``dt``: ``JacobianRows`` whose
+        blocks have read-only data. Its K_cc is formed when dt changes and
+        kept until then, so every call at one dt returns the same object."""
         if dt != self._dt:
-            self._base = self._abs_base = None     # free the old base first
-            data = self.stiff.copy()
-            data[self.mass_slots] += self.mass / dt
+            self._base = self._abs_cc = None     # free the old base first
+            data = self.k_diff.data + self.mass.data / dt
             data.flags.writeable = False
-            self._base = sp.csr_matrix((data, *self._pattern), shape=(self._n, self._n))
+            self._base = JacobianRows(self.mech, _with_data(self.k_diff, data))
             self._dt = dt
         return self._base
 
     def magnitude(self, jac):
-        """Entrywise |jac|; that of the current base is formed once and kept
-        with it."""
-        if jac is not self._base:
-            return abs(jac)
-        if self._abs_base is None:
-            self._abs_base = abs(jac)
-        return self._abs_base
+        """Entrywise |jac| of ``JacobianRows``, block by block, each over
+        its block's pattern; that of the elastic mechanics rows is formed
+        once per run, that of the base K_cc once per dt."""
+        if jac.mech is not self.mech:
+            mech = _magnitude(jac.mech)
+        else:
+            if self._abs_mech is None:
+                self._abs_mech = _magnitude(self.mech)
+            mech = self._abs_mech
+        if self._base is None or jac.cc is not self._base.cc:
+            return JacobianRows(mech, _magnitude(jac.cc))
+        if self._abs_cc is None:
+            self._abs_cc = _magnitude(jac.cc)
+        return JacobianRows(mech, self._abs_cc)
 
 
 def fixed_jacobian(elem_data, params):
@@ -541,20 +583,20 @@ def fixed_jacobian(elem_data, params):
     chem = (C @ _CHEM_VEC) * (params.Omega / 3.0)
     k_uc = -(b_t @ ((ed.wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
     k_diff = (params.D * ed.areas[:, None, None]) * ed.gg
-    nnz, n = ed.jac_indices.size, ed.areas.size
-    # the three blocks fill disjoint slots, so summing them block by block
+    nnz, n = ed.mech_indices.size, ed.areas.size
+    # the two blocks fill disjoint slots, so summing them block by block
     # adds the entries of every slot in the order one bincount would, without
     # a concatenated copy of them (peak memory)
     stiff = np.zeros(nnz)
-    for k, slots in zip((k_uu, k_uc, k_diff), np.split(ed.jac_slot, [36 * n, 54 * n])):
+    for k, slots in zip((k_uu, k_uc), np.split(ed.mech_slot, [36 * n])):
         stiff += np.bincount(slots, weights=k.ravel(), minlength=nnz)
-    # the K_cc slots hold the node pairs in the order of the node pattern
-    # (``_jacobian_pattern``), so M over them is the assembled mass matrix's
-    # data; every pair lies in some element, so the scatter fills them all
-    mass_slots = np.empty(ed.mass.nnz, dtype=np.int32)
-    mass_slots[ed.cc_pair] = ed.cc_slots
-    return FixedJacobian(stiff=stiff, mass=ed.mass.data, mass_slots=mass_slots,
-                         indptr=ed.jac_indptr, indices=ed.jac_indices)
+    stiff.flags.writeable = False
+    n_nodes = ed.mass.shape[0]
+    mech = sp.csr_matrix((stiff, ed.mech_indices, ed.mech_indptr),
+                         shape=(2 * n_nodes, 3 * n_nodes))
+    # every node pair lies in some element, so the scatter fills the node pattern
+    diff = np.bincount(ed.cc_pair.ravel(), weights=k_diff.ravel(), minlength=ed.mass.nnz)
+    return FixedJacobian(mech, _with_data(ed.mass, diff), ed.mass)
 
 
 def _swelling_modulus(params):
@@ -645,8 +687,15 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
     d_eps = strain - start.strain
     d_eps[:, 3] *= 0.5                                          # gamma -> tensor shear
     d_c = c - start.fields.c
-    stress = (material.stress_sum + ed.areas[:, None] * (d_eps @ elastic_stiffness(params))
-              - (_swelling_modulus(params) * (ed.c_w @ d_c))[:, None] * _CHEM_VEC)
+    # column by column: numpy's (n_elem, 1) x (n_elem, 4) broadcasts cost
+    # several times as much as these column updates
+    stress = d_eps @ elastic_stiffness(params)
+    for k in range(4):
+        stress[:, k] *= ed.areas
+    stress += material.stress_sum
+    swelling = _swelling_modulus(params) * (ed.c_w @ d_c)
+    for k in range(3):          # the swelling strain is volumetric
+        stress[:, k] -= swelling
     if not np.isfinite(stress).all():
         bad = int(np.flatnonzero(~np.isfinite(stress).all(axis=1))[0])
         raise AssemblyError(f"constitutive update failed at element {bad}: "
@@ -693,32 +742,35 @@ def iterate_states(start, iterate, params):
 
 
 def assemble_jacobian(elem_data, fixed, iterate, params, dt):
-    """Jacobian at ``iterate``: the base Jacobian at dt (``fixed.at(dt)``),
-    plus the two-way drift block in the K_cc slots and the tangent
+    """Jacobian at ``iterate`` as ``JacobianRows``: the base Jacobian at dt
+    (``fixed.at(dt)``), less the two-way drift block in K_cc and the tangent
     corrections of the plastic elements, ``A_e B^T C_corr B``, in their K_uu
-    slots. An iterate with neither (one-way coupling, no plastic element)
-    gets the base itself, whose data is read-only; otherwise the Jacobian is
-    a new CSR matrix over the plan's pattern, formed from a copy of the
-    base's data. Without plastic elements the K_uu entries are those of
-    ``fixed`` exactly."""
+    slots of the mechanics rows. A block with no such term is the base
+    block itself, whose data is read-only (the mechanics rows without
+    plastic elements, K_cc in one-way coupling); a block with one is a new
+    CSR matrix over the base block's pattern, formed from a copy of its
+    data. So the iterate with neither (one-way coupling, no plastic element)
+    gets the base itself."""
     ed = elem_data
     base = fixed.at(dt)
     plastic = iterate.plastic
     if iterate.gn is None and not plastic.index.size:
         return base
-    data = base.data.copy()
+    mech, cc = base
     if iterate.gn is not None:
         # frozen drift: the K_cu sensitivity is dropped (Picard)
         drift = np.einsum("ei,ej->eij", iterate.gn, ed.shape_int)
         drift *= params.drift_coeff
-        data[fixed.mass_slots] -= np.bincount(ed.cc_pair.ravel(), weights=drift.ravel(),
-                                              minlength=fixed.mass_slots.size)
+        data = np.bincount(ed.cc_pair.ravel(), weights=drift.ravel(), minlength=cc.nnz)
+        cc = _with_data(cc, np.subtract(cc.data, data, out=data))
     if plastic.index.size:
         pe = plastic.index
         b_pe = ed.b_eng[pe]
         k_corr = b_pe.transpose(0, 2, 1) @ (ed.areas[pe, None, None] * plastic.correction()) @ b_pe
+        data = mech.data.copy()
         np.subtract.at(data, ed.uu_slots[pe], k_corr.reshape(pe.size, 36))
-    return sp.csr_matrix((data, ed.jac_indices, ed.jac_indptr), shape=(ed.n_dofs, ed.n_dofs))
+        mech = _with_data(mech, data)
+    return JacobianRows(mech, cc)
 
 
 def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
@@ -726,9 +778,10 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     """Residual, Jacobian and constitutive byproducts of one iterate.
 
     ``assemble_residual``, ``iterate_states`` and, with ``want_jacobian``,
-    ``assemble_jacobian`` over ``fixed_jacobian`` data made for this call:
-    the time stepper makes the fixed data once per run and the step-start
-    data (``step_start``) once per step.
+    ``assemble_jacobian`` over ``fixed_jacobian`` data made for this call,
+    as the node-major CSR matrix of its two row blocks: the time stepper
+    makes the fixed data once per run and the step-start data
+    (``step_start``) once per step, and keeps the Jacobian as its blocks.
     ``elem_data`` is the mesh's assembly plan from ``precompute``; without
     it the plan is rebuilt on every call. ``dofmap`` is the mesh's dof
     layout. The residual holds the internal terms only; the boundary load
@@ -743,7 +796,7 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     start = step_start(ed, fields_old, params)
     it = assemble_residual(ed, fields_new.u, fields_new.c, start, params, dt, mode,
                            frozen_sigma_h=frozen_sigma_h)
-    jacobian = (assemble_jacobian(ed, fixed_jacobian(ed, params), it, params, dt)
+    jacobian = (assemble_jacobian(ed, fixed_jacobian(ed, params), it, params, dt).interleaved()
                 if want_jacobian else None)
     states = point_states(ed, params, fields_new.c, iterate_states(start, it, params))
     return it.residual, jacobian, states, it.sigma_h_nodal
@@ -777,10 +830,10 @@ def locate_points(mesh, points):
     return elems, barys
 
 
-def interpolate_nodal(mesh, nodal_values, elems, barys):
-    """Barycentric interpolation of a nodal field at located points."""
-    vals = np.asarray(nodal_values)
-    tri = mesh.tris[elems]
-    if vals.ndim == 1:
-        return np.einsum("pk,pk->p", vals[tri], barys)
-    return np.einsum("pkd,pk->pd", vals[tri], barys)
+def interpolation_operator(mesh, elems, barys):
+    """(n_points, N) CSR matrix of the barycentric interpolation at located
+    points (``locate_points``): row p holds the weights of the vertices of
+    element ``elems[p]`` in vertex order, so a product sums them in that
+    order."""
+    return _element_operator(mesh.tris[elems][:, None], np.asarray(barys)[:, None],
+                             mesh.n_nodes)

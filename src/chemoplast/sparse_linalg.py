@@ -7,15 +7,17 @@ right-hand side) and ``solve`` (LU of the whole system after row
 equilibration, so that pivots compare across physics blocks with different
 units) are the monolithic reference path that tests check it against.
 
-``BlockSolver`` is planned once per run, from the Jacobian's CSR pattern and
-the constrained dofs. The Jacobian drops the K_cu sensitivity, so it is
-block upper-triangular, J = [[K_uu, K_uc], [0, K_cc]], and an update over
-the free dofs is two back-to-back solves: K_cc dc = -r_c, then
-K_uu du = -r_u - K_uc dc. Dirichlet dofs are left out of both blocks (the
-update is zero there), and each block is in one unit system, so it is
-factored unscaled. The solver copies a Jacobian's block entries out when it
-reads it; the same Jacobian passed again (the time stepper's constant
-matrix at one dt) is not read or checked again. Each block keeps its
+The Jacobian drops the K_cu sensitivity, so it is block upper-triangular,
+J = [[K_uu, K_uc], [0, K_cc]], and ``BlockSolver`` takes it as its two row
+blocks, the mechanics rows [K_uu K_uc] and the concentration rows K_cc.
+An update over the free dofs is two back-to-back solves: K_cc dc = -r_c,
+then K_uu du = -r_u - K_uc dc. The solver is planned once per run, from
+the patterns of the two row blocks and the constrained dofs. Dirichlet dofs
+are left out of every block (the update is zero there), and each block is
+in one unit system, so it is factored unscaled. The solver copies a row
+block's entries out when it reads it; the same row block passed again (the
+time stepper's elastic mechanics rows for the run, its one-way K_cc at one
+dt) is not read or checked again. Each of K_uu and K_cc keeps its
 KEPT_FACTORS most recently used factors, and one loop tries them on it,
 most recent first.
 
@@ -206,53 +208,68 @@ def solve(A, b):
     return _refined_solve(lu, scaled, a_max, d * b, "solve (row-equilibrated)")
 
 
+def _plan_block(A, rows, cols):
+    """Data slots and CSR matrix of the block of the CSR pattern of ``A`` on
+    the rows and columns whose masks are ``rows`` and ``cols``; the matrix's
+    data is written when a row block is read."""
+    indices = A.indices
+    row_of = np.repeat(np.arange(rows.size), np.diff(A.indptr))
+    local = np.full(cols.size, -1, dtype=np.int32)     # scipy's CSR index type
+    local[cols] = np.arange(np.count_nonzero(cols))
+    # in-order selection with an increasing renumbering keeps the block's
+    # column indices sorted within each row
+    slots = np.flatnonzero(rows[row_of] & cols[indices])
+    counts = np.bincount(row_of[slots], minlength=rows.size)[rows]
+    block_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    return slots, sp.csr_matrix((np.zeros(slots.size), local[indices[slots]], block_indptr),
+                                shape=(counts.size, np.count_nonzero(cols)))
+
+
 class BlockSolver:
     """Newton updates of the block upper-triangular coupled Jacobian.
 
-    Dofs are node-major, (u_x, u_y, c) per node. One solver serves one run,
-    planned from the Jacobian's CSR pattern (``indptr``, ``indices``) and
-    the constrained dofs: a K_cu entry raises ValueError, and each free-dof
-    block gets its slots in the CSR data and a CSR matrix that holds the
-    entries of the last Jacobian read. A Jacobian passed again, as the same
-    object, is not read again: its blocks are already in place and checked.
-    So a Jacobian must not be changed once it has been passed; pass a new
-    matrix instead (the assembly's base Jacobian has read-only data).
-    ``free_dofs`` holds the free u dofs and the free c dofs, each sorted.
+    Dofs are node-major, (u_x, u_y, c) per node. The Jacobian comes as its
+    two row blocks: the mechanics rows [K_uu K_uc] (2N x 3N, the u_x and u_y
+    rows of every node over the node-major columns) and the concentration
+    rows K_cc (N x N over the nodes' c dofs), each a CSR matrix. One solver
+    serves one run, planned from the patterns of two such row blocks
+    (``mech``, ``cc``; their entries are not read) and the constrained
+    dofs: each free-dof block, K_uu, K_uc and K_cc, gets its slots in its
+    row block's data and a CSR matrix that holds the entries of the last
+    row block read. A row block passed again, as the same object, is not
+    read again: its entries are already in place and checked. So a row
+    block must not be changed once it has been passed; pass a new matrix
+    instead (the assembly's base blocks have read-only data).
+    ``free_dofs`` holds the free u dofs and the free c dofs, each sorted,
+    and ``free_rows`` the same dofs as rows of their row block.
     ``factors`` counts the fresh factorizations, ``reused`` the block solves
     a kept factor served and ``pcg_iters`` the CG iterations of the K_uu
     solves.
     """
 
-    def __init__(self, indptr, indices, fixed_dofs):
-        n = indptr.size - 1
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        is_c = np.arange(n) % 3 == 2
-        cu = np.flatnonzero(is_c[rows] & ~is_c[indices])
-        if cu.size:
-            raise ValueError(
-                f"BlockSolver: Jacobian is not block upper-triangular: concentration "
-                f"row {rows[cu[0]]} has an entry in displacement column {indices[cu[0]]}")
-        free = np.ones(n, dtype=bool)
+    # the free-dof blocks read from each row block
+    _READS = {"mech": ("uu", "uc"), "cc": ("cc",)}
+
+    def __init__(self, mech, cc, fixed_dofs):
+        n_nodes = cc.shape[0]
+        free = np.ones(3 * n_nodes, dtype=bool)
         free[np.asarray(fixed_dofs, dtype=np.int64)] = False
-        self._shape = (n, n, indices.size)
-        self._blocks = {}       # "uu" / "cc" -> (free dofs, data slots, block CSR matrix)
-        for name, mask in (("uu", free & ~is_c), ("cc", free & is_c)):
-            dofs = np.flatnonzero(mask)
-            local = np.full(n, -1, dtype=np.int32)     # scipy's CSR index type
-            local[dofs] = np.arange(dofs.size)
-            # in-order selection with an increasing renumbering keeps the
-            # block's column indices sorted within each row
-            slots = np.flatnonzero(mask[rows] & mask[indices])
-            counts = np.bincount(local[rows[slots]], minlength=dofs.size)
-            block_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-            # reading a Jacobian writes the block's entries into this matrix's data
-            self._blocks[name] = (dofs, slots, sp.csr_matrix(
-                (np.zeros(slots.size), local[indices[slots]], block_indptr),
-                shape=(dofs.size, dofs.size)))
-        self.free_dofs = (self._blocks["uu"][0], self._blocks["cc"][0])
-        # the Jacobian whose blocks are in place, held weakly so that a
-        # caller can free it before building the next; max|K_cc| of it
-        self._in_place = None
+        is_c = np.arange(3 * n_nodes) % 3 == 2
+        u_rows = free.reshape(n_nodes, 3)[:, :2].ravel()
+        c_nodes = free[is_c]
+        self._blocks = {        # "uu" / "uc" / "cc" -> (data slots, block CSR matrix)
+            "uu": _plan_block(mech, u_rows, free & ~is_c),
+            "uc": _plan_block(mech, u_rows, free & is_c),
+            "cc": _plan_block(cc, c_nodes, c_nodes),
+        }
+        self._shapes = {"mech": (2 * n_nodes, 3 * n_nodes, mech.nnz),
+                        "cc": (n_nodes, n_nodes, cc.nnz)}
+        self.free_dofs = (np.flatnonzero(free & ~is_c), np.flatnonzero(free & is_c))
+        self.free_rows = (np.flatnonzero(u_rows), np.flatnonzero(c_nodes))
+        # the row blocks whose entries are in place, held weakly so that a
+        # caller can free them before building the next; max|K_cc| of the
+        # K_cc in place
+        self._in_place = {"mech": None, "cc": None}
         self._cc_max = 0.0
         # SuperLU factors, most recent first
         self._kept = {"uu": [], "cc": []}
@@ -263,44 +280,49 @@ class BlockSolver:
     def newton_update(self, jac, res):
         """dw with J dw = -res on the free dofs and dw = 0 on the fixed ones.
 
-        ``jac`` is a CSR matrix with the planned pattern, not changed after
-        it is passed (see the class docstring). K_cc is solved by refinement
-        against a kept factor when that reaches a roundoff-level backward
-        error, K_uu by CG preconditioned with a kept factor to a FORCING
-        relative residual, and either is factored afresh otherwise (see the
-        module docstring). Raises ValueError if J does not have the planned
-        shape or has an entry that is not finite, and SingularMatrixError if
-        a freshly factored block is singular.
+        ``jac`` is the pair (mechanics rows, K_cc) of CSR matrices with the
+        planned patterns, neither changed after it is passed (see the class
+        docstring). K_cc is solved by refinement against a kept factor when
+        that reaches a roundoff-level backward error, K_uu by CG
+        preconditioned with a kept factor to a FORCING relative residual,
+        and either is factored afresh otherwise (see the module docstring).
+        Raises ValueError if a row block does not have the planned shape or
+        has an entry that is not finite, and SingularMatrixError if a
+        freshly factored block is singular.
         """
-        if self._in_place is None or self._in_place() is not jac:
-            self._read_blocks(jac)
+        for rows, A in zip(("mech", "cc"), jac):
+            held = self._in_place[rows]
+            if held is None or held() is not A:
+                self._read(rows, A)
         res = np.asarray(res, dtype=float)
         free_u, free_c = self.free_dofs
-        dw = np.zeros(jac.shape[0])
-        dw[free_c] = self._block_solve("cc", -res[free_c])
-        # with du = 0, (J dw)_u = K_uc dc
-        coupling = (jac @ dw)[free_u]
-        dw[free_u] = self._block_solve("uu", -res[free_u] - coupling)
+        dw = np.zeros(3 * self._shapes["cc"][0])
+        dc = self._block_solve("cc", -res[free_c])
+        dw[free_c] = dc
+        dw[free_u] = self._block_solve("uu", -res[free_u] - self._blocks["uc"][1] @ dc)
         return dw
 
-    def _read_blocks(self, jac):
-        """Check ``jac`` and copy its block entries into the block matrices."""
-        if jac.shape + (jac.nnz,) != self._shape:
-            raise ValueError(f"newton_update: Jacobian of shape {jac.shape} with {jac.nnz} "
-                             f"entries does not have the planned pattern")
-        if not np.all(np.isfinite(jac.data)):
+    def _read(self, rows, A):
+        """Check the row block ``A`` ("mech" or "cc") and copy its entries
+        into the free-dof blocks it holds."""
+        if A.shape + (A.nnz,) != self._shapes[rows]:
+            raise ValueError(f"newton_update: {rows} rows of shape {A.shape} with {A.nnz} "
+                             f"entries do not have the planned pattern")
+        if not np.all(np.isfinite(A.data)):
             raise ValueError("newton_update: Jacobian entries must be finite")
-        for _, slots, A in self._blocks.values():
-            # the slots are in range; "clip" lets take write into A.data unbuffered
-            np.take(jac.data, slots, out=A.data, mode="clip")
-        cc = self._blocks["cc"][2]
-        self._cc_max = float(np.abs(cc.data).max()) if cc.nnz else 0.0
-        self._in_place = weakref.ref(jac)
+        for name in self._READS[rows]:
+            slots, block = self._blocks[name]
+            # the slots are in range; "clip" lets take write into the data unbuffered
+            np.take(A.data, slots, out=block.data, mode="clip")
+        if rows == "cc":
+            cc = self._blocks["cc"][1]
+            self._cc_max = float(np.abs(cc.data).max()) if cc.nnz else 0.0
+        self._in_place[rows] = weakref.ref(A)
 
     def _block_solve(self, name, rhs):
         if rhs.size == 0:
             return rhs
-        A = self._blocks[name][2]
+        A = self._blocks[name][1]
         kept = self._kept[name]
         for i, lu in enumerate(kept):
             x = _kept_solve(lu, A, self._cc_max, rhs) if name == "cc" else self._pcg(lu, A, rhs)

@@ -13,9 +13,10 @@ writes the Dirichlet values into its initial iterate and computes the
 traction and flux load once; every Newton residual subtracts it.
 
 ``run`` also makes the Jacobian data that no iterate changes once
-(``assembly.fixed_jacobian``: the elastic K_uu and K_uc, K_diff and the
-mass). It forms the base Jacobian ``stiff + mass / dt`` once per time-step
-size, and again only when dt changes (a dt halving or a short last step).
+(``assembly.fixed_jacobian``: the elastic mechanics rows [K_uu K_uc],
+K_diff and the mass). It forms the base K_cc ``K_diff + mass / dt`` once
+per time-step size, and again only when dt changes (a dt halving or a short
+last step).
 A step attempt forms the step-start data once (``assembly.step_start``:
 relative stresses; the committed iterate's element stress sums and strains,
 from its residual pass, serve as they are, and ``run`` carries the strains
@@ -23,23 +24,26 @@ to a retry at half the dt too). Every Newton iterate then costs one
 residual pass on the element stress sums, in which the return map runs on
 the trial-yielding elements only. A Jacobian is evaluated at a step's first
 iterate and after that only for a Newton update, so a step evaluates
-max(updates, 1) of them. On the constant-matrix path (one-way coupling, no
-plastic element at the iterate) the evaluation returns the base itself, so
-the block solver finds its blocks already in place; otherwise it is the
-base plus the drift block and the plastic elements' corrections. The
-roundoff floors of an iterate come from the last Jacobian evaluated; they
-are computed only when a block misses its tolerance, from the Jacobian's
-entrywise absolute value, formed at most once per Jacobian, and for the
-base at most once per dt.
+max(updates, 1) of them. The Jacobian is carried as its two row blocks
+(``assembly.JacobianRows``): the mechanics rows [K_uu K_uc] and the
+concentration rows K_cc. Each block of an evaluation is the base block
+itself where no iterate term changes it (the elastic mechanics rows of an
+iterate without plastic elements, the one-way K_cc), so the block solver
+finds its entries already in place; otherwise it is the base block less the
+drift block or the plastic elements' corrections. The roundoff floors of an
+iterate come from the last Jacobian evaluated, |K_u| |w| on the u rows and
+|K_cc| |c| on the c rows; they are computed only when a block misses its
+tolerance, from the blocks' entrywise absolute values, formed at most once
+per block, for the elastic mechanics rows once per run and for the base
+K_cc at most once per dt.
 
-The Jacobian is a scipy CSR matrix over the assembly plan's pattern.
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
-next to the other per-run data from that pattern and the boundary plan's
-constrained dofs. It solves the block upper-triangular Jacobian block by
-block, keeping the last two factors of K_cc and the last one of K_uu. A
-changed K_cc is refactored only when refinement against a kept factor does
-not reach a roundoff-level backward error. A changed K_uu is solved
-inexactly, by CG preconditioned with its kept factor down to a linear
+next to the other per-run data from the patterns of the two row blocks and
+the boundary plan's constrained dofs. It solves the block upper-triangular
+Jacobian block by block, keeping the last two factors of K_cc and the last
+one of K_uu. A changed K_cc is refactored only when refinement against a
+kept factor does not reach a roundoff-level backward error. A changed K_uu
+is solved inexactly, by CG preconditioned with its kept factor down to a linear
 residual of ``sparse_linalg.FORCING`` times the right-hand side, and is
 refactored only when CG breaks down or reaches its iteration cap. The
 residual is exact, so this is an inexact Newton method (Dembo, Eisenstat &
@@ -67,8 +71,9 @@ import numpy as np
 
 from . import sparse_linalg
 from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
-                       dirichlet_values, fixed_jacobian, interpolate_nodal, iterate_states,
-                       neumann_load_vector, plan_boundary, precompute, step_start)
+                       dirichlet_values, fixed_jacobian, interpolation_operator,
+                       iterate_states, neumann_load_vector, plan_boundary, precompute,
+                       step_start)
 from .constitutive import von_mises
 
 
@@ -179,16 +184,19 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     start = step_start(ed, fields_n, scenario.params, strain_n)
     counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
     free_u, free_c = block_solver.free_dofs
+    rows_u, rows_c = block_solver.free_rows
 
     def block_norms(vec):
         return float(np.linalg.norm(vec[free_u])), float(np.linalg.norm(vec[free_c]))
 
     def block_floors(abs_jac, w_vec):
-        # FP-error bound of evaluating each block's residual at w: below
-        # this level the dimensional norm carries no information
-        fu, fc = block_norms(abs_jac @ np.abs(w_vec))
+        # FP-error bound of evaluating each block's residual at w, the rows
+        # of |J| |w| (|K_u| |w| and |K_cc| |c|): below this level the
+        # dimensional norm carries no information
+        w_abs = np.abs(w_vec)
         eps20 = 20.0 * np.finfo(float).eps
-        return eps20 * fu, eps20 * fc
+        return (eps20 * float(np.linalg.norm((abs_jac.mech @ w_abs)[rows_u])),
+                eps20 * float(np.linalg.norm((abs_jac.cc @ w_abs[2::3])[rows_c])))
 
     def residual_at(w_vec):
         u, c = dm.split(w_vec)
@@ -294,24 +302,24 @@ def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs, strai
 
 class ProbeSampler:
     """Samples nodal fields at a scenario's probes (located by the Scenario)
-    by FE interpolation; the von Mises stress is that of the containing
-    element's mean stress S_e / A_e, and the equivalent plastic strain is
-    the element's."""
+    by FE interpolation, through one interpolation operator made per run;
+    the von Mises stress is that of the containing element's mean stress
+    S_e / A_e, and the equivalent plastic strain is the element's."""
 
     def __init__(self, scenario, elem_data):
         self.names = [p[0] for p in scenario.probes]
         self.points = np.array([[p[1], p[2]] for p in scenario.probes], dtype=float).reshape(-1, 2)
-        self.elems, self.barys = scenario.probe_elems, scenario.probe_barys
+        self.elems = scenario.probe_elems
         self.areas = elem_data.areas[self.elems]
-        self.mesh = scenario.mesh
+        self.interp = interpolation_operator(scenario.mesh, self.elems, scenario.probe_barys)
 
     def sample(self, fields):
         out = {}
         if not self.names:
             return out
-        c_vals = interpolate_nodal(self.mesh, fields.c, self.elems, self.barys)
-        sh_vals = interpolate_nodal(self.mesh, fields.sigma_h_nodal, self.elems, self.barys)
-        u_vals = interpolate_nodal(self.mesh, fields.u, self.elems, self.barys)
+        c_vals = self.interp @ fields.c
+        sh_vals = self.interp @ fields.sigma_h_nodal
+        u_vals = self.interp @ fields.u
         material = fields.material
         sigma_e = von_mises(material.stress_sum[self.elems] / self.areas[:, None])
         eps_p_eq = material.eps_p_eq[self.elems]
@@ -355,7 +363,8 @@ def run(scenario, progress_cb=None):
     ed = precompute(mesh)
     plan = plan_boundary(mesh, scenario.bcs)
     fixed = fixed_jacobian(ed, scenario.params)
-    block_solver = sparse_linalg.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+    # planned from the patterns: K_cc lies on the node pattern of the mass
+    block_solver = sparse_linalg.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
     sampler = ProbeSampler(scenario, ed)
     # lumped nodal masses: a third of each element's area per vertex
     masses = np.bincount(mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),

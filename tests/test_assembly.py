@@ -190,6 +190,29 @@ class TestJacobian:
         assert np.abs(K_cu).max() == 0.0
         assert K_cc == pytest.approx(K_cc.T, rel=1e-12)
 
+    @pytest.mark.parametrize("mode,plastic", [("one-way", False), ("two-way", False),
+                                              ("two-way", True)],
+                             ids=["one-way", "two-way", "two-way-plastic"])
+    def test_no_concentration_row_holds_a_displacement_column(self, mode, plastic,
+                                                               steel_plastic, rng):
+        # the K_cu sensitivity is dropped, so the interleaved Jacobian has no
+        # stored entry in a c row and a u column, in either coupling mode and
+        # at a plastic iterate
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.1)
+        ed = asm.precompute(m)
+        f0 = _fields(m, c0=100.0)
+        f1 = f0.copy()
+        x = m.nodes[:, 0]
+        strain = 2e-3 * (x + x**2) if plastic else 1e-4 * x
+        f1.u = np.column_stack([strain, np.zeros(m.n_nodes)])
+        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
+        _, jac, states, _ = asm.assemble_system(m, asm.DofMap(m.n_nodes), f1, f0, steel_plastic,
+                                                0.5, mode, elem_data=ed)
+        assert np.any(states.eps_p_eq > 0) == plastic
+        coo = jac.tocoo()
+        assert coo.nnz == 7 * ed.mass.nnz
+        assert not np.any((coo.row % 3 == 2) & (coo.col % 3 != 2))
+
     def test_finite_difference_consistency(self, steel, rng):
         m = build_two_element_square()
         dm = asm.DofMap(4)
@@ -270,7 +293,7 @@ def _fd_jacobian_error(mesh, f0, f1, mat, dt=0.5, mode="two-way"):
     dm = asm.DofMap(mesh.n_nodes)
     start = asm.step_start(ed, f0, mat)
     it = asm.assemble_residual(ed, f1.u, f1.c, start, mat, dt, mode)
-    jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, dt).toarray()
+    jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, dt).interleaved().toarray()
     w0 = dm.join(f1.u, f1.c)
     steps = np.tile([1e-10, 1e-10, 1e-5], mesh.n_nodes)
     err, same_plastic_set = 0.0, True
@@ -386,8 +409,24 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     return residual, jac, sigma_h
 
 
+def _mixed_iterate(mesh, ed, mat, rng):
+    """Step-start fields and a two-way iterate of ``mesh`` on which some
+    elements flow plastically and the others stay elastic, and the
+    iterate's residual pass."""
+    x = mesh.nodes[:, 0]
+    f0 = _fields(mesh, c0=100.0)
+    f1 = f0.copy()
+    f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(mesh.n_nodes)])   # strain 0..4e-3
+    f1.c = 100.0 + rng.normal(scale=5.0, size=mesh.n_nodes)
+    it = asm.assemble_residual(ed, f1.u, f1.c, asm.step_start(ed, f0, mat), mat, 0.5, "two-way")
+    assert 0 < it.plastic.index.size < mesh.n_elements
+    return f0, f1, it
+
+
 class TestAssemblyPlan:
     def test_slot_map_equals_sorted_triplets(self, rng):
+        # the mechanics rows and their slot map, and the node pattern with
+        # cc_pair, are the u rows and the c rows of the sorted triplets
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
         ed = asm.precompute(m)
         n = asm.DofMap(m.n_nodes).n_dofs
@@ -395,10 +434,17 @@ class TestAssemblyPlan:
         vals = rng.normal(size=rows.size)
         order = np.lexsort((cols, rows))
         ref = sla.from_triplets(n, (rows[order], cols[order], vals[order]))
-        data = np.bincount(ed.jac_slot, weights=vals, minlength=ed.jac_indices.size)
-        assert np.array_equal(data, ref.data)
-        assert np.array_equal(ed.jac_indices, ref.indices)
-        assert np.array_equal(ed.jac_indptr, ref.indptr)
+        is_c = np.arange(n) % 3 == 2
+        ref_mech, ref_cc = ref[~is_c], ref[is_c][:, is_c]
+        n_mech = ed.mech_slot.size
+        mech = np.bincount(ed.mech_slot, weights=vals[:n_mech], minlength=ed.mech_indices.size)
+        cc = np.bincount(ed.cc_pair.ravel(), weights=vals[n_mech:], minlength=ed.mass.nnz)
+        assert np.array_equal(mech, ref_mech.data)
+        assert np.array_equal(ed.mech_indices, ref_mech.indices)
+        assert np.array_equal(ed.mech_indptr, ref_mech.indptr)
+        assert np.array_equal(cc, ref_cc.data)
+        assert np.array_equal(ed.mass.indices, ref_cc.indices)
+        assert np.array_equal(ed.mass.indptr, ref_cc.indptr)
 
     @pytest.mark.parametrize("material", ["steel_plastic", "steel_kinematic"])
     def test_plastic_two_way_iterate_matches_reference(self, material, request, rng):
@@ -444,37 +490,34 @@ class TestAssemblyPlan:
         f1.u = rng.normal(scale=1e-6, size=(m.n_nodes, 2))
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
         start = asm.step_start(ed, f0, steel_plastic)
-        uu = ed.uu_slots.ravel()
         for mode, dt in (("one-way", 0.5), ("two-way", 0.25)):
             it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, mode)
             assert it.plastic.index.size == 0
             jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, dt)
-            assert np.array_equal(jac.data[uu], fixed.stiff[uu])
+            assert jac.mech is fixed.mech
 
     def test_jacobian_is_fixed_plus_changing_part(self, steel_plastic, rng):
         # at a plastic two-way iterate only the K_uu slots of the plastic
-        # elements and the K_cc slots differ from stiff + mass / dt
+        # elements differ from the elastic mechanics rows; K_cc is a new
+        # block over the node pattern
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
         ed = asm.precompute(m)
         fixed = asm.fixed_jacobian(ed, steel_plastic)
-        f0 = _fields(m, c0=100.0)
-        f1 = f0.copy()
-        x = m.nodes[:, 0]
-        f1.u = np.column_stack([2e-3 * (x + x**2), np.zeros(m.n_nodes)])   # strain 0..4e-3
-        f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
-        it = asm.assemble_residual(ed, f1.u, f1.c, asm.step_start(ed, f0, steel_plastic),
-                                   steel_plastic, 0.5, "two-way")
-        plastic_elems = it.plastic.index
-        assert 0 < plastic_elems.size < m.n_elements
-        changed = np.flatnonzero(asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5).data
-                                 != fixed.at(0.5).data)
-        allowed = np.union1d(ed.uu_slots[plastic_elems].ravel(), ed.cc_slots.ravel())
+        _, _, it = _mixed_iterate(m, ed, steel_plastic, rng)
+        jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5)
+        changed = np.flatnonzero(jac.mech.data != fixed.mech.data)
         assert changed.size > 0
-        assert np.all(np.isin(changed, allowed))
+        assert np.all(np.isin(changed, ed.uu_slots[it.plastic.index]))
+        base = fixed.at(0.5)
+        assert jac.cc is not base.cc and np.any(jac.cc.data != base.cc.data)
+        for block, ref in zip(jac, base):          # the pattern is shared, not copied
+            assert np.shares_memory(block.indices, ref.indices)
+            assert np.shares_memory(block.indptr, ref.indptr)
 
     def test_base_jacobian_kept_per_dt(self, steel_plastic, rng):
         # an iterate with no drift and no plastic element gets the base at
-        # dt, stiff + mass / dt: one object per dt, with read-only data
+        # dt, the elastic mechanics rows and K_diff + mass / dt: one object
+        # per dt, with read-only data
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
         ed = asm.precompute(m)
         fixed = asm.fixed_jacobian(ed, steel_plastic)
@@ -483,26 +526,66 @@ class TestAssemblyPlan:
         f1.u = rng.normal(scale=1e-6, size=(m.n_nodes, 2))
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
         start = asm.step_start(ed, f0, steel_plastic)
-        mass = np.bincount(ed.cc_slots.ravel(), weights=ed.m_e.ravel(),
-                           minlength=ed.jac_indices.size)
-        assert np.array_equal(fixed.mass_slots[ed.cc_pair], ed.cc_slots)
-        assert np.array_equal(fixed.mass_slots, np.unique(ed.cc_slots))
+        mass = np.bincount(ed.cc_pair.ravel(), weights=ed.m_e.ravel(), minlength=ed.mass.nnz)
+        assert np.array_equal(fixed.mass.data, mass)
         bases = []
         for dt in (0.5, 0.5, 0.25):
             it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, "one-way")
             assert it.plastic.index.size == 0
             base = asm.assemble_jacobian(ed, fixed, it, steel_plastic, dt)
-            assert base is fixed.at(dt)
-            assert np.array_equal(base.data, fixed.stiff + mass / dt)
-            with pytest.raises(ValueError, match="read-only"):
-                base.data[0] = 0.0
+            assert base is fixed.at(dt) and base.mech is fixed.mech
+            assert np.array_equal(base.cc.data, fixed.k_diff.data + mass / dt)
+            for block in base:
+                with pytest.raises(ValueError, match="read-only"):
+                    block.data[0] = 0.0
             bases.append(base)
         assert bases[0] is bases[1] and bases[2] is not bases[0]
-        # a two-way iterate gets a new matrix and leaves the base as it is
+        # a two-way iterate gets a new K_cc and leaves the base as it is
         it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, 0.25, "two-way")
         jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.25)
-        assert jac is not bases[2] and not np.array_equal(jac.data, bases[2].data)
-        assert np.array_equal(bases[2].data, fixed.stiff + mass / 0.25)
+        assert jac.mech is fixed.mech and jac.cc is not bases[2].cc
+        assert not np.array_equal(jac.cc.data, bases[2].cc.data)
+        assert np.array_equal(bases[2].cc.data, fixed.k_diff.data + mass / 0.25)
+
+
+class TestJacobianRows:
+    def test_block_floors_equal_interleaved_rows_bitwise(self, steel_plastic, rng):
+        # |K_u| |w| and |K_cc| |c| from the blocks' magnitudes: equal to the
+        # rows of the interleaved Jacobian's |J| |w|, bitwise, at a mixed
+        # elastic/plastic iterate (both blocks changed) and at the base (both
+        # kept)
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        fixed = asm.fixed_jacobian(ed, steel_plastic)
+        _, f1, it = _mixed_iterate(m, ed, steel_plastic, rng)
+        w = np.abs(asm.DofMap(m.n_nodes).join(f1.u, f1.c))
+        mixed = asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5)
+        base = fixed.at(0.5)
+        is_c = np.arange(w.size) % 3 == 2
+        for jac in (mixed, base):
+            rows = abs(jac.interleaved()) @ w
+            mech, cc = fixed.magnitude(jac)
+            assert np.array_equal(mech @ w, rows[~is_c])
+            assert np.array_equal(cc @ w[is_c], rows[is_c])
+        kept = fixed.magnitude(base)
+        assert all(a is b for a, b in zip(fixed.magnitude(base), kept))
+        assert fixed.magnitude(mixed).mech is not kept.mech
+
+    def test_plastic_mechanics_rows_are_the_u_rows_of_assemble_system(self, steel_plastic, rng):
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        dm = asm.DofMap(m.n_nodes)
+        f0, f1, it = _mixed_iterate(m, ed, steel_plastic, rng)
+        mech, cc = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, steel_plastic), it,
+                                         steel_plastic, 0.5)
+        full = asm.assemble_system(m, dm, f1, f0, steel_plastic, 0.5, "two-way",
+                                   elem_data=ed)[1]
+        is_c = np.arange(dm.n_dofs) % 3 == 2
+        for block, ref in ((mech, full[~is_c]), (cc, full[is_c][:, is_c])):
+            assert block.shape == ref.shape
+            assert np.array_equal(block.indptr, ref.indptr)
+            assert np.array_equal(block.indices, ref.indices)
+            assert np.array_equal(block.data, ref.data)
 
 
 class TestIterateStates:
@@ -551,7 +634,7 @@ class TestIterateStates:
         # their stress sums give the residual's mechanics rows to a fifth of
         # the Newton loop's roundoff floor, 20 eps |J| |w|
         rows = ed.strain_t @ np.einsum("eq,eqa->ea", ed.wq, states.sigma).ravel()
-        jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, 0.5)
+        jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, 0.5).interleaved()
         floor = (abs(jac) @ np.abs(dm.join(f2.u, f2.c))).reshape(-1, 3)[:, :2].ravel()
         assert np.all(np.abs(rows - it.residual.reshape(-1, 3)[:, :2].ravel()) <= 4.0 * eps * floor)
 
@@ -696,9 +779,16 @@ class TestPointLocation:
         field = 2.0 * m.nodes[:, 0] - 0.7 * m.nodes[:, 1] + 0.3
         pts = np.array([[0.35, 0.1], [-0.3, -0.41], [0.2, 0.45]])
         elems, barys = asm.locate_points(m, pts)
-        vals = asm.interpolate_nodal(m, field, elems, barys)
+        interp = asm.interpolation_operator(m, elems, barys)
+        assert interp.shape == (3, m.n_nodes)
         exact = 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 0.3
-        assert vals == pytest.approx(exact, rel=1e-12)
+        assert interp @ field == pytest.approx(exact, rel=1e-12)
+        # a vector field, component by component, and the entries in
+        # vertex order
+        vec = np.column_stack([field, -field])
+        assert interp @ vec == pytest.approx(np.column_stack([exact, -exact]), rel=1e-12)
+        assert np.array_equal(interp.indices.reshape(3, 3), m.tris[elems])
+        assert np.array_equal(interp.data.reshape(3, 3), barys)
 
     def test_point_outside_raises(self):
         m = build_two_element_square()

@@ -296,8 +296,9 @@ class TestLazyJacobian:
         jacs = {}
         for dt, (jac, _, _, _) in zip(dts, updates):
             assert jacs.setdefault(dt, jac) is jac
-            with pytest.raises(ValueError, match="read-only"):
-                jac.data[0] = 0.0
+            for block in jac:
+                with pytest.raises(ValueError, match="read-only"):
+                    block.data[0] = 0.0
         assert len(jacs) == 2
         assert dts.count(hist.records[0]["dt"]) > 1 and not hist.events
 
@@ -353,7 +354,7 @@ class TestCarriedStrain:
         ed = asm.precompute(scen.mesh)
         plan = asm.plan_boundary(scen.mesh, scen.bcs)
         fixed = asm.fixed_jacobian(ed, scen.params)
-        solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+        solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
         refs = {"u": 0.0, "c": 0.0}
         starts = spy_step_starts(monkeypatch)
         new, _, strain = tr.step(asm.FieldState.zeros(scen.mesh, c0=scen.c_initial), 0.0, dt,
@@ -393,8 +394,9 @@ class TestBlockNewtonSolve:
         if text is COARSE_PLATE:
             assert any(r["plastic_qp"] > 0 for r in hist.records)   # plastic iterates
             assert sum(r["pcg_iters"] for r in hist.records) > 0
-        is_u = np.arange(updates[0][0].shape[0]) % 3 != 2
-        for jac, res, fixed, dw in updates:
+        is_u = np.arange(updates[0][1].size) % 3 != 2
+        for rows, res, fixed, dw in updates:
+            jac = rows.interleaved()
             A, b = sla.apply_dirichlet(jac, -res, [(d, 0.0) for d in fixed])
             ref = sla.solve(A, b)
             assert np.linalg.norm(dw[~is_u] - ref[~is_u]) <= 1e-12 * np.linalg.norm(ref[~is_u])
@@ -405,6 +407,24 @@ class TestBlockNewtonSolve:
             assert np.linalg.norm(r_u) <= sla.FORCING * np.linalg.norm(rhs_u)
             if text is COARSE_HOLE:
                 assert np.linalg.norm(dw[is_u] - ref[is_u]) <= 1e-12 * np.linalg.norm(ref[is_u])
+
+    def test_two_way_elastic_reads_mechanics_rows_once(self, monkeypatch):
+        # the elastic mechanics rows are the same object for the whole run and
+        # are read by the first update only; the two-way K_cc is new at every
+        # update and is read each time
+        reads = []
+        real = sla.BlockSolver._read
+
+        def spy(self, rows, A):
+            reads.append(rows)
+            return real(self, rows, A)
+
+        monkeypatch.setattr(sla.BlockSolver, "_read", spy)
+        updates, hist = newton_updates(monkeypatch, COARSE_HOLE)
+        assert not any(r["plastic_qp"] for r in hist.records) and len(updates) > 1
+        assert reads.count("mech") == 1
+        assert reads.count("cc") == len(updates)
+        assert len({id(jac.mech) for jac, *_ in updates}) == 1
 
     def test_plastic_plate_k_uu_factored_few_times(self, splu_calls):
         # a fresh factor for every changed K_uu would take 14 here; CG
@@ -440,9 +460,19 @@ class TestBlockNewtonSolve:
                                              scen.solver.dt, scen.solver.mode)
         plan = asm.plan_boundary(scen.mesh, scen.bcs)
         res -= asm.neumann_load_vector(plan, 0.0)
-        # planning the solver raises on a K_cu entry
-        solver = sla.BlockSolver(jac.indptr, jac.indices, plan.fixed_dofs)
-        solver.newton_update(jac, res)
+        # no c row holds a u column, so the row blocks are the whole matrix,
+        # and their block update solves it
+        coo = jac.tocoo()
+        assert not np.any((coo.row % 3 == 2) & (coo.col % 3 != 2))
+        is_c = np.arange(dm.n_dofs) % 3 == 2
+        mech, cc = jac[~is_c], jac[is_c][:, is_c]
+        assert mech.nnz + cc.nnz == jac.nnz
+        solver = sla.BlockSolver(mech, cc, plan.fixed_dofs)
+        dw = solver.newton_update((mech, cc), res)
+        A, b = sla.apply_dirichlet(jac, -res, [(d, 0.0) for d in plan.fixed_dofs])
+        ref = sla.solve(A, b)
+        assert np.linalg.norm(dw[is_c] - ref[is_c]) <= 1e-12 * np.linalg.norm(ref[is_c])
+        assert np.linalg.norm(dw[~is_c] - ref[~is_c]) <= 1e-12 * np.linalg.norm(ref[~is_c])
 
     def test_elastic_one_way_slab_factors_o1_times(self, splu_calls):
         scen = slab_scenario(nx=20)
@@ -559,7 +589,7 @@ class TestRobustness:
                               strain_n):
             fields, info, strain = real_step(fields_n, t_n, dt, scenario, ed, plan, fixed,
                                              block_solver, refs, strain_n)
-            solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+            solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
             *_, again = tr._newton_solve(dm.join(fields.u, fields.c), fields_n, t_n + dt, dt,
                                          scenario, ed, plan, fixed, solver, dict(refs))
             restarts.append(again.newton_iters)
@@ -630,7 +660,7 @@ class TestPlasticTransient:
         fixed = asm.fixed_jacobian(ed, params)
         refs = {"u": 0.0, "c": 0.0}
         fields_n = tr.initial_fields(scen)
-        solver = sla.BlockSolver(ed.jac_indptr, ed.jac_indices, plan.fixed_dofs)
+        solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
         new, _, _ = tr.step(fields_n, 0.0, dt, scen, ed, plan, fixed, solver, refs)
         assert new.material.eps_p_eq.max() > 0        # the step flows plastically
         w = dm.join(new.u, new.c)
