@@ -61,7 +61,9 @@ dofs are gathered and no element matrix is formed. It keeps the stress
 sums, the plastic set and the drift factors: from them ``assemble_jacobian``
 builds the Jacobian of the same iterate when a Newton update needs one, and
 ``iterate_states`` forms the element state of the iterate a step commits.
-``assemble_system`` does all three in one call.
+``assemble_system`` does all three in one call. The committed iterate's
+pass also gives the next step's pass at zero increment (``zero_increment``),
+unless an element trial-yields there.
 
 The boundary data is planned once per run as well (``plan_boundary``): the
 sorted constrained dofs with the positions of every Dirichlet entry among
@@ -72,7 +74,7 @@ terms; the time stepper subtracts the load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +82,7 @@ import scipy.sparse as sp
 
 from .constitutive import (ConstitutiveError, MaterialParams, MaterialState, PlasticPoints,
                            advance_history, deviator, elastic_stiffness, elastic_stiffness_eng,
-                           radial_return, trace)
+                           radial_return, trace, trial_yields)
 from .mesh import signed_areas
 
 _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
@@ -557,21 +559,19 @@ class FixedJacobian:
             self._dt = dt
         return self._base
 
-    def magnitude(self, jac):
-        """Entrywise |jac| of ``JacobianRows``, block by block, each over
-        its block's pattern; that of the elastic mechanics rows is formed
-        once per run, that of the base K_cc once per dt."""
-        if jac.mech is not self.mech:
-            mech = _magnitude(jac.mech)
-        else:
+    def magnitude(self, block):
+        """Entrywise |block| of one row block of a ``JacobianRows``, over the
+        block's pattern; that of the elastic mechanics rows is formed once
+        per run, that of the base K_cc once per dt."""
+        if block is self.mech:
             if self._abs_mech is None:
-                self._abs_mech = _magnitude(self.mech)
-            mech = self._abs_mech
-        if self._base is None or jac.cc is not self._base.cc:
-            return JacobianRows(mech, _magnitude(jac.cc))
-        if self._abs_cc is None:
-            self._abs_cc = _magnitude(jac.cc)
-        return JacobianRows(mech, self._abs_cc)
+                self._abs_mech = _magnitude(block)
+            return self._abs_mech
+        if self._base is not None and block is self._base.cc:
+            if self._abs_cc is None:
+                self._abs_cc = _magnitude(block)
+            return self._abs_cc
+        return _magnitude(block)
 
 
 def fixed_jacobian(elem_data, params):
@@ -654,14 +654,27 @@ def step_start(elem_data, fields, params, strain=None):
 class Iterate:
     """The residual pass at one iterate (``assemble_residual``), with what
     the Jacobian (``assemble_jacobian``) and the element state
-    (``iterate_states``) of the same iterate need from it. Its element
-    strain is the next step's start strain when the iterate is committed."""
+    (``iterate_states``) of the same iterate need from it. When the iterate
+    is committed, its element strain is the next step's start strain, and
+    its pass gives the next step's first pass where that step starts from
+    it unchanged (``zero_increment``)."""
     residual: np.ndarray        # internal terms only
     sigma_h_nodal: np.ndarray
     stress_sum: np.ndarray      # (n_elem, 4) sum_q w_q sigma_q
     plastic: PlasticPoints      # trial-yielding elements
     gn: np.ndarray              # (n_elem, 3) grad N_i . grad sigma_h; None in one-way
     strain: np.ndarray          # (n_elem, 4) engineering strain of the iterate's u
+
+    def take_pass(self):
+        """A copy of this iterate, to which its residual pass moves: this
+        one keeps its strain, stress sums and nodal hydrostatic stress only
+        (which the committed fields and the step start hold anyway). None
+        once the pass has been taken."""
+        if self.residual is None:
+            return None
+        taken = replace(self)
+        self.residual = self.plastic = self.gn = None
+        return taken
 
 
 def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=None):
@@ -722,13 +735,48 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
     # mechanics rows: B^T S_e (tensor comps == eng stress)
     residual[:, :2] = (ed.strain_t @ stress.ravel()).reshape(-1, 2)
     # diffusion rows
-    r_c = ed.mass @ (d_c / dt) + params.D * (ed.lap @ c)
     gn = None
     if mode == "two-way":
         gn = (ed.gn @ sigma_h_nodal).reshape(-1, 3)          # grad N_i . grad sigma_h
-        r_c -= params.drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel())
+    diffusion, drift = _diffusion_terms(ed, c, gn, params)
+    r_c = ed.mass @ (d_c / dt) + diffusion
+    if drift is not None:
+        r_c -= drift
     residual[:, 2] = r_c
     return Iterate(residual.ravel(), sigma_h_nodal, stress, plastic, gn, strain)
+
+
+def _diffusion_terms(elem_data, c, gn, params):
+    """The terms of the c rows besides the mass term: ``D lap @ c`` and the
+    two-way drift term of the drift factors ``gn`` (None if ``gn`` is)."""
+    ed = elem_data
+    drift = (None if gn is None else
+             params.drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel()))
+    return params.D * (ed.lap @ c), drift
+
+
+def zero_increment(elem_data, committed, start, params):
+    """The residual pass at the zero increment of the step that starts at
+    ``start`` from the committed iterate whose pass is ``committed``, taken
+    from that pass; None where an element trial-yields at zero increment, so
+    that only a full pass (``assemble_residual``) gives its plastic set.
+
+    At zero increment ``d_eps`` and ``d_c`` are exactly zero, so the stress
+    sums are the committed ones bit for bit, and with them the mechanics
+    rows, the recovered hydrostatic stress and the drift factors. The mass
+    term ``mass @ (0 / dt)`` is a zero vector, which leaves the c rows
+    ``D lap c`` less the drift, formed here again from the step start's c
+    (keeping them would add two nodal vectors to every ``Iterate``). So this
+    is ``assemble_residual`` at the committed (u, c), with an empty plastic
+    set, without its passes over the elements.
+    """
+    if start.xi is not None and trial_yields(start.xi, start.fields.material.eps_p_eq, params):
+        return None
+    residual = committed.residual.copy()
+    diffusion, drift = _diffusion_terms(elem_data, start.fields.c, committed.gn, params)
+    residual[2::3] = diffusion if drift is None else diffusion - drift
+    return Iterate(residual, committed.sigma_h_nodal, committed.stress_sum, PlasticPoints.none(),
+                   committed.gn, committed.strain)
 
 
 def iterate_states(start, iterate, params):

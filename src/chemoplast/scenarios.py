@@ -544,7 +544,7 @@ def run_scenario(scenario, output_dir=None, quiet=True, progress=None):
             print(f"step {step_no:4d}  t={record['time']:.6g}  "
                   f"t_hat={scenario.scales.t_hat(record['time']):.6g}  "
                   f"newton={record['newton_iters']} ({record['newton_exit']}) "
-                  f"pcg={record['pcg_iters']}  "
+                  f"pcg={record['pcg_iters']}  passes={record['residual_passes']}  "
                   f"|F|={record['residual_norm']:.3e}")
         if stride and step_no % stride == 0:
             write_vtk_snapshot(scenario.mesh, fields,

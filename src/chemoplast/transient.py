@@ -19,23 +19,35 @@ per time-step size, and again only when dt changes (a dt halving or a short
 last step).
 A step attempt forms the step-start data once (``assembly.step_start``:
 relative stresses; the committed iterate's element stress sums and strains,
-from its residual pass, serve as they are, and ``run`` carries the strains
-to a retry at half the dt too). Every Newton iterate then costs one
-residual pass on the element stress sums, in which the return map runs on
-the trial-yielding elements only. A Jacobian is evaluated at a step's first
-iterate and after that only for a Newton update, so a step evaluates
-max(updates, 1) of them. The Jacobian is carried as its two row blocks
-(``assembly.JacobianRows``): the mechanics rows [K_uu K_uc] and the
-concentration rows K_cc. Each block of an evaluation is the base block
-itself where no iterate term changes it (the elastic mechanics rows of an
-iterate without plastic elements, the one-way K_cc), so the block solver
-finds its entries already in place; otherwise it is the base block less the
-drift block or the plastic elements' corrections. The roundoff floors of an
-iterate come from the last Jacobian evaluated, |K_u| |w| on the u rows and
-|K_cc| |c| on the c rows; they are computed only when a block misses its
-tolerance, from the blocks' entrywise absolute values, formed at most once
-per block, for the elastic mechanics rows once per run and for the base
-K_cc at most once per dt.
+from its residual pass, serve as they are). ``run`` carries that pass
+(``assembly.Iterate``) to the next step, which takes it over. Where the
+step start moves no Dirichlet value (the load is subtracted separately, so
+traction and flux ramps do not count), the first iterate is the committed
+iterate unchanged, and its residual pass is the committed one at zero
+increment (``assembly.zero_increment``): the same stress sums, and the c
+rows without their mass term, which vanishes. So it is taken from the
+committed pass, bit for bit, unless the yield test at zero increment finds
+an element above the yield surface, whose return only a full pass gives.
+The step holds the pass no longer than its first iterate needs it, so a
+retry at half the dt finds only its strain and computes its first pass in
+full. Every other Newton iterate costs one residual pass on the element
+stress sums, in which the return map runs on the trial-yielding elements
+only. A Jacobian is evaluated at a step's first iterate and after that
+only for a Newton update, so a step evaluates max(updates, 1) of them. The
+Jacobian is carried as its two row blocks (``assembly.JacobianRows``): the
+mechanics rows [K_uu K_uc] and the concentration rows K_cc. Each block of
+an evaluation is the base block itself where no iterate term changes it
+(the elastic mechanics rows of an iterate without plastic elements, the
+one-way K_cc), so the block solver finds its entries already in place;
+otherwise it is the base block less the drift block or the plastic
+elements' corrections. The roundoff floors of an iterate come from the
+last Jacobian evaluated, |K_u| |w| on the u rows and |K_cc| |c| on the c
+rows. Each is computed only when a test reads it: |K_cc| |c| when the c
+block misses its tolerance, |K_u| |w| when the c block then passes its
+floor test or the residual grew. They come from the blocks' entrywise
+absolute values, each formed at most once per Jacobian when first needed,
+for the elastic mechanics rows once per run and for the base K_cc at most
+once per dt.
 
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
 next to the other per-run data from the patterns of the two row blocks and
@@ -55,8 +67,9 @@ often. Each step records which of the two Newton exits it took
 (NEWTON_EXITS: both blocks within tolerance, or each within tolerance or at
 its roundoff floor), how many Jacobians it evaluated, how many factors it
 computed, how many block solves a kept factor served and how many CG
-iterations its K_uu solves took, and how many quadrature points are plastic
-at its committed iterate (all of a plastic element's points).
+iterations its K_uu solves took, how many quadrature points are plastic
+at its committed iterate (all of a plastic element's points), and how many
+residual passes it computed.
 
 A step is committed only through one of those exits. Step failures
 (Newton divergence, the iteration cap, singular solves, constitutive
@@ -73,7 +86,7 @@ from . import sparse_linalg
 from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
                        dirichlet_values, fixed_jacobian, interpolation_operator,
                        iterate_states, neumann_load_vector, plan_boundary, precompute,
-                       step_start)
+                       step_start, zero_increment)
 from .constitutive import von_mises
 
 
@@ -125,6 +138,8 @@ class StepInfo:
     pcg_iters: int             # CG iterations of its K_uu solves
     plastic_qp: int            # plastic quadrature points at the committed iterate: n_qp
                                # per plastic element
+    residual_passes: int       # residual passes computed; one fewer where the committed
+                               # pass gave the first iterate's
 
 
 @dataclass
@@ -147,7 +162,7 @@ class TimeHistory:
 
 
 def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs,
-                  strain_n=None):
+                  committed=None, held=False):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence and roundoff floors are judged per physics block (mechanics
@@ -169,46 +184,62 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     its kept factors served and the CG iterations of its K_uu solves in this
     solve; the block norms are over its free dofs.
 
-    Every iterate costs one residual pass. A Jacobian is evaluated from that
-    pass at the first iterate and after that only for a Newton update; the
-    roundoff floors of an iterate come from the last Jacobian evaluated, and
-    are computed only when a block misses its tolerance. The element state
+    ``committed`` is the ``assembly.Iterate`` of ``fields_n`` (None to
+    compute its strain), and ``held`` says that ``w`` is its iterate
+    unchanged. The solve takes its pass over (``Iterate.take_pass``). Where
+    ``held``, the first iterate's residual pass comes from it
+    (``assembly.zero_increment``), unless an element trial-yields there.
+    Every other iterate costs one residual pass. A Jacobian is evaluated
+    from that pass at the first iterate and after that only for a Newton
+    update; the roundoff floors of an iterate come from the last Jacobian
+    evaluated, each computed only when a test reads it. The element state
     is formed once, for the iterate the solve returns.
 
     Returns (w, new element state, the ``assembly.Iterate`` of w, StepInfo).
     The Dirichlet dofs of ``w`` must already carry their prescribed values.
     """
     config = scenario.solver
+    params = scenario.params
     dm = DofMap(scenario.mesh.n_nodes)
     load = neumann_load_vector(plan, t_new)
-    start = step_start(ed, fields_n, scenario.params, strain_n)
+    start = step_start(ed, fields_n, params, None if committed is None else committed.strain)
     counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
     free_u, free_c = block_solver.free_dofs
-    rows_u, rows_c = block_solver.free_rows
+    free_rows = block_solver.free_rows
+    eps20 = 20.0 * np.finfo(float).eps
 
     def block_norms(vec):
         return float(np.linalg.norm(vec[free_u])), float(np.linalg.norm(vec[free_c]))
 
-    def block_floors(abs_jac, w_vec):
-        # FP-error bound of evaluating each block's residual at w, the rows
-        # of |J| |w| (|K_u| |w| and |K_cc| |c|): below this level the
+    def block_floor(k):
+        # FP-error bound of evaluating block k's residual at w, the rows of
+        # |J| |w| (|K_u| |w| and |K_cc| |c|): below this level the
         # dimensional norm carries no information
-        w_abs = np.abs(w_vec)
-        eps20 = 20.0 * np.finfo(float).eps
-        return (eps20 * float(np.linalg.norm((abs_jac.mech @ w_abs)[rows_u])),
-                eps20 * float(np.linalg.norm((abs_jac.cc @ w_abs[2::3])[rows_c])))
+        if floors[k] is None:
+            if abs_jac[k] is None:
+                abs_jac[k] = fixed.magnitude(jac[k])
+            w_abs = np.abs(w if k == 0 else w[2::3])
+            floors[k] = eps20 * float(np.linalg.norm((abs_jac[k] @ w_abs)[free_rows[k]]))
+        return floors[k]
 
     def residual_at(w_vec):
         u, c = dm.split(w_vec)
         try:
-            it = assemble_residual(ed, u, c, start, scenario.params, dt, config.mode)
+            it = assemble_residual(ed, u, c, start, params, dt, config.mode)
         except AssemblyError as err:
             raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
         return it, it.residual - load
 
-    it, res = residual_at(w)
-    jac = assemble_jacobian(ed, fixed, it, scenario.params, dt)
-    abs_jac = None      # |jac|, formed when the floors are first needed
+    taken = None if committed is None else committed.take_pass()
+    it = zero_increment(ed, taken, start, params) if held and taken is not None else None
+    taken = None        # the first iterate, if it came from the pass, holds what it needs
+    first_pass = int(it is None)        # the first iterate's pass is computed
+    if first_pass:
+        it, res = residual_at(w)
+    else:
+        res = it.residual - load
+    jac = assemble_jacobian(ed, fixed, it, params, dt)
+    abs_jac = [None, None]      # |jac| block by block, formed when a floor is first needed
     jacobians = 1
 
     tol_u = tol_c = None
@@ -217,12 +248,12 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     n_solves = 0
 
     def done(reason):
-        return w, iterate_states(start, it, scenario.params), it, StepInfo(
+        return w, iterate_states(start, it, params), it, StepInfo(
             newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
             jacobians=jacobians, factors=block_solver.factors - counts_0[0],
             reused=block_solver.reused - counts_0[1],
             pcg_iters=block_solver.pcg_iters - counts_0[2],
-            plastic_qp=ed.wq.shape[1] * int(it.plastic.index.size))
+            plastic_qp=ed.wq.shape[1] * int(it.plastic.index.size), residual_passes=n_solves + first_pass)
 
     while True:
         nu, nc = block_norms(res)
@@ -239,14 +270,13 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                         min(config.newton_abs_tol, 0.5 * nc))
         if nu <= tol_u and nc <= tol_c:
             return done("converged")
-        if abs_jac is None:
-            abs_jac = fixed.magnitude(jac)
-        floor_u, floor_c = block_floors(abs_jac, w)
-        if nu <= max(tol_u, 2.0 * floor_u) and nc <= max(tol_c, 2.0 * floor_c):
+        floors = [None, None]       # of this iterate, computed where a test reads them
+        if ((nc <= tol_c or nc <= 2.0 * block_floor(1))
+                and (nu <= tol_u or nu <= 2.0 * block_floor(0))):
             return done("roundoff-floor")
         if norm_prev is not None:
-            meaningful = norm > 10.0 * (floor_u + floor_c)
-            grow = grow + 1 if (meaningful and norm > norm_prev) else 0
+            grown = norm > norm_prev and norm > 10.0 * (block_floor(0) + block_floor(1))
+            grow = grow + 1 if grown else 0
             if grow >= 3:
                 raise StepFailure(f"Newton diverging at t={t_new:g}: residual grew over "
                                   f"3 consecutive iterations (last {norm:.3e})")
@@ -256,8 +286,9 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
                               f"iterations at t={t_new:g} (residual {norm:.3e}, "
                               f"tols {tol_u:.3e}/{tol_c:.3e})")
         if n_solves > 0:            # jac is an earlier iterate's
-            jac = abs_jac = None    # free the last Jacobian before evaluating the next
-            jac = assemble_jacobian(ed, fixed, it, scenario.params, dt)
+            jac = None              # free the last Jacobian before evaluating the next
+            abs_jac = [None, None]
+            jac = assemble_jacobian(ed, fixed, it, params, dt)
             jacobians += 1
         try:
             dw = block_solver.newton_update(jac, res)
@@ -276,28 +307,34 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         it, res = residual_at(w)
 
 
-def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs, strain_n=None):
+def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs, committed=None):
     """Advance one backward-Euler step from t_n to t_n + dt.
 
     The other arguments are the run's data, made once by ``run``: the
     assembly plan, the boundary plan, the fixed Jacobian data, the block
     solver whose kept factors carry over between steps, and the largest
-    starting block residuals seen so far; and ``strain_n``, the element
-    strain of ``fields_n.u`` (None to compute it). Returns (fields at
-    t_n + dt, StepInfo, their element strain). Raises StepFailure when the
-    Newton solve cannot be completed.
+    starting block residuals seen so far; and ``committed``, the
+    ``assembly.Iterate`` of ``fields_n`` (None to compute its strain).
+    The step takes its residual pass over, and starts from it where the
+    step start moves no Dirichlet value; a retry finds only its strain.
+    Returns (fields at t_n + dt, StepInfo, their Iterate). Raises
+    StepFailure when the Newton solve cannot be completed.
     """
     dm = DofMap(scenario.mesh.n_nodes)
     t_new = t_n + dt
 
     w = dm.join(fields_n.u, fields_n.c)
-    w[plan.fixed_dofs] = dirichlet_values(plan, t_new)
+    values = dirichlet_values(plan, t_new)
+    # the load is subtracted from every residual, so only the Dirichlet
+    # values can move the iterate at the step start
+    held = np.array_equal(w[plan.fixed_dofs], values)
+    w[plan.fixed_dofs] = values
 
     w, material, it, info = _newton_solve(
-        w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs, strain_n)
+        w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs, committed, held)
     u, c = dm.split(w)
     return FieldState(u=u, c=c, material=material, sigma_h_nodal=it.sigma_h_nodal, elem_data=ed,
-                      params=scenario.params), info, it.strain
+                      params=scenario.params), info, it
 
 
 class ProbeSampler:
@@ -349,8 +386,10 @@ def run(scenario, progress_cb=None):
     The settings are ``scenario.solver``'s and the material is
     ``scenario.params``. The data every step shares (assembly plan, boundary
     plan, fixed Jacobian data, block solver, reference residuals) is made
-    here, once per run. The element strain of the committed fields is
-    carried from step to step, so the callback must not change the fields.
+    here, once per run. The committed iterate's residual pass
+    (``assembly.Iterate``) is carried to the next step, so the callback must
+    not change the fields. That step takes the pass over; a retry at half
+    the dt finds only its strain, and computes its first pass in full.
 
     On a step failure the time step is halved (up to ``MAX_HALVINGS``
     times) for the failing step only; refinement events are recorded in the
@@ -376,7 +415,7 @@ def run(scenario, progress_cb=None):
     t_end = config.t_end
     step_no = 0
     newton_refs = {"u": 0.0, "c": 0.0}
-    strain = None       # that of ``fields.u``, computed by the first step start
+    committed = None    # the Iterate of ``fields``; the initial fields have none
 
     while t < t_end * (1.0 - 1e-12):
         # a remainder equal to dt up to roundoff takes the full dt
@@ -385,8 +424,8 @@ def run(scenario, progress_cb=None):
         attempt = 0
         while True:
             try:
-                fields_new, info, strain_new = step(fields, t, dt, scenario, ed, plan, fixed,
-                                                    block_solver, newton_refs, strain)
+                fields_new, info, it = step(fields, t, dt, scenario, ed, plan, fixed,
+                                            block_solver, newton_refs, committed)
                 break
             except StepFailure as err:
                 attempt += 1
@@ -398,7 +437,7 @@ def run(scenario, progress_cb=None):
                                        "reason": str(err)})
         t += dt
         step_no += 1
-        fields, strain = fields_new, strain_new
+        fields, committed = fields_new, it
         record = {
             "time": t,
             "dt": dt,

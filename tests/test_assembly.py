@@ -564,12 +564,13 @@ class TestJacobianRows:
         is_c = np.arange(w.size) % 3 == 2
         for jac in (mixed, base):
             rows = abs(jac.interleaved()) @ w
-            mech, cc = fixed.magnitude(jac)
+            mech, cc = (fixed.magnitude(block) for block in jac)
             assert np.array_equal(mech @ w, rows[~is_c])
             assert np.array_equal(cc @ w[is_c], rows[is_c])
-        kept = fixed.magnitude(base)
-        assert all(a is b for a, b in zip(fixed.magnitude(base), kept))
-        assert fixed.magnitude(mixed).mech is not kept.mech
+        # the base blocks' magnitudes are kept, each formed when first asked for
+        kept = [fixed.magnitude(block) for block in base]
+        assert all(fixed.magnitude(block) is k for block, k in zip(base, kept))
+        assert fixed.magnitude(mixed.mech) is not kept[0]
 
     def test_plastic_mechanics_rows_are_the_u_rows_of_assemble_system(self, steel_plastic, rng):
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)

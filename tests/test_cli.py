@@ -90,7 +90,7 @@ class TestOverridesAndOutputs:
         assert cli.main(["--config", str(plate_cfg),
                          "--output-dir", str(tmp_path / "loud")]) == 0
         stdout = capsys.readouterr().out
-        assert "newton=" in stdout and "pcg=" in stdout
+        assert "newton=" in stdout and "pcg=" in stdout and "passes=" in stdout
         assert cli.main(["--config", str(plate_cfg), "--quiet",
                          "--output-dir", str(tmp_path / "quiet")]) == 0
         assert "newton=" not in capsys.readouterr().out

@@ -90,6 +90,16 @@ class TestStressMeasures:
         assert ct.von_mises(sig) == pytest.approx(np.sqrt(3) * tau, rel=1e-12)
         assert ct.hydrostatic(sig) == 0.0
 
+    @pytest.mark.parametrize("shape", [(4,), (384, 4), (384, 3, 4)])
+    def test_deviator_is_the_mean_stress_broadcast_bitwise(self, shape, rng):
+        # the column updates give the bits of t - (tr t / 3) [1, 1, 1, 0]
+        # and leave their argument as it is
+        t = rng.normal(scale=1e8, size=shape)
+        kept = t.copy()
+        ref = t - (ct.trace(t) / 3.0)[..., None] * np.array([1.0, 1.0, 1.0, 0.0])
+        assert np.array_equal(ct.deviator(t), ref)
+        assert np.array_equal(t, kept)
+
 
 class TestUpdateStress:
     def test_elastic_step_below_yield(self, steel_plastic):

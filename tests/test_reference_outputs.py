@@ -4,9 +4,10 @@ Runs each config of ``perfbench/workloads.py`` at the default seed and
 compares the final u, c, sigma and eps_p_eq with ``perfbench/reference/``
 at ``REFERENCE_RTOL`` (normwise relative per field), the same check the
 benchmark applies. It also pins the run totals of Newton updates, Jacobian
-evaluations, block factors, kept-factor solves and CG iterations, and the
-steps per Newton exit, so that a change that moves the Newton path or
-relabels steps shows without a benchmark run.
+evaluations, block factors, kept-factor solves and CG iterations, the
+residual passes, and the steps per Newton exit, so that a change that
+moves the Newton path, relabels steps or stops taking a step's first pass
+from the committed one shows without a benchmark run.
 Both files are read, never written.
 """
 import importlib.util
@@ -33,6 +34,15 @@ NEWTON_PATH = {
     "hole_validation": (12, 12, 3, 21, 0),
 }
 
+# residual passes over the default-seed run: the Newton updates plus one a
+# step, less one a step whose first pass came from the committed one (none
+# on the plastic plate, which ramps at every step)
+RESIDUAL_PASSES = {
+    "plate_plastic_twoway": 34,
+    "plate_elastic_oneway": 53,
+    "hole_validation": 13,
+}
+
 # steps per Newton exit over the default-seed run; together they show every
 # exit of transient.NEWTON_EXITS firing
 NEWTON_EXIT_STEPS = {
@@ -51,4 +61,5 @@ def test_final_fields_match_reference(name, tmp_path):
     workloads.check_reference(workload, fields)
     keys = ("newton_iters", "jacobians", "factors", "reused", "pcg_iters")
     assert tuple(sum(r[k] for r in history.records) for k in keys) == NEWTON_PATH[name]
+    assert sum(r["residual_passes"] for r in history.records) == RESIDUAL_PASSES[name]
     assert Counter(r["newton_exit"] for r in history.records) == NEWTON_EXIT_STEPS[name]

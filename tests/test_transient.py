@@ -1,8 +1,11 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chemoplast import analytic, assembly as asm, scenarios as sc, sparse_linalg as sla
-from chemoplast import transient as tr
+from chemoplast import constitutive as ct, transient as tr
 from chemoplast.constitutive import MaterialParams
 from chemoplast.scenarios import Scenario
 from conftest import (build_strip_mesh, build_two_element_square, c_dofs, ux_dofs, uy_dofs,
@@ -357,14 +360,187 @@ class TestCarriedStrain:
         solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
         refs = {"u": 0.0, "c": 0.0}
         starts = spy_step_starts(monkeypatch)
-        new, _, strain = tr.step(asm.FieldState.zeros(scen.mesh, c0=scen.c_initial), 0.0, dt,
-                                 scen, ed, plan, fixed, solver, refs)
-        assert np.array_equal(strain, asm.element_strain(ed, new.u))
+        new, _, it = tr.step(asm.FieldState.zeros(scen.mesh, c0=scen.c_initial), 0.0, dt,
+                             scen, ed, plan, fixed, solver, refs)
+        assert np.array_equal(it.strain, asm.element_strain(ed, new.u))
         moved = new.copy()
         moved.u = 1.01 * new.u
         tr.step(moved, dt, dt, scen, ed, plan, fixed, solver, refs)
         assert [(passed, exact) for passed, _, exact in starts] == [(False, True)] * 2
         assert starts[1][1] is moved
+
+
+def run_data(scen):
+    """The per-run data ``transient.run`` makes for ``scen``: (assembly plan,
+    boundary plan, fixed Jacobian data, block solver, reference residuals)."""
+    ed = asm.precompute(scen.mesh)
+    plan = asm.plan_boundary(scen.mesh, scen.bcs)
+    fixed = asm.fixed_jacobian(ed, scen.params)
+    return ed, plan, fixed, sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs), \
+        {"u": 0.0, "c": 0.0}
+
+
+def spy_zero_increments(monkeypatch):
+    """Record every ``zero_increment`` call of ``transient`` as (its
+    arguments, whether it gave the first iterate's pass)."""
+    real = tr.zero_increment
+    seen = []
+
+    def spy(elem_data, committed, start, params):
+        it = real(elem_data, committed, start, params)
+        seen.append(((elem_data, committed, start, params), it is not None))
+        return it
+
+    monkeypatch.setattr(tr, "zero_increment", spy)
+    return seen
+
+
+def without_passes(records):
+    return [{k: v for k, v in r.items() if k != "residual_passes"} for r in records]
+
+
+# the elastic one-way plate with two hold steps after its ramp
+HELD_ONE_WAY = COARSE_ELASTIC_ONE_WAY.replace("solver.t_end_hat = 0.03", "solver.t_end_hat = 0.04")
+
+
+class TestCommittedPass:
+    @pytest.mark.parametrize("text", [COARSE_HOLE, HELD_ONE_WAY],
+                             ids=["hole-two-way", "plate-one-way"])
+    def test_zero_increment_is_the_fresh_pass_bitwise(self, text):
+        # the pass taken from the committed iterate equals a full residual
+        # pass of the next step at zero increment, bit for bit
+        scen = sc.build_scenario(sc.load_config(text))
+        params, dt, mode = scen.params, scen.solver.dt, scen.solver.mode
+        ed, plan, fixed, solver, refs = run_data(scen)
+        fields, _, it = tr.step(tr.initial_fields(scen), 0.0, dt, scen, ed, plan, fixed, solver,
+                                refs)
+        start = asm.step_start(ed, fields, params, it.strain)
+        fresh = asm.assemble_residual(ed, fields.u, fields.c, start, params, dt, mode)
+        kept = it.residual.copy()
+        held = asm.zero_increment(ed, it, start, params)
+        assert np.array_equal(it.residual, kept)                 # the committed pass is read only
+        for name in ("residual", "sigma_h_nodal", "stress_sum", "strain"):
+            assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
+        if mode == "two-way":
+            assert np.array_equal(held.gn, fresh.gn)
+        else:
+            assert held.gn is None is fresh.gn
+        assert held.plastic.index.size == 0 == fresh.plastic.index.size
+
+    def test_refused_on_a_ramp_step(self, monkeypatch):
+        # the two ramp steps move the Dirichlet values and compute every
+        # pass; the two hold steps take their first pass from the committed
+        # one (the first from the initial fields has none)
+        scen = sc.build_scenario(sc.load_config(HELD_ONE_WAY))
+        plan = asm.plan_boundary(scen.mesh, scen.bcs)
+        seen = spy_zero_increments(monkeypatch)
+        hist, _ = tr.run(scen)
+        times = [0.0] + hist.times
+        moved = [not np.array_equal(asm.dirichlet_values(plan, t0), asm.dirichlet_values(plan, t1))
+                 for t0, t1 in zip(times, times[1:])]
+        assert moved == [True, True, False, False]
+        assert [given for _, given in seen] == [True, True]
+        assert [r["residual_passes"] - r["newton_iters"] for r in hist.records] == [1, 1, 0, 0]
+
+    def test_refused_where_an_element_trial_yields(self, monkeypatch):
+        # the plastic plate's hold steps start on the yield surface, where
+        # the yield test at zero increment finds elements above it by
+        # roundoff: only a full pass gives their plastic set. With a yield
+        # stress clear of them the same passes are taken
+        scen = sc.build_scenario(sc.load_config(YIELDING_PLATE))
+        seen = spy_zero_increments(monkeypatch)
+        hist, _ = tr.run(scen)
+        assert len(seen) == 3 and not any(given for _, given in seen)
+        for (ed, committed, start, params), _ in seen:
+            assert ct.trial_yields(start.xi, start.fields.material.eps_p_eq, params)
+            clear = replace(params, sigma_y0=2.0 * params.sigma_y0)
+            assert asm.zero_increment(ed, committed, start, clear) is not None
+        assert all(r["residual_passes"] == r["newton_iters"] + 1 for r in hist.records)
+
+    def test_retry_after_a_reused_first_pass_is_the_full_pass_retry(self, monkeypatch):
+        # the second step attempt takes its first pass from the committed
+        # one and then fails; its retry at half the dt finds the strain only
+        # and computes that pass in full. The run equals, bit for bit, the
+        # same run in which no pass is taken from the committed one
+        def failing_run(reuse):
+            scen = sc.build_scenario(sc.load_config(COARSE_HOLE))
+            starts = spy_step_starts(monkeypatch)
+            real_zero_increment, real_jacobian = tr.zero_increment, tr.assemble_jacobian
+            given = []          # the step attempts whose first pass was taken over
+
+            def zero_increment(*args):
+                it = real_zero_increment(*args) if reuse else None
+                if it is not None:
+                    given.append(len(starts) - 1)
+                return it
+
+            def jacobian(*args):
+                if len(starts) == 2 and not failed:
+                    failed.append(True)
+                    raise tr.StepFailure("forced failure after the first pass")
+                return real_jacobian(*args)
+
+            failed = []
+            monkeypatch.setattr(tr, "zero_increment", zero_increment)
+            monkeypatch.setattr(tr, "assemble_jacobian", jacobian)
+            hist, fields = tr.run(scen)
+            monkeypatch.undo()
+            return hist, fields, starts, given
+
+        hist, fields, starts, given = failing_run(reuse=True)
+        ref, ref_fields, _, ref_given = failing_run(reuse=False)
+        assert [e["event"] for e in hist.events] == ["dt_halved"]
+        assert hist.events == ref.events
+        assert without_passes(hist.records) == without_passes(ref.records)
+        for name in ("u", "c", "sigma_h_nodal"):
+            assert np.array_equal(getattr(fields, name), getattr(ref_fields, name))
+        assert np.array_equal(fields.material.stress_sum, ref_fields.material.stress_sum)
+        # attempts 0 (initial fields) and 2 (the retry) compute their first pass
+        assert given == [1, 3, 4] and ref_given == []
+        assert [r["residual_passes"] - r["newton_iters"] for r in hist.records] == [1, 1, 0, 0]
+        assert [r["residual_passes"] - r["newton_iters"] for r in ref.records] == [1] * 4
+        # the retry starts from the failed attempt's fields and the carried
+        # strain, which is theirs bitwise
+        assert starts[2][1] is starts[1][1] and starts[2][0] and starts[2][2]
+
+    @pytest.mark.parametrize("text", [HELD_ONE_WAY, COARSE_HOLE], ids=["ramp", "hold"])
+    def test_no_frame_keeps_the_carried_pass_during_a_step(self, monkeypatch, text):
+        # a step takes the committed pass over: by its first Newton update
+        # the committed residual is freed, and so is the rest of the pass on
+        # a ramp step; on a step that took its first pass from it, the
+        # current iterate holds its gn until the next pass. Once the step is
+        # done, nothing of it is left but what the step's committed iterate
+        # shares with it
+        scen = sc.build_scenario(sc.load_config(text))
+        names = ("residual", "gn")
+        real_step, real_update = tr.step, sla.BlockSolver.newton_update
+        carried, alive = [], []
+
+        def step(*args):
+            committed = args[-1]
+            carried[:] = [(n, weakref.ref(getattr(committed, n))) for n in names
+                          if committed is not None and getattr(committed, n) is not None]
+            out = real_step(*args)
+            # what the step's own committed iterate holds
+            alive.append(("done", [n for n, ref in carried
+                                   if ref() is not None and ref() is not getattr(out[2], n)]))
+            return out
+
+        def newton_update(self, jac, res):
+            if not alive or alive[-1][0] == "done":
+                alive.append(("update", [n for n, ref in carried if ref() is not None]))
+            return real_update(self, jac, res)
+
+        monkeypatch.setattr(tr, "step", step)
+        monkeypatch.setattr(sla.BlockSolver, "newton_update", newton_update)
+        hist, _ = tr.run(scen)
+        taken = [r["residual_passes"] == r["newton_iters"] for r in hist.records]
+        assert any(taken) and (text is COARSE_HOLE) == all(taken[1:])
+        updates = [a for kind, a in alive if kind == "update"]
+        assert len(updates) == sum(r["newton_iters"] > 0 for r in hist.records)
+        for a in updates:
+            assert "residual" not in a and (text is COARSE_HOLE or not a)
+        assert all(not a for kind, a in alive if kind == "done")
 
 
 def newton_updates(monkeypatch, config_text):
@@ -586,14 +762,14 @@ class TestRobustness:
         restarts = []
 
         def step_then_restart(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs,
-                              strain_n):
-            fields, info, strain = real_step(fields_n, t_n, dt, scenario, ed, plan, fixed,
-                                             block_solver, refs, strain_n)
+                              committed):
+            fields, info, it = real_step(fields_n, t_n, dt, scenario, ed, plan, fixed,
+                                         block_solver, refs, committed)
             solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
             *_, again = tr._newton_solve(dm.join(fields.u, fields.c), fields_n, t_n + dt, dt,
                                          scenario, ed, plan, fixed, solver, dict(refs))
             restarts.append(again.newton_iters)
-            return fields, info, strain
+            return fields, info, it
 
         monkeypatch.setattr(tr, "step", step_then_restart)
         hist, _ = tr.run(scen)
