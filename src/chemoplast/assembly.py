@@ -22,8 +22,11 @@ u_y rows hold the three dofs of each of its neighbours, so the mechanics
 pattern and its slot map follow from the node pattern by arithmetic. The
 operators take nodal fields to element or quadrature-point values (strain,
 concentration, the drift factors) and back to the nodes (B^T, the assembled
-mass and diffusion matrices, the drift scatter, the hydrostatic-stress
-recovery).
+mass and diffusion matrices, the hydrostatic-stress recovery). A two-way run
+also gets, when its first residual pass needs it, the drift operator
+(``ElementData.drift_op``): it takes the drift factors of every element
+vertex to the drift block's data on the node pattern, with the shape
+integrals as its entries.
 
 The Jacobian is carried as its two row blocks (``JacobianRows``): the
 mechanics rows [K_uu K_uc] and the concentration rows K_cc, which lie on the
@@ -34,11 +37,12 @@ and M on the node pattern; at time step dt the base K_cc is ``K_diff + M /
 dt``, formed once per dt and read-only as well (``FixedJacobian.at``). K_uc
 is elastic at every iterate, because the plastic tangent correction is
 deviatoric and annihilates the swelling direction. The changing part is the
-two-way drift block, subtracted from a copy of the base K_cc, and the K_uu
-corrections of the plastic elements, subtracted from a copy of the
-mechanics rows through their K_uu slots only. A block with no changing part
-at an iterate is the base block itself; the full node-major matrix is formed
-only on request (``JacobianRows.interleaved``).
+two-way drift block, whose data the residual pass has formed, subtracted
+from the base K_cc's data, and the K_uu corrections of the plastic elements,
+subtracted from a copy of the mechanics rows through their K_uu slots only.
+A block with no changing part at an iterate is the base block itself; the
+full node-major matrix is formed only on request
+(``JacobianRows.interleaved``).
 
 The material state is held per element (``ElementState``). This rests on
 two facts: P1 strains are constant per element, and the J2 yield function
@@ -57,13 +61,16 @@ Per iterate, ``assemble_residual`` updates the stress sums by the elastic
 response of the element increments, runs the yield test on every element
 and the return map on the trial-yielding elements only, subtracts their
 plastic stress from the sums, and applies the plan's operators; no element
-dofs are gathered and no element matrix is formed. It keeps the stress
-sums, the plastic set and the drift factors: from them ``assemble_jacobian``
-builds the Jacobian of the same iterate when a Newton update needs one, and
-``iterate_states`` forms the element state of the iterate a step commits.
-``assemble_system`` does all three in one call. The committed iterate's
-pass also gives the next step's pass at zero increment (``zero_increment``),
-unless an element trial-yields there.
+dofs are gathered and no element matrix is formed. In two-way coupling it
+forms the drift block's data once, ``drift_coeff * drift_op @ gn``, and
+applies the block to c as the drift term. It keeps the stress sums, the
+plastic set, the drift block's data and the c rows without their mass term:
+from them ``assemble_jacobian`` builds the Jacobian of the same iterate when
+a Newton update needs one, and ``iterate_states`` forms the element state of
+the iterate a step commits. ``assemble_system`` does all three in one call.
+The committed iterate's pass also gives the next step's pass at zero
+increment (``zero_increment``), copied, unless an element trial-yields
+there beyond roundoff.
 
 The boundary data is planned once per run as well (``plan_boundary``): the
 sorted constrained dofs with the positions of every Dirichlet entry among
@@ -75,6 +82,7 @@ terms; the time stepper subtracts the load.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -200,7 +208,8 @@ class ElementData:
     kernels, the CSR pattern of the Jacobian's mechanics rows with the slot
     of every element K_uu and K_uc entry, the place of every element K_cc
     entry in the node pattern of ``mass`` and ``lap``, and the sparse
-    operators of the residual pass. With the material, it
+    operators of the residual pass, of which the two-way drift operator
+    (``drift_op``) is formed when first read. With the material, it
     gives the fixed Jacobian data (``fixed_jacobian``). What depends on the
     iterate (stress sums, yield test and return, the drift block and the
     plastic corrections) is computed by ``assemble_residual`` and
@@ -229,7 +238,6 @@ class ElementData:
     lap: sp.csr_matrix      # (N, N) sum of area * grad N_i . grad N_j
     gn: sp.csr_matrix       # (3 n_elem, N) grad N_i . grad f per element vertex
     c_w: sp.csr_matrix      # (n_elem, N) sum_q w_q f(x_q) per element
-    to_nodes: sp.csr_matrix  # (N, 3 n_elem) sums element-vertex values onto the nodes
     recover: sp.csr_matrix  # (N, n_elem) area-weighted average of the adjacent elements
 
     @property
@@ -241,6 +249,23 @@ class ElementData:
         """(n_elem, 36) mechanics-row data index of each element's K_uu entries."""
         n = self.areas.size
         return self.mech_slot[:36 * n].reshape(n, 36)
+
+    @cached_property
+    def drift_op(self):
+        """(nnz, 3 n_elem) CSR operator from the drift factors ``gn``,
+        flattened, to the node-pattern data of the drift block: element
+        entry (i, j) is ``gn[e, i] * shape_int[e, j]`` in slot ``cc_pair[e,
+        3 i + j]``. A row holds its entries in element order, so a product
+        sums every slot in the order ``np.bincount(cc_pair.ravel(), ...)``
+        does. Formed when first read; only two-way coupling reads it."""
+        n_elem = self.areas.size
+        slots = self.cc_pair.ravel()
+        order = np.argsort(slots, kind="stable")
+        counts = np.bincount(slots, minlength=self.mass.nnz)
+        return sp.csr_matrix((np.tile(self.shape_int, 3).ravel()[order],
+                              np.repeat(np.arange(3 * n_elem, dtype=np.int32), 3)[order],
+                              np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
+                             shape=(counts.size, 3 * n_elem))
 
 
 def _node_pattern(n_nodes, tris):
@@ -359,8 +384,6 @@ def precompute(mesh):
         mass=node_matrix(m_e), lap=node_matrix(areas[:, None, None] * gg),
         gn=_element_operator(elem_tris, gg, n_nodes),
         c_w=c_w,
-        to_nodes=sp.csr_matrix((np.ones(3 * n_elem), (tris.ravel(), np.arange(3 * n_elem))),
-                               shape=(n_nodes, 3 * n_elem)),
         recover=_recovery(tris, areas, n_nodes))
 
 
@@ -662,7 +685,8 @@ class Iterate:
     sigma_h_nodal: np.ndarray
     stress_sum: np.ndarray      # (n_elem, 4) sum_q w_q sigma_q
     plastic: PlasticPoints      # trial-yielding elements
-    gn: np.ndarray              # (n_elem, 3) grad N_i . grad sigma_h; None in one-way
+    drift: np.ndarray           # (nnz,) the drift block's data on the node pattern; None in one-way
+    c_rows: np.ndarray          # (N,) the c rows of the residual without their mass term
     strain: np.ndarray          # (n_elem, 4) engineering strain of the iterate's u
 
     def take_pass(self):
@@ -673,7 +697,7 @@ class Iterate:
         if self.residual is None:
             return None
         taken = replace(self)
-        self.residual = self.plastic = self.gn = None
+        self.residual = self.plastic = self.drift = self.c_rows = None
         return taken
 
 
@@ -689,7 +713,11 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
     elements only. The mechanics rows are ``strain_t`` applied to the
     stress sums, the element hydrostatic stress is ``tr(S_e) / (3 A_e)``,
     recovered to the nodes by ``recover``, and the diffusion rows are
-    ``mass @ (c - c_n) / dt + D lap @ c``, less the two-way drift term.
+    ``mass @ (c - c_n) / dt`` plus the c rows without their mass term,
+    ``D lap @ c`` less (two-way) the drift term. The drift term is the drift
+    block applied to c: its node-pattern data is ``drift_coeff * drift_op @
+    gn``, of the drift factors ``gn`` (``grad N_i . grad sigma_h`` per
+    element vertex), and the Jacobian subtracts the same data from K_cc.
     ``frozen_sigma_h`` replaces the recovered hydrostatic field of the drift
     term.
     """
@@ -735,48 +763,37 @@ def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=N
     # mechanics rows: B^T S_e (tensor comps == eng stress)
     residual[:, :2] = (ed.strain_t @ stress.ravel()).reshape(-1, 2)
     # diffusion rows
-    gn = None
+    c_rows = params.D * (ed.lap @ c)
+    drift = None
     if mode == "two-way":
-        gn = (ed.gn @ sigma_h_nodal).reshape(-1, 3)          # grad N_i . grad sigma_h
-    diffusion, drift = _diffusion_terms(ed, c, gn, params)
-    r_c = ed.mass @ (d_c / dt) + diffusion
-    if drift is not None:
-        r_c -= drift
-    residual[:, 2] = r_c
-    return Iterate(residual.ravel(), sigma_h_nodal, stress, plastic, gn, strain)
+        drift = ed.drift_op @ (ed.gn @ sigma_h_nodal)
+        drift *= params.drift_coeff
+        c_rows -= _with_data(ed.mass, drift) @ c
+    residual[:, 2] = ed.mass @ (d_c / dt) + c_rows
+    return Iterate(residual.ravel(), sigma_h_nodal, stress, plastic, drift, c_rows, strain)
 
 
-def _diffusion_terms(elem_data, c, gn, params):
-    """The terms of the c rows besides the mass term: ``D lap @ c`` and the
-    two-way drift term of the drift factors ``gn`` (None if ``gn`` is)."""
-    ed = elem_data
-    drift = (None if gn is None else
-             params.drift_coeff * (ed.to_nodes @ ((ed.c_w @ c)[:, None] * gn).ravel()))
-    return params.D * (ed.lap @ c), drift
-
-
-def zero_increment(elem_data, committed, start, params):
+def zero_increment(committed, start, params):
     """The residual pass at the zero increment of the step that starts at
     ``start`` from the committed iterate whose pass is ``committed``, taken
-    from that pass; None where an element trial-yields at zero increment, so
-    that only a full pass (``assemble_residual``) gives its plastic set.
+    from that pass; None where an element trial-yields at zero increment
+    (``trial_yields``), so that only a full pass (``assemble_residual``)
+    gives its plastic set.
 
     At zero increment ``d_eps`` and ``d_c`` are exactly zero, so the stress
     sums are the committed ones bit for bit, and with them the mechanics
-    rows, the recovered hydrostatic stress and the drift factors. The mass
-    term ``mass @ (0 / dt)`` is a zero vector, which leaves the c rows
-    ``D lap c`` less the drift, formed here again from the step start's c
-    (keeping them would add two nodal vectors to every ``Iterate``). So this
-    is ``assemble_residual`` at the committed (u, c), with an empty plastic
-    set, without its passes over the elements.
+    rows, the recovered hydrostatic stress, the drift block and the c rows
+    without their mass term. The mass term ``mass @ (0 / dt)`` is a zero
+    vector, so the c rows are those. So this is ``assemble_residual`` at the
+    committed (u, c), with an empty plastic set, without its passes over the
+    elements.
     """
     if start.xi is not None and trial_yields(start.xi, start.fields.material.eps_p_eq, params):
         return None
     residual = committed.residual.copy()
-    diffusion, drift = _diffusion_terms(elem_data, start.fields.c, committed.gn, params)
-    residual[2::3] = diffusion if drift is None else diffusion - drift
+    residual[2::3] = committed.c_rows
     return Iterate(residual, committed.sigma_h_nodal, committed.stress_sum, PlasticPoints.none(),
-                   committed.gn, committed.strain)
+                   committed.drift, committed.c_rows, committed.strain)
 
 
 def iterate_states(start, iterate, params):
@@ -789,28 +806,25 @@ def iterate_states(start, iterate, params):
         old.eps_p, old.back_stress, old.eps_p_eq, iterate.plastic, params))
 
 
-def assemble_jacobian(elem_data, fixed, iterate, params, dt):
+def assemble_jacobian(elem_data, fixed, iterate, dt):
     """Jacobian at ``iterate`` as ``JacobianRows``: the base Jacobian at dt
-    (``fixed.at(dt)``), less the two-way drift block in K_cc and the tangent
-    corrections of the plastic elements, ``A_e B^T C_corr B``, in their K_uu
-    slots of the mechanics rows. A block with no such term is the base
-    block itself, whose data is read-only (the mechanics rows without
-    plastic elements, K_cc in one-way coupling); a block with one is a new
-    CSR matrix over the base block's pattern, formed from a copy of its
-    data. So the iterate with neither (one-way coupling, no plastic element)
-    gets the base itself."""
+    (``fixed.at(dt)``), less the two-way drift block in K_cc (the
+    iterate's ``drift`` data) and the tangent corrections of the plastic
+    elements, ``A_e B^T C_corr B``, in their K_uu slots of the mechanics
+    rows. A block with no such term is the base block itself, whose data is
+    read-only (the mechanics rows without plastic elements, K_cc in one-way
+    coupling); a block with one is a new CSR matrix over the base block's
+    pattern, with new data. So the iterate with neither (one-way coupling,
+    no plastic element) gets the base itself."""
     ed = elem_data
     base = fixed.at(dt)
     plastic = iterate.plastic
-    if iterate.gn is None and not plastic.index.size:
+    if iterate.drift is None and not plastic.index.size:
         return base
     mech, cc = base
-    if iterate.gn is not None:
+    if iterate.drift is not None:
         # frozen drift: the K_cu sensitivity is dropped (Picard)
-        drift = np.einsum("ei,ej->eij", iterate.gn, ed.shape_int)
-        drift *= params.drift_coeff
-        data = np.bincount(ed.cc_pair.ravel(), weights=drift.ravel(), minlength=cc.nnz)
-        cc = _with_data(cc, np.subtract(cc.data, data, out=data))
+        cc = _with_data(cc, cc.data - iterate.drift)
     if plastic.index.size:
         pe = plastic.index
         b_pe = ed.b_eng[pe]
@@ -844,7 +858,7 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
     start = step_start(ed, fields_old, params)
     it = assemble_residual(ed, fields_new.u, fields_new.c, start, params, dt, mode,
                            frozen_sigma_h=frozen_sigma_h)
-    jacobian = (assemble_jacobian(ed, fixed_jacobian(ed, params), it, params, dt).interleaved()
+    jacobian = (assemble_jacobian(ed, fixed_jacobian(ed, params), it, dt).interleaved()
                 if want_jacobian else None)
     states = point_states(ed, params, fields_new.c, iterate_states(start, it, params))
     return it.residual, jacobian, states, it.sigma_h_nodal

@@ -33,6 +33,8 @@ import numpy as np
 GAS_CONSTANT = 8.314  # J/(mol K)
 
 YIELD_TOL_FACTOR = 1e-6     # |f| <= tol_f = 1e-6 * sigma_y0 after any update
+# f / sigma_y up to which ``trial_yields`` counts a row as on the yield surface
+SURFACE_ROUNDOFF = 20.0 * np.finfo(float).eps
 LOCAL_ITER_CAP = 50
 
 _NORMALS = np.array([1.0, 1.0, 1.0, 0.0])
@@ -187,19 +189,29 @@ class MaterialState:
         return self.eps_p_eq.shape
 
 
+def _yield_stress(eps_p_eq, params):
+    """Current yield stress sigma_y at the equivalent plastic strain
+    ``eps_p_eq``; it does not move under kinematic hardening."""
+    hardening = 0.0 if params.hardening_kind == "kinematic" else params.H * eps_p_eq
+    return params.sigma_y0 + hardening
+
+
 def _yield(xi, eps_p_eq, params):
     """von Mises value sigma_e of the relative stress ``xi`` = dev(sigma) -
     beta, and the yield function f = sigma_e - sigma_y in stress units for
     both hardening kinds."""
     sig_e = np.sqrt(np.maximum(1.5 * ddot(xi, xi), 0.0))
-    hardening = 0.0 if params.hardening_kind == "kinematic" else params.H * eps_p_eq
-    return sig_e, sig_e - (params.sigma_y0 + hardening)
+    return sig_e, sig_e - _yield_stress(eps_p_eq, params)
 
 
 def trial_yields(xi_tr, eps_p_eq, params):
     """Whether any row of the flat batch yields at its trial relative stress
-    ``xi_tr`` (f_tr > 0), the test ``radial_return`` starts with."""
-    return bool(np.any(_yield(xi_tr, eps_p_eq, params)[1] > 0.0))
+    ``xi_tr`` beyond roundoff: f_tr > SURFACE_ROUNDOFF sigma_y. A row that
+    ``radial_return`` returned sits on the yield surface only to roundoff
+    (a few eps sigma_y above it), and this test counts it as on the
+    surface; ``radial_return`` itself returns every row with f_tr > 0."""
+    _, f = _yield(xi_tr, eps_p_eq, params)
+    return bool(np.any(f > SURFACE_ROUNDOFF * _yield_stress(eps_p_eq, params)))
 
 
 # maps engineering strain to the tensor-component deviator

@@ -433,15 +433,14 @@ def build_scenario(config):
 def write_probe_csv(history, scenario, path):
     """One row per probe per recorded step, %.12e formatting."""
     sc = scenario.scales
-    lines = [CSV_HEADER]
+    cells = []
     for t, sample in zip(history.times, history.samples):
         for name in sorted(sample):
             s = sample[name]
-            row = [t, sc.t_hat(t), name, s["x"], s["y"], s["c"], sc.c_hat(s["c"]),
-                   s["sigma_h"], sc.sigma_h_hat(s["sigma_h"]), s["sigma_e"], s["eps_p_eq"]]
-            lines.append(",".join(
-                v if isinstance(v, str) else f"{v:.12e}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+            cells += (t, sc.t_hat(t), name, s["x"], s["y"], s["c"], sc.c_hat(s["c"]),
+                      s["sigma_h"], sc.sigma_h_hat(s["sigma_h"]), s["sigma_e"], s["eps_p_eq"])
+    row = "%.12e,%.12e,%s," + ",".join(["%.12e"] * 8) + "\n"
+    Path(path).write_text(CSV_HEADER + "\n" + (row * (len(cells) // 11)) % tuple(cells))
 
 
 def _rows(fmt, values):

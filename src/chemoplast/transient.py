@@ -24,10 +24,11 @@ from its residual pass, serve as they are). ``run`` carries that pass
 step start moves no Dirichlet value (the load is subtracted separately, so
 traction and flux ramps do not count), the first iterate is the committed
 iterate unchanged, and its residual pass is the committed one at zero
-increment (``assembly.zero_increment``): the same stress sums, and the c
-rows without their mass term, which vanishes. So it is taken from the
+increment (``assembly.zero_increment``): the same stress sums, drift block
+and c rows without their mass term, which vanishes. So it is copied from the
 committed pass, bit for bit, unless the yield test at zero increment finds
-an element above the yield surface, whose return only a full pass gives.
+an element above the yield surface by more than roundoff, whose return
+only a full pass gives.
 The step holds the pass no longer than its first iterate needs it, so a
 retry at half the dt finds only its strain and computes its first pass in
 full. Every other Newton iterate costs one residual pass on the element
@@ -39,9 +40,9 @@ mechanics rows [K_uu K_uc] and the concentration rows K_cc. Each block of
 an evaluation is the base block itself where no iterate term changes it
 (the elastic mechanics rows of an iterate without plastic elements, the
 one-way K_cc), so the block solver finds its entries already in place;
-otherwise it is the base block less the drift block or the plastic
-elements' corrections. The roundoff floors of an iterate come from the
-last Jacobian evaluated, |K_u| |w| on the u rows and |K_cc| |c| on the c
+otherwise it is the base block less the drift block, whose data the
+iterate's residual pass formed, or the plastic elements' corrections. The
+roundoff floors of an iterate come from the last Jacobian evaluated, |K_u| |w| on the u rows and |K_cc| |c| on the c
 rows. Each is computed only when a test reads it: |K_cc| |c| when the c
 block misses its tolerance, |K_u| |w| when the c block then passes its
 floor test or the residual grew. They come from the blocks' entrywise
@@ -231,14 +232,14 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         return it, it.residual - load
 
     taken = None if committed is None else committed.take_pass()
-    it = zero_increment(ed, taken, start, params) if held and taken is not None else None
+    it = zero_increment(taken, start, params) if held and taken is not None else None
     taken = None        # the first iterate, if it came from the pass, holds what it needs
     first_pass = int(it is None)        # the first iterate's pass is computed
     if first_pass:
         it, res = residual_at(w)
     else:
         res = it.residual - load
-    jac = assemble_jacobian(ed, fixed, it, params, dt)
+    jac = assemble_jacobian(ed, fixed, it, dt)
     abs_jac = [None, None]      # |jac| block by block, formed when a floor is first needed
     jacobians = 1
 
@@ -288,7 +289,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         if n_solves > 0:            # jac is an earlier iterate's
             jac = None              # free the last Jacobian before evaluating the next
             abs_jac = [None, None]
-            jac = assemble_jacobian(ed, fixed, it, params, dt)
+            jac = assemble_jacobian(ed, fixed, it, dt)
             jacobians += 1
         try:
             dw = block_solver.newton_update(jac, res)

@@ -293,7 +293,7 @@ def _fd_jacobian_error(mesh, f0, f1, mat, dt=0.5, mode="two-way"):
     dm = asm.DofMap(mesh.n_nodes)
     start = asm.step_start(ed, f0, mat)
     it = asm.assemble_residual(ed, f1.u, f1.c, start, mat, dt, mode)
-    jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, dt).interleaved().toarray()
+    jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, dt).interleaved().toarray()
     w0 = dm.join(f1.u, f1.c)
     steps = np.tile([1e-10, 1e-10, 1e-5], mesh.n_nodes)
     err, same_plastic_set = 0.0, True
@@ -446,6 +446,34 @@ class TestAssemblyPlan:
         assert np.array_equal(ed.mass.indices, ref_cc.indices)
         assert np.array_equal(ed.mass.indptr, ref_cc.indptr)
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["recovered", "frozen-sigma-h"])
+    def test_drift_entries_are_the_element_formula(self, steel_plastic, rng, frozen):
+        # the drift block's node-pattern data, formed by the per-mesh
+        # operator, is the element formula gn_i N_j scattered by cc_pair:
+        # bitwise before the drift coefficient is applied, to roundoff
+        # after. The Jacobian's K_cc is the base less it
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        ed = asm.precompute(m)
+        f0, f1, it = _mixed_iterate(m, ed, steel_plastic, rng)
+        sigma_h = it.sigma_h_nodal
+        if frozen:
+            sigma_h = rng.normal(scale=1e8, size=m.n_nodes)
+            it = asm.assemble_residual(ed, f1.u, f1.c, asm.step_start(ed, f0, steel_plastic),
+                                       steel_plastic, 0.5, "two-way", frozen_sigma_h=sigma_h)
+        gn = (ed.gn @ sigma_h).reshape(-1, 3)
+        elem = np.einsum("ei,ej->eij", gn, ed.shape_int)
+        slots = ed.cc_pair.ravel()
+        assert np.array_equal(ed.drift_op @ gn.ravel(),
+                              np.bincount(slots, weights=elem.ravel(), minlength=ed.mass.nnz))
+        coeff = steel_plastic.drift_coeff
+        ref = np.bincount(slots, weights=coeff * elem.ravel(), minlength=ed.mass.nnz)
+        size = np.bincount(slots, weights=np.abs(coeff * elem).ravel(), minlength=ed.mass.nnz)
+        assert np.all(np.abs(it.drift - ref) <= 20.0 * np.finfo(float).eps * size)
+        assert np.any(ref)
+        fixed = asm.fixed_jacobian(ed, steel_plastic)
+        _, cc = asm.assemble_jacobian(ed, fixed, it, 0.5)
+        assert np.array_equal(cc.data, fixed.at(0.5).cc.data - it.drift)
+
     @pytest.mark.parametrize("material", ["steel_plastic", "steel_kinematic"])
     def test_plastic_two_way_iterate_matches_reference(self, material, request, rng):
         mat = request.getfixturevalue(material)
@@ -493,7 +521,7 @@ class TestAssemblyPlan:
         for mode, dt in (("one-way", 0.5), ("two-way", 0.25)):
             it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, mode)
             assert it.plastic.index.size == 0
-            jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, dt)
+            jac = asm.assemble_jacobian(ed, fixed, it, dt)
             assert jac.mech is fixed.mech
 
     def test_jacobian_is_fixed_plus_changing_part(self, steel_plastic, rng):
@@ -504,7 +532,7 @@ class TestAssemblyPlan:
         ed = asm.precompute(m)
         fixed = asm.fixed_jacobian(ed, steel_plastic)
         _, _, it = _mixed_iterate(m, ed, steel_plastic, rng)
-        jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5)
+        jac = asm.assemble_jacobian(ed, fixed, it, 0.5)
         changed = np.flatnonzero(jac.mech.data != fixed.mech.data)
         assert changed.size > 0
         assert np.all(np.isin(changed, ed.uu_slots[it.plastic.index]))
@@ -532,7 +560,7 @@ class TestAssemblyPlan:
         for dt in (0.5, 0.5, 0.25):
             it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, "one-way")
             assert it.plastic.index.size == 0
-            base = asm.assemble_jacobian(ed, fixed, it, steel_plastic, dt)
+            base = asm.assemble_jacobian(ed, fixed, it, dt)
             assert base is fixed.at(dt) and base.mech is fixed.mech
             assert np.array_equal(base.cc.data, fixed.k_diff.data + mass / dt)
             for block in base:
@@ -542,7 +570,7 @@ class TestAssemblyPlan:
         assert bases[0] is bases[1] and bases[2] is not bases[0]
         # a two-way iterate gets a new K_cc and leaves the base as it is
         it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, 0.25, "two-way")
-        jac = asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.25)
+        jac = asm.assemble_jacobian(ed, fixed, it, 0.25)
         assert jac.mech is fixed.mech and jac.cc is not bases[2].cc
         assert not np.array_equal(jac.cc.data, bases[2].cc.data)
         assert np.array_equal(bases[2].cc.data, fixed.k_diff.data + mass / 0.25)
@@ -559,7 +587,7 @@ class TestJacobianRows:
         fixed = asm.fixed_jacobian(ed, steel_plastic)
         _, f1, it = _mixed_iterate(m, ed, steel_plastic, rng)
         w = np.abs(asm.DofMap(m.n_nodes).join(f1.u, f1.c))
-        mixed = asm.assemble_jacobian(ed, fixed, it, steel_plastic, 0.5)
+        mixed = asm.assemble_jacobian(ed, fixed, it, 0.5)
         base = fixed.at(0.5)
         is_c = np.arange(w.size) % 3 == 2
         for jac in (mixed, base):
@@ -577,8 +605,7 @@ class TestJacobianRows:
         ed = asm.precompute(m)
         dm = asm.DofMap(m.n_nodes)
         f0, f1, it = _mixed_iterate(m, ed, steel_plastic, rng)
-        mech, cc = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, steel_plastic), it,
-                                         steel_plastic, 0.5)
+        mech, cc = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, steel_plastic), it, 0.5)
         full = asm.assemble_system(m, dm, f1, f0, steel_plastic, 0.5, "two-way",
                                    elem_data=ed)[1]
         is_c = np.arange(dm.n_dofs) % 3 == 2
@@ -635,7 +662,7 @@ class TestIterateStates:
         # their stress sums give the residual's mechanics rows to a fifth of
         # the Newton loop's roundoff floor, 20 eps |J| |w|
         rows = ed.strain_t @ np.einsum("eq,eqa->ea", ed.wq, states.sigma).ravel()
-        jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, mat, 0.5).interleaved()
+        jac = asm.assemble_jacobian(ed, asm.fixed_jacobian(ed, mat), it, 0.5).interleaved()
         floor = (abs(jac) @ np.abs(dm.join(f2.u, f2.c))).reshape(-1, 3)[:, :2].ravel()
         assert np.all(np.abs(rows - it.residual.reshape(-1, 3)[:, :2].ravel()) <= 4.0 * eps * floor)
 

@@ -313,6 +313,23 @@ class TestCompactReturnMap:
         swell = plastic.correction() @ np.array([1.0, 1.0, 1.0, 0.0])
         assert np.abs(swell).max() <= 1e-12 * c_max
 
+    @pytest.mark.parametrize("excess, yields", [(0.0, False), (10.0, False), (40.0, True)])
+    def test_trial_yields_counts_roundoff_above_the_surface_as_on_it(self, hardening, excess,
+                                                                     yields):
+        # a row above the yield surface by `excess` eps sigma_y: up to 20 eps
+        # the zero-increment test counts it as on the surface, while the
+        # return map returns every row above it
+        eps_p_eq = np.array([2e-3])
+        sig_y = hardening.sigma_y0 + (hardening.H if hardening.hardening_kind == "isotropic"
+                                      else 0.0) * eps_p_eq
+        direction = ct.deviator(np.array([[1.0, -0.4, 0.2, 0.3]]))
+        unit = direction / np.sqrt(1.5 * ct.ddot(direction, direction))[:, None]
+        xi = unit * (sig_y * (1.0 + excess * np.finfo(float).eps))[:, None]
+        f = np.sqrt(1.5 * ct.ddot(xi, xi)) - sig_y
+        assert abs(f[0] / sig_y[0] - excess * np.finfo(float).eps) <= 4.0 * np.finfo(float).eps
+        assert ct.trial_yields(xi, eps_p_eq, hardening) is yields
+        assert ct.radial_return(xi, eps_p_eq, hardening).index.size == int(f[0] > 0.0)
+
     def test_elastic_material_has_no_plastic_points(self, steel, rng):
         state = ct.MaterialState.zeros((7, 3))
         new, plastic = ct.update_stress(state, rng.normal(scale=1e-2, size=(7, 3, 4)),

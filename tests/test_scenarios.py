@@ -323,6 +323,32 @@ class TestWriters:
         assert "e" in cells[0]
         assert abs(float(cells[1]) - scen.scales.t_hat(hist.times[0])) < 1e-15
 
+    def test_csv_matches_per_value_writer(self, tmp_path):
+        # one format over all rows gives the bytes of formatting every value
+        # on its own, probes sorted by name within each step
+        scen = sc.build_scenario(sc.load_config(BASE_PLATE))
+        hist = tr.TimeHistory()
+        odd = [-0.0, 1e-300, -1.5e200, 7.0, 123456789.0, 0.1]
+        for k, t in enumerate((0.5, 1.0, 2.25)):
+            sample = {}
+            for name in ("b", "a"):
+                v = np.roll(odd, k + len(name) + (name == "a"))
+                sample[name] = dict(zip(("x", "y", "c", "sigma_h", "sigma_e", "eps_p_eq"),
+                                        map(float, v)))
+            hist.append(t, {}, sample)
+        path = tmp_path / "probes.csv"
+        sc.write_probe_csv(hist, scen, path)
+        scales = scen.scales
+        expected = [sc.CSV_HEADER]
+        for t, sample in zip(hist.times, hist.samples):
+            for name in sorted(sample):
+                s = sample[name]
+                row = [t, scales.t_hat(t), name, s["x"], s["y"], s["c"], scales.c_hat(s["c"]),
+                       s["sigma_h"], scales.sigma_h_hat(s["sigma_h"]), s["sigma_e"], s["eps_p_eq"]]
+                expected.append(",".join(v if isinstance(v, str) else f"{v:.12e}" for v in row))
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert len(expected) == 7 and "-0.000000000000e+00" in expected[1]
+
     def test_vtk_format(self, tmp_path):
         scen, hist, fields = self._small_history(tmp_path)
         path = tmp_path / "snap.vtk"

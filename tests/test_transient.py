@@ -334,8 +334,10 @@ class TestCarriedStrain:
         strains = call_spy("element_strain", asm)
         hist, _ = tr.run(scen)
         assert not hist.events
-        # one per residual pass (newton_iters + 1 a step), one for the initial fields
-        assert len(strains) == sum(r["newton_iters"] + 1 for r in hist.records) + 1
+        # the hold step takes its first pass from the committed one
+        assert [r["residual_passes"] - r["newton_iters"] for r in hist.records] == [1, 1, 0]
+        # one per residual pass computed, one for the initial fields
+        assert len(strains) == sum(r["residual_passes"] for r in hist.records) + 1
 
     def test_retried_step_starts_from_the_strain_of_its_fields(self, monkeypatch):
         # the third step's first attempt fails; its retry at half the dt
@@ -386,9 +388,9 @@ def spy_zero_increments(monkeypatch):
     real = tr.zero_increment
     seen = []
 
-    def spy(elem_data, committed, start, params):
-        it = real(elem_data, committed, start, params)
-        seen.append(((elem_data, committed, start, params), it is not None))
+    def spy(committed, start, params):
+        it = real(committed, start, params)
+        seen.append(((committed, start, params), it is not None))
         return it
 
     monkeypatch.setattr(tr, "zero_increment", spy)
@@ -417,14 +419,14 @@ class TestCommittedPass:
         start = asm.step_start(ed, fields, params, it.strain)
         fresh = asm.assemble_residual(ed, fields.u, fields.c, start, params, dt, mode)
         kept = it.residual.copy()
-        held = asm.zero_increment(ed, it, start, params)
+        held = asm.zero_increment(it, start, params)
         assert np.array_equal(it.residual, kept)                 # the committed pass is read only
-        for name in ("residual", "sigma_h_nodal", "stress_sum", "strain"):
+        for name in ("residual", "sigma_h_nodal", "stress_sum", "strain", "c_rows"):
             assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
         if mode == "two-way":
-            assert np.array_equal(held.gn, fresh.gn)
+            assert np.array_equal(held.drift, fresh.drift) and np.any(held.drift)
         else:
-            assert held.gn is None is fresh.gn
+            assert held.drift is None is fresh.drift
         assert held.plastic.index.size == 0 == fresh.plastic.index.size
 
     def test_refused_on_a_ramp_step(self, monkeypatch):
@@ -443,19 +445,26 @@ class TestCommittedPass:
         assert [r["residual_passes"] - r["newton_iters"] for r in hist.records] == [1, 1, 0, 0]
 
     def test_refused_where_an_element_trial_yields(self, monkeypatch):
-        # the plastic plate's hold steps start on the yield surface, where
-        # the yield test at zero increment finds elements above it by
-        # roundoff: only a full pass gives their plastic set. With a yield
-        # stress clear of them the same passes are taken
+        # an element clearly above the yield surface at zero increment (here
+        # with a yield stress lowered by 1e-12 of itself) refuses the pass,
+        # as only a full pass gives its return. The plastic plate's hold
+        # steps start with its returned elements on the surface up to
+        # roundoff, some of them above it by a few eps sigma_y: the yield
+        # test counts them as on it, and those passes are taken
         scen = sc.build_scenario(sc.load_config(YIELDING_PLATE))
         seen = spy_zero_increments(monkeypatch)
         hist, _ = tr.run(scen)
-        assert len(seen) == 3 and not any(given for _, given in seen)
-        for (ed, committed, start, params), _ in seen:
-            assert ct.trial_yields(start.xi, start.fields.material.eps_p_eq, params)
-            clear = replace(params, sigma_y0=2.0 * params.sigma_y0)
-            assert asm.zero_increment(ed, committed, start, clear) is not None
-        assert all(r["residual_passes"] == r["newton_iters"] + 1 for r in hist.records)
+        assert len(seen) == 3 and all(given for _, given in seen)
+        for (committed, start, params), _ in seen:
+            eps_p_eq = start.fields.material.eps_p_eq
+            sig_y = params.sigma_y0 + params.H * eps_p_eq        # isotropic hardening
+            f = np.sqrt(1.5 * ct.ddot(start.xi, start.xi)) - sig_y
+            assert 0.0 < f.max() < 1e-14 * params.sigma_y0
+            assert not ct.trial_yields(start.xi, eps_p_eq, params)
+            lowered = replace(params, sigma_y0=(1.0 - 1e-12) * params.sigma_y0)
+            assert ct.trial_yields(start.xi, eps_p_eq, lowered)
+            assert asm.zero_increment(committed, start, lowered) is None
+        assert [r["residual_passes"] - r["newton_iters"] for r in hist.records] == [1, 1, 0, 0, 0]
 
     def test_retry_after_a_reused_first_pass_is_the_full_pass_retry(self, monkeypatch):
         # the second step attempt takes its first pass from the committed
@@ -508,11 +517,11 @@ class TestCommittedPass:
         # a step takes the committed pass over: by its first Newton update
         # the committed residual is freed, and so is the rest of the pass on
         # a ramp step; on a step that took its first pass from it, the
-        # current iterate holds its gn until the next pass. Once the step is
-        # done, nothing of it is left but what the step's committed iterate
-        # shares with it
+        # current iterate holds its drift block and c rows until the next
+        # pass. Once the step is done, nothing of it is left but what the
+        # step's committed iterate shares with it
         scen = sc.build_scenario(sc.load_config(text))
-        names = ("residual", "gn")
+        names = ("residual", "drift", "c_rows")
         real_step, real_update = tr.step, sla.BlockSolver.newton_update
         carried, alive = [], []
 
@@ -876,6 +885,17 @@ class TestPlasticTransient:
         assert [e["event"] for e in hist.events] == ["dt_halved"]
         assert len(plans) == len(fixed) == len(solvers) == 2
         assert csr_builds == []
+
+    @pytest.mark.parametrize("text, built", [(COARSE_ELASTIC_ONE_WAY, False),
+                                             (COARSE_PLATE, True)], ids=["one-way", "two-way"])
+    def test_drift_operator_built_for_two_way_runs_only(self, call_spy, text, built):
+        # the operator from the drift factors to the drift block's data is
+        # made by the first two-way residual pass and kept on the run's
+        # assembly plan; a one-way run never makes it
+        fixed = call_spy("fixed_jacobian", asm, tr)
+        tr.run(sc.build_scenario(sc.load_config(text)))
+        (ed, _), = fixed
+        assert ("drift_op" in vars(ed)) is built
 
     def test_one_way_concentration_blind_to_plasticity(self):
         # strip with a mechanical load and chemo-mechanical coupling off in
