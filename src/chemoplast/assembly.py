@@ -81,7 +81,7 @@ terms; the time stepper subtracts the load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -94,6 +94,13 @@ from .constitutive import (ConstitutiveError, MaterialParams, MaterialState, Pla
 from .mesh import signed_areas
 
 _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
+# The degree-2 three-point rule on the unit triangle, exact for the mass
+# matrix and the linear concentration factor in the drift term: its points
+# (reference coordinates), its weights, and the linear shape functions
+# (1 - xi - eta, xi, eta) at its points, one row per point.
+QUAD_POINTS = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
+QUAD_WEIGHTS = np.full(3, 1 / 6)
+QUAD_SHAPE = np.stack([np.array([1.0 - xi - eta, xi, eta]) for xi, eta in QUAD_POINTS])
 
 
 class AssemblyError(RuntimeError):
@@ -119,28 +126,6 @@ class DofMap:
         w[:, :2] = np.asarray(u).reshape(self.n_nodes, 2)
         w[:, 2] = c
         return w.ravel()
-
-
-@dataclass
-class QuadratureRule:
-    """Points (reference coords) and weights on the unit triangle."""
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def default_rule():
-    """Degree-2 three-point rule (exact for the mass matrix and the linear
-    concentration factor in the drift term)."""
-    pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-    wts = np.full(3, 1 / 6)
-    return QuadratureRule(points=pts, weights=wts)
-
-
-def shape_tri3(xi, eta):
-    """Linear shape functions and their reference gradients at (xi, eta)."""
-    n = np.array([1.0 - xi - eta, xi, eta])
-    dn = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    return n, dn
 
 
 @dataclass
@@ -196,7 +181,7 @@ class FieldState:
             raise ValueError("FieldState.states: the per-point stresses of stressed fields "
                              "need the assembly plan and the material")
         n_elem = self.material.eps_p_eq.size
-        return _at_points(self.material, np.zeros((n_elem, default_rule().weights.size, 4)))
+        return _at_points(self.material, np.zeros((n_elem, QUAD_WEIGHTS.size, 4)))
 
 
 @dataclass
@@ -326,8 +311,7 @@ def _element_operator(cols, vals, n_cols, keep=None):
 
 
 def precompute(mesh):
-    """Assembly plan of ``mesh`` under ``default_rule``."""
-    rule = default_rule()
+    """Assembly plan of ``mesh`` under the three-point rule ``QUAD_POINTS``."""
     tris = mesh.tris
     p0 = mesh.nodes[tris[:, 0]]
     p1 = mesh.nodes[tris[:, 1]]
@@ -353,9 +337,8 @@ def precompute(mesh):
         b[:, 3, 2 * i] = grads[:, i, 1]       # gamma_xy
         b[:, 3, 2 * i + 1] = grads[:, i, 0]
 
-    shape_qp = np.stack([shape_tri3(xi, eta)[0] for xi, eta in rule.points])
-    wq = 2.0 * areas[:, None] * rule.weights[None, :]
-    m_e = np.einsum("eq,qi,qj->eij", wq, shape_qp, shape_qp)
+    wq = 2.0 * areas[:, None] * QUAD_WEIGHTS[None, :]
+    m_e = np.einsum("eq,qi,qj->eij", wq, QUAD_SHAPE, QUAD_SHAPE)
     gg = np.einsum("eid,ejd->eij", grads, grads)
 
     node_indptr, node_indices, pair = _node_pattern(n_nodes, tris)
@@ -372,15 +355,15 @@ def precompute(mesh):
                                b, 2 * n_nodes, in_b)
     elem_tris = tris[:, None, :]
     # one row per element, holding the integrals of its shape functions
-    c_w = _element_operator(elem_tris, (wq @ shape_qp)[:, None], n_nodes)
+    c_w = _element_operator(elem_tris, (wq @ QUAD_SHAPE)[:, None], n_nodes)
 
     return ElementData(
         areas=areas, b_eng=b,
-        shape_qp=shape_qp, wq=wq, shape_int=c_w.data.reshape(n_elem, 3), m_e=m_e, gg=gg,
+        shape_qp=QUAD_SHAPE, wq=wq, shape_int=c_w.data.reshape(n_elem, 3), m_e=m_e, gg=gg,
         mech_indptr=indptr, mech_indices=indices, mech_slot=slot,
         cc_pair=pair.reshape(n_elem, 9).astype(np.int32),
         strain=strain, strain_t=strain.T,
-        qp=_element_operator(elem_tris, shape_qp, n_nodes),
+        qp=_element_operator(elem_tris, QUAD_SHAPE, n_nodes),
         mass=node_matrix(m_e), lap=node_matrix(areas[:, None, None] * gg),
         gn=_element_operator(elem_tris, gg, n_nodes),
         c_w=c_w,
@@ -426,16 +409,11 @@ class BoundaryConditions:
     tractions   : list of (tag, (tx, ty))          -- components float or callable(t)
     fluxes      : list of (tag, j_in)              -- positive = into the domain
     """
-    dirichlet_u: list = None
-    pins: list = None
-    dirichlet_c: list = None
-    tractions: list = None
-    fluxes: list = None
-
-    def __post_init__(self):
-        for name in ("dirichlet_u", "pins", "dirichlet_c", "tractions", "fluxes"):
-            if getattr(self, name) is None:
-                setattr(self, name, [])
+    dirichlet_u: list = field(default_factory=list)
+    pins: list = field(default_factory=list)
+    dirichlet_c: list = field(default_factory=list)
+    tractions: list = field(default_factory=list)
+    fluxes: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -568,7 +546,7 @@ class FixedJacobian:
         self.k_diff = k_diff
         self.mass = mass
         self._dt = None
-        self._base = self._abs_cc = self._abs_mech = None
+        self._base = self._abs_cc = None
 
     def at(self, dt):
         """The base Jacobian at time step ``dt``: ``JacobianRows`` whose
@@ -584,12 +562,7 @@ class FixedJacobian:
 
     def magnitude(self, block):
         """Entrywise |block| of one row block of a ``JacobianRows``, over the
-        block's pattern; that of the elastic mechanics rows is formed once
-        per run, that of the base K_cc once per dt."""
-        if block is self.mech:
-            if self._abs_mech is None:
-                self._abs_mech = _magnitude(block)
-            return self._abs_mech
+        block's pattern; that of the base K_cc is formed once per dt."""
         if self._base is not None and block is self._base.cc:
             if self._abs_cc is None:
                 self._abs_cc = _magnitude(block)

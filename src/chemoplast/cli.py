@@ -7,7 +7,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .scenarios import (ConfigError, analytic_comparison, build_scenario,
-                        load_config, run_scenario, write_analytic_comparison)
+                        check_analytic_comparison, load_config, run_scenario,
+                        write_analytic_comparison)
 from .transient import RunAborted
 
 
@@ -46,6 +47,8 @@ def main(argv=None):
         if args.output_dir:
             config = replace(config, output_dir=args.output_dir)
         scenario = build_scenario(config)
+        if args.validate_analytic:
+            check_analytic_comparison(scenario)
         history, fields = run_scenario(scenario, output_dir=config.output_dir,
                                        quiet=args.quiet)
         if args.validate_analytic:

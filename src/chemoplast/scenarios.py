@@ -210,9 +210,12 @@ _CONFIG_KEYS = {
 
 def _parse_value(key, raw, kind, lineno):
     try:
-        return kind(raw)
+        val = kind(raw)
     except ValueError as err:
         raise ConfigError(f"line {lineno}: bad value for {key}: {err}") from err
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r} is not finite")
+    return val
 
 
 def load_config(text):
@@ -260,7 +263,7 @@ def load_config(text):
             parts = [s for s in raw.replace(",", " ").split() if s]
             if len(parts) != 2:
                 raise ConfigError(f"line {lineno}: probe {name} needs 'x, y', got {raw!r}")
-            cfg.probes.append((name, float(parts[0]), float(parts[1])))
+            cfg.probes.append((name, *(_parse_value(key, p, float, lineno) for p in parts)))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
@@ -487,6 +490,12 @@ def hole_boundary_angles(msh):
     return nodes[order], ang[order]
 
 
+def check_analytic_comparison(scenario):
+    """Raise ConfigError unless ``analytic_comparison`` applies to ``scenario``."""
+    if scenario.config is None or scenario.config.geometry_kind != "plate_with_hole":
+        raise ConfigError("analytic comparison requires the plate-with-hole scenario")
+
+
 def analytic_comparison(scenario, fields):
     """Hole-boundary comparison rows (beta, sigma_h_fe, sigma_h_exact, c_fe,
     c_exact) for the traction-loaded, insulated plate.
@@ -495,9 +504,8 @@ def analytic_comparison(scenario, fields):
     angle measured from the load axis (Kirsch's plane-strain field, see
     ``analytic.hole_hydrostatic``), the convention of ``loading.p``.
     """
+    check_analytic_comparison(scenario)
     cfg = scenario.config
-    if cfg is None or cfg.geometry_kind != "plate_with_hole":
-        raise ConfigError("analytic comparison requires the plate-with-hole scenario")
     params = scenario.params
     c_max = params.c_max
     c0_hat = scenario.c_initial / c_max

@@ -23,12 +23,13 @@ dt) is not read or checked again. Each of K_uu and K_cc keeps its
 KEPT_FACTORS most recently used factors, and one loop tries them on it,
 most recent first.
 
-K_cc is solved by iterative refinement against the new entries with a kept
-factor, as a stationary method (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12). A kept factor serves
-the solve only when the normwise backward error reaches ROUNDOFF_TOL; it is
-given up as soon as the observed contraction shows that this cannot happen
-within REFINE_STEPS steps.
+A solve with a fresh factor, and a K_cc solve with a kept one, is refined
+against the entries it solves, as a stationary method (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12), to one
+target: a normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||) of
+at most ROUNDOFF_TOL. The refinement gives up as soon as the observed
+contraction shows that the target cannot be reached within REFINE_STEPS
+steps.
 
 K_uu is solved inexactly. A Newton update only needs its linear residual
 below a forcing term times the right-hand side to keep the outer iteration
@@ -53,12 +54,15 @@ not change, or changes little between iterates, is factored a few times per
 run, and the plastic K_uu is factored again only when CG fails.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
-reported as SingularMatrixError). A solve with a fresh factor returns x with
-||A x - b|| <= SOLVE_TOL ||b|| after at most REFINE_STEPS refinement steps,
-or else with a normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||)
-<= BACKWARD_TOL; anything worse raises SingularMatrixError. A kept factor
-returns K_cc's x with that backward error at most ROUNDOFF_TOL, and K_uu's
-with ||b - A x|| <= FORCING ||b||.
+reported as SingularMatrixError). The solve contract has one rule per kind
+of factor:
+- a fresh factor, of either block or of ``solve``'s row-equilibrated
+  matrix, returns x at a backward error of at most ROUNDOFF_TOL, and
+  raises SingularMatrixError naming its matrix when refinement cannot
+  reach it;
+- a kept K_cc factor returns x at that backward error, or is passed over;
+- a kept K_uu factor returns x with ||b - A x|| <= FORCING ||b||, or is
+  passed over.
 A block that turns singular is reported when it is factored: refinement
 against a kept factor cannot converge on it unless the right-hand side lies
 in its range, and CG unless it lies within FORCING ||b|| of it; x then
@@ -72,14 +76,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-SOLVE_TOL = 1e-10          # relative residual guaranteed by every solve
 PIVOT_TOL = 1e-14          # pivot / max|A| threshold for singularity reporting
-# refinement steps after a solve's first: before the backward-error test with
-# a fresh factor, before a kept factor is given up (6 reaches ROUNDOFF_TOL at
-# a contraction of about 1e-2 per step; the two-way K_cc contracts by up to 6e-3)
+# refinement steps after a solve's first before its factor is given up (6
+# reaches ROUNDOFF_TOL at a contraction of about 1e-2 per step; the two-way
+# K_cc contracts by up to 6e-3 against a kept factor)
 REFINE_STEPS = 6
-BACKWARD_TOL = 1e-9        # normwise backward error accepted past the refinement floor
-ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error a kept factor must reach
+ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error a refined solve reaches
 # factors kept per block, most recently used first: a K_cc may return to the
 # entries of an older factor, while CG needs only the most recent K_uu factor
 KEPT_FACTORS = {"uu": 1, "cc": 2}
@@ -140,32 +142,11 @@ def _factor(A, what, **splu_options):
     return lu, a_max
 
 
-def _refined_solve(lu, A, a_max, b, what):
-    """x with ||A x - b|| <= SOLVE_TOL ||b|| from the factor ``lu`` of ``A``,
-    refined up to REFINE_STEPS times. Past that float64 floor the result is
-    accepted only while the normwise backward error stays at roundoff level."""
-    x = lu.solve(b)
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return x
-    for _ in range(REFINE_STEPS):
-        r = b - A @ x
-        if np.linalg.norm(r) <= SOLVE_TOL * b_norm:
-            return x
-        x = x + lu.solve(r)
-    eta = np.linalg.norm(b - A @ x) / (a_max * np.linalg.norm(x) + b_norm)
-    if eta > BACKWARD_TOL:
-        raise SingularMatrixError(
-            f"{what}: backward error {eta:.3e} after refinement; "
-            "matrix is effectively singular")
-    return x
-
-
-def _kept_solve(lu, A, a_max, b):
+def _refine(lu, A, a_max, b):
     """x with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| + ||b||), refined
-    against ``A`` from the factor ``lu`` of an earlier block; None as soon as
-    the residual contraction of the last step shows that this cannot be
-    reached within REFINE_STEPS refinement steps."""
+    against ``A`` from the factor ``lu`` of ``A`` or of an earlier block;
+    None as soon as the residual contraction of the last step shows that
+    this cannot be reached within REFINE_STEPS refinement steps."""
     b_norm = np.linalg.norm(b)
     x = lu.solve(b)
     r_prev = b_norm
@@ -188,10 +169,11 @@ def solve(A, b):
 
     The matrix is row-equilibrated before factoring -- the solution is
     unchanged, but pivot magnitudes become comparable across physics blocks
-    with wildly different units -- and the module's solve contract
-    (SOLVE_TOL, else BACKWARD_TOL) holds for the equilibrated system
-    D A x = D b. A numerically singular matrix (equilibrated pivot below
-    1e-14 * max|A|) raises SingularMatrixError instead of returning garbage.
+    with wildly different units -- and x reaches a backward error of
+    ROUNDOFF_TOL in the equilibrated system D A x = D b. A numerically
+    singular matrix (equilibrated pivot below PIVOT_TOL * max|A|, or a
+    backward error that refinement cannot bring to ROUNDOFF_TOL) raises
+    SingularMatrixError instead of returning garbage.
     """
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
@@ -207,7 +189,11 @@ def solve(A, b):
     d = 1.0 / row_max
     scaled = sp.csr_matrix((A.data * np.repeat(d, row_len), A.indices, A.indptr), shape=A.shape)
     lu, a_max = _factor(scaled, "solve (row-equilibrated)")
-    return _refined_solve(lu, scaled, a_max, d * b, "solve (row-equilibrated)")
+    x = _refine(lu, scaled, a_max, d * b)
+    if x is None:
+        raise SingularMatrixError("solve (row-equilibrated): refinement cannot reach a "
+                                  "roundoff backward error; matrix is effectively singular")
+    return x
 
 
 def _plan_block(A, rows, cols):
@@ -333,7 +319,7 @@ class BlockSolver:
         A = self._blocks[name][1]
         kept = self._kept[name]
         for i, lu in enumerate(kept):
-            x = _kept_solve(lu, A, self._cc_max, rhs) if name == "cc" else self._pcg(lu, A, rhs)
+            x = _refine(lu, A, self._cc_max, rhs) if name == "cc" else self._pcg(lu, A, rhs)
             if x is not None:
                 kept.insert(0, kept.pop(i))
                 self.reused += 1
@@ -347,7 +333,11 @@ class BlockSolver:
         del csc
         kept.insert(0, lu)
         self.factors += 1
-        return _refined_solve(lu, A, a_max, rhs, f"K_{name}")
+        x = _refine(lu, A, a_max, rhs)
+        if x is None:
+            raise SingularMatrixError(f"K_{name}: refinement cannot reach a roundoff backward "
+                                      "error; block is effectively singular")
+        return x
 
     def _pcg(self, lu, A, b):
         """x with ||b - A x|| <= FORCING ||b|| by CG against ``A``,

@@ -47,8 +47,7 @@ rows. Each is computed only when a test reads it: |K_cc| |c| when the c
 block misses its tolerance, |K_u| |w| when the c block then passes its
 floor test or the residual grew. They come from the blocks' entrywise
 absolute values, each formed at most once per Jacobian when first needed,
-for the elastic mechanics rows once per run and for the base K_cc at most
-once per dt.
+and for the base K_cc at most once per dt.
 
 Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
 next to the other per-run data from the patterns of the two row blocks and

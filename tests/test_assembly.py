@@ -7,35 +7,31 @@ from conftest import build_two_element_square, c_dofs, uniform_grid_mesh
 
 
 class TestShapeFunctions:
+    def test_partition_of_unity(self):
+        assert asm.QUAD_SHAPE.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-15)
+
+    def test_interpolates_the_coordinates(self):
+        # linear shape functions reproduce every linear field: the reference
+        # vertices (0, 0), (1, 0), (0, 1) interpolate to the points themselves
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert asm.QUAD_SHAPE @ vertices == pytest.approx(asm.QUAD_POINTS, abs=1e-15)
+
     def test_centroid(self):
-        n, _ = asm.shape_tri3(1 / 3, 1 / 3)
-        assert n == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-15)
-
-    def test_kronecker_at_vertices(self):
-        for k, (xi, eta) in enumerate([(0, 0), (1, 0), (0, 1)]):
-            n, _ = asm.shape_tri3(xi, eta)
-            expected = np.zeros(3); expected[k] = 1.0
-            assert n == pytest.approx(expected, abs=1e-15)
-
-    def test_partition_of_unity(self, rng):
-        for _ in range(10):
-            xi, eta = rng.uniform(0, 0.5, size=2)
-            n, dn = asm.shape_tri3(xi, eta)
-            assert n.sum() == pytest.approx(1.0, abs=1e-15)
-            assert dn.sum(axis=0) == pytest.approx([0.0, 0.0], abs=1e-15)
+        # the rule is exact for linear fields: the weighted mean of each shape
+        # function is its value at the centroid
+        mean = asm.QUAD_WEIGHTS @ asm.QUAD_SHAPE / asm.QUAD_WEIGHTS.sum()
+        assert mean == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-15)
 
 
 class TestQuadrature:
     def test_weights_sum_to_reference_area(self):
-        rule = asm.default_rule()
-        assert rule.weights.sum() == pytest.approx(0.5, abs=1e-15)
+        assert asm.QUAD_WEIGHTS.sum() == pytest.approx(0.5, abs=1e-15)
 
     def test_degree_two_exactness(self):
         # integrate x^2, x*y over the reference triangle: 1/12, 1/24
-        rule = asm.default_rule()
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        assert (rule.weights * x**2).sum() == pytest.approx(1 / 12, abs=1e-15)
-        assert (rule.weights * x * y).sum() == pytest.approx(1 / 24, abs=1e-15)
+        x, y = asm.QUAD_POINTS[:, 0], asm.QUAD_POINTS[:, 1]
+        assert (asm.QUAD_WEIGHTS * x**2).sum() == pytest.approx(1 / 12, abs=1e-15)
+        assert (asm.QUAD_WEIGHTS * x * y).sum() == pytest.approx(1 / 24, abs=1e-15)
 
 
 class TestRecovery:
@@ -372,7 +368,7 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     ed = asm.precompute(mesh)
     tris, b, grads = mesh.tris, ed.b_eng, _grads(mesh)
     edofs_u, edofs_c = _element_dofs(tris)
-    weights = asm.default_rule().weights
+    weights = asm.QUAD_WEIGHTS
     wq = 2.0 * ed.areas[:, None] * weights[None, :]
     d_eps = _element_strain(b, fields_new.u, tris) - _element_strain(b, fields_old.u, tris)
     d_eps[:, 3] *= 0.5
@@ -498,7 +494,7 @@ class TestAssemblyPlan:
         assert np.all(np.abs(res - ref_res) <= 4.0 * eps * floor)
         # sigma_h comes from the element stress sums, not from the returned
         # states, so it matches their recovery, and the reference's, to roundoff
-        own = _recovered_sigma_h(m, states, asm.default_rule().weights)
+        own = _recovered_sigma_h(m, states, asm.QUAD_WEIGHTS)
         assert np.abs(sh - own).max() <= 8.0 * eps * np.abs(own).max()
         assert np.abs(sh - ref_sh).max() <= 8.0 * eps * np.abs(ref_sh).max()
         assert np.array_equal(jac.indptr, ref_jac.indptr)
@@ -595,10 +591,12 @@ class TestJacobianRows:
             mech, cc = (fixed.magnitude(block) for block in jac)
             assert np.array_equal(mech @ w, rows[~is_c])
             assert np.array_equal(cc @ w[is_c], rows[is_c])
-        # the base blocks' magnitudes are kept, each formed when first asked for
-        kept = [fixed.magnitude(block) for block in base]
-        assert all(fixed.magnitude(block) is k for block, k in zip(base, kept))
-        assert fixed.magnitude(mixed.mech) is not kept[0]
+        # the base K_cc's magnitude is kept, formed when first asked for; the
+        # mechanics rows' is formed at every call
+        kept = fixed.magnitude(base.cc)
+        assert fixed.magnitude(base.cc) is kept
+        assert fixed.magnitude(mixed.cc) is not kept
+        assert fixed.magnitude(base.mech) is not fixed.magnitude(base.mech)
 
     def test_plastic_mechanics_rows_are_the_u_rows_of_assemble_system(self, steel_plastic, rng):
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)

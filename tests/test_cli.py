@@ -35,6 +35,20 @@ solver.dt_hat = 2e-3
 solver.t_end_hat = 0.04
 """
 
+ANNULUS = """
+geometry.kind = annulus
+geometry.r_i = 0.25
+geometry.r_o = 1.0
+geometry.target_h = 0.12
+material.preset = graphite_table2
+loading.kind = flux
+loading.J = 0.0
+coupling.mode = oneway
+plasticity.enabled = off
+solver.dt_hat = 0.02
+solver.t_end_hat = 0.1
+"""
+
 
 @pytest.fixture
 def plate_cfg(tmp_path):
@@ -69,6 +83,22 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert (out / "probes.csv").exists()
         assert (out / "final.vtk").exists()
+
+    @pytest.mark.parametrize("line", ["probes.A = 0.1, abc", "loading.t_ramp_hat = nan"])
+    def test_bad_number_exits_1_with_line(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(COARSE_PLATE.replace("loading.t_ramp_hat = 0.1\n", "") + line + "\n")
+        assert cli.main(["--config", str(bad), "--quiet"]) == 1
+        lineno = len(COARSE_PLATE.splitlines())
+        assert capsys.readouterr().err.startswith(f"error: line {lineno}: bad value")
+
+    def test_validate_analytic_off_the_plate_exits_1_before_the_run(self, tmp_path, capsys):
+        cfg = tmp_path / "annulus.cfg"
+        out = tmp_path / "annulus_out"
+        cfg.write_text(ANNULUS + f"output.dir = {out}\n")
+        assert cli.main(["--config", str(cfg), "--quiet", "--validate-analytic"]) == 1
+        assert "requires the plate-with-hole scenario" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOverridesAndOutputs:

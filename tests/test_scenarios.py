@@ -130,6 +130,19 @@ class TestLoadConfig:
         with pytest.raises(sc.ConfigError, match="solver.dt_hat"):
             sc.load_config("solver.dt_hat = soon\n")
 
+    @pytest.mark.parametrize("line", ["probes.A = 0.1, abc", "probes.A = nan, 0.1"])
+    def test_bad_probe_coordinate_reports_line(self, line):
+        lineno = len(BASE_PLATE.splitlines()) + 1
+        with pytest.raises(sc.ConfigError, match=f"line {lineno}: bad value for probes.A"):
+            sc.load_config(BASE_PLATE + line + "\n")
+
+    @pytest.mark.parametrize("line", ["loading.u_bar = nan", "solver.t_end = inf",
+                                      "material.sigma_y0 = -inf",
+                                      "concentration.dirichlet.hole = nan"])
+    def test_non_finite_number_rejected_with_line(self, line):
+        with pytest.raises(sc.ConfigError, match="line 1: bad value for .* is not finite"):
+            sc.load_config(line + "\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(sc.ConfigError, match="duplicate"):
             sc.load_config("geometry.L = 1.0\ngeometry.L = 2.0\n")

@@ -76,6 +76,13 @@ class TestSolve:
             x = sla.solve(A, b)
             assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    def test_roundoff_backward_error_out_of_reach_reports(self, rng, monkeypatch):
+        # the factor of the equilibrated matrix follows the fresh-factor rule
+        monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
+        A = _block_triangular(rng, n_nodes=8)
+        with pytest.raises(sla.SingularMatrixError, match="solve .row-equilibrated.: refinement"):
+            sla.solve(A, rng.normal(size=A.shape[0]))
+
     def test_shape_mismatch(self):
         A = sla.from_triplets(2, [(0, 0, 1.0), (1, 1, 1.0)])
         with pytest.raises(ValueError):
@@ -377,10 +384,11 @@ class TestBlockSolver:
         assert _u_residual_ratio(B, dw, res) <= sla.FORCING
 
     def test_kept_factor_needs_roundoff_backward_error(self, rows, rng, factors, monkeypatch):
-        # with the roundoff target out of float64's reach, refinement of a
-        # slightly changed K_cc reaches SOLVE_TOL and still refactors; K_uu
-        # only needs the forcing bound, which its kept factor meets
-        monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
+        # with no refinement step, the kept factor's first solve of a slightly
+        # changed K_cc misses the roundoff target and the block refactors,
+        # while the fresh factor's first solve meets it; K_uu only needs the
+        # forcing bound, which its kept factor meets
+        monkeypatch.setattr(sla, "REFINE_STEPS", 0)
         A = _block_triangular(rng, n_nodes=8)
         B = _perturbed(A, 1e-6, rng)
         res = rng.normal(size=A.shape[0])
@@ -388,10 +396,22 @@ class TestBlockSolver:
         solver.newton_update(rows(A), res)
         dw = solver.newton_update(rows(B), res)
         assert [f.n for f in factors] == [8, 16, 8] and solver.reused == 1
-        b_norm, *residuals = factors[0].rhs_norms[1:]      # B's K_cc update
-        assert min(residuals) <= sla.SOLVE_TOL * b_norm
+        assert factors[0].solves == 2 and factors[2].solves == 1     # A's, B's K_cc
         assert _c_residual_ratio(B, dw, res) <= 1e-12
         assert _u_residual_ratio(B, dw, res) <= sla.FORCING
+
+    @pytest.mark.parametrize("block", ["cc", "uu"])
+    def test_fresh_factor_needs_roundoff_backward_error(self, rows, rng, monkeypatch, block):
+        # with the roundoff target out of float64's reach, refinement with a
+        # fresh factor cannot meet it, and the block is reported; a zero
+        # r_c gives dc = 0 at once and takes the first fresh solve to K_uu
+        monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
+        A = _block_triangular(rng, n_nodes=8)
+        res = rng.normal(size=A.shape[0])
+        if block == "uu":
+            res[2::3] = 0.0
+        with pytest.raises(sla.SingularMatrixError, match=f"K_{block}: refinement"):
+            _solver(A).newton_update(rows(A), res)
 
     def test_block_turning_singular_still_raises(self, rows, rng):
         A = _block_triangular(rng)
@@ -488,7 +508,7 @@ class TestInexactKuu:
         is_u = np.arange(A.shape[0]) % 3 != 2
         A_uu = A[is_u][:, is_u]
         rhs_u = -(res + A @ np.where(is_u, 0.0, dw))[is_u]
-        kept = sla._kept_solve(uu_factor, A_uu, float(np.abs(A_uu.data).max()), rhs_u)
+        kept = sla._refine(uu_factor, A_uu, float(np.abs(A_uu.data).max()), rhs_u)
         assert np.array_equal(dw[is_u], kept)
 
     def test_k_uu_keeps_one_factor(self, rows, rng, factors):
@@ -533,7 +553,7 @@ class TestInexactKuu:
         dw = solver.newton_update(rows(B), res)
         assert [f.n for f in factors] == [8, 16, 16]   # K_cc kept, K_uu refactored
         assert solver.pcg_iters == 0 and solver.reused == 1
-        assert _u_residual_ratio(B, dw, res) <= sla.SOLVE_TOL
+        assert _u_residual_ratio(B, dw, res) <= 1e-12
         assert _c_residual_ratio(B, dw, res) <= 1e-12
 
     def test_singular_k_uu_raises(self, rows, rng):
