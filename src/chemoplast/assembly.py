@@ -81,7 +81,7 @@ terms; the time stepper subtracts the load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -189,16 +189,16 @@ class ElementData:
     """Assembly plan of one mesh, made once per run by ``precompute``.
 
     Everything here depends on the mesh and the quadrature rule only: the
-    geometry, the quadrature weights, the element mass and diffusion
-    kernels, the CSR pattern of the Jacobian's mechanics rows with the slot
-    of every element K_uu and K_uc entry, the place of every element K_cc
-    entry in the node pattern of ``mass`` and ``lap``, and the sparse
-    operators of the residual pass, of which the two-way drift operator
-    (``drift_op``) is formed when first read. With the material, it
-    gives the fixed Jacobian data (``fixed_jacobian``). What depends on the
-    iterate (stress sums, yield test and return, the drift block and the
-    plastic corrections) is computed by ``assemble_residual`` and
-    ``assemble_jacobian``, the element states by ``iterate_states``.
+    geometry, the quadrature weights, the element diffusion kernels, the CSR
+    pattern of the Jacobian's mechanics rows with the slot of every element
+    K_uu and K_uc entry, the place of every element K_cc entry in the node
+    pattern of ``mass`` and ``lap``, and the sparse operators of the
+    residual pass, of which the two-way drift operator (``drift_op``) is
+    formed when first read. With the material, it gives the fixed Jacobian
+    data (``fixed_jacobian``). What depends on the iterate (stress sums,
+    yield test and return, the drift block and the plastic corrections) is
+    computed by ``assemble_residual`` and ``assemble_jacobian``, the element
+    states by ``iterate_states``.
 
     The operators act on node-major fields: ``u.ravel()`` (2N) for the
     displacements, the (N,) nodal values otherwise; element rows are
@@ -207,10 +207,8 @@ class ElementData:
     """
     areas: np.ndarray       # (n_elem,)
     b_eng: np.ndarray       # (n_elem, 4, 6) engineering strain-displacement
-    shape_qp: np.ndarray    # (n_qp, 3) shape values at quadrature points
     wq: np.ndarray          # (n_elem, n_qp) physical quadrature weights
     shape_int: np.ndarray   # (n_elem, 3) sum_q w_q N_j(x_q), the integral of each shape function
-    m_e: np.ndarray         # (n_elem, 3, 3) consistent mass
     gg: np.ndarray          # (n_elem, 3, 3) grad N_i . grad N_j
     mech_indptr: np.ndarray  # CSR pattern of the mechanics rows [K_uu K_uc], (2N, 3N)
     mech_indices: np.ndarray
@@ -359,7 +357,7 @@ def precompute(mesh):
 
     return ElementData(
         areas=areas, b_eng=b,
-        shape_qp=QUAD_SHAPE, wq=wq, shape_int=c_w.data.reshape(n_elem, 3), m_e=m_e, gg=gg,
+        wq=wq, shape_int=c_w.data.reshape(n_elem, 3), gg=gg,
         mech_indptr=indptr, mech_indices=indices, mech_slot=slot,
         cc_pair=pair.reshape(n_elem, 9).astype(np.int32),
         strain=strain, strain_t=strain.T,
@@ -577,7 +575,7 @@ def fixed_jacobian(elem_data, params):
     b_t = ed.b_eng.transpose(0, 2, 1)
     k_uu = b_t @ (ed.wq.sum(axis=1)[:, None, None] * C) @ ed.b_eng
     chem = (C @ _CHEM_VEC) * (params.Omega / 3.0)
-    k_uc = -(b_t @ ((ed.wq[..., None] * chem).transpose(0, 2, 1) @ ed.shape_qp))
+    k_uc = -(b_t @ ((ed.wq[..., None] * chem).transpose(0, 2, 1) @ QUAD_SHAPE))
     k_diff = (params.D * ed.areas[:, None, None]) * ed.gg
     nnz, n = ed.mech_indices.size, ed.areas.size
     # the two blocks fill disjoint slots, so summing them block by block
@@ -651,9 +649,9 @@ class Iterate:
     """The residual pass at one iterate (``assemble_residual``), with what
     the Jacobian (``assemble_jacobian``) and the element state
     (``iterate_states``) of the same iterate need from it. When the iterate
-    is committed, its element strain is the next step's start strain, and
-    its pass gives the next step's first pass where that step starts from
-    it unchanged (``zero_increment``)."""
+    is committed, it is read only: its element strain is the next step's
+    start strain, and its pass gives the next step's first pass where that
+    step starts from it unchanged (``zero_increment``)."""
     residual: np.ndarray        # internal terms only
     sigma_h_nodal: np.ndarray
     stress_sum: np.ndarray      # (n_elem, 4) sum_q w_q sigma_q
@@ -661,17 +659,6 @@ class Iterate:
     drift: np.ndarray           # (nnz,) the drift block's data on the node pattern; None in one-way
     c_rows: np.ndarray          # (N,) the c rows of the residual without their mass term
     strain: np.ndarray          # (n_elem, 4) engineering strain of the iterate's u
-
-    def take_pass(self):
-        """A copy of this iterate, to which its residual pass moves: this
-        one keeps its strain, stress sums and nodal hydrostatic stress only
-        (which the committed fields and the step start hold anyway). None
-        once the pass has been taken."""
-        if self.residual is None:
-            return None
-        taken = replace(self)
-        self.residual = self.plastic = self.drift = self.c_rows = None
-        return taken
 
 
 def assemble_residual(elem_data, u, c, start, params, dt, mode, frozen_sigma_h=None):

@@ -15,7 +15,7 @@ boundary_tags   (B,)   str   -- one of left/right/top/bottom/hole/inner/outer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,7 +31,6 @@ class Mesh:
     tris: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    geometry: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for arr in (self.nodes, self.tris, self.boundary_edges, self.boundary_tags):
@@ -93,7 +92,7 @@ def _radial_stations(r0, total, dtheta, first_frac):
     return stations * (total / stations[-1])
 
 
-def _make_mesh(nodes, tris, tag_fn, geometry, size_scale):
+def _make_mesh(nodes, tris, tag_fn, size_scale):
     """Check the triangles' CCW orientation, extract/tag the boundary, run
     sanity checks."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
@@ -125,8 +124,7 @@ def _make_mesh(nodes, tris, tag_fn, geometry, size_scale):
     if not used.all():
         raise RuntimeError("mesh generation produced orphan nodes")
 
-    return Mesh(nodes=nodes, tris=tris, boundary_edges=b_edges,
-                boundary_tags=tags, geometry=dict(geometry))
+    return Mesh(nodes=nodes, tris=tris, boundary_edges=b_edges, boundary_tags=tags)
 
 
 def _quad_tris(a, b, c, d):
@@ -202,9 +200,7 @@ def generate_plate_with_hole(L, r, target_h):
         tags[np.abs(mids[:, 1] + half) < tol] = "bottom"
         return tags.astype(str)
 
-    return _make_mesh(nodes, tris, tag_fn,
-                      {"kind": "plate_with_hole", "L": L, "r": r, "target_h": target_h},
-                      size_scale=L)
+    return _make_mesh(nodes, tris, tag_fn, size_scale=L)
 
 
 def generate_annulus(r_i, r_o, target_h):
@@ -227,7 +223,6 @@ def generate_annulus(r_i, r_o, target_h):
 
     n_theta = _circle_node_count(r_o, target_h)
     dtheta = 2.0 * math.pi / n_theta
-    geometry = {"kind": "annulus", "r_i": r_i, "r_o": r_o, "target_h": target_h}
     tol = 1e-9 * r_o
 
     def tag_fn(mids):
@@ -245,7 +240,7 @@ def generate_annulus(r_i, r_o, target_h):
         radii = np.concatenate([[r_i], r_i + stations])
         nodes = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
         tris = _ring_band_tris(np.arange(nodes.shape[0]).reshape(-1, n_theta))
-        return _make_mesh(nodes, tris, tag_fn, geometry, size_scale=r_o)
+        return _make_mesh(nodes, tris, tag_fn, size_scale=r_o)
 
     # Solid disk: tan-graded Cartesian core block plus a mapped ring.
     n_q = n_theta // 4
@@ -276,7 +271,7 @@ def generate_annulus(r_i, r_o, target_h):
 
     ring = np.arange(core.size, nodes.shape[0]).reshape(-1, n_theta)
     tris = np.vstack([core_tris, _ring_band_tris(np.vstack([boundary_ids, ring]))])
-    return _make_mesh(nodes, tris, tag_fn, geometry, size_scale=r_o)
+    return _make_mesh(nodes, tris, tag_fn, size_scale=r_o)
 
 
 @dataclass

@@ -491,9 +491,14 @@ def hole_boundary_angles(msh):
 
 
 def check_analytic_comparison(scenario):
-    """Raise ConfigError unless ``analytic_comparison`` applies to ``scenario``."""
-    if scenario.config is None or scenario.config.geometry_kind != "plate_with_hole":
-        raise ConfigError("analytic comparison requires the plate-with-hole scenario")
+    """Raise ConfigError unless ``analytic_comparison`` applies to ``scenario``:
+    the traction-loaded, insulated plate."""
+    cfg = scenario.config
+    if (cfg is None or cfg.geometry_kind != "plate_with_hole" or cfg.loading_kind != "traction"
+            or not cfg.c_insulated):
+        raise ConfigError("analytic comparison requires the traction-loaded, insulated plate "
+                          "(geometry.kind = plate_with_hole, loading.kind = traction, "
+                          "concentration.insulated = on)")
 
 
 def analytic_comparison(scenario, fields):

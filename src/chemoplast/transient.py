@@ -1,80 +1,36 @@
 """Backward-Euler time stepping for the coupled system.
 
-Each step is one Newton solve of the coupled (u, c) system. The J2 return
-map sits inside the residual: every iterate runs the yield test and the
-return, once per element, from the element states at the start of the step.
-The committed element state is the converged iterate's stress sums and its
-plastic elements' returns (``assembly.iterate_states``), so it satisfies the
-discrete consistency condition of the residual that converged. Per-point
-values are formed only where they are read (``FieldState.states``).
+``run`` marches a scenario from t = 0 to t_end at the solver's dt; a last
+step shorter than dt takes the remainder. The data every step shares is
+made once per run: the assembly plan (``assembly.precompute``), the
+boundary plan (``assembly.plan_boundary``), the fixed Jacobian data
+(``assembly.fixed_jacobian``) and one ``sparse_linalg.BlockSolver``, whose
+factors carry over between steps (its factor policy is described there).
 
-``run`` resolves the boundary data once (``assembly.plan_boundary``). A step
-writes the Dirichlet values into its initial iterate and computes the
-traction and flux load once; every Newton residual subtracts it.
+Each step is one Newton solve of the coupled (u, c) system from the
+committed fields, with the J2 return map inside the residual
+(``assembly.assemble_residual``). A step writes the Dirichlet values at its
+end time into its initial iterate and computes the traction and flux load
+once; every residual subtracts it. The committed iterate
+(``assembly.Iterate``) is read only and serves every attempt of the next
+step: its strain is the step-start strain (``assembly.step_start``), and
+where the step start moves no Dirichlet value (the load is subtracted
+separately, so traction and flux ramps do not count), the first iterate is
+the committed one unchanged and its residual pass is the committed pass at
+zero increment (``assembly.zero_increment``), unless an element
+trial-yields there beyond roundoff. Every other iterate costs one residual
+pass. A Jacobian is evaluated at a step's first iterate and after that only
+for a Newton update (``assembly.assemble_jacobian``).
 
-``run`` also makes the Jacobian data that no iterate changes once
-(``assembly.fixed_jacobian``: the elastic mechanics rows [K_uu K_uc],
-K_diff and the mass). It forms the base K_cc ``K_diff + mass / dt`` once
-per time-step size, and again only when dt changes (a dt halving or a short
-last step).
-A step attempt forms the step-start data once (``assembly.step_start``:
-relative stresses; the committed iterate's element stress sums and strains,
-from its residual pass, serve as they are). ``run`` carries that pass
-(``assembly.Iterate``) to the next step, which takes it over. Where the
-step start moves no Dirichlet value (the load is subtracted separately, so
-traction and flux ramps do not count), the first iterate is the committed
-iterate unchanged, and its residual pass is the committed one at zero
-increment (``assembly.zero_increment``): the same stress sums, drift block
-and c rows without their mass term, which vanishes. So it is copied from the
-committed pass, bit for bit, unless the yield test at zero increment finds
-an element above the yield surface by more than roundoff, whose return
-only a full pass gives.
-The step holds the pass no longer than its first iterate needs it, so a
-retry at half the dt finds only its strain and computes its first pass in
-full. Every other Newton iterate costs one residual pass on the element
-stress sums, in which the return map runs on the trial-yielding elements
-only. A Jacobian is evaluated at a step's first iterate and after that
-only for a Newton update, so a step evaluates max(updates, 1) of them. The
-Jacobian is carried as its two row blocks (``assembly.JacobianRows``): the
-mechanics rows [K_uu K_uc] and the concentration rows K_cc. Each block of
-an evaluation is the base block itself where no iterate term changes it
-(the elastic mechanics rows of an iterate without plastic elements, the
-one-way K_cc), so the block solver finds its entries already in place;
-otherwise it is the base block less the drift block, whose data the
-iterate's residual pass formed, or the plastic elements' corrections. The
-roundoff floors of an iterate come from the last Jacobian evaluated, |K_u| |w| on the u rows and |K_cc| |c| on the c
-rows. Each is computed only when a test reads it: |K_cc| |c| when the c
-block misses its tolerance, |K_u| |w| when the c block then passes its
-floor test or the residual grew. They come from the blocks' entrywise
-absolute values, each formed at most once per Jacobian when first needed,
-and for the base K_cc at most once per dt.
-
-Newton updates come from one ``sparse_linalg.BlockSolver`` per run, planned
-next to the other per-run data from the patterns of the two row blocks and
-the boundary plan's constrained dofs. It solves the block upper-triangular
-Jacobian block by block, keeping the last two factors of K_cc and the last
-one of K_uu. A changed K_cc is refactored only when refinement against a
-kept factor does not reach a roundoff-level backward error. A changed K_uu
-is solved inexactly, by CG preconditioned with its kept factor down to a linear
-residual of ``sparse_linalg.FORCING`` times the right-hand side, and is
-refactored only when CG breaks down or reaches its iteration cap. The
-residual is exact, so this is an inexact Newton method (Dembo, Eisenstat &
-Steihaug, SIAM J. Numer. Anal. 19 (1982) 400-408): the converged answer
-moves only at the level of the Newton tolerance. So the elastic K_uu, the
-one-way K_cc and the slowly changing two-way K_cc are factored a few times
-per run, and the plastic K_uu, which changes at every update, not much more
-often. Each step records which of the two Newton exits it took
-(NEWTON_EXITS: both blocks within tolerance, or each within tolerance or at
-its roundoff floor), how many Jacobians it evaluated, how many factors it
-computed, how many block solves a kept factor served and how many CG
-iterations its K_uu solves took, how many quadrature points are plastic
-at its committed iterate (all of a plastic element's points), and how many
-residual passes it computed.
-
-A step is committed only through one of those exits. Step failures
-(Newton divergence, the iteration cap, singular solves, constitutive
-errors) trigger time-step halving, at most four times per step, before the
-run aborts.
+Convergence is judged per physics block, the mechanics rows and the
+concentration rows: against tolerances relative to the largest starting
+block residuals of the run, and against roundoff floors from the last
+Jacobian evaluated (|K_u| |w| and |K_cc| |c|, of the blocks' entrywise
+magnitudes, ``assembly.FixedJacobian.magnitude``). A step is committed only
+through one of NEWTON_EXITS and records what it took (``StepInfo``). Step
+failures (Newton divergence, the iteration cap, singular solves,
+constitutive errors) halve dt for the failing step only, at most
+``MAX_HALVINGS`` times, before the run aborts.
 """
 from __future__ import annotations
 
@@ -177,18 +133,19 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     ``scenario`` gives the material and the solver settings; the other
     arguments are the run's data, as ``step`` describes them. The boundary
     load at ``t_new`` is computed once and subtracted from every residual.
-    The relative tolerance is measured against the force scale ``refs``, so
+    The relative tolerance is measured against the force scale ``refs``, the
+    largest starting block residuals so far (failed attempts included), so
     quiescent hold phases are not asked to out-resolve the yield-surface
     jitter of points flipping between the elastic and plastic branch. The
     StepInfo counts the factors ``block_solver`` computed, the block solves
     its kept factors served and the CG iterations of its K_uu solves in this
     solve; the block norms are over its free dofs.
 
-    ``committed`` is the ``assembly.Iterate`` of ``fields_n`` (None to
-    compute its strain), and ``held`` says that ``w`` is its iterate
-    unchanged. The solve takes its pass over (``Iterate.take_pass``). Where
-    ``held``, the first iterate's residual pass comes from it
-    (``assembly.zero_increment``), unless an element trial-yields there.
+    ``committed`` is the read-only ``assembly.Iterate`` of ``fields_n``
+    (None to compute its strain), and ``held`` says that ``w`` is its
+    iterate unchanged. Where ``held``, the first iterate's residual pass
+    comes from it (``assembly.zero_increment``), unless an element
+    trial-yields there.
     Every other iterate costs one residual pass. A Jacobian is evaluated
     from that pass at the first iterate and after that only for a Newton
     update; the roundoff floors of an iterate come from the last Jacobian
@@ -230,9 +187,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
             raise StepFailure(f"assembly failed at t={t_new:g}: {err}") from err
         return it, it.residual - load
 
-    taken = None if committed is None else committed.take_pass()
-    it = zero_increment(taken, start, params) if held and taken is not None else None
-    taken = None        # the first iterate, if it came from the pass, holds what it needs
+    it = zero_increment(committed, start, params) if held and committed is not None else None
     first_pass = int(it is None)        # the first iterate's pass is computed
     if first_pass:
         it, res = residual_at(w)
@@ -313,10 +268,10 @@ def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs, commi
     The other arguments are the run's data, made once by ``run``: the
     assembly plan, the boundary plan, the fixed Jacobian data, the block
     solver whose kept factors carry over between steps, and the largest
-    starting block residuals seen so far; and ``committed``, the
-    ``assembly.Iterate`` of ``fields_n`` (None to compute its strain).
-    The step takes its residual pass over, and starts from it where the
-    step start moves no Dirichlet value; a retry finds only its strain.
+    starting block residuals seen so far (failed attempts included); and
+    ``committed``, the read-only ``assembly.Iterate`` of ``fields_n`` (None
+    to compute its strain), whose residual pass gives the first iterate's
+    where the step start moves no Dirichlet value.
     Returns (fields at t_n + dt, StepInfo, their Iterate). Raises
     StepFailure when the Newton solve cannot be completed.
     """
@@ -387,9 +342,8 @@ def run(scenario, progress_cb=None):
     ``scenario.params``. The data every step shares (assembly plan, boundary
     plan, fixed Jacobian data, block solver, reference residuals) is made
     here, once per run. The committed iterate's residual pass
-    (``assembly.Iterate``) is carried to the next step, so the callback must
-    not change the fields. That step takes the pass over; a retry at half
-    the dt finds only its strain, and computes its first pass in full.
+    (``assembly.Iterate``) is carried, read only, to every attempt of the
+    next step, so the callback must not change the fields.
 
     On a step failure the time step is halved (up to ``MAX_HALVINGS``
     times) for the failing step only; refinement events are recorded in the

@@ -55,8 +55,7 @@ def build_strip_mesh(nx, L=1.0, height=0.01):
     edges.append([nid(0, 0), nid(0, 1)]); tags.append("left")
     edges.append([nid(nx, 0), nid(nx, 1)]); tags.append("right")
     return mesh_mod.Mesh(np.asarray(nodes, float), np.asarray(tris, dtype=np.int64),
-                         np.asarray(edges, dtype=np.int64), np.asarray(tags, dtype=str),
-                         {"kind": "strip", "L": L, "height": height})
+                         np.asarray(edges, dtype=np.int64), np.asarray(tags, dtype=str))
 
 
 def build_two_element_square():
@@ -66,7 +65,7 @@ def build_two_element_square():
     tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]], dtype=np.int64)
     tags = np.array(["bottom", "right", "top", "left"])
-    return mesh_mod.Mesh(nodes, tris, edges, tags, {"kind": "square"})
+    return mesh_mod.Mesh(nodes, tris, edges, tags)
 
 
 def uniform_grid_mesh(n, L=1.0):
@@ -90,8 +89,7 @@ def uniform_grid_mesh(n, L=1.0):
         edges.append([nid(0, k), nid(0, k + 1)]); tags.append("left")
         edges.append([nid(n, k), nid(n, k + 1)]); tags.append("right")
     return mesh_mod.Mesh(nodes, np.asarray(tris, dtype=np.int64),
-                         np.asarray(edges, dtype=np.int64), np.asarray(tags, dtype=str),
-                         {"kind": "grid", "L": L})
+                         np.asarray(edges, dtype=np.int64), np.asarray(tags, dtype=str))
 
 
 @pytest.fixture

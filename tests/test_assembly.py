@@ -52,7 +52,7 @@ class TestRecovery:
     def test_single_element(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = msh.Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
-                     np.array(["outer"] * 3), {})
+                     np.array(["outer"] * 3))
         rec = asm.recover_hydrostatic(m, np.array([42.0]), asm.precompute(m).areas)
         assert rec == pytest.approx([42.0, 42.0, 42.0], rel=1e-15)
 
@@ -91,7 +91,7 @@ class TestResidual:
     def test_single_element_hand_assembly(self, steel, rng):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = msh.Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
-                     np.array(["outer"] * 3), {})
+                     np.array(["outer"] * 3))
         dm = asm.DofMap(3)
         f0 = _fields(m)
         f1 = f0.copy()
@@ -115,7 +115,7 @@ class TestResidual:
     def test_translation_invariance(self, steel):
         m1 = build_two_element_square()
         shifted = msh.Mesh(m1.nodes + np.array([3.7, -1.2]), m1.tris.copy(),
-                           m1.boundary_edges.copy(), m1.boundary_tags.copy(), {})
+                           m1.boundary_edges.copy(), m1.boundary_tags.copy())
         dm = asm.DofMap(4)
         out = []
         for mesh in (m1, shifted):
@@ -373,7 +373,7 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     d_eps = _element_strain(b, fields_new.u, tris) - _element_strain(b, fields_old.u, tris)
     d_eps[:, 3] *= 0.5
     ce_new, ce_old = fields_new.c[tris], fields_old.c[tris]
-    d_c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new - ce_old)
+    d_c_qp = np.einsum("qj,ej->eq", asm.QUAD_SHAPE, ce_new - ce_old)
     d_eps_qp = np.broadcast_to(d_eps[:, None, :], (mesh.n_elements, weights.size, 4))
     states, plastic = ct.update_stress(fields_old.states, d_eps_qp, d_c_qp, mat,
                                        return_tangent=True)
@@ -383,12 +383,12 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     drift = mat.D * mat.Omega / (mat.R * mat.T)
 
     r_u = np.einsum("eai,ea->ei", b, np.einsum("eq,eqa->ea", wq, states.sigma))
-    m_e = np.einsum("eq,qi,qj->eij", wq, ed.shape_qp, ed.shape_qp)
+    m_e = np.einsum("eq,qi,qj->eij", wq, asm.QUAD_SHAPE, asm.QUAD_SHAPE)
     k_diff = mat.D * ed.areas[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
     r_c = (np.einsum("eij,ej->ei", m_e, (ce_new - ce_old) / dt)
            + np.einsum("eij,ej->ei", k_diff, ce_new))
     gn = np.einsum("eid,ed->ei", grads, grad_sh)
-    c_qp = np.einsum("qj,ej->eq", ed.shape_qp, ce_new)
+    c_qp = np.einsum("qj,ej->eq", asm.QUAD_SHAPE, ce_new)
     r_c -= drift * (wq * c_qp).sum(axis=1)[:, None] * gn
     residual = np.zeros(dm.n_dofs)
     np.add.at(residual, edofs_u, r_u)
@@ -396,8 +396,8 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
 
     k_uu = np.einsum("eai,eab,ebj->eij", b, np.einsum("eq,eqab->eab", wq, tangent), b)
     chem = np.einsum("eqab,b->eqa", tangent, np.array([1.0, 1.0, 1.0, 0.0])) * (mat.Omega / 3.0)
-    k_uc = -np.einsum("eai,eq,eqa,qj->eij", b, wq, chem, ed.shape_qp)
-    k_cc = m_e / dt + k_diff - drift * np.einsum("eq,qj,ei->eij", wq, ed.shape_qp, gn)
+    k_uc = -np.einsum("eai,eq,eqa,qj->eij", b, wq, chem, asm.QUAD_SHAPE)
+    k_cc = m_e / dt + k_diff - drift * np.einsum("eq,qj,ei->eij", wq, asm.QUAD_SHAPE, gn)
     rows, cols = _triplets(tris)
     vals = np.concatenate([k_uu.ravel(), k_uc.ravel(), k_cc.ravel()])
     order = np.lexsort((cols, rows))
@@ -550,7 +550,8 @@ class TestAssemblyPlan:
         f1.u = rng.normal(scale=1e-6, size=(m.n_nodes, 2))
         f1.c = 100.0 + rng.normal(scale=5.0, size=m.n_nodes)
         start = asm.step_start(ed, f0, steel_plastic)
-        mass = np.bincount(ed.cc_pair.ravel(), weights=ed.m_e.ravel(), minlength=ed.mass.nnz)
+        m_e = np.einsum("eq,qi,qj->eij", ed.wq, asm.QUAD_SHAPE, asm.QUAD_SHAPE)
+        mass = np.bincount(ed.cc_pair.ravel(), weights=m_e.ravel(), minlength=ed.mass.nnz)
         assert np.array_equal(fixed.mass.data, mass)
         bases = []
         for dt in (0.5, 0.5, 0.25):

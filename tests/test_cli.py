@@ -92,12 +92,15 @@ class TestExitCodes:
         lineno = len(COARSE_PLATE.splitlines())
         assert capsys.readouterr().err.startswith(f"error: line {lineno}: bad value")
 
-    def test_validate_analytic_off_the_plate_exits_1_before_the_run(self, tmp_path, capsys):
-        cfg = tmp_path / "annulus.cfg"
-        out = tmp_path / "annulus_out"
-        cfg.write_text(ANNULUS + f"output.dir = {out}\n")
+    @pytest.mark.parametrize("text", [ANNULUS, COARSE_PLATE], ids=["annulus", "displacement-plate"])
+    def test_validate_analytic_off_the_plate_exits_1_before_the_run(self, tmp_path, capsys, text):
+        # the closed forms hold for the traction-loaded, insulated plate only
+        cfg = tmp_path / "off.cfg"
+        out = tmp_path / "off_out"
+        cfg.write_text(text + f"output.dir = {out}\n")
         assert cli.main(["--config", str(cfg), "--quiet", "--validate-analytic"]) == 1
-        assert "requires the plate-with-hole scenario" in capsys.readouterr().err
+        assert ("analytic comparison requires the traction-loaded, insulated plate"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 

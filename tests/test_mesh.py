@@ -110,7 +110,7 @@ class TestValidate:
     def test_single_equilateral(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
         m = msh.Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
-                     np.array(["outer"] * 3), {})
+                     np.array(["outer"] * 3))
         rep = msh.validate(m)
         assert rep.min_angle_deg == pytest.approx(60.0, abs=1e-9)
         assert rep.n_violations == 0
@@ -119,14 +119,14 @@ class TestValidate:
     def test_reversed_element_flagged(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = msh.Mesh(nodes, np.array([[0, 2, 1]]), np.array([[0, 1], [1, 2], [2, 0]]),
-                     np.array(["outer"] * 3), {})
+                     np.array(["outer"] * 3))
         rep = msh.validate(m)
         assert list(rep.inverted) == [0]
 
     def test_sliver_flagged(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.004]])
         m = msh.Mesh(nodes, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
-                     np.array(["outer"] * 3), {})
+                     np.array(["outer"] * 3))
         rep = msh.validate(m)
         assert list(rep.slivers) == [0]
 

@@ -1,4 +1,3 @@
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -468,16 +467,19 @@ class TestCommittedPass:
 
     def test_retry_after_a_reused_first_pass_is_the_full_pass_retry(self, monkeypatch):
         # the second step attempt takes its first pass from the committed
-        # one and then fails; its retry at half the dt finds the strain only
-        # and computes that pass in full. The run equals, bit for bit, the
-        # same run in which no pass is taken from the committed one
+        # one and then fails; its retry at half the dt holds the iterate too
+        # and takes the same pass again, as the committed iterate is read
+        # only. The run equals, bit for bit, the same run in which no pass is
+        # taken from the committed one
         def failing_run(reuse):
             scen = sc.build_scenario(sc.load_config(COARSE_HOLE))
             starts = spy_step_starts(monkeypatch)
             real_zero_increment, real_jacobian = tr.zero_increment, tr.assemble_jacobian
-            given = []          # the step attempts whose first pass was taken over
+            given = []          # the step attempts whose first pass was taken from the committed
+            committed = []      # the committed iterate each attempt read
 
             def zero_increment(*args):
+                committed.append(args[0])
                 it = real_zero_increment(*args) if reuse else None
                 if it is not None:
                     given.append(len(starts) - 1)
@@ -494,62 +496,24 @@ class TestCommittedPass:
             monkeypatch.setattr(tr, "assemble_jacobian", jacobian)
             hist, fields = tr.run(scen)
             monkeypatch.undo()
-            return hist, fields, starts, given
+            return hist, fields, starts, given, committed
 
-        hist, fields, starts, given = failing_run(reuse=True)
-        ref, ref_fields, _, ref_given = failing_run(reuse=False)
+        hist, fields, starts, given, committed = failing_run(reuse=True)
+        ref, ref_fields, _, ref_given, _ = failing_run(reuse=False)
         assert [e["event"] for e in hist.events] == ["dt_halved"]
         assert hist.events == ref.events
         assert without_passes(hist.records) == without_passes(ref.records)
         for name in ("u", "c", "sigma_h_nodal"):
             assert np.array_equal(getattr(fields, name), getattr(ref_fields, name))
         assert np.array_equal(fields.material.stress_sum, ref_fields.material.stress_sum)
-        # attempts 0 (initial fields) and 2 (the retry) compute their first pass
-        assert given == [1, 3, 4] and ref_given == []
-        assert [r["residual_passes"] - r["newton_iters"] for r in hist.records] == [1, 1, 0, 0]
+        # every attempt but the first, from the initial fields, takes its first pass
+        assert given == [1, 2, 3, 4] and ref_given == []
+        assert committed[0] is committed[1]     # the failed attempt's and the retry's
+        assert [r["residual_passes"] - r["newton_iters"] for r in hist.records] == [1, 0, 0, 0]
         assert [r["residual_passes"] - r["newton_iters"] for r in ref.records] == [1] * 4
         # the retry starts from the failed attempt's fields and the carried
         # strain, which is theirs bitwise
         assert starts[2][1] is starts[1][1] and starts[2][0] and starts[2][2]
-
-    @pytest.mark.parametrize("text", [HELD_ONE_WAY, COARSE_HOLE], ids=["ramp", "hold"])
-    def test_no_frame_keeps_the_carried_pass_during_a_step(self, monkeypatch, text):
-        # a step takes the committed pass over: by its first Newton update
-        # the committed residual is freed, and so is the rest of the pass on
-        # a ramp step; on a step that took its first pass from it, the
-        # current iterate holds its drift block and c rows until the next
-        # pass. Once the step is done, nothing of it is left but what the
-        # step's committed iterate shares with it
-        scen = sc.build_scenario(sc.load_config(text))
-        names = ("residual", "drift", "c_rows")
-        real_step, real_update = tr.step, sla.BlockSolver.newton_update
-        carried, alive = [], []
-
-        def step(*args):
-            committed = args[-1]
-            carried[:] = [(n, weakref.ref(getattr(committed, n))) for n in names
-                          if committed is not None and getattr(committed, n) is not None]
-            out = real_step(*args)
-            # what the step's own committed iterate holds
-            alive.append(("done", [n for n, ref in carried
-                                   if ref() is not None and ref() is not getattr(out[2], n)]))
-            return out
-
-        def newton_update(self, jac, res):
-            if not alive or alive[-1][0] == "done":
-                alive.append(("update", [n for n, ref in carried if ref() is not None]))
-            return real_update(self, jac, res)
-
-        monkeypatch.setattr(tr, "step", step)
-        monkeypatch.setattr(sla.BlockSolver, "newton_update", newton_update)
-        hist, _ = tr.run(scen)
-        taken = [r["residual_passes"] == r["newton_iters"] for r in hist.records]
-        assert any(taken) and (text is COARSE_HOLE) == all(taken[1:])
-        updates = [a for kind, a in alive if kind == "update"]
-        assert len(updates) == sum(r["newton_iters"] > 0 for r in hist.records)
-        for a in updates:
-            assert "residual" not in a and (text is COARSE_HOLE or not a)
-        assert all(not a for kind, a in alive if kind == "done")
 
 
 def newton_updates(monkeypatch, config_text):
