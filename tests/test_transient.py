@@ -515,6 +515,39 @@ class TestCommittedPass:
         # strain, which is theirs bitwise
         assert starts[2][1] is starts[1][1] and starts[2][0] and starts[2][2]
 
+    @pytest.mark.parametrize("text", [HELD_ONE_WAY, COARSE_HOLE], ids=["ramp", "hold"])
+    def test_a_step_leaves_the_committed_iterate_unchanged(self, monkeypatch, text):
+        # every array of the committed iterate, its trial-yield points'
+        # included, is bitwise what it was before the step read it, whether
+        # the step took its first pass from it (hold) or not (ramp); the
+        # step's own iterate is a new one
+        scen = sc.build_scenario(sc.load_config(text))
+        real_step = tr.step
+        seen = []
+
+        def arrays(it):
+            out = {n: v.copy() for n, v in vars(it).items() if isinstance(v, np.ndarray)}
+            out.update({"plastic." + n: v.copy() for n, v in vars(it.plastic).items()
+                        if isinstance(v, np.ndarray)})
+            return out
+
+        def step(*args):
+            committed = args[-1]
+            before = None if committed is None else arrays(committed)
+            out = real_step(*args)
+            if committed is not None:
+                assert out[2] is not committed
+                after = arrays(committed)
+                assert before.keys() == after.keys() and "residual" in after
+                seen.append([n for n in before if not np.array_equal(before[n], after[n])])
+            return out
+
+        monkeypatch.setattr(tr, "step", step)
+        hist, _ = tr.run(scen)
+        taken = [r["residual_passes"] == r["newton_iters"] for r in hist.records]
+        assert any(taken) and (text is COARSE_HOLE) == all(taken[1:])
+        assert seen == [[]] * (len(hist.records) - 1)
+
 
 def newton_updates(monkeypatch, config_text):
     """Run a scenario and record every Newton update as
