@@ -3,23 +3,5 @@ stress-diffusion in elastoplastic solids, with built-in closed-form oracles
 for verification."""
 
 from . import analytic, assembly, constitutive, mesh, scenarios, sparse_linalg, transient
-from .analytic import lambert_w, nondim_scales, slab_series
-from .assembly import DofMap, FieldState, recover_hydrostatic
-from .constitutive import MaterialParams, MaterialState, update_stress
-from .mesh import Mesh, generate_annulus, generate_plate_with_hole
-from .scenarios import ScenarioConfig, build_scenario, load_config, run_scenario
-from .transient import SolverConfig, TimeHistory, run, step
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "analytic", "assembly", "constitutive", "mesh", "scenarios",
-    "sparse_linalg", "transient",
-    "lambert_w", "nondim_scales", "slab_series",
-    "DofMap", "FieldState", "recover_hydrostatic",
-    "MaterialParams", "MaterialState", "update_stress",
-    "Mesh", "generate_annulus", "generate_plate_with_hole",
-    "ScenarioConfig", "build_scenario", "load_config", "run_scenario",
-    "SolverConfig", "TimeHistory", "run", "step",
-    "__version__",
-]

@@ -6,7 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .scenarios import (ConfigError, analytic_comparison, build_scenario,
+from .scenarios import (COUPLING_MODES, ConfigError, analytic_comparison, build_scenario,
                         check_analytic_comparison, load_config, run_scenario,
                         write_analytic_comparison)
 from .transient import RunAborted
@@ -41,7 +41,7 @@ def main(argv=None):
     try:
         config = load_config(text)
         if args.mode:
-            config = replace(config, mode="one-way" if args.mode == "oneway" else "two-way")
+            config = replace(config, mode=COUPLING_MODES[args.mode])
         if args.plasticity:
             config = replace(config, plasticity=args.plasticity == "on")
         if args.output_dir:

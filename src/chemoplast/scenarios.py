@@ -53,13 +53,17 @@ _MATERIAL_KEYS = ("E", "nu", "D", "Omega", "T", "sigma_y0", "hardening",
                   "H", "h", "c_max")
 _GEOMETRY_KINDS = ("plate_with_hole", "annulus")
 _LOADING_KINDS = ("displacement", "traction", "flux", "none")
-_MODES = {"one-way": "one-way", "oneway": "one-way",
-          "two-way": "two-way", "twoway": "two-way"}
+COUPLING_MODES = {"one-way": "one-way", "oneway": "one-way",
+                  "two-way": "two-way", "twoway": "two-way"}
 
 
 @dataclass
 class ScenarioConfig:
-    """Validated run description (see the config reference in the README)."""
+    """Run description (see the config reference in the README).
+
+    ``load_config`` checks each key's value as it parses it; the conditions
+    that span keys or need the mesh are checked by ``build_scenario``.
+    """
     geometry_kind: str = "plate_with_hole"
     L: float = 1.0
     r: float = 0.05
@@ -83,30 +87,29 @@ class ScenarioConfig:
     dt_hat: float = 0.0
     t_end: float = 0.0
     t_end_hat: float = 0.0
-    newton_abs_tol: float = 1e-10
-    newton_rel_tol: float = 1e-8
-    newton_max_iter: int = 40
+    newton_abs_tol: float = SolverConfig.newton_abs_tol
+    newton_rel_tol: float = SolverConfig.newton_rel_tol
+    newton_max_iter: int = SolverConfig.newton_max_iter
     L_star: float = 0.0                               # 0 = geometry default
     output_dir: str = "out"
     snapshot_stride: int = 0                          # 0 = final snapshot only
 
     def material_params(self):
         """Preset plus overrides, validated, then made elastic when
-        plasticity is off (so a bad yield stress is an error either way)."""
+        plasticity is off (so a bad yield stress is an error either way).
+        Raises ValueError for an unknown preset, a missing core value or an
+        invalid material."""
         base = dict(MATERIAL_PRESETS.get(self.material_preset, {}))
         if self.material_preset and self.material_preset not in MATERIAL_PRESETS:
-            raise ConfigError(f"unknown material preset {self.material_preset!r}; "
-                              f"have {sorted(MATERIAL_PRESETS)}")
+            raise ValueError(f"unknown material preset {self.material_preset!r}; "
+                             f"have {sorted(MATERIAL_PRESETS)}")
         base.update(self.material_overrides)
         missing = [k for k in ("E", "nu", "D", "Omega", "T") if k not in base]
         if missing:
-            raise ConfigError(f"material is missing required values {missing} "
-                              "(set a preset or explicit material.* keys)")
+            raise ValueError(f"material is missing required values {missing} "
+                             "(set a preset or explicit material.* keys)")
         base["c0"] = self.c_initial_hat * base.get("c_max", 1.0)
-        try:
-            params = MaterialParams(**base)
-        except ValueError as err:
-            raise ConfigError(f"invalid material: {err}") from err
+        params = MaterialParams(**base)
         return params if self.plasticity else params.as_elastic()
 
 
@@ -153,9 +156,18 @@ def _member(choices, message):
 
 
 def _coupling_mode(val):
-    if val not in _MODES:
+    if val not in COUPLING_MODES:
         raise ValueError("coupling.mode must be oneway or twoway")
-    return _MODES[val]
+    return COUPLING_MODES[val]
+
+
+def _non_negative(key):
+    """Validator for a number whose 0 leaves it unset."""
+    def check(val):
+        if val < 0:
+            raise ValueError(f"{key} must be non-negative (0 leaves it unset), got {val!r}")
+        return val
+    return check
 
 
 def _on_off(raw):
@@ -166,10 +178,6 @@ def _on_off(raw):
 
 def _on_off_text(val):
     return "on" if val else "off"
-
-
-def _mode_text(val):
-    return "oneway" if val == "one-way" else "twoway"
 
 
 # config key -> (ScenarioConfig field, value type (a parser raising
@@ -193,18 +201,19 @@ _CONFIG_KEYS = {
     "loading.t_ramp_hat": ("t_ramp_hat", float, None, repr),
     "concentration.initial_hat": ("c_initial_hat", float, None, repr),
     "concentration.insulated": ("c_insulated", _on_off, None, _on_off_text),
-    "coupling.mode": ("mode", str, _coupling_mode, _mode_text),
+    "coupling.mode": ("mode", str, _coupling_mode, lambda val: val.replace("-", "")),
     "plasticity.enabled": ("plasticity", _on_off, None, _on_off_text),
-    "solver.dt": ("dt", float, None, repr),
-    "solver.dt_hat": ("dt_hat", float, None, repr),
-    "solver.t_end": ("t_end", float, None, repr),
-    "solver.t_end_hat": ("t_end_hat", float, None, repr),
+    "solver.dt": ("dt", float, _non_negative("solver.dt"), repr),
+    "solver.dt_hat": ("dt_hat", float, _non_negative("solver.dt_hat"), repr),
+    "solver.t_end": ("t_end", float, _non_negative("solver.t_end"), repr),
+    "solver.t_end_hat": ("t_end_hat", float, _non_negative("solver.t_end_hat"), repr),
     "solver.newton_abs_tol": ("newton_abs_tol", float, None, repr),
     "solver.newton_rel_tol": ("newton_rel_tol", float, None, repr),
     "solver.newton_max_iter": ("newton_max_iter", int, None, str),
-    "scales.L_star": ("L_star", float, None, repr),
+    "scales.L_star": ("L_star", float, _non_negative("scales.L_star"), repr),
     "output.dir": ("output_dir", str, None, str),
-    "output.snapshot_stride": ("snapshot_stride", int, None, str),
+    "output.snapshot_stride": ("snapshot_stride", int,
+                               _non_negative("output.snapshot_stride"), str),
 }
 
 
@@ -219,7 +228,13 @@ def _parse_value(key, raw, kind, lineno):
 
 
 def load_config(text):
-    """Parse and validate configuration text into a ScenarioConfig."""
+    """Parse configuration text into a ScenarioConfig.
+
+    Each key and its value are checked here, and a bad one raises
+    ConfigError with its line number. The conditions that span keys or need
+    the mesh (a hole that fits, loading that suits the geometry, a time
+    step and an end time) are left to ``build_scenario``.
+    """
     cfg = ScenarioConfig()
     seen = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -266,26 +281,7 @@ def load_config(text):
             cfg.probes.append((name, *(_parse_value(key, p, float, lineno) for p in parts)))
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-
-    _validate_config(cfg)
     return cfg
-
-
-def _validate_config(cfg):
-    if cfg.geometry_kind == "plate_with_hole":
-        if cfg.L <= 0 or cfg.r <= 0 or cfg.target_h <= 0:
-            raise ConfigError("plate geometry needs positive L, r, target_h")
-    else:
-        if cfg.r_o <= 0 or cfg.target_h <= 0:
-            raise ConfigError("annulus geometry needs positive r_o, target_h")
-    if cfg.dt <= 0 and cfg.dt_hat <= 0:
-        raise ConfigError("set solver.dt (seconds) or solver.dt_hat")
-    if cfg.t_end <= 0 and cfg.t_end_hat <= 0:
-        raise ConfigError("set solver.t_end (seconds) or solver.t_end_hat")
-    if cfg.loading_kind == "flux" and cfg.geometry_kind != "annulus":
-        raise ConfigError("flux loading applies to the annulus geometry")
-    if cfg.loading_kind in ("displacement", "traction") and cfg.geometry_kind != "plate_with_hole":
-        raise ConfigError(f"{cfg.loading_kind} loading applies to the plate geometry")
 
 
 def serialize_config(cfg):
@@ -319,7 +315,7 @@ def _ramp(final, t_ramp):
     return lambda t, f=final, tr=t_ramp: f * min(t / tr, 1.0)
 
 
-def build_bvp_a(config):
+def _build_plate(config):
     """Plate with a hole.
 
     Displacement loading: left edge u_x = 0, the left-edge midline node also
@@ -331,8 +327,6 @@ def build_bvp_a(config):
     right edges, everything insulated, uniform initial concentration; rigid
     modes removed by pinning the left and right midline nodes.
     """
-    if config.geometry_kind != "plate_with_hole":
-        raise ConfigError("build_bvp_a needs geometry.kind = plate_with_hole")
     msh = mesh_mod.generate_plate_with_hole(config.L, config.r, config.target_h)
     params = config.material_params()
     scales = analytic.nondim_scales(params, config.L_star or config.L)
@@ -350,7 +344,7 @@ def build_bvp_a(config):
         right_mid = _nearest_node(msh, (config.L / 2, 0.0))
         bcs.pins += [(left_mid, 0, 0.0), (left_mid, 1, 0.0), (right_mid, 1, 0.0)]
     elif config.loading_kind != "none":
-        raise ConfigError(f"loading.kind {config.loading_kind!r} not valid for the plate")
+        raise ValueError(f"loading.kind {config.loading_kind!r} not valid for the plate")
 
     c_dir = {} if config.c_insulated else dict(config.c_dirichlet)
     if config.loading_kind == "displacement" and not c_dir and not config.c_insulated:
@@ -359,13 +353,11 @@ def build_bvp_a(config):
                             [("A", -config.r, 0.0), ("B", 0.0, config.r)])
 
 
-def build_bvp_b(config):
+def _build_particle(config):
     """Charged particle: inward flux J on the outer circle, inner boundary
     (when present) traction- and flux-free; rigid modes removed by pinning
     the node at (r_o, 0) and the tangential dof of the boundary node at
     (0, r_o)."""
-    if config.geometry_kind != "annulus":
-        raise ConfigError("build_bvp_b needs geometry.kind = annulus")
     msh = mesh_mod.generate_annulus(config.r_i, config.r_o, config.target_h)
     params = config.material_params()
     scales = analytic.nondim_scales(params, config.L_star or config.r_o)
@@ -378,7 +370,7 @@ def build_bvp_b(config):
         t_ramp = config.t_ramp_hat * scales.t_star
         bcs.fluxes.append(("outer", _ramp(config.J_in, t_ramp)))
     elif config.loading_kind != "none":
-        raise ConfigError(f"loading.kind {config.loading_kind!r} not valid for the annulus")
+        raise ValueError(f"loading.kind {config.loading_kind!r} not valid for the annulus")
     c_dir = {} if config.c_insulated else config.c_dirichlet
     return _finish_scenario(config, msh, params, scales, bcs, c_dir,
                             [("inner", config.r_i, 0.0), ("outer", config.r_o, 0.0)])
@@ -391,42 +383,53 @@ def _finish_scenario(config, msh, params, scales, bcs, c_dir, default_probes):
     ``serialize_config`` writes them sorted, not in the config's order."""
     for tag, hat_value in c_dir.items():
         if tag not in msh.tags():
-            raise ConfigError(f"concentration.dirichlet.{tag}: mesh has no tag {tag!r} "
-                              f"(available: {msh.tags()})")
+            raise ValueError(f"concentration.dirichlet.{tag}: mesh has no tag {tag!r} "
+                             f"(available: {msh.tags()})")
         bcs.dirichlet_c.append((tag, hat_value * params.c_max))
     for a, b in combinations(sorted(c_dir), 2):
         shared = np.intersect1d(msh.nodes_with_tag(a), msh.nodes_with_tag(b))
         if c_dir[a] != c_dir[b] and shared.size:
-            raise ConfigError(f"concentration.dirichlet.{a} = {c_dir[a]!r} and "
-                              f"concentration.dirichlet.{b} = {c_dir[b]!r} both fix node "
-                              f"{int(shared[0])}; give shared nodes one value")
+            raise ValueError(f"concentration.dirichlet.{a} = {c_dir[a]!r} and "
+                             f"concentration.dirichlet.{b} = {c_dir[b]!r} both fix node "
+                             f"{int(shared[0])}; give shared nodes one value")
     probes = list(config.probes) or default_probes
     names = [p[0] for p in probes]
     if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate probe names in {names}")
-    solver = _solver_config(config, scales)
-    try:
-        return Scenario(mesh=msh, params=params, bcs=bcs, probes=probes, scales=scales,
-                        c_initial=config.c_initial_hat * params.c_max, solver=solver,
-                        config=config)
-    except ValueError as err:
-        raise ConfigError(f"probe outside the domain: {err}") from err
+        raise ValueError(f"duplicate probe names in {names}")
+    return Scenario(mesh=msh, params=params, bcs=bcs, probes=probes, scales=scales,
+                    c_initial=config.c_initial_hat * params.c_max,
+                    solver=_solver_config(config, scales), config=config)
 
 
 def _solver_config(config, scales):
-    dt = config.dt if config.dt > 0 else config.dt_hat * scales.t_star
-    t_end = config.t_end if config.t_end > 0 else config.t_end_hat * scales.t_star
+    """The SolverConfig of ``config``: each time in seconds where it is set,
+    else its hatted value times t*."""
+    if not ((config.dt or config.dt_hat) and (config.t_end or config.t_end_hat)):
+        raise ValueError("set solver.dt (seconds) or solver.dt_hat, and solver.t_end "
+                         "(seconds) or solver.t_end_hat")
     return SolverConfig(
-        dt=dt, t_end=t_end, mode=config.mode,
+        dt=config.dt or config.dt_hat * scales.t_star,
+        t_end=config.t_end or config.t_end_hat * scales.t_star, mode=config.mode,
         newton_abs_tol=config.newton_abs_tol, newton_rel_tol=config.newton_rel_tol,
         newton_max_iter=config.newton_max_iter)
 
 
 def build_scenario(config):
-    """Dispatch on the geometry kind."""
-    if config.geometry_kind == "plate_with_hole":
-        return build_bvp_a(config)
-    return build_bvp_b(config)
+    """Build the Scenario of ``config``, by its geometry kind.
+
+    The conditions that span keys or need the mesh are checked here, where
+    the values are used: by the mesh generators, the material, the
+    nondimensional scales, the solver settings and the probe location. Any
+    of them failing, or an unknown geometry kind, raises ConfigError.
+    """
+    build = {"plate_with_hole": _build_plate, "annulus": _build_particle}.get(config.geometry_kind)
+    if build is None:
+        raise ConfigError(f"geometry.kind must be one of {_GEOMETRY_KINDS}, "
+                          f"got {config.geometry_kind!r}")
+    try:
+        return build(config)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +536,9 @@ def analytic_comparison(scenario, fields):
 
 
 def write_analytic_comparison(rows, path):
-    lines = ["beta,sigma_h_fe,sigma_h_exact,c_fe,c_exact"]
-    for r in rows:
-        lines.append(",".join(f"{r[k]:.12e}" for k in
-                              ("beta", "sigma_h_fe", "sigma_h_exact", "c_fe", "c_exact")))
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = ("beta", "sigma_h_fe", "sigma_h_exact", "c_fe", "c_exact")
+    Path(path).write_text(",".join(cols) + "\n" + _rows(",".join(["%.12e"] * len(cols)) + "\n",
+                                                        [[r[k] for k in cols] for r in rows]))
 
 
 def run_scenario(scenario, output_dir=None, quiet=True, progress=None):

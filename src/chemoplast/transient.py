@@ -134,9 +134,11 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     arguments are the run's data, as ``step`` describes them. The boundary
     load at ``t_new`` is computed once and subtracted from every residual.
     The relative tolerance is measured against the force scale ``refs``, the
-    largest starting block residuals so far (failed attempts included), so
-    quiescent hold phases are not asked to out-resolve the yield-surface
-    jitter of points flipping between the elastic and plastic branch. The
+    largest starting block residuals of the committed attempts so far and
+    this one's, so quiescent hold phases are not asked to out-resolve the
+    yield-surface jitter of points flipping between the elastic and plastic
+    branch. This attempt's starting residuals are folded into ``refs`` only
+    when it returns; a failed attempt leaves ``refs`` unchanged. The
     StepInfo counts the factors ``block_solver`` computed, the block solves
     its kept factors served and the CG iterations of its K_uu solves in this
     solve; the block norms are over its free dofs.
@@ -203,6 +205,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     n_solves = 0
 
     def done(reason):
+        refs.update(u=ref_u, c=ref_c)
         return w, iterate_states(start, it, params), it, StepInfo(
             newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
             jacobians=jacobians, factors=block_solver.factors - counts_0[0],
@@ -214,14 +217,13 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         nu, nc = block_norms(res)
         norm = float(np.hypot(nu, nc))
         if tol_u is None:
-            refs["u"] = max(refs["u"], nu)
-            refs["c"] = max(refs["c"], nc)
+            ref_u, ref_c = max(refs["u"], nu), max(refs["c"], nc)
             # an absolute tolerance looser than a block's initial residual
             # cannot judge scales it has never seen (a weak boundary flux
             # must still be solved for), so cap it at half the start value
-            tol_u = max(config.newton_rel_tol * refs["u"],
+            tol_u = max(config.newton_rel_tol * ref_u,
                         min(config.newton_abs_tol, 0.5 * nu))
-            tol_c = max(config.newton_rel_tol * refs["c"],
+            tol_c = max(config.newton_rel_tol * ref_c,
                         min(config.newton_abs_tol, 0.5 * nc))
         if nu <= tol_u and nc <= tol_c:
             return done("converged")
@@ -268,7 +270,8 @@ def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs, commi
     The other arguments are the run's data, made once by ``run``: the
     assembly plan, the boundary plan, the fixed Jacobian data, the block
     solver whose kept factors carry over between steps, and the largest
-    starting block residuals seen so far (failed attempts included); and
+    starting block residuals of the committed steps so far (a failed
+    attempt leaves them unchanged); and
     ``committed``, the read-only ``assembly.Iterate`` of ``fields_n`` (None
     to compute its strain), whose residual pass gives the first iterate's
     where the step start moves no Dirichlet value.

@@ -92,6 +92,28 @@ class TestExitCodes:
         lineno = len(COARSE_PLATE.splitlines())
         assert capsys.readouterr().err.startswith(f"error: line {lineno}: bad value")
 
+    @pytest.mark.parametrize("text", [
+        COARSE_PLATE.replace("geometry.r = 0.2", "geometry.r = 0.6"),
+        COARSE_PLATE.replace("geometry.target_h = 0.09", "geometry.target_h = 0.2"),
+        ANNULUS.replace("geometry.r_i = 0.25", "geometry.r_i = -0.1"),
+        COARSE_PLATE + "scales.L_star = -1.0\n",
+        COARSE_PLATE + "solver.newton_rel_tol = -1\n",
+        COARSE_PLATE + "solver.newton_max_iter = 0\n",
+    ], ids=["hole-does-not-fit", "target_h-not-below-r", "negative-r_i", "negative-L_star",
+            "negative-rel-tol", "zero-max-iter"])
+    def test_bad_value_exits_1_with_one_error_line(self, tmp_path, capsys, text):
+        # per-key values are checked by load_config, the conditions that
+        # span keys or need the mesh by build_scenario: neither escapes as a
+        # traceback, and nothing is written
+        cfg = tmp_path / "bad.cfg"
+        out = tmp_path / "bad_out"
+        cfg.write_text(text + f"output.dir = {out}\n")
+        assert cli.main(["--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [ANNULUS, COARSE_PLATE], ids=["annulus", "displacement-plate"])
     def test_validate_analytic_off_the_plate_exits_1_before_the_run(self, tmp_path, capsys, text):
         # the closed forms hold for the traction-loaded, insulated plate only

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,12 @@ scales.L_star = 0.7
 output.dir = elsewhere
 output.snapshot_stride = 3
 """
+
+
+def without_key(text, key):
+    """``text`` without the line that sets ``key``."""
+    return "".join(line + "\n" for line in text.splitlines()
+                   if line.split(" = ")[0] != key)
 
 
 class TestLoadConfig:
@@ -152,15 +160,45 @@ class TestLoadConfig:
                              + BASE_PLATE.replace("geometry.L = 1.0\n", ""))
         assert cfg.L == 2.0
 
-    def test_missing_time_settings_rejected(self):
-        with pytest.raises(sc.ConfigError, match="solver.dt"):
-            sc.load_config("geometry.kind = plate_with_hole\n")
+    @pytest.mark.parametrize("key", ["solver.dt", "solver.dt_hat", "solver.t_end",
+                                     "solver.t_end_hat", "scales.L_star",
+                                     "output.snapshot_stride"])
+    def test_negative_unset_by_zero_value_rejected_with_line(self, key):
+        # 0 leaves these unset; a negative value used to fall back to the
+        # default (dt, t_end) or to write a snapshot every step (the stride)
+        text = without_key(BASE_PLATE, key)
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(sc.ConfigError) as err:
+            sc.load_config(text + f"{key} = -1\n")
+        assert str(err.value).startswith(f"line {lineno}: {key} must be non-negative")
+        assert getattr(sc.load_config(text + f"{key} = 0\n"), sc._CONFIG_KEYS[key][0]) == 0
 
     def test_material_override_on_preset(self):
         cfg = sc.load_config(BASE_PLATE.replace("plasticity.enabled = off",
                                                 "plasticity.enabled = on")
                              + "material.sigma_y0 = 77e6\n")
         assert cfg.material_params().sigma_y0 == 77e6
+
+
+class TestBuildScenario:
+    @pytest.mark.parametrize("drop", ["solver.dt_hat", "solver.t_end_hat"])
+    def test_missing_time_settings_rejected(self, drop):
+        cfg = sc.load_config(without_key(BASE_PLATE, drop))
+        with pytest.raises(sc.ConfigError, match=r"set solver\.dt \(seconds\) or solver\.dt_hat"):
+            sc.build_scenario(cfg)
+
+    def test_unknown_geometry_kind_rejected(self):
+        # a ScenarioConfig made in code skips load_config's check of the key
+        cfg = replace(sc.load_config(BASE_ANNULUS), geometry_kind="cube")
+        with pytest.raises(sc.ConfigError, match="geometry.kind must be one of"):
+            sc.build_scenario(cfg)
+
+    @pytest.mark.parametrize("text, kind", [(BASE_PLATE, "flux"), (BASE_ANNULUS, "displacement"),
+                                            (BASE_ANNULUS, "traction")])
+    def test_loading_that_does_not_suit_the_geometry_rejected(self, text, kind):
+        cfg = sc.load_config(text)
+        with pytest.raises(sc.ConfigError, match=f"loading.kind '{kind}' not valid"):
+            sc.build_scenario(replace(cfg, loading_kind=kind))
 
     def test_plasticity_off_builds_elastic_material(self):
         # BASE_PLATE switches plasticity off on a hardening preset
@@ -172,18 +210,18 @@ class TestLoadConfig:
             assert getattr(scen.params, key) == preset[key]
         # the material is validated before it is made elastic
         with pytest.raises(sc.ConfigError, match="sigma_y0"):
-            sc.load_config(BASE_PLATE + "material.sigma_y0 = -1\n").material_params()
+            sc.build_scenario(sc.load_config(BASE_PLATE + "material.sigma_y0 = -1\n"))
 
     def test_material_without_preset_requires_core_values(self):
         with pytest.raises(sc.ConfigError, match="missing"):
-            sc.load_config(BASE_PLATE.replace("material.preset = steel_table1\n", "")
-                           ).material_params()
+            sc.build_scenario(sc.load_config(
+                BASE_PLATE.replace("material.preset = steel_table1\n", "")))
 
 
-class TestBuildBvpA:
+class TestBuildPlate:
     def test_dirichlet_count_matches_edge_nodes(self):
         cfg = sc.load_config(BASE_PLATE)
-        scen = sc.build_bvp_a(cfg)
+        scen = sc.build_scenario(cfg)
         m = scen.mesh
         n_left = len(m.nodes_with_tag("left"))
         n_right = len(m.nodes_with_tag("right"))
@@ -218,21 +256,21 @@ class TestBuildBvpA:
                                                 "loading.kind = traction")
                              .replace("loading.u_bar = 4e-4", "loading.p = 50e6")
                              + "concentration.insulated = on\n")
-        scen = sc.build_bvp_a(cfg)
+        scen = sc.build_scenario(cfg)
         assert len(scen.bcs.tractions) == 2
         assert len(scen.bcs.pins) == 3
         assert not scen.bcs.dirichlet_c
 
     def test_default_probes_on_hole(self):
         cfg = sc.load_config(BASE_PLATE)
-        scen = sc.build_bvp_a(cfg)
+        scen = sc.build_scenario(cfg)
         names = {p[0]: (p[1], p[2]) for p in scen.probes}
         assert names["A"] == (-0.2, 0.0)
         assert names["B"] == (0.0, 0.2)
 
     def test_probe_outside_domain_rejected(self):
-        with pytest.raises(sc.ConfigError, match="probe"):
-            sc.build_bvp_a(sc.load_config(BASE_PLATE + "probes.bad = 0.0, 0.0\n"))
+        with pytest.raises(sc.ConfigError, match="outside the mesh"):
+            sc.build_scenario(sc.load_config(BASE_PLATE + "probes.bad = 0.0, 0.0\n"))
 
     def test_probes_located_once_per_build_and_run(self, monkeypatch):
         from chemoplast import assembly
@@ -252,8 +290,8 @@ class TestBuildBvpA:
 
     def test_unknown_c_tag_rejected(self):
         with pytest.raises(sc.ConfigError, match="inner"):
-            sc.build_bvp_a(sc.load_config(BASE_PLATE
-                                          + "concentration.dirichlet.inner = 1.0\n"))
+            sc.build_scenario(sc.load_config(BASE_PLATE
+                                             + "concentration.dirichlet.inner = 1.0\n"))
 
     def test_conflicting_c_values_on_shared_node_rejected(self):
         # top and left share the corner (-L/2, L/2); which value it took used
@@ -261,7 +299,7 @@ class TestBuildBvpA:
         text = (BASE_PLATE + "concentration.dirichlet.top = 0.5\n"
                 + "concentration.dirichlet.left = 1.0\n")
         with pytest.raises(sc.ConfigError) as err:
-            sc.build_bvp_a(sc.load_config(text))
+            sc.build_scenario(sc.load_config(text))
         assert "concentration.dirichlet.top" in str(err.value)
         assert "concentration.dirichlet.left" in str(err.value)
 
@@ -269,16 +307,12 @@ class TestBuildBvpA:
         text = (BASE_PLATE + "concentration.dirichlet.top = 0.5\n"
                 + "concentration.dirichlet.left = 0.5\n"
                 + "concentration.dirichlet.hole = 1.0\n")
-        scen = sc.build_bvp_a(sc.load_config(text))
-        again = sc.build_bvp_a(sc.load_config(sc.serialize_config(scen.config)))
+        scen = sc.build_scenario(sc.load_config(text))
+        again = sc.build_scenario(sc.load_config(sc.serialize_config(scen.config)))
         assert sorted(scen.bcs.dirichlet_c) == sorted(again.bcs.dirichlet_c)
 
-    def test_wrong_geometry_rejected(self):
-        with pytest.raises(sc.ConfigError):
-            sc.build_bvp_a(sc.load_config(BASE_ANNULUS))
 
-
-class TestBuildBvpB:
+class TestBuildParticle:
     def test_zero_flux_keeps_initial_concentration(self):
         cfg = sc.load_config(BASE_ANNULUS + "concentration.initial_hat = 0.25\n")
         scen = sc.build_scenario(cfg)
@@ -301,19 +335,19 @@ class TestBuildBvpB:
     def test_solid_disk_builds_without_inner_bcs(self):
         cfg = sc.load_config(BASE_ANNULUS.replace("geometry.r_i = 0.25",
                                                   "geometry.r_i = 0.0"))
-        scen = sc.build_bvp_b(cfg)
+        scen = sc.build_scenario(cfg)
         assert len(scen.mesh.edges_with_tag("inner")) == 0
         assert scen.probes[0][1] == 0.0   # inner probe collapses to the center
 
     def test_rigid_modes_pinned(self):
         cfg = sc.load_config(BASE_ANNULUS)
-        scen = sc.build_bvp_b(cfg)
+        scen = sc.build_scenario(cfg)
         assert len(scen.bcs.pins) == 3
 
     def test_insulated_drops_concentration_dirichlet(self):
         cfg = sc.load_config(BASE_ANNULUS + "concentration.insulated = on\n"
                              "concentration.dirichlet.outer = 1.0\n")
-        assert sc.build_bvp_b(cfg).bcs.dirichlet_c == []
+        assert sc.build_scenario(cfg).bcs.dirichlet_c == []
 
 
 class TestWriters:

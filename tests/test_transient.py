@@ -714,6 +714,33 @@ class TestRobustness:
         assert hist.events[0]["dt"] == pytest.approx(0.025)
         assert hist.events[1]["dt"] == pytest.approx(0.0125)
 
+    def test_failed_attempt_leaves_refs_unchanged(self, monkeypatch):
+        # an attempt that fails after its first residual pass must not set
+        # the relative tolerance of later steps; the attempt that commits
+        # folds its own starting residuals in
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
+        dt = scen.solver.dt
+        ed, plan, fixed, solver, refs = run_data(scen)
+        real = solver.newton_update
+        updates = []
+
+        def fail_once(jac, res):
+            updates.append(1)
+            if len(updates) == 1:
+                raise sla.SingularMatrixError("forced singular K_uu")
+            return real(jac, res)
+
+        monkeypatch.setattr(solver, "newton_update", fail_once)
+        fields = tr.initial_fields(scen)
+        before = dict(refs)
+        with pytest.raises(tr.StepFailure, match="forced singular"):
+            tr.step(fields, 0.0, dt, scen, ed, plan, fixed, solver, refs)
+        assert refs == before
+        tr.step(fields, 0.0, dt, scen, ed, plan, fixed, solver, refs)
+        unfailed = dict(before)
+        tr.step(fields, 0.0, dt, scen, ed, plan, fixed, solver, unfailed)
+        assert refs == unfailed and refs["u"] > 0.0
+
     def test_run_aborts_after_exhausted_halvings(self, monkeypatch):
         scen = slab_scenario(nx=10)
         scen.solver = tr.SolverConfig(dt=0.05, t_end=0.1, mode="one-way")
