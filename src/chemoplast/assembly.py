@@ -775,13 +775,10 @@ def assemble_jacobian(elem_data, fixed, iterate, dt):
     read-only (the mechanics rows without plastic elements, K_cc in one-way
     coupling); a block with one is a new CSR matrix over the base block's
     pattern, with new data. So the iterate with neither (one-way coupling,
-    no plastic element) gets the base itself."""
+    no plastic element) gets the base blocks themselves."""
     ed = elem_data
-    base = fixed.at(dt)
+    mech, cc = fixed.at(dt)
     plastic = iterate.plastic
-    if iterate.drift is None and not plastic.index.size:
-        return base
-    mech, cc = base
     if iterate.drift is not None:
         # frozen drift: the K_cu sensitivity is dropped (Picard)
         cc = _with_data(cc, cc.data - iterate.drift)

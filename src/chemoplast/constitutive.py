@@ -35,7 +35,10 @@ GAS_CONSTANT = 8.314  # J/(mol K)
 YIELD_TOL_FACTOR = 1e-6     # |f| <= tol_f = 1e-6 * sigma_y0 after any update
 # f / sigma_y up to which ``trial_yields`` counts a row as on the yield surface
 SURFACE_ROUNDOFF = 20.0 * np.finfo(float).eps
+# the uniaxial material-point driver: lateral Newton iterations per step, and
+# its lateral stresses' bound relative to sigma_y0 (1e-3 E without yield)
 LOCAL_ITER_CAP = 50
+LATERAL_TOL = 1e-9
 
 _NORMALS = np.array([1.0, 1.0, 1.0, 0.0])
 
@@ -363,14 +366,13 @@ def update_stress(state_old, d_eps, d_c, params, return_tangent=False):
     return new, plastic
 
 
-def drive_material_point_uniaxial(params, eps_axial_history, lateral_tol=1e-9,
-                                  max_iter=LOCAL_ITER_CAP):
+def drive_material_point_uniaxial(params, eps_axial_history):
     """Stress response of a single material point under a prescribed axial
     strain history, holding the lateral stresses at zero.
 
     The lateral strains (yy, zz) are found per step by a local Newton
     iteration on the consistent tangent; the returned axial stresses satisfy
-    |sigma_yy|, |sigma_zz| <= lateral_tol * sigma_ref at every step.
+    |sigma_yy|, |sigma_zz| <= LATERAL_TOL * sigma_ref at every step.
     """
     eps_hist = np.asarray(eps_axial_history, dtype=float)
     if eps_hist.size == 0 or eps_hist[0] != 0.0:
@@ -383,11 +385,11 @@ def drive_material_point_uniaxial(params, eps_axial_history, lateral_tol=1e-9,
 
     for i, eps_ax in enumerate(eps_hist):
         lat = eps_prev[1:3].copy()
-        for it in range(max_iter):
+        for it in range(LOCAL_ITER_CAP):
             d_eps = np.array([eps_ax, lat[0], lat[1], 0.0]) - eps_prev
             trial, plastic = update_stress(state, d_eps, 0.0, params, return_tangent=True)
             res = trial.sigma[1:3]
-            if np.max(np.abs(res)) <= lateral_tol * sigma_ref:
+            if np.max(np.abs(res)) <= LATERAL_TOL * sigma_ref:
                 break
             J = plastic.tangent(params, ())[1:3, 1:3]
             lat -= np.linalg.solve(J, res)

@@ -15,13 +15,11 @@ then K_uu du = -r_u - K_uc dc. The solver is planned once per run, from
 the patterns of the two row blocks and the constrained dofs. Dirichlet dofs
 are left out of every block (the update is zero there), and each block is
 in one unit system, so it is factored unscaled. The solver copies a row
-block's entries out when it reads it, except for a free-dof block that is
-the whole row block (K_cc where no c dof is constrained), which takes the
-row block's data as it is; the same row block passed again (the
-time stepper's elastic mechanics rows for the run, its one-way K_cc at one
-dt) is not read or checked again. Each of K_uu and K_cc keeps its
-KEPT_FACTORS most recently used factors, and one loop tries them on it,
-most recent first.
+block's entries into its free-dof blocks when it reads it; the same row
+block passed again (the time stepper's elastic mechanics rows for the run,
+its one-way K_cc at one dt) is not read or checked again. Each of K_uu and
+K_cc keeps its KEPT_FACTORS most recently used factors, and one loop tries
+them on it, most recent first.
 
 A solve with a fresh factor, and a K_cc solve with a kept one, is refined
 against the entries it solves, as a stationary method (Higham, *Accuracy
@@ -199,8 +197,7 @@ def solve(A, b):
 def _plan_block(A, rows, cols):
     """Data slots and CSR matrix of the block of the CSR pattern of ``A`` on
     the rows and columns whose masks are ``rows`` and ``cols``; the matrix's
-    data is written when a row block is read. The slots are None where the
-    block is all of ``A``: its data is then the row block's own."""
+    data is written when a row block is read."""
     indices = A.indices
     row_of = np.repeat(np.arange(rows.size), np.diff(A.indptr))
     local = np.full(cols.size, -1, dtype=np.int32)     # scipy's CSR index type
@@ -212,7 +209,7 @@ def _plan_block(A, rows, cols):
     block_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
     block = sp.csr_matrix((np.zeros(slots.size), local[indices[slots]], block_indptr),
                           shape=(counts.size, np.count_nonzero(cols)))
-    return (None if slots.size == indices.size else slots), block
+    return slots, block
 
 
 class BlockSolver:
@@ -294,8 +291,7 @@ class BlockSolver:
 
     def _read(self, rows, A):
         """Check the row block ``A`` ("mech" or "cc") and copy its entries
-        into the free-dof blocks it holds; a free-dof block that is all of
-        ``A`` takes ``A``'s data itself."""
+        into the free-dof blocks it holds."""
         if A.shape + (A.nnz,) != self._shapes[rows]:
             raise ValueError(f"newton_update: {rows} rows of shape {A.shape} with {A.nnz} "
                              f"entries do not have the planned pattern")
@@ -303,11 +299,8 @@ class BlockSolver:
             raise ValueError("newton_update: Jacobian entries must be finite")
         for name in self._READS[rows]:
             slots, block = self._blocks[name]
-            if slots is None:
-                block.data = A.data
-            else:
-                # the slots are in range; "clip" lets take write into the data unbuffered
-                np.take(A.data, slots, out=block.data, mode="clip")
+            # the slots are in range; "clip" lets take write into the data unbuffered
+            np.take(A.data, slots, out=block.data, mode="clip")
         if rows == "cc":
             cc = self._blocks["cc"][1]
             self._cc_max = float(np.abs(cc.data).max()) if cc.nnz else 0.0

@@ -1,11 +1,14 @@
 """Backward-Euler time stepping for the coupled system.
 
 ``run`` marches a scenario from t = 0 to t_end at the solver's dt; a last
-step shorter than dt takes the remainder. The data every step shares is
-made once per run: the assembly plan (``assembly.precompute``), the
-boundary plan (``assembly.plan_boundary``), the fixed Jacobian data
-(``assembly.fixed_jacobian``) and one ``sparse_linalg.BlockSolver``, whose
-factors carry over between steps (its factor policy is described there).
+step shorter than dt takes the remainder. What every step of a run shares
+is one ``RunData`` record, made once per run by ``run_data``: the scenario
+(material and solver settings), the assembly plan (``assembly.precompute``),
+the boundary plan (``assembly.plan_boundary``), the fixed Jacobian data
+(``assembly.fixed_jacobian``), one ``sparse_linalg.BlockSolver``, whose
+factors carry over between steps (its factor policy is described there),
+the reference residuals ``refs`` and the ``assembly.DofMap``. The record
+itself is frozen; its solver and ``refs`` carry the run's state.
 
 Each step is one Newton solve of the coupled (u, c) system from the
 committed fields, with the J2 return map inside the residual
@@ -23,8 +26,10 @@ pass. A Jacobian is evaluated at a step's first iterate and after that only
 for a Newton update (``assembly.assemble_jacobian``).
 
 Convergence is judged per physics block, the mechanics rows and the
-concentration rows: against tolerances relative to the largest starting
-block residuals of the run, and against roundoff floors from the last
+concentration rows: against tolerances relative to ``refs``, the largest
+starting block residuals of the committed step attempts so far and the
+current one's (a failed attempt leaves ``refs`` unchanged, so it sets no
+later tolerance), and against roundoff floors from the last
 Jacobian evaluated (|K_u| |w| and |K_cc| |c|, of the blocks' entrywise
 magnitudes, ``assembly.FixedJacobian.magnitude``). A step is committed only
 through one of NEWTON_EXITS and records what it took (``StepInfo``). Step
@@ -39,10 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sparse_linalg
-from .assembly import (AssemblyError, DofMap, FieldState, assemble_jacobian, assemble_residual,
-                       dirichlet_values, fixed_jacobian, interpolation_operator,
-                       iterate_states, neumann_load_vector, plan_boundary, precompute,
-                       step_start, zero_increment)
+from .assembly import (AssemblyError, BoundaryPlan, DofMap, ElementData, FieldState,
+                       FixedJacobian, assemble_jacobian, assemble_residual, dirichlet_values,
+                       fixed_jacobian, interpolation_operator, iterate_states, neumann_load_vector,
+                       plan_boundary, precompute, step_start, zero_increment)
 from .constitutive import von_mises
 
 
@@ -117,8 +122,30 @@ class TimeHistory:
         return np.array([s[name][key] for s in self.samples])
 
 
-def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs,
-                  committed=None, held=False):
+@dataclass(frozen=True)
+class RunData:
+    """What every step of a run shares (see the module docstring)."""
+    scenario: object        # scenarios.Scenario
+    ed: ElementData
+    plan: BoundaryPlan
+    fixed: FixedJacobian
+    block_solver: sparse_linalg.BlockSolver
+    refs: dict              # "u" / "c" -> the block's largest starting residual so far
+    dm: DofMap
+
+
+def run_data(scenario):
+    """The ``RunData`` of a run of ``scenario``, before its first step."""
+    ed = precompute(scenario.mesh)
+    plan = plan_boundary(scenario.mesh, scenario.bcs)
+    fixed = fixed_jacobian(ed, scenario.params)
+    # planned from the patterns: K_cc lies on the node pattern of the mass
+    block_solver = sparse_linalg.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
+    return RunData(scenario, ed, plan, fixed, block_solver, {"u": 0.0, "c": 0.0},
+                   DofMap(scenario.mesh.n_nodes))
+
+
+def _newton_solve(rd, w, fields_n, t_new, dt, committed=None, held=False):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence and roundoff floors are judged per physics block (mechanics
@@ -130,18 +157,15 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     times the summed floors, over three consecutive iterations, or when
     ``newton_max_iter`` updates do not reach an exit.
 
-    ``scenario`` gives the material and the solver settings; the other
-    arguments are the run's data, as ``step`` describes them. The boundary
-    load at ``t_new`` is computed once and subtracted from every residual.
-    The relative tolerance is measured against the force scale ``refs``, the
-    largest starting block residuals of the committed attempts so far and
-    this one's, so quiescent hold phases are not asked to out-resolve the
-    yield-surface jitter of points flipping between the elastic and plastic
-    branch. This attempt's starting residuals are folded into ``refs`` only
-    when it returns; a failed attempt leaves ``refs`` unchanged. The
-    StepInfo counts the factors ``block_solver`` computed, the block solves
-    its kept factors served and the CG iterations of its K_uu solves in this
-    solve; the block norms are over its free dofs.
+    ``rd`` is the run's ``RunData``. The boundary load at ``t_new`` is
+    computed once and subtracted from every residual. The relative
+    tolerance is measured against the force scale ``rd.refs``, so quiescent
+    hold phases are not asked to out-resolve the yield-surface jitter of
+    points flipping between the elastic and plastic branch; this attempt's
+    starting residuals are folded into it only when it returns. The
+    StepInfo counts the factors ``rd.block_solver`` computed, the block
+    solves its kept factors served and the CG iterations of its K_uu solves
+    in this solve; the block norms are over its free dofs.
 
     ``committed`` is the read-only ``assembly.Iterate`` of ``fields_n``
     (None to compute its strain), and ``held`` says that ``w`` is its
@@ -157,10 +181,9 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
     Returns (w, new element state, the ``assembly.Iterate`` of w, StepInfo).
     The Dirichlet dofs of ``w`` must already carry their prescribed values.
     """
-    config = scenario.solver
-    params = scenario.params
-    dm = DofMap(scenario.mesh.n_nodes)
-    load = neumann_load_vector(plan, t_new)
+    config, params = rd.scenario.solver, rd.scenario.params
+    ed, fixed, block_solver, refs = rd.ed, rd.fixed, rd.block_solver, rd.refs
+    load = neumann_load_vector(rd.plan, t_new)
     start = step_start(ed, fields_n, params, None if committed is None else committed.strain)
     counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
     free_u, free_c = block_solver.free_dofs
@@ -182,7 +205,7 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         return floors[k]
 
     def residual_at(w_vec):
-        u, c = dm.split(w_vec)
+        u, c = rd.dm.split(w_vec)
         try:
             it = assemble_residual(ed, u, c, start, params, dt, config.mode)
         except AssemblyError as err:
@@ -264,35 +287,29 @@ def _newton_solve(w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solve
         it, res = residual_at(w)
 
 
-def step(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs, committed=None):
+def step(rd, fields_n, t_n, dt, committed=None):
     """Advance one backward-Euler step from t_n to t_n + dt.
 
-    The other arguments are the run's data, made once by ``run``: the
-    assembly plan, the boundary plan, the fixed Jacobian data, the block
-    solver whose kept factors carry over between steps, and the largest
-    starting block residuals of the committed steps so far (a failed
-    attempt leaves them unchanged); and
-    ``committed``, the read-only ``assembly.Iterate`` of ``fields_n`` (None
-    to compute its strain), whose residual pass gives the first iterate's
-    where the step start moves no Dirichlet value.
+    ``rd`` is the run's ``RunData``, and ``committed`` the read-only
+    ``assembly.Iterate`` of ``fields_n`` (None to compute its strain), whose
+    residual pass gives the first iterate's where the step start moves no
+    Dirichlet value.
     Returns (fields at t_n + dt, StepInfo, their Iterate). Raises
     StepFailure when the Newton solve cannot be completed.
     """
-    dm = DofMap(scenario.mesh.n_nodes)
     t_new = t_n + dt
 
-    w = dm.join(fields_n.u, fields_n.c)
-    values = dirichlet_values(plan, t_new)
+    w = rd.dm.join(fields_n.u, fields_n.c)
+    values = dirichlet_values(rd.plan, t_new)
     # the load is subtracted from every residual, so only the Dirichlet
     # values can move the iterate at the step start
-    held = np.array_equal(w[plan.fixed_dofs], values)
-    w[plan.fixed_dofs] = values
+    held = np.array_equal(w[rd.plan.fixed_dofs], values)
+    w[rd.plan.fixed_dofs] = values
 
-    w, material, it, info = _newton_solve(
-        w, fields_n, t_new, dt, scenario, ed, plan, fixed, block_solver, refs, committed, held)
-    u, c = dm.split(w)
-    return FieldState(u=u, c=c, material=material, sigma_h_nodal=it.sigma_h_nodal, elem_data=ed,
-                      params=scenario.params), info, it
+    w, material, it, info = _newton_solve(rd, w, fields_n, t_new, dt, committed, held)
+    u, c = rd.dm.split(w)
+    return FieldState(u=u, c=c, material=material, sigma_h_nodal=it.sigma_h_nodal,
+                      elem_data=rd.ed, params=rd.scenario.params), info, it
 
 
 class ProbeSampler:
@@ -310,8 +327,6 @@ class ProbeSampler:
 
     def sample(self, fields):
         out = {}
-        if not self.names:
-            return out
         c_vals = self.interp @ fields.c
         sh_vals = self.interp @ fields.sigma_h_nodal
         u_vals = self.interp @ fields.u
@@ -342,9 +357,7 @@ def run(scenario, progress_cb=None):
     """March the scenario from t = 0 to t_end, recording probes every step.
 
     The settings are ``scenario.solver``'s and the material is
-    ``scenario.params``. The data every step shares (assembly plan, boundary
-    plan, fixed Jacobian data, block solver, reference residuals) is made
-    here, once per run. The committed iterate's residual pass
+    ``scenario.params``. The committed iterate's residual pass
     (``assembly.Iterate``) is carried, read only, to every attempt of the
     next step, so the callback must not change the fields.
 
@@ -355,23 +368,17 @@ def run(scenario, progress_cb=None):
     committed step. Raises RunAborted when the halvings are exhausted.
     """
     config = scenario.solver
-    mesh = scenario.mesh
-    ed = precompute(mesh)
-    plan = plan_boundary(mesh, scenario.bcs)
-    fixed = fixed_jacobian(ed, scenario.params)
-    # planned from the patterns: K_cc lies on the node pattern of the mass
-    block_solver = sparse_linalg.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
-    sampler = ProbeSampler(scenario, ed)
+    rd = run_data(scenario)
+    sampler = ProbeSampler(scenario, rd.ed)
     # lumped nodal masses: a third of each element's area per vertex
-    masses = np.bincount(mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),
-                         minlength=mesh.n_nodes)
+    masses = np.bincount(scenario.mesh.tris.ravel(), weights=np.repeat(rd.ed.areas / 3.0, 3),
+                         minlength=scenario.mesh.n_nodes)
 
     fields = initial_fields(scenario)
     history = TimeHistory()
     t = 0.0
     t_end = config.t_end
     step_no = 0
-    newton_refs = {"u": 0.0, "c": 0.0}
     committed = None    # the Iterate of ``fields``; the initial fields have none
 
     while t < t_end * (1.0 - 1e-12):
@@ -381,8 +388,7 @@ def run(scenario, progress_cb=None):
         attempt = 0
         while True:
             try:
-                fields_new, info, it = step(fields, t, dt, scenario, ed, plan, fixed,
-                                            block_solver, newton_refs, committed)
+                fields_new, info, it = step(rd, fields, t, dt, committed)
                 break
             except StepFailure as err:
                 attempt += 1

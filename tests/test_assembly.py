@@ -539,9 +539,9 @@ class TestAssemblyPlan:
             assert np.shares_memory(block.indptr, ref.indptr)
 
     def test_base_jacobian_kept_per_dt(self, steel_plastic, rng):
-        # an iterate with no drift and no plastic element gets the base at
-        # dt, the elastic mechanics rows and K_diff + mass / dt: one object
-        # per dt, with read-only data
+        # an iterate with no drift and no plastic element gets the blocks of
+        # the base at dt, the elastic mechanics rows and K_diff + mass / dt:
+        # one K_cc object per dt, each block with read-only data
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
         ed = asm.precompute(m)
         fixed = asm.fixed_jacobian(ed, steel_plastic)
@@ -558,13 +558,13 @@ class TestAssemblyPlan:
             it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, dt, "one-way")
             assert it.plastic.index.size == 0
             base = asm.assemble_jacobian(ed, fixed, it, dt)
-            assert base is fixed.at(dt) and base.mech is fixed.mech
+            assert base.mech is fixed.mech and base.cc is fixed.at(dt).cc
             assert np.array_equal(base.cc.data, fixed.k_diff.data + mass / dt)
             for block in base:
                 with pytest.raises(ValueError, match="read-only"):
                     block.data[0] = 0.0
             bases.append(base)
-        assert bases[0] is bases[1] and bases[2] is not bases[0]
+        assert bases[0].cc is bases[1].cc and bases[2].cc is not bases[0].cc
         # a two-way iterate gets a new K_cc and leaves the base as it is
         it = asm.assemble_residual(ed, f1.u, f1.c, start, steel_plastic, 0.25, "two-way")
         jac = asm.assemble_jacobian(ed, fixed, it, 0.25)

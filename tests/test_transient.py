@@ -288,7 +288,7 @@ class TestLazyJacobian:
 
     def test_one_way_elastic_updates_share_the_base_per_dt(self, monkeypatch):
         # the constant-matrix path: every update at one dt gets the same
-        # read-only Jacobian, and the short last step a new one
+        # read-only blocks, and the short last step a new K_cc
         text = (COARSE_ELASTIC_ONE_WAY
                 .replace("solver.t_end_hat = 0.03", "solver.t_end_hat = 0.035")
                 .replace("loading.t_ramp_hat = 0.02", "loading.t_ramp_hat = 0.05"))
@@ -297,11 +297,14 @@ class TestLazyJacobian:
         assert len(dts) == len(updates)
         jacs = {}
         for dt, (jac, _, _, _) in zip(dts, updates):
-            assert jacs.setdefault(dt, jac) is jac
+            first = jacs.setdefault(dt, jac)
+            assert first.mech is jac.mech and first.cc is jac.cc
             for block in jac:
                 with pytest.raises(ValueError, match="read-only"):
                     block.data[0] = 0.0
         assert len(jacs) == 2
+        first, last = jacs.values()
+        assert last.mech is first.mech and last.cc is not first.cc
         assert dts.count(hist.records[0]["dt"]) > 1 and not hist.events
 
 
@@ -355,30 +358,24 @@ class TestCarriedStrain:
         # carry no strain: a step from them computes it
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         dt = scen.solver.dt
-        ed = asm.precompute(scen.mesh)
-        plan = asm.plan_boundary(scen.mesh, scen.bcs)
-        fixed = asm.fixed_jacobian(ed, scen.params)
-        solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
-        refs = {"u": 0.0, "c": 0.0}
+        rd = tr.run_data(scen)
         starts = spy_step_starts(monkeypatch)
-        new, _, it = tr.step(asm.FieldState.zeros(scen.mesh, c0=scen.c_initial), 0.0, dt,
-                             scen, ed, plan, fixed, solver, refs)
-        assert np.array_equal(it.strain, asm.element_strain(ed, new.u))
+        new, _, it = tr.step(rd, asm.FieldState.zeros(scen.mesh, c0=scen.c_initial), 0.0, dt)
+        assert np.array_equal(it.strain, asm.element_strain(rd.ed, new.u))
         moved = new.copy()
         moved.u = 1.01 * new.u
-        tr.step(moved, dt, dt, scen, ed, plan, fixed, solver, refs)
+        tr.step(rd, moved, dt, dt)
         assert [(passed, exact) for passed, _, exact in starts] == [(False, True)] * 2
         assert starts[1][1] is moved
 
 
-def run_data(scen):
-    """The per-run data ``transient.run`` makes for ``scen``: (assembly plan,
-    boundary plan, fixed Jacobian data, block solver, reference residuals)."""
-    ed = asm.precompute(scen.mesh)
-    plan = asm.plan_boundary(scen.mesh, scen.bcs)
-    fixed = asm.fixed_jacobian(ed, scen.params)
-    return ed, plan, fixed, sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs), \
-        {"u": 0.0, "c": 0.0}
+def iterate_arrays(it):
+    """Copies of every array of the ``assembly.Iterate`` ``it``, its
+    trial-yield points' included, by name."""
+    out = {n: v.copy() for n, v in vars(it).items() if isinstance(v, np.ndarray)}
+    out.update({"plastic." + n: v.copy() for n, v in vars(it.plastic).items()
+                if isinstance(v, np.ndarray)})
+    return out
 
 
 def spy_zero_increments(monkeypatch):
@@ -412,9 +409,9 @@ class TestCommittedPass:
         # pass of the next step at zero increment, bit for bit
         scen = sc.build_scenario(sc.load_config(text))
         params, dt, mode = scen.params, scen.solver.dt, scen.solver.mode
-        ed, plan, fixed, solver, refs = run_data(scen)
-        fields, _, it = tr.step(tr.initial_fields(scen), 0.0, dt, scen, ed, plan, fixed, solver,
-                                refs)
+        rd = tr.run_data(scen)
+        ed = rd.ed
+        fields, _, it = tr.step(rd, tr.initial_fields(scen), 0.0, dt)
         start = asm.step_start(ed, fields, params, it.strain)
         fresh = asm.assemble_residual(ed, fields.u, fields.c, start, params, dt, mode)
         kept = it.residual.copy()
@@ -525,19 +522,12 @@ class TestCommittedPass:
         real_step = tr.step
         seen = []
 
-        def arrays(it):
-            out = {n: v.copy() for n, v in vars(it).items() if isinstance(v, np.ndarray)}
-            out.update({"plastic." + n: v.copy() for n, v in vars(it.plastic).items()
-                        if isinstance(v, np.ndarray)})
-            return out
-
-        def step(*args):
-            committed = args[-1]
-            before = None if committed is None else arrays(committed)
-            out = real_step(*args)
+        def step(rd, fields_n, t_n, dt, committed=None):
+            before = None if committed is None else iterate_arrays(committed)
+            out = real_step(rd, fields_n, t_n, dt, committed)
             if committed is not None:
                 assert out[2] is not committed
-                after = arrays(committed)
+                after = iterate_arrays(committed)
                 assert before.keys() == after.keys() and "residual" in after
                 seen.append([n for n in before if not np.array_equal(before[n], after[n])])
             return out
@@ -547,6 +537,43 @@ class TestCommittedPass:
         taken = [r["residual_passes"] == r["newton_iters"] for r in hist.records]
         assert any(taken) and (text is COARSE_HOLE) == all(taken[1:])
         assert seen == [[]] * (len(hist.records) - 1)
+
+    @pytest.mark.parametrize("text", [COARSE_PLATE, HELD_ONE_WAY],
+                             ids=["plastic-two-way", "elastic-one-way"])
+    def test_run_stepped_by_hand_matches_run_bitwise(self, monkeypatch, text):
+        # run_data and step are all a run's steps need: stepping by hand from
+        # one record, carrying the committed iterate as run does, gives the
+        # run's fields, records and committed iterates bit for bit
+        scen = sc.build_scenario(sc.load_config(text))
+        real_step = tr.step
+        iterates, committed_fields = [], []
+
+        def step(*args):
+            out = real_step(*args)
+            iterates.append(out[2])
+            return out
+
+        monkeypatch.setattr(tr, "step", step)
+        hist, fields = tr.run(scen, progress_cb=lambda n, r, f: committed_fields.append(f))
+        monkeypatch.undo()
+        assert not hist.events and len(iterates) == len(hist.records) > 2
+        assert committed_fields[-1] is fields
+        rd = tr.run_data(scen)
+        by_hand, committed = tr.initial_fields(scen), None
+        for t_n, record, ref, ref_it in zip([0.0] + hist.times, hist.records, committed_fields,
+                                            iterates):
+            by_hand, info, committed = tr.step(rd, by_hand, t_n, record["dt"], committed)
+            assert record["time"] == t_n + record["dt"]
+            assert {k: record[k] for k in vars(info)} == vars(info)
+            assert record["max_eps_p_eq"] == by_hand.material.eps_p_eq.max()
+            for name in ("u", "c", "sigma_h_nodal"):
+                assert np.array_equal(getattr(by_hand, name), getattr(ref, name)), name
+            for name, value in vars(ref.material).items():
+                assert np.array_equal(getattr(by_hand.material, name), value), name
+            mine, theirs = iterate_arrays(committed), iterate_arrays(ref_it)
+            assert mine.keys() == theirs.keys() and "residual" in mine
+            for name in mine:
+                assert np.array_equal(mine[name], theirs[name]), name
 
 
 def newton_updates(monkeypatch, config_text):
@@ -720,8 +747,8 @@ class TestRobustness:
         # folds its own starting residuals in
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         dt = scen.solver.dt
-        ed, plan, fixed, solver, refs = run_data(scen)
-        real = solver.newton_update
+        rd = tr.run_data(scen)
+        real = rd.block_solver.newton_update
         updates = []
 
         def fail_once(jac, res):
@@ -730,16 +757,16 @@ class TestRobustness:
                 raise sla.SingularMatrixError("forced singular K_uu")
             return real(jac, res)
 
-        monkeypatch.setattr(solver, "newton_update", fail_once)
+        monkeypatch.setattr(rd.block_solver, "newton_update", fail_once)
         fields = tr.initial_fields(scen)
-        before = dict(refs)
+        before = dict(rd.refs)
         with pytest.raises(tr.StepFailure, match="forced singular"):
-            tr.step(fields, 0.0, dt, scen, ed, plan, fixed, solver, refs)
-        assert refs == before
-        tr.step(fields, 0.0, dt, scen, ed, plan, fixed, solver, refs)
+            tr.step(rd, fields, 0.0, dt)
+        assert rd.refs == before
+        tr.step(rd, fields, 0.0, dt)
         unfailed = dict(before)
-        tr.step(fields, 0.0, dt, scen, ed, plan, fixed, solver, unfailed)
-        assert refs == unfailed and refs["u"] > 0.0
+        tr.step(replace(rd, refs=unfailed), fields, 0.0, dt)
+        assert rd.refs == unfailed and rd.refs["u"] > 0.0
 
     def test_run_aborts_after_exhausted_halvings(self, monkeypatch):
         scen = slab_scenario(nx=10)
@@ -790,17 +817,15 @@ class TestRobustness:
         scen = sc.build_scenario(sc.load_config(
             PARTICLE_CFG.format(ri=2.5e-6, mode="oneway", plast="on")))
         scen.solver.t_end = 10 * scen.solver.dt
-        dm = asm.DofMap(scen.mesh.n_nodes)
         real_step = tr.step
         restarts = []
 
-        def step_then_restart(fields_n, t_n, dt, scenario, ed, plan, fixed, block_solver, refs,
-                              committed):
-            fields, info, it = real_step(fields_n, t_n, dt, scenario, ed, plan, fixed,
-                                         block_solver, refs, committed)
-            solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
-            *_, again = tr._newton_solve(dm.join(fields.u, fields.c), fields_n, t_n + dt, dt,
-                                         scenario, ed, plan, fixed, solver, dict(refs))
+        def step_then_restart(rd, fields_n, t_n, dt, committed=None):
+            fields, info, it = real_step(rd, fields_n, t_n, dt, committed)
+            fresh = replace(rd, refs=dict(rd.refs), block_solver=sla.BlockSolver(
+                rd.fixed.mech, rd.fixed.mass, rd.plan.fixed_dofs))
+            *_, again = tr._newton_solve(fresh, rd.dm.join(fields.u, fields.c), fields_n,
+                                         t_n + dt, dt)
             restarts.append(again.newton_iters)
             return fields, info, it
 
@@ -863,18 +888,11 @@ class TestPlasticTransient:
         # step must leave the plastic internal variables where they are
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
         params, dt = scen.params, scen.solver.dt
-        dm = asm.DofMap(scen.mesh.n_nodes)
-        ed = asm.precompute(scen.mesh)
-        plan = asm.plan_boundary(scen.mesh, scen.bcs)
-        fixed = asm.fixed_jacobian(ed, params)
-        refs = {"u": 0.0, "c": 0.0}
+        rd = tr.run_data(scen)
         fields_n = tr.initial_fields(scen)
-        solver = sla.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
-        new, _, _ = tr.step(fields_n, 0.0, dt, scen, ed, plan, fixed, solver, refs)
+        new, _, _ = tr.step(rd, fields_n, 0.0, dt)
         assert new.material.eps_p_eq.max() > 0        # the step flows plastically
-        w = dm.join(new.u, new.c)
-        _, again, _, _ = tr._newton_solve(w, fields_n, dt, dt, scen, ed, plan, fixed, solver,
-                                          refs)
+        _, again, _, _ = tr._newton_solve(rd, rd.dm.join(new.u, new.c), fields_n, dt, dt)
         two_mu = 2.0 * params.mu
         change = max(two_mu * np.max(np.abs(again.eps_p - new.material.eps_p)),
                      np.max(np.abs(again.back_stress - new.material.back_stress)),
@@ -883,9 +901,10 @@ class TestPlasticTransient:
         assert change <= 1e-6 * params.sigma_y0
 
     def test_assembly_plan_built_once_per_run(self, call_spy, monkeypatch):
-        # the per-run data is made by run alone: once per run, also when a
-        # step attempt fails and is retried at half the dt
+        # the per-run data is made by run_data alone, which run calls once
+        # per run, also when a step attempt fails and is retried at half the dt
         scen = sc.build_scenario(sc.load_config(COARSE_PLATE))
+        datas = call_spy("run_data", tr)
         plans = call_spy("precompute", asm, tr)
         fixed = call_spy("fixed_jacobian", asm, tr)
         solvers = call_spy("BlockSolver", sla)
@@ -893,7 +912,7 @@ class TestPlasticTransient:
         hist, _ = tr.run(scen)
         assert sum(r["newton_iters"] for r in hist.records) > len(hist.records)
         assert not hist.events
-        assert len(plans) == len(fixed) == len(solvers) == 1
+        assert len(datas) == len(plans) == len(fixed) == len(solvers) == 1
 
         real = tr.assemble_residual
         failures = [1]
@@ -907,7 +926,7 @@ class TestPlasticTransient:
         monkeypatch.setattr(tr, "assemble_residual", fail_once)
         hist, _ = tr.run(scen)
         assert [e["event"] for e in hist.events] == ["dt_halved"]
-        assert len(plans) == len(fixed) == len(solvers) == 2
+        assert len(datas) == len(plans) == len(fixed) == len(solvers) == 2
         assert csr_builds == []
 
     @pytest.mark.parametrize("text, built", [(COARSE_ELASTIC_ONE_WAY, False),
