@@ -198,7 +198,7 @@ _CONFIG_KEYS = {
     "loading.u_bar": ("u_bar", float, None, repr),
     "loading.p": ("p", float, None, repr),
     "loading.J": ("J_in", float, None, repr),
-    "loading.t_ramp_hat": ("t_ramp_hat", float, None, repr),
+    "loading.t_ramp_hat": ("t_ramp_hat", float, _non_negative("loading.t_ramp_hat"), repr),
     "concentration.initial_hat": ("c_initial_hat", float, None, repr),
     "concentration.insulated": ("c_insulated", _on_off, None, _on_off_text),
     "coupling.mode": ("mode", str, _coupling_mode, lambda val: val.replace("-", "")),

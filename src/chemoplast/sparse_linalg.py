@@ -18,53 +18,52 @@ in one unit system, so it is factored unscaled. The solver copies a row
 block's entries into its free-dof blocks when it reads it; the same row
 block passed again (the time stepper's elastic mechanics rows for the run,
 its one-way K_cc at one dt) is not read or checked again. Each of K_uu and
-K_cc keeps its KEPT_FACTORS most recently used factors, and one loop tries
-them on it, most recent first.
+K_cc keeps its last factor.
 
-A solve with a fresh factor, and a K_cc solve with a kept one, is refined
-against the entries it solves, as a stationary method (Higham, *Accuracy
-and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 12), to one
-target: a normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||) of
-at most ROUNDOFF_TOL. The refinement gives up as soon as the observed
-contraction shows that the target cannot be reached within REFINE_STEPS
-steps.
+A solve with a fresh factor is refined against the entries it solves, as a
+stationary method (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., SIAM 2002, ch. 12), to one target: a normwise
+backward error ||b - A x|| / (max|A| ||x|| + ||b||) of at most
+ROUNDOFF_TOL. The refinement gives up as soon as the observed contraction
+shows that the target cannot be reached within REFINE_STEPS steps.
 
-K_uu is solved inexactly. A Newton update only needs its linear residual
-below a forcing term times the right-hand side to keep the outer iteration
-converging (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982)
-400-408), and the plastic K_uu changes at every update, so refinement cannot
-reach roundoff against a kept factor. Preconditioned conjugate gradients
-(Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003,
-ch. 9), with the kept factor as the preconditioner, start from that factor's
-first solve and stop once the true residual ||b - A x|| is at most FORCING
-||b||. That residual is recomputed before x is accepted, so no block,
-symmetric or not, passes on CG's recursive residual alone. CG gives up on
-non-positive curvature p.Ap <= 0, which an indefinite block meets, or after
-PCG_MAX_ITER iterations, and the block is then factored afresh. An unchanged
-K_uu is still solved exactly: unless its condition number exceeds about
-1e11, the first solve's roundoff-level residual lies far below FORCING ||b||,
-and CG accepts it before its first iteration.
+A solve with a kept factor is inexact. A Newton update only needs its
+linear residual below a forcing term times the right-hand side to keep the
+outer iteration converging (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19 (1982) 400-408); for K_cc, whose right-hand side is -r_c, the
+bound ||K_cc dc + r_c|| <= FORCING ||r_c|| is that condition itself. The
+plastic K_uu and the two-way K_cc change at every update, so refinement
+cannot reach roundoff against a kept factor. Preconditioned conjugate
+gradients (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
+SIAM 2003, ch. 9), with the kept factor as the preconditioner, start from
+that factor's first solve and stop once the true residual ||b - A x|| is at
+most FORCING ||b||. The two-way drift makes K_cc nonsymmetric, which CG's
+theory does not cover. CG is still safe on it: the residual is recomputed
+before x is accepted, so no block, symmetric or not, passes on CG's
+recursive residual alone, and CG gives up on non-positive curvature
+p.Ap <= 0, which an indefinite block meets, or after PCG_MAX_ITER
+iterations, and the block is then factored afresh. An unchanged block is
+still solved exactly: unless its condition number exceeds about 1e11, the
+first solve's roundoff-level residual lies far below FORCING ||b||, and CG
+accepts it before its first iteration.
 
-When the kept factors cannot serve a block, the least recently used one is
-dropped and the block is factored afresh (Davis, *Direct Methods for Sparse
-Linear Systems*, SIAM 2006, ch. 7-8, on factor reuse). So a block that does
-not change, or changes little between iterates, is factored a few times per
-run, and the plastic K_uu is factored again only when CG fails.
+When the kept factor cannot serve its block, it is dropped and the block is
+factored afresh (Davis, *Direct Methods for Sparse Linear Systems*, SIAM
+2006, ch. 7-8, on factor reuse). So a block that does not change, or
+changes little between iterates, is factored a few times per run, and a
+changing block is factored again only when CG fails.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
-reported as SingularMatrixError). The solve contract has one rule per kind
-of factor:
+reported as SingularMatrixError). The solve contract has two rules:
 - a fresh factor, of either block or of ``solve``'s row-equilibrated
   matrix, returns x at a backward error of at most ROUNDOFF_TOL, and
   raises SingularMatrixError naming its matrix when refinement cannot
   reach it;
-- a kept K_cc factor returns x at that backward error, or is passed over;
-- a kept K_uu factor returns x with ||b - A x|| <= FORCING ||b||, or is
-  passed over.
-A block that turns singular is reported when it is factored: refinement
-against a kept factor cannot converge on it unless the right-hand side lies
-in its range, and CG unless it lies within FORCING ||b|| of it; x then
-solves the block, exactly or to the forcing bound.
+- a kept factor, of either block, returns x with ||b - A x|| <= FORCING
+  ||b|| by CG, or the block is factored afresh.
+A block that turns singular is reported when it is factored: CG against a
+kept factor cannot converge on it unless the right-hand side lies within
+FORCING ||b|| of its range; x then solves the block to the forcing bound.
 """
 from __future__ import annotations
 
@@ -75,18 +74,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14          # pivot / max|A| threshold for singularity reporting
-# refinement steps after a solve's first before its factor is given up (6
-# reaches ROUNDOFF_TOL at a contraction of about 1e-2 per step; the two-way
-# K_cc contracts by up to 6e-3 against a kept factor)
+# refinement steps after a fresh factor's first solve before its matrix is
+# reported (6 reach ROUNDOFF_TOL at a contraction of about 1e-2 per step)
 REFINE_STEPS = 6
 ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error a refined solve reaches
-# factors kept per block, most recently used first: a K_cc may return to the
-# entries of an older factor, while CG needs only the most recent K_uu factor
-KEPT_FACTORS = {"uu": 1, "cc": 2}
-# relative linear residual of an inexact K_uu solve: the plate problems' c
-# block exits Newton at about one digit, and 1e-2 moves their converged c by 6e-6
+# relative residual ||b - A x|| / ||b|| of every kept-factor solve, of K_uu
+# and K_cc alike: the plate problems' c block exits Newton at about one
+# digit, and 1e-2 moves their converged c by 6e-6
 FORCING = 1e-3
-PCG_MAX_ITER = 12          # CG iterations before a changed K_uu is factored afresh
+PCG_MAX_ITER = 12          # CG iterations before a changed block is factored afresh
 # Both blocks are structurally symmetric and K_uu is symmetric, so the blocks
 # are ordered by minimum degree on A + A^T and pivot on the diagonal unless it
 # is 10x smaller than the largest entry in its column.
@@ -142,9 +138,9 @@ def _factor(A, what, **splu_options):
 
 def _refine(lu, A, a_max, b):
     """x with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| + ||b||), refined
-    against ``A`` from the factor ``lu`` of ``A`` or of an earlier block;
-    None as soon as the residual contraction of the last step shows that
-    this cannot be reached within REFINE_STEPS refinement steps."""
+    against ``A`` from its fresh factor ``lu``; None as soon as the residual
+    contraction of the last step shows that this cannot be reached within
+    REFINE_STEPS refinement steps."""
     b_norm = np.linalg.norm(b)
     x = lu.solve(b)
     r_prev = b_norm
@@ -230,8 +226,8 @@ class BlockSolver:
     ``free_dofs`` holds the free u dofs and the free c dofs, each sorted,
     and ``free_rows`` the same dofs as rows of their row block.
     ``factors`` counts the fresh factorizations, ``reused`` the block solves
-    a kept factor served and ``pcg_iters`` the CG iterations of the K_uu
-    solves.
+    a kept factor served and ``pcg_iters`` the CG iterations of those
+    solves, of both blocks.
     """
 
     # the free-dof blocks read from each row block
@@ -254,12 +250,9 @@ class BlockSolver:
         self.free_dofs = (np.flatnonzero(free & ~is_c), np.flatnonzero(free & is_c))
         self.free_rows = (np.flatnonzero(u_rows), np.flatnonzero(c_nodes))
         # the row blocks whose entries are in place, held weakly so that a
-        # caller can free them before building the next; max|K_cc| of the
-        # K_cc in place
+        # caller can free them before building the next
         self._in_place = {"mech": None, "cc": None}
-        self._cc_max = 0.0
-        # SuperLU factors, most recent first
-        self._kept = {"uu": [], "cc": []}
+        self._kept = {}         # "uu" / "cc" -> the block's last SuperLU factor
         self.factors = 0
         self.reused = 0
         self.pcg_iters = 0
@@ -269,10 +262,9 @@ class BlockSolver:
 
         ``jac`` is the pair (mechanics rows, K_cc) of CSR matrices with the
         planned patterns, neither changed after it is passed (see the class
-        docstring). K_cc is solved by refinement against a kept factor when
-        that reaches a roundoff-level backward error, K_uu by CG
-        preconditioned with a kept factor to a FORCING relative residual,
-        and either is factored afresh otherwise (see the module docstring).
+        docstring). Each block is solved by CG preconditioned with its kept
+        factor to a FORCING relative residual, and factored afresh when that
+        fails (see the module docstring).
         Raises ValueError if a row block does not have the planned shape or
         has an entry that is not finite, and SingularMatrixError if a
         freshly factored block is singular.
@@ -301,30 +293,28 @@ class BlockSolver:
             slots, block = self._blocks[name]
             # the slots are in range; "clip" lets take write into the data unbuffered
             np.take(A.data, slots, out=block.data, mode="clip")
-        if rows == "cc":
-            cc = self._blocks["cc"][1]
-            self._cc_max = float(np.abs(cc.data).max()) if cc.nnz else 0.0
         self._in_place[rows] = weakref.ref(A)
 
     def _block_solve(self, name, rhs):
+        """x with K x = rhs for the block ``name`` ("uu" or "cc"): by CG with
+        its kept factor to FORCING ||rhs||, else by refinement with a fresh
+        factor to ROUNDOFF_TOL, which is kept in its place."""
         if rhs.size == 0:
             return rhs
         A = self._blocks[name][1]
-        kept = self._kept[name]
-        for i, lu in enumerate(kept):
-            x = _refine(lu, A, self._cc_max, rhs) if name == "cc" else self._pcg(lu, A, rhs)
+        if name in self._kept:
+            x = self._pcg(self._kept[name], A, rhs)
             if x is not None:
-                kept.insert(0, kept.pop(i))
                 self.reused += 1
                 return x
-        # free the least recently used factor before computing the new one, and
-        # copy the block to CSC before that, so that the new factor's buffers
-        # can take the freed memory whole (peak memory)
+        # free the kept factor before computing the new one, and copy the
+        # block to CSC before that, so that the new factor's buffers can take
+        # the freed memory whole (peak memory)
         csc = A.tocsc()
-        del kept[KEPT_FACTORS[name] - 1:]
+        self._kept.pop(name, None)
         lu, a_max = _factor(csc, f"K_{name}", **BLOCK_SPLU_OPTIONS)
         del csc
-        kept.insert(0, lu)
+        self._kept[name] = lu
         self.factors += 1
         x = _refine(lu, A, a_max, rhs)
         if x is None:

@@ -96,7 +96,7 @@ class StepInfo:
     jacobians: int             # Jacobians evaluated in the step, the reused base included
     factors: int               # block factors computed by the step's Newton solve
     reused: int                # block solves of it served by a kept factor
-    pcg_iters: int             # CG iterations of its K_uu solves
+    pcg_iters: int             # CG iterations of its kept-factor solves, both blocks
     plastic_qp: int            # plastic quadrature points at the committed iterate: n_qp
                                # per plastic element
     residual_passes: int       # residual passes computed; one fewer where the committed
@@ -164,8 +164,8 @@ def _newton_solve(rd, w, fields_n, t_new, dt, committed=None, held=False):
     points flipping between the elastic and plastic branch; this attempt's
     starting residuals are folded into it only when it returns. The
     StepInfo counts the factors ``rd.block_solver`` computed, the block
-    solves its kept factors served and the CG iterations of its K_uu solves
-    in this solve; the block norms are over its free dofs.
+    solves its kept factors served and the CG iterations of those solves,
+    of both blocks, in this solve; the block norms are over its free dofs.
 
     ``committed`` is the read-only ``assembly.Iterate`` of ``fields_n``
     (None to compute its strain), and ``held`` says that ``w`` is its

@@ -378,12 +378,33 @@ class TestUniaxialDriver:
         assert abs(re_yield) < peak
         assert re_yield == pytest.approx(peak - 2 * sy, abs=0.02 * sy)
 
-    def test_lateral_stresses_vanish(self, steel_plastic):
+    def test_lateral_stresses_vanish(self, steel_plastic, monkeypatch):
+        # every trial of a step starts from that step's state, so the state
+        # the driver accepts is the last trial before the start state changes
+        calls = []
+        real = ct.update_stress
+
+        def recording(state, *args, **kwargs):
+            out = real(state, *args, **kwargs)
+            calls.append((state, out[0]))
+            return out
+
+        monkeypatch.setattr(ct, "update_stress", recording)
         eps = np.linspace(0.0, 4e-3, 41)
-        state = ct.MaterialState.zeros(())
-        # re-run the driver manually and check the advertised tolerance
         s = ct.drive_material_point_uniaxial(steel_plastic, eps)
-        assert s.shape == eps.shape
+        starts = [start for start, _ in calls[1:]] + [None]
+        accepted = [trial for (start, trial), nxt in zip(calls, starts) if nxt is not start]
+        assert [a.sigma[0] for a in accepted] == list(s)
+        assert accepted[-1].eps_p_eq > 0.0               # the path yields
+        lateral = np.array([np.abs(a.sigma[1:3]).max() for a in accepted])
+        assert np.all(lateral <= ct.LATERAL_TOL * steel_plastic.sigma_y0)
+
+    def test_stalled_lateral_iteration_raises(self, steel_plastic, monkeypatch):
+        # one iteration cannot bring the lateral stresses of a strained step
+        # to the tolerance; the unstrained first step needs none
+        monkeypatch.setattr(ct, "LOCAL_ITER_CAP", 1)
+        with pytest.raises(ct.ConstitutiveError, match="lateral iteration stalled at step 1"):
+            ct.drive_material_point_uniaxial(steel_plastic, np.linspace(0.0, 4e-3, 41))
 
     def test_history_must_start_at_zero(self, steel_plastic):
         with pytest.raises(ValueError):

@@ -29,9 +29,9 @@ _spec.loader.exec_module(workloads)
 # (Newton updates, Jacobians, factors, reused, CG iterations) over the
 # default-seed run
 NEWTON_PATH = {
-    "plate_plastic_twoway": (26, 26, 2, 50, 50),
+    "plate_plastic_twoway": (26, 26, 2, 50, 65),
     "plate_elastic_oneway": (40, 40, 2, 78, 0),
-    "hole_validation": (12, 12, 3, 21, 0),
+    "hole_validation": (13, 13, 2, 24, 14),
 }
 
 # residual passes over the default-seed run: the Newton updates plus one a
@@ -40,7 +40,7 @@ NEWTON_PATH = {
 RESIDUAL_PASSES = {
     "plate_plastic_twoway": 34,
     "plate_elastic_oneway": 53,
-    "hole_validation": 13,
+    "hole_validation": 14,
 }
 
 # steps per Newton exit over the default-seed run; together they show every

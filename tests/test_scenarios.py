@@ -162,10 +162,11 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key", ["solver.dt", "solver.dt_hat", "solver.t_end",
                                      "solver.t_end_hat", "scales.L_star",
-                                     "output.snapshot_stride"])
+                                     "output.snapshot_stride", "loading.t_ramp_hat"])
     def test_negative_unset_by_zero_value_rejected_with_line(self, key):
         # 0 leaves these unset; a negative value used to fall back to the
-        # default (dt, t_end) or to write a snapshot every step (the stride)
+        # default (dt, t_end), to write a snapshot every step (the stride) or
+        # to apply the load at t = 0 (the ramp)
         text = without_key(BASE_PLATE, key)
         lineno = len(text.splitlines()) + 1
         with pytest.raises(sc.ConfigError) as err:

@@ -365,43 +365,7 @@ class TestBlockSolver:
         solver.newton_update(rows(A), res)
         dw = solver.newton_update(rows(B), res)
         assert len(factors) == 2 and solver.reused == 2
-        ref = _solver(B).newton_update(rows(B), res)
-        is_u = np.arange(A.shape[0]) % 3 != 2
-        assert np.linalg.norm(dw[~is_u] - ref[~is_u]) <= 1e-12 * np.linalg.norm(ref[~is_u])
-        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
-
-    def test_large_change_refactors_after_one_solve(self, rows, rng, factors):
-        # K_cc is refactored after one kept solve; the SPD K_uu is served by CG
-        A = _spd_block_triangular(rng)
-        B = _spd_perturbed(A, 0.05, rng)
-        res = rng.normal(size=A.shape[0])
-        solver = _solver(A)
-        solver.newton_update(rows(A), res)
-        before = [f.solves for f in factors]
-        dw = solver.newton_update(rows(B), res)
-        assert [f.n for f in factors] == [8, 16, 8]          # K_cc, K_uu, K_cc
-        cc_solves, uu_solves = (f.solves - s for f, s in zip(factors, before))
-        assert cc_solves == 1
-        assert uu_solves == 1 + solver.pcg_iters and solver.pcg_iters > 0
-        assert (solver.factors, solver.reused) == (3, 1)
-        assert _c_residual_ratio(B, dw, res) <= 1e-12
-        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
-
-    def test_kept_factor_needs_roundoff_backward_error(self, rows, rng, factors, monkeypatch):
-        # with no refinement step, the kept factor's first solve of a slightly
-        # changed K_cc misses the roundoff target and the block refactors,
-        # while the fresh factor's first solve meets it; K_uu only needs the
-        # forcing bound, which its kept factor meets
-        monkeypatch.setattr(sla, "REFINE_STEPS", 0)
-        A = _block_triangular(rng, n_nodes=8)
-        B = _perturbed(A, 1e-6, rng)
-        res = rng.normal(size=A.shape[0])
-        solver = _solver(A)
-        solver.newton_update(rows(A), res)
-        dw = solver.newton_update(rows(B), res)
-        assert [f.n for f in factors] == [8, 16, 8] and solver.reused == 1
-        assert factors[0].solves == 2 and factors[2].solves == 1     # A's, B's K_cc
-        assert _c_residual_ratio(B, dw, res) <= 1e-12
+        assert _c_residual_ratio(B, dw, res) <= sla.FORCING
         assert _u_residual_ratio(B, dw, res) <= sla.FORCING
 
     @pytest.mark.parametrize("block", ["cc", "uu"])
@@ -436,8 +400,8 @@ class TestBlockSolver:
 
     def test_singular_block_with_consistent_rhs_solved_by_kept_factor(self, rows, rng):
         # the equal rows see equal right-hand sides: the system has solutions,
-        # refinement against the kept factor finds one at roundoff backward
-        # error, and no factor of the singular block is attempted
+        # CG with the kept factor finds one, and no factor of the singular
+        # block is attempted
         A = _block_triangular(rng)
         dense = A.toarray()
         dense[3] = dense[0]
@@ -449,32 +413,24 @@ class TestBlockSolver:
         assert np.linalg.norm(B @ dw + 1.0) <= 1e-12 * np.sqrt(A.shape[0])
 
     def test_alternating_blocks_factor_twice(self, rows, rng, factors):
-        # B = -A: against A's factors, refinement of B's K_cc doubles the
-        # residual and CG on B's K_uu meets p.Bp = -p.Ap < 0 at its first
-        # step, so B's blocks are factored; after that each K_cc is served by
-        # its own kept factor, while K_uu keeps one factor and is refactored
-        # at every switch (CG on A with B's factor meets r.z < 0)
+        # B = -A: CG on either block of B with A's factor meets
+        # p.Bp = -p.Ap < 0 at its first step, and on A with B's factor
+        # r.z < 0, so every switch factors both blocks afresh; each block
+        # keeps one factor, so a replaced factor is not solved again
         A = _spd_block_triangular(rng, n_nodes=3)
         B = -A
         res = rng.normal(size=A.shape[0])
         solver = _solver(A)
+        solves = []
         for M in (A, B, A, B):
             dw = solver.newton_update(rows(M), res)
             assert np.linalg.norm(M @ dw + res) <= 1e-12 * np.linalg.norm(res)
-        assert [f.n for f in factors] == [3, 6, 3, 6, 6, 6]
-        assert (solver.factors, solver.reused) == (6, 2)
-
-    def test_least_recently_used_factor_dropped(self, rows, rng, factors):
-        A, B, C = (_block_triangular(rng) for _ in range(3))
-        res = rng.normal(size=A.shape[0])
-        solver = _solver(A)
-        fresh = []
-        for M in (A, B, A, C, A, B):
-            n_before = sum(f.n == 3 for f in factors)      # K_cc has 3 dofs
-            solver.newton_update(rows(M), res)
-            fresh.append(sum(f.n == 3 for f in factors) > n_before)
-        # C drops B's K_cc factor (A's was used after B's); A keeps its own
-        assert fresh == [True, True, False, True, False, True]
+            solves.append([f.solves for f in factors])
+        assert [f.n for f in factors] == [3, 6] * 4          # K_cc (3 dofs), K_uu (6)
+        assert (solver.factors, solver.reused) == (8, 0)
+        # the factors of update k - 2 were replaced in update k - 1
+        for k in (2, 3):
+            assert solves[k][:2 * k - 2] == solves[k - 1][:2 * k - 2]
 
     def test_singular_block_reported(self, rows, rng):
         A = _block_triangular(rng).toarray()
@@ -484,12 +440,16 @@ class TestBlockSolver:
             _solver(M).newton_update(rows(M), np.ones(M.shape[0]))
 
 
-class TestInexactKuu:
-    """The K_uu contract: kept-factor PCG to FORCING, else a fresh factor."""
+class TestKeptFactorSolve:
+    """The kept-factor contract of both blocks: PCG to FORCING, else a fresh
+    factor."""
 
-    def test_few_percent_change_served_by_pcg(self, rows, rng, factors):
+    @pytest.mark.parametrize("block", ["u", "c"])
+    def test_few_percent_change_served_by_pcg(self, rows, rng, factors, block):
+        # the changed block meets the forcing bound, the unchanged one is
+        # solved exactly by its kept factor's first solve
         A = _spd_block_triangular(rng)
-        B = _spd_perturbed(A, 0.03, rng, blocks="u")
+        B = _spd_perturbed(A, 0.03, rng, blocks=block)
         res = rng.normal(size=A.shape[0])
         solver = _solver(A)
         solver.newton_update(rows(A), res)
@@ -497,8 +457,9 @@ class TestInexactKuu:
         assert len(factors) == 2                   # no new factor of either block
         assert 0 < solver.pcg_iters <= sla.PCG_MAX_ITER
         assert solver.reused == 2
-        assert _u_residual_ratio(B, dw, res) <= sla.FORCING
-        assert _c_residual_ratio(B, dw, res) <= 1e-12
+        u_tol, c_tol = (sla.FORCING, 1e-12) if block == "u" else (1e-12, sla.FORCING)
+        assert _u_residual_ratio(B, dw, res) <= u_tol
+        assert _c_residual_ratio(B, dw, res) <= c_tol
 
     def test_unchanged_block_bitwise_equal_to_kept_solve(self, rows, rng, factors):
         A = _spd_block_triangular(rng)
@@ -515,47 +476,35 @@ class TestInexactKuu:
         kept = sla._refine(uu_factor, A_uu, float(np.abs(A_uu.data).max()), rhs_u)
         assert np.array_equal(dw[is_u], kept)
 
-    def test_k_uu_keeps_one_factor(self, rows, rng, factors):
-        # -A's K_uu factor (CG with A's meets p.Ap < 0 on -A) replaces A's,
-        # so the return to A's exact entries is factored once more, with no
-        # solve by A's first factor
-        A = _spd_block_triangular(rng)
-        res = rng.normal(size=A.shape[0])
-        solver = _solver(A)
-        solver.newton_update(rows(A), res)
-        solver.newton_update(rows(-A), res)
-        first_uu = factors[1]
-        solves = first_uu.solves
-        dw = solver.newton_update(rows(A), res)
-        assert np.linalg.norm(A @ dw + res) <= 1e-12 * np.linalg.norm(res)
-        assert [f.n for f in factors if f.n == 16] == [16, 16, 16]
-        assert first_uu.solves == solves
-
-    @pytest.mark.parametrize("change", ["nonsymmetric", "indefinite", "iteration-cap"])
-    def test_failed_pcg_falls_back_to_fresh_factor(self, rows, rng, factors, monkeypatch, change):
+    @pytest.mark.parametrize("block, change", [
+        ("u", "nonsymmetric"), ("u", "indefinite"), ("u", "iteration-cap"),
+        ("c", "indefinite"), ("c", "iteration-cap")])
+    def test_failed_pcg_falls_back_to_fresh_factor(self, rows, rng, factors, monkeypatch,
+                                                   block, change):
         A = _spd_block_triangular(rng)
         n = A.shape[0]
-        is_u = np.arange(n) % 3 != 2
+        in_block = (np.arange(n) % 3 == 2) == (block == "c")
         dense = A.toarray()
-        uu = np.ix_(is_u, is_u)
+        changed = np.ix_(in_block, in_block)
         if change == "nonsymmetric":
             # a skew part ten times the diagonal leaves p.Ap > 0, but CG
             # cannot converge on it
-            skew = np.triu(rng.normal(size=dense[uu].shape), 1)
-            dense[uu] += 10.0 * np.abs(dense[uu]).max() * (skew - skew.T)
+            skew = np.triu(rng.normal(size=dense[changed].shape), 1)
+            dense[changed] += 10.0 * np.abs(dense[changed]).max() * (skew - skew.T)
         elif change == "indefinite":
-            dense[uu] = -dense[uu]                 # p.Ap < 0 at the first step
+            dense[changed] = -dense[changed]       # p.Ap < 0 at the first step
         else:
-            # a 30% change takes CG three iterations
+            # a 30% change takes CG three iterations on either block
             monkeypatch.setattr(sla, "PCG_MAX_ITER", 2)
-            dense = _spd_perturbed(A, 0.3, rng, blocks="u").toarray()
+            dense = _spd_perturbed(A, 0.3, rng, blocks=block).toarray()
         B = sp.csr_matrix(dense)
         assert np.array_equal(B.indices, A.indices)    # same pattern
         res = rng.normal(size=n)
         solver = _solver(A)
         solver.newton_update(rows(A), res)
         dw = solver.newton_update(rows(B), res)
-        assert [f.n for f in factors] == [8, 16, 16]   # K_cc kept, K_uu refactored
+        # the changed block refactored (K_cc 8 dofs, K_uu 16), the other kept
+        assert [f.n for f in factors] == [8, 16, {"c": 8, "u": 16}[block]]
         assert solver.pcg_iters == 0 and solver.reused == 1
         assert _u_residual_ratio(B, dw, res) <= 1e-12
         assert _c_residual_ratio(B, dw, res) <= 1e-12
