@@ -187,10 +187,6 @@ class MaterialState:
             eps_p_eq=np.zeros(shape),
         )
 
-    @property
-    def batch_shape(self):
-        return self.eps_p_eq.shape
-
 
 def _yield_stress(eps_p_eq, params):
     """Current yield stress sigma_y at the equivalent plastic strain

@@ -20,20 +20,22 @@ block passed again (the time stepper's elastic mechanics rows for the run,
 its one-way K_cc at one dt) is not read or checked again. Each of K_uu and
 K_cc keeps its last factor.
 
-A solve with a fresh factor is refined against the entries it solves, as a
-stationary method (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2nd ed., SIAM 2002, ch. 12), to one target: a normwise
-backward error ||b - A x|| / (max|A| ||x|| + ||b||) of at most
-ROUNDOFF_TOL. The refinement gives up as soon as the observed contraction
-shows that the target cannot be reached within REFINE_STEPS steps.
+A fresh factor is solved once and checked against the entries it solves:
+x is accepted at a normwise backward error ||b - A x|| / (max|A| ||x|| +
+||b||) of at most ROUNDOFF_TOL (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 7), and a solve that misses
+it reports its matrix singular. LU with partial pivoting is backward
+stable in practice (ch. 9): on the solver's blocks and reference systems
+the first solve lands at a small fraction of that target, so it is not
+refined.
 
 A solve with a kept factor is inexact. A Newton update only needs its
 linear residual below a forcing term times the right-hand side to keep the
 outer iteration converging (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
 Anal. 19 (1982) 400-408); for K_cc, whose right-hand side is -r_c, the
 bound ||K_cc dc + r_c|| <= FORCING ||r_c|| is that condition itself. The
-plastic K_uu and the two-way K_cc change at every update, so refinement
-cannot reach roundoff against a kept factor. Preconditioned conjugate
+plastic K_uu and the two-way K_cc change at every update, so a kept
+factor's solve cannot reach roundoff against them. Preconditioned conjugate
 gradients (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
 SIAM 2003, ch. 9), with the kept factor as the preconditioner, start from
 that factor's first solve and stop once the true residual ||b - A x|| is at
@@ -55,10 +57,9 @@ changing block is factored again only when CG fails.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
 reported as SingularMatrixError). The solve contract has two rules:
-- a fresh factor, of either block or of ``solve``'s row-equilibrated
-  matrix, returns x at a backward error of at most ROUNDOFF_TOL, and
-  raises SingularMatrixError naming its matrix when refinement cannot
-  reach it;
+- a fresh factor's first solve, of either block or of ``solve``'s
+  row-equilibrated matrix, reaches a backward error of ROUNDOFF_TOL, or
+  SingularMatrixError names its matrix;
 - a kept factor, of either block, returns x with ||b - A x|| <= FORCING
   ||b|| by CG, or the block is factored afresh.
 A block that turns singular is reported when it is factored: CG against a
@@ -74,10 +75,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14          # pivot / max|A| threshold for singularity reporting
-# refinement steps after a fresh factor's first solve before its matrix is
-# reported (6 reach ROUNDOFF_TOL at a contraction of about 1e-2 per step)
-REFINE_STEPS = 6
-ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error a refined solve reaches
+ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error of a fresh solve
 # relative residual ||b - A x|| / ||b|| of every kept-factor solve, of K_uu
 # and K_cc alike: the plate problems' c block exits Newton at about one
 # digit, and 1e-2 moves their converged c by 6e-6
@@ -99,11 +97,12 @@ def from_triplets(n, entries):
 
     Duplicate (row, col) pairs are summed (scatter-add), which is what
     element-by-element assembly requires, and the column indices of every
-    row are sorted. ``entries`` may be a list of triplets or a (rows, cols,
-    values) tuple of arrays.
+    row are sorted. ``entries`` may be an iterable of triplets or a (rows,
+    cols, values) tuple of NumPy arrays.
     """
-    if isinstance(entries, tuple) and len(entries) == 3:
-        rows, cols, vals = (np.asarray(a) for a in entries)
+    if (isinstance(entries, tuple) and len(entries) == 3
+            and all(isinstance(a, np.ndarray) for a in entries)):
+        rows, cols, vals = entries
     else:
         entries = list(entries)
         if entries:
@@ -118,9 +117,11 @@ def from_triplets(n, entries):
     return sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _factor(A, what, **splu_options):
-    """SuperLU factor of the sparse matrix ``A`` and max|A|; a (numerically)
-    zero pivot raises SingularMatrixError."""
+def _fresh_solve(A, b, what, **splu_options):
+    """The SuperLU factor of the sparse matrix ``A`` and its solve x of
+    A x = b, with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| + ||b||); an
+    identically zero matrix, a (numerically) zero pivot or a solve that
+    misses that target raises SingularMatrixError naming ``what``."""
     a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
     if a_max == 0.0:
         raise SingularMatrixError(f"{what}: matrix is identically zero")
@@ -133,28 +134,11 @@ def _factor(A, what, **splu_options):
         raise SingularMatrixError(
             f"{what}: pivot {pivot:.3e} below {PIVOT_TOL:.0e} * max|A| "
             f"= {PIVOT_TOL * a_max:.3e}")
-    return lu, a_max
-
-
-def _refine(lu, A, a_max, b):
-    """x with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| + ||b||), refined
-    against ``A`` from its fresh factor ``lu``; None as soon as the residual
-    contraction of the last step shows that this cannot be reached within
-    REFINE_STEPS refinement steps."""
-    b_norm = np.linalg.norm(b)
     x = lu.solve(b)
-    r_prev = b_norm
-    for steps_left in range(REFINE_STEPS, -1, -1):
-        r = b - A @ x
-        r_norm = np.linalg.norm(r)
-        target = ROUNDOFF_TOL * (a_max * np.linalg.norm(x) + b_norm)
-        if r_norm <= target:
-            return x
-        rate = r_norm / r_prev
-        if rate >= 1.0 or r_norm * rate ** steps_left > target:
-            return None
-        r_prev = r_norm
-        x = x + lu.solve(r)
+    if np.linalg.norm(b - A @ x) > ROUNDOFF_TOL * (a_max * np.linalg.norm(x) + np.linalg.norm(b)):
+        raise SingularMatrixError(f"{what}: solve misses a roundoff backward error; "
+                                  "matrix is effectively singular")
+    return lu, x
 
 
 def solve(A, b):
@@ -164,9 +148,9 @@ def solve(A, b):
     The matrix is row-equilibrated before factoring -- the solution is
     unchanged, but pivot magnitudes become comparable across physics blocks
     with wildly different units -- and x reaches a backward error of
-    ROUNDOFF_TOL in the equilibrated system D A x = D b. A numerically
-    singular matrix (equilibrated pivot below PIVOT_TOL * max|A|, or a
-    backward error that refinement cannot bring to ROUNDOFF_TOL) raises
+    ROUNDOFF_TOL in the equilibrated system D A x = D b at its first solve.
+    A numerically singular matrix (equilibrated pivot below PIVOT_TOL *
+    max|A|, or a first solve that misses ROUNDOFF_TOL) raises
     SingularMatrixError instead of returning garbage.
     """
     n = A.shape[0]
@@ -182,12 +166,7 @@ def solve(A, b):
             f"solve: zero row at index {int(np.flatnonzero(row_max == 0.0)[0])}")
     d = 1.0 / row_max
     scaled = sp.csr_matrix((A.data * np.repeat(d, row_len), A.indices, A.indptr), shape=A.shape)
-    lu, a_max = _factor(scaled, "solve (row-equilibrated)")
-    x = _refine(lu, scaled, a_max, d * b)
-    if x is None:
-        raise SingularMatrixError("solve (row-equilibrated): refinement cannot reach a "
-                                  "roundoff backward error; matrix is effectively singular")
-    return x
+    return _fresh_solve(scaled, d * b, "solve (row-equilibrated)")[1]
 
 
 def _plan_block(A, rows, cols):
@@ -297,8 +276,8 @@ class BlockSolver:
 
     def _block_solve(self, name, rhs):
         """x with K x = rhs for the block ``name`` ("uu" or "cc"): by CG with
-        its kept factor to FORCING ||rhs||, else by refinement with a fresh
-        factor to ROUNDOFF_TOL, which is kept in its place."""
+        its kept factor to FORCING ||rhs||, else by the first solve of a fresh
+        factor to ROUNDOFF_TOL, which is then kept in its place."""
         if rhs.size == 0:
             return rhs
         A = self._blocks[name][1]
@@ -312,14 +291,8 @@ class BlockSolver:
         # the freed memory whole (peak memory)
         csc = A.tocsc()
         self._kept.pop(name, None)
-        lu, a_max = _factor(csc, f"K_{name}", **BLOCK_SPLU_OPTIONS)
-        del csc
-        self._kept[name] = lu
+        self._kept[name], x = _fresh_solve(csc, rhs, f"K_{name}", **BLOCK_SPLU_OPTIONS)
         self.factors += 1
-        x = _refine(lu, A, a_max, rhs)
-        if x is None:
-            raise SingularMatrixError(f"K_{name}: refinement cannot reach a roundoff backward "
-                                      "error; block is effectively singular")
         return x
 
     def _pcg(self, lu, A, b):

@@ -7,9 +7,7 @@ from chemoplast.constitutive import MaterialParams, ddot, deviator
 
 def yield_function(state, params):
     """f = sigma_e(S - beta) - sigma_y of every point of ``state``, in stress
-    units for both hardening kinds; -inf for an elastic material."""
-    if params.hardening_kind == "none":
-        return np.full(state.batch_shape, -np.inf)
+    units for both hardening kinds."""
     xi = deviator(state.sigma) - state.back_stress
     sig_e = np.sqrt(np.maximum(1.5 * ddot(xi, xi), 0.0))
     if params.hardening_kind == "isotropic":

@@ -22,6 +22,12 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             ct.MaterialParams(E=210e9, nu=0.5, D=1e-8, Omega=1e-6, T=300.0)
 
+    def test_unknown_hardening_kind(self):
+        with pytest.raises(ValueError) as err:
+            ct.MaterialParams(E=210e9, nu=0.3, D=1e-8, Omega=1e-6, T=300.0,
+                              hardening_kind="cubic")
+        assert str(err.value) == "MaterialParams: unknown hardening_kind 'cubic'"
+
     def test_as_elastic_strips_plasticity(self, steel_plastic):
         el = steel_plastic.as_elastic()
         assert el.hardening_kind == "none"
@@ -329,6 +335,19 @@ class TestCompactReturnMap:
         assert abs(f[0] / sig_y[0] - excess * np.finfo(float).eps) <= 4.0 * np.finfo(float).eps
         assert ct.trial_yields(xi, eps_p_eq, hardening) is yields
         assert ct.radial_return(xi, eps_p_eq, hardening).index.size == int(f[0] > 0.0)
+
+    def test_return_left_above_tolerance_raises_at_batch_index(self, hardening, monkeypatch):
+        # a negative tolerance puts the returned row's f (zero to roundoff)
+        # above it; the error names the row's index in the batch, 2, not
+        # its index 0 among the returned rows
+        monkeypatch.setattr(ct, "YIELD_TOL_FACTOR", -1.0)
+        direction = ct.deviator(np.array([1.0, -0.4, 0.2, 0.3]))
+        unit = direction / np.sqrt(1.5 * ct.ddot(direction, direction))
+        xi = np.outer([0.5, 0.9, 2.0], unit) * hardening.sigma_y0    # elastic, elastic, yielding
+        with pytest.raises(ct.ConstitutiveError,
+                           match=r"^radial return left f = .* above tol -4\.000e\+08$") as exc:
+            ct.radial_return(xi, np.zeros(3), hardening)
+        assert exc.value.flat_index == 2
 
     def test_elastic_material_has_no_plastic_points(self, steel, rng):
         state = ct.MaterialState.zeros((7, 3))

@@ -7,7 +7,9 @@ benchmark applies. It also pins the run totals of Newton updates, Jacobian
 evaluations, block factors, kept-factor solves and CG iterations, the
 residual passes, and the steps per Newton exit, so that a change that
 moves the Newton path, relabels steps or stops taking a step's first pass
-from the committed one shows without a benchmark run.
+from the committed one shows without a benchmark run. A second run at a
+tenth of the fresh-solve target shows that every fresh factor's first
+solve lands well inside it.
 Both files are read, never written.
 """
 import importlib.util
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from chemoplast import scenarios as sc
+from chemoplast import scenarios as sc, sparse_linalg as sla
 
 _WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS_PY)
@@ -63,3 +65,16 @@ def test_final_fields_match_reference(name, tmp_path):
     assert tuple(sum(r[k] for r in history.records) for k in keys) == NEWTON_PATH[name]
     assert sum(r["residual_passes"] for r in history.records) == RESIDUAL_PASSES[name]
     assert Counter(r["newton_exit"] for r in history.records) == NEWTON_EXIT_STEPS[name]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_fresh_solves_reach_a_tenth_of_the_roundoff_target(name, monkeypatch, tmp_path):
+    # a fresh factor's solve is not refined: at a tenth of ROUNDOFF_TOL no
+    # block is reported singular (no step halves dt) and the Newton path is
+    # the one pinned above
+    monkeypatch.setattr(sla, "ROUNDOFF_TOL", sla.ROUNDOFF_TOL / 10.0)
+    text = workloads.WORKLOADS[name].config_text(workloads.DEFAULT_SEED)
+    history, _ = sc.run_scenario(sc.build_scenario(sc.load_config(text)), output_dir=tmp_path)
+    assert history.events == []
+    keys = ("newton_iters", "jacobians", "factors", "reused", "pcg_iters")
+    assert tuple(sum(r[k] for r in history.records) for k in keys) == NEWTON_PATH[name]

@@ -174,6 +174,20 @@ class TestLoadConfig:
         assert str(err.value).startswith(f"line {lineno}: {key} must be non-negative")
         assert getattr(sc.load_config(text + f"{key} = 0\n"), sc._CONFIG_KEYS[key][0]) == 0
 
+    @pytest.mark.parametrize("line, message", [
+        ("geometry.L 2.0", "expected 'section.key = value', got 'geometry.L 2.0'"),
+        ("geometry.L =", "empty key or value"),
+        ("= 2.0", "empty key or value"),
+        ("material.hardening = cubic",
+         "material.hardening must be isotropic/kinematic/none, got 'cubic'"),
+        ("probes.A = 0.1", "probe A needs 'x, y', got '0.1'"),
+    ])
+    def test_malformed_line_rejected_with_line(self, line, message):
+        lineno = len(BASE_PLATE.splitlines()) + 1
+        with pytest.raises(sc.ConfigError) as err:
+            sc.load_config(BASE_PLATE + line + "\n")
+        assert str(err.value) == f"line {lineno}: {message}"
+
     def test_material_override_on_preset(self):
         cfg = sc.load_config(BASE_PLATE.replace("plasticity.enabled = off",
                                                 "plasticity.enabled = on")
@@ -212,6 +226,35 @@ class TestBuildScenario:
         # the material is validated before it is made elastic
         with pytest.raises(sc.ConfigError, match="sigma_y0"):
             sc.build_scenario(sc.load_config(BASE_PLATE + "material.sigma_y0 = -1\n"))
+
+    def test_duplicate_probe_names_rejected(self):
+        # a ScenarioConfig made in code skips load_config's duplicate-key check
+        cfg = replace(sc.load_config(BASE_PLATE), probes=[("P", 0.3, 0.1), ("P", 0.4, 0.1)])
+        with pytest.raises(sc.ConfigError) as err:
+            sc.build_scenario(cfg)
+        assert str(err.value) == "duplicate probe names in ['P', 'P']"
+
+    def test_unknown_preset_rejected(self):
+        cfg = replace(sc.load_config(BASE_PLATE), material_preset="wood")
+        with pytest.raises(sc.ConfigError) as err:
+            sc.build_scenario(cfg)
+        assert str(err.value) == ("unknown material preset 'wood'; "
+                                  "have ['graphite_table2', 'steel_table1']")
+
+    @pytest.mark.parametrize("lines, message", [
+        ("material.E = 0", "E must be positive"),
+        ("material.D = 0", "D must be positive"),
+        ("material.T = 0", "T must be positive"),
+        ("material.Omega = -1", "Omega must be non-negative"),
+        ("material.c_max = 0", "c_max must be positive"),
+        ("material.hardening = kinematic\nmaterial.h = -1",
+         "negative kinematic hardening h is not supported"),
+    ])
+    def test_invalid_material_rejected(self, lines, message):
+        cfg = sc.load_config(BASE_PLATE + lines + "\n")
+        with pytest.raises(sc.ConfigError) as err:
+            sc.build_scenario(cfg)
+        assert str(err.value) == f"MaterialParams: {message}"
 
     def test_material_without_preset_requires_core_values(self):
         with pytest.raises(sc.ConfigError, match="missing"):

@@ -32,6 +32,11 @@ class TestFromTriplets:
         assert np.array_equal(A.indices, B.indices)
         assert np.allclose(A.data, B.data, rtol=0, atol=1e-15)
 
+    def test_tuple_of_three_triplets_is_triplets(self):
+        # only a tuple of three arrays is the (rows, cols, values) form
+        A = sla.from_triplets(3, ((0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)))
+        assert np.array_equal(A.toarray(), np.diag([1.0, 2.0, 3.0]))
+
     def test_csr_invariants(self, rng):
         n = 9
         A = sla.from_triplets(n, [(int(i), int(j), float(v)) for i, j, v in
@@ -77,10 +82,12 @@ class TestSolve:
             assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_roundoff_backward_error_out_of_reach_reports(self, rng, monkeypatch):
-        # the factor of the equilibrated matrix follows the fresh-factor rule
+        # the factor of the equilibrated matrix follows the fresh-factor rule:
+        # a first solve that misses the target reports the matrix
         monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
         A = _block_triangular(rng, n_nodes=8)
-        with pytest.raises(sla.SingularMatrixError, match="solve .row-equilibrated.: refinement"):
+        with pytest.raises(sla.SingularMatrixError,
+                           match="solve .row-equilibrated.: solve misses a roundoff"):
             sla.solve(A, rng.normal(size=A.shape[0]))
 
     def test_shape_mismatch(self):
@@ -333,7 +340,7 @@ class TestBlockSolver:
         assert [f.n for f in factors] == [3, 6]      # K_cc (3 dofs), then K_uu (6)
         again = solver.newton_update(rows(A), res)
         assert len(factors) == 2
-        assert [f.solves for f in factors] == [2, 2]  # one solve each, no refinement step
+        assert [f.solves for f in factors] == [2, 2]  # one solve an update, no CG step
         assert np.array_equal(again, first)
         assert (solver.factors, solver.reused) == (2, 2)
 
@@ -370,15 +377,15 @@ class TestBlockSolver:
 
     @pytest.mark.parametrize("block", ["cc", "uu"])
     def test_fresh_factor_needs_roundoff_backward_error(self, rows, rng, monkeypatch, block):
-        # with the roundoff target out of float64's reach, refinement with a
-        # fresh factor cannot meet it, and the block is reported; a zero
-        # r_c gives dc = 0 at once and takes the first fresh solve to K_uu
+        # with the roundoff target out of float64's reach, a fresh factor's
+        # first solve misses it, and the block is reported; a zero r_c gives
+        # dc = 0 at once and takes the first fresh solve to K_uu
         monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
         A = _block_triangular(rng, n_nodes=8)
         res = rng.normal(size=A.shape[0])
         if block == "uu":
             res[2::3] = 0.0
-        with pytest.raises(sla.SingularMatrixError, match=f"K_{block}: refinement"):
+        with pytest.raises(sla.SingularMatrixError, match=f"K_{block}: solve misses a roundoff"):
             _solver(A).newton_update(rows(A), res)
 
     def test_block_turning_singular_still_raises(self, rows, rng):
@@ -471,10 +478,8 @@ class TestKeptFactorSolve:
         dw = solver.newton_update(rows(A), res)
         assert solver.pcg_iters == 0 and uu_factor.solves == solves + 1
         is_u = np.arange(A.shape[0]) % 3 != 2
-        A_uu = A[is_u][:, is_u]
         rhs_u = -(res + A @ np.where(is_u, 0.0, dw))[is_u]
-        kept = sla._refine(uu_factor, A_uu, float(np.abs(A_uu.data).max()), rhs_u)
-        assert np.array_equal(dw[is_u], kept)
+        assert np.array_equal(dw[is_u], uu_factor.solve(rhs_u))
 
     @pytest.mark.parametrize("block, change", [
         ("u", "nonsymmetric"), ("u", "indefinite"), ("u", "iteration-cap"),
