@@ -1,11 +1,11 @@
 """Sparse linear algebra of the coupled Jacobian, on scipy CSR matrices.
 
-Factorization is delegated to SuperLU via scipy. The Newton path is
-``BlockSolver``. ``from_triplets`` (scatter-add triplets), ``apply_dirichlet``
-(identity rows for constrained dofs, known column products moved to the
-right-hand side) and ``solve`` (LU of the whole system after row
-equilibration, so that pivots compare across physics blocks with different
-units) are the monolithic reference path that tests check it against.
+The Newton path is ``BlockSolver``. ``from_triplets`` (scatter-add
+triplets), ``apply_dirichlet`` (identity rows for constrained dofs, known
+column products moved to the right-hand side) and ``solve`` (SuperLU of the
+whole system after row equilibration, so that pivots compare across physics
+blocks with different units) are the monolithic reference path that tests
+check it against.
 
 The Jacobian drops the K_cu sensitivity, so it is block upper-triangular,
 J = [[K_uu, K_uc], [0, K_cc]], and ``BlockSolver`` takes it as its two row
@@ -20,12 +20,34 @@ block passed again (the time stepper's elastic mechanics rows for the run,
 its one-way K_cc at one dt) is not read or checked again. Each of K_uu and
 K_cc keeps its last factor.
 
+A fresh factor is of one of two kinds. A block whose entries are symmetric
+to ROUNDOFF_TOL * max|A| and which LAPACK's dpbtrf finds positive definite
+(every K_uu the runs factor, elastic or plastic, since the consistent
+tangent of associative J2 flow is symmetric, and the one-way K_cc) is
+factored A = R^T R by banded Cholesky (dpbtrf, solved by dpbtrs; George &
+Liu, *Computer Solution of Large Sparse Positive Definite Systems*,
+Prentice-Hall 1981, ch. 4) in a reverse Cuthill-McKee order. One order is
+planned per run, by one call on the node pattern (the K_cc row block),
+each node expanded to its free dofs of the block; the plan holds each
+block's upper-band slots and the slot of each entry's transpose, so a
+factor is a symmetry test, a scatter and one LAPACK call. Every other
+block, the two-way K_cc once its stress drift sets in and any block that
+dpbtrf finds not positive definite, is factored by SuperLU, as is
+``solve``'s matrix. Cholesky needs no pivoting, stores only the band and
+leaves its pivots in place, where SuperLU's are read from a copy of all of
+U. The band's n (kd + 1) entries grow faster with the mesh than
+minimum-degree fill: at the hole's K_uu (n = 3965, kd = 185) the band holds
+0.74 M entries to SuperLU's 0.37 M in L and U, and the two tie on solves
+(0.50 against 0.52 ms on one BLAS thread), while the band factor, pivot
+check included, is still the faster one (12 against 14 ms).
+
 A fresh factor is solved once and checked against the entries it solves:
 x is accepted at a normwise backward error ||b - A x|| / (max|A| ||x|| +
 ||b||) of at most ROUNDOFF_TOL (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 7), and a solve that misses
-it reports its matrix singular. LU with partial pivoting is backward
-stable in practice (ch. 9): on the solver's blocks and reference systems
+it reports its matrix singular. Cholesky is backward stable (ch. 10), and
+LU with partial pivoting is in practice (ch. 9): on the solver's blocks and
+reference systems
 the first solve lands at a small fraction of that target, so it is not
 refined.
 
@@ -56,7 +78,9 @@ changes little between iterates, is factored a few times per run, and a
 changing block is factored again only when CG fails.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
-reported as SingularMatrixError). The solve contract has two rules:
+reported as SingularMatrixError): SuperLU's smallest |U_ii|, or band
+Cholesky's smallest R_ii^2, which bounds the smallest eigenvalue from
+above. The solve contract has two rules:
 - a fresh factor's first solve, of either block or of ``solve``'s
   row-equilibrated matrix, reaches a backward error of ROUNDOFF_TOL, or
   SingularMatrixError names its matrix;
@@ -69,9 +93,12 @@ FORCING ||b|| of its range; x then solves the block to the forcing bound.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14          # pivot / max|A| threshold for singularity reporting
@@ -81,9 +108,10 @@ ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error of a fresh
 # digit, and 1e-2 moves their converged c by 6e-6
 FORCING = 1e-3
 PCG_MAX_ITER = 12          # CG iterations before a changed block is factored afresh
-# Both blocks are structurally symmetric and K_uu is symmetric, so the blocks
-# are ordered by minimum degree on A + A^T and pivot on the diagonal unless it
-# is 10x smaller than the largest entry in its column.
+# SuperLU factors the blocks band Cholesky does not: the two-way K_cc and any
+# block that is not positive definite. Both blocks are structurally
+# symmetric, so they are ordered by minimum degree on A + A^T and pivot on the
+# diagonal unless it is 10x smaller than the largest entry in its column.
 BLOCK_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                           options=dict(SymmetricMode=True))
 
@@ -117,28 +145,41 @@ def from_triplets(n, entries):
     return sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _fresh_solve(A, b, what, **splu_options):
-    """The SuperLU factor of the sparse matrix ``A`` and its solve x of
-    A x = b, with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| + ||b||); an
-    identically zero matrix, a (numerically) zero pivot or a solve that
-    misses that target raises SingularMatrixError naming ``what``."""
-    a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
-    if a_max == 0.0:
-        raise SingularMatrixError(f"{what}: matrix is identically zero")
+def _factor(A, a_max, what, band=None, **splu_options):
+    """A factor of the sparse matrix ``A`` (largest entry ``a_max``) and its
+    smallest pivot: the band Cholesky factor of ``band``'s plan when A is
+    symmetric positive definite, else SuperLU's, whose exact singularity
+    raises SingularMatrixError naming ``what``."""
+    if band is not None:
+        chol = band.factor(A, a_max)
+        if chol is not None:
+            return chol, chol.pivot
     try:
         lu = splu(A.tocsc(), **splu_options)
     except RuntimeError as err:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(f"{what}: factorization failed ({err})") from err
-    pivot = np.abs(lu.U.diagonal()).min()
+    return lu, np.abs(lu.U.diagonal()).min()
+
+
+def _fresh_solve(A, b, what, band=None, **splu_options):
+    """A fresh factor of the sparse matrix ``A`` (see ``_factor``) and its
+    solve x of A x = b, with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| +
+    ||b||); an identically zero matrix, a (numerically) zero pivot or a
+    solve that misses that target raises SingularMatrixError naming
+    ``what``."""
+    a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
+    if a_max == 0.0:
+        raise SingularMatrixError(f"{what}: matrix is identically zero")
+    factor, pivot = _factor(A, a_max, what, band, **splu_options)
     if pivot < PIVOT_TOL * a_max:
         raise SingularMatrixError(
             f"{what}: pivot {pivot:.3e} below {PIVOT_TOL:.0e} * max|A| "
             f"= {PIVOT_TOL * a_max:.3e}")
-    x = lu.solve(b)
+    x = factor.solve(b)
     if np.linalg.norm(b - A @ x) > ROUNDOFF_TOL * (a_max * np.linalg.norm(x) + np.linalg.norm(b)):
         raise SingularMatrixError(f"{what}: solve misses a roundoff backward error; "
                                   "matrix is effectively singular")
-    return lu, x
+    return factor, x
 
 
 def solve(A, b):
@@ -187,6 +228,70 @@ def _plan_block(A, rows, cols):
     return slots, block
 
 
+class _BandCholesky:
+    """A = R^T R of a symmetric positive definite block in the order
+    ``order``, R in LAPACK upper band storage; ``pivot`` is min(diag R)^2,
+    the smallest pivot of the elimination."""
+
+    def __init__(self, r, order):
+        self._r, self._order = r, order
+        self.pivot = float(r[-1].min()) ** 2      # diag R is the band's last row
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self._order] = lapack.dpbtrs(self._r, b[self._order], overwrite_b=1)[0]
+        return x
+
+
+@dataclass(frozen=True)
+class _BandPlan:
+    """The upper band of a free-dof block in the factor order ``order``
+    (block-local indices), planned once per run from its pattern."""
+    order: np.ndarray
+    kd: int                 # half-bandwidth
+    upper: np.ndarray       # the block's data slots on or above the diagonal
+    at: np.ndarray          # their places in LAPACK upper band storage
+    transpose: np.ndarray   # the data slot of each slot's transposed entry
+
+    def factor(self, A, a_max):
+        """The band Cholesky factor of the block ``A`` (planned pattern,
+        largest entry ``a_max``), or None if its entries are not symmetric to
+        ROUNDOFF_TOL * a_max or dpbtrf finds it not positive definite."""
+        if np.abs(A.data - A.data[self.transpose]).max() > ROUNDOFF_TOL * a_max:
+            return None
+        # the C-ordered transpose of LAPACK's (kd + 1, n) band, which dpbtrf
+        # factors in place
+        band = np.zeros((self.order.size, self.kd + 1))
+        band.ravel()[self.at] = A.data[self.upper]
+        r, info = lapack.dpbtrf(band.T, overwrite_ab=1)
+        return _BandCholesky(r, self.order) if info == 0 else None
+
+
+def _plan_band(block, order):
+    """The ``_BandPlan`` of the CSR ``block`` in ``order`` (block-local
+    indices in factor order), or None if the block has no entries or its
+    pattern is not structurally symmetric."""
+    n = block.shape[0]
+    if block.nnz == 0:
+        return None
+    # the slot numbers in CSC order are, read in CSR order, the slots of the
+    # transposed entries, if the CSC pattern is the CSR one
+    slots = sp.csr_matrix((np.arange(block.nnz), block.indices, block.indptr),
+                          shape=block.shape).tocsc()
+    if not (np.array_equal(slots.indptr, block.indptr)
+            and np.array_equal(slots.indices, block.indices)):
+        return None
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    pi = np.repeat(position, np.diff(block.indptr))
+    pj = position[block.indices]
+    upper = np.flatnonzero(pi <= pj)
+    pi, pj = pi[upper], pj[upper]
+    kd = int((pj - pi).max())
+    # A[i, j] (i <= j in factor order) is ab[kd + i - j, j]
+    return _BandPlan(order, kd, upper, pj * (kd + 1) + kd + pi - pj, slots.data)
+
+
 class BlockSolver:
     """Newton updates of the block upper-triangular coupled Jacobian.
 
@@ -204,9 +309,13 @@ class BlockSolver:
     instead (the assembly's base blocks have read-only data).
     ``free_dofs`` holds the free u dofs and the free c dofs, each sorted,
     and ``free_rows`` the same dofs as rows of their row block.
-    ``factors`` counts the fresh factorizations, ``reused`` the block solves
-    a kept factor served and ``pcg_iters`` the CG iterations of those
-    solves, of both blocks.
+    The plan also holds one reverse Cuthill-McKee order of the nodes and,
+    in it, each block's band (see the module docstring): a fresh factor of
+    a symmetric positive definite block is band Cholesky, of any other
+    block SuperLU.
+    ``factors`` counts the fresh factorizations of both kinds, ``reused``
+    the block solves a kept factor served and ``pcg_iters`` the CG
+    iterations of those solves, of both blocks.
     """
 
     # the free-dof blocks read from each row block
@@ -228,10 +337,18 @@ class BlockSolver:
                         "cc": (n_nodes, n_nodes, cc.nnz)}
         self.free_dofs = (np.flatnonzero(free & ~is_c), np.flatnonzero(free & is_c))
         self.free_rows = (np.flatnonzero(u_rows), np.flatnonzero(c_nodes))
+        # one reverse Cuthill-McKee order of the nodes, each node expanded to
+        # its free dofs of the block, is the band order of both blocks
+        nodes = reverse_cuthill_mckee(cc, symmetric_mode=True).astype(np.int64)
+        self._bands = {}        # "uu" / "cc" -> _BandPlan, or None: SuperLU only
+        for name, in_block, comps in (("uu", free & ~is_c, (0, 1)), ("cc", free & is_c, (2,))):
+            dofs = (3 * nodes[:, None] + np.array(comps)).ravel()
+            local = np.cumsum(in_block) - 1      # block-local index of each block dof
+            self._bands[name] = _plan_band(self._blocks[name][1], local[dofs[in_block[dofs]]])
         # the row blocks whose entries are in place, held weakly so that a
         # caller can free them before building the next
         self._in_place = {"mech": None, "cc": None}
-        self._kept = {}         # "uu" / "cc" -> the block's last SuperLU factor
+        self._kept = {}         # "uu" / "cc" -> the block's last factor
         self.factors = 0
         self.reused = 0
         self.pcg_iters = 0
@@ -277,7 +394,9 @@ class BlockSolver:
     def _block_solve(self, name, rhs):
         """x with K x = rhs for the block ``name`` ("uu" or "cc"): by CG with
         its kept factor to FORCING ||rhs||, else by the first solve of a fresh
-        factor to ROUNDOFF_TOL, which is then kept in its place."""
+        factor to ROUNDOFF_TOL, band Cholesky if the block is symmetric
+        positive definite and SuperLU if not, which is then kept in its
+        place."""
         if rhs.size == 0:
             return rhs
         A = self._blocks[name][1]
@@ -286,21 +405,19 @@ class BlockSolver:
             if x is not None:
                 self.reused += 1
                 return x
-        # free the kept factor before computing the new one, and copy the
-        # block to CSC before that, so that the new factor's buffers can take
-        # the freed memory whole (peak memory)
-        csc = A.tocsc()
+        # free the kept factor before computing the new one (peak memory)
         self._kept.pop(name, None)
-        self._kept[name], x = _fresh_solve(csc, rhs, f"K_{name}", **BLOCK_SPLU_OPTIONS)
+        self._kept[name], x = _fresh_solve(A, rhs, f"K_{name}", self._bands[name],
+                                           **BLOCK_SPLU_OPTIONS)
         self.factors += 1
         return x
 
-    def _pcg(self, lu, A, b):
+    def _pcg(self, factor, A, b):
         """x with ||b - A x|| <= FORCING ||b|| by CG against ``A``,
-        preconditioned with the kept factor ``lu`` and started from its first
-        solve; None on non-positive curvature or after PCG_MAX_ITER
+        preconditioned with the kept factor ``factor`` and started from its
+        first solve; None on non-positive curvature or after PCG_MAX_ITER
         iterations."""
-        x = lu.solve(b)
+        x = factor.solve(b)
         r = b - A @ x
         target = FORCING * np.linalg.norm(b)
         rz = p = None
@@ -316,7 +433,7 @@ class BlockSolver:
                     return x
             if k == PCG_MAX_ITER:
                 return None
-            z = lu.solve(r)
+            z = factor.solve(r)
             rz, rz_old = r @ z, rz
             p = z if k == 0 else z + (rz / rz_old) * p
             q = A @ p

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chemoplast import mesh as mesh_mod
+from chemoplast import mesh as mesh_mod, sparse_linalg
 from chemoplast.constitutive import MaterialParams, ddot, deviator
 
 
@@ -107,19 +107,43 @@ def steel_kinematic():
                           sigma_y0=400e6, hardening_kind="kinematic", h=2.1e9)
 
 
+class CountingFactor:
+    """A fresh factor, band Cholesky or SuperLU, of an ``n`` x ``n`` matrix,
+    recording the norm of every right-hand side it solves."""
+
+    def __init__(self, factor, n):
+        self._factor, self.n, self.rhs_norms = factor, n, []
+
+    @property
+    def band(self):
+        return isinstance(self._factor, sparse_linalg._BandCholesky)
+
+    @property
+    def solves(self):
+        return len(self.rhs_norms)
+
+    def solve(self, b):
+        self.rhs_norms.append(np.linalg.norm(b))
+        return self._factor.solve(b)
+
+    def __getattr__(self, name):
+        return getattr(self._factor, name)
+
+
 @pytest.fixture
-def splu_calls(monkeypatch):
-    """Dimension of every matrix the sparse layer hands to SuperLU."""
-    from chemoplast import sparse_linalg
-    calls = []
-    real = sparse_linalg.splu
+def factors(monkeypatch):
+    """Every fresh factor the sparse layer computes, band Cholesky or SuperLU,
+    in order, as a ``CountingFactor``."""
+    made = []
+    real = sparse_linalg._factor
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return real(*args, **kwargs)
+    def counting(A, *args, **kwargs):
+        factor, pivot = real(A, *args, **kwargs)
+        made.append(CountingFactor(factor, A.shape[0]))
+        return made[-1], pivot
 
-    monkeypatch.setattr(sparse_linalg, "splu", counting)
-    return calls
+    monkeypatch.setattr(sparse_linalg, "_factor", counting)
+    return made
 
 
 @pytest.fixture

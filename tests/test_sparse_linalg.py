@@ -167,15 +167,17 @@ def _perturbed(A, rel, rng):
     return B
 
 
-def _spd_block_triangular(rng, n_nodes=8):
+def _spd_block_triangular(rng, n_nodes=8, spd_cc=False):
     """Node-major (u_x, u_y, c) matrix as ``_block_triangular`` makes it, with
-    a symmetric positive-definite (diagonally dominant) K_uu."""
+    a symmetric positive-definite (diagonally dominant) K_uu, and K_cc too
+    if ``spd_cc``."""
     n = 3 * n_nodes
     is_c = np.arange(n) % 3 == 2
     dense = rng.normal(size=(n, n))
     dense[np.ix_(is_c, ~is_c)] = 0.0
-    uu = np.ix_(~is_c, ~is_c)
-    dense[uu] = 0.5 * (dense[uu] + dense[uu].T)
+    for rows in (~is_c, is_c) if spd_cc else (~is_c,):
+        block = np.ix_(rows, rows)
+        dense[block] = 0.5 * (dense[block] + dense[block].T)
     dense[np.arange(n), np.arange(n)] = 1.5 * np.abs(dense).sum(axis=1) + 1.0
     return sla.from_triplets(n, [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
 
@@ -231,38 +233,6 @@ def rows():
 def _solver(A, fixed=()):
     """A BlockSolver planned for the row-block patterns of ``A``."""
     return sla.BlockSolver(*_split_rows(A), np.asarray(fixed, dtype=int))
-
-
-class _CountingFactor:
-    """A SuperLU factor that records the norm of every right-hand side it solves."""
-
-    def __init__(self, lu, n):
-        self._lu, self.n, self.rhs_norms = lu, n, []
-
-    @property
-    def solves(self):
-        return len(self.rhs_norms)
-
-    def solve(self, b):
-        self.rhs_norms.append(np.linalg.norm(b))
-        return self._lu.solve(b)
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-
-@pytest.fixture
-def factors(monkeypatch):
-    """Every factor the sparse layer computes, in order, counting its solves."""
-    made = []
-    real = sla.splu
-
-    def counting(A, **kwargs):
-        made.append(_CountingFactor(real(A, **kwargs), A.shape[0]))
-        return made[-1]
-
-    monkeypatch.setattr(sla, "splu", counting)
-    return made
 
 
 class TestBlockSolver:
@@ -376,17 +346,22 @@ class TestBlockSolver:
         assert _u_residual_ratio(B, dw, res) <= sla.FORCING
 
     @pytest.mark.parametrize("block", ["cc", "uu"])
-    def test_fresh_factor_needs_roundoff_backward_error(self, rows, rng, monkeypatch, block):
+    def test_fresh_factor_needs_roundoff_backward_error(self, rows, rng, monkeypatch, factors,
+                                                        block):
         # with the roundoff target out of float64's reach, a fresh factor's
-        # first solve misses it, and the block is reported; a zero r_c gives
-        # dc = 0 at once and takes the first fresh solve to K_uu
+        # first solve misses it, and the block is reported, whether the
+        # factor is band Cholesky (exactly symmetric blocks) or SuperLU; a
+        # zero r_c gives dc = 0 at once and takes the first fresh solve to K_uu
         monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
-        A = _block_triangular(rng, n_nodes=8)
-        res = rng.normal(size=A.shape[0])
-        if block == "uu":
-            res[2::3] = 0.0
-        with pytest.raises(sla.SingularMatrixError, match=f"K_{block}: solve misses a roundoff"):
-            _solver(A).newton_update(rows(A), res)
+        for A, band in ((_spd_block_triangular(rng, spd_cc=True), True),
+                        (_block_triangular(rng, n_nodes=8), False)):
+            res = rng.normal(size=A.shape[0])
+            if block == "uu":
+                res[2::3] = 0.0
+            with pytest.raises(sla.SingularMatrixError,
+                               match=f"K_{block}: solve misses a roundoff"):
+                _solver(A).newton_update(rows(A), res)
+            assert factors[-1].band == band
 
     def test_block_turning_singular_still_raises(self, rows, rng):
         A = _block_triangular(rng)
@@ -445,6 +420,107 @@ class TestBlockSolver:
         M = sla.from_triplets(A.shape[0], [(i, j, A[i, j]) for i, j in zip(*np.nonzero(A))])
         with pytest.raises(sla.SingularMatrixError, match="K_uu"):
             _solver(M).newton_update(rows(M), np.ones(M.shape[0]))
+
+
+class TestFactorChoice:
+    """A fresh factor is band Cholesky, in the solver's reverse Cuthill-McKee
+    order, for a block symmetric to ROUNDOFF_TOL * max|A| that dpbtrf finds
+    positive definite, and SuperLU for every other block."""
+
+    @staticmethod
+    def _free_residual(M, dw, res, fixed):
+        free = np.setdiff1d(np.arange(M.shape[0]), fixed)
+        J = M.toarray()[np.ix_(free, free)]
+        return np.linalg.norm(J @ dw[free] + res[free]) / np.linalg.norm(res[free])
+
+    def test_spd_blocks_band_factored(self, rows, rng, factors):
+        A = _spd_block_triangular(rng, spd_cc=True)
+        res = rng.normal(size=A.shape[0])
+        fixed = (0, 5)                  # u_x of node 0, c of node 1
+        dw = _solver(A, fixed).newton_update(rows(A), res)
+        assert [(f.n, f.band) for f in factors] == [(7, True), (15, True)]
+        assert self._free_residual(A, dw, res, fixed) <= 1e-12
+
+    def test_one_node_order_serves_both_blocks(self, rng):
+        # K_uu's band order is K_cc's node order with each node expanded to
+        # its free u dofs (node 1 all fixed, node 0's u_x fixed)
+        A = _spd_block_triangular(rng, spd_cc=True)
+        for fixed in ((), (0, 3, 4, 5)):
+            solver = _solver(A, fixed)
+            free_u, free_c = solver.free_dofs
+            nodes = free_c[solver._bands["cc"].order] // 3
+            u_dofs = (3 * nodes[:, None] + np.array([0, 1])).ravel()
+            assert np.array_equal(free_u[solver._bands["uu"].order],
+                                  u_dofs[~np.isin(u_dofs, fixed)])
+
+    @pytest.mark.parametrize("asymmetry, band", [(0.5, True), (2.0, False)])
+    def test_symmetric_to_roundoff_tol(self, rows, rng, factors, asymmetry, band):
+        # K_uu with |A - A^T| = asymmetry * ROUNDOFF_TOL max|A| off the diagonal
+        A = _spd_block_triangular(rng)
+        is_u = np.arange(A.shape[0]) % 3 != 2
+        dense = A.toarray()
+        uu = np.ix_(is_u, is_u)
+        part = np.triu(np.where(dense[uu] != 0.0, 1.0, 0.0), 1)
+        dense[uu] += asymmetry / 2 * sla.ROUNDOFF_TOL * np.abs(dense[uu]).max() * (part - part.T)
+        B = sp.csr_matrix(dense)
+        res = rng.normal(size=A.shape[0])
+        dw = _solver(B).newton_update(rows(B), res)
+        assert factors[1].n == 16 and factors[1].band == band
+        assert self._free_residual(B, dw, res, ()) <= 1e-12
+
+    def test_nonsymmetric_k_cc_superlu_factored(self, rows, rng, factors):
+        # a two-way K_cc: the drift adds a nonsymmetric part on the pattern
+        A = _spd_block_triangular(rng, spd_cc=True)
+        is_c = np.arange(A.shape[0]) % 3 == 2
+        dense = A.toarray()
+        cc = np.ix_(is_c, is_c)
+        dense[cc] += 1e-3 * np.abs(dense[cc]).max() * np.where(
+            dense[cc] != 0.0, rng.uniform(-1.0, 1.0, size=dense[cc].shape), 0.0)
+        B = sp.csr_matrix(dense)
+        res = rng.normal(size=A.shape[0])
+        dw = _solver(B).newton_update(rows(B), res)
+        assert [(f.n, f.band) for f in factors] == [(8, False), (16, True)]
+        assert self._free_residual(B, dw, res, ()) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["negated", "small-diagonal"])
+    def test_indefinite_symmetric_blocks_superlu_factored(self, rows, rng, factors, kind):
+        # -A fails dpbtrf at its first pivot; a symmetric block with a
+        # diagonal too small for its off-diagonal entries fails it further on
+        A = _spd_block_triangular(rng, spd_cc=True)
+        if kind == "negated":
+            B = -A
+        else:
+            dense = A.toarray()
+            dense[np.arange(A.shape[0]), np.arange(A.shape[0])] = 0.1
+            B = sp.csr_matrix(dense)
+        res = rng.normal(size=A.shape[0])
+        dw = _solver(B).newton_update(rows(B), res)
+        assert [(f.n, f.band) for f in factors] == [(8, False), (16, False)]
+        assert self._free_residual(B, dw, res, ()) <= 1e-12
+
+    def test_identically_zero_symmetric_block_reported(self, rows, rng):
+        A = _spd_block_triangular(rng, spd_cc=True)
+        mech, cc = rows(A)
+        cc = cc.copy()
+        cc.data[:] = 0.0
+        with pytest.raises(sla.SingularMatrixError, match="K_cc: matrix is identically zero"):
+            _solver(A).newton_update((mech, cc), rng.normal(size=A.shape[0]))
+
+    @pytest.mark.parametrize("fixed_kind", [0, 2], ids=["every-u-fixed", "every-c-fixed"])
+    def test_block_with_every_dof_fixed(self, rows, rng, factors, fixed_kind):
+        # one block has no free dof: the solver plans and updates with the
+        # other alone
+        A = _spd_block_triangular(rng, spd_cc=True)
+        comps = np.arange(A.shape[0]) % 3
+        fixed = np.flatnonzero(comps == 2 if fixed_kind == 2 else comps != 2)
+        solver = _solver(A, fixed)
+        res = rng.normal(size=A.shape[0])
+        for M in (A, _spd_perturbed(A, 0.01, rng, blocks="uc")):
+            dw = solver.newton_update(rows(M), res)
+            assert np.all(dw[fixed] == 0.0)
+            assert self._free_residual(M, dw, res, fixed) <= sla.FORCING
+        assert [f.band for f in factors] == [True]
+        assert factors[0].n == {0: 8, 2: 16}[fixed_kind]
 
 
 class TestKeptFactorSolve:
@@ -514,10 +590,15 @@ class TestKeptFactorSolve:
         assert _u_residual_ratio(B, dw, res) <= 1e-12
         assert _c_residual_ratio(B, dw, res) <= 1e-12
 
-    def test_singular_k_uu_raises(self, rows, rng):
+    def test_singular_k_uu_raises(self, rows, rng, factors):
         # K_uu with equal rows i and j (and columns) is positive semidefinite
         # and singular; a generic right-hand side has a part in its null space
-        # that CG cannot reduce, and the fresh factor reports the block
+        # that CG cannot reduce, and the fresh factor reports the block. Its
+        # last Cholesky pivot is roundoff of either sign, so dpbtrf (then
+        # SuperLU) or the band pivot check rejects it. Shifted by 0.3
+        # PIVOT_TOL max|K_uu| at (j, j), it is positive definite with a pivot
+        # of at most the shift, far above roundoff, and the band factor's
+        # pivot check reports it.
         A = _spd_block_triangular(rng)
         is_u = np.flatnonzero(np.arange(A.shape[0]) % 3 != 2)
         i, j = is_u[0], is_u[3]
@@ -525,9 +606,12 @@ class TestKeptFactorSolve:
         dense[j, is_u] = dense[i, is_u]
         dense[is_u, j] = dense[is_u, i]
         dense[j, j] = dense[i, j] = dense[j, i] = dense[i, i]
-        B = sp.csr_matrix(dense)
-        assert np.array_equal(B.indices, A.indices)
-        solver = _solver(A)
-        solver.newton_update(rows(A), np.ones(A.shape[0]))
-        with pytest.raises(sla.SingularMatrixError, match="K_uu"):
-            solver.newton_update(rows(B), rng.normal(size=A.shape[0]))
+        for shift, match in ((0.0, "K_uu"), (0.3, "K_uu: pivot")):
+            dense[j, j] += shift * sla.PIVOT_TOL * np.abs(dense[np.ix_(is_u, is_u)]).max()
+            B = sp.csr_matrix(dense)
+            assert np.array_equal(B.indices, A.indices)
+            solver = _solver(A)
+            solver.newton_update(rows(A), np.ones(A.shape[0]))
+            with pytest.raises(sla.SingularMatrixError, match=match):
+                solver.newton_update(rows(B), rng.normal(size=A.shape[0]))
+        assert factors[-1].band and factors[-1].n == is_u.size

@@ -634,11 +634,11 @@ class TestBlockNewtonSolve:
         assert reads.count("cc") == len(updates)
         assert len({id(jac.mech) for jac, *_ in updates}) == 1
 
-    def test_plastic_plate_k_uu_factored_few_times(self, splu_calls):
+    def test_plastic_plate_k_uu_factored_few_times(self, factors):
         # a fresh factor for every changed K_uu would take 14 here; CG
         # against the kept factor takes 5
         hist, _ = tr.run(sc.build_scenario(sc.load_config(COARSE_PLATE)))
-        assert len(splu_calls) <= 7
+        assert len(factors) <= 7
         assert all(r["newton_exit"] == "converged" for r in hist.records)
 
     @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_ELASTIC_ONE_WAY],
@@ -682,26 +682,26 @@ class TestBlockNewtonSolve:
         assert np.linalg.norm(dw[is_c] - ref[is_c]) <= 1e-12 * np.linalg.norm(ref[is_c])
         assert np.linalg.norm(dw[~is_c] - ref[~is_c]) <= 1e-12 * np.linalg.norm(ref[~is_c])
 
-    def test_elastic_one_way_slab_factors_o1_times(self, splu_calls):
+    def test_elastic_one_way_slab_factors_o1_times(self, factors):
         scen = slab_scenario(nx=20)
         scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]    # K_uu not empty
         hist, _ = tr.run(scen)
         assert sum(r["newton_iters"] for r in hist.records) >= 100
         # K_uu once, K_cc once: every step, the last included, takes the same dt
-        assert len(splu_calls) == 2
+        assert len(factors) == 2
 
     @pytest.mark.parametrize("text", [COARSE_PLATE, COARSE_HOLE], ids=["plastic-plate", "hole"])
-    def test_two_way_k_cc_factored_few_times(self, text, splu_calls):
+    def test_two_way_k_cc_factored_few_times(self, text, factors):
         scen = sc.build_scenario(sc.load_config(text))
         hist, _ = tr.run(scen)
         updates = sum(r["newton_iters"] for r in hist.records)
         # insulated: every concentration dof is free, so K_cc is n_nodes square
-        cc_factors = splu_calls.count(scen.mesh.n_nodes)
+        cc_factors = [f.n for f in factors].count(scen.mesh.n_nodes)
         assert cc_factors <= 3 < updates          # K_cc changes at every update
-        assert sum(r["factors"] for r in hist.records) == len(splu_calls)
+        assert sum(r["factors"] for r in hist.records) == len(factors)
         assert sum(r["factors"] + r["reused"] for r in hist.records) == 2 * updates
 
-    def test_one_way_slab_short_last_step_k_cc_served_by_pcg(self, splu_calls):
+    def test_one_way_slab_short_last_step_k_cc_served_by_pcg(self, factors):
         scen = slab_scenario(nx=20)
         scen.bcs.dirichlet_u = [("left", 0, 0.0), ("left", 1, 0.0)]    # K_uu not empty
         scen.solver = tr.SolverConfig(dt=1e-3, t_end=0.0105, mode="one-way")
@@ -710,7 +710,7 @@ class TestBlockNewtonSolve:
         n = scen.mesh.n_nodes
         # K_cc (left concentration fixed) and K_uu (left nodes fixed) once: CG
         # with the full-dt K_cc factor serves the short last step's K_cc
-        assert splu_calls == [n - 2, 2 * n - 4]
+        assert [f.n for f in factors] == [n - 2, 2 * n - 4]
         assert [r["factors"] for r in hist.records] == [2] + [0] * 10
         assert [r["pcg_iters"] > 0 for r in hist.records] == [False] * 10 + [True]
 
