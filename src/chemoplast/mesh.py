@@ -155,6 +155,14 @@ def generate_plate_with_hole(L, r, target_h):
     Boundary edges are tagged left/right/top/bottom/hole. Raises ValueError
     for infeasible geometry (r >= L/2) or a ``target_h`` too coarse to
     resolve the hole with at least 8 segments.
+
+    Nodes are numbered ring by ring: node id = ring * n_theta + station,
+    ring 0 on the hole and station m on the ray at angle 2 pi m / n_theta,
+    n_theta being the hole's node count. That numbering is a level structure
+    of the node graph whose half-bandwidth is n_theta + 1, which
+    ``sparse_linalg.BlockSolver`` takes as its band order when it is
+    narrower than reverse Cuthill-McKee's. The solver relies on it for speed
+    only, not for correctness.
     """
     if r <= 0 or L <= 0:
         raise ValueError("generate_plate_with_hole: L and r must be positive")

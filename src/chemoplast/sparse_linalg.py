@@ -26,20 +26,27 @@ to ROUNDOFF_TOL * max|A| and which LAPACK's dpbtrf finds positive definite
 tangent of associative J2 flow is symmetric, and the one-way K_cc) is
 factored A = R^T R by banded Cholesky (dpbtrf, solved by dpbtrs; George &
 Liu, *Computer Solution of Large Sparse Positive Definite Systems*,
-Prentice-Hall 1981, ch. 4) in a reverse Cuthill-McKee order. One order is
-planned per run, by one call on the node pattern (the K_cc row block),
-each node expanded to its free dofs of the block; the plan holds each
-block's upper-band slots and the slot of each entry's transpose, so a
-factor is a symmetry test, a scatter and one LAPACK call. Every other
-block, the two-way K_cc once its stress drift sets in and any block that
-dpbtrf finds not positive definite, is factored by SuperLU, as is
-``solve``'s matrix. Cholesky needs no pivoting, stores only the band and
+Prentice-Hall 1981, ch. 4) in one node order planned per run, each node
+expanded to its free dofs of the block. The order is the narrower of two on
+the node pattern (the K_cc row block), by half-bandwidth max |pos(i) -
+pos(j)| over its entries: reverse Cuthill-McKee's from scipy's one start
+node, which is not bandwidth-minimal (Gibbs, Poole & Stockmeyer, SIAM J.
+Numer. Anal. 13 (1976) 236-250), and the pattern's own numbering, RCM's on
+a tie. The plates number their nodes ring by ring, a level structure of
+half-bandwidth n_theta + 1 (see ``mesh.generate_plate_with_hole``), and
+take their own order; the annulus and the solid disk take RCM's. The plan
+holds each block's upper-band slots and the slot of each entry's
+transpose, so a factor is a symmetry test, a scatter and one LAPACK call.
+Every other block, the two-way K_cc once its stress drift sets in and any
+block that dpbtrf finds not positive definite, is factored by SuperLU, as
+is ``solve``'s matrix. Cholesky needs no pivoting, stores only the band and
 leaves its pivots in place, where SuperLU's are read from a copy of all of
 U. The band's n (kd + 1) entries grow faster with the mesh than
-minimum-degree fill: at the hole's K_uu (n = 3965, kd = 185) the band holds
-0.74 M entries to SuperLU's 0.37 M in L and U, and the two tie on solves
-(0.50 against 0.52 ms on one BLAS thread), while the band factor, pivot
-check included, is still the faster one (12 against 14 ms).
+minimum-degree fill: at the hole's K_uu (n = 3965, kd = 131) the band holds
+0.52 M entries to SuperLU's 0.37 M in L and U, and still factors in 7.5
+against 16 ms, pivot check included, and solves in 0.31 against 0.45 ms,
+on one BLAS thread. On that plate the band stays the faster on K_uu, factor
+and solve, down to target_h = 0.0032 (n = 9981, kd = 211).
 
 A fresh factor is solved once and checked against the entries it solves:
 x is accepted at a normwise backward error ||b - A x|| / (max|A| ||x|| +
@@ -267,11 +274,25 @@ class _BandPlan:
         return _BandCholesky(r, self.order) if info == 0 else None
 
 
+def _places(pattern, order):
+    """The places in ``order`` of the row and of the column of every entry of
+    the CSR ``pattern``, in CSR order."""
+    place = np.empty(order.size, dtype=np.int64)
+    place[order] = np.arange(order.size)
+    return np.repeat(place, np.diff(pattern.indptr)), place[pattern.indices]
+
+
+def _half_bandwidth(pattern, order):
+    """max |pos(i) - pos(j)| over the entries (i, j) of the CSR ``pattern``,
+    pos(i) being i's place in ``order``."""
+    pi, pj = _places(pattern, order)
+    return int(np.abs(pi - pj).max(initial=0))
+
+
 def _plan_band(block, order):
     """The ``_BandPlan`` of the CSR ``block`` in ``order`` (block-local
     indices in factor order), or None if the block has no entries or its
     pattern is not structurally symmetric."""
-    n = block.shape[0]
     if block.nnz == 0:
         return None
     # the slot numbers in CSC order are, read in CSR order, the slots of the
@@ -281,10 +302,7 @@ def _plan_band(block, order):
     if not (np.array_equal(slots.indptr, block.indptr)
             and np.array_equal(slots.indices, block.indices)):
         return None
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    pi = np.repeat(position, np.diff(block.indptr))
-    pj = position[block.indices]
+    pi, pj = _places(block, order)
     upper = np.flatnonzero(pi <= pj)
     pi, pj = pi[upper], pj[upper]
     kd = int((pj - pi).max())
@@ -309,10 +327,11 @@ class BlockSolver:
     instead (the assembly's base blocks have read-only data).
     ``free_dofs`` holds the free u dofs and the free c dofs, each sorted,
     and ``free_rows`` the same dofs as rows of their row block.
-    The plan also holds one reverse Cuthill-McKee order of the nodes and,
-    in it, each block's band (see the module docstring): a fresh factor of
-    a symmetric positive definite block is band Cholesky, of any other
-    block SuperLU.
+    The plan also holds one order of the nodes, reverse Cuthill-McKee's or
+    the node pattern's own, whichever has the smaller half-bandwidth (RCM's
+    on a tie), and, in it, each block's band (see the module docstring): a
+    fresh factor of a symmetric positive definite block is band Cholesky,
+    of any other block SuperLU.
     ``factors`` counts the fresh factorizations of both kinds, ``reused``
     the block solves a kept factor served and ``pcg_iters`` the CG
     iterations of those solves, of both blocks.
@@ -337,9 +356,12 @@ class BlockSolver:
                         "cc": (n_nodes, n_nodes, cc.nnz)}
         self.free_dofs = (np.flatnonzero(free & ~is_c), np.flatnonzero(free & is_c))
         self.free_rows = (np.flatnonzero(u_rows), np.flatnonzero(c_nodes))
-        # one reverse Cuthill-McKee order of the nodes, each node expanded to
-        # its free dofs of the block, is the band order of both blocks
-        nodes = reverse_cuthill_mckee(cc, symmetric_mode=True).astype(np.int64)
+        # one order of the nodes, each node expanded to its free dofs of the
+        # block, is the band order of both blocks: reverse Cuthill-McKee's or
+        # the pattern's own, whichever is narrower on the node pattern, RCM's
+        # on a tie
+        nodes = min((reverse_cuthill_mckee(cc, symmetric_mode=True).astype(np.int64),
+                     np.arange(n_nodes)), key=lambda order: _half_bandwidth(cc, order))
         self._bands = {}        # "uu" / "cc" -> _BandPlan, or None: SuperLU only
         for name, in_block, comps in (("uu", free & ~is_c, (0, 1)), ("cc", free & is_c, (2,))):
             dofs = (3 * nodes[:, None] + np.array(comps)).ravel()

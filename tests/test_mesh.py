@@ -56,6 +56,20 @@ class TestPlateWithHole:
         coarse = msh.generate_plate_with_hole(1.0, 0.05, 0.02)
         assert len(coarse.nodes_with_tag("hole")) == 16
 
+    def test_nodes_numbered_ring_by_ring_from_the_hole(self):
+        # node id = ring * n_theta + station, ring 0 on the hole, so no
+        # element joins ids more than n_theta + 1 apart
+        m = msh.generate_plate_with_hole(1.0, 0.1, 0.05)
+        n_theta = m.nodes_with_tag("hole").size
+        assert np.array_equal(m.nodes_with_tag("hole"), np.arange(n_theta))
+        rings = m.nodes.reshape(-1, n_theta, 2)
+        radius = np.linalg.norm(rings, axis=-1)
+        assert np.all(np.diff(radius, axis=0) > 0.0)
+        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+        station = np.column_stack([np.cos(theta), np.sin(theta)])
+        assert np.allclose(rings / radius[..., None], station, rtol=0.0, atol=1e-12)
+        assert (m.tris.max(axis=1) - m.tris.min(axis=1)).max() == n_theta + 1
+
     def test_euler_characteristic_genus_with_hole(self):
         m = msh.generate_plate_with_hole(1.0, 0.15, 0.05)
         assert euler_characteristic(m) == 0

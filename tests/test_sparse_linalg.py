@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from chemoplast import sparse_linalg as sla
+from chemoplast import assembly as asm, mesh as msh, sparse_linalg as sla
 
 
 class TestFromTriplets:
@@ -423,9 +424,9 @@ class TestBlockSolver:
 
 
 class TestFactorChoice:
-    """A fresh factor is band Cholesky, in the solver's reverse Cuthill-McKee
-    order, for a block symmetric to ROUNDOFF_TOL * max|A| that dpbtrf finds
-    positive definite, and SuperLU for every other block."""
+    """A fresh factor is band Cholesky, in the solver's band order, for a
+    block symmetric to ROUNDOFF_TOL * max|A| that dpbtrf finds positive
+    definite, and SuperLU for every other block."""
 
     @staticmethod
     def _free_residual(M, dw, res, fixed):
@@ -521,6 +522,61 @@ class TestFactorChoice:
             assert self._free_residual(M, dw, res, fixed) <= sla.FORCING
         assert [f.band for f in factors] == [True]
         assert factors[0].n == {0: 8, 2: 16}[fixed_kind]
+
+
+def _mesh_solver(mesh, params):
+    """A BlockSolver planned for the Jacobian patterns of ``mesh`` with no
+    dof fixed, and its node pattern."""
+    fixed = asm.fixed_jacobian(asm.precompute(mesh), params)
+    return sla.BlockSolver(fixed.mech, fixed.mass, np.zeros(0, dtype=int)), fixed.mass
+
+
+def _rcm(pattern):
+    return reverse_cuthill_mckee(pattern, symmetric_mode=True)
+
+
+class TestBandOrder:
+    """The band is planned in reverse Cuthill-McKee's node order or in the
+    node pattern's own, whichever has the smaller half-bandwidth on the node
+    pattern, and in RCM's on a tie."""
+
+    def test_plate_takes_its_ring_numbering(self, steel):
+        mesh = msh.generate_plate_with_hole(1.0, 0.1, 0.05)
+        n_theta = mesh.nodes_with_tag("hole").size
+        solver, pattern = _mesh_solver(mesh, steel)
+        assert sla._half_bandwidth(pattern, _rcm(pattern)) > n_theta + 1
+        assert np.array_equal(solver._bands["cc"].order, np.arange(mesh.n_nodes))
+        assert solver._bands["cc"].kd == n_theta + 1
+        assert solver._bands["uu"].kd == 2 * n_theta + 3
+
+    @pytest.mark.parametrize("r_i", [0.5, 0.0], ids=["annulus", "solid-disk"])
+    def test_annulus_and_disk_take_rcm_order(self, steel, r_i):
+        # criterion 9's meshes, scaled to a unit outer radius
+        solver, pattern = _mesh_solver(msh.generate_annulus(r_i, 1.0, 0.08), steel)
+        rcm = _rcm(pattern)
+        assert (sla._half_bandwidth(pattern, rcm)
+                < sla._half_bandwidth(pattern, np.arange(rcm.size)))
+        assert np.array_equal(solver._bands["cc"].order, rcm)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relabelled_plate_never_wider_than_rcm(self, steel, seed):
+        plate = msh.generate_plate_with_hole(1.0, 0.1, 0.05)
+        label = np.random.default_rng(seed).permutation(plate.n_nodes)
+        nodes = np.empty_like(plate.nodes)
+        nodes[label] = plate.nodes
+        mesh = msh.Mesh(nodes, label[plate.tris], label[plate.boundary_edges],
+                        plate.boundary_tags.copy())
+        solver, pattern = _mesh_solver(mesh, steel)
+        assert solver._bands["cc"].kd <= sla._half_bandwidth(pattern, _rcm(pattern))
+
+    def test_tie_keeps_rcm_order(self, rng):
+        # every node pair shares an entry, so every order has half-bandwidth
+        # n - 1; RCM's is the identity reversed
+        A = _spd_block_triangular(rng, spd_cc=True)
+        pattern = _split_rows(A)[1]
+        rcm = _rcm(pattern)
+        assert not np.array_equal(rcm, np.arange(rcm.size))
+        assert np.array_equal(_solver(A)._bands["cc"].order, rcm)
 
 
 class TestKeptFactorSolve:
