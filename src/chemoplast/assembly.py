@@ -40,7 +40,9 @@ deviatoric and annihilates the swelling direction. The changing part is the
 two-way drift block, whose data the residual pass has formed, subtracted
 from the base K_cc's data, and the K_uu corrections of the plastic elements,
 subtracted from a copy of the mechanics rows through their K_uu slots only.
-A block with no changing part at an iterate is the base block itself; the
+A block with no changing part at an iterate is the base block itself. The
+Jacobian carries the base K_cc as well, which is symmetric positive
+definite: the block solver factors it in place of a K_cc with drift. The
 full node-major matrix is formed only on request
 (``JacobianRows.interleaved``).
 
@@ -500,7 +502,8 @@ def _magnitude(matrix):
 
 
 class JacobianRows(NamedTuple):
-    """The Jacobian of the node-major dofs as its two row blocks.
+    """The Jacobian of the node-major dofs as its two row blocks, with K_cc's
+    base.
 
     ``mech`` holds the mechanics rows [K_uu K_uc] (2N x 3N): the u_x and u_y
     rows of every node in turn, over the node-major columns. ``cc`` holds
@@ -509,10 +512,13 @@ class JacobianRows(NamedTuple):
     K_cu sensitivity is dropped, so the Jacobian is block upper-triangular.
     A row of either block holds the entries of the interleaved matrix's row
     in the same order, so ``mech @ w`` and ``cc @ w[2::3]`` sum them as the
-    interleaved matrix's product with w does.
+    interleaved matrix's product with w does. ``cc_base`` holds K_cc's
+    drift-free base at the time step dt, K_diff + M / dt: ``cc`` itself
+    where there is no drift.
     """
     mech: sp.csr_matrix
     cc: sp.csr_matrix
+    cc_base: sp.csr_matrix
 
     def interleaved(self):
         """The node-major (3N x 3N) CSR matrix of the two blocks, with
@@ -554,7 +560,8 @@ class FixedJacobian:
             self._base = self._abs_cc = None     # free the old base first
             data = self.k_diff.data + self.mass.data / dt
             data.flags.writeable = False
-            self._base = JacobianRows(self.mech, _with_data(self.k_diff, data))
+            cc = _with_data(self.k_diff, data)
+            self._base = JacobianRows(self.mech, cc, cc)
             self._dt = dt
         return self._base
 
@@ -775,9 +782,10 @@ def assemble_jacobian(elem_data, fixed, iterate, dt):
     read-only (the mechanics rows without plastic elements, K_cc in one-way
     coupling); a block with one is a new CSR matrix over the base block's
     pattern, with new data. So the iterate with neither (one-way coupling,
-    no plastic element) gets the base blocks themselves."""
+    no plastic element) gets the base blocks themselves. The base K_cc is
+    carried as ``cc_base`` in either case."""
     ed = elem_data
-    mech, cc = fixed.at(dt)
+    mech, cc, base = fixed.at(dt)
     plastic = iterate.plastic
     if iterate.drift is not None:
         # frozen drift: the K_cu sensitivity is dropped (Picard)
@@ -789,7 +797,7 @@ def assemble_jacobian(elem_data, fixed, iterate, dt):
         data = mech.data.copy()
         np.subtract.at(data, ed.uu_slots[pe], k_corr.reshape(pe.size, 36))
         mech = _with_data(mech, data)
-    return JacobianRows(mech, cc)
+    return JacobianRows(mech, cc, base)
 
 
 def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,

@@ -67,7 +67,6 @@ class MaterialParams:
     hardening_kind: str = "none"      # "isotropic" | "kinematic" | "none"
     H: float = 0.0                    # isotropic hardening modulus d sigma_y / d eps_p_eq
     h: float = 0.0                    # kinematic hardening constant (back-stress rate)
-    c0: float = 0.0
     c_max: float = 1.0
     R: float = GAS_CONSTANT
 

@@ -39,13 +39,11 @@ class ConfigError(ValueError):
 MATERIAL_PRESETS = {
     "steel_table1": dict(
         E=210e9, nu=0.3, D=1.27e-8, Omega=1.96e-6, T=300.0,
-        sigma_y0=400e6, hardening_kind="isotropic", H=2.1e9, h=2.1e9,
-        c0=0.0, c_max=1.0,
+        sigma_y0=400e6, hardening_kind="isotropic", H=2.1e9, h=2.1e9, c_max=1.0,
     ),
     "graphite_table2": dict(
         E=19.25e9, nu=0.3, D=3.9e-14, Omega=4.17e-6, T=300.0,
-        sigma_y0=100e6, hardening_kind="isotropic", H=192.5e6, h=192.5e6,
-        c0=0.0, c_max=2.64e4,
+        sigma_y0=100e6, hardening_kind="isotropic", H=192.5e6, h=192.5e6, c_max=2.64e4,
     ),
 }
 
@@ -108,7 +106,6 @@ class ScenarioConfig:
         if missing:
             raise ValueError(f"material is missing required values {missing} "
                              "(set a preset or explicit material.* keys)")
-        base["c0"] = self.c_initial_hat * base.get("c_max", 1.0)
         params = MaterialParams(**base)
         return params if self.plasticity else params.as_elastic()
 

@@ -5,28 +5,29 @@ triplets), ``apply_dirichlet`` (identity rows for constrained dofs, known
 column products moved to the right-hand side) and ``solve`` (SuperLU of the
 whole system after row equilibration, so that pivots compare across physics
 blocks with different units) are the monolithic reference path that tests
-check it against.
+check it against. ``solve`` is the only user of SuperLU.
 
 The Jacobian drops the K_cu sensitivity, so it is block upper-triangular,
-J = [[K_uu, K_uc], [0, K_cc]], and ``BlockSolver`` takes it as its two row
-blocks, the mechanics rows [K_uu K_uc] and the concentration rows K_cc.
-An update over the free dofs is two back-to-back solves: K_cc dc = -r_c,
-then K_uu du = -r_u - K_uc dc. The solver is planned once per run, from
-the patterns of the two row blocks and the constrained dofs. Dirichlet dofs
-are left out of every block (the update is zero there), and each block is
-in one unit system, so it is factored unscaled. The solver copies a row
-block's entries into its free-dof blocks when it reads it; the same row
-block passed again (the time stepper's elastic mechanics rows for the run,
-its one-way K_cc at one dt) is not read or checked again. Each of K_uu and
-K_cc keeps its last factor.
+J = [[K_uu, K_uc], [0, K_cc]], and ``BlockSolver`` takes it as its row
+blocks, the mechanics rows [K_uu K_uc] and the concentration rows K_cc,
+with K_cc's drift-free base K_diff + M / dt. An update over the free dofs
+is two back-to-back solves: K_cc dc = -r_c, then K_uu du = -r_u - K_uc dc.
+The solver is planned once per run, from the patterns of the two row blocks
+and the constrained dofs. Dirichlet dofs are left out of every block (the
+update is zero there), and each block is in one unit system, so it is
+factored unscaled. The solver copies a row block's entries into its
+free-dof blocks when it reads it; the same row block passed again (the time
+stepper's elastic mechanics rows for the run, its one-way K_cc at one dt)
+is not read or checked again. Each of K_uu and K_cc keeps its last factor.
 
-A fresh factor is of one of two kinds. A block whose entries are symmetric
-to ROUNDOFF_TOL * max|A| and which LAPACK's dpbtrf finds positive definite
-(every K_uu the runs factor, elastic or plastic, since the consistent
-tangent of associative J2 flow is symmetric, and the one-way K_cc) is
-factored A = R^T R by banded Cholesky (dpbtrf, solved by dpbtrs; George &
-Liu, *Computer Solution of Large Sparse Positive Definite Systems*,
-Prentice-Hall 1981, ch. 4) in one node order planned per run, each node
+Every matrix the Newton path factors is symmetric by construction: K_uu,
+elastic or plastic, since the consistent tangent of associative J2 flow is
+symmetric, and K_cc's drift-free base. The two-way drift makes K_cc
+nonsymmetric, so K_cc's fresh factor is always that of its base, which is
+K_cc itself where there is no drift. A fresh factor is A = R^T R by banded
+Cholesky (LAPACK's dpbtrf, solved by dpbtrs; George & Liu, *Computer
+Solution of Large Sparse Positive Definite Systems*, Prentice-Hall 1981, ch.
+4), from A's upper band only, in one node order planned per run, each node
 expanded to its free dofs of the block. The order is the narrower of two on
 the node pattern (the K_cc row block), by half-bandwidth max |pos(i) -
 pos(j)| over its entries: reverse Cuthill-McKee's from scipy's one start
@@ -35,28 +36,20 @@ Numer. Anal. 13 (1976) 236-250), and the pattern's own numbering, RCM's on
 a tie. The plates number their nodes ring by ring, a level structure of
 half-bandwidth n_theta + 1 (see ``mesh.generate_plate_with_hole``), and
 take their own order; the annulus and the solid disk take RCM's. The plan
-holds each block's upper-band slots and the slot of each entry's
-transpose, so a factor is a symmetry test, a scatter and one LAPACK call.
-Every other block, the two-way K_cc once its stress drift sets in and any
-block that dpbtrf finds not positive definite, is factored by SuperLU, as
-is ``solve``'s matrix. Cholesky needs no pivoting, stores only the band and
-leaves its pivots in place, where SuperLU's are read from a copy of all of
-U. The band's n (kd + 1) entries grow faster with the mesh than
-minimum-degree fill: at the hole's K_uu (n = 3965, kd = 131) the band holds
-0.52 M entries to SuperLU's 0.37 M in L and U, and still factors in 7.5
-against 16 ms, pivot check included, and solves in 0.31 against 0.45 ms,
-on one BLAS thread. On that plate the band stays the faster on K_uu, factor
-and solve, down to target_h = 0.0032 (n = 9981, kd = 211).
+holds each block's upper-band slots, so a factor is a scatter and one LAPACK
+call. Cholesky needs no pivoting and stores only the band.
 
-A fresh factor is solved once and checked against the entries it solves:
-x is accepted at a normwise backward error ||b - A x|| / (max|A| ||x|| +
-||b||) of at most ROUNDOFF_TOL (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 7), and a solve that misses
-it reports its matrix singular. Cholesky is backward stable (ch. 10), and
-LU with partial pivoting is in practice (ch. 9): on the solver's blocks and
-reference systems
-the first solve lands at a small fraction of that target, so it is not
-refined.
+A fresh factor of K_uu or of a K_cc without drift is solved once and checked
+against the entries it solves, as ``solve``'s SuperLU factor is: x is
+accepted at a normwise backward error ||b - A x|| / (max|A| ||x|| + ||b||)
+of at most ROUNDOFF_TOL (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., SIAM 2002, ch. 7), and a solve that misses it reports
+its matrix singular. Cholesky is backward stable (ch. 10), and LU with
+partial pivoting is in practice (ch. 9): on the solver's blocks and
+reference systems the first solve lands at a small fraction of that target,
+so it is not refined. A nonsymmetric block passed as K_uu or as a K_cc
+without drift is factored from its upper band, so its first solve misses
+that target unless the asymmetry is of roundoff size.
 
 A solve with a kept factor is inexact. A Newton update only needs its
 linear residual below a forcing term times the right-hand side to keep the
@@ -68,15 +61,24 @@ factor's solve cannot reach roundoff against them. Preconditioned conjugate
 gradients (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
 SIAM 2003, ch. 9), with the kept factor as the preconditioner, start from
 that factor's first solve and stop once the true residual ||b - A x|| is at
-most FORCING ||b||. The two-way drift makes K_cc nonsymmetric, which CG's
-theory does not cover. CG is still safe on it: the residual is recomputed
-before x is accepted, so no block, symmetric or not, passes on CG's
-recursive residual alone, and CG gives up on non-positive curvature
-p.Ap <= 0, which an indefinite block meets, or after PCG_MAX_ITER
-iterations, and the block is then factored afresh. An unchanged block is
-still solved exactly: unless its condition number exceeds about 1e11, the
-first solve's roundoff-level residual lies far below FORCING ||b||, and CG
-accepts it before its first iteration.
+most FORCING ||b||. CG gives up on non-positive curvature p.Ap <= 0, which
+an indefinite block meets, or after PCG_MAX_ITER iterations. An unchanged
+block is still solved exactly: unless its condition number exceeds about
+1e11, the first solve's roundoff-level residual lies far below FORCING
+||b||, and CG accepts it before its first iteration.
+
+A K_cc with drift is solved from the factor of its base. CG's theory does
+not cover its nonsymmetric drift, but no x passes on CG's recursive
+residual alone: the true residual is recomputed before x is accepted, and
+CG, the cheaper per iteration, serves the weak drift of the steel presets.
+Where CG fails, restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+7 (1986) 856-869), which needs no symmetry, is left-preconditioned with the
+same factor and started from its first solve, and x is accepted on the same
+true-residual bound. The drift grows as 1 / T against K_diff + M / dt: at
+temperatures of 1-50 K on the coarse test plates (6-300 times the steel
+drift) CG fails on some updates, and GMRES serves them at full dt. A kept
+factor of the current base is not factored afresh when CG fails, since the
+fresh factor would be the same one: GMRES is run from it at once.
 
 When the kept factor cannot serve its block, it is dropped and the block is
 factored afresh (Davis, *Direct Methods for Sparse Linear Systems*, SIAM
@@ -85,17 +87,22 @@ changes little between iterates, is factored a few times per run, and a
 changing block is factored again only when CG fails.
 
 Every fresh factor is checked for a zero pivot (below PIVOT_TOL * max|A|,
-reported as SingularMatrixError): SuperLU's smallest |U_ii|, or band
-Cholesky's smallest R_ii^2, which bounds the smallest eigenvalue from
-above. The solve contract has two rules:
-- a fresh factor's first solve, of either block or of ``solve``'s
-  row-equilibrated matrix, reaches a backward error of ROUNDOFF_TOL, or
-  SingularMatrixError names its matrix;
-- a kept factor, of either block, returns x with ||b - A x|| <= FORCING
-  ||b|| by CG, or the block is factored afresh.
+reported as SingularMatrixError): band Cholesky's smallest R_ii^2, which
+bounds the smallest eigenvalue from above, or SuperLU's smallest |U_ii|. A
+block that dpbtrf finds not positive definite is reported singular too. The
+solve contract has three rules:
+- a fresh factor's first solve, of K_uu, of a K_cc without drift or of
+  ``solve``'s row-equilibrated matrix, reaches a backward error of
+  ROUNDOFF_TOL, or SingularMatrixError names its matrix;
+- a K_cc with drift, at a factor of its current base, fresh or kept, gets x
+  with ||b - A x|| <= FORCING ||b|| by CG or else GMRES from that factor,
+  or SingularMatrixError names K_cc;
+- any other kept factor returns x with ||b - A x|| <= FORCING ||b|| by CG,
+  or the block is factored afresh.
 A block that turns singular is reported when it is factored: CG against a
 kept factor cannot converge on it unless the right-hand side lies within
 FORCING ||b|| of its range; x then solves the block to the forcing bound.
+The time stepper halves dt on every SingularMatrixError.
 """
 from __future__ import annotations
 
@@ -106,7 +113,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 PIVOT_TOL = 1e-14          # pivot / max|A| threshold for singularity reporting
 ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error of a fresh solve
@@ -115,12 +122,12 @@ ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error of a fresh
 # digit, and 1e-2 moves their converged c by 6e-6
 FORCING = 1e-3
 PCG_MAX_ITER = 12          # CG iterations before a changed block is factored afresh
-# SuperLU factors the blocks band Cholesky does not: the two-way K_cc and any
-# block that is not positive definite. Both blocks are structurally
-# symmetric, so they are ordered by minimum degree on A + A^T and pivot on the
-# diagonal unless it is 10x smaller than the largest entry in its column.
-BLOCK_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                          options=dict(SymmetricMode=True))
+# GMRES on a drifted K_cc: iterations between restarts, and restarts before
+# it is reported singular. The coarse test plate at 1 K takes 49 iterations
+# at a restart of 40 and 179 at 20; one cycle of 200 misses the bound where
+# the left-preconditioned residual passes and the true one does not
+GMRES_RESTART = 40
+GMRES_CYCLES = 10
 
 
 class SingularMatrixError(RuntimeError):
@@ -139,12 +146,7 @@ def from_triplets(n, entries):
             and all(isinstance(a, np.ndarray) for a in entries)):
         rows, cols, vals = entries
     else:
-        entries = list(entries)
-        if entries:
-            rows, cols, vals = (np.asarray(a) for a in zip(*entries))
-        else:
-            rows = cols = np.zeros(0, dtype=int)
-            vals = np.zeros(0)
+        rows, cols, vals = np.array(list(entries) or np.zeros((0, 3)), dtype=float).T
     rows = rows.astype(np.int64, copy=False)
     cols = cols.astype(np.int64, copy=False)
     if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
@@ -152,41 +154,39 @@ def from_triplets(n, entries):
     return sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _factor(A, a_max, what, band=None, **splu_options):
-    """A factor of the sparse matrix ``A`` (largest entry ``a_max``) and its
-    smallest pivot: the band Cholesky factor of ``band``'s plan when A is
-    symmetric positive definite, else SuperLU's, whose exact singularity
-    raises SingularMatrixError naming ``what``."""
-    if band is not None:
-        chol = band.factor(A, a_max)
-        if chol is not None:
-            return chol, chol.pivot
-    try:
-        lu = splu(A.tocsc(), **splu_options)
-    except RuntimeError as err:  # SuperLU reports exact singularity this way
-        raise SingularMatrixError(f"{what}: factorization failed ({err})") from err
-    return lu, np.abs(lu.U.diagonal()).min()
-
-
-def _fresh_solve(A, b, what, band=None, **splu_options):
-    """A fresh factor of the sparse matrix ``A`` (see ``_factor``) and its
-    solve x of A x = b, with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x|| +
-    ||b||); an identically zero matrix, a (numerically) zero pivot or a
-    solve that misses that target raises SingularMatrixError naming
-    ``what``."""
-    a_max = float(np.abs(A.data).max()) if A.nnz else 0.0
-    if a_max == 0.0:
-        raise SingularMatrixError(f"{what}: matrix is identically zero")
-    factor, pivot = _factor(A, a_max, what, band, **splu_options)
+def _check_pivot(pivot, A, what):
+    """max|A| of the sparse matrix ``A``, checked against the smallest pivot
+    ``pivot`` of A's fresh factor: a pivot below PIVOT_TOL * max|A| raises
+    SingularMatrixError naming ``what``."""
+    a_max = float(np.abs(A.data).max())
     if pivot < PIVOT_TOL * a_max:
         raise SingularMatrixError(
             f"{what}: pivot {pivot:.3e} below {PIVOT_TOL:.0e} * max|A| "
             f"= {PIVOT_TOL * a_max:.3e}")
+    return a_max
+
+
+def _first_solve(factor, A, a_max, b, what):
+    """The solve x of A x = b by a fresh factor of the sparse matrix ``A``
+    (largest entry ``a_max``), with ||b - A x|| <= ROUNDOFF_TOL (max|A| ||x||
+    + ||b||); a solve that misses that target raises SingularMatrixError
+    naming ``what``."""
     x = factor.solve(b)
     if np.linalg.norm(b - A @ x) > ROUNDOFF_TOL * (a_max * np.linalg.norm(x) + np.linalg.norm(b)):
         raise SingularMatrixError(f"{what}: solve misses a roundoff backward error; "
                                   "matrix is effectively singular")
-    return factor, x
+    return x
+
+
+def _factor(A, what, band):
+    """The band Cholesky factor of the block ``A`` in ``band``'s plan, and
+    max|A|. Every fresh block factor passes through here. An identically
+    zero block, one that dpbtrf finds not positive definite and a
+    (numerically) zero pivot raise SingularMatrixError naming ``what``."""
+    if not np.any(A.data):
+        raise SingularMatrixError(f"{what}: matrix is identically zero")
+    chol = band.factor(A, what)
+    return chol, _check_pivot(chol.pivot, A, what)
 
 
 def solve(A, b):
@@ -206,15 +206,19 @@ def solve(A, b):
     if b.shape != (n,):
         raise ValueError(f"solve: rhs length {b.shape} does not match n={n}")
 
-    row_len = np.diff(A.indptr)
-    row_max = np.zeros(n)
-    np.maximum.at(row_max, np.repeat(np.arange(n), row_len), np.abs(A.data))
+    row_max = abs(A).max(axis=1).toarray().ravel()
     if np.any(row_max == 0.0):
         raise SingularMatrixError(
             f"solve: zero row at index {int(np.flatnonzero(row_max == 0.0)[0])}")
     d = 1.0 / row_max
-    scaled = sp.csr_matrix((A.data * np.repeat(d, row_len), A.indices, A.indptr), shape=A.shape)
-    return _fresh_solve(scaled, d * b, "solve (row-equilibrated)")[1]
+    scaled = sp.csr_matrix(sp.diags(d) @ A)
+    what = "solve (row-equilibrated)"
+    try:
+        lu = splu(scaled.tocsc())
+    except RuntimeError as err:  # SuperLU reports exact singularity this way
+        raise SingularMatrixError(f"{what}: factorization failed ({err})") from err
+    a_max = _check_pivot(np.abs(lu.U.diagonal()).min(), scaled, what)
+    return _first_solve(lu, scaled, a_max, d * b, what)
 
 
 def _plan_block(A, rows, cols):
@@ -258,87 +262,68 @@ class _BandPlan:
     kd: int                 # half-bandwidth
     upper: np.ndarray       # the block's data slots on or above the diagonal
     at: np.ndarray          # their places in LAPACK upper band storage
-    transpose: np.ndarray   # the data slot of each slot's transposed entry
 
-    def factor(self, A, a_max):
+    def factor(self, A, what):
         """The band Cholesky factor of the block ``A`` (planned pattern,
-        largest entry ``a_max``), or None if its entries are not symmetric to
-        ROUNDOFF_TOL * a_max or dpbtrf finds it not positive definite."""
-        if np.abs(A.data - A.data[self.transpose]).max() > ROUNDOFF_TOL * a_max:
-            return None
+        symmetric: only its upper band is read); SingularMatrixError naming
+        ``what`` if dpbtrf finds it not positive definite."""
         # the C-ordered transpose of LAPACK's (kd + 1, n) band, which dpbtrf
         # factors in place
         band = np.zeros((self.order.size, self.kd + 1))
         band.ravel()[self.at] = A.data[self.upper]
         r, info = lapack.dpbtrf(band.T, overwrite_ab=1)
-        return _BandCholesky(r, self.order) if info == 0 else None
-
-
-def _places(pattern, order):
-    """The places in ``order`` of the row and of the column of every entry of
-    the CSR ``pattern``, in CSR order."""
-    place = np.empty(order.size, dtype=np.int64)
-    place[order] = np.arange(order.size)
-    return np.repeat(place, np.diff(pattern.indptr)), place[pattern.indices]
-
-
-def _half_bandwidth(pattern, order):
-    """max |pos(i) - pos(j)| over the entries (i, j) of the CSR ``pattern``,
-    pos(i) being i's place in ``order``."""
-    pi, pj = _places(pattern, order)
-    return int(np.abs(pi - pj).max(initial=0))
+        if info:
+            raise SingularMatrixError(f"{what}: not positive definite (dpbtrf info {info})")
+        return _BandCholesky(r, self.order)
 
 
 def _plan_band(block, order):
-    """The ``_BandPlan`` of the CSR ``block`` in ``order`` (block-local
-    indices in factor order), or None if the block has no entries or its
-    pattern is not structurally symmetric."""
-    if block.nnz == 0:
-        return None
-    # the slot numbers in CSC order are, read in CSR order, the slots of the
-    # transposed entries, if the CSC pattern is the CSR one
-    slots = sp.csr_matrix((np.arange(block.nnz), block.indices, block.indptr),
-                          shape=block.shape).tocsc()
-    if not (np.array_equal(slots.indptr, block.indptr)
-            and np.array_equal(slots.indices, block.indices)):
-        return None
-    pi, pj = _places(block, order)
+    """The ``_BandPlan`` of the CSR ``block``, whose pattern is symmetric, in
+    ``order`` (block-local indices in factor order); its ``kd`` is the
+    half-bandwidth max |pos(i) - pos(j)| over the entries (i, j), pos(i)
+    being i's place in ``order``."""
+    place = np.empty(order.size, dtype=np.int64)
+    place[order] = np.arange(order.size)
+    # the places of the row and of the column of every entry, in CSR order
+    pi, pj = np.repeat(place, np.diff(block.indptr)), place[block.indices]
     upper = np.flatnonzero(pi <= pj)
-    pi, pj = pi[upper], pj[upper]
-    kd = int((pj - pi).max())
+    kd = int((pj - pi).max(initial=0))
     # A[i, j] (i <= j in factor order) is ab[kd + i - j, j]
-    return _BandPlan(order, kd, upper, pj * (kd + 1) + kd + pi - pj, slots.data)
+    return _BandPlan(order, kd, upper, (pj * (kd + 1) + kd + pi - pj)[upper])
 
 
 class BlockSolver:
     """Newton updates of the block upper-triangular coupled Jacobian.
 
     Dofs are node-major, (u_x, u_y, c) per node. The Jacobian comes as its
-    two row blocks: the mechanics rows [K_uu K_uc] (2N x 3N, the u_x and u_y
-    rows of every node over the node-major columns) and the concentration
-    rows K_cc (N x N over the nodes' c dofs), each a CSR matrix. One solver
-    serves one run, planned from the patterns of two such row blocks
-    (``mech``, ``cc``; their entries are not read) and the constrained
-    dofs: each free-dof block, K_uu, K_uc and K_cc, gets its slots in its
-    row block's data and a CSR matrix that holds the entries of the last
-    row block read. A row block passed again, as the same object, is not
-    read again: its entries are already in place and checked. So a row
-    block must not be changed once it has been passed; pass a new matrix
-    instead (the assembly's base blocks have read-only data).
+    two row blocks and K_cc's base: the mechanics rows [K_uu K_uc] (2N x 3N,
+    the u_x and u_y rows of every node over the node-major columns), the
+    concentration rows K_cc (N x N over the nodes' c dofs) and K_cc's
+    drift-free base K_diff + M / dt, the same object as K_cc where there is
+    no drift, each a CSR matrix; the solver reads the base as a third row
+    block. One solver serves one run, planned from the patterns of the two
+    row blocks (``mech``, ``cc``; their entries are not read) and the
+    constrained dofs: each free-dof block, K_uu, K_uc, K_cc and K_cc's base,
+    gets its slots in its row block's data and a CSR matrix that holds the
+    entries of the last row block read. A row block passed again, as the
+    same object, is not read again: its entries are already in place and
+    checked. So a row block must not be changed once it has been passed;
+    pass a new matrix instead (the assembly's base blocks have read-only
+    data).
     ``free_dofs`` holds the free u dofs and the free c dofs, each sorted,
     and ``free_rows`` the same dofs as rows of their row block.
     The plan also holds one order of the nodes, reverse Cuthill-McKee's or
     the node pattern's own, whichever has the smaller half-bandwidth (RCM's
-    on a tie), and, in it, each block's band (see the module docstring): a
-    fresh factor of a symmetric positive definite block is band Cholesky,
-    of any other block SuperLU.
-    ``factors`` counts the fresh factorizations of both kinds, ``reused``
-    the block solves a kept factor served and ``pcg_iters`` the CG
-    iterations of those solves, of both blocks.
+    on a tie), and, in it, the band of K_uu and of K_cc (see the module
+    docstring): every fresh factor is band Cholesky.
+    ``factors`` counts the fresh factorizations, ``reused`` the block
+    solves a kept factor served and ``pcg_iters`` the Krylov iterations of
+    the block solves, of both blocks: CG's, and GMRES's on a K_cc with
+    drift.
     """
 
     # the free-dof blocks read from each row block
-    _READS = {"mech": ("uu", "uc"), "cc": ("cc",)}
+    _READS = {"mech": ("uu", "uc"), "cc": ("cc",), "base": ("base",)}
 
     def __init__(self, mech, cc, fixed_dofs):
         n_nodes = cc.shape[0]
@@ -347,13 +332,14 @@ class BlockSolver:
         is_c = np.arange(3 * n_nodes) % 3 == 2
         u_rows = free.reshape(n_nodes, 3)[:, :2].ravel()
         c_nodes = free[is_c]
-        self._blocks = {        # "uu" / "uc" / "cc" -> (data slots, block CSR matrix)
+        self._blocks = {        # free-dof block -> (data slots, block CSR matrix)
             "uu": _plan_block(mech, u_rows, free & ~is_c),
             "uc": _plan_block(mech, u_rows, free & is_c),
             "cc": _plan_block(cc, c_nodes, c_nodes),
+            "base": _plan_block(cc, c_nodes, c_nodes),
         }
         self._shapes = {"mech": (2 * n_nodes, 3 * n_nodes, mech.nnz),
-                        "cc": (n_nodes, n_nodes, cc.nnz)}
+                        "cc": (n_nodes, n_nodes, cc.nnz), "base": (n_nodes, n_nodes, cc.nnz)}
         self.free_dofs = (np.flatnonzero(free & ~is_c), np.flatnonzero(free & is_c))
         self.free_rows = (np.flatnonzero(u_rows), np.flatnonzero(c_nodes))
         # one order of the nodes, each node expanded to its free dofs of the
@@ -361,16 +347,17 @@ class BlockSolver:
         # the pattern's own, whichever is narrower on the node pattern, RCM's
         # on a tie
         nodes = min((reverse_cuthill_mckee(cc, symmetric_mode=True).astype(np.int64),
-                     np.arange(n_nodes)), key=lambda order: _half_bandwidth(cc, order))
-        self._bands = {}        # "uu" / "cc" -> _BandPlan, or None: SuperLU only
+                     np.arange(n_nodes)), key=lambda order: _plan_band(cc, order).kd)
+        self._bands = {}        # "uu" / "cc" -> _BandPlan
         for name, in_block, comps in (("uu", free & ~is_c, (0, 1)), ("cc", free & is_c, (2,))):
             dofs = (3 * nodes[:, None] + np.array(comps)).ravel()
             local = np.cumsum(in_block) - 1      # block-local index of each block dof
             self._bands[name] = _plan_band(self._blocks[name][1], local[dofs[in_block[dofs]]])
         # the row blocks whose entries are in place, held weakly so that a
         # caller can free them before building the next
-        self._in_place = {"mech": None, "cc": None}
-        self._kept = {}         # "uu" / "cc" -> the block's last factor
+        self._in_place = {"mech": None, "cc": None, "base": None}
+        # "uu" / "cc" -> the block's last factor, and the base in place then
+        self._kept = {}
         self.factors = 0
         self.reused = 0
         self.pcg_iters = 0
@@ -378,65 +365,96 @@ class BlockSolver:
     def newton_update(self, jac, res):
         """dw with J dw = -res on the free dofs and dw = 0 on the fixed ones.
 
-        ``jac`` is the pair (mechanics rows, K_cc) of CSR matrices with the
-        planned patterns, neither changed after it is passed (see the class
-        docstring). Each block is solved by CG preconditioned with its kept
-        factor to a FORCING relative residual, and factored afresh when that
-        fails (see the module docstring).
+        ``jac`` is the triple (mechanics rows, K_cc, K_cc's drift-free base)
+        of CSR matrices with the planned patterns, none changed after it is
+        passed (see the class docstring). Each block is solved by CG
+        preconditioned with its kept factor to a FORCING relative residual,
+        and factored afresh when that fails; a K_cc with drift is served by
+        GMRES from its base's factor where CG fails (see the module
+        docstring).
         Raises ValueError if a row block does not have the planned shape or
-        has an entry that is not finite, and SingularMatrixError if a
-        freshly factored block is singular.
+        has an entry that is not finite, and SingularMatrixError if a fresh
+        factor cannot serve its block.
         """
-        for rows, A in zip(("mech", "cc"), jac):
+        for rows, A in zip(("mech", "cc", "base"), jac):
             held = self._in_place[rows]
             if held is None or held() is not A:
                 self._read(rows, A)
         res = np.asarray(res, dtype=float)
         free_u, free_c = self.free_dofs
         dw = np.zeros(3 * self._shapes["cc"][0])
-        dc = self._block_solve("cc", -res[free_c])
+        dc = self._block_solve("cc", -res[free_c], drift=jac[2] is not jac[1])
         dw[free_c] = dc
         dw[free_u] = self._block_solve("uu", -res[free_u] - self._blocks["uc"][1] @ dc)
         return dw
 
-    def _read(self, rows, A):
-        """Check the row block ``A`` ("mech" or "cc") and copy its entries
-        into the free-dof blocks it holds."""
+    def _check(self, rows, A):
+        """ValueError unless the row block ``A`` ("mech" or "cc") has the
+        planned shape and finite entries."""
         if A.shape + (A.nnz,) != self._shapes[rows]:
             raise ValueError(f"newton_update: {rows} rows of shape {A.shape} with {A.nnz} "
                              f"entries do not have the planned pattern")
         if not np.all(np.isfinite(A.data)):
             raise ValueError("newton_update: Jacobian entries must be finite")
+
+    def _read(self, rows, A):
+        """Check the row block ``A`` ("mech" or "cc") and copy its entries
+        into the free-dof blocks it holds."""
+        self._check(rows, A)
         for name in self._READS[rows]:
             slots, block = self._blocks[name]
             # the slots are in range; "clip" lets take write into the data unbuffered
             np.take(A.data, slots, out=block.data, mode="clip")
         self._in_place[rows] = weakref.ref(A)
 
-    def _block_solve(self, name, rhs):
+    def _block_solve(self, name, rhs, drift=False):
         """x with K x = rhs for the block ``name`` ("uu" or "cc"): by CG with
-        its kept factor to FORCING ||rhs||, else by the first solve of a fresh
-        factor to ROUNDOFF_TOL, band Cholesky if the block is symmetric
-        positive definite and SuperLU if not, which is then kept in its
-        place."""
+        its kept factor to FORCING ||rhs||, else from a fresh factor, which is
+        then kept. That is K's own, solved once to ROUNDOFF_TOL, or, for a K_cc
+        with ``drift``, that of the base in place, from which CG or else GMRES
+        reaches FORCING ||rhs||. A kept factor of that same base is not
+        factored afresh: GMRES serves K_cc from it where CG fails."""
         if rhs.size == 0:
             return rhs
         A = self._blocks[name][1]
         if name in self._kept:
-            x = self._pcg(self._kept[name], A, rhs)
+            factor, source = self._kept[name]
+            x = self._pcg(factor, A, rhs)
+            if x is None and drift and source() is self._in_place["base"]():
+                x = self._drift_gmres(factor, A, rhs)
             if x is not None:
                 self.reused += 1
                 return x
         # free the kept factor before computing the new one (peak memory)
         self._kept.pop(name, None)
-        self._kept[name], x = _fresh_solve(A, rhs, f"K_{name}", self._bands[name],
-                                           **BLOCK_SPLU_OPTIONS)
+        factor, a_max = _factor(self._blocks["base" if drift else name][1], f"K_{name}",
+                                self._bands[name])
+        if not drift:
+            x = _first_solve(factor, A, a_max, rhs, f"K_{name}")
+        elif (x := self._pcg(factor, A, rhs)) is None:
+            x = self._drift_gmres(factor, A, rhs)
+        self._kept[name] = factor, self._in_place["base"]
         self.factors += 1
+        return x
+
+    def _drift_gmres(self, factor, A, b):
+        """x with ||b - A x|| <= FORCING ||b|| for a K_cc ``A`` with drift by
+        restarted GMRES, left-preconditioned with the factor ``factor`` of its
+        base and started from that factor's first solve; SingularMatrixError
+        naming K_cc after GMRES_CYCLES restarts."""
+        iters = []
+        x = gmres(A, b, x0=factor.solve(b), rtol=FORCING, restart=GMRES_RESTART,
+                  maxiter=GMRES_CYCLES, M=LinearOperator(A.shape, matvec=factor.solve),
+                  callback=iters.append, callback_type="pr_norm")[0]
+        if np.linalg.norm(b - A @ x) > FORCING * np.linalg.norm(b):
+            raise SingularMatrixError(f"K_cc: GMRES from the factor of its drift-free base "
+                                      f"misses {FORCING:.0e} ||b||")
+        self.pcg_iters += len(iters)
         return x
 
     def _pcg(self, factor, A, b):
         """x with ||b - A x|| <= FORCING ||b|| by CG against ``A``,
-        preconditioned with the kept factor ``factor`` and started from its
+        preconditioned with the factor ``factor`` and started from its
         first solve; None on non-positive curvature or after PCG_MAX_ITER
         iterations."""
         x = factor.solve(b)

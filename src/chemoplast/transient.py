@@ -33,9 +33,12 @@ later tolerance), and against roundoff floors from the last
 Jacobian evaluated (|K_u| |w| and |K_cc| |c|, of the blocks' entrywise
 magnitudes, ``assembly.FixedJacobian.magnitude``). A step is committed only
 through one of NEWTON_EXITS and records what it took (``StepInfo``). Step
-failures (Newton divergence, the iteration cap, singular solves,
-constitutive errors) halve dt for the failing step only, at most
-``MAX_HALVINGS`` times, before the run aborts.
+failures halve dt for the failing step only, at most ``MAX_HALVINGS`` times,
+before the run aborts. They are Newton divergence, the iteration cap,
+constitutive errors and the block solver's SingularMatrixError: a block that
+band Cholesky finds not positive definite or with a zero pivot, a fresh
+factor's solve that misses a roundoff backward error, and a K_cc with drift
+that neither CG nor GMRES solves from the factor of its base.
 """
 from __future__ import annotations
 
@@ -96,7 +99,7 @@ class StepInfo:
     jacobians: int             # Jacobians evaluated in the step, the reused base included
     factors: int               # block factors computed by the step's Newton solve
     reused: int                # block solves of it served by a kept factor
-    pcg_iters: int             # CG iterations of its kept-factor solves, both blocks
+    pcg_iters: int             # CG and GMRES iterations of its block solves
     plastic_qp: int            # plastic quadrature points at the committed iterate: n_qp
                                # per plastic element
     residual_passes: int       # residual passes computed; one fewer where the committed
@@ -164,8 +167,8 @@ def _newton_solve(rd, w, fields_n, t_new, dt, committed=None, held=False):
     points flipping between the elastic and plastic branch; this attempt's
     starting residuals are folded into it only when it returns. The
     StepInfo counts the factors ``rd.block_solver`` computed, the block
-    solves its kept factors served and the CG iterations of those solves,
-    of both blocks, in this solve; the block norms are over its free dofs.
+    solves its kept factors served and the CG and GMRES iterations of the
+    block solves, of both blocks, in this solve; the block norms are over its free dofs.
 
     ``committed`` is the read-only ``assembly.Iterate`` of ``fields_n``
     (None to compute its strain), and ``held`` says that ``w`` is its

@@ -15,9 +15,10 @@ def yield_function(state, params):
     return sig_e - params.sigma_y0
 
 
-def chemical_strain(c, params):
-    """Stress-free swelling strain (c - c0) * Omega / 3 on each normal axis."""
-    dc = np.asarray(c, dtype=float) - params.c0
+def chemical_strain(dc, params):
+    """Stress-free swelling strain dc * Omega / 3 on each normal axis of a
+    concentration change ``dc`` from the stress-free state."""
+    dc = np.asarray(dc, dtype=float)
     return dc[..., None] * (params.Omega / 3.0) * np.array([1.0, 1.0, 1.0, 0.0])
 
 
@@ -108,15 +109,15 @@ def steel_kinematic():
 
 
 class CountingFactor:
-    """A fresh factor, band Cholesky or SuperLU, of an ``n`` x ``n`` matrix,
-    recording the norm of every right-hand side it solves."""
+    """A fresh band Cholesky factor of the matrix ``matrix`` (a copy of the
+    one factored), recording the norm of every right-hand side it solves."""
 
-    def __init__(self, factor, n):
-        self._factor, self.n, self.rhs_norms = factor, n, []
+    def __init__(self, factor, matrix):
+        self._factor, self.matrix, self.rhs_norms = factor, matrix, []
 
     @property
-    def band(self):
-        return isinstance(self._factor, sparse_linalg._BandCholesky)
+    def n(self):
+        return self.matrix.shape[0]
 
     @property
     def solves(self):
@@ -132,15 +133,15 @@ class CountingFactor:
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Every fresh factor the sparse layer computes, band Cholesky or SuperLU,
-    in order, as a ``CountingFactor``."""
+    """Every fresh block factor the sparse layer computes, in order, as a
+    ``CountingFactor``."""
     made = []
     real = sparse_linalg._factor
 
     def counting(A, *args, **kwargs):
-        factor, pivot = real(A, *args, **kwargs)
-        made.append(CountingFactor(factor, A.shape[0]))
-        return made[-1], pivot
+        factor, a_max = real(A, *args, **kwargs)
+        made.append(CountingFactor(factor, A.copy()))
+        return made[-1], a_max
 
     monkeypatch.setattr(sparse_linalg, "_factor", counting)
     return made

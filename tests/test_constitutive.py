@@ -68,10 +68,10 @@ class TestElasticStiffness:
 
 class TestChemicalStrain:
     def test_reference_concentration_gives_zero(self, steel):
-        assert np.all(chemical_strain(steel.c0, steel) == 0.0)
+        assert np.all(chemical_strain(0.0, steel) == 0.0)
 
     def test_magnitude(self, steel):
-        eps = chemical_strain(1e4, steel)   # c0 = 0
+        eps = chemical_strain(1e4, steel)
         assert eps[:3] == pytest.approx(np.full(3, 6.533e-3), rel=1e-3)
         assert eps[3] == 0.0
 

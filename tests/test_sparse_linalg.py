@@ -152,11 +152,15 @@ class TestApplyDirichlet:
 
 def _block_triangular(rng, n_nodes=3):
     """Diagonally dominant node-major (u_x, u_y, c) matrix with K_uu, K_uc and
-    K_cc populated and K_cu empty."""
+    K_cc populated and K_cu empty; K_uu and K_cc are symmetric, so positive
+    definite."""
     n = 3 * n_nodes
     is_c = np.arange(n) % 3 == 2
     dense = rng.normal(size=(n, n))
     dense[np.ix_(is_c, ~is_c)] = 0.0
+    for rows in (~is_c, is_c):
+        block = np.ix_(rows, rows)
+        dense[block] = 0.5 * (dense[block] + dense[block].T)
     dense[np.arange(n), np.arange(n)] = np.abs(dense).sum(axis=1) + 1.0
     return sla.from_triplets(n, [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
 
@@ -168,15 +172,14 @@ def _perturbed(A, rel, rng):
     return B
 
 
-def _spd_block_triangular(rng, n_nodes=8, spd_cc=False):
+def _spd_block_triangular(rng, n_nodes=8):
     """Node-major (u_x, u_y, c) matrix as ``_block_triangular`` makes it, with
-    a symmetric positive-definite (diagonally dominant) K_uu, and K_cc too
-    if ``spd_cc``."""
+    a more strongly diagonally dominant K_uu and K_cc."""
     n = 3 * n_nodes
     is_c = np.arange(n) % 3 == 2
     dense = rng.normal(size=(n, n))
     dense[np.ix_(is_c, ~is_c)] = 0.0
-    for rows in (~is_c, is_c) if spd_cc else (~is_c,):
+    for rows in (~is_c, is_c):
         block = np.ix_(rows, rows)
         dense[block] = 0.5 * (dense[block] + dense[block].T)
     dense[np.arange(n), np.arange(n)] = 1.5 * np.abs(dense).sum(axis=1) + 1.0
@@ -213,11 +216,24 @@ def _c_residual_ratio(M, dw, res):
 
 
 def _split_rows(A):
-    """The row blocks of the node-major block upper-triangular ``A``: the
-    mechanics rows (its u rows over every column) and K_cc (its c rows over
-    the c columns)."""
+    """The row blocks of the node-major block upper-triangular ``A``, as the
+    solver takes them: the mechanics rows (its u rows over every column),
+    K_cc (its c rows over the c columns) and K_cc's drift-free base, K_cc
+    itself."""
     is_c = np.arange(A.shape[0]) % 3 == 2
-    return A[~is_c], A[is_c][:, is_c]
+    cc = A[is_c][:, is_c]
+    return A[~is_c], cc, cc
+
+
+def _drifted(A, rel, rng):
+    """``A`` with a nonsymmetric drift subtracted from K_cc on its pattern,
+    entries up to ``rel`` times K_cc's largest."""
+    dense = A.toarray()
+    is_c = np.arange(A.shape[0]) % 3 == 2
+    cc = np.ix_(is_c, is_c)
+    dense[cc] -= rel * np.abs(dense[cc]).max() * np.where(
+        dense[cc] != 0.0, rng.uniform(-1.0, 1.0, size=dense[cc].shape), 0.0)
+    return sp.csr_matrix(dense)
 
 
 @pytest.fixture
@@ -233,7 +249,7 @@ def rows():
 
 def _solver(A, fixed=()):
     """A BlockSolver planned for the row-block patterns of ``A``."""
-    return sla.BlockSolver(*_split_rows(A), np.asarray(fixed, dtype=int))
+    return sla.BlockSolver(*_split_rows(A)[:2], np.asarray(fixed, dtype=int))
 
 
 class TestBlockSolver:
@@ -261,9 +277,9 @@ class TestBlockSolver:
         J = A.toarray()[np.ix_(free, free)]
         assert np.linalg.norm(J @ dw[free] + res[free]) <= 1e-12 * np.linalg.norm(res)
         free_u, free_c = solver.free_dofs
-        for M in (A, _perturbed(A, 0.5, rng)):
-            mech, cc = rows(M)
-            solver.newton_update((mech, cc), res)
+        for M in (A, _spd_perturbed(A, 0.5, rng)):
+            mech, cc, _ = rows(M)
+            solver.newton_update(rows(M), res)
             dense = M.toarray()
             for name, row_block, (r, c) in (("uu", mech, (free_u, free_u)),
                                             ("uc", mech, (free_u, free_c)),
@@ -274,7 +290,7 @@ class TestBlockSolver:
 
     def test_non_finite_entry_rejected(self, rows, rng):
         A = _block_triangular(rng)
-        for block in range(2):          # the mechanics rows, then K_cc
+        for block in range(3):          # the mechanics rows, K_cc, then its base
             jac = [m.copy() for m in rows(A)]
             jac[block].data[1] = np.nan
             with pytest.raises(ValueError, match="entries must be finite"):
@@ -297,7 +313,7 @@ class TestBlockSolver:
     def test_other_pattern_rejected(self, rows, rng):
         A = _block_triangular(rng)
         other = rows(_block_triangular(rng, n_nodes=4))
-        for block in range(2):
+        for block in range(3):          # a base is read when K_cc is factored
             jac = list(rows(A))
             jac[block] = other[block]
             with pytest.raises(ValueError, match="planned pattern"):
@@ -324,11 +340,10 @@ class TestBlockSolver:
         res = rng.normal(size=A.shape[0])
         ref = _solver(A).newton_update(rows(A), res)
         is_u = np.arange(A.shape[0]) % 3 != 2
-        for block in range(2):
-            changed = list(rows(A))
-            changed[block] = rows(B)[block]
+        (mech_a, *cc_a), (mech_b, *cc_b) = rows(A), rows(B)
+        for changed in ((mech_b, *cc_a), (mech_a, *cc_b)):
             solver = _solver(A)
-            for jac in (rows(A), tuple(changed)):
+            for jac in (rows(A), changed):
                 solver.newton_update(jac, res)
             dw = solver.newton_update(rows(A), res)
             assert np.linalg.norm(dw[~is_u] - ref[~is_u]) <= 1e-12 * np.linalg.norm(ref[~is_u])
@@ -336,6 +351,8 @@ class TestBlockSolver:
             assert np.linalg.norm(dw[is_u] - ref[is_u]) <= 1e-2 * np.linalg.norm(ref[is_u])
 
     def test_small_change_reuses_kept_factor(self, rows, rng, factors):
+        # a nonsymmetric change of both blocks, served by CG with the kept
+        # factors of the symmetric A
         A = _block_triangular(rng, n_nodes=8)
         B = _perturbed(A, 1e-6, rng)
         res = rng.normal(size=A.shape[0])
@@ -349,20 +366,17 @@ class TestBlockSolver:
     @pytest.mark.parametrize("block", ["cc", "uu"])
     def test_fresh_factor_needs_roundoff_backward_error(self, rows, rng, monkeypatch, factors,
                                                         block):
-        # with the roundoff target out of float64's reach, a fresh factor's
-        # first solve misses it, and the block is reported, whether the
-        # factor is band Cholesky (exactly symmetric blocks) or SuperLU; a
-        # zero r_c gives dc = 0 at once and takes the first fresh solve to K_uu
+        # with the roundoff target out of float64's reach, a fresh band
+        # factor's first solve misses it, and the block is reported; a zero
+        # r_c gives dc = 0 at once and takes the first fresh solve to K_uu
         monkeypatch.setattr(sla, "ROUNDOFF_TOL", 1e-20)
-        for A, band in ((_spd_block_triangular(rng, spd_cc=True), True),
-                        (_block_triangular(rng, n_nodes=8), False)):
-            res = rng.normal(size=A.shape[0])
-            if block == "uu":
-                res[2::3] = 0.0
-            with pytest.raises(sla.SingularMatrixError,
-                               match=f"K_{block}: solve misses a roundoff"):
-                _solver(A).newton_update(rows(A), res)
-            assert factors[-1].band == band
+        A = _spd_block_triangular(rng)
+        res = rng.normal(size=A.shape[0])
+        if block == "uu":
+            res[2::3] = 0.0
+        with pytest.raises(sla.SingularMatrixError, match=f"K_{block}: solve misses a roundoff"):
+            _solver(A).newton_update(rows(A), res)
+        assert factors[-1].n == {"cc": 8, "uu": 16}[block]
 
     def test_block_turning_singular_still_raises(self, rows, rng):
         A = _block_triangular(rng)
@@ -395,13 +409,14 @@ class TestBlockSolver:
         assert solver.factors == 2
         assert np.linalg.norm(B @ dw + 1.0) <= 1e-12 * np.sqrt(A.shape[0])
 
-    def test_alternating_blocks_factor_twice(self, rows, rng, factors):
-        # B = -A: CG on either block of B with A's factor meets
-        # p.Bp = -p.Ap < 0 at its first step, and on A with B's factor
-        # r.z < 0, so every switch factors both blocks afresh; each block
-        # keeps one factor, so a replaced factor is not solved again
+    def test_alternating_blocks_factor_twice(self, rows, rng, factors, monkeypatch):
+        # with no CG iteration allowed, the first solve of either block of B,
+        # a 30% change of A, with A's factor misses the forcing bound, and so
+        # does A's with B's, so every switch factors both blocks afresh; each
+        # block keeps one factor, so a replaced factor is not solved again
+        monkeypatch.setattr(sla, "PCG_MAX_ITER", 0)
         A = _spd_block_triangular(rng, n_nodes=3)
-        B = -A
+        B = _spd_perturbed(A, 0.3, rng)
         res = rng.normal(size=A.shape[0])
         solver = _solver(A)
         solves = []
@@ -424,9 +439,10 @@ class TestBlockSolver:
 
 
 class TestFactorChoice:
-    """A fresh factor is band Cholesky, in the solver's band order, for a
-    block symmetric to ROUNDOFF_TOL * max|A| that dpbtrf finds positive
-    definite, and SuperLU for every other block."""
+    """Every fresh factor is band Cholesky, in the solver's band order, of
+    the block's upper band: of K_uu, of a K_cc without drift, and of the
+    drift-free base of a K_cc with drift. A block that dpbtrf finds not
+    positive definite is reported singular."""
 
     @staticmethod
     def _free_residual(M, dw, res, fixed):
@@ -435,17 +451,17 @@ class TestFactorChoice:
         return np.linalg.norm(J @ dw[free] + res[free]) / np.linalg.norm(res[free])
 
     def test_spd_blocks_band_factored(self, rows, rng, factors):
-        A = _spd_block_triangular(rng, spd_cc=True)
+        A = _spd_block_triangular(rng)
         res = rng.normal(size=A.shape[0])
         fixed = (0, 5)                  # u_x of node 0, c of node 1
         dw = _solver(A, fixed).newton_update(rows(A), res)
-        assert [(f.n, f.band) for f in factors] == [(7, True), (15, True)]
+        assert [f.n for f in factors] == [7, 15]
         assert self._free_residual(A, dw, res, fixed) <= 1e-12
 
     def test_one_node_order_serves_both_blocks(self, rng):
         # K_uu's band order is K_cc's node order with each node expanded to
         # its free u dofs (node 1 all fixed, node 0's u_x fixed)
-        A = _spd_block_triangular(rng, spd_cc=True)
+        A = _spd_block_triangular(rng)
         for fixed in ((), (0, 3, 4, 5)):
             solver = _solver(A, fixed)
             free_u, free_c = solver.free_dofs
@@ -454,9 +470,28 @@ class TestFactorChoice:
             assert np.array_equal(free_u[solver._bands["uu"].order],
                                   u_dofs[~np.isin(u_dofs, fixed)])
 
-    @pytest.mark.parametrize("asymmetry, band", [(0.5, True), (2.0, False)])
-    def test_symmetric_to_roundoff_tol(self, rows, rng, factors, asymmetry, band):
-        # K_uu with |A - A^T| = asymmetry * ROUNDOFF_TOL max|A| off the diagonal
+    def test_factor_reads_the_upper_band(self, rng):
+        # K_uu's band factor is that of the symmetric matrix of its upper
+        # triangle in factor order, bitwise, whatever its lower triangle holds
+        A = _spd_block_triangular(rng)
+        is_u = np.arange(A.shape[0]) % 3 != 2
+        block = sp.csr_matrix(A.toarray()[np.ix_(is_u, is_u)])
+        band = _solver(A)._bands["uu"]
+        lower = np.setdiff1d(np.arange(block.nnz), band.upper)
+        assert lower.size == (block.nnz - block.shape[0]) // 2     # the diagonal is upper
+        skewed = block.copy()
+        skewed.data[lower] += rng.normal(size=lower.size)
+        r_sym, r_skewed = (band.factor(M, "K_uu")._r for M in (block, skewed))
+        assert np.array_equal(r_sym, r_skewed)
+
+    @pytest.mark.parametrize("asymmetry", [0.5, 1e3])
+    def test_nonsymmetric_k_uu_reported(self, rows, rng, factors, asymmetry):
+        # K_uu with |A - A^T| = asymmetry * ROUNDOFF_TOL max|A| off the
+        # diagonal: its band factor, of the upper triangle, solves it to the
+        # roundoff target at half that target (at this seed: the bound,
+        # asymmetry times the 2-norm of the strict lower triangle's pattern,
+        # about 10.5 at n = 16, exceeds 1), and at a thousand times it the
+        # first solve misses the target and the block is reported
         A = _spd_block_triangular(rng)
         is_u = np.arange(A.shape[0]) % 3 != 2
         dense = A.toarray()
@@ -465,53 +500,92 @@ class TestFactorChoice:
         dense[uu] += asymmetry / 2 * sla.ROUNDOFF_TOL * np.abs(dense[uu]).max() * (part - part.T)
         B = sp.csr_matrix(dense)
         res = rng.normal(size=A.shape[0])
-        dw = _solver(B).newton_update(rows(B), res)
-        assert factors[1].n == 16 and factors[1].band == band
-        assert self._free_residual(B, dw, res, ()) <= 1e-12
+        if asymmetry > 100:
+            with pytest.raises(sla.SingularMatrixError, match="K_uu: solve misses a roundoff"):
+                _solver(B).newton_update(rows(B), res)
+        else:
+            dw = _solver(B).newton_update(rows(B), res)
+            assert self._free_residual(B, dw, res, ()) <= 1e-12
+        assert factors[1].n == 16
 
-    def test_nonsymmetric_k_cc_superlu_factored(self, rows, rng, factors):
-        # a two-way K_cc: the drift adds a nonsymmetric part on the pattern
-        A = _spd_block_triangular(rng, spd_cc=True)
-        is_c = np.arange(A.shape[0]) % 3 == 2
-        dense = A.toarray()
-        cc = np.ix_(is_c, is_c)
-        dense[cc] += 1e-3 * np.abs(dense[cc]).max() * np.where(
-            dense[cc] != 0.0, rng.uniform(-1.0, 1.0, size=dense[cc].shape), 0.0)
-        B = sp.csr_matrix(dense)
+    def test_drifted_k_cc_factored_from_its_base(self, rows, rng, factors):
+        # a two-way K_cc: the drift adds a nonsymmetric part on the pattern.
+        # Its fresh factor is that of its base, from which CG meets the
+        # forcing bound; K_uu is solved to roundoff
+        A = _spd_block_triangular(rng)
+        B = _drifted(A, 1e-3, rng)
         res = rng.normal(size=A.shape[0])
-        dw = _solver(B).newton_update(rows(B), res)
-        assert [(f.n, f.band) for f in factors] == [(8, False), (16, True)]
-        assert self._free_residual(B, dw, res, ()) <= 1e-12
+        solver = _solver(A)
+        dw = solver.newton_update((*rows(B)[:2], rows(A)[2]), res)
+        assert [f.n for f in factors] == [8, 16]
+        assert np.array_equal(factors[0].matrix.toarray(), rows(A)[1].toarray())
+        assert (solver.factors, solver.reused) == (2, 0)
+        assert _c_residual_ratio(B, dw, res) <= sla.FORCING
+        assert _u_residual_ratio(B, dw, res) <= 1e-12
+
+    def test_drift_cg_cannot_resolve_served_by_gmres(self, rows, rng, factors, call_spy):
+        # a drift ten times K_cc's largest entry: CG from the base's fresh
+        # factor cannot reach the forcing bound, and GMRES from that factor
+        # reaches it
+        A = _spd_block_triangular(rng)
+        B = _drifted(A, 10.0, rng)
+        calls = call_spy("gmres", sla)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        dw = solver.newton_update((*rows(B)[:2], rows(A)[2]), res)
+        assert len(calls) == 1
+        assert [f.n for f in factors] == [8, 16] and solver.factors == 2
+        assert np.array_equal(factors[0].matrix.toarray(), rows(A)[1].toarray())
+        assert _c_residual_ratio(B, dw, res) <= sla.FORCING
+        assert _u_residual_ratio(B, dw, res) <= 1e-12
+
+    def test_drift_gmres_cannot_resolve_reported(self, rows, rng, factors):
+        # a drifted K_cc with two equal rows and unequal right-hand sides
+        # there: no dc meets the forcing bound, and K_cc is reported
+        A = _spd_block_triangular(rng)
+        B = _drifted(A, 10.0, rng).toarray()
+        c0, c1 = 2, 5
+        B[c1] = B[c0]
+        B = sp.csr_matrix(B)
+        assert np.array_equal(B.indices, A.indices)    # same pattern
+        res = rng.normal(size=A.shape[0])
+        res[c1] = res[c0] + 1.0
+        solver = _solver(A)
+        with pytest.raises(sla.SingularMatrixError,
+                           match="K_cc: GMRES from the factor of its drift-free base"):
+            solver.newton_update((*rows(B)[:2], rows(A)[2]), res)
+        assert [f.n for f in factors] == [8] and solver.factors == 0
 
     @pytest.mark.parametrize("kind", ["negated", "small-diagonal"])
-    def test_indefinite_symmetric_blocks_superlu_factored(self, rows, rng, factors, kind):
+    @pytest.mark.parametrize("block", ["cc", "uu"])
+    def test_indefinite_symmetric_block_reported(self, rows, rng, block, kind):
         # -A fails dpbtrf at its first pivot; a symmetric block with a
-        # diagonal too small for its off-diagonal entries fails it further on
-        A = _spd_block_triangular(rng, spd_cc=True)
+        # diagonal too small for its off-diagonal entries fails it further
+        # on. The other block stays positive definite
+        A = _spd_block_triangular(rng)
+        in_block = (np.arange(A.shape[0]) % 3 == 2) == (block == "cc")
+        dense = A.toarray()
         if kind == "negated":
-            B = -A
+            dense[np.ix_(in_block, in_block)] *= -1.0
         else:
-            dense = A.toarray()
-            dense[np.arange(A.shape[0]), np.arange(A.shape[0])] = 0.1
-            B = sp.csr_matrix(dense)
-        res = rng.normal(size=A.shape[0])
-        dw = _solver(B).newton_update(rows(B), res)
-        assert [(f.n, f.band) for f in factors] == [(8, False), (16, False)]
-        assert self._free_residual(B, dw, res, ()) <= 1e-12
+            dense[in_block, in_block] = 0.1
+        B = sp.csr_matrix(dense)
+        with pytest.raises(sla.SingularMatrixError, match=f"K_{block}: not positive definite"):
+            _solver(B).newton_update(rows(B), rng.normal(size=A.shape[0]))
 
     def test_identically_zero_symmetric_block_reported(self, rows, rng):
-        A = _spd_block_triangular(rng, spd_cc=True)
-        mech, cc = rows(A)
+        A = _spd_block_triangular(rng)
+        mech, cc, _ = rows(A)
         cc = cc.copy()
         cc.data[:] = 0.0
         with pytest.raises(sla.SingularMatrixError, match="K_cc: matrix is identically zero"):
-            _solver(A).newton_update((mech, cc), rng.normal(size=A.shape[0]))
+            _solver(A).newton_update((mech, cc, cc), rng.normal(size=A.shape[0]))
 
     @pytest.mark.parametrize("fixed_kind", [0, 2], ids=["every-u-fixed", "every-c-fixed"])
     def test_block_with_every_dof_fixed(self, rows, rng, factors, fixed_kind):
         # one block has no free dof: the solver plans and updates with the
         # other alone
-        A = _spd_block_triangular(rng, spd_cc=True)
+        A = _spd_block_triangular(rng)
         comps = np.arange(A.shape[0]) % 3
         fixed = np.flatnonzero(comps == 2 if fixed_kind == 2 else comps != 2)
         solver = _solver(A, fixed)
@@ -520,8 +594,7 @@ class TestFactorChoice:
             dw = solver.newton_update(rows(M), res)
             assert np.all(dw[fixed] == 0.0)
             assert self._free_residual(M, dw, res, fixed) <= sla.FORCING
-        assert [f.band for f in factors] == [True]
-        assert factors[0].n == {0: 8, 2: 16}[fixed_kind]
+        assert [f.n for f in factors] == [{0: 8, 2: 16}[fixed_kind]]
 
 
 def _mesh_solver(mesh, params):
@@ -544,7 +617,7 @@ class TestBandOrder:
         mesh = msh.generate_plate_with_hole(1.0, 0.1, 0.05)
         n_theta = mesh.nodes_with_tag("hole").size
         solver, pattern = _mesh_solver(mesh, steel)
-        assert sla._half_bandwidth(pattern, _rcm(pattern)) > n_theta + 1
+        assert sla._plan_band(pattern, _rcm(pattern)).kd > n_theta + 1
         assert np.array_equal(solver._bands["cc"].order, np.arange(mesh.n_nodes))
         assert solver._bands["cc"].kd == n_theta + 1
         assert solver._bands["uu"].kd == 2 * n_theta + 3
@@ -554,8 +627,8 @@ class TestBandOrder:
         # criterion 9's meshes, scaled to a unit outer radius
         solver, pattern = _mesh_solver(msh.generate_annulus(r_i, 1.0, 0.08), steel)
         rcm = _rcm(pattern)
-        assert (sla._half_bandwidth(pattern, rcm)
-                < sla._half_bandwidth(pattern, np.arange(rcm.size)))
+        assert (sla._plan_band(pattern, rcm).kd
+                < sla._plan_band(pattern, np.arange(rcm.size)).kd)
         assert np.array_equal(solver._bands["cc"].order, rcm)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -567,12 +640,12 @@ class TestBandOrder:
         mesh = msh.Mesh(nodes, label[plate.tris], label[plate.boundary_edges],
                         plate.boundary_tags.copy())
         solver, pattern = _mesh_solver(mesh, steel)
-        assert solver._bands["cc"].kd <= sla._half_bandwidth(pattern, _rcm(pattern))
+        assert solver._bands["cc"].kd <= sla._plan_band(pattern, _rcm(pattern)).kd
 
     def test_tie_keeps_rcm_order(self, rng):
         # every node pair shares an entry, so every order has half-bandwidth
         # n - 1; RCM's is the identity reversed
-        A = _spd_block_triangular(rng, spd_cc=True)
+        A = _spd_block_triangular(rng)
         pattern = _split_rows(A)[1]
         rcm = _rcm(pattern)
         assert not np.array_equal(rcm, np.arange(rcm.size))
@@ -613,30 +686,15 @@ class TestKeptFactorSolve:
         rhs_u = -(res + A @ np.where(is_u, 0.0, dw))[is_u]
         assert np.array_equal(dw[is_u], uu_factor.solve(rhs_u))
 
-    @pytest.mark.parametrize("block, change", [
-        ("u", "nonsymmetric"), ("u", "indefinite"), ("u", "iteration-cap"),
-        ("c", "indefinite"), ("c", "iteration-cap")])
+    @pytest.mark.parametrize("block", ["u", "c"], ids=["u-iteration-cap", "c-iteration-cap"])
     def test_failed_pcg_falls_back_to_fresh_factor(self, rows, rng, factors, monkeypatch,
-                                                   block, change):
+                                                   block):
+        # a 30% change takes CG three iterations on either block
+        monkeypatch.setattr(sla, "PCG_MAX_ITER", 2)
         A = _spd_block_triangular(rng)
-        n = A.shape[0]
-        in_block = (np.arange(n) % 3 == 2) == (block == "c")
-        dense = A.toarray()
-        changed = np.ix_(in_block, in_block)
-        if change == "nonsymmetric":
-            # a skew part ten times the diagonal leaves p.Ap > 0, but CG
-            # cannot converge on it
-            skew = np.triu(rng.normal(size=dense[changed].shape), 1)
-            dense[changed] += 10.0 * np.abs(dense[changed]).max() * (skew - skew.T)
-        elif change == "indefinite":
-            dense[changed] = -dense[changed]       # p.Ap < 0 at the first step
-        else:
-            # a 30% change takes CG three iterations on either block
-            monkeypatch.setattr(sla, "PCG_MAX_ITER", 2)
-            dense = _spd_perturbed(A, 0.3, rng, blocks=block).toarray()
-        B = sp.csr_matrix(dense)
+        B = _spd_perturbed(A, 0.3, rng, blocks=block)
         assert np.array_equal(B.indices, A.indices)    # same pattern
-        res = rng.normal(size=n)
+        res = rng.normal(size=A.shape[0])
         solver = _solver(A)
         solver.newton_update(rows(A), res)
         dw = solver.newton_update(rows(B), res)
@@ -646,12 +704,87 @@ class TestKeptFactorSolve:
         assert _u_residual_ratio(B, dw, res) <= 1e-12
         assert _c_residual_ratio(B, dw, res) <= 1e-12
 
+    def test_drifted_k_cc_refactored_from_its_new_base(self, rows, rng, factors, monkeypatch):
+        # a 30% change of K_cc's base with a small drift on it, and no CG
+        # iteration allowed: the kept factor's first solve misses the forcing
+        # bound, and K_cc is factored afresh from the new base, whose first
+        # solve meets it
+        monkeypatch.setattr(sla, "PCG_MAX_ITER", 0)
+        A = _spd_block_triangular(rng)
+        base = _spd_perturbed(A, 0.3, rng, blocks="c")
+        B = _drifted(base, 1e-5, rng)
+        res = rng.normal(size=A.shape[0])
+        solver = _solver(A)
+        solver.newton_update(rows(A), res)
+        dw = solver.newton_update((*rows(B)[:2], rows(base)[2]), res)
+        assert [f.n for f in factors] == [8, 16, 8]
+        assert np.array_equal(factors[2].matrix.toarray(), rows(base)[1].toarray())
+        assert solver.reused == 1
+        assert _c_residual_ratio(B, dw, res) <= sla.FORCING
+        assert _u_residual_ratio(B, dw, res) <= 1e-12
+
+    @pytest.mark.parametrize("solvable", [True, False], ids=["solvable", "singular"])
+    def test_kept_factor_of_the_same_base_not_refactored(self, rows, rng, factors, call_spy,
+                                                         solvable):
+        # K_cc without drift, then with a drift ten times its largest entry
+        # over the same base: CG with the kept factor fails, and a fresh
+        # factor of that base would be the same one, so GMRES serves K_cc
+        # from the kept factor, or, on a drifted K_cc with two equal rows and
+        # unequal right-hand sides there, K_cc is reported at once
+        A = _spd_block_triangular(rng)
+        B = _drifted(A, 10.0, rng).toarray()
+        res = rng.normal(size=A.shape[0])
+        if not solvable:
+            B[5] = B[2]
+            res[5] = res[2] + 1.0
+        B = sp.csr_matrix(B)
+        calls = call_spy("gmres", sla)
+        solver = _solver(A)
+        solver.newton_update(rows(A), res)
+        jac = (*rows(B)[:2], rows(A)[2])
+        if solvable:
+            dw = solver.newton_update(jac, res)
+            assert _c_residual_ratio(B, dw, res) <= sla.FORCING
+            assert _u_residual_ratio(B, dw, res) <= 1e-12
+            assert solver.reused == 2
+        else:
+            with pytest.raises(sla.SingularMatrixError, match="K_cc: GMRES"):
+                solver.newton_update(jac, res)
+        assert len(calls) == 1
+        assert [f.n for f in factors] == [8, 16] and solver.factors == 2
+
+    @pytest.mark.parametrize("block, change", [
+        ("u", "nonsymmetric"), ("u", "indefinite"), ("c", "indefinite")])
+    def test_failed_pcg_on_a_block_no_fresh_factor_serves_reported(self, rows, rng, block,
+                                                                   change):
+        # CG with the kept factor fails on the changed block, and its fresh
+        # factor cannot serve it: dpbtrf rejects the indefinite block and the
+        # factor of the nonsymmetric one's upper band
+        A = _spd_block_triangular(rng)
+        in_block = (np.arange(A.shape[0]) % 3 == 2) == (block == "c")
+        dense = A.toarray()
+        changed = np.ix_(in_block, in_block)
+        if change == "nonsymmetric":
+            # a skew part ten times the diagonal leaves p.Ap > 0, but CG
+            # cannot converge on it
+            skew = np.triu(rng.normal(size=dense[changed].shape), 1)
+            dense[changed] += 10.0 * np.abs(dense[changed]).max() * (skew - skew.T)
+        else:
+            dense[changed] = -dense[changed]       # p.Ap < 0 at the first step
+        B = sp.csr_matrix(dense)
+        assert np.array_equal(B.indices, A.indices)    # same pattern
+        solver = _solver(A)
+        solver.newton_update(rows(A), rng.normal(size=A.shape[0]))
+        with pytest.raises(sla.SingularMatrixError, match=f"K_{block}{block}"):
+            solver.newton_update(rows(B), rng.normal(size=A.shape[0]))
+        assert solver.factors == 2 and solver.pcg_iters == 0
+
     def test_singular_k_uu_raises(self, rows, rng, factors):
         # K_uu with equal rows i and j (and columns) is positive semidefinite
         # and singular; a generic right-hand side has a part in its null space
         # that CG cannot reduce, and the fresh factor reports the block. Its
-        # last Cholesky pivot is roundoff of either sign, so dpbtrf (then
-        # SuperLU) or the band pivot check rejects it. Shifted by 0.3
+        # last Cholesky pivot is roundoff of either sign, so dpbtrf or the
+        # band pivot check rejects it. Shifted by 0.3
         # PIVOT_TOL max|K_uu| at (j, j), it is positive definite with a pivot
         # of at most the shift, far above roundoff, and the band factor's
         # pivot check reports it.
@@ -670,4 +803,3 @@ class TestKeptFactorSolve:
             solver.newton_update(rows(A), np.ones(A.shape[0]))
             with pytest.raises(sla.SingularMatrixError, match=match):
                 solver.newton_update(rows(B), rng.normal(size=A.shape[0]))
-        assert factors[-1].band and factors[-1].n == is_u.size

@@ -9,7 +9,8 @@ from chemoplast.constitutive import MaterialParams
 from chemoplast.scenarios import Scenario
 from conftest import (build_strip_mesh, build_two_element_square, c_dofs, ux_dofs, uy_dofs,
                       yield_function)
-from test_acceptance import PARTICLE_CFG
+from test_acceptance import CONSERVATION_CFG, PARTICLE_CFG, RELAXATION_CFG
+from test_reference_outputs import workloads
 
 
 def diffusion_material(D=1.0):
@@ -676,7 +677,7 @@ class TestBlockNewtonSolve:
         mech, cc = jac[~is_c], jac[is_c][:, is_c]
         assert mech.nnz + cc.nnz == jac.nnz
         solver = sla.BlockSolver(mech, cc, plan.fixed_dofs)
-        dw = solver.newton_update((mech, cc), res)
+        dw = solver.newton_update((mech, cc, cc), res)      # no drift at the start
         A, b = sla.apply_dirichlet(jac, -res, [(d, 0.0) for d in plan.fixed_dofs])
         ref = sla.solve(A, b)
         assert np.linalg.norm(dw[is_c] - ref[is_c]) <= 1e-12 * np.linalg.norm(ref[is_c])
@@ -720,6 +721,59 @@ class TestBlockNewtonSolve:
         scen.solver.t_end = scen.solver.dt
         with pytest.raises(tr.RunAborted, match="K_uu"):
             tr.run(scen)
+
+
+PLASTIC_PLATE = workloads.WORKLOADS["plate_plastic_twoway"].config_text(workloads.DEFAULT_SEED)
+
+
+class TestOneFactorization:
+    """Every fresh factor of the Newton path is band Cholesky: SuperLU serves
+    the reference solve only, and K_cc is factored from its drift-free base."""
+
+    @pytest.mark.parametrize("text", [PLASTIC_PLATE, CONSERVATION_CFG.format(mode="twoway"),
+                                      RELAXATION_CFG.format(plast="on")],
+                             ids=["plastic-plate", "criterion-5-two-way", "criterion-7-plastic"])
+    def test_no_superlu_factor(self, text, call_spy):
+        # two-way plastic runs whose first Jacobian already carries drift
+        calls = call_spy("splu", sla)
+        hist, _ = tr.run(sc.build_scenario(sc.load_config(text)))
+        assert calls == [] and sum(r["factors"] for r in hist.records) > 0
+
+    def test_plastic_plate_k_cc_factored_once_from_its_base(self, factors):
+        scen = sc.build_scenario(sc.load_config(PLASTIC_PLATE))
+        tr.run(scen)
+        base = asm.fixed_jacobian(asm.precompute(scen.mesh), scen.params).at(scen.solver.dt).cc
+        # insulated: every c dof is free, so K_cc is n_nodes square
+        (k_cc,) = [f for f in factors if f.n == scen.mesh.n_nodes]
+        assert np.array_equal(k_cc.matrix.data, base.data)
+
+    @pytest.mark.parametrize("text, T", [(COARSE_PLATE, 50.0), (COARSE_PLATE, 3.0),
+                                         (COARSE_PLATE, 1.0), (COARSE_HOLE, 5.0),
+                                         (COARSE_HOLE, 1.0)],
+                             ids=["plate-T50", "plate-T3", "plate-T1", "hole-T5", "hole-T1"])
+    def test_strong_drift_runs_at_full_dt(self, call_spy, text, T):
+        # the drift grows as 1 / T: at 6 to 300 times the steel preset's,
+        # CG from the factor of K_cc's base misses the forcing bound on some
+        # updates, and GMRES from that factor serves them without a dt halving
+        calls = call_spy("gmres", sla)
+        scen = sc.build_scenario(sc.load_config(text + f"material.T = {T}\n"))
+        hist, _ = tr.run(scen)
+        assert calls and hist.events == []
+        assert hist.times[-1] == pytest.approx(scen.solver.t_end)
+
+    def test_drift_gmres_cannot_resolve_halves_dt(self, monkeypatch):
+        # the T = 50 K plate with GMRES held to one iteration: at the full dt
+        # it misses the forcing bound on some steps, and a halved dt, whose
+        # base M / dt is larger, serves them
+        monkeypatch.setattr(sla, "GMRES_RESTART", 1)
+        monkeypatch.setattr(sla, "GMRES_CYCLES", 1)
+        scen = sc.build_scenario(sc.load_config(COARSE_PLATE + "material.T = 50\n"))
+        hist, _ = tr.run(scen)
+        assert hist.events
+        for event in hist.events:
+            assert event["event"] == "dt_halved"
+            assert "K_cc: GMRES from the factor of its drift-free base" in event["reason"]
+        assert hist.times[-1] == pytest.approx(scen.solver.t_end)
 
 
 class TestRobustness:
