@@ -290,12 +290,15 @@ def _mechanics_pattern(node_indptr, node_indices, pair):
     indptr = np.concatenate([[0], np.cumsum(np.repeat(3 * deg, 2))])
 
     # element entry (2a + ra, 2b + cb) of K_uu sits at u_slot + ra * step + cb
-    # of the pair (a, b), the K_uc entry (2a + ra, b) at cb = 2
+    # of the pair (a, b), the K_uc entry (2a + ra, b) at cb = 2: each pair's
+    # six slots (ra, cb), gathered by element as (e, a, ra, b, cb)
     n_elem = pair.shape[0]
-    base = u_slot[pair][:, :, None, :] + np.arange(2)[:, None] * step[pair][:, :, None, :]
-    slot = np.concatenate([(base[..., None] + np.arange(2)).reshape(n_elem, -1).ravel(),
-                           (base + 2).reshape(n_elem, -1).ravel()])
-    return indptr.astype(np.int32), indices, slot.astype(np.int32)
+    six = (u_slot[:, None, None] + np.arange(2)[:, None] * step[:, None, None]
+           + np.arange(3)).astype(np.int32)
+    slot = six[pair].transpose(0, 1, 3, 2, 4)
+    return (indptr.astype(np.int32), indices,
+            np.concatenate([slot[..., :2].reshape(n_elem, -1).ravel(),
+                            slot[..., 2].reshape(n_elem, -1).ravel()]))
 
 
 def _element_operator(cols, vals, n_cols, keep=None):

@@ -9,7 +9,8 @@ flux.
 
 Configuration files are flat ``section.key = value`` text with ``#``
 comments; unknown keys are hard errors. Probe time series go to CSV, field
-snapshots to legacy ASCII VTK.
+snapshots to legacy VTK in its binary encoding (big-endian, float64 fields
+written exactly).
 """
 from __future__ import annotations
 
@@ -453,26 +454,38 @@ def _rows(fmt, values):
 
 
 def write_vtk_snapshot(mesh, fields, path, title="chemoplast snapshot"):
-    """Legacy ASCII VTK unstructured grid with point data c, sigma_h, u and
-    cell data eps_p_eq (the element's, which its points share)."""
+    """Legacy VTK unstructured grid in the BINARY encoding, with point data
+    c, sigma_h, u and cell data eps_p_eq (the element's, which its points
+    share).
+
+    The header and section lines are ASCII text. Each array follows its
+    section line as raw big-endian data and ends with a newline, as
+    ``vtkDataWriter`` writes it: float64 for the points (x, y, 0), the
+    scalars and the vectors (u_x, u_y, 0), so every value is exact, and
+    int32 for the cells (3 a b c per triangle) and the cell types (5, a
+    triangle).
+    """
     n = mesh.n_nodes
     m = mesh.n_elements
-    Path(path).write_text("".join([
-        f"{VTK_HEADER}\n{title[:255]}\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
-        _rows("%.12e %.12e 0.0\n", mesh.nodes),
-        f"CELLS {m} {4 * m}\n",
-        _rows("3 %d %d %d\n", mesh.tris),
-        f"CELL_TYPES {m}\n",
-        "5\n" * m,
-        f"POINT_DATA {n}\nSCALARS c double 1\nLOOKUP_TABLE default\n",
-        _rows("%.12e\n", fields.c),
-        "SCALARS sigma_h double 1\nLOOKUP_TABLE default\n",
-        _rows("%.12e\n", fields.sigma_h_nodal),
-        "VECTORS u double\n",
-        _rows("%.12e %.12e 0.0\n", fields.u),
-        f"CELL_DATA {m}\nSCALARS eps_p_eq double 1\nLOOKUP_TABLE default\n",
-        _rows("%.12e\n", fields.material.eps_p_eq),
-    ]))
+    zeros = np.zeros((n, 1))
+    sections = (
+        (f"{VTK_HEADER}\n{title[:255]}\nBINARY\nDATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
+         np.hstack([mesh.nodes, zeros]).astype(">f8")),
+        (f"CELLS {m} {4 * m}\n", np.hstack([np.full((m, 1), 3), mesh.tris]).astype(">i4")),
+        (f"CELL_TYPES {m}\n", np.full(m, 5, dtype=">i4")),
+        (f"POINT_DATA {n}\nSCALARS c double 1\nLOOKUP_TABLE default\n",
+         np.ascontiguousarray(fields.c, dtype=">f8")),
+        ("SCALARS sigma_h double 1\nLOOKUP_TABLE default\n",
+         np.ascontiguousarray(fields.sigma_h_nodal, dtype=">f8")),
+        ("VECTORS u double\n", np.hstack([fields.u, zeros]).astype(">f8")),
+        (f"CELL_DATA {m}\nSCALARS eps_p_eq double 1\nLOOKUP_TABLE default\n",
+         np.ascontiguousarray(fields.material.eps_p_eq, dtype=">f8")),
+    )
+    with open(path, "wb") as f:
+        for lines, values in sections:
+            f.write(lines.encode())
+            f.write(values)
+            f.write(b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +533,14 @@ def analytic_comparison(scenario, fields):
         V_H=params.Omega, alpha_c=params.Omega * c_max / 3.0, T=params.T)
 
     nodes, angles = hole_boundary_angles(scenario.mesh)
-    rows = []
-    for node, beta in zip(nodes, angles):
-        rows.append({
-            "beta": float(beta),
-            "sigma_h_fe": float(fields.sigma_h_nodal[node]),
-            "sigma_h_exact": float(analytic.hole_hydrostatic(cfg.r, beta, ap)),
-            "c_fe": float(fields.c[node] / c_max),
-            "c_exact": float(analytic.hole_concentration(cfg.r, beta, ap)),
-        })
-    return rows
+    columns = {
+        "beta": angles,
+        "sigma_h_fe": fields.sigma_h_nodal[nodes],
+        "sigma_h_exact": analytic.hole_hydrostatic(cfg.r, angles, ap),
+        "c_fe": fields.c[nodes] / c_max,
+        "c_exact": analytic.hole_concentration(cfg.r, angles, ap),
+    }
+    return [dict(zip(columns, map(float, row))) for row in zip(*columns.values())]
 
 
 def write_analytic_comparison(rows, path):

@@ -221,22 +221,27 @@ def solve(A, b):
     return _first_solve(lu, scaled, a_max, d * b, what)
 
 
-def _plan_block(A, rows, cols):
-    """Data slots and CSR matrix of the block of the CSR pattern of ``A`` on
-    the rows and columns whose masks are ``rows`` and ``cols``; the matrix's
-    data is written when a row block is read."""
+def _plan_blocks(A, rows, *cols):
+    """Data slots and CSR matrix of each block of the CSR pattern of ``A`` on
+    the rows whose mask is ``rows`` and the columns whose mask is one of
+    ``cols``, in that order; a matrix's data is written when a row block is
+    read."""
     indices = A.indices
     row_of = np.repeat(np.arange(rows.size), np.diff(A.indptr))
-    local = np.full(cols.size, -1, dtype=np.int32)     # scipy's CSR index type
-    local[cols] = np.arange(np.count_nonzero(cols))
-    # in-order selection with an increasing renumbering keeps the block's
-    # column indices sorted within each row
-    slots = np.flatnonzero(rows[row_of] & cols[indices])
-    counts = np.bincount(row_of[slots], minlength=rows.size)[rows]
-    block_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    block = sp.csr_matrix((np.zeros(slots.size), local[indices[slots]], block_indptr),
-                          shape=(counts.size, np.count_nonzero(cols)))
-    return slots, block
+    in_rows = rows[row_of]
+    plans = []
+    for mask in cols:
+        local = np.full(mask.size, -1, dtype=np.int32)     # scipy's CSR index type
+        local[mask] = np.arange(np.count_nonzero(mask))
+        # in-order selection with an increasing renumbering keeps the block's
+        # column indices sorted within each row
+        slots = np.flatnonzero(in_rows & mask[indices])
+        counts = np.bincount(row_of[slots], minlength=rows.size)[rows]
+        block_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        plans.append((slots, sp.csr_matrix(
+            (np.zeros(slots.size), local[indices[slots]], block_indptr),
+            shape=(counts.size, np.count_nonzero(mask)))))
+    return plans
 
 
 class _BandCholesky:
@@ -332,12 +337,13 @@ class BlockSolver:
         is_c = np.arange(3 * n_nodes) % 3 == 2
         u_rows = free.reshape(n_nodes, 3)[:, :2].ravel()
         c_nodes = free[is_c]
+        uu, uc = _plan_blocks(mech, u_rows, free & ~is_c, free & is_c)
+        (cc_slots, cc_block), = _plan_blocks(cc, c_nodes, c_nodes)
+        # K_cc's base is read from the same slots into its own data
+        base = sp.csr_matrix((np.zeros_like(cc_block.data), cc_block.indices, cc_block.indptr),
+                             shape=cc_block.shape)
         self._blocks = {        # free-dof block -> (data slots, block CSR matrix)
-            "uu": _plan_block(mech, u_rows, free & ~is_c),
-            "uc": _plan_block(mech, u_rows, free & is_c),
-            "cc": _plan_block(cc, c_nodes, c_nodes),
-            "base": _plan_block(cc, c_nodes, c_nodes),
-        }
+            "uu": uu, "uc": uc, "cc": (cc_slots, cc_block), "base": (cc_slots, base)}
         self._shapes = {"mech": (2 * n_nodes, 3 * n_nodes, mech.nnz),
                         "cc": (n_nodes, n_nodes, cc.nnz), "base": (n_nodes, n_nodes, cc.nnz)}
         self.free_dofs = (np.flatnonzero(free & ~is_c), np.flatnonzero(free & is_c))

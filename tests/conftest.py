@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,58 @@ def uniform_grid_mesh(n, L=1.0):
         edges.append([nid(n, k), nid(n, k + 1)]); tags.append("right")
     return mesh_mod.Mesh(nodes, np.asarray(tris, dtype=np.int64),
                          np.asarray(edges, dtype=np.int64), np.asarray(tags, dtype=str))
+
+
+def read_binary_vtk(path):
+    """(lines, arrays) of a legacy BINARY VTK unstructured grid: every text
+    line in order, and every array by name ("points", "cells",
+    "cell_types" and each data array's own name), as big-endian arrays.
+
+    The file is split by the counts of its section lines, never by searching
+    the binary data: each array is read as the number of values its section
+    line gives, and must be followed by a newline; the file must end at the
+    last array's newline.
+    """
+    data = Path(path).read_bytes()
+    pos = 0
+    lines, arrays = [], {}
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        lines.append(data[pos:end].decode("ascii"))
+        pos = end + 1
+        return lines[-1].split()
+
+    def block(dtype, count, name, width=1):
+        nonlocal pos
+        end = pos + np.dtype(dtype).itemsize * count * width
+        assert data[end:end + 1] == b"\n", f"{name}: no newline after it"
+        values = np.frombuffer(data[pos:end], dtype=dtype)
+        arrays[name] = values.reshape(-1, width) if width > 1 else values
+        pos = end + 1
+
+    for _ in range(4):                # version, title, encoding, dataset
+        line()
+    count = None                      # values per data array of the section
+    while pos < len(data):
+        key, *args = line()
+        if key == "POINTS":
+            block(">f8", int(args[0]), "points", 3)
+        elif key == "CELLS":
+            block(">i4", int(args[1]), "cells")
+        elif key == "CELL_TYPES":
+            block(">i4", int(args[0]), "cell_types")
+        elif key in ("POINT_DATA", "CELL_DATA"):
+            count = int(args[0])
+        elif key == "SCALARS":
+            line()                    # LOOKUP_TABLE
+            block(">f8", count, args[0])
+        elif key == "VECTORS":
+            block(">f8", count, args[0], 3)
+        else:
+            raise AssertionError(f"unexpected line {lines[-1]!r}")
+    return lines, arrays
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import copy
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +7,35 @@ import pytest
 
 from chemoplast import scenarios as sc, transient as tr
 from chemoplast.assembly import FieldState
-from conftest import build_two_element_square
+from conftest import build_two_element_square, read_binary_vtk
+
+
+def _assert_vtk_holds(path, mesh, fields, title):
+    """The VTK file at ``path`` has every text line of the writer's layout
+    and arrays bitwise equal to ``mesh`` and ``fields``; returns the arrays
+    read."""
+    n, m = mesh.n_nodes, mesh.n_elements
+    lines, arrays = read_binary_vtk(path)
+    assert lines == ["# vtk DataFile Version 3.0", title, "BINARY", "DATASET UNSTRUCTURED_GRID",
+                     f"POINTS {n} double", f"CELLS {m} {4 * m}", f"CELL_TYPES {m}",
+                     f"POINT_DATA {n}", "SCALARS c double 1", "LOOKUP_TABLE default",
+                     "SCALARS sigma_h double 1", "LOOKUP_TABLE default", "VECTORS u double",
+                     f"CELL_DATA {m}", "SCALARS eps_p_eq double 1", "LOOKUP_TABLE default"]
+    expected = {
+        "points": np.column_stack([mesh.nodes, np.zeros(n)]),
+        "cells": np.column_stack([np.full(m, 3), mesh.tris]).ravel(),
+        "cell_types": np.full(m, 5),
+        "c": fields.c,
+        "sigma_h": fields.sigma_h_nodal,
+        "u": np.column_stack([fields.u, np.zeros(n)]),
+        "eps_p_eq": fields.material.eps_p_eq,
+    }
+    assert list(arrays) == list(expected)
+    for name, values in expected.items():
+        read = arrays[name]
+        assert read.shape == np.shape(values), name
+        assert read.tobytes() == np.asarray(values, dtype=read.dtype).tobytes(), name
+    return arrays
 
 
 BASE_PLATE = """
@@ -441,60 +471,57 @@ class TestWriters:
         assert len(expected) == 7 and "-0.000000000000e+00" in expected[1]
 
     def test_vtk_format(self, tmp_path):
+        # every text line, and every array bitwise equal to the mesh and the
+        # fields it was written from
         scen, hist, fields = self._small_history(tmp_path)
         path = tmp_path / "snap.vtk"
         sc.write_vtk_snapshot(scen.mesh, fields, path)
-        lines = path.read_text().split("\n")
-        assert lines[0] == "# vtk DataFile Version 3.0"
-        assert lines[2] == "ASCII"
-        assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-        assert lines[4] == f"POINTS {scen.mesh.n_nodes} double"
-        assert f"CELLS {scen.mesh.n_elements} {4 * scen.mesh.n_elements}" in lines
-        assert "SCALARS c double 1" in lines
-        assert "SCALARS sigma_h double 1" in lines
-        assert "VECTORS u double" in lines
-        assert f"CELL_DATA {scen.mesh.n_elements}" in lines
-        assert "SCALARS eps_p_eq double 1" in lines
+        _assert_vtk_holds(path, scen.mesh, fields, "chemoplast snapshot")
 
     def test_vtk_uniform_field_round_trip(self, tmp_path):
         scen, hist, fields = self._small_history(tmp_path)
         uniform = FieldState.zeros(scen.mesh, c0=3.25)
         path = tmp_path / "uniform.vtk"
         sc.write_vtk_snapshot(scen.mesh, uniform, path)
-        # minimal test-side parser: read the c scalars back
-        lines = path.read_text().split("\n")
-        i = lines.index("SCALARS c double 1") + 2
-        vals = [float(v) for v in lines[i:i + scen.mesh.n_nodes]]
-        assert vals == pytest.approx(np.full(scen.mesh.n_nodes, 3.25), abs=0)
+        arrays = _assert_vtk_holds(path, scen.mesh, uniform, "chemoplast snapshot")
+        assert np.all(arrays["c"] == 3.25) and arrays["c"].size == scen.mesh.n_nodes
 
     def test_vtk_matches_per_value_writer(self, tmp_path):
+        # the bytes of packing every value on its own, big-endian; the values
+        # that 13 printed digits could not carry (the sign of -0.0, 1e-300,
+        # -1.5e200, 1/3) come back with every bit
         m = build_two_element_square()
         fields = FieldState.zeros(m)
         fields.c[:] = [-0.0, 1e-300, -1.5e200, 7.0]
-        fields.sigma_h_nodal[:] = [3.0, -0.0, 1e-300, -1.5e200]
+        fields.sigma_h_nodal[:] = [1.0 / 3.0, -0.0, 1e-300, -1.5e200]
         fields.u[:] = [[-0.0, 1.0], [1e-300, -2.0], [-1.5e200, 0.0], [123456789.0, -1.0]]
         fields.material.eps_p_eq[:] = [-0.0, -1.5e200]
         path = tmp_path / "small.vtk"
         sc.write_vtk_snapshot(m, fields, path, title="t=1")
 
-        def scalars(values):
-            return [f"{v:.12e}" for v in values]
+        def doubles(values):
+            return b"".join(struct.pack(">d", v) for v in np.ravel(values)) + b"\n"
 
-        def vectors(rows):
-            return [f"{x:.12e} {y:.12e} 0.0" for x, y in rows]
+        def ints(values):
+            return b"".join(struct.pack(">i", v) for v in np.ravel(values)) + b"\n"
 
-        expected = (["# vtk DataFile Version 3.0", "t=1", "ASCII", "DATASET UNSTRUCTURED_GRID",
-                     "POINTS 4 double"] + vectors(m.nodes)
-                    + ["CELLS 2 8"] + [f"3 {a} {b} {c}" for a, b, c in m.tris]
-                    + ["CELL_TYPES 2", "5", "5", "POINT_DATA 4", "SCALARS c double 1",
-                       "LOOKUP_TABLE default"] + scalars(fields.c)
-                    + ["SCALARS sigma_h double 1", "LOOKUP_TABLE default"]
-                    + scalars(fields.sigma_h_nodal)
-                    + ["VECTORS u double"] + vectors(fields.u)
-                    + ["CELL_DATA 2", "SCALARS eps_p_eq double 1", "LOOKUP_TABLE default"]
-                    + scalars([-0.0, -1.5e200]))
-        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
-        assert "-0.000000000000e+00" in expected and "1.000000000000e-300" in expected
+        def xy0(rows):
+            return doubles([(x, y, 0.0) for x, y in rows])
+
+        expected = b"".join([
+            b"# vtk DataFile Version 3.0\nt=1\nBINARY\nDATASET UNSTRUCTURED_GRID\n",
+            b"POINTS 4 double\n", xy0(m.nodes),
+            b"CELLS 2 8\n", ints([(3, a, b, c) for a, b, c in m.tris]),
+            b"CELL_TYPES 2\n", ints([5, 5]),
+            b"POINT_DATA 4\nSCALARS c double 1\nLOOKUP_TABLE default\n", doubles(fields.c),
+            b"SCALARS sigma_h double 1\nLOOKUP_TABLE default\n", doubles(fields.sigma_h_nodal),
+            b"VECTORS u double\n", xy0(fields.u),
+            b"CELL_DATA 2\nSCALARS eps_p_eq double 1\nLOOKUP_TABLE default\n",
+            doubles([-0.0, -1.5e200]),
+        ])
+        assert path.read_bytes() == expected
+        arrays = _assert_vtk_holds(path, m, fields, "t=1")
+        assert np.signbit(arrays["c"][0]) and arrays["u"][3, 0] == 123456789.0
 
     def test_analytic_comparison_columns(self, tmp_path):
         cfg = sc.load_config(BASE_PLATE.replace("loading.kind = displacement",
@@ -515,14 +542,21 @@ class TestWriters:
         assert path.read_text().startswith("beta,sigma_h_fe,sigma_h_exact,c_fe,c_exact\n")
 
     def test_run_scenario_writes_artifacts(self, tmp_path):
+        # the stride snapshots (steps 2 and 4 of 4) and final.vtk hold the
+        # fields of their steps, in the binary encoding
         cfg = sc.load_config(BASE_PLATE + f"output.snapshot_stride = 2\n")
         scen = sc.build_scenario(cfg)
-        hist, fields = sc.run_scenario(scen, output_dir=tmp_path / "out")
+        steps = []
+        hist, fields = sc.run_scenario(scen, output_dir=tmp_path / "out",
+                                       progress=lambda n, rec, f: steps.append(
+                                           (rec["time"], copy.deepcopy(f))))
         out = tmp_path / "out"
         assert (out / "probes.csv").exists()
-        assert (out / "final.vtk").exists()
         assert (out / "effective_config.txt").exists()
-        assert (out / "snapshot_0000.vtk").exists()
+        assert len(steps) == 4 and not (out / "snapshot_0002.vtk").exists()
+        for k, (t, step_fields) in enumerate(steps[1::2]):
+            _assert_vtk_holds(out / f"snapshot_{k:04d}.vtk", scen.mesh, step_fields, f"t={t:.9g}")
+        _assert_vtk_holds(out / "final.vtk", scen.mesh, fields, f"t={hist.times[-1]:.9g}")
         again = sc.load_config((out / "effective_config.txt").read_text())
         assert again.geometry_kind == "plate_with_hole"
 

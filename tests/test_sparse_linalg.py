@@ -201,6 +201,18 @@ def _spd_perturbed(A, rel, rng, blocks="uc"):
     return sp.csr_matrix(dense * scale)
 
 
+def _spread(A, block):
+    """D A D, D scaling the dofs of the named block ("u": K_uu, "c": K_cc) by
+    factors spaced geometrically from 1 to 10 and the other dofs by 1: the
+    block stays symmetric positive definite on its pattern, and the
+    preconditioned matrix of its factor in A has a spread spectrum."""
+    is_c = np.arange(A.shape[0]) % 3 == 2
+    in_block = is_c if block == "c" else ~is_c
+    d = np.ones(A.shape[0])
+    d[in_block] = np.geomspace(1.0, 10.0, np.count_nonzero(in_block))
+    return sp.csr_matrix(sp.diags(d) @ A @ sp.diags(d))
+
+
 def _u_residual_ratio(M, dw, res):
     """||K_uu du - rhs_u|| / ||rhs_u|| of an update dw of M dw = -res, where
     rhs_u = -res_u - K_uc dc is the right-hand side K_uu was solved for."""
@@ -689,10 +701,13 @@ class TestKeptFactorSolve:
     @pytest.mark.parametrize("block", ["u", "c"], ids=["u-iteration-cap", "c-iteration-cap"])
     def test_failed_pcg_falls_back_to_fresh_factor(self, rows, rng, factors, monkeypatch,
                                                    block):
-        # a 30% change takes CG three iterations on either block
+        # the changed block's dofs scaled by factors from 1 to 10 spread the
+        # spectrum of its kept factor's preconditioned matrix over about
+        # [1, 100], where two CG iterations fall far short of the forcing
+        # bound whatever the draws
         monkeypatch.setattr(sla, "PCG_MAX_ITER", 2)
         A = _spd_block_triangular(rng)
-        B = _spd_perturbed(A, 0.3, rng, blocks=block)
+        B = _spread(A, block)
         assert np.array_equal(B.indices, A.indices)    # same pattern
         res = rng.normal(size=A.shape[0])
         solver = _solver(A)
@@ -782,12 +797,14 @@ class TestKeptFactorSolve:
     def test_singular_k_uu_raises(self, rows, rng, factors):
         # K_uu with equal rows i and j (and columns) is positive semidefinite
         # and singular; a generic right-hand side has a part in its null space
-        # that CG cannot reduce, and the fresh factor reports the block. Its
-        # last Cholesky pivot is roundoff of either sign, so dpbtrf or the
-        # band pivot check rejects it. Shifted by 0.3
-        # PIVOT_TOL max|K_uu| at (j, j), it is positive definite with a pivot
-        # of at most the shift, far above roundoff, and the band factor's
-        # pivot check reports it.
+        # that CG with the kept factor of A cannot reduce, and the fresh
+        # factor reports the block. Its last Cholesky pivot is roundoff of
+        # either sign, so dpbtrf or the band pivot check rejects it. Shifted
+        # by 0.3 PIVOT_TOL max|K_uu| at (j, j), it is positive definite with a
+        # pivot of at most the shift, far above roundoff, and the band
+        # factor's pivot check reports it. The shifted block is factored by a
+        # solver with no kept factor: with cond(K_uu) near 1e15, CG from A's
+        # factor can meet the forcing bound, and then no fresh factor is made.
         A = _spd_block_triangular(rng)
         is_u = np.flatnonzero(np.arange(A.shape[0]) % 3 != 2)
         i, j = is_u[0], is_u[3]
@@ -795,11 +812,12 @@ class TestKeptFactorSolve:
         dense[j, is_u] = dense[i, is_u]
         dense[is_u, j] = dense[is_u, i]
         dense[j, j] = dense[i, j] = dense[j, i] = dense[i, i]
-        for shift, match in ((0.0, "K_uu"), (0.3, "K_uu: pivot")):
+        for shift, match, kept in ((0.0, "K_uu", True), (0.3, "K_uu: pivot", False)):
             dense[j, j] += shift * sla.PIVOT_TOL * np.abs(dense[np.ix_(is_u, is_u)]).max()
             B = sp.csr_matrix(dense)
             assert np.array_equal(B.indices, A.indices)
             solver = _solver(A)
-            solver.newton_update(rows(A), np.ones(A.shape[0]))
+            if kept:
+                solver.newton_update(rows(A), np.ones(A.shape[0]))
             with pytest.raises(sla.SingularMatrixError, match=match):
                 solver.newton_update(rows(B), rng.normal(size=A.shape[0]))
