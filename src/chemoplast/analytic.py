@@ -5,13 +5,15 @@ the hydrostatic-stress and equilibrium-concentration fields around a
 circular hole in a remotely loaded plate, the real Lambert W function (from
 scipy), a 1-D transient-diffusion eigenfunction series, and the
 nondimensional scales used to normalize solver output.
+
+``scipy.special`` is imported by ``lambert_w`` on its first call, so only a
+run that evaluates a closed form loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .constitutive import GAS_CONSTANT
 
@@ -25,7 +27,10 @@ def lambert_w(x):
     ``scipy.special.lambertw`` on the real branch. The float -exp(-1) lies
     just below the true -1/e, where scipy returns nan; it is mapped to the
     branch point W = -1. Raises ValueError below -1/e (no real value).
+    ``scipy.special`` is imported here, not with the module.
     """
+    from scipy.special import lambertw
+
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < -_INV_E):
         bad = x_arr[x_arr < -_INV_E]

@@ -93,7 +93,7 @@ import scipy.sparse as sp
 from .constitutive import (ConstitutiveError, MaterialParams, MaterialState, PlasticPoints,
                            advance_history, deviator, elastic_stiffness, elastic_stiffness_eng,
                            radial_return, trace, trial_yields)
-from .mesh import signed_areas
+from .mesh import corner_coords, signed_areas
 
 _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
 # The degree-2 three-point rule on the unit triangle, exact for the mass
@@ -103,6 +103,8 @@ _CHEM_VEC = np.array([1.0, 1.0, 1.0, 0.0])
 QUAD_POINTS = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
 QUAD_WEIGHTS = np.full(3, 1 / 6)
 QUAD_SHAPE = np.stack([np.array([1.0 - xi - eta, xi, eta]) for xi, eta in QUAD_POINTS])
+
+LOCATE_BLOCK = 2 ** 14      # ``locate_points``: (points, elements) entries per block
 
 
 class AssemblyError(RuntimeError):
@@ -195,18 +197,20 @@ class ElementData:
     pattern of the Jacobian's mechanics rows with the slot of every element
     K_uu and K_uc entry, the place of every element K_cc entry in the node
     pattern of ``mass`` and ``lap``, and the sparse operators of the
-    residual pass, of which the two-way drift operator (``drift_op``) is
-    formed when first read. With the material, it gives the fixed Jacobian
-    data (``fixed_jacobian``). What depends on the iterate (stress sums,
-    yield test and return, the drift block and the plastic corrections) is
-    computed by ``assemble_residual`` and ``assemble_jacobian``, the element
-    states by ``iterate_states``.
+    residual pass. The operators that only some runs read are formed when
+    first read: the two-way drift operators (``gn``, ``drift_op``) and the
+    quadrature-point values of the per-point view (``qp``). With the
+    material, it gives the fixed Jacobian data (``fixed_jacobian``). What
+    depends on the iterate (stress sums, yield test and return, the drift
+    block and the plastic corrections) is computed by ``assemble_residual``
+    and ``assemble_jacobian``, the element states by ``iterate_states``.
 
     The operators act on node-major fields: ``u.ravel()`` (2N) for the
     displacements, the (N,) nodal values otherwise; element rows are
     element-major, so ``(strain @ u.ravel()).reshape(n_elem, 4)`` is the
     element strains.
     """
+    tris: np.ndarray        # (n_elem, 3) the mesh's vertex ids
     areas: np.ndarray       # (n_elem,)
     b_eng: np.ndarray       # (n_elem, 4, 6) engineering strain-displacement
     wq: np.ndarray          # (n_elem, n_qp) physical quadrature weights
@@ -218,10 +222,8 @@ class ElementData:
     cc_pair: np.ndarray     # (n_elem, 9) node-pattern data index of each K_cc entry
     strain: sp.csr_matrix   # (4 n_elem, 2N) engineering strain (xx, yy, zz, xy) per element
     strain_t: sp.csc_matrix  # (2N, 4 n_elem) its transpose, over the same arrays: B^T
-    qp: sp.csr_matrix       # (n_qp n_elem, N) values at the quadrature points
     mass: sp.csr_matrix     # (N, N) consistent mass
     lap: sp.csr_matrix      # (N, N) sum of area * grad N_i . grad N_j
-    gn: sp.csr_matrix       # (3 n_elem, N) grad N_i . grad f per element vertex
     c_w: sp.csr_matrix      # (n_elem, N) sum_q w_q f(x_q) per element
     recover: sp.csr_matrix  # (N, n_elem) area-weighted average of the adjacent elements
 
@@ -234,6 +236,18 @@ class ElementData:
         """(n_elem, 36) mechanics-row data index of each element's K_uu entries."""
         n = self.areas.size
         return self.mech_slot[:36 * n].reshape(n, 36)
+
+    @cached_property
+    def qp(self):
+        """(n_qp n_elem, N) values at the quadrature points. Formed when
+        first read; only the per-point view (``point_states``) reads it."""
+        return _element_operator(self.tris[:, None, :], QUAD_SHAPE, self.mass.shape[0])
+
+    @cached_property
+    def gn(self):
+        """(3 n_elem, N) grad N_i . grad f per element vertex. Formed when
+        first read; only two-way residual passes read it."""
+        return _element_operator(self.tris[:, None, :], self.gg, self.mass.shape[0])
 
     @cached_property
     def drift_op(self):
@@ -316,9 +330,7 @@ def _element_operator(cols, vals, n_cols, keep=None):
 def precompute(mesh):
     """Assembly plan of ``mesh`` under the three-point rule ``QUAD_POINTS``."""
     tris = mesh.tris
-    p0 = mesh.nodes[tris[:, 0]]
-    p1 = mesh.nodes[tris[:, 1]]
-    p2 = mesh.nodes[tris[:, 2]]
+    (x0, x1, x2), (y0, y1, y2) = corner_coords(mesh.nodes, tris)
     areas = signed_areas(mesh.nodes, tris)
     det = 2.0 * areas
     if np.any(areas <= 0):
@@ -326,12 +338,12 @@ def precompute(mesh):
     n_elem, n_nodes = tris.shape[0], mesh.n_nodes
 
     grads = np.empty((n_elem, 3, 2))
-    grads[:, 0, 0] = (p1[:, 1] - p2[:, 1]) / det
-    grads[:, 1, 0] = (p2[:, 1] - p0[:, 1]) / det
-    grads[:, 2, 0] = (p0[:, 1] - p1[:, 1]) / det
-    grads[:, 0, 1] = (p2[:, 0] - p1[:, 0]) / det
-    grads[:, 1, 1] = (p0[:, 0] - p2[:, 0]) / det
-    grads[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
+    grads[:, 0, 0] = (y1 - y2) / det
+    grads[:, 1, 0] = (y2 - y0) / det
+    grads[:, 2, 0] = (y0 - y1) / det
+    grads[:, 0, 1] = (x2 - x1) / det
+    grads[:, 1, 1] = (x0 - x2) / det
+    grads[:, 2, 1] = (x1 - x0) / det
 
     b = np.zeros((n_elem, 4, 6))
     for i in range(3):
@@ -356,19 +368,16 @@ def precompute(mesh):
     in_b[0, 0::2] = in_b[1, 1::2] = in_b[3] = True
     strain = _element_operator((2 * tris.repeat(2, axis=1) + np.tile(np.arange(2), 3))[:, None],
                                b, 2 * n_nodes, in_b)
-    elem_tris = tris[:, None, :]
     # one row per element, holding the integrals of its shape functions
-    c_w = _element_operator(elem_tris, (wq @ QUAD_SHAPE)[:, None], n_nodes)
+    c_w = _element_operator(tris[:, None, :], (wq @ QUAD_SHAPE)[:, None], n_nodes)
 
     return ElementData(
-        areas=areas, b_eng=b,
+        tris=tris, areas=areas, b_eng=b,
         wq=wq, shape_int=c_w.data.reshape(n_elem, 3), gg=gg,
         mech_indptr=indptr, mech_indices=indices, mech_slot=slot,
         cc_pair=pair.reshape(n_elem, 9).astype(np.int32),
         strain=strain, strain_t=strain.T,
-        qp=_element_operator(elem_tris, QUAD_SHAPE, n_nodes),
         mass=node_matrix(m_e), lap=node_matrix(areas[:, None, None] * gg),
-        gn=_element_operator(elem_tris, gg, n_nodes),
         c_w=c_w,
         recover=_recovery(tris, areas, n_nodes))
 
@@ -835,28 +844,36 @@ def assemble_system(mesh, dofmap, fields_new, fields_old, params, dt, mode,
 def locate_points(mesh, points):
     """Containing element and barycentric coordinates for each query point;
     barycentrics down to -1e-10 count as inside, so edges and vertices are
-    found."""
+    found. Of several containing elements the one with the largest smallest
+    barycentric wins, the first of equals in element order. Raises
+    ValueError naming the first point that no element contains.
+
+    All points are tested against all elements at once, in blocks of points
+    that keep each (points, elements) array near ``LOCATE_BLOCK`` entries.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     tol = 1e-10
-    p0 = mesh.nodes[mesh.tris[:, 0]]
-    p1 = mesh.nodes[mesh.tris[:, 1]]
-    p2 = mesh.nodes[mesh.tris[:, 2]]
+    (x0, x1, x2), (y0, y1, y2) = corner_coords(mesh.nodes, mesh.tris)
     det = 2.0 * signed_areas(mesh.nodes, mesh.tris)
 
     elems = np.empty(points.shape[0], dtype=np.int64)
     barys = np.empty((points.shape[0], 3))
-    for k, pt in enumerate(points):
-        w0 = ((p1[:, 0] - pt[0]) * (p2[:, 1] - pt[1]) - (p1[:, 1] - pt[1]) * (p2[:, 0] - pt[0])) / det
-        w1 = ((p2[:, 0] - pt[0]) * (p0[:, 1] - pt[1]) - (p2[:, 1] - pt[1]) * (p0[:, 0] - pt[0])) / det
+    block = max(1, LOCATE_BLOCK // mesh.n_elements)
+    for lo in range(0, points.shape[0], block):
+        px, py = (points[lo:lo + block, d, None] for d in range(2))
+        w0 = ((x1 - px) * (y2 - py) - (y1 - py) * (x2 - px)) / det
+        w1 = ((x2 - px) * (y0 - py) - (y2 - py) * (x0 - px)) / det
         w2 = 1.0 - w0 - w1
         inside = (w0 >= -tol) & (w1 >= -tol) & (w2 >= -tol)
-        if not inside.any():
-            raise ValueError(f"locate_points: point {pt} lies outside the mesh")
+        found = inside.any(axis=1)
+        if not found.all():
+            raise ValueError(f"locate_points: point {points[lo + np.argmin(found)]} "
+                             "lies outside the mesh")
         # pick the containing element with the best-centered barycentrics
-        cand = np.flatnonzero(inside)
-        best = cand[np.argmax(np.minimum(np.minimum(w0[cand], w1[cand]), w2[cand]))]
-        elems[k] = best
-        barys[k] = (w0[best], w1[best], w2[best])
+        best = np.argmax(np.where(inside, np.minimum(np.minimum(w0, w1), w2), -np.inf), axis=1)
+        rows = np.arange(best.size)
+        elems[lo:lo + block] = best
+        barys[lo:lo + block] = np.column_stack([w[rows, best] for w in (w0, w1, w2)])
     return elems, barys
 
 

@@ -11,6 +11,9 @@ nodes           (N, 2) float -- ids are the dense row indices 0..N-1
 tris            (M, 3) int   -- counter-clockwise vertex triples
 boundary_edges  (B, 2) int   -- node pairs, each owned by exactly one element
 boundary_tags   (B,)   str   -- one of left/right/top/bottom/hole/inner/outer
+
+The module needs NumPy only: the duplicate-node check (``close_pairs``) bins
+the nodes on shifted grids instead of building a k-d tree.
 """
 from __future__ import annotations
 
@@ -18,11 +21,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 DEDUP_TOL_FACTOR = 1e-12     # duplicate-node tolerance, relative to the size scale
 MIN_HOLE_SEGMENTS = 8        # coarsest admissible circle resolution
 SLIVER_ANGLE_DEG = 5.0
+
+# ``close_pairs``: the two grid shifts (in 1.5-tol cells), odd multipliers of
+# the x and y cell indices, and a hash offset per grid
+_SHIFTS = np.arange(2, dtype=np.uint64)[:, None]
+_HASH_MULT = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F], dtype=np.uint64)[:, None]
+_HASH_GRID = np.arange(1, 5, dtype=np.uint64).reshape(2, 2, 1) * np.uint64(0x165667B19E3779F9)
 
 
 @dataclass(frozen=True)
@@ -57,11 +65,15 @@ class Mesh:
 
 def signed_areas(nodes, tris):
     """Signed area of each triangle (positive for CCW orientation)."""
-    p0 = nodes[tris[:, 0]]
-    p1 = nodes[tris[:, 1]]
-    p2 = nodes[tris[:, 2]]
-    return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    (x0, x1, x2), (y0, y1, y2) = corner_coords(nodes, tris)
+    return 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+
+
+def corner_coords(nodes, tris):
+    """The x and y of every triangle's vertices, as two (3, M) arrays: row k
+    holds vertex k of each triangle. One gather per coordinate, several
+    times faster than gathering the (M, 3, 2) node rows."""
+    return tuple(nodes[:, d][tris.T] for d in range(2))
 
 
 def _circle_node_count(radius, target_h):
@@ -92,9 +104,48 @@ def _radial_stations(r0, total, dtheta, first_frac):
     return stations * (total / stations[-1])
 
 
+def close_pairs(nodes, tol):
+    """Every node pair (i, j), i < j, at 2-norm distance at most ``tol``, as
+    a (K, 2) array sorted by i and then j: the set that
+    ``scipy.spatial.cKDTree(nodes).query_pairs(tol)`` returns.
+
+    The nodes are binned on four grids of square cells with side 3 tol,
+    shifted by 0 and 1.5 tol along each axis. On one axis the cell borders
+    of the two shifts lie 1.5 tol apart, so two coordinates within tol of
+    each other share a cell in one of them; two nodes within tol therefore
+    share a cell in at least one of the four grids. A cell (grid, ix, iy) is
+    sorted by a 64-bit multiplicative hash of its integer indices. Equal
+    cells hash equal, and the node pairs of every run of equal hashes have
+    their distance computed, so a collision of two cells costs distance
+    checks and never a pair: the result is exact. A column of equal x has
+    distinct hashes (odd multipliers are one-to-one modulo 2**64), so the
+    cost is O(N log N) plus the pairs that share a cell.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    n = nodes.shape[0]
+    # 1.5-tol cells, then the 3-tol cells of shifts 0 and 1, each hashed
+    hx, hy = (((((v - v.min()) / (1.5 * tol)).astype(np.uint64) + _SHIFTS) >> np.uint64(1)) * mult
+              for v, mult in zip(nodes.T, _HASH_MULT))
+    keys = (hx[:, None] ^ hy[None, :] ^ _HASH_GRID).ravel()    # grid g = 2 sx + sy, then node
+    order = np.argsort(keys)
+    k = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+    ends = np.append(starts[1:], k.size)
+    # sorted position p pairs with every later position of its run
+    later = np.repeat(ends, ends - starts) - np.arange(k.size) - 1
+    first = np.repeat(np.arange(k.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    a, b = order[first] % n, order[second] % n
+    d = nodes[a] - nodes[b]
+    close = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= tol * tol) & (a != b)
+    pair_keys = np.unique(np.minimum(a, b)[close] * n + np.maximum(a, b)[close])
+    return np.column_stack([pair_keys // n, pair_keys % n])
+
+
 def _make_mesh(nodes, tris, tag_fn, size_scale):
     """Check the triangles' CCW orientation, extract/tag the boundary, run
-    sanity checks."""
+    sanity checks: no node pair closer than ``DEDUP_TOL_FACTOR *
+    size_scale`` (``close_pairs``) and no orphan node."""
     nodes = np.ascontiguousarray(nodes, dtype=float)
     tris = np.ascontiguousarray(tris, dtype=np.int64)
 
@@ -114,10 +165,9 @@ def _make_mesh(nodes, tris, tag_fn, size_scale):
     if np.any(tags == ""):
         raise RuntimeError("mesh generation left a boundary edge untagged")
 
-    tree = cKDTree(nodes)
-    pairs = tree.query_pairs(DEDUP_TOL_FACTOR * size_scale)
-    if pairs:
-        raise RuntimeError(f"mesh generation produced {len(pairs)} duplicate node pair(s)")
+    n_pairs = close_pairs(nodes, DEDUP_TOL_FACTOR * size_scale).shape[0]
+    if n_pairs:
+        raise RuntimeError(f"mesh generation produced {n_pairs} duplicate node pair(s)")
 
     used = np.zeros(nodes.shape[0], dtype=bool)
     used[tris.ravel()] = True

@@ -828,3 +828,53 @@ class TestPointLocation:
         m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
         elems, barys = asm.locate_points(m, [(-0.2, 0.0), (0.0, 0.2)])
         assert np.all(barys >= -1e-10)
+
+    @staticmethod
+    def _locate_one_by_one(mesh, points):
+        """The point-by-point form of ``locate_points``: each point against
+        every element in turn, the best-centered containing element kept."""
+        p0, p1, p2 = (mesh.nodes[mesh.tris[:, k]] for k in range(3))
+        det = 2.0 * msh.signed_areas(mesh.nodes, mesh.tris)
+        elems, barys = [], []
+        for pt in np.atleast_2d(np.asarray(points, dtype=float)):
+            w0 = ((p1[:, 0] - pt[0]) * (p2[:, 1] - pt[1])
+                  - (p1[:, 1] - pt[1]) * (p2[:, 0] - pt[0])) / det
+            w1 = ((p2[:, 0] - pt[0]) * (p0[:, 1] - pt[1])
+                  - (p2[:, 1] - pt[1]) * (p0[:, 0] - pt[0])) / det
+            w2 = 1.0 - w0 - w1
+            inside = (w0 >= -1e-10) & (w1 >= -1e-10) & (w2 >= -1e-10)
+            if not inside.any():
+                raise ValueError(f"locate_points: point {pt} lies outside the mesh")
+            cand = np.flatnonzero(inside)
+            best = cand[np.argmax(np.minimum(np.minimum(w0[cand], w1[cand]), w2[cand]))]
+            elems.append(best)
+            barys.append((w0[best], w1[best], w2[best]))
+        return np.array(elems, dtype=np.int64), np.array(barys)
+
+    @pytest.mark.parametrize("block", [asm.LOCATE_BLOCK, 1000])
+    @pytest.mark.parametrize("make", [lambda: msh.generate_plate_with_hole(1.0, 0.2, 0.08),
+                                      lambda: msh.generate_annulus(0.0, 1.0, 0.1)],
+                             ids=["plate", "disk"])
+    def test_all_at_once_equals_one_by_one(self, monkeypatch, rng, make, block):
+        # vertices (shared by several elements), edge midpoints (by two) and
+        # interior points: the same elements and barycentrics, bitwise, in
+        # one block or in many
+        monkeypatch.setattr(asm, "LOCATE_BLOCK", block)
+        m = make()
+        corners = m.nodes[m.tris]
+        weights = rng.dirichlet(np.ones(3), size=m.n_elements)
+        pts = np.vstack([m.nodes, 0.5 * (corners[:, 0] + corners[:, 1]),
+                         np.einsum("ek,ekd->ed", weights, corners)])
+        elems, barys = asm.locate_points(m, pts)
+        ref_elems, ref_barys = self._locate_one_by_one(m, pts)
+        assert elems.dtype == ref_elems.dtype and np.array_equal(elems, ref_elems)
+        assert barys.tobytes() == ref_barys.tobytes()
+
+    @pytest.mark.parametrize("block", [asm.LOCATE_BLOCK, 100])
+    def test_first_outside_point_named(self, monkeypatch, block):
+        monkeypatch.setattr(asm, "LOCATE_BLOCK", block)
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.08)
+        pts = [(0.3, 0.1)] * 5 + [(0.0, 0.0), (5.0, 5.0)]    # the hole's center, then far out
+        for call in (asm.locate_points, self._locate_one_by_one):
+            with pytest.raises(ValueError, match=r"point \[0\. 0\.\] lies outside the mesh"):
+                call(m, pts)

@@ -79,9 +79,8 @@ class TestPlateWithHole:
         assert np.array_equal(np.unique(m.tris), np.arange(m.n_nodes))
 
     def test_no_duplicate_nodes(self):
-        from scipy.spatial import cKDTree
         m = msh.generate_plate_with_hole(1.0, 0.1, 0.04)
-        assert not cKDTree(m.nodes).query_pairs(1e-12)
+        assert not kdtree_pairs(m.nodes, 1e-12)
 
     def test_mesh_is_read_only(self):
         m = msh.generate_plate_with_hole(1.0, 0.1, 0.04)
@@ -118,6 +117,78 @@ class TestAnnulus:
         # inner and outer edge loops are closed: as many edges as nodes on each
         assert len(m.edges_with_tag("inner")) == len(m.nodes_with_tag("inner"))
         assert len(m.edges_with_tag("outer")) == len(m.nodes_with_tag("outer"))
+
+
+def kdtree_pairs(nodes, tol):
+    from scipy.spatial import cKDTree
+    return cKDTree(nodes).query_pairs(tol)
+
+
+def assert_pairs_match_kdtree(nodes, tol):
+    """``close_pairs`` reports exactly cKDTree's pairs, sorted; returns them."""
+    pairs = msh.close_pairs(nodes, tol)
+    expected = sorted(kdtree_pairs(nodes, tol))
+    assert pairs.shape == (len(expected), 2)
+    assert [tuple(p) for p in pairs.tolist()] == expected
+    return {tuple(p) for p in pairs.tolist()}
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_pairs_against_kdtree(self, seed):
+        # a random cloud, and next to some of its nodes a node at a planted
+        # distance: within tol (0, 0.5, 0.999 tol) it is reported, beyond
+        # (1.001, 2 tol) it is not; offsets along the axes and at random angles
+        rng = np.random.default_rng(seed)
+        tol = 1e-3
+        cloud = rng.uniform(-1.0, 1.0, size=(400, 2))
+        factors = (0.0, 0.5, 0.999, 1.001, 2.0)
+        angles = np.concatenate([[0.0, 0.5 * np.pi], rng.uniform(0.0, 2.0 * np.pi, 6)])
+        anchors = rng.choice(cloud.shape[0], size=(len(factors), angles.size), replace=False)
+        offsets = tol * np.asarray(factors)[:, None, None] * np.stack(
+            [np.cos(angles), np.sin(angles)], axis=-1)[None]
+        nodes = np.vstack([cloud, (cloud[anchors] + offsets).reshape(-1, 2)])
+        pairs = assert_pairs_match_kdtree(nodes, tol)
+        planted = cloud.shape[0] + np.arange(anchors.size).reshape(anchors.shape)
+        for f, a_row, p_row in zip(factors, anchors, planted):
+            for a, p in zip(a_row, p_row):
+                assert ((int(a), int(p)) in pairs) is (f < 1.0), (f, a)
+
+    @pytest.mark.parametrize("tol_factor", [1e-9, 0.9999, 1.0001, 1.5])
+    def test_cartesian_lattice(self, tol_factor):
+        # columns of equal x: nearest neighbours at one spacing, diagonal
+        # neighbours at sqrt(2) spacings
+        g = np.linspace(-1.0, 1.0, 41)
+        nodes = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        pairs = assert_pairs_match_kdtree(nodes, tol_factor * (g[1] - g[0]))
+        expected = {1e-9: 0, 0.9999: 0, 1.0001: 2 * 40 * 41, 1.5: 2 * 40 * 41 + 2 * 40 * 40}
+        assert len(pairs) == expected[tol_factor]
+
+    def test_solid_disk_core(self):
+        # the disk's tan-graded core block has columns of equal x; with one
+        # core node repeated and one moved half a tolerance off another
+        m = msh.generate_annulus(0.0, 1.0, 0.05)
+        assert assert_pairs_match_kdtree(m.nodes, 1e-12) == set()
+        nodes = np.vstack([m.nodes, m.nodes[[7, 30]] + [[0.0, 0.0], [0.5e-12, 0.0]]])
+        n = m.n_nodes
+        assert assert_pairs_match_kdtree(nodes, 1e-12) == {(7, n), (30, n + 1)}
+        assert len(assert_pairs_match_kdtree(m.nodes, 0.03)) > m.n_nodes
+
+    @pytest.mark.parametrize("moved", [(1,), (1, 2)])
+    def test_make_mesh_reports_moved_nodes(self, moved):
+        # interior nodes moved onto another node, their elements dropped so
+        # that orientation and tagging pass: the duplicate check reports
+        # cKDTree's pair count
+        m = msh.generate_plate_with_hole(1.0, 0.2, 0.07)
+        interior = np.setdiff1d(np.arange(m.n_nodes), m.boundary_edges)
+        target, movers = interior[0], interior[[5 * k for k in moved]]
+        nodes = m.nodes.copy()
+        nodes[movers] = nodes[target]
+        tris = m.tris[~np.isin(m.tris, movers).any(axis=1)]
+        n_pairs = len(kdtree_pairs(nodes, msh.DEDUP_TOL_FACTOR * 1.0))
+        assert n_pairs == len(moved) * (len(moved) + 1) // 2
+        with pytest.raises(RuntimeError, match=f"produced {n_pairs} duplicate node pair"):
+            msh._make_mesh(nodes, tris, lambda mids: np.full(len(mids), "outer"), 1.0)
 
 
 class TestValidate:

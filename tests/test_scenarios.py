@@ -1,13 +1,20 @@
 import copy
+import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chemoplast
 from chemoplast import scenarios as sc, transient as tr
 from chemoplast.assembly import FieldState
 from conftest import build_two_element_square, read_binary_vtk
+from test_transient import COARSE_HOLE, COARSE_PLATE
 
 
 def _assert_vtk_holds(path, mesh, fields, title):
@@ -570,3 +577,44 @@ class TestWriters:
             sc.write_probe_csv(hist, scen, path)
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+
+# Run in a fresh interpreter: which of the SciPy subpackages that no solver
+# step reads are loaded after a plate run and around a closed-form comparison
+_FOOTPRINT_SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+import chemoplast.cli
+from chemoplast import scenarios as sc
+
+def loaded():
+    return [m for m in ("scipy.spatial", "scipy.special") if m in sys.modules]
+
+seen = {}
+with tempfile.TemporaryDirectory() as out:
+    sc.run_scenario(sc.build_scenario(sc.load_config(PLATE)), output_dir=out)
+    seen["plate"] = loaded()
+    hole = sc.build_scenario(sc.load_config(HOLE))
+    _, fields = sc.run_scenario(hole, output_dir=out)
+    seen["hole"] = loaded()
+    sc.write_analytic_comparison(sc.analytic_comparison(hole, fields),
+                                 Path(out) / "analytic_comparison.csv")
+    seen["comparison"] = loaded()
+    seen["outputs"] = sorted(p.name for p in Path(out).iterdir())
+print(json.dumps(seen))
+"""
+
+
+def test_runs_load_scipy_special_only_for_closed_forms():
+    # a two-way plastic plate run with its outputs written loads neither
+    # scipy.spatial nor scipy.special; a closed-form comparison loads
+    # scipy.special (for the Lambert W function), and scipy.spatial never
+    script = (f"PLATE = {COARSE_PLATE!r}\nHOLE = {COARSE_HOLE!r}\n" + _FOOTPRINT_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=str(Path(chemoplast.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"plate": [], "hole": [], "comparison": ["scipy.special"],
+                    "outputs": ["analytic_comparison.csv", "effective_config.txt", "final.vtk",
+                                "probes.csv"]}

@@ -498,18 +498,21 @@ class TestFactorChoice:
 
     @pytest.mark.parametrize("asymmetry", [0.5, 1e3])
     def test_nonsymmetric_k_uu_reported(self, rows, rng, factors, asymmetry):
-        # K_uu with |A - A^T| = asymmetry * ROUNDOFF_TOL max|A| off the
-        # diagonal: its band factor, of the upper triangle, solves it to the
-        # roundoff target at half that target (at this seed: the bound,
-        # asymmetry times the 2-norm of the strict lower triangle's pattern,
-        # about 10.5 at n = 16, exceeds 1), and at a thousand times it the
-        # first solve misses the target and the block is reported
+        # K_uu skewed on its pattern P (strict upper triangle) by
+        # asymmetry / (2 ||P||_2) ROUNDOFF_TOL max|A| (P - P^T). Its band
+        # factor is that of the upper triangle, which differs from it by
+        # asymmetry / ||P||_2 ROUNDOFF_TOL max|A| P^T, so the factor's
+        # backward error is at most asymmetry ROUNDOFF_TOL max|A| ||x|| plus
+        # roundoff, at any seed. At half the target K_uu is solved to it; at
+        # a thousand times it the first solve misses it and the block is
+        # reported
         A = _spd_block_triangular(rng)
         is_u = np.arange(A.shape[0]) % 3 != 2
         dense = A.toarray()
         uu = np.ix_(is_u, is_u)
         part = np.triu(np.where(dense[uu] != 0.0, 1.0, 0.0), 1)
-        dense[uu] += asymmetry / 2 * sla.ROUNDOFF_TOL * np.abs(dense[uu]).max() * (part - part.T)
+        scale = asymmetry / (2 * np.linalg.norm(part, 2)) * sla.ROUNDOFF_TOL * np.abs(dense[uu]).max()
+        dense[uu] += scale * (part - part.T)
         B = sp.csr_matrix(dense)
         res = rng.normal(size=A.shape[0])
         if asymmetry > 100:

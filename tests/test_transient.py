@@ -903,6 +903,52 @@ class TestRobustness:
 
 
 # COARSE_PLATE run two steps longer: pulled at yield-exceeding load
+# the coarse particle charged by its outer flux alone: no Dirichlet c
+FLUX_ANNULUS = "".join(line for line in COARSE_ANNULUS.splitlines(keepends=True)
+                       if not line.startswith("concentration.dirichlet.inner"))
+
+
+def mass_balance_errors(text):
+    """Per committed step, |sum_i m_i (c_{n+1} - c_n)_i - dt sum_i f_i(t_{n+1})|
+    over the larger of |dt sum f| and the total concentration, with m the
+    lumped nodal masses and f the c rows of the flux load at t_{n+1}; and the
+    inflows dt sum f."""
+    scen = sc.build_scenario(sc.load_config(text))
+    plan = asm.plan_boundary(scen.mesh, scen.bcs)
+    areas = asm.precompute(scen.mesh).areas
+    masses = np.bincount(scen.mesh.tris.ravel(), weights=np.repeat(areas / 3.0, 3),
+                         minlength=scen.mesh.n_nodes)
+    c_old = [tr.initial_fields(scen).c]
+    errors, inflows = [], []
+
+    def balance(step_no, record, fields):
+        gain = masses @ (fields.c - c_old[0])
+        inflow = record["dt"] * asm.neumann_load_vector(plan, record["time"])[2::3].sum()
+        errors.append(abs(gain - inflow) / max(abs(inflow), masses @ fields.c))
+        inflows.append(inflow)
+        c_old[0] = fields.c.copy()
+    tr.run(scen, progress_cb=balance)
+    return np.array(errors), np.array(inflows)
+
+
+class TestMassBalance:
+    # The c rows of the backward-Euler residual sum to the balance: the
+    # diffusion block annihilates constants, the drift block is in
+    # divergence form and the consistent mass's row sums are the lumped
+    # masses. So the gain of total c over a step is dt times the inflow at
+    # t_{n+1}, up to the c residual left at the Newton exit
+    @pytest.mark.parametrize("text", [
+        FLUX_ANNULUS,
+        FLUX_ANNULUS.replace("plasticity.enabled = off", "plasticity.enabled = on"),
+        PARTICLE_CFG.format(ri=2.5e-6, mode="twoway", plast="on"),
+    ], ids=["annulus-one-way-elastic", "annulus-one-way-plastic", "particle-two-way-plastic"])
+    def test_gain_equals_inflow_every_step(self, text):
+        errors, inflows = mass_balance_errors(text)
+        assert errors.size >= 5
+        assert np.all(inflows > 0.0)
+        assert errors.max() <= 1e-12
+
+
 YIELDING_PLATE = COARSE_PLATE.replace("solver.t_end_hat = 0.03", "solver.t_end_hat = 0.05")
 
 
@@ -987,13 +1033,19 @@ class TestPlasticTransient:
     @pytest.mark.parametrize("text, built", [(COARSE_ELASTIC_ONE_WAY, False),
                                              (COARSE_PLATE, True)], ids=["one-way", "two-way"])
     def test_drift_operator_built_for_two_way_runs_only(self, call_spy, text, built):
-        # the operator from the drift factors to the drift block's data is
-        # made by the first two-way residual pass and kept on the run's
-        # assembly plan; a one-way run never makes it
+        # the drift factors' operator and the one from them to the drift
+        # block's data are made by the first two-way residual pass and kept
+        # on the run's assembly plan; a one-way run never makes them. No run
+        # makes the quadrature-point operator, which only the per-point view
+        # of the fields reads
         fixed = call_spy("fixed_jacobian", asm, tr)
-        tr.run(sc.build_scenario(sc.load_config(text)))
+        _, fields = tr.run(sc.build_scenario(sc.load_config(text)))
         (ed, _), = fixed
+        assert ("gn" in vars(ed)) is built
         assert ("drift_op" in vars(ed)) is built
+        assert "qp" not in vars(ed)
+        assert fields.states.sigma.shape == (ed.areas.size, ed.wq.shape[1], 4)
+        assert "qp" in vars(ed)
 
     def test_one_way_concentration_blind_to_plasticity(self):
         # strip with a mechanical load and chemo-mechanical coupling off in
