@@ -8,14 +8,16 @@ a circular particle, with or without a central void, charged by a boundary
 flux.
 
 Configuration files are flat ``section.key = value`` text with ``#``
-comments; unknown keys are hard errors. Probe time series go to CSV, field
-snapshots to legacy VTK in its binary encoding (big-endian, float64 fields
-written exactly).
+comments; unknown keys are hard errors. Each scalar key is declared once, on
+its ``ScenarioConfig`` field (``_key``), with its parser, validator and text
+form; ``load_config`` and ``serialize_config`` read those declarations.
+Probe time series go to CSV, field snapshots to legacy VTK in its binary
+encoding (big-endian, float64 fields written exactly).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -56,42 +58,91 @@ COUPLING_MODES = {"one-way": "one-way", "oneway": "one-way",
                   "two-way": "two-way", "twoway": "two-way"}
 
 
+_BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
+               "off": False, "false": False, "no": False, "0": False}
+
+
+def _member(choices, message):
+    """Validator: the value must be one of ``choices``; ``message`` may use
+    ``{key}``, ``{val}`` and ``{choices}``."""
+    def check(key, val):
+        if val not in choices:
+            raise ValueError(message.format(key=key, val=val, choices=choices))
+        return val
+    return check
+
+
+def _coupling_mode(key, val):
+    if val not in COUPLING_MODES:
+        raise ValueError(f"{key} must be oneway or twoway")
+    return COUPLING_MODES[val]
+
+
+def _non_negative(key, val):
+    """Validator for a number whose 0 leaves it unset."""
+    if val < 0:
+        raise ValueError(f"{key} must be non-negative (0 leaves it unset), got {val!r}")
+    return val
+
+
+def _on_off(raw):
+    if raw.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected on/off, got {raw!r}")
+    return _BOOL_WORDS[raw.lower()]
+
+
+def _key(key, default, check=None, text=None):
+    """A ScenarioConfig field set by config key ``key``. The type of
+    ``default`` gives the value's parser (which raises ValueError) and its
+    text form, unless ``text`` is given; ``check(key, value)``, when given,
+    validates the parsed value and returns the value to store."""
+    kind, type_text = {float: (float, repr), int: (int, str), str: (str, str),
+                       bool: (_on_off, lambda val: "on" if val else "off")}[type(default)]
+    return field(default=default, metadata={"config": (key, kind, check, text or type_text)})
+
+
 @dataclass
 class ScenarioConfig:
     """Run description (see the config reference in the README).
 
-    ``load_config`` checks each key's value as it parses it; the conditions
-    that span keys or need the mesh are checked by ``build_scenario``.
+    Each config key is declared on its field (``_key``), in the order
+    ``serialize_config`` writes them. ``load_config`` checks each key's
+    value as it parses it; the conditions that span keys or need the mesh
+    are checked by ``build_scenario``.
     """
-    geometry_kind: str = "plate_with_hole"
-    L: float = 1.0
-    r: float = 0.05
-    r_i: float = 0.0
-    r_o: float = 1.0
-    target_h: float = 0.01
-    material_preset: str = ""
+    geometry_kind: str = _key("geometry.kind", "plate_with_hole",
+                              _member(_GEOMETRY_KINDS, "{key} must be one of {choices}"))
+    L: float = _key("geometry.L", 1.0)
+    r: float = _key("geometry.r", 0.05)
+    r_i: float = _key("geometry.r_i", 0.0)
+    r_o: float = _key("geometry.r_o", 1.0)
+    target_h: float = _key("geometry.target_h", 0.01)
+    material_preset: str = _key("material.preset", "",
+                                _member(MATERIAL_PRESETS, "unknown material preset {val!r}"))
     material_overrides: dict = field(default_factory=dict)
-    loading_kind: str = "none"
-    u_bar: float = 0.0
-    p: float = 0.0
-    J_in: float = 0.0
-    t_ramp_hat: float = 0.0
+    loading_kind: str = _key("loading.kind", "none",
+                             _member(_LOADING_KINDS, "{key} must be one of {choices}"))
+    u_bar: float = _key("loading.u_bar", 0.0)
+    p: float = _key("loading.p", 0.0)
+    J_in: float = _key("loading.J", 0.0)
+    t_ramp_hat: float = _key("loading.t_ramp_hat", 0.0, _non_negative)
     c_dirichlet: dict = field(default_factory=dict)   # tag -> value / c_max
-    c_insulated: bool = False                         # drop default Dirichlet-c
-    c_initial_hat: float = 0.0
-    mode: str = "one-way"
-    plasticity: bool = False
+    c_initial_hat: float = _key("concentration.initial_hat", 0.0)
+    c_insulated: bool = _key("concentration.insulated", False)  # drop default Dirichlet-c
+    mode: str = _key("coupling.mode", "one-way", _coupling_mode,
+                     lambda val: val.replace("-", ""))
+    plasticity: bool = _key("plasticity.enabled", False)
     probes: list = field(default_factory=list)        # (name, x, y); empty = defaults
-    dt: float = 0.0                                   # seconds; 0 = use dt_hat
-    dt_hat: float = 0.0
-    t_end: float = 0.0
-    t_end_hat: float = 0.0
-    newton_abs_tol: float = SolverConfig.newton_abs_tol
-    newton_rel_tol: float = SolverConfig.newton_rel_tol
-    newton_max_iter: int = SolverConfig.newton_max_iter
-    L_star: float = 0.0                               # 0 = geometry default
-    output_dir: str = "out"
-    snapshot_stride: int = 0                          # 0 = final snapshot only
+    dt: float = _key("solver.dt", 0.0, _non_negative)     # seconds; 0 = use dt_hat
+    dt_hat: float = _key("solver.dt_hat", 0.0, _non_negative)
+    t_end: float = _key("solver.t_end", 0.0, _non_negative)
+    t_end_hat: float = _key("solver.t_end_hat", 0.0, _non_negative)
+    newton_abs_tol: float = _key("solver.newton_abs_tol", SolverConfig.newton_abs_tol)
+    newton_rel_tol: float = _key("solver.newton_rel_tol", SolverConfig.newton_rel_tol)
+    newton_max_iter: int = _key("solver.newton_max_iter", SolverConfig.newton_max_iter)
+    L_star: float = _key("scales.L_star", 0.0, _non_negative)   # 0 = geometry default
+    output_dir: str = _key("output.dir", "out")
+    snapshot_stride: int = _key("output.snapshot_stride", 0, _non_negative)  # 0 = final only
 
     def material_params(self):
         """Preset plus overrides, validated, then made elastic when
@@ -139,80 +190,10 @@ class Scenario:
 # configuration text format
 # ---------------------------------------------------------------------------
 
-_BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
-               "off": False, "false": False, "no": False, "0": False}
-
-
-def _member(choices, message):
-    """Validator: the value must be one of ``choices``; ``message`` may use
-    ``{val}`` and ``{choices}``."""
-    def check(val):
-        if val not in choices:
-            raise ValueError(message.format(val=val, choices=choices))
-        return val
-    return check
-
-
-def _coupling_mode(val):
-    if val not in COUPLING_MODES:
-        raise ValueError("coupling.mode must be oneway or twoway")
-    return COUPLING_MODES[val]
-
-
-def _non_negative(key):
-    """Validator for a number whose 0 leaves it unset."""
-    def check(val):
-        if val < 0:
-            raise ValueError(f"{key} must be non-negative (0 leaves it unset), got {val!r}")
-        return val
-    return check
-
-
-def _on_off(raw):
-    if raw.lower() not in _BOOL_WORDS:
-        raise ValueError(f"expected on/off, got {raw!r}")
-    return _BOOL_WORDS[raw.lower()]
-
-
-def _on_off_text(val):
-    return "on" if val else "off"
-
-
-# config key -> (ScenarioConfig field, value type (a parser raising
-# ValueError), validator or None, text form); load_config and
-# serialize_config both read it, in this order
-_CONFIG_KEYS = {
-    "geometry.kind": ("geometry_kind", str,
-                      _member(_GEOMETRY_KINDS, "geometry.kind must be one of {choices}"), str),
-    "geometry.L": ("L", float, None, repr),
-    "geometry.r": ("r", float, None, repr),
-    "geometry.r_i": ("r_i", float, None, repr),
-    "geometry.r_o": ("r_o", float, None, repr),
-    "geometry.target_h": ("target_h", float, None, repr),
-    "material.preset": ("material_preset", str,
-                        _member(MATERIAL_PRESETS, "unknown material preset {val!r}"), str),
-    "loading.kind": ("loading_kind", str,
-                     _member(_LOADING_KINDS, "loading.kind must be one of {choices}"), str),
-    "loading.u_bar": ("u_bar", float, None, repr),
-    "loading.p": ("p", float, None, repr),
-    "loading.J": ("J_in", float, None, repr),
-    "loading.t_ramp_hat": ("t_ramp_hat", float, _non_negative("loading.t_ramp_hat"), repr),
-    "concentration.initial_hat": ("c_initial_hat", float, None, repr),
-    "concentration.insulated": ("c_insulated", _on_off, None, _on_off_text),
-    "coupling.mode": ("mode", str, _coupling_mode, lambda val: val.replace("-", "")),
-    "plasticity.enabled": ("plasticity", _on_off, None, _on_off_text),
-    "solver.dt": ("dt", float, _non_negative("solver.dt"), repr),
-    "solver.dt_hat": ("dt_hat", float, _non_negative("solver.dt_hat"), repr),
-    "solver.t_end": ("t_end", float, _non_negative("solver.t_end"), repr),
-    "solver.t_end_hat": ("t_end_hat", float, _non_negative("solver.t_end_hat"), repr),
-    "solver.newton_abs_tol": ("newton_abs_tol", float, None, repr),
-    "solver.newton_rel_tol": ("newton_rel_tol", float, None, repr),
-    "solver.newton_max_iter": ("newton_max_iter", int, None, str),
-    "scales.L_star": ("L_star", float, _non_negative("scales.L_star"), repr),
-    "output.dir": ("output_dir", str, None, str),
-    "output.snapshot_stride": ("snapshot_stride", int,
-                               _non_negative("output.snapshot_stride"), str),
-}
+# config key -> (ScenarioConfig field, parser, validator or None, text form),
+# in field order; load_config and serialize_config both read it
+_CONFIG_KEYS = {f.metadata["config"][0]: (f.name, *f.metadata["config"][1:])
+                for f in fields(ScenarioConfig) if "config" in f.metadata}
 
 
 def _parse_value(key, raw, kind, lineno):
@@ -255,7 +236,7 @@ def load_config(text):
             val = _parse_value(key, raw, kind, lineno)
             if check is not None:
                 try:
-                    val = check(val)
+                    val = check(key, val)
                 except ValueError as err:
                     raise ConfigError(f"line {lineno}: {err}") from None
             setattr(cfg, name, val)
@@ -566,7 +547,8 @@ def run_scenario(scenario, output_dir=None, quiet=True, progress=None):
                   f"t_hat={scenario.scales.t_hat(record['time']):.6g}  "
                   f"newton={record['newton_iters']} ({record['newton_exit']}) "
                   f"pcg={record['pcg_iters']}  passes={record['residual_passes']}  "
-                  f"|F|={record['residual_norm']:.3e}")
+                  f"|F_u|={record['residual_u']:.3e}/{record['tol_u']:.3e}  "
+                  f"|F_c|={record['residual_c']:.3e}/{record['tol_c']:.3e}")
         if stride and step_no % stride == 0:
             write_vtk_snapshot(scenario.mesh, fields,
                                out / f"snapshot_{snap_idx[0]:04d}.vtk",

@@ -7,8 +7,9 @@ is one ``RunData`` record, made once per run by ``run_data``: the scenario
 the boundary plan (``assembly.plan_boundary``), the fixed Jacobian data
 (``assembly.fixed_jacobian``), one ``sparse_linalg.BlockSolver``, whose
 factors carry over between steps (its factor policy is described there),
-the reference residuals ``refs`` and the ``assembly.DofMap``. The record
-itself is frozen; its solver and ``refs`` carry the run's state.
+the reference residuals ``refs``, the ``assembly.DofMap`` and the lumped
+nodal masses. The record itself is frozen; its solver and ``refs`` carry
+the run's state.
 
 Each step is one Newton solve of the coupled (u, c) system from the
 committed fields, with the J2 return map inside the residual
@@ -32,9 +33,11 @@ current one's (a failed attempt leaves ``refs`` unchanged, so it sets no
 later tolerance), and against roundoff floors from the last
 Jacobian evaluated (|K_u| |w| and |K_cc| |c|, of the blocks' entrywise
 magnitudes, ``assembly.FixedJacobian.magnitude``). A step is committed only
-through one of NEWTON_EXITS and records what it took (``StepInfo``). Step
-failures halve dt for the failing step only, at most ``MAX_HALVINGS`` times,
-before the run aborts. They are Newton divergence, the iteration cap,
+through one of NEWTON_EXITS. ``_newton_solve`` returns what the solve took
+as a plain dict, ``step`` completes it into the step's record (its keys are
+listed there) and ``run`` appends the record to the history. Step failures
+halve dt for the failing step only, at most ``MAX_HALVINGS`` times, before
+the run aborts. They are Newton divergence, the iteration cap,
 constitutive errors and the block solver's SingularMatrixError: a block that
 band Cholesky finds not positive definite or with a zero pivot, a fresh
 factor's solve that misses a roundoff backward error, and a K_cc with drift
@@ -92,21 +95,6 @@ class SolverConfig:
 
 
 @dataclass
-class StepInfo:
-    newton_iters: int
-    residual_norm: float
-    newton_exit: str           # one of NEWTON_EXITS
-    jacobians: int             # Jacobians evaluated in the step, the reused base included
-    factors: int               # block factors computed by the step's Newton solve
-    reused: int                # block solves of it served by a kept factor
-    pcg_iters: int             # CG and GMRES iterations of its block solves
-    plastic_qp: int            # plastic quadrature points at the committed iterate: n_qp
-                               # per plastic element
-    residual_passes: int       # residual passes computed; one fewer where the committed
-                               # pass gave the first iterate's
-
-
-@dataclass
 class TimeHistory:
     """Per-step probe samples and global diagnostics of one run."""
     times: list = field(default_factory=list)
@@ -135,6 +123,7 @@ class RunData:
     block_solver: sparse_linalg.BlockSolver
     refs: dict              # "u" / "c" -> the block's largest starting residual so far
     dm: DofMap
+    masses: np.ndarray      # lumped nodal masses: a third of each element's area per vertex
 
 
 def run_data(scenario):
@@ -144,11 +133,13 @@ def run_data(scenario):
     fixed = fixed_jacobian(ed, scenario.params)
     # planned from the patterns: K_cc lies on the node pattern of the mass
     block_solver = sparse_linalg.BlockSolver(fixed.mech, fixed.mass, plan.fixed_dofs)
+    masses = np.bincount(scenario.mesh.tris.ravel(), weights=np.repeat(ed.areas / 3.0, 3),
+                         minlength=scenario.mesh.n_nodes)
     return RunData(scenario, ed, plan, fixed, block_solver, {"u": 0.0, "c": 0.0},
-                   DofMap(scenario.mesh.n_nodes))
+                   DofMap(scenario.mesh.n_nodes), masses)
 
 
-def _newton_solve(rd, w, fields_n, t_new, dt, committed=None, held=False):
+def _newton_solve(rd, w, fields_n, t_new, dt, load, committed=None, held=False):
     """Solve the coupled residual to tolerance from initial iterate ``w``.
 
     Convergence and roundoff floors are judged per physics block (mechanics
@@ -160,15 +151,12 @@ def _newton_solve(rd, w, fields_n, t_new, dt, committed=None, held=False):
     times the summed floors, over three consecutive iterations, or when
     ``newton_max_iter`` updates do not reach an exit.
 
-    ``rd`` is the run's ``RunData``. The boundary load at ``t_new`` is
-    computed once and subtracted from every residual. The relative
+    ``rd`` is the run's ``RunData``, and ``load`` the boundary load at
+    ``t_new``, which is subtracted from every residual. The relative
     tolerance is measured against the force scale ``rd.refs``, so quiescent
     hold phases are not asked to out-resolve the yield-surface jitter of
     points flipping between the elastic and plastic branch; this attempt's
-    starting residuals are folded into it only when it returns. The
-    StepInfo counts the factors ``rd.block_solver`` computed, the block
-    solves its kept factors served and the CG and GMRES iterations of the
-    block solves, of both blocks, in this solve; the block norms are over its free dofs.
+    starting residuals are folded into it only when it returns.
 
     ``committed`` is the read-only ``assembly.Iterate`` of ``fields_n``
     (None to compute its strain), and ``held`` says that ``w`` is its
@@ -181,14 +169,14 @@ def _newton_solve(rd, w, fields_n, t_new, dt, committed=None, held=False):
     evaluated, each computed only when a test reads it. The element state
     is formed once, for the iterate the solve returns.
 
-    Returns (w, new element state, the ``assembly.Iterate`` of w, StepInfo).
+    Returns (w, new element state, the ``assembly.Iterate`` of w, the
+    solve's part of the step record as a dict; ``step`` lists its keys).
     The Dirichlet dofs of ``w`` must already carry their prescribed values.
     """
     config, params = rd.scenario.solver, rd.scenario.params
     ed, fixed, block_solver, refs = rd.ed, rd.fixed, rd.block_solver, rd.refs
-    load = neumann_load_vector(rd.plan, t_new)
     start = step_start(ed, fields_n, params, None if committed is None else committed.strain)
-    counts_0 = (block_solver.factors, block_solver.reused, block_solver.pcg_iters)
+    counts_0 = {k: getattr(block_solver, k) for k in ("factors", "reused", "pcg_iters")}
     free_u, free_c = block_solver.free_dofs
     free_rows = block_solver.free_rows
     eps20 = 20.0 * np.finfo(float).eps
@@ -232,12 +220,12 @@ def _newton_solve(rd, w, fields_n, t_new, dt, committed=None, held=False):
 
     def done(reason):
         refs.update(u=ref_u, c=ref_c)
-        return w, iterate_states(start, it, params), it, StepInfo(
-            newton_iters=n_solves, residual_norm=norm, newton_exit=reason,
-            jacobians=jacobians, factors=block_solver.factors - counts_0[0],
-            reused=block_solver.reused - counts_0[1],
-            pcg_iters=block_solver.pcg_iters - counts_0[2],
-            plastic_qp=ed.wq.shape[1] * int(it.plastic.index.size), residual_passes=n_solves + first_pass)
+        return w, iterate_states(start, it, params), it, {
+            "newton_iters": n_solves, "newton_exit": reason, "residual_u": nu,
+            "residual_c": nc, "tol_u": tol_u, "tol_c": tol_c, "jacobians": jacobians,
+            **{k: getattr(block_solver, k) - n for k, n in counts_0.items()},
+            "plastic_qp": ed.wq.shape[1] * int(it.plastic.index.size),
+            "residual_passes": n_solves + first_pass}
 
     while True:
         nu, nc = block_norms(res)
@@ -297,8 +285,30 @@ def step(rd, fields_n, t_n, dt, committed=None):
     ``assembly.Iterate`` of ``fields_n`` (None to compute its strain), whose
     residual pass gives the first iterate's where the step start moves no
     Dirichlet value.
-    Returns (fields at t_n + dt, StepInfo, their Iterate). Raises
+    Returns (fields at t_n + dt, the step record, their Iterate). Raises
     StepFailure when the Newton solve cannot be completed.
+
+    The record is a dict with the keys
+    - ``time`` and ``dt``;
+    - ``newton_iters`` (Newton updates) and ``newton_exit`` (one of
+      NEWTON_EXITS);
+    - ``residual_u``, ``residual_c``, ``tol_u`` and ``tol_c``: each block's
+      residual norm over its free dofs at the exit, and its tolerance;
+    - ``jacobians`` (evaluated, the first iterate's included), ``factors``
+      (block factors computed), ``reused`` (block solves a kept factor
+      served) and ``pcg_iters`` (CG and GMRES iterations of both blocks);
+    - ``plastic_qp``: plastic quadrature points at the committed iterate,
+      n_qp per plastic element;
+    - ``residual_passes``: one per update, plus the first iterate's unless
+      it came from the committed pass;
+    - ``total_concentration`` (sum of m c, with m the lumped nodal masses)
+      and ``max_eps_p_eq``;
+    - ``mass_balance``: sum m (c_{n+1} - c_n) less dt times the boundary
+      supply (the c rows of the flux load plus the exit residual of the
+      Dirichlet c rows), over the larger of the total concentration and
+      |dt supply| (absolute where both are 0). The c rows of the residual
+      sum to this balance, so it is the free c rows' residual left at the
+      exit, in relative terms.
     """
     t_new = t_n + dt
 
@@ -308,11 +318,23 @@ def step(rd, fields_n, t_n, dt, committed=None):
     # values can move the iterate at the step start
     held = np.array_equal(w[rd.plan.fixed_dofs], values)
     w[rd.plan.fixed_dofs] = values
+    load = neumann_load_vector(rd.plan, t_new)
 
-    w, material, it, info = _newton_solve(rd, w, fields_n, t_new, dt, committed, held)
+    w, material, it, record = _newton_solve(rd, w, fields_n, t_new, dt, load, committed, held)
     u, c = rd.dm.split(w)
+    total = float(rd.masses @ c)
+    # the boundary supply: the flux load and, at the Dirichlet c rows, the
+    # reaction that the exit residual holds there
+    fixed_c = rd.plan.fixed_dofs[rd.plan.fixed_dofs % 3 == 2]
+    supply = dt * float(load[2::3].sum() + (it.residual[fixed_c] - load[fixed_c]).sum())
+    # with no concentration and no supply there is no scale: the balance is
+    # then absolute
+    record.update(time=t_new, dt=dt, total_concentration=total,
+                  max_eps_p_eq=float(material.eps_p_eq.max()),
+                  mass_balance=(float(rd.masses @ (c - fields_n.c)) - supply)
+                  / (max(total, abs(supply)) or 1.0))
     return FieldState(u=u, c=c, material=material, sigma_h_nodal=it.sigma_h_nodal,
-                      elem_data=rd.ed, params=rd.scenario.params), info, it
+                      elem_data=rd.ed, params=rd.scenario.params), record, it
 
 
 class ProbeSampler:
@@ -373,9 +395,6 @@ def run(scenario, progress_cb=None):
     config = scenario.solver
     rd = run_data(scenario)
     sampler = ProbeSampler(scenario, rd.ed)
-    # lumped nodal masses: a third of each element's area per vertex
-    masses = np.bincount(scenario.mesh.tris.ravel(), weights=np.repeat(rd.ed.areas / 3.0, 3),
-                         minlength=scenario.mesh.n_nodes)
 
     fields = initial_fields(scenario)
     history = TimeHistory()
@@ -391,7 +410,7 @@ def run(scenario, progress_cb=None):
         attempt = 0
         while True:
             try:
-                fields_new, info, it = step(rd, fields, t, dt, committed)
+                fields_new, record, it = step(rd, fields, t, dt, committed)
                 break
             except StepFailure as err:
                 attempt += 1
@@ -404,13 +423,6 @@ def run(scenario, progress_cb=None):
         t += dt
         step_no += 1
         fields, committed = fields_new, it
-        record = {
-            "time": t,
-            "dt": dt,
-            **vars(info),
-            "total_concentration": float(masses @ fields.c),
-            "max_eps_p_eq": float(fields.material.eps_p_eq.max()),
-        }
         history.append(t, record, sampler.sample(fields))
         if progress_cb is not None:
             progress_cb(step_no, record, fields)

@@ -8,8 +8,9 @@ evaluations, block factors, kept-factor solves and CG iterations, each
 block's band (n, kd), the residual passes, and the steps per Newton exit,
 so that a change that moves the Newton path or the band plan, relabels
 steps or stops taking a step's first pass from the committed one shows
-without a benchmark run. A second run at a tenth of the fresh-solve target
-shows that every fresh factor's first solve lands well inside it.
+without a benchmark run; and it bounds every step record's mass balance.
+A second run at a tenth of the fresh-solve target shows that every fresh
+factor's first solve lands well inside it.
 Both files are read, never written.
 """
 import importlib.util
@@ -75,6 +76,9 @@ def test_final_fields_match_reference(name, tmp_path):
     assert tuple(sum(r[k] for r in history.records) for k in keys) == NEWTON_PATH[name]
     assert sum(r["residual_passes"] for r in history.records) == RESIDUAL_PASSES[name]
     assert Counter(r["newton_exit"] for r in history.records) == NEWTON_EXIT_STEPS[name]
+    # the lumped-mass gain of c is the boundary supply over every step; on
+    # the elastic plate that includes the reaction at its Dirichlet c edge
+    assert max(abs(r["mass_balance"]) for r in history.records) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

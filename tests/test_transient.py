@@ -565,7 +565,7 @@ class TestCommittedPass:
                                             iterates):
             by_hand, info, committed = tr.step(rd, by_hand, t_n, record["dt"], committed)
             assert record["time"] == t_n + record["dt"]
-            assert {k: record[k] for k in vars(info)} == vars(info)
+            assert info == record
             assert record["max_eps_p_eq"] == by_hand.material.eps_p_eq.max()
             for name in ("u", "c", "sigma_h_nodal"):
                 assert np.array_equal(getattr(by_hand, name), getattr(ref, name)), name
@@ -880,8 +880,8 @@ class TestRobustness:
             fresh = replace(rd, refs=dict(rd.refs), block_solver=sla.BlockSolver(
                 rd.fixed.mech, rd.fixed.mass, rd.plan.fixed_dofs))
             *_, again = tr._newton_solve(fresh, rd.dm.join(fields.u, fields.c), fields_n,
-                                         t_n + dt, dt)
-            restarts.append(again.newton_iters)
+                                         t_n + dt, dt, asm.neumann_load_vector(rd.plan, t_n + dt))
+            restarts.append(again["newton_iters"])
             return fields, info, it
 
         monkeypatch.setattr(tr, "step", step_then_restart)
@@ -911,24 +911,25 @@ FLUX_ANNULUS = "".join(line for line in COARSE_ANNULUS.splitlines(keepends=True)
 def mass_balance_errors(text):
     """Per committed step, |sum_i m_i (c_{n+1} - c_n)_i - dt sum_i f_i(t_{n+1})|
     over the larger of |dt sum f| and the total concentration, with m the
-    lumped nodal masses and f the c rows of the flux load at t_{n+1}; and the
-    inflows dt sum f."""
+    lumped nodal masses and f the c rows of the flux load at t_{n+1}; the
+    inflows dt sum f; and the step records' ``mass_balance``."""
     scen = sc.build_scenario(sc.load_config(text))
     plan = asm.plan_boundary(scen.mesh, scen.bcs)
     areas = asm.precompute(scen.mesh).areas
     masses = np.bincount(scen.mesh.tris.ravel(), weights=np.repeat(areas / 3.0, 3),
                          minlength=scen.mesh.n_nodes)
     c_old = [tr.initial_fields(scen).c]
-    errors, inflows = [], []
+    errors, inflows, recorded = [], [], []
 
     def balance(step_no, record, fields):
         gain = masses @ (fields.c - c_old[0])
         inflow = record["dt"] * asm.neumann_load_vector(plan, record["time"])[2::3].sum()
         errors.append(abs(gain - inflow) / max(abs(inflow), masses @ fields.c))
         inflows.append(inflow)
+        recorded.append(record["mass_balance"])
         c_old[0] = fields.c.copy()
     tr.run(scen, progress_cb=balance)
-    return np.array(errors), np.array(inflows)
+    return np.array(errors), np.array(inflows), np.array(recorded)
 
 
 class TestMassBalance:
@@ -943,10 +944,29 @@ class TestMassBalance:
         PARTICLE_CFG.format(ri=2.5e-6, mode="twoway", plast="on"),
     ], ids=["annulus-one-way-elastic", "annulus-one-way-plastic", "particle-two-way-plastic"])
     def test_gain_equals_inflow_every_step(self, text):
-        errors, inflows = mass_balance_errors(text)
+        errors, inflows, recorded = mass_balance_errors(text)
         assert errors.size >= 5
         assert np.all(inflows > 0.0)
         assert errors.max() <= 1e-12
+        # no Dirichlet c here, so the step record's signed balance is this one
+        assert np.array_equal(np.abs(recorded), errors)
+        assert np.abs(recorded).max() <= 1e-12
+
+
+# the keys of every step record, as ``transient.step`` documents them
+STEP_RECORD_KEYS = {
+    "time", "dt", "newton_iters", "newton_exit", "residual_u", "residual_c", "tol_u", "tol_c",
+    "jacobians", "factors", "reused", "pcg_iters", "plastic_qp", "residual_passes",
+    "total_concentration", "max_eps_p_eq", "mass_balance"}
+
+
+def test_every_step_record_has_the_documented_keys():
+    # the bench checks read total_concentration, max_eps_p_eq and
+    # newton_iters from the records: a dropped or renamed key fails here
+    hist, _ = tr.run(sc.build_scenario(sc.load_config(COARSE_PLATE)))
+    assert len(hist.records) == 3
+    for record in hist.records:
+        assert record.keys() == STEP_RECORD_KEYS
 
 
 YIELDING_PLATE = COARSE_PLATE.replace("solver.t_end_hat = 0.03", "solver.t_end_hat = 0.05")
@@ -993,7 +1013,8 @@ class TestPlasticTransient:
         fields_n = tr.initial_fields(scen)
         new, _, _ = tr.step(rd, fields_n, 0.0, dt)
         assert new.material.eps_p_eq.max() > 0        # the step flows plastically
-        _, again, _, _ = tr._newton_solve(rd, rd.dm.join(new.u, new.c), fields_n, dt, dt)
+        _, again, _, _ = tr._newton_solve(rd, rd.dm.join(new.u, new.c), fields_n, dt, dt,
+                                          asm.neumann_load_vector(rd.plan, dt))
         two_mu = 2.0 * params.mu
         change = max(two_mu * np.max(np.abs(again.eps_p - new.material.eps_p)),
                      np.max(np.abs(again.back_stress - new.material.back_stress)),
