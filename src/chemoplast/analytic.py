@@ -56,7 +56,6 @@ class AnalyticParams:
     V_H: float          # partial molar volume (m^3/mol)
     alpha_c: float      # concentration-expansion coefficient
     T: float            # temperature (K)
-    R: float = GAS_CONSTANT
 
     def __post_init__(self):
         if self.R0 <= 0:
@@ -66,11 +65,12 @@ class AnalyticParams:
 
     @property
     def k(self):
-        return self.V_H / (self.R * self.T)
+        return self.V_H / (GAS_CONSTANT * self.T)
 
     @property
     def Q(self):
-        return 2.0 * self.alpha_c * self.V_H * self.E / (9.0 * (1.0 - self.nu) * self.R * self.T)
+        return (2.0 * self.alpha_c * self.V_H * self.E
+                / (9.0 * (1.0 - self.nu) * GAS_CONSTANT * self.T))
 
 
 def hole_hydrostatic(r, beta, params):
@@ -184,9 +184,10 @@ class NondimScales:
 def nondim_scales(params, L_star):
     """Build the nondimensional scales for a material and a length scale.
 
-    ``params`` needs attributes D, c_max, R, T, Omega (a MaterialParams
+    ``params`` needs attributes D, c_max, T, Omega (a MaterialParams
     does). The stress scale renders Omega * sigma_h / (R T) equal to
-    sigma_h_hat, and t* = L*^2 / D makes the diffusive time unit-free.
+    sigma_h_hat, R being GAS_CONSTANT, and t* = L*^2 / D makes the diffusive
+    time unit-free.
     """
     if L_star <= 0:
         raise ValueError("nondim_scales: L_star must be positive")
@@ -194,5 +195,5 @@ def nondim_scales(params, L_star):
         L_star=L_star,
         t_star=L_star**2 / params.D,
         c_star=params.c_max,
-        sigma_h_star=params.R * params.T / params.Omega,
+        sigma_h_star=GAS_CONSTANT * params.T / params.Omega,
     )

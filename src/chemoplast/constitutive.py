@@ -68,7 +68,6 @@ class MaterialParams:
     H: float = 0.0                    # isotropic hardening modulus d sigma_y / d eps_p_eq
     h: float = 0.0                    # kinematic hardening constant (back-stress rate)
     c_max: float = 1.0
-    R: float = GAS_CONSTANT
 
     def __post_init__(self):
         if self.E <= 0:
@@ -104,7 +103,7 @@ class MaterialParams:
     @property
     def drift_coeff(self):
         """D Omega / (R T) of the two-way drift term."""
-        return self.D * self.Omega / (self.R * self.T)
+        return self.D * self.Omega / (GAS_CONSTANT * self.T)
 
     @property
     def tol_f(self):

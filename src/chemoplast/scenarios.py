@@ -10,7 +10,10 @@ flux.
 Configuration files are flat ``section.key = value`` text with ``#``
 comments; unknown keys are hard errors. Each scalar key is declared once, on
 its ``ScenarioConfig`` field (``_key``), with its parser, validator and text
-form; ``load_config`` and ``serialize_config`` read those declarations.
+form; ``load_config`` and ``serialize_config`` read those declarations. Each
+setting has one unit and one spelling: times are hatted, in the diffusive
+unit t* = L*^2 / D with L* the plate side or the outer radius of the
+particle, switches read ``on``/``off`` and the coupling ``oneway``/``twoway``.
 Probe time series go to CSV, field snapshots to legacy VTK in its binary
 encoding (big-endian, float64 fields written exactly).
 """
@@ -54,12 +57,8 @@ _MATERIAL_KEYS = ("E", "nu", "D", "Omega", "T", "sigma_y0", "hardening",
                   "H", "h", "c_max")
 _GEOMETRY_KINDS = ("plate_with_hole", "annulus")
 _LOADING_KINDS = ("displacement", "traction", "flux", "none")
-COUPLING_MODES = {"one-way": "one-way", "oneway": "one-way",
-                  "two-way": "two-way", "twoway": "two-way"}
-
-
-_BOOL_WORDS = {"on": True, "true": True, "yes": True, "1": True,
-               "off": False, "false": False, "no": False, "0": False}
+COUPLING_MODES = {"oneway": "one-way", "twoway": "two-way"}
+_BOOL_WORDS = {"on": True, "off": False}
 
 
 def _member(choices, message):
@@ -86,9 +85,9 @@ def _non_negative(key, val):
 
 
 def _on_off(raw):
-    if raw.lower() not in _BOOL_WORDS:
+    if raw not in _BOOL_WORDS:
         raise ValueError(f"expected on/off, got {raw!r}")
-    return _BOOL_WORDS[raw.lower()]
+    return _BOOL_WORDS[raw]
 
 
 def _key(key, default, check=None, text=None):
@@ -133,14 +132,11 @@ class ScenarioConfig:
                      lambda val: val.replace("-", ""))
     plasticity: bool = _key("plasticity.enabled", False)
     probes: list = field(default_factory=list)        # (name, x, y); empty = defaults
-    dt: float = _key("solver.dt", 0.0, _non_negative)     # seconds; 0 = use dt_hat
     dt_hat: float = _key("solver.dt_hat", 0.0, _non_negative)
-    t_end: float = _key("solver.t_end", 0.0, _non_negative)
     t_end_hat: float = _key("solver.t_end_hat", 0.0, _non_negative)
     newton_abs_tol: float = _key("solver.newton_abs_tol", SolverConfig.newton_abs_tol)
     newton_rel_tol: float = _key("solver.newton_rel_tol", SolverConfig.newton_rel_tol)
     newton_max_iter: int = _key("solver.newton_max_iter", SolverConfig.newton_max_iter)
-    L_star: float = _key("scales.L_star", 0.0, _non_negative)   # 0 = geometry default
     output_dir: str = _key("output.dir", "out")
     snapshot_stride: int = _key("output.snapshot_stride", 0, _non_negative)  # 0 = final only
 
@@ -308,7 +304,7 @@ def _build_plate(config):
     """
     msh = mesh_mod.generate_plate_with_hole(config.L, config.r, config.target_h)
     params = config.material_params()
-    scales = analytic.nondim_scales(params, config.L_star or config.L)
+    scales = analytic.nondim_scales(params, config.L)
 
     bcs = BoundaryConditions()
     t_ramp = config.t_ramp_hat * scales.t_star
@@ -339,7 +335,7 @@ def _build_particle(config):
     (0, r_o)."""
     msh = mesh_mod.generate_annulus(config.r_i, config.r_o, config.target_h)
     params = config.material_params()
-    scales = analytic.nondim_scales(params, config.L_star or config.r_o)
+    scales = analytic.nondim_scales(params, config.r_o)
 
     bcs = BoundaryConditions()
     anchor = _nearest_node(msh, (config.r_o, 0.0))
@@ -381,16 +377,13 @@ def _finish_scenario(config, msh, params, scales, bcs, c_dir, default_probes):
 
 
 def _solver_config(config, scales):
-    """The SolverConfig of ``config``: each time in seconds where it is set,
-    else its hatted value times t*."""
-    if not ((config.dt or config.dt_hat) and (config.t_end or config.t_end_hat)):
-        raise ValueError("set solver.dt (seconds) or solver.dt_hat, and solver.t_end "
-                         "(seconds) or solver.t_end_hat")
+    """The SolverConfig of ``config``: each hatted time times t*."""
+    if not (config.dt_hat and config.t_end_hat):
+        raise ValueError("set solver.dt_hat and solver.t_end_hat")
     return SolverConfig(
-        dt=config.dt or config.dt_hat * scales.t_star,
-        t_end=config.t_end or config.t_end_hat * scales.t_star, mode=config.mode,
-        newton_abs_tol=config.newton_abs_tol, newton_rel_tol=config.newton_rel_tol,
-        newton_max_iter=config.newton_max_iter)
+        dt=config.dt_hat * scales.t_star, t_end=config.t_end_hat * scales.t_star,
+        mode=config.mode, newton_abs_tol=config.newton_abs_tol,
+        newton_rel_tol=config.newton_rel_tol, newton_max_iter=config.newton_max_iter)
 
 
 def build_scenario(config):
@@ -533,10 +526,10 @@ def write_analytic_comparison(rows, path):
 def run_scenario(scenario, output_dir=None, quiet=True, progress=None):
     """Run and write the standard artifacts (probe CSV, VTK snapshots,
     effective config echo). Returns (history, final fields)."""
-    out = Path(output_dir or (scenario.config.output_dir if scenario.config else "out"))
+    out = Path(output_dir or scenario.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    stride = scenario.config.snapshot_stride if scenario.config else 0
+    stride = scenario.config.snapshot_stride
     snap_idx = [0]
 
     def per_step(step_no, record, fields):
@@ -560,7 +553,6 @@ def run_scenario(scenario, output_dir=None, quiet=True, progress=None):
     write_probe_csv(history, scenario, out / "probes.csv")
     write_vtk_snapshot(scenario.mesh, fields, out / "final.vtk",
                        title=f"t={history.times[-1]:.9g}" if history.times else "t=0")
-    if scenario.config is not None:
-        cfg = replace(scenario.config, output_dir=str(out))
-        (out / "effective_config.txt").write_text(serialize_config(cfg))
+    cfg = replace(scenario.config, output_dir=str(out))
+    (out / "effective_config.txt").write_text(serialize_config(cfg))
     return history, fields

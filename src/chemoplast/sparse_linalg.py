@@ -67,6 +67,21 @@ block is still solved exactly: unless its condition number exceeds about
 1e11, the first solve's roundoff-level residual lies far below FORCING
 ||b||, and CG accepts it before its first iteration.
 
+CG can also meet FORCING on a block that is near-singular relative to its
+kept factor, with an x of enormous norm that a fresh factor's pivot check
+would reject. So before CG returns an x reached after one or more
+iterations, it checks the smallest Ritz value (by LAPACK's dsterf) of the
+Lanczos tridiagonal T that its coefficients give, T[k, k] = 1/alpha_k +
+beta_{k-1}/alpha_{k-1} and T[k, k+1] = sqrt(beta_k)/alpha_k (Saad, ch.
+6.7.3). The Ritz values lie between the extreme eigenvalues of the
+factor-preconditioned block, so a small one proves the block near-singular
+relative to its kept factor. Below RITZ_TOL, CG gives up and the block is
+factored afresh, where the pivot check names it. Every kept-factor CG solve
+of the acceptance runs and the benchmark workloads reads at least 0.066
+(criterion 5's two-way plate), and a K_uu with two rows equal up to 0.3
+PIVOT_TOL, served from a well-conditioned block's factor, at most 2.5e-15:
+RITZ_TOL sits near their geometric middle, more than six orders from each.
+
 A K_cc with drift is solved from the factor of its base. CG's theory does
 not cover its nonsymmetric drift, but no x passes on CG's recursive
 residual alone: the true residual is recomputed before x is accepted, and
@@ -98,7 +113,7 @@ solve contract has three rules:
   with ||b - A x|| <= FORCING ||b|| by CG or else GMRES from that factor,
   or SingularMatrixError names K_cc;
 - any other kept factor returns x with ||b - A x|| <= FORCING ||b|| by CG,
-  or the block is factored afresh.
+  with no Ritz value below RITZ_TOL, or the block is factored afresh.
 A block that turns singular is reported when it is factored: CG against a
 kept factor cannot converge on it unless the right-hand side lies within
 FORCING ||b|| of its range; x then solves the block to the forcing bound.
@@ -122,6 +137,9 @@ ROUNDOFF_TOL = 20.0 * np.finfo(float).eps   # normwise backward error of a fresh
 # digit, and 1e-2 moves their converged c by 6e-6
 FORCING = 1e-3
 PCG_MAX_ITER = 12          # CG iterations before a changed block is factored afresh
+# smallest Ritz value of a CG solve below which its block counts as near-singular
+# relative to the kept factor (see the module docstring)
+RITZ_TOL = 1e-8
 # GMRES on a drifted K_cc: iterations between restarts, and restarts before
 # it is reported singular. The coarse test plate at 1 K takes 49 iterations
 # at a restart of 40 and 179 at 20; one cycle of 200 misses the bound where
@@ -461,12 +479,14 @@ class BlockSolver:
     def _pcg(self, factor, A, b):
         """x with ||b - A x|| <= FORCING ||b|| by CG against ``A``,
         preconditioned with the factor ``factor`` and started from its
-        first solve; None on non-positive curvature or after PCG_MAX_ITER
-        iterations."""
+        first solve; None on non-positive curvature, after PCG_MAX_ITER
+        iterations, or when the smallest Ritz value of its iterations is
+        below RITZ_TOL."""
         x = factor.solve(b)
         r = b - A @ x
         target = FORCING * np.linalg.norm(b)
         rz = p = None
+        alphas, betas = [], []
         for k in range(PCG_MAX_ITER + 1):
             # r is x's true residual at k = 0; after that it is the recursive
             # one, which differs from b - A x by the rounding accumulated over
@@ -475,19 +495,34 @@ class BlockSolver:
                 if k:
                     r = b - A @ x
                 if np.linalg.norm(r) <= target:
+                    if k:
+                        # the Ritz values of the Lanczos tridiagonal of the k
+                        # iterations, ascending; where dsterf's QL iteration
+                        # fails, the block is factored afresh too. scipy's
+                        # wrapper takes one off-diagonal entry at k = 1
+                        inv, beta = 1.0 / np.array(alphas), np.array(betas)
+                        diag = inv.copy()
+                        diag[1:] += beta * inv[:-1]
+                        off = np.sqrt(beta) * inv[:-1] if k > 1 else np.zeros(1)
+                        ritz, info = lapack.dsterf(diag, off)
+                        if info or ritz[0] < RITZ_TOL:
+                            return None
                     self.pcg_iters += k
                     return x
             if k == PCG_MAX_ITER:
                 return None
             z = factor.solve(r)
             rz, rz_old = r @ z, rz
-            p = z if k == 0 else z + (rz / rz_old) * p
+            if k:
+                betas.append(rz / rz_old)
+            p = z if k == 0 else z + betas[-1] * p
             q = A @ p
             curvature = p @ q
             # r.z <= 0: the preconditioner is not positive definite
             if curvature <= 0.0 or rz <= 0.0:
                 return None
             alpha = rz / curvature
+            alphas.append(alpha)
             x = x + alpha * p
             r = r - alpha * q
 

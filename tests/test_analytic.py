@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,24 @@ class TestHoleHydrostatic:
             analytic.hole_hydrostatic(0.04, 0.0, steel_analytic)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("R0", 0.0, "hole radius R0 must be positive"),
+    ("R0", -0.05, "hole radius R0 must be positive"),
+    ("p", np.nan, "remote load p must be finite"),
+    ("p", -np.inf, "remote load p must be finite"),
+])
+def test_invalid_analytic_params_rejected(steel_analytic, field, value, message):
+    with pytest.raises(ValueError) as err:
+        replace(steel_analytic, **{field: value})
+    assert str(err.value) == f"AnalyticParams: {message}"
+
+
 class TestHoleConcentration:
+    def test_inside_hole_raises(self, steel_analytic):
+        with pytest.raises(ValueError) as err:
+            analytic.hole_concentration(np.array([0.06, 0.04]), 0.0, steel_analytic)
+        assert str(err.value) == "hole_concentration: r < R0 lies inside the hole"
+
     def test_lambert_identity(self, steel_analytic):
         # A exp(-W(A)) is identically W(A); spot-check the implementation
         r = np.array([0.05, 0.07, 0.2, 1.0])
@@ -201,25 +220,32 @@ class TestSlabSeries:
 class TestNondimScales:
     def test_time_scale_fine_diffusivity(self, ):
         class P:
-            D, c_max, R, T, Omega = 3.9e-14, 1.0, 8.314, 300.0, 4.17e-6
+            D, c_max, T, Omega = 3.9e-14, 1.0, 300.0, 4.17e-6
         s = analytic.nondim_scales(P, 1e-6)
         assert s.t_star == pytest.approx(25.64, rel=1e-3)
 
     def test_time_scale_coarse_diffusivity(self):
         class P:
-            D, c_max, R, T, Omega = 1.27e-8, 1.0, 8.314, 300.0, 1.96e-6
+            D, c_max, T, Omega = 1.27e-8, 1.0, 300.0, 1.96e-6
         s = analytic.nondim_scales(P, 1e-2)
         assert s.t_star == pytest.approx(7874.0, rel=1e-3)
 
     def test_stress_scale_definition(self, steel=None):
         class P:
-            D, c_max, R, T, Omega = 1.27e-8, 2.0, 8.314, 300.0, 1.96e-6
+            D, c_max, T, Omega = 1.27e-8, 2.0, 300.0, 1.96e-6
         s = analytic.nondim_scales(P, 0.5)
-        sigma = P.R * P.T / P.Omega
+        sigma = 8.314 * P.T / P.Omega
         assert s.sigma_h_hat(sigma) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["L_star", "t_star", "c_star", "sigma_h_star"])
+    def test_every_scale_must_be_positive(self, name):
+        scales = {**dict(L_star=1.0, t_star=2.0, c_star=3.0, sigma_h_star=4.0), name: 0.0}
+        with pytest.raises(ValueError) as err:
+            analytic.NondimScales(**scales)
+        assert str(err.value) == f"NondimScales: {name} must be positive"
 
     def test_positivity_required(self):
         class P:
-            D, c_max, R, T, Omega = 1.0, 1.0, 8.314, 300.0, 1e-6
+            D, c_max, T, Omega = 1.0, 1.0, 300.0, 1e-6
         with pytest.raises(ValueError):
             analytic.nondim_scales(P, 0.0)

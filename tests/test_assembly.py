@@ -169,6 +169,32 @@ class TestResidual:
         with pytest.raises(ValueError):
             asm.assemble_system(m, dm, f, f, steel, 1.0, "sideways", want_jacobian=False)
 
+    def test_dof_map_of_another_mesh_rejected(self, steel):
+        m = build_two_element_square()
+        f = _fields(m)
+        with pytest.raises(ValueError) as err:
+            asm.assemble_system(m, asm.DofMap(5), f, f, steel, 1.0, "one-way",
+                                want_jacobian=False)
+        assert str(err.value) == "assemble_system: dof map and assembly plan disagree"
+
+    def test_clockwise_element_rejected(self):
+        m = build_two_element_square()
+        flipped = msh.Mesh(m.nodes, m.tris[:, ::-1].copy(), m.boundary_edges, m.boundary_tags)
+        with pytest.raises(asm.AssemblyError) as err:
+            asm.precompute(flipped)
+        assert str(err.value) == "precompute: mesh contains non-positively oriented elements"
+
+    def test_per_point_states_of_stressed_fields_need_the_plan(self):
+        # fields without a plan are taken as stress-free; stressed ones
+        # cannot give their per-point stresses
+        f = _fields(build_two_element_square())
+        assert not np.any(f.states.sigma)
+        f.material.stress_sum[1, 0] = 1.0
+        with pytest.raises(ValueError) as err:
+            f.states
+        assert str(err.value) == ("FieldState.states: the per-point stresses of stressed "
+                                  "fields need the assembly plan and the material")
+
 
 class TestJacobian:
     def test_block_structure_one_way_elastic(self, steel):
@@ -380,7 +406,7 @@ def _reference_two_way(mesh, dm, fields_new, fields_old, mat, dt):
     tangent = plastic.tangent(mat, d_c_qp.shape)
     sigma_h = _recovered_sigma_h(mesh, states, weights)
     grad_sh = np.einsum("eid,ei->ed", grads, sigma_h[tris])
-    drift = mat.D * mat.Omega / (mat.R * mat.T)
+    drift = mat.D * mat.Omega / (ct.GAS_CONSTANT * mat.T)
 
     r_u = np.einsum("eai,ea->ei", b, np.einsum("eq,eqa->ea", wq, states.sigma))
     m_e = np.einsum("eq,qi,qj->eij", wq, asm.QUAD_SHAPE, asm.QUAD_SHAPE)

@@ -96,10 +96,10 @@ class TestExitCodes:
         COARSE_PLATE.replace("geometry.r = 0.2", "geometry.r = 0.6"),
         COARSE_PLATE.replace("geometry.target_h = 0.09", "geometry.target_h = 0.2"),
         ANNULUS.replace("geometry.r_i = 0.25", "geometry.r_i = -0.1"),
-        COARSE_PLATE + "scales.L_star = -1.0\n",
+        COARSE_PLATE.replace("solver.dt_hat = ", "solver.dt_hat = -"),
         COARSE_PLATE + "solver.newton_rel_tol = -1\n",
         COARSE_PLATE + "solver.newton_max_iter = 0\n",
-    ], ids=["hole-does-not-fit", "target_h-not-below-r", "negative-r_i", "negative-L_star",
+    ], ids=["hole-does-not-fit", "target_h-not-below-r", "negative-r_i", "negative-dt_hat",
             "negative-rel-tol", "zero-max-iter"])
     def test_bad_value_exits_1_with_one_error_line(self, tmp_path, capsys, text):
         # per-key values are checked by load_config, the conditions that

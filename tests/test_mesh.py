@@ -35,6 +35,12 @@ class TestPlateWithHole:
         with pytest.raises(ValueError):
             msh.generate_plate_with_hole(1.0, 0.05, 0.045)
 
+    @pytest.mark.parametrize("L, r", [(0.0, 0.05), (-1.0, 0.05), (1.0, 0.0), (1.0, -0.05)])
+    def test_non_positive_size_rejected(self, L, r):
+        with pytest.raises(ValueError) as err:
+            msh.generate_plate_with_hole(L, r, 0.01)
+        assert str(err.value) == "generate_plate_with_hole: L and r must be positive"
+
     def test_all_elements_positively_oriented(self):
         m = msh.generate_plate_with_hole(1.0, 0.1, 0.03)
         assert np.all(msh.signed_areas(m.nodes, m.tris) > 0)
@@ -106,6 +112,25 @@ class TestAnnulus:
             msh.generate_annulus(1.0, 1.0, 0.05)
         with pytest.raises(ValueError):
             msh.generate_annulus(-0.1, 1.0, 0.05)
+
+    @pytest.mark.parametrize("r_o, target_h, message", [
+        (0.0, 0.05, "r_o must be positive"),
+        (-1.0, 0.05, "r_o must be positive"),
+        (1.0, 1.0, "require 0 < target_h < r_o"),
+        (1.0, 0.0, "require 0 < target_h < r_o"),
+        (1.0, 0.8, "target_h resolves the outer circle with fewer than 8 segments"),
+    ])
+    def test_infeasible_size_rejected(self, r_o, target_h, message):
+        with pytest.raises(ValueError) as err:
+            msh.generate_annulus(0.0, r_o, target_h)
+        assert str(err.value) == f"generate_annulus: {message}"
+
+    def test_ring_thinner_than_its_first_layer_gets_two(self):
+        # the first layer would be 0.6 r_i dtheta = 0.23 wide on a ring 0.01
+        # thick: the ring is split halfway instead
+        m = msh.generate_annulus(0.99, 1.0, 0.5)
+        radii = np.hypot(m.nodes[:, 0], m.nodes[:, 1]).reshape(-1, 16)
+        assert np.allclose(radii, np.array([[0.99], [0.995], [1.0]]), rtol=0, atol=1e-12)
 
     def test_euler_characteristics(self):
         assert euler_characteristic(msh.generate_annulus(0.3, 1.0, 0.08)) == 0
@@ -189,6 +214,34 @@ class TestClosePairs:
         assert n_pairs == len(moved) * (len(moved) + 1) // 2
         with pytest.raises(RuntimeError, match=f"produced {n_pairs} duplicate node pair"):
             msh._make_mesh(nodes, tris, lambda mids: np.full(len(mids), "outer"), 1.0)
+
+
+class TestMakeMeshGuards:
+    # the unit square of two counter-clockwise triangles, every boundary
+    # edge tagged, passes; each case breaks one of the checks
+    NODES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    TRIS = np.array([[0, 1, 2], [0, 2, 3]])
+
+    @staticmethod
+    def tag_all(mids):
+        return np.full(len(mids), "outer")
+
+    def test_square_passes(self):
+        m = msh._make_mesh(self.NODES, self.TRIS, self.tag_all, 1.0)
+        assert m.n_elements == 2 and len(m.boundary_edges) == 4
+
+    @pytest.mark.parametrize("nodes, tris, tag_fn, message", [
+        (NODES, TRIS[:, ::-1], None, "produced a degenerate or clockwise element"),
+        (np.vstack([NODES, [[0.5, -1.0]]]), np.vstack([TRIS, [[0, 4, 1]], [[0, 1, 3]]]), None,
+         "produced a non-manifold edge"),
+        (NODES, TRIS, lambda mids: np.where(mids[:, 1] > 0.9, "", "outer"),
+         "left a boundary edge untagged"),
+        (np.vstack([NODES, [[5.0, 5.0]]]), TRIS, None, "produced orphan nodes"),
+    ], ids=["clockwise", "non-manifold", "untagged", "orphan"])
+    def test_broken_mesh_rejected(self, nodes, tris, tag_fn, message):
+        with pytest.raises(RuntimeError) as err:
+            msh._make_mesh(nodes, tris, tag_fn or self.tag_all, 1.0)
+        assert str(err.value) == f"mesh generation {message}"
 
 
 class TestValidate:

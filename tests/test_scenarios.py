@@ -91,14 +91,11 @@ concentration.initial_hat = 0.1
 concentration.insulated = on
 coupling.mode = twoway
 plasticity.enabled = on
-solver.dt = 0.5
 solver.dt_hat = 0.01
-solver.t_end = 5.0
 solver.t_end_hat = 0.3
 solver.newton_abs_tol = 1e-9
 solver.newton_rel_tol = 1e-7
 solver.newton_max_iter = 25
-scales.L_star = 0.7
 output.dir = elsewhere
 output.snapshot_stride = 3
 """
@@ -150,8 +147,11 @@ class TestLoadConfig:
         with pytest.raises(sc.ConfigError, match="line 2"):
             sc.load_config("geometry.kind = plate_with_hole\nsolver.dtt = 1\n")
 
-    @pytest.mark.parametrize("key", ["solver.stagger_tol", "solver.stagger_max_iter"])
-    def test_removed_stagger_keys_are_unknown(self, key):
+    # times are hatted only (solver.dt_hat, solver.t_end_hat), and L* is the
+    # plate side or the outer radius
+    @pytest.mark.parametrize("key", ["solver.stagger_tol", "solver.stagger_max_iter",
+                                     "solver.dt", "solver.t_end", "scales.L_star"])
+    def test_removed_keys_are_unknown(self, key):
         lineno = len(BASE_PLATE.splitlines()) + 1
         with pytest.raises(sc.ConfigError, match=f"line {lineno}: unknown key '{key}'"):
             sc.load_config(BASE_PLATE + f"{key} = 3\n")
@@ -163,8 +163,15 @@ class TestLoadConfig:
         ("loading.kind = shear",
          "line 1: loading.kind must be one of ('displacement', 'traction', 'flux', 'none')"),
         ("coupling.mode = both", "line 1: coupling.mode must be oneway or twoway"),
+        ("coupling.mode = two-way", "line 1: coupling.mode must be oneway or twoway"),
         ("plasticity.enabled = maybe",
          "line 1: bad value for plasticity.enabled: expected on/off, got 'maybe'"),
+        ("plasticity.enabled = yes",
+         "line 1: bad value for plasticity.enabled: expected on/off, got 'yes'"),
+        ("concentration.insulated = true",
+         "line 1: bad value for concentration.insulated: expected on/off, got 'true'"),
+        ("plasticity.enabled = ON",
+         "line 1: bad value for plasticity.enabled: expected on/off, got 'ON'"),
     ])
     def test_enumerated_choice_rejected_with_line(self, line, message):
         with pytest.raises(sc.ConfigError) as err:
@@ -181,7 +188,7 @@ class TestLoadConfig:
         with pytest.raises(sc.ConfigError, match=f"line {lineno}: bad value for probes.A"):
             sc.load_config(BASE_PLATE + line + "\n")
 
-    @pytest.mark.parametrize("line", ["loading.u_bar = nan", "solver.t_end = inf",
+    @pytest.mark.parametrize("line", ["loading.u_bar = nan", "solver.t_end_hat = inf",
                                       "material.sigma_y0 = -inf",
                                       "concentration.dirichlet.hole = nan"])
     def test_non_finite_number_rejected_with_line(self, line):
@@ -197,12 +204,11 @@ class TestLoadConfig:
                              + BASE_PLATE.replace("geometry.L = 1.0\n", ""))
         assert cfg.L == 2.0
 
-    @pytest.mark.parametrize("key", ["solver.dt", "solver.dt_hat", "solver.t_end",
-                                     "solver.t_end_hat", "scales.L_star",
+    @pytest.mark.parametrize("key", ["solver.dt_hat", "solver.t_end_hat",
                                      "output.snapshot_stride", "loading.t_ramp_hat"])
     def test_negative_unset_by_zero_value_rejected_with_line(self, key):
-        # 0 leaves these unset; a negative value used to fall back to the
-        # default (dt, t_end), to write a snapshot every step (the stride) or
+        # 0 leaves these unset; a negative value used to fall back to a
+        # default (the times), to write a snapshot every step (the stride) or
         # to apply the load at t = 0 (the ramp)
         text = without_key(BASE_PLATE, key)
         lineno = len(text.splitlines()) + 1
@@ -236,7 +242,7 @@ class TestBuildScenario:
     @pytest.mark.parametrize("drop", ["solver.dt_hat", "solver.t_end_hat"])
     def test_missing_time_settings_rejected(self, drop):
         cfg = sc.load_config(without_key(BASE_PLATE, drop))
-        with pytest.raises(sc.ConfigError, match=r"set solver\.dt \(seconds\) or solver\.dt_hat"):
+        with pytest.raises(sc.ConfigError, match=r"set solver\.dt_hat and solver\.t_end_hat"):
             sc.build_scenario(cfg)
 
     def test_unknown_geometry_kind_rejected(self):

@@ -115,6 +115,19 @@ class TestApplyDirichlet:
         assert x[1] == pytest.approx(1.0 / k, rel=1e-12)
         assert x[0] == 0.0
 
+    def test_rhs_of_another_length_rejected(self):
+        A = sla.from_triplets(2, [(0, 0, 1.0), (1, 1, 1.0)])
+        with pytest.raises(ValueError) as err:
+            sla.apply_dirichlet(A, np.zeros(3), [(0, 1.0)])
+        assert str(err.value) == "apply_dirichlet: rhs length (3,) does not match n=2"
+
+    @pytest.mark.parametrize("dof", [-1, 2])
+    def test_dof_out_of_range_rejected(self, dof):
+        A = sla.from_triplets(2, [(0, 0, 1.0), (1, 1, 1.0)])
+        with pytest.raises(IndexError) as err:
+            sla.apply_dirichlet(A, np.zeros(2), [(0, 1.0), (dof, 2.0)])
+        assert str(err.value) == f"apply_dirichlet: dof {dof} outside [0, 2)"
+
     def test_conflicting_constraints(self):
         A = sla.from_triplets(2, [(0, 0, 1.0), (1, 1, 1.0)])
         with pytest.raises(ValueError):
@@ -797,7 +810,9 @@ class TestKeptFactorSolve:
             solver.newton_update(rows(B), rng.normal(size=A.shape[0]))
         assert solver.factors == 2 and solver.pcg_iters == 0
 
-    def test_singular_k_uu_raises(self, rows, rng, factors):
+    @pytest.mark.parametrize("seed, cg_meets_forcing", [(20240814, False), (35, True)],
+                             ids=["cg-stalls", "cg-meets-forcing"])
+    def test_singular_k_uu_raises(self, rows, factors, monkeypatch, seed, cg_meets_forcing):
         # K_uu with equal rows i and j (and columns) is positive semidefinite
         # and singular; a generic right-hand side has a part in its null space
         # that CG with the kept factor of A cannot reduce, and the fresh
@@ -805,9 +820,12 @@ class TestKeptFactorSolve:
         # either sign, so dpbtrf or the band pivot check rejects it. Shifted
         # by 0.3 PIVOT_TOL max|K_uu| at (j, j), it is positive definite with a
         # pivot of at most the shift, far above roundoff, and the band
-        # factor's pivot check reports it. The shifted block is factored by a
-        # solver with no kept factor: with cond(K_uu) near 1e15, CG from A's
-        # factor can meet the forcing bound, and then no fresh factor is made.
+        # factor's pivot check reports it. Both are served from the kept
+        # factor of A first. With cond(K_uu) near 1e15, CG from it meets the
+        # forcing bound on the shifted block for some draws (6 of seeds
+        # 1-100, 35 among them), but its smallest Ritz value, near 1e-15, lies
+        # far below RITZ_TOL, so the block is factored afresh.
+        rng = np.random.default_rng(seed)
         A = _spd_block_triangular(rng)
         is_u = np.flatnonzero(np.arange(A.shape[0]) % 3 != 2)
         i, j = is_u[0], is_u[3]
@@ -815,12 +833,20 @@ class TestKeptFactorSolve:
         dense[j, is_u] = dense[i, is_u]
         dense[is_u, j] = dense[is_u, i]
         dense[j, j] = dense[i, j] = dense[j, i] = dense[i, i]
-        for shift, match, kept in ((0.0, "K_uu", True), (0.3, "K_uu: pivot", False)):
+        for shift, match in ((0.0, "K_uu"), (0.3, "K_uu: pivot")):
             dense[j, j] += shift * sla.PIVOT_TOL * np.abs(dense[np.ix_(is_u, is_u)]).max()
             B = sp.csr_matrix(dense)
             assert np.array_equal(B.indices, A.indices)
+            rhs = rng.normal(size=A.shape[0])
             solver = _solver(A)
-            if kept:
-                solver.newton_update(rows(A), np.ones(A.shape[0]))
+            solver.newton_update(rows(A), np.ones(A.shape[0]))
             with pytest.raises(sla.SingularMatrixError, match=match):
-                solver.newton_update(rows(B), rng.normal(size=A.shape[0]))
+                solver.newton_update(rows(B), rhs)
+        if cg_meets_forcing:
+            # without the Ritz check the kept factor serves the shifted block,
+            # with an update of enormous norm
+            monkeypatch.setattr(sla, "RITZ_TOL", 0.0)
+            solver = _solver(A)
+            solver.newton_update(rows(A), np.ones(A.shape[0]))
+            dw = solver.newton_update(rows(B), rhs)
+            assert solver.factors == 2 and np.abs(dw).max() > 1e9
